@@ -23,9 +23,8 @@ from .audit import (AuditError, AuditReport, InfeasibleAuditError, MUTATIONS,
                     audit_demand_privacy, audit_robustness,
                     audit_server_security, audit_signal_security, exact_mi,
                     run_audits)
-from .ff import (FieldElement, FieldError, FieldMismatchError, FieldVector,
-                 NotPrimeError, PrimeField, ZeroInverseError, horner, is_prime,
-                 poly_eval)
+from .ff import (FieldError, NotPrimeError, PrimeField, ZeroInverseError, horner,
+                 is_prime)
 from .pda import (ConditionAError, ConditionBError, Pda, PdaError,
                   PdaParseError, STAR, StarCountError, SymbolGapError, man_pda,
                   parse, serialize, validate)
@@ -44,4 +43,34 @@ from .sim import RunResult, Scenario, ScenarioError, run, sweep
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # analysis
+    "AnalysisError", "AnalysisInvariantError", "BoundReport", "BoundRow",
+    "CurvePoint", "ManCurve", "MscTriple", "default_grid", "f_bound",
+    "gap_report", "load_lower_bound", "load_term", "lower_envelope",
+    "man_curve", "msc_from_pda", "storage_lower_bound",
+    # audit
+    "AuditError", "AuditReport", "InfeasibleAuditError", "MUTATIONS",
+    "audit_demand_privacy", "audit_robustness", "audit_server_security",
+    "audit_signal_security", "exact_mi", "run_audits",
+    # ff
+    "FieldError", "NotPrimeError", "PrimeField", "ZeroInverseError", "horner",
+    "is_prime",
+    # pda
+    "ConditionAError", "ConditionBError", "Pda", "PdaError", "PdaParseError",
+    "STAR", "StarCountError", "SymbolGapError", "man_pda", "parse",
+    "serialize", "validate",
+    # protocol
+    "ALL_STRATEGIES", "ConfigError", "DimensionMismatch",
+    "HonestPermutedSlices", "HonestPlusConstant", "Library", "MissingSignals",
+    "ProtocolError", "Query", "Randomness", "STRATEGY_NAMES", "ServerStore",
+    "Signal", "SystemParams", "UniformRandom", "UserCache", "ZeroPayload",
+    "adversary_content", "adversary_signal", "build_storage", "load_config",
+    "make_query", "params_from_json", "place_user", "recover_library",
+    "server_signal", "strategy_key", "user_decode", "with_seed",
+    # rscode
+    "AmbiguousCandidate", "Codeword", "DecodingFailure", "EvalPoints",
+    "NoCandidate", "brute_force_decode", "decode", "encode",
+    # sim
+    "RunResult", "Scenario", "ScenarioError", "run", "sweep",
+]

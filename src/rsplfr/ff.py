@@ -2,19 +2,13 @@
 
 Every encoding, key superposition, and decoding step of the retrieval
 scheme happens in one prime field, chosen large enough to give each
-server its own nonzero evaluation point.  Residues are stored
-canonically reduced into [0, q).
-
-Two layers are provided.  ``PrimeField`` is a context object whose
-methods work on plain ints; the protocol hot paths use it directly.
-``FieldElement`` / ``FieldVector`` wrap values together with their field
-and reject any mixing of moduli, for callers who want the arithmetic to
-police itself.
+server its own nonzero evaluation point.  Residues are plain ints,
+stored canonically reduced into [0, q); callers do the modular
+arithmetic inline and use ``PrimeField`` for the checked modulus and
+for inverses.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class FieldError(ValueError):
@@ -22,10 +16,6 @@ class FieldError(ValueError):
 
 
 class NotPrimeError(FieldError):
-    pass
-
-
-class FieldMismatchError(FieldError):
     pass
 
 
@@ -58,7 +48,7 @@ def horner(coeffs, x: int, q: int) -> int:
 
 
 class PrimeField:
-    """Arithmetic context for F_q with q prime."""
+    """A checked prime modulus q and inversion in F_q."""
 
     __slots__ = ("q",)
 
@@ -67,128 +57,9 @@ class PrimeField:
             raise NotPrimeError(f"modulus {q!r} is not prime")
         self.q = q
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         a %= self.q
         if a == 0:
             raise ZeroInverseError(f"0 has no inverse mod {self.q}")
         # Fermat: a^(q-2) is the inverse because q is prime.
         return pow(a, self.q - 2, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
-
-    def poly_eval(self, coeffs, x: int) -> int:
-        return horner(coeffs, x, self.q)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-    def vector(self, values) -> "FieldVector":
-        return FieldVector(tuple(v % self.q for v in values), self)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"PrimeField({self.q})"
-
-
-def _same_field(a: "FieldElement | FieldVector", b: "FieldElement | FieldVector") -> PrimeField:
-    if a.field.q != b.field.q:
-        raise FieldMismatchError(f"modulus mismatch: {a.field.q} vs {b.field.q}")
-    return a.field
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.field.q)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        f = _same_field(self, other)
-        return FieldElement(f.add(self.value, other.value), f)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        f = _same_field(self, other)
-        return FieldElement(f.sub(self.value, other.value), f)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        f = _same_field(self, other)
-        return FieldElement(f.mul(self.value, other.value), f)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        f = _same_field(self, other)
-        return FieldElement(f.div(self.value, other.value), f)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.q})"
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    values: tuple[int, ...]
-    field: PrimeField
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(v % self.field.q for v in self.values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        f = self.field
-        return (FieldElement(v, f) for v in self.values)
-
-    def __getitem__(self, i: int) -> FieldElement:
-        return FieldElement(self.values[i], self.field)
-
-    def __add__(self, other: "FieldVector") -> "FieldVector":
-        f = _same_field(self, other)
-        if len(self.values) != len(other.values):
-            raise FieldError("length mismatch")
-        return FieldVector(tuple(f.add(a, b) for a, b in zip(self.values, other.values)), f)
-
-    def scale(self, c: FieldElement) -> "FieldVector":
-        f = _same_field(self, c)
-        return FieldVector(tuple(f.mul(c.value, v) for v in self.values), f)
-
-
-def poly_eval(coeffs: FieldVector, x: FieldElement) -> FieldElement:
-    """Evaluate a coefficient vector (low degree first) at a point."""
-    f = _same_field(coeffs, x)
-    return FieldElement(horner(coeffs.values, x.value, f.q), f)

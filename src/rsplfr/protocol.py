@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import pda as pda_mod
 from . import rscode
-from .ff import PrimeField
+from .ff import horner
 from .pda import Pda, STAR
 from .rscode import Codeword, EvalPoints
 
@@ -73,6 +73,8 @@ class SystemParams:
     B: int | None = None
     alphas: tuple[int, ...] | None = None
     seed: int = 0
+    points: EvalPoints | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.N < 2:
@@ -90,20 +92,16 @@ class SystemParams:
             raise ProtocolError(
                 f"need I + 2A < J, got I={self.I}, A={self.A}, J={self.J}")
         if self.q is not None:
-            fld = PrimeField(self.q)  # validates primality
-            if self.q <= self.H:
-                raise ProtocolError(f"q={self.q} must exceed H={self.H}")
-            if self.alphas is None:
-                object.__setattr__(self, "alphas", tuple(range(1, self.H + 1)))
-            else:
-                object.__setattr__(self, "alphas", tuple(self.alphas))
-                if len(self.alphas) != self.H:
-                    raise ProtocolError(f"need {self.H} evaluation points")
-                for a in self.alphas:
-                    if not 0 < a < fld.q:
-                        raise ProtocolError(f"evaluation point {a} outside [1, q-1]")
-                if len(set(self.alphas)) != self.H:
-                    raise ProtocolError("evaluation points must be distinct")
+            alphas = (tuple(range(1, self.H + 1)) if self.alphas is None
+                      else tuple(self.alphas))
+            if len(alphas) != self.H:
+                raise ProtocolError(f"need {self.H} evaluation points")
+            try:
+                points = EvalPoints(self.q, alphas)
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from exc
+            object.__setattr__(self, "alphas", points.alphas)
+            object.__setattr__(self, "points", points)
         elif self.alphas is not None:
             raise ProtocolError("evaluation points need q")
         if self.B is not None and self.B < 1:
@@ -112,18 +110,6 @@ class SystemParams:
     @property
     def L(self) -> int:
         return self.J - self.I - 2 * self.A
-
-    @property
-    def field(self) -> PrimeField:
-        if self.q is None:
-            raise ProtocolError("q is not set")
-        return PrimeField(self.q)
-
-    @property
-    def points(self) -> EvalPoints:
-        if self.q is None:
-            raise ProtocolError("q is not set")
-        return EvalPoints(self.q, self.alphas)
 
 
 def _dims(params: SystemParams, pda: Pda) -> tuple[int, int]:
@@ -310,25 +296,11 @@ def build_storage(params: SystemParams, pda: Pda,
     q = params.q
     stores = []
     for h, a in enumerate(params.alphas, start=1):
-        coded_subfiles = []
-        for per_file in bank.file_coeffs:
-            out = []
-            for coeffs in per_file:
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * a + c) % q
-                out.append(acc)
-            coded_subfiles.append(tuple(out))
-        coded_keys = []
-        for per_key in bank.key_coeffs:
-            out = []
-            for coeffs in per_key:
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = (acc * a + c) % q
-                out.append(acc)
-            coded_keys.append(tuple(out))
-        stores.append(ServerStore(h, tuple(coded_subfiles), tuple(coded_keys)))
+        coded_subfiles = tuple(tuple(horner(coeffs, a, q) for coeffs in per_file)
+                               for per_file in bank.file_coeffs)
+        coded_keys = tuple(tuple(horner(coeffs, a, q) for coeffs in per_key)
+                           for per_key in bank.key_coeffs)
+        stores.append(ServerStore(h, coded_subfiles, coded_keys))
     return stores
 
 
@@ -472,24 +444,27 @@ def strategy_key(strategy) -> str:
     return ":".join(parts)
 
 
-def adversary_signal(params: SystemParams, pda: Pda, strategy,
-                     store: ServerStore, queries,
-                     rng: random.Random | None = None) -> Signal:
-    """A corrupted answer computed only from the server's own store and queries."""
-    honest = server_signal(params, pda, store, queries)
-    if rng is None:
-        rng = random.Random(f"{params.seed}:adv:{store.h}:{strategy_key(strategy)}")
-    sizes = [len(p) for p in honest.payload]
-    flat = [x for p in honest.payload for x in p]
+def _corrupt(params: SystemParams, strategy, parts, rng: random.Random) -> tuple:
+    """Run the strategy over the concatenated parts and re-split to their shape."""
+    flat = [x for part in parts for x in part]
     corrupted = strategy.corrupt(flat, params.q, rng)
     if len(corrupted) != len(flat):
-        raise ProtocolError("corruption must preserve the payload size")
-    payload = []
+        raise ProtocolError("corruption must preserve the size")
+    out = []
     pos = 0
-    for n in sizes:
-        payload.append(tuple(corrupted[pos:pos + n]))
-        pos += n
-    return Signal(h=store.h, queries=honest.queries, payload=tuple(payload), honest=False)
+    for part in parts:
+        out.append(tuple(corrupted[pos:pos + len(part)]))
+        pos += len(part)
+    return tuple(out)
+
+
+def adversary_signal(params: SystemParams, strategy, honest: Signal,
+                     rng: random.Random | None = None) -> Signal:
+    """A corrupted answer, transformed from the server's own honest answer."""
+    if rng is None:
+        rng = random.Random(f"{params.seed}:adv:{honest.h}:{strategy_key(strategy)}")
+    payload = _corrupt(params, strategy, honest.payload, rng)
+    return Signal(h=honest.h, queries=honest.queries, payload=payload, honest=False)
 
 
 def adversary_content(params: SystemParams, strategy, store: ServerStore,
@@ -497,23 +472,9 @@ def adversary_content(params: SystemParams, strategy, store: ServerStore,
     """Corrupted stored contents of the honest shape, from the store alone."""
     if rng is None:
         rng = random.Random(f"{params.seed}:content:{store.h}:{strategy_key(strategy)}")
-    sub_sizes = [len(v) for v in store.coded_subfiles]
-    key_sizes = [len(v) for v in store.coded_keys]
-    flat = [x for v in store.coded_subfiles for x in v]
-    flat += [x for v in store.coded_keys for x in v]
-    corrupted = strategy.corrupt(flat, params.q, rng)
-    if len(corrupted) != len(flat):
-        raise ProtocolError("corruption must preserve the content size")
-    pos = 0
-    subs = []
-    for n in sub_sizes:
-        subs.append(tuple(corrupted[pos:pos + n]))
-        pos += n
-    keys = []
-    for n in key_sizes:
-        keys.append(tuple(corrupted[pos:pos + n]))
-        pos += n
-    return ServerStore(h=store.h, coded_subfiles=tuple(subs), coded_keys=tuple(keys))
+    n = len(store.coded_subfiles)
+    parts = _corrupt(params, strategy, store.coded_subfiles + store.coded_keys, rng)
+    return ServerStore(h=store.h, coded_subfiles=parts[:n], coded_keys=parts[n:])
 
 
 # ---------- decoding ----------
@@ -642,6 +603,10 @@ def recover_library(params: SystemParams, contents) -> Library:
 # ---------- configuration ----------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def params_from_json(doc: dict, base_dir: str | Path | None = None
                      ) -> tuple[SystemParams, Pda | None]:
     """Build (SystemParams, Pda) from a config mapping.
@@ -661,13 +626,13 @@ def params_from_json(doc: dict, base_dir: str | Path | None = None
         if name not in doc:
             raise ConfigError(f"missing config field {name!r}")
         v = doc[name]
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ConfigError(f"config field {name!r} must be an integer, got {v!r}")
         kwargs[name] = v
     for name in ("q", "B", "seed"):
         if name in doc:
             v = doc[name]
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ConfigError(f"config field {name!r} must be an integer, got {v!r}")
             kwargs[name] = v
     try:
@@ -678,6 +643,16 @@ def params_from_json(doc: dict, base_dir: str | Path | None = None
     spec = doc.get("pda")
     if spec is None:
         return params, None
+    try:
+        arr = _pda_from_json(spec, base_dir)
+    except pda_mod.PdaError as exc:
+        raise ConfigError(f"invalid pda: {exc}") from exc
+    if arr.K != params.K:
+        raise ConfigError(f"pda has {arr.K} columns but params.K={params.K}")
+    return params, arr
+
+
+def _pda_from_json(spec, base_dir) -> Pda:
     if isinstance(spec, str):
         path = Path(spec)
         if base_dir is not None and not path.is_absolute():
@@ -686,19 +661,18 @@ def params_from_json(doc: dict, base_dir: str | Path | None = None
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read pda file {path}: {exc}") from exc
-        arr = pda_mod.parse(text)
-    elif isinstance(spec, dict) and "man" in spec:
+        return pda_mod.parse(text)
+    if isinstance(spec, dict) and "man" in spec:
         man = spec["man"]
         if not isinstance(man, dict) or not {"k", "t"} <= set(man):
             raise ConfigError('pda "man" needs integer fields "k" and "t"')
-        arr = pda_mod.man_pda(man["k"], man["t"], man.get("seed"))
-    elif isinstance(spec, dict) and "grid" in spec:
-        arr = pda_mod.parse(spec["grid"])
-    else:
-        raise ConfigError('config field "pda" must be a path, {"man": ...} or {"grid": ...}')
-    if arr.K != params.K:
-        raise ConfigError(f"pda has {arr.K} columns but params.K={params.K}")
-    return params, arr
+        seed = man.get("seed")
+        if not (_is_int(man["k"]) and _is_int(man["t"]) and (seed is None or _is_int(seed))):
+            raise ConfigError(f'pda "man" fields must be integers, got {man!r}')
+        return pda_mod.man_pda(man["k"], man["t"], seed)
+    if isinstance(spec, dict) and isinstance(spec.get("grid"), str):
+        return pda_mod.parse(spec["grid"])
+    raise ConfigError('config field "pda" must be a path, {"man": ...} or {"grid": "..."}')
 
 
 def load_config(path: str | Path) -> tuple[SystemParams, Pda | None]:

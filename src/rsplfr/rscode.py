@@ -23,7 +23,7 @@ with all remaining positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
 from .ff import PrimeField, horner
@@ -43,13 +43,18 @@ class AmbiguousCandidate(DecodingFailure):
 
 @dataclass(frozen=True)
 class EvalPoints:
-    """The per-server evaluation points: distinct nonzero residues mod q."""
+    """The per-server evaluation points: distinct nonzero residues mod q.
+
+    The one place where points are validated: q must be prime and every
+    point a distinct residue in [1, q-1].
+    """
 
     q: int
     alphas: tuple[int, ...]
+    field: PrimeField = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        PrimeField(self.q)  # validates primality
+        object.__setattr__(self, "field", PrimeField(self.q))  # validates primality
         object.__setattr__(self, "alphas", tuple(self.alphas))
         if not self.alphas:
             raise ValueError("need at least one evaluation point")
@@ -62,13 +67,7 @@ class EvalPoints:
     @classmethod
     def consecutive(cls, q: int, H: int) -> "EvalPoints":
         """Points 1..H; needs H < q."""
-        if H >= q:
-            raise ValueError(f"H={H} does not fit below q={q}")
         return cls(q, tuple(range(1, H + 1)))
-
-    @property
-    def field(self) -> PrimeField:
-        return PrimeField(self.q)
 
     def __len__(self):
         return len(self.alphas)

@@ -7,7 +7,8 @@ scenario seed, so identical scenarios reproduce identical results.
 A sweep replays many (J-subset, adversary set, strategy) configurations
 against a single placement, checking every user's decoded output and,
 optionally, whole-library recovery, against ground truth computed
-directly from the raw files.
+directly from the raw files.  A single run is the same replay of one
+configuration under the first demand sample, with a transcript.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from multiprocessing import get_context
 
 from .analysis import MscTriple
 from .pda import Pda
-from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError, HonestPlusConstant,
+from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams, UniformRandom,
                        adversary_content, adversary_signal, build_storage, make_query,
                        params_from_json, place_user, recover_library, server_signal,
@@ -73,15 +74,15 @@ class Scenario:
         demands = doc.get("demands")
         if demands is not None:
             if isinstance(demands, dict) and set(demands) == {"samples"}:
-                sc.demand_samples = int(demands["samples"])
+                sc.demand_samples = _int(demands["samples"], '"demands" samples')
             elif isinstance(demands, list):
-                sc.demands = tuple(tuple(int(v) for v in row) for row in demands)
+                sc.demands = tuple(_ints(row, '"demands" rows') for row in demands)
             else:
                 raise ConfigError('"demands" must be a K x N list or {"samples": n}')
         if "delivery" in doc:
-            sc.delivery = tuple(int(v) for v in doc["delivery"])
+            sc.delivery = _ints(doc["delivery"], '"delivery"')
         if "adversaries" in doc:
-            sc.adversaries = tuple(int(v) for v in doc["adversaries"])
+            sc.adversaries = _ints(doc["adversaries"], '"adversaries"')
         if "strategy" in doc:
             sc.strategy = _strategy_from_json(doc["strategy"])
         if "library" in doc:
@@ -102,15 +103,29 @@ class Scenario:
             sc.sweep_adversary_subsets = bool(sweep.get("adversary_subsets", False))
             sc.sweep_strategies = bool(sweep.get("strategies", False))
             if "demand_samples" in sweep:
-                sc.demand_samples = int(sweep["demand_samples"])
+                sc.demand_samples = _int(sweep["demand_samples"], '"demand_samples"')
             if "adversary_sizes" in sweep:
-                sc.adversary_sizes = tuple(int(v) for v in sweep["adversary_sizes"])
+                sc.adversary_sizes = _ints(sweep["adversary_sizes"], '"adversary_sizes"')
                 sc.allow_excess_adversaries = True
             if "check_recovery" in sweep:
                 sc.check_recovery = bool(sweep["check_recovery"])
             if "max_configs" in sweep:
-                sc.max_configs = int(sweep["max_configs"])
+                sc.max_configs = _int(sweep["max_configs"], '"max_configs"')
         return sc
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}") from None
 
 
 def _strategy_from_json(obj):
@@ -125,9 +140,9 @@ def _strategy_from_json(obj):
         raise ConfigError(f"unknown strategy {name!r}; choose from {sorted(STRATEGY_NAMES)}")
     cls = STRATEGY_NAMES[name]
     if name == "honest_plus_constant":
-        args = [int(extra.pop("constant", 1))]
+        args = [_int(extra.pop("constant", 1), '"constant"')]
     elif name == "uniform_random":
-        args = [int(extra.pop("seed", 0))]
+        args = [_int(extra.pop("seed", 0), '"seed"')]
     else:
         args = []
     if extra:
@@ -194,6 +209,8 @@ def _demand_list(sc: Scenario):
         if len(rows) != params.K or any(len(r) != params.N for r in rows):
             raise ScenarioError(f"demands must be a {params.K} x {params.N} table")
         return [tuple(tuple(v % params.q for v in r) for r in rows)]
+    if sc.demand_samples < 1:
+        raise ScenarioError(f"demand samples must be >= 1, got {sc.demand_samples}")
     rng = random.Random(f"{sc.seed}:demands")
     return [tuple(tuple(rng.randrange(params.q) for _ in range(params.N))
                   for _ in range(params.K))
@@ -233,84 +250,7 @@ def _check_adversaries(sc: Scenario, adv) -> tuple[int, ...]:
     return adv
 
 
-def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
-    """One placement, one delivery configuration, every user decoded."""
-    t0 = time.perf_counter()
-    params, arr = sc.params, sc.pda
-    state = _build_state(sc)
-    demand = _demand_list(sc)[0]
-    adv = _check_adversaries(sc, sc.adversaries)
-    delivery = _delivery(sc)
-    queries = [make_query(params, demand[k - 1], state.ps[k - 1])
-               for k in range(1, params.K + 1)]
-    signals = []
-    for st in state.stores:
-        if st.h in adv:
-            rng = random.Random(f"{sc.seed}:adv:0:0:{st.h}:{strategy_key(sc.strategy)}")
-            signals.append(adversary_signal(params, arr, sc.strategy, st, queries, rng))
-        else:
-            signals.append(server_signal(params, arr, st, queries))
-    R = Fraction(max(sig.payload_symbols() for sig in signals), params.B)
-    measured = MscTriple(M=state.M, T=state.T, R=R,
-                         subpacketization=params.L * arr.F)
-    delivered = [signals[h - 1] for h in delivery]
-    per_user = []
-    failures = []
-    decoded_all = []
-    for k in range(1, params.K + 1):
-        truth = _ground_truth(state.library, demand[k - 1], params.q)
-        try:
-            got = user_decode(params, arr, state.caches[k - 1], demand[k - 1],
-                              delivered, queries)
-        except (DecodingFailure, ProtocolError) as exc:
-            per_user.append(False)
-            failures.append({"stage": "decode", "user": k, "error": str(exc)})
-            decoded_all.append(None)
-            continue
-        ok = got == truth
-        per_user.append(ok)
-        decoded_all.append(got)
-        if not ok:
-            failures.append({"stage": "decode", "user": k, "error": "wrong output"})
-    if sc.check_recovery:
-        contents = {}
-        for h in delivery:
-            st = state.stores[h - 1]
-            if h in adv:
-                rng = random.Random(f"{sc.seed}:content:0:{h}:{strategy_key(sc.strategy)}")
-                st = adversary_content(params, sc.strategy, st, rng)
-            contents[h] = st
-        try:
-            recovered = recover_library(params, contents)
-            if recovered.files != state.library.files:
-                failures.append({"stage": "recover", "error": "wrong library"})
-        except (DecodingFailure, ProtocolError) as exc:
-            failures.append({"stage": "recover", "error": str(exc)})
-    trace = None
-    if collect_trace:
-        trace = {
-            "library": [list(f) for f in state.library.files],
-            "blends": [list(p) for p in state.ps],
-            "demands": [list(d) for d in demand],
-            "queries": [list(qr.values) for qr in queries],
-            "stores": [{"h": st.h,
-                        "coded_subfiles": [list(v) for v in st.coded_subfiles],
-                        "coded_keys": [list(v) for v in st.coded_keys]}
-                       for st in state.stores],
-            "signals": [{"h": sig.h, "honest": sig.honest,
-                         "payload": [list(p) for p in sig.payload]}
-                        for sig in delivered],
-            "decoded": [list(d) if d is not None else None for d in decoded_all],
-        }
-    stage_counts = tuple(sorted(Counter(w["stage"] for w in failures).items()))
-    return RunResult(ok=not failures and all(per_user), measured=measured,
-                     configurations=1, per_user=tuple(per_user),
-                     failure_count=len(failures), failures=tuple(failures[:_WITNESS_CAP]),
-                     elapsed=time.perf_counter() - t0, stage_counts=stage_counts,
-                     trace=trace)
-
-
-# ---------- sweeps ----------
+# ---------- replay ----------
 
 
 def _config_list(sc: Scenario):
@@ -335,39 +275,59 @@ def _config_list(sc: Scenario):
     return configs
 
 
-def _sweep_slice(sc: Scenario, lo: int, hi: int):
-    """Process configs[lo:hi]; returns (failure_count, witness sample)."""
+@dataclass
+class _Replay:
+    """What one replay saw: failures, the measured triple, and its last delivery."""
+
+    witnesses: list
+    stages: Counter    # failures per stage
+    measured: MscTriple
+    state: _State
+    queries: list      # of the first demand
+    delivered: list    # signals of the last (configuration, demand) pair
+    decoded: list      # each user's output there, None where decoding failed
+    per_user: list     # whether each user's output there is right
+
+    @property
+    def failure_count(self) -> int:
+        return sum(self.stages.values())
+
+
+def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
+    """Replay configs[lo:hi] under every demand, checking against ground truth.
+
+    Honest answers are computed once per demand; an adversarial server
+    corrupts its honest answer.  Per-configuration seeds are keyed by the
+    configuration's index in the full list, so a slice replays exactly
+    what the whole list would.
+    """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
-    demand_list = _demand_list(sc)
     queries_list = [[make_query(params, demand[k - 1], state.ps[k - 1])
                      for k in range(1, params.K + 1)] for demand in demand_list]
     honest = [[server_signal(params, arr, st, queries) for st in state.stores]
               for queries in queries_list]
     truth_list = [[_ground_truth(state.library, demand[k - 1], params.q)
                    for k in range(1, params.K + 1)] for demand in demand_list]
-    configs = _config_list(sc)
-    failure_count = 0
     witnesses = []
-    stage_counter: Counter = Counter()
+    stages: Counter = Counter()
 
     def note(w):
-        nonlocal failure_count
-        failure_count += 1
-        stage_counter[w["stage"]] += 1
+        stages[w["stage"]] += 1
         if len(witnesses) < _WITNESS_CAP:
             witnesses.append(w)
 
-    max_payload = max(sig.payload_symbols() for sig in honest[0])
+    delivered, decoded, per_user = [], [], []
     for ci in range(lo, hi):
         js, adv, strat = configs[ci]
-        label = {"j_subset": js, "adversaries": adv, "strategy": strategy_key(strat)}
+        key = strategy_key(strat)
+        label = {"j_subset": js, "adversaries": adv, "strategy": key}
         if sc.check_recovery:
             contents = {}
             for h in js:
                 st = state.stores[h - 1]
                 if h in adv:
-                    rng = random.Random(f"{sc.seed}:content:{ci}:{h}:{strategy_key(strat)}")
+                    rng = random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
                     st = adversary_content(params, strat, st, rng)
                 contents[h] = st
             try:
@@ -380,28 +340,70 @@ def _sweep_slice(sc: Scenario, lo: int, hi: int):
             queries = queries_list[di]
             delivered = []
             for h in js:
+                sig = honest[di][h - 1]
                 if h in adv:
-                    rng = random.Random(
-                        f"{sc.seed}:adv:{ci}:{di}:{h}:{strategy_key(strat)}")
-                    delivered.append(adversary_signal(params, arr, strat,
-                                                      state.stores[h - 1], queries, rng))
-                else:
-                    delivered.append(honest[di][h - 1])
+                    rng = random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
+                    sig = adversary_signal(params, strat, sig, rng)
+                delivered.append(sig)
+            decoded, per_user = [], []
             for k in range(1, params.K + 1):
                 try:
                     got = user_decode(params, arr, state.caches[k - 1],
                                       demand[k - 1], delivered, queries)
                 except (DecodingFailure, ProtocolError) as exc:
-                    note(dict(label, stage="decode", demand_index=di, user=k,
-                              error=str(exc)))
-                    continue
-                if got != truth_list[di][k - 1]:
-                    note(dict(label, stage="decode", demand_index=di, user=k,
-                              error="wrong output"))
+                    got, error = None, str(exc)
+                else:
+                    error = None if got == truth_list[di][k - 1] else "wrong output"
+                if error is not None:
+                    note(dict(label, stage="decode", demand_index=di, user=k, error=error))
+                decoded.append(got)
+                per_user.append(error is None)
+    max_payload = max(sig.payload_symbols() for sig in honest[0])
     measured = MscTriple(M=state.M, T=state.T,
                          R=Fraction(max_payload, params.B),
                          subpacketization=params.L * arr.F)
-    return failure_count, witnesses, measured, dict(stage_counter)
+    return _Replay(witnesses, stages, measured, state, queries_list[0], delivered,
+                   decoded, per_user)
+
+
+def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
+    """Replay one configuration under the first demand sample, every user decoded.
+
+    The configuration is the scenario's (delivery, adversaries, strategy);
+    its sweep settings are ignored.
+    """
+    t0 = time.perf_counter()
+    config = (_delivery(sc), _check_adversaries(sc, sc.adversaries), sc.strategy)
+    demand = _demand_list(sc)[0]
+    rep = _replay(sc, [config], 0, 1, [demand])
+    trace = None
+    if collect_trace:
+        state = rep.state
+        trace = {
+            "library": [list(f) for f in state.library.files],
+            "blends": [list(p) for p in state.ps],
+            "demands": [list(d) for d in demand],
+            "queries": [list(qr.values) for qr in rep.queries],
+            "stores": [{"h": st.h,
+                        "coded_subfiles": [list(v) for v in st.coded_subfiles],
+                        "coded_keys": [list(v) for v in st.coded_keys]}
+                       for st in state.stores],
+            "signals": [{"h": sig.h, "honest": sig.honest,
+                         "payload": [list(p) for p in sig.payload]}
+                        for sig in rep.delivered],
+            "decoded": [list(d) if d is not None else None for d in rep.decoded],
+        }
+    return RunResult(ok=rep.failure_count == 0, measured=rep.measured,
+                     configurations=1, per_user=tuple(rep.per_user),
+                     failure_count=rep.failure_count, failures=tuple(rep.witnesses),
+                     elapsed=time.perf_counter() - t0,
+                     stage_counts=tuple(sorted(rep.stages.items())), trace=trace)
+
+
+def _sweep_slice(sc: Scenario, lo: int, hi: int):
+    """Process configs[lo:hi]; returns (failure_count, witnesses, measured, stages)."""
+    rep = _replay(sc, _config_list(sc), lo, hi, _demand_list(sc))
+    return rep.failure_count, rep.witnesses, rep.measured, dict(rep.stages)
 
 
 def sweep(sc: Scenario, jobs: int = 1) -> RunResult:

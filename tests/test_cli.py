@@ -1,13 +1,18 @@
 """End-to-end command line checks through main(argv)."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from rsplfr.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 K4_T2_TEXT = (
     "* * 1 2\n"
@@ -96,6 +101,23 @@ def test_simulate_writes_trace(tmp_path, monkeypatch):
     # unit demands: user k decodes file k verbatim
     for k in range(3):
         assert trace["decoded"][k] == trace["library"][k]
+
+
+# transcripts of `simulate --trace` at seed 0; any change to sampling,
+# encoding, corruption or decoding order shows up here
+TRACE_SHA256 = {
+    "toy_sweep": "914776565591423ba106697915e6f78c5c3015e0e9e026c9573a6c37ce01dbf3",
+    "robust_sweep": "33c5e628a70b10da73301d5bcef13424cb4d1af879e6ec37246e5a6f10a13731",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_single_run_transcript_is_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("RSPLFR_SEED", raising=False)
+    trace_path = tmp_path / "trace.json"
+    assert main(["simulate", "--config", str(CONFIGS / f"{name}.json"),
+                 "--trace", str(trace_path)]) == 0
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == TRACE_SHA256[name]
 
 
 def test_trace_with_sweep_is_a_usage_error(tmp_path, capsys):
@@ -271,6 +293,41 @@ def test_config_must_be_an_object(tmp_path, capsys):
     path.write_text("[1, 2, 3]", encoding="utf-8")
     assert main(["bounds", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _with_params(**fields) -> dict:
+    return {"params": dict(TOY_PARAMS, **fields)}
+
+
+MALFORMED = {
+    "zero_samples": (dict(_with_params(), demands={"samples": 0}), []),
+    "zero_sweep_samples": (dict(_with_params(), sweep={"demand_samples": 0}),
+                           ["--sweep"]),
+    "text_demand": (dict(_with_params(), demands=[["a", 1, 0, 0], [0, 1, 0, 0],
+                                                  [0, 0, 1, 0]]), []),
+    "scalar_delivery": (dict(_with_params(), delivery=5), []),
+    "text_man_k": (_with_params(pda={"man": {"k": "3", "t": 1}}), []),
+    "man_t_above_k": (_with_params(pda={"man": {"k": 3, "t": 5}}), []),
+    "bad_grid": (_with_params(pda={"grid": "1 x\n"}), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_two_without_traceback(case, tmp_path):
+    doc, extra = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ)
+    env.pop("RSPLFR_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsplfr.cli", "simulate", "--config", str(path), *extra],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_unknown_command_exits_two():

@@ -1,10 +1,8 @@
-"""Prime field arithmetic: exhaustive laws on small fields plus error contracts."""
+"""Prime field helpers: primality, inverses, Horner evaluation, error contracts."""
 
 import pytest
 
-from rsplfr.ff import (FieldElement, FieldMismatchError, FieldVector,
-                       NotPrimeError, PrimeField, ZeroInverseError, horner,
-                       is_prime, poly_eval)
+from rsplfr.ff import NotPrimeError, PrimeField, ZeroInverseError, horner, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -19,24 +17,10 @@ def test_is_prime_matches_sieve_below_200():
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)
-def test_field_laws_exhaustive(q):
-    f = PrimeField(q)
-    for a in range(q):
-        assert f.add(a, f.neg(a)) == 0
-        for b in range(q):
-            assert f.add(a, b) == (a + b) % q
-            assert f.mul(a, b) == (a * b) % q
-            assert f.sub(a, b) == (a - b) % q
-            # distributivity over a fixed third element
-            assert f.mul(a, f.add(b, 1)) == f.add(f.mul(a, b), a)
-
-
-@pytest.mark.parametrize("q", SMALL_PRIMES)
 def test_every_nonzero_element_inverts(q):
     f = PrimeField(q)
     for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
-        assert f.div(1, a) == f.inv(a)
+        assert a * f.inv(a) % q == 1
 
 
 def test_known_inverse():
@@ -45,18 +29,8 @@ def test_known_inverse():
 
 def test_inputs_reduce_to_canonical_residues():
     f = PrimeField(7)
-    assert f.add(-1, 15) == 0
-    assert f.mul(-2, -3) == 6
     assert f.inv(10) == f.inv(3)
-
-
-def test_pow_matches_repeated_multiplication():
-    f = PrimeField(11)
-    for a in range(11):
-        acc = 1
-        for e in range(8):
-            assert f.pow(a, e) == acc
-            acc = f.mul(acc, a)
+    assert f.inv(-4) == f.inv(3)
 
 
 def test_horner_low_to_high_order():
@@ -68,11 +42,10 @@ def test_horner_low_to_high_order():
 
 @pytest.mark.parametrize("q", [5, 11])
 def test_poly_eval_matches_naive_sum(q):
-    f = PrimeField(q)
     coeffs = [3, 0, 2, 4]
     for x in range(q):
         naive = sum(c * x ** i for i, c in enumerate(coeffs)) % q
-        assert f.poly_eval(coeffs, x) == naive
+        assert horner(coeffs, x, q) == naive
 
 
 def test_nonprime_modulus_rejected():
@@ -86,60 +59,4 @@ def test_zero_has_no_inverse():
         PrimeField(5).inv(0)
     with pytest.raises(ZeroDivisionError):
         # the error doubles as a ZeroDivisionError for generic callers
-        PrimeField(5).div(3, 5)
-
-
-def test_field_equality_and_hash():
-    assert PrimeField(7) == PrimeField(7)
-    assert PrimeField(7) != PrimeField(11)
-    assert len({PrimeField(7), PrimeField(7), PrimeField(11)}) == 2
-
-
-class TestFieldElement:
-    def test_operators(self):
-        f = PrimeField(7)
-        a, b = f.element(3), f.element(5)
-        assert int(a + b) == 1
-        assert int(a - b) == 5
-        assert int(a * b) == 1
-        assert int(a / b) == int(a * b.inv())
-        assert int(-a) == 4
-        assert int(a ** 3) == 6
-        assert a == f.element(10)
-
-    def test_reduction_at_construction(self):
-        e = FieldElement(-1, PrimeField(5))
-        assert int(e) == 4
-
-    def test_mixed_fields_rejected(self):
-        a = PrimeField(7).element(1)
-        b = PrimeField(11).element(1)
-        with pytest.raises(FieldMismatchError):
-            a + b
-        with pytest.raises(FieldMismatchError):
-            a * b
-
-
-class TestFieldVector:
-    def test_len_iter_getitem(self):
-        f = PrimeField(5)
-        v = f.vector([1, 7, -1])
-        assert len(v) == 3
-        assert [int(x) for x in v] == [1, 2, 4]
-        assert int(v[2]) == 4
-
-    def test_add_and_scale(self):
-        f = PrimeField(5)
-        v = f.vector([1, 2, 3]) + f.vector([4, 4, 4])
-        assert [int(x) for x in v] == [0, 1, 2]
-        w = f.vector([1, 2, 3]).scale(f.element(2))
-        assert [int(x) for x in w] == [2, 4, 1]
-
-    def test_mismatched_vectors_rejected(self):
-        with pytest.raises(FieldMismatchError):
-            PrimeField(5).vector([1]) + PrimeField(7).vector([1])
-
-    def test_module_level_poly_eval(self):
-        f = PrimeField(7)
-        coeffs = f.vector([1, 2, 3])
-        assert int(poly_eval(coeffs, f.element(2))) == 3
+        PrimeField(5).inv(5)

@@ -227,8 +227,7 @@ def test_single_adversary_is_corrected():
     for strategy in ALL_STRATEGIES:
         signals = [server_signal(params, TOY_PDA, st, queries)
                    for st in stores[:params.J]]
-        signals[2] = adversary_signal(params, TOY_PDA, strategy,
-                                      stores[2], queries)
+        signals[2] = adversary_signal(params, strategy, signals[2])
         assert not signals[2].honest
         got = user_decode(params, TOY_PDA, caches[0], demand, signals, queries)
         assert got == expected
@@ -327,19 +326,17 @@ def test_strategies_transform_the_flat_payload():
     honest = server_signal(params, TOY_PDA, stores[0], queries)
     flat = [x for p in honest.payload for x in p]
 
-    zeroed = adversary_signal(params, TOY_PDA, ZeroPayload(), stores[0], queries)
+    zeroed = adversary_signal(params, ZeroPayload(), honest)
     assert [x for p in zeroed.payload for x in p] == [0] * len(flat)
 
-    bumped = adversary_signal(params, TOY_PDA, HonestPlusConstant(2),
-                              stores[0], queries)
+    bumped = adversary_signal(params, HonestPlusConstant(2), honest)
     assert [x for p in bumped.payload for x in p] == [(x + 2) % 7 for x in flat]
 
-    rotated = adversary_signal(params, TOY_PDA, HonestPermutedSlices(),
-                               stores[0], queries)
+    rotated = adversary_signal(params, HonestPermutedSlices(), honest)
     assert [x for p in rotated.payload for x in p] == flat[1:] + [flat[0]]
 
-    noisy1 = adversary_signal(params, TOY_PDA, UniformRandom(), stores[0], queries)
-    noisy2 = adversary_signal(params, TOY_PDA, UniformRandom(), stores[0], queries)
+    noisy1 = adversary_signal(params, UniformRandom(), honest)
+    noisy2 = adversary_signal(params, UniformRandom(), honest)
     assert noisy1.payload == noisy2.payload  # same derived stream, same draw
     assert noisy1.queries == honest.queries
 

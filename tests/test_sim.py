@@ -123,6 +123,27 @@ def test_scenario_shape_errors():
         run(toy_scenario(adversaries=(0,), allow_excess_adversaries=True))
 
 
+def test_demand_samples_below_one_rejected():
+    for samples in (0, -1):
+        with pytest.raises(ScenarioError):
+            run(toy_scenario(demand_samples=samples))
+        with pytest.raises(ScenarioError):
+            sweep(toy_scenario(demand_samples=samples))
+
+
+def test_run_is_the_sweep_of_its_one_configuration():
+    import dataclasses
+    for adversaries in ((), (2,), (1, 2)):
+        sc = toy_scenario(adversaries=adversaries, strategy=HonestPlusConstant(1),
+                          demand_samples=3, allow_excess_adversaries=True,
+                          check_recovery=True)
+        single = run(sc)
+        swept = sweep(dataclasses.replace(sc, demand_samples=1))
+        assert (single.ok, single.failure_count, single.stage_counts,
+                single.measured) == \
+            (swept.ok, swept.failure_count, swept.stage_counts, swept.measured)
+
+
 def test_sweep_size_cap():
     sc = toy_scenario(sweep_j_subsets=True, sweep_strategies=True,
                       max_configs=10)
