@@ -34,7 +34,7 @@ from . import pda as pda_mod
 from . import rscode
 from .ff import horner
 from .pda import Pda, STAR
-from .rscode import Codeword, EvalPoints
+from .rscode import EvalPoints
 
 
 class ProtocolError(ValueError):
@@ -480,18 +480,68 @@ def adversary_content(params: SystemParams, strategy, store: ServerStore,
 # ---------- decoding ----------
 
 
-def user_decode(params: SystemParams, pda: Pda, cache: UserCache,
-                d_k, signals, queries) -> list[int]:
-    """Recover the demanded blend of files from any J signals, <= A corrupt.
+@dataclass(frozen=True)
+class DecodedStreams:
+    """One delivery's multicast streams, decoded once for all users.
 
-    Per stream and slice, the J payload symbols are decoded as one MDS
-    codeword of dimension I + L, yielding the keyed multicast symbols.
-    The user then subtracts its keyed blend packet and, for every other
-    occurrence of the stream symbol, the interfering blend packet it
-    can rebuild from star-row cache entries.
+    ``data[s][l][r]`` is data coefficient l of slice r of stream s: the
+    keyed multicast symbol every user in the stream's occurrence set
+    receives.  A stream with a slice that could not be decoded maps in
+    ``failures`` to the reason instead.
+    """
+
+    data: dict[int, list[list[int]]]
+    failures: dict[int, rscode.DecodingFailure]
+
+
+def decode_streams(params: SystemParams, pda: Pda, signals) -> DecodedStreams:
+    """Decode every stream and slice of any J signals, <= A corrupt.
+
+    Per stream and slice, the J payload symbols are one MDS codeword of
+    dimension I + L; one batch decoder serves the whole delivery.
     """
     subL, pkt = _dims(params, pda)
-    N, L, I, q = params.N, params.L, params.I, params.q
+    by_h: dict[int, Signal] = {}
+    for sig in signals:
+        if sig.h in by_h:
+            raise MissingSignals(f"duplicate signal from server {sig.h}")
+        if not 1 <= sig.h <= params.H:
+            raise MissingSignals(f"signal origin {sig.h} outside [1..{params.H}]")
+        if len(sig.payload) != pda.S or any(len(p) != pkt for p in sig.payload):
+            raise DimensionMismatch(f"payload of server {sig.h} has the wrong shape")
+        by_h[sig.h] = sig
+    if len(by_h) != params.J:
+        raise MissingSignals(f"need signals from {params.J} servers, got {len(by_h)}")
+
+    L = params.L
+    decoder = rscode.BatchDecoder(params.points, by_h, params.I + L, params.A)
+    payloads = [by_h[h].payload for h in decoder.positions]
+    data, failures = {}, {}
+    for s in range(pda.S):
+        per_l = [[0] * pkt for _ in range(L)]
+        try:
+            for r in range(pkt):
+                msg, _flags = decoder.decode([p[s][r] for p in payloads])
+                for l in range(L):
+                    per_l[l][r] = msg[l]
+        except rscode.DecodingFailure as exc:
+            failures[s + 1] = exc
+        else:
+            data[s + 1] = per_l
+    return DecodedStreams(data, failures)
+
+
+def user_decode(params: SystemParams, pda: Pda, cache: UserCache,
+                d_k, streams: DecodedStreams, queries) -> list[int]:
+    """Recover the demanded blend of files from one delivery's decoded streams.
+
+    For each stream symbol in its column, the user subtracts its keyed
+    blend packet and, for every other occurrence of the symbol, the
+    interfering blend packet it can rebuild from star-row cache entries.
+    Raises the stream's ``DecodingFailure`` if a needed stream failed.
+    """
+    subL, pkt = _dims(params, pda)
+    N, L, q = params.N, params.L, params.q
     queries = tuple(queries)
     if len(queries) != params.K:
         raise DimensionMismatch(f"need {params.K} queries, got {len(queries)}")
@@ -502,28 +552,11 @@ def user_decode(params: SystemParams, pda: Pda, cache: UserCache,
     if queries[k0].values != expect:
         raise ProtocolError(f"query of user {cache.k} does not match demand + blend")
 
-    by_h: dict[int, Signal] = {}
-    for sig in signals:
-        if sig.h in by_h:
-            raise MissingSignals(f"duplicate signal from server {sig.h}")
-        if not 1 <= sig.h <= params.H:
-            raise MissingSignals(f"signal origin {sig.h} outside [1..{params.H}]")
-        by_h[sig.h] = sig
-    if len(by_h) != params.J:
-        raise MissingSignals(f"need signals from {params.J} servers, got {len(by_h)}")
-
-    points = params.points
     col = pda.column(k0)
-    needed = sorted({e for e in col if e is not STAR})
-    decoded: dict[int, list[list[int]]] = {}
-    for s in needed:
-        per_l = [[0] * pkt for _ in range(L)]
-        for r in range(pkt):
-            cw = Codeword(I + L, {h: sig.payload[s - 1][r] for h, sig in by_h.items()})
-            msg, _flags = rscode.decode(cw, points, params.A)
-            for l in range(L):
-                per_l[l][r] = msg[l]
-        decoded[s] = per_l
+    for s in sorted({e for e in col if e is not STAR}):
+        if s in streams.failures:
+            failure = streams.failures[s]
+            raise rscode.DecodingFailure(*failure.args) from failure
 
     d = tuple(v % q for v in d_k)
     out = [0] * params.B
@@ -541,7 +574,7 @@ def user_decode(params: SystemParams, pda: Pda, cache: UserCache,
                             acc += c * rows[n][l][r]
                     out[off + r] = acc % q
         else:
-            per_l = decoded[e]
+            per_l = streams.data[e]
             keyed = cache.keys[j]
             others = [(u, v) for (u, v) in pda.occurrences(e) if (u, v) != (j, k0)]
             for l in range(L):
@@ -587,13 +620,13 @@ def recover_library(params: SystemParams, contents) -> Library:
     for h, st in by_h.items():
         if len(st.coded_subfiles) != N or any(len(v) != subL for v in st.coded_subfiles):
             raise DimensionMismatch(f"contents of server {h} have the wrong shape")
-    points = params.points
+    decoder = rscode.BatchDecoder(params.points, by_h, I + L, params.A)
+    stored = [by_h[h].coded_subfiles for h in decoder.positions]
     files = []
     for n in range(N):
         symbols = [0] * params.B
         for m in range(subL):
-            cw = Codeword(I + L, {h: st.coded_subfiles[n][m] for h, st in by_h.items()})
-            msg, _flags = rscode.decode(cw, points, params.A)
+            msg, _flags = decoder.decode([st[n][m] for st in stored])
             for l in range(L):
                 symbols[l * subL + m] = msg[l]
         files.append(tuple(symbols))
@@ -649,6 +682,9 @@ def params_from_json(doc: dict, base_dir: str | Path | None = None
         raise ConfigError(f"invalid pda: {exc}") from exc
     if arr.K != params.K:
         raise ConfigError(f"pda has {arr.K} columns but params.K={params.K}")
+    L, F = params.L, arr.F
+    if params.B is not None and params.B % (L * F):
+        raise ConfigError(f"B={params.B} is not divisible by L*F={L}*{F}={L * F}")
     return params, arr
 
 

@@ -16,6 +16,19 @@ the nonzero evaluation points), and every solution then satisfies
 Q = P * E for the true message polynomial P, since Q - P*E has degree
 < k + e but vanishes at the >= J - e >= k + e agreeing positions.
 
+``BatchDecoder`` decodes many words received at one fixed set of
+positions, as every slice of every multicast stream of one delivery
+is.  A plan for a set S of skipped positions holds the inverse
+Vandermonde matrix of the first k kept points and the evaluation rows
+of every other point; the kept rows are the parity checks (the
+syndrome, in systematic form).  A word that passes them agrees with a
+degree < k polynomial outside S, so with |S| <= e it lies within
+distance e of that codeword, which is then the unique one
+Berlekamp-Welch returns, with the same flags.  Each word tries the
+plan with S empty, then the plan that skips the positions the last
+Berlekamp-Welch fallback flagged (errors come per server, so they
+recur), and only then falls back to ``decode``.
+
 ``brute_force_decode`` is the independent oracle: try every error
 support up to the radius, interpolate, and keep candidates consistent
 with all remaining positions.
@@ -24,7 +37,9 @@ with all remaining positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .ff import PrimeField, horner
 
@@ -92,17 +107,27 @@ def encode(message, points: EvalPoints) -> Codeword:
     return Codeword(dimension=k, positions=vals)
 
 
-def _check_received(received: Codeword, points: EvalPoints, max_errors: int):
-    k = received.dimension
+def _check_shape(k: int, positions, points: EvalPoints, max_errors: int):
     if k < 1:
         raise ValueError("dimension must be positive")
     if max_errors < 0:
         raise ValueError("max_errors must be >= 0")
     H = len(points.alphas)
-    items = sorted(received.positions.items())
-    for h, _ in items:
+    for h in positions:
         if not 1 <= h <= H:
             raise ValueError(f"position {h} outside [1..{H}]")
+
+
+def _check_radius(J: int, k: int, max_errors: int):
+    if J - k < 2 * max_errors:
+        raise ValueError(
+            f"{J} present positions cannot carry dimension {k} with {max_errors} errors")
+
+
+def _check_received(received: Codeword, points: EvalPoints, max_errors: int):
+    k = received.dimension
+    items = sorted(received.positions.items())
+    _check_shape(k, (h for h, _ in items), points, max_errors)
     return k, items
 
 
@@ -218,10 +243,7 @@ def _berlekamp_welch(pairs, k: int, e: int, field: PrimeField):
 def decode(received: Codeword, points: EvalPoints, max_errors: int):
     """Message and flagged positions from >= k + 2*max_errors present symbols."""
     k, items = _check_received(received, points, max_errors)
-    J = len(items)
-    if J - k < 2 * max_errors:
-        raise ValueError(
-            f"{J} present positions cannot carry dimension {k} with {max_errors} errors")
+    _check_radius(len(items), k, max_errors)
     q = points.q
     pairs = [(points.alphas[h - 1], y % q) for h, y in items]
     msg = _berlekamp_welch(pairs, k, max_errors, points.field)
@@ -230,6 +252,93 @@ def decode(received: Codeword, points: EvalPoints, max_errors: int):
     if len(flags) > max_errors:
         raise DecodingFailure(f"nearest codeword disagrees in {len(flags)} positions")
     return msg, flags
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Interpolation and evaluation rows for one (points, positions, k, skipped).
+
+    Indices refer to the word's values, in position order.  ``basis[m]``
+    gives message coefficient m from the values at ``base``; each row of
+    ``checks`` predicts a kept value from them, and each row of
+    ``skipped`` a value that is only compared, for the flags.
+    """
+
+    base: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
+    checks: tuple[tuple[int, tuple[int, ...]], ...]
+    skipped: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@lru_cache(maxsize=1024)
+def _plan(points: EvalPoints, positions: tuple[int, ...], k: int,
+          skip: tuple[int, ...]) -> _Plan:
+    q, field = points.q, points.field
+    xs = [points.alphas[h - 1] for h in positions]
+    kept = [i for i, h in enumerate(positions) if h not in skip]
+    base = tuple(kept[:k])
+    # column i of the inverse Vandermonde matrix is the Lagrange basis
+    # polynomial that is 1 at base point i and 0 at the others
+    lagrange = [_interpolate([(xs[j], int(j == i)) for j in base], field) for i in base]
+    basis = tuple(tuple(lagrange[i][m] for i in range(k)) for m in range(k))
+
+    def rows(indices):
+        return tuple((j, tuple(horner(ell, xs[j], q) for ell in lagrange))
+                     for j in indices)
+
+    return _Plan(base=base, basis=basis, checks=rows(kept[k:]),
+                 skipped=rows(i for i in range(len(positions)) if i not in kept))
+
+
+class BatchDecoder:
+    """``decode`` for many words received at the same positions.
+
+    Built once per set of present positions; ``decode(values)`` takes
+    the word's symbols in ascending position order and returns exactly
+    what ``decode`` returns for it, or raises what ``decode`` raises.
+    Berlekamp-Welch runs only for words that neither plan explains.
+    """
+
+    def __init__(self, points: EvalPoints, positions, dimension: int, max_errors: int):
+        self.positions = tuple(sorted(positions))
+        if len(set(self.positions)) != len(self.positions):
+            raise ValueError("positions must be distinct")
+        _check_shape(dimension, self.positions, points, max_errors)
+        _check_radius(len(self.positions), dimension, max_errors)
+        self.points = points
+        self.dimension = dimension
+        self.max_errors = max_errors
+        self._clean = _plan(points, self.positions, dimension, ())
+        self._suspect = None  # plan skipping the last fallback's flags
+
+    def _apply(self, plan: _Plan, y: list[int]):
+        q = self.points.q
+        yb = [y[i] for i in plan.base]
+        for j, row in plan.checks:
+            if sum(map(mul, row, yb)) % q != y[j]:
+                return None
+        msg = [sum(map(mul, row, yb)) % q for row in plan.basis]
+        flags = {self.positions[j] for j, row in plan.skipped
+                 if sum(map(mul, row, yb)) % q != y[j]}
+        return msg, flags
+
+    def decode(self, values):
+        q = self.points.q
+        y = [v % q for v in values]
+        if len(y) != len(self.positions):
+            raise ValueError(f"need {len(self.positions)} symbols, got {len(y)}")
+        got = self._apply(self._clean, y)
+        if got is None and self._suspect is not None:
+            got = self._apply(self._suspect, y)
+        if got is not None:
+            return got
+        # the module-level Berlekamp-Welch decode
+        msg, flags = decode(Codeword(self.dimension, dict(zip(self.positions, y))),
+                            self.points, self.max_errors)
+        if flags:
+            self._suspect = _plan(self.points, self.positions, self.dimension,
+                                  tuple(sorted(flags)))
+        return msg, flags
 
 
 def brute_force_decode(received: Codeword, points: EvalPoints, max_errors: int):

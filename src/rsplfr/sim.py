@@ -25,9 +25,9 @@ from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams, UniformRandom,
-                       adversary_content, adversary_signal, build_storage, make_query,
-                       params_from_json, place_user, recover_library, server_signal,
-                       strategy_key, user_decode)
+                       adversary_content, adversary_signal, build_storage,
+                       decode_streams, make_query, params_from_json, place_user,
+                       recover_library, server_signal, strategy_key, user_decode)
 from .rscode import DecodingFailure
 
 
@@ -264,12 +264,16 @@ def _config_list(sc: Scenario):
         sizes = sc.adversary_sizes if sc.adversary_sizes is not None else tuple(range(A + 1))
         adv_subsets = []
         for size in sizes:
+            if not 0 <= size <= H:
+                raise ScenarioError(f"adversary size {size} outside [0, {H}]")
             adv_subsets.extend(combinations(range(1, H + 1), size))
     else:
         adv_subsets = [_check_adversaries(sc, sc.adversaries)]
     strategies = list(ALL_STRATEGIES) if sc.sweep_strategies else [sc.strategy]
     configs = [(js, tuple(adv), st)
                for js in j_subsets for adv in adv_subsets for st in strategies]
+    if not configs:
+        raise ScenarioError("the sweep selects no configurations")
     if len(configs) > sc.max_configs:
         raise ScenarioError(f"{len(configs)} configurations exceed the cap {sc.max_configs}")
     return configs
@@ -297,9 +301,10 @@ def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
     """Replay configs[lo:hi] under every demand, checking against ground truth.
 
     Honest answers are computed once per demand; an adversarial server
-    corrupts its honest answer.  Per-configuration seeds are keyed by the
-    configuration's index in the full list, so a slice replays exactly
-    what the whole list would.
+    corrupts its honest answer.  Each delivery's streams are decoded
+    once and shared by every user's interference cancellation.
+    Per-configuration seeds are keyed by the configuration's index in
+    the full list, so a slice replays exactly what the whole list would.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -345,11 +350,12 @@ def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
                     rng = random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
                     sig = adversary_signal(params, strat, sig, rng)
                 delivered.append(sig)
+            streams = decode_streams(params, arr, delivered)
             decoded, per_user = [], []
             for k in range(1, params.K + 1):
                 try:
                     got = user_decode(params, arr, state.caches[k - 1],
-                                      demand[k - 1], delivered, queries)
+                                      demand[k - 1], streams, queries)
                 except (DecodingFailure, ProtocolError) as exc:
                     got, error = None, str(exc)
                 else:

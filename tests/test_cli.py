@@ -309,6 +309,11 @@ MALFORMED = {
     "text_man_k": (_with_params(pda={"man": {"k": "3", "t": 1}}), []),
     "man_t_above_k": (_with_params(pda={"man": {"k": 3, "t": 5}}), []),
     "bad_grid": (_with_params(pda={"grid": "1 x\n"}), []),
+    "negative_adversary_size": (dict(_with_params(), sweep={
+        "adversary_subsets": True, "adversary_sizes": [-1]}), ["--sweep"]),
+    "adversary_size_above_h": (dict(_with_params(), sweep={
+        "adversary_subsets": True, "adversary_sizes": [9]}), ["--sweep"]),
+    "b_not_divisible": (_with_params(B=5), []),
 }
 
 

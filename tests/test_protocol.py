@@ -7,12 +7,12 @@ import pytest
 from rsplfr.pda import STAR, man_pda, validate
 from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              HonestPermutedSlices, HonestPlusConstant, Library,
-                             MissingSignals, ProtocolError, Randomness,
+                             MissingSignals, ProtocolError, Randomness, Signal,
                              SystemParams, UniformRandom, ZeroPayload,
                              adversary_content, adversary_signal,
-                             build_storage, make_query, params_from_json,
-                             place_user, recover_library, server_signal,
-                             strategy_key, user_decode, with_seed)
+                             build_storage, decode_streams, make_query,
+                             params_from_json, place_user, recover_library,
+                             server_signal, strategy_key, user_decode, with_seed)
 from rsplfr.rscode import DecodingFailure
 
 MICRO = SystemParams(N=2, K=1, H=2, A=0, I=1, J=2, q=3, B=1)
@@ -180,10 +180,10 @@ def test_every_user_decodes_its_blend_on_the_toy_instance():
                for _ in range(params.K)]
     queries = [make_query(params, demands[k], ps[k]) for k in range(params.K)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
-    delivered = signals[:params.J]
+    streams = decode_streams(params, TOY_PDA, signals[:params.J])
     for k in range(1, params.K + 1):
         got = user_decode(params, TOY_PDA, caches[k - 1], demands[k - 1],
-                          delivered, queries)
+                          streams, queries)
         assert got == combine(library, demands[k - 1], params.q)
 
 
@@ -200,7 +200,7 @@ def test_decoding_is_linear_in_the_demand():
         signals = [server_signal(params, TOY_PDA, st, queries)
                    for st in stores[:params.J]]
         outs[tag] = user_decode(params, TOY_PDA, caches[0], demand,
-                                signals, queries)
+                                decode_streams(params, TOY_PDA, signals), queries)
     assert [(a + b) % q for a, b in zip(outs["d1"], outs["d2"])] == outs["sum"]
 
 
@@ -213,8 +213,8 @@ def test_any_j_subset_suffices():
     expected = combine(library, demand, params.q)
     from itertools import combinations
     for subset in combinations(range(6), params.J):
-        got = user_decode(params, TOY_PDA, caches[0], demand,
-                          [signals[i] for i in subset], queries)
+        streams = decode_streams(params, TOY_PDA, [signals[i] for i in subset])
+        got = user_decode(params, TOY_PDA, caches[0], demand, streams, queries)
         assert got == expected
 
 
@@ -229,8 +229,64 @@ def test_single_adversary_is_corrected():
                    for st in stores[:params.J]]
         signals[2] = adversary_signal(params, strategy, signals[2])
         assert not signals[2].honest
-        got = user_decode(params, TOY_PDA, caches[0], demand, signals, queries)
+        streams = decode_streams(params, TOY_PDA, signals)
+        got = user_decode(params, TOY_PDA, caches[0], demand, streams, queries)
         assert got == expected
+
+
+def test_partial_slice_corruption_is_corrected():
+    # one adversary corrupts only some (stream, slice) cells of its
+    # answer, every pattern of them; two slices per stream (B=12)
+    params = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=12, seed=17)
+    rng = random.Random(17)
+    library = Library.random(params, rng)
+    randomness = Randomness.sample(params, TOY_PDA, rng)
+    stores = build_storage(params, TOY_PDA, library, randomness)
+    ps = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
+    caches = [place_user(params, TOY_PDA, library, randomness, k, ps[k - 1])
+              for k in (1, 2, 3)]
+    demands = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[1:]]
+    expected = [combine(library, demands[k], 7) for k in range(3)]
+    cells = [(s, r) for s in range(TOY_PDA.S) for r in range(2)]
+    honest = signals[2]
+    for mask in range(1, 1 << len(cells)):
+        payload = [list(p) for p in honest.payload]
+        for bit, (s, r) in enumerate(cells):
+            if mask >> bit & 1:
+                payload[s][r] = (payload[s][r] + 1 + bit % 6) % 7
+        bad = Signal(h=honest.h, queries=honest.queries,
+                     payload=tuple(tuple(p) for p in payload), honest=False)
+        streams = decode_streams(params, TOY_PDA, signals[:2] + [bad] + signals[3:])
+        assert not streams.failures
+        for k in range(3):
+            got = user_decode(params, TOY_PDA, caches[k], demands[k], streams, queries)
+            assert got == expected[k], (mask, k)
+
+
+def test_a_failed_stream_fails_only_the_users_that_need_it():
+    params, library, randomness, stores, ps, caches = build_toy_state(18)
+    demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
+    # two servers shift stream 1 only: beyond the radius there
+    for i in (0, 1):
+        payload = list(signals[i].payload)
+        payload[0] = tuple((x + 1) % 7 for x in payload[0])
+        signals[i] = Signal(h=signals[i].h, queries=signals[i].queries,
+                            payload=tuple(payload), honest=False)
+    streams = decode_streams(params, TOY_PDA, signals)
+    assert set(streams.failures) == {1}
+    for k in range(1, 4):
+        if 1 in TOY_PDA.column(k - 1):
+            with pytest.raises(DecodingFailure):
+                user_decode(params, TOY_PDA, caches[k - 1], demands[k - 1],
+                            streams, queries)
+        else:
+            assert user_decode(params, TOY_PDA, caches[k - 1], demands[k - 1],
+                               streams, queries) == \
+                combine(library, demands[k - 1], params.q)
 
 
 def test_decode_needs_exactly_j_distinct_origins():
@@ -240,10 +296,9 @@ def test_decode_needs_exactly_j_distinct_origins():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
     with pytest.raises(MissingSignals):
-        user_decode(params, TOY_PDA, caches[0], demand, signals[:4], queries)
+        decode_streams(params, TOY_PDA, signals[:4])
     with pytest.raises(MissingSignals):
-        user_decode(params, TOY_PDA, caches[0], demand,
-                    signals[:4] + [signals[3]], queries)
+        decode_streams(params, TOY_PDA, signals[:4] + [signals[3]])
 
 
 def test_decode_checks_the_query_echo():
@@ -253,8 +308,9 @@ def test_decode_checks_the_query_echo():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
     wrong = [make_query(params, [0, 1, 0, 0], ps[0])] + queries[1:]
+    streams = decode_streams(params, TOY_PDA, signals[:5])
     with pytest.raises(ProtocolError):
-        user_decode(params, TOY_PDA, caches[0], demand, signals[:5], wrong)
+        user_decode(params, TOY_PDA, caches[0], demand, streams, wrong)
 
 
 def test_zero_library_decodes_to_zero():
@@ -270,7 +326,8 @@ def test_zero_library_decodes_to_zero():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries)
                for st in stores[:params.J]]
-    assert user_decode(params, TOY_PDA, caches[0], demand, signals,
+    streams = decode_streams(params, TOY_PDA, signals)
+    assert user_decode(params, TOY_PDA, caches[0], demand, streams,
                        queries) == [0] * params.B
 
 

@@ -10,9 +10,10 @@ import random
 import pytest
 
 from rsplfr.ff import NotPrimeError
-from rsplfr.rscode import (AmbiguousCandidate, Codeword, DecodingFailure,
-                           EvalPoints, NoCandidate, brute_force_decode, decode,
-                           encode)
+import rsplfr.rscode
+from rsplfr.rscode import (AmbiguousCandidate, BatchDecoder, Codeword,
+                           DecodingFailure, EvalPoints, NoCandidate,
+                           brute_force_decode, decode, encode)
 
 
 def corrupt(cw: Codeword, position: int, delta: int, q: int) -> Codeword:
@@ -200,3 +201,93 @@ def test_randomized_overload_agreement_with_oracle():
         if got is not None:
             assert got[0] == expected[0]
             assert got[1] == expected[1]
+
+
+# ---------- one decoder for many words at the same positions ----------
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except DecodingFailure:
+        return "failure"
+
+
+def batch_agrees(points, positions, k, e, words):
+    """Every word through one BatchDecoder equals decode and the oracle."""
+    batch = BatchDecoder(points, positions, k, e)
+    for values in words:
+        cw = Codeword(k, dict(zip(positions, values)))
+        got = outcome(lambda: batch.decode(values))
+        assert got == outcome(lambda: decode(cw, points, e)), values
+        assert got == outcome(lambda: brute_force_decode(cw, points, e)), values
+
+
+def word(points, positions, msg, errors):
+    """msg encoded at positions, plus errors: {position: delta}."""
+    clean = encode(msg, points).positions
+    return [(clean[h] + errors.get(h, 0)) % points.q for h in positions]
+
+
+def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
+    # errors on server 1 in some words, on server 6 in others, none in
+    # the rest: the plan reusing the last located support misses on the
+    # switch and must fall back
+    calls = []
+    monkeypatch.setattr(rsplfr.rscode, "decode",
+                        lambda *a: calls.append(a) or decode(*a))
+    points = EvalPoints.consecutive(13, 8)
+    positions = (1, 2, 3, 5, 6, 7, 8)  # J = 7, k = 3, radius 2
+    rng = random.Random(5)
+    patterns = [{}, {1: 4}, {1: 7}, {}, {1: 1}, {6: 3}, {6: 12}, {}, {6: 2},
+                {1: 5}, {1: 2, 6: 9}, {6: 1}, {}]
+    words = [word(points, positions, [rng.randrange(13) for _ in range(3)], errs)
+             for errs in patterns]
+    batch_agrees(points, positions, 3, 2, words)
+    # one fallback per change of located support: {1}, {6}, {1}, {1, 6}
+    assert len(calls) == 4
+
+
+def test_batch_beyond_radius_and_radius_zero_match_decode():
+    points = EvalPoints.consecutive(11, 6)
+    positions = (1, 2, 3, 4, 5, 6)
+    msg = [3, 9]
+    beyond = [{}, {2: 1}, {2: 1, 4: 1, 5: 3}, {2: 5}, {1: 1, 2: 1, 3: 1},
+              {h: 1 for h in positions}, {2: 4}]
+    words = [word(points, positions, msg, errs) for errs in beyond]
+    batch_agrees(points, positions, 2, 2, words)
+    words = [word(points, positions, msg, errs) for errs in ({}, {3: 2}, {})]
+    batch_agrees(points, positions, 2, 0, words)
+    # no redundancy: every word interpolates
+    batch_agrees(points, (2, 4), 2, 0, [[1, 5], [0, 0]])
+
+
+def test_batch_randomized_sequences_match_decode():
+    rng = random.Random(424242)
+    for _ in range(150):
+        q = rng.choice([7, 11, 13])
+        k = rng.randint(1, 4)
+        H = rng.randint(k, min(q - 1, 9))
+        points = EvalPoints.consecutive(q, H)
+        positions = tuple(sorted(rng.sample(range(1, H + 1), rng.randint(k, H))))
+        e = rng.randint(0, (len(positions) - k) // 2)
+        bad = rng.sample(positions, min(len(positions), e + 1))
+        words = []
+        for _ in range(8):
+            support = [h for h in bad if rng.random() < 0.5]
+            errs = {h: rng.randint(1, q - 1) for h in support}
+            msg = [rng.randrange(q) for _ in range(k)]
+            words.append(word(points, positions, msg, errs))
+        batch_agrees(points, positions, k, e, words)
+
+
+def test_batch_decoder_checks_its_shape():
+    points = EvalPoints.consecutive(7, 5)
+    with pytest.raises(ValueError):
+        BatchDecoder(points, (1, 2, 3), 2, 1)  # 3 - 2 < 2
+    with pytest.raises(ValueError):
+        BatchDecoder(points, (1, 2, 9), 1, 0)
+    with pytest.raises(ValueError):
+        BatchDecoder(points, (1, 1, 2), 1, 0)
+    with pytest.raises(ValueError):
+        BatchDecoder(points, (1, 2, 3), 2, 0).decode([1, 2])

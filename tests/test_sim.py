@@ -144,6 +144,30 @@ def test_run_is_the_sweep_of_its_one_configuration():
             (swept.ok, swept.failure_count, swept.stage_counts, swept.measured)
 
 
+def test_streams_are_decoded_once_per_delivery(monkeypatch):
+    # Berlekamp-Welch runs only where a word is no codeword and the
+    # support located earlier in the same delivery does not explain it
+    import rsplfr.rscode
+    original = rsplfr.rscode.decode
+    calls = []
+    monkeypatch.setattr(rsplfr.rscode, "decode",
+                        lambda *args: calls.append(args) or original(*args))
+    honest = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                          sweep_strategies=True, adversary_sizes=(0,),
+                          demand_samples=3, check_recovery=True)
+    assert sweep(honest).ok
+    assert calls == []
+
+    single = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                          sweep_strategies=True, adversary_sizes=(1,),
+                          demand_samples=3, check_recovery=True)
+    result = sweep(single)
+    assert result.ok
+    deliveries = result.configurations * 3
+    recoveries = result.configurations
+    assert 0 < len(calls) <= deliveries + recoveries
+
+
 def test_sweep_size_cap():
     sc = toy_scenario(sweep_j_subsets=True, sweep_strategies=True,
                       max_configs=10)
