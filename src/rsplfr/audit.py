@@ -13,6 +13,13 @@ figures worse: every deterministic strategy is a function of the
 honest signal, and the randomized one adds noise drawn independently
 of all secrets.  The audits therefore enumerate honest transcripts.
 
+Repeated work is left out, never outcomes: queries depend only on
+(blends, demands), so they are built once per pair before the library
+and randomness loops, and since ``server_signal`` is a pure function of
+(store, queries), each server answers each distinct query vector once
+per (library, randomness) outcome.  Every outcome is still counted, in
+the original order.
+
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
 which shrinks the enumeration instead of changing protocol code.
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from . import sim
 from .pda import Pda
@@ -122,8 +129,10 @@ def _space(params: SystemParams, arr: Pda, muts: frozenset) -> _Space:
     )
 
 
-def _guard(space: _Space, dims: int, constraint: str, cap: int) -> int:
-    count = space.params.q ** dims
+def _guard(space: _Space, dims: int, constraint: str, cap: int,
+           copies: int = 1) -> int:
+    """Outcomes of `copies` enumerations of q^dims each, refused above cap."""
+    count = space.params.q ** dims * copies
     if count > cap:
         raise InfeasibleAuditError(
             f"{constraint} would enumerate {count} outcomes (cap {cap})")
@@ -160,22 +169,47 @@ def _randomness(space: _Space, uflat) -> Randomness:
     return Randomness(deltas=deltas, vees=vees, lambdas=lambdas)
 
 
-def _flat(obj):
-    """Deterministic flattening of nested ints/sequences/dicts to a tuple."""
-    out = []
+def _contents(store) -> tuple:
+    """A server store flattened: its coded subfiles, then its coded keys."""
+    return (tuple(chain.from_iterable(store.coded_subfiles))
+            + tuple(chain.from_iterable(store.coded_keys)))
 
-    def walk(x):
-        if isinstance(x, int):
-            out.append(x)
-        elif isinstance(x, dict):
-            for key in sorted(x):
-                walk(x[key])
-        else:
-            for y in x:
-                walk(y)
 
-    walk(obj)
-    return tuple(out)
+def _cached(cache) -> tuple:
+    """A user cache flattened: blend vector, star-row packets, keyed packets."""
+    return (cache.p
+            + tuple(v for j in sorted(cache.uncoded) for per_file in cache.uncoded[j]
+                    for packet in per_file for v in packet)
+            + tuple(v for j in sorted(cache.keys) for packet in cache.keys[j]
+                    for v in packet))
+
+
+def _demands(dflat, users, N: int) -> tuple:
+    """The demand rows of the given users (1-based), concatenated."""
+    return tuple(v for k in users for v in dflat[(k - 1) * N:k * N])
+
+
+def _query_grid(space: _Space) -> list:
+    """Every blend outcome with its demand outcomes and their queries.
+
+    Queries depend only on (blends, demands), so the audits build them
+    here once instead of once per (library, randomness) outcome.
+    Returns [(ps, [(dflat, queries, flat query values), ...]), ...] in
+    enumeration order, which keeps the count tables' insertion order.
+    """
+    params, q = space.params, space.params.q
+    K, N = params.K, params.N
+    grid = []
+    for pflat in product(range(q), repeat=space.n_p):
+        ps = _rows(pflat, K, N)
+        rows = []
+        for dflat in product(range(q), repeat=space.n_d):
+            ds = _rows(dflat, K, N)
+            queries = tuple(make_query(params, ds[k], ps[k]) for k in range(K))
+            rows.append((dflat, queries,
+                         tuple(chain.from_iterable(qr.values for qr in queries))))
+        grid.append((ps, rows))
+    return grid
 
 
 def _u_space(space: _Space):
@@ -197,10 +231,9 @@ def audit_server_security(params: SystemParams, arr: Pda, mutations=(),
         library = _library(space, wflat)
         for uflat in _u_space(space):
             stores = build_storage(params, arr, library, _randomness(space, uflat))
+            zed = [_contents(st) for st in stores]
             for T in subsets:
-                obs = tuple(_flat((stores[h - 1].coded_subfiles,
-                                   stores[h - 1].coded_keys)) for h in T)
-                key = (wflat, obs)
+                key = (wflat, tuple(zed[h - 1] for h in T))
                 tables[T][key] = tables[T].get(key, 0) + 1
     details = []
     worst = 0.0
@@ -231,19 +264,23 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
                    "signal-security", cap)
     table: dict = {}
     strong: dict = {}
-    K, N = params.K, params.N
+    grid = _query_grid(space)
     for wflat in product(range(q), repeat=space.n_w):
         library = _library(space, wflat)
         for uflat in _u_space(space):
             stores = build_storage(params, arr, library, _randomness(space, uflat))
-            for pflat in product(range(q), repeat=space.n_p):
-                ps = _rows(pflat, K, N)
-                for dflat in product(range(q), repeat=space.n_d):
-                    ds = _rows(dflat, K, N)
-                    queries = [make_query(params, ds[k], ps[k]) for k in range(K)]
-                    payloads = tuple(_flat(server_signal(params, arr, st, queries).payload)
-                                     for st in stores)
-                    obs = (tuple(_flat([qr.values for qr in queries])), payloads)
+            # server_signal is a pure function of (store, queries): answer
+            # each distinct query vector once within this outcome
+            answers: dict = {}
+            for _ps, rows in grid:
+                for dflat, queries, qvals in rows:
+                    payloads = answers.get(qvals)
+                    if payloads is None:
+                        payloads = answers[qvals] = tuple(
+                            tuple(chain.from_iterable(
+                                server_signal(params, arr, st, queries).payload))
+                            for st in stores)
+                    obs = (qvals, payloads)
                     key = (wflat, obs)
                     table[key] = table.get(key, 0) + 1
                     skey = ((wflat, dflat), obs)
@@ -279,19 +316,23 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     coalitions = [tuple(c) for r in range(K + 1)
                   for c in combinations(range(1, K + 1), r)]
     real = [S for S in coalitions if len(S) < K]
-    per_w = _guard(space, space.n_delta + space.n_vee + space.n_lambda
-                   + space.n_p + space.n_d, "demand-privacy", cap)
-    _guard(space, space.n_w, "demand-privacy library grid", cap)
+    outcomes = _guard(space, space.n_w + space.n_delta + space.n_vee + space.n_lambda
+                      + space.n_p + space.n_d, "demand-privacy", cap, len(real))
+    grid = _query_grid(space)
     details = []
     worst = 0.0
     witness = None
-    outcomes = 0
     for S in coalitions:
         if len(S) == K:
             # the whole user set colludes: nothing is left to hide
             details.append((f"colluders={list(S)}", 0.0))
             continue
         rest = [k for k in range(1, K + 1) if k not in S]
+        # per (blend, demand) pair: the hidden demands, the coalition's own
+        # demands and the query values, built once per coalition
+        views = [(ps, [(_demands(dflat, rest, N), _demands(dflat, S, N), qvals)
+                       for dflat, _queries, qvals in rows])
+                 for ps, rows in grid]
         s_worst = 0.0
         for wflat in product(range(q), repeat=space.n_w):
             library = _library(space, wflat)
@@ -299,27 +340,14 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
             for uflat in _u_space(space):
                 randomness = _randomness(space, uflat)
                 stores = build_storage(params, arr, library, randomness)
-                zed = tuple(_flat((st.coded_subfiles, st.coded_keys))
-                            for st in stores)
-                for pflat in product(range(q), repeat=space.n_p):
-                    ps = _rows(pflat, K, N)
-                    caches = []
-                    for k in S:
-                        cache = place_user(params, arr, library, randomness,
-                                           k, ps[k - 1])
-                        caches.append(_flat((cache.p, cache.uncoded, cache.keys)))
-                    caches = tuple(caches)
-                    for dflat in product(range(q), repeat=space.n_d):
-                        ds = _rows(dflat, K, N)
-                        queries = [make_query(params, ds[k], ps[k])
-                                   for k in range(K)]
-                        secret = tuple(v for k in rest for v in ds[k - 1])
-                        seen_demands = tuple(v for k in S for v in ds[k - 1])
-                        obs = (caches, seen_demands,
-                               tuple(_flat([qr.values for qr in queries])), zed)
-                        key = (secret, obs)
+                zed = tuple(_contents(st) for st in stores)
+                for ps, rows in views:
+                    caches = tuple(_cached(place_user(params, arr, library, randomness,
+                                                      k, ps[k - 1]))
+                                   for k in S)
+                    for secret, seen_demands, qvals in rows:
+                        key = (secret, (caches, seen_demands, qvals, zed))
                         table[key] = table.get(key, 0) + 1
-                        outcomes += 1
             mi = exact_mi(table)
             if mi > s_worst:
                 s_worst = mi

@@ -618,6 +618,10 @@ def recover_library(params: SystemParams, contents) -> Library:
         raise DimensionMismatch(f"B={params.B} is not divisible by L={L}")
     subL = params.B // L
     for h, st in by_h.items():
+        if not (_is_int(h) and 1 <= h <= params.H):
+            raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
+        if st.h != h:
+            raise ProtocolError(f"contents given for server {h} are server {st.h}'s")
         if len(st.coded_subfiles) != N or any(len(v) != subL for v in st.coded_subfiles):
             raise DimensionMismatch(f"contents of server {h} have the wrong shape")
     decoder = rscode.BatchDecoder(params.points, by_h, I + L, params.A)

@@ -99,19 +99,26 @@ class Scenario:
             for key in sweep:
                 if key not in sweep_known:
                     raise ConfigError(f"unknown sweep field {key!r}")
-            sc.sweep_j_subsets = bool(sweep.get("j_subsets", False))
-            sc.sweep_adversary_subsets = bool(sweep.get("adversary_subsets", False))
-            sc.sweep_strategies = bool(sweep.get("strategies", False))
+            sc.sweep_j_subsets = _flag(sweep.get("j_subsets", False), '"j_subsets"')
+            sc.sweep_adversary_subsets = _flag(sweep.get("adversary_subsets", False),
+                                               '"adversary_subsets"')
+            sc.sweep_strategies = _flag(sweep.get("strategies", False), '"strategies"')
             if "demand_samples" in sweep:
                 sc.demand_samples = _int(sweep["demand_samples"], '"demand_samples"')
             if "adversary_sizes" in sweep:
                 sc.adversary_sizes = _ints(sweep["adversary_sizes"], '"adversary_sizes"')
                 sc.allow_excess_adversaries = True
             if "check_recovery" in sweep:
-                sc.check_recovery = bool(sweep["check_recovery"])
+                sc.check_recovery = _flag(sweep["check_recovery"], '"check_recovery"')
             if "max_configs" in sweep:
                 sc.max_configs = _int(sweep["max_configs"], '"max_configs"')
         return sc
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def _int(value, what: str) -> int:

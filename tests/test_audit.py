@@ -6,10 +6,12 @@ audit must report literal zero leakage on the honest construction, and
 each mutation must flip its targeted audit to a strictly positive figure.
 """
 
+import hashlib
 import math
 
 import pytest
 
+import rsplfr.audit as audit_module
 from rsplfr import (
     AuditError,
     AuditReport,
@@ -179,10 +181,67 @@ def test_cap_is_adjustable():
         audit_server_security(MICRO, MICRO_PDA, cap=100)
 
 
+def test_demand_privacy_cap_bounds_the_whole_enumeration():
+    # 3^2 libraries x 3^8 outcomes each x one coalition = 59049
+    with pytest.raises(InfeasibleAuditError, match="59049"):
+        audit_demand_privacy(MICRO, MICRO_PDA, cap=59048)
+    assert audit_demand_privacy(MICRO, MICRO_PDA, cap=59049).outcomes == 59049
+
+
 def test_audit_requires_fixed_sizes():
     free = SystemParams(N=2, K=1, H=2, A=0, I=1, J=2)  # no q, no B
     with pytest.raises(ConfigError):
         audit_server_security(free, MICRO_PDA)
+
+
+# ---------- exactness and repeated work ----------
+
+
+def test_count_tables_and_reports_are_pinned(monkeypatch):
+    # SHA-256 over the SHA-256 of repr(sorted(table.items())) of every table
+    # handed to exact_mi, in call order, and of the reports; both values come
+    # from the enumeration that rebuilt queries and answers for every outcome,
+    # so skipping repeated work must leave every count and report unchanged
+    digests = []
+    original = audit_module.exact_mi
+
+    def recording(counts):
+        digests.append(hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest())
+        return original(counts)
+
+    monkeypatch.setattr(audit_module, "exact_mi", recording)
+    reports = [run_audits(MICRO, MICRO_PDA, mutations, robustness=False)
+               for mutations in ((), ("zero-noise",), ("key-removal",), ("zero-pad",))]
+    assert len(digests) == 52
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
+        "62cf6c5b5f501229c09d3d559a4815505629840d1fbf8015819b68e2bf036c55")
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+        "a28e52b0ccb874162187302a4ceb7476a543af720744a72b8be7eff5fb9e820a")
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    original = getattr(audit_module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(audit_module, name, counting)
+    return calls
+
+
+def test_queries_and_answers_are_built_once(monkeypatch):
+    # 3^4 (blend, demand) pairs, 9 distinct query vectors per outcome,
+    # 3^2 x 3^4 (library, randomness) outcomes, 2 servers
+    queries = _count_calls(monkeypatch, "make_query")
+    answers = _count_calls(monkeypatch, "server_signal")
+    audit_signal_security(MICRO, MICRO_PDA)
+    assert queries[0] == 81
+    assert answers[0] <= 13122
+    queries[0] = 0
+    audit_demand_privacy(MICRO, MICRO_PDA)
+    assert queries[0] == 81
 
 
 # ---------- robustness replay ----------

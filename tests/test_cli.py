@@ -314,6 +314,12 @@ MALFORMED = {
     "adversary_size_above_h": (dict(_with_params(), sweep={
         "adversary_subsets": True, "adversary_sizes": [9]}), ["--sweep"]),
     "b_not_divisible": (_with_params(B=5), []),
+    "text_j_subsets": (dict(_with_params(), sweep={"j_subsets": "false"}), ["--sweep"]),
+    "text_adversary_subsets": (dict(_with_params(), sweep={"adversary_subsets": "no"}),
+                               ["--sweep"]),
+    "integer_strategies": (dict(_with_params(), sweep={"strategies": 1}), ["--sweep"]),
+    "text_check_recovery": (dict(_with_params(), sweep={"check_recovery": "0"}),
+                            ["--sweep"]),
 }
 
 

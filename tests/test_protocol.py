@@ -373,6 +373,17 @@ def test_recover_rejects_wrong_count_and_duplicates():
         recover_library(params, stores[:4] + [stores[3]])
 
 
+def test_recover_checks_the_server_keys():
+    params, library, randomness, stores, ps, caches = build_toy_state(14)
+    contents = {st.h: st for st in stores[:4]}
+    with pytest.raises(ProtocolError, match="server 9 outside"):
+        recover_library(params, {**contents, 9: stores[4]})
+    with pytest.raises(ProtocolError, match="server '5' outside"):
+        recover_library(params, {**contents, "5": stores[4]})
+    with pytest.raises(ProtocolError, match="server 5's"):
+        recover_library(params, {**contents, 6: stores[4]})
+
+
 # ---------- adversary plumbing ----------
 
 
