@@ -34,8 +34,8 @@ from itertools import chain, combinations, product
 
 from . import sim
 from .pda import Pda
-from .protocol import (ConfigError, Library, Randomness, SystemParams,
-                       build_storage, make_query, place_user, server_signal)
+from .protocol import (ConfigError, Library, ProtocolError, Randomness, SystemParams,
+                       _dims, build_storage, make_query, place_user, server_signal)
 
 
 class AuditError(Exception):
@@ -111,18 +111,15 @@ class _Space:
 
 
 def _space(params: SystemParams, arr: Pda, muts: frozenset) -> _Space:
-    if params.q is None or params.B is None:
-        raise ConfigError("audits need q and B fixed")
-    L = params.L
-    if params.B % (L * arr.F) != 0:
-        raise ConfigError(f"B={params.B} must be divisible by L*F={L * arr.F}")
-    sub_len = params.B // L
-    pkt = params.B // (L * arr.F)
+    try:
+        sub_len, pkt = _dims(params, arr)
+    except ProtocolError as exc:
+        raise ConfigError(str(exc)) from exc
     return _Space(
         params=params, arr=arr, sub_len=sub_len, pkt=pkt,
         n_w=params.N * params.B,
         n_delta=0 if "zero-noise" in muts else params.N * params.I * sub_len,
-        n_vee=0 if "key-removal" in muts else L * arr.S * pkt,
+        n_vee=0 if "key-removal" in muts else params.L * arr.S * pkt,
         n_lambda=0 if "key-removal" in muts else params.I * arr.S * pkt,
         n_p=0 if "zero-pad" in muts else params.K * params.N,
         n_d=params.K * params.N,

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, audit as audit_mod, pda as pda_mod, sim
-from .protocol import ConfigError, ProtocolError, with_seed
+from .protocol import (ConfigError, ProtocolError, load_config, read_config,
+                       read_text, with_seed)
 from .rscode import DecodingFailure
 
 
@@ -25,32 +27,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _env_seed() -> int | None:
+def _seeded(params):
+    """params with the RSPLFR_SEED override applied, when it is set."""
     raw = os.environ.get("RSPLFR_SEED")
-    if raw is None or raw == "":
-        return None
+    if not raw:
+        return params
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise ConfigError(f"RSPLFR_SEED must be an integer, got {raw!r}")
-
-
-def _load_doc(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
-    return doc
-
-
-def _params_from_doc(doc: dict, base_dir):
-    from .protocol import params_from_json
-    inner = doc["params"] if isinstance(doc.get("params"), dict) else doc
-    params, arr = params_from_json(inner, base_dir)
-    seed = _env_seed()
-    if seed is not None:
-        params = with_seed(params, seed)
-    return params, arr
+        raise ConfigError(f"RSPLFR_SEED must be an integer, got {raw!r}") from None
+    return with_seed(params, seed)
 
 
 def _num(value) -> str:
@@ -65,10 +51,7 @@ def _num(value) -> str:
 
 
 def _cmd_pda_validate(args) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    text = read_text(args.file, "pda file")
     try:
         arr = pda_mod.parse(text)
     except pda_mod.PdaError as exc:
@@ -95,11 +78,9 @@ def _cmd_pda_man(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.trace and args.sweep:
         return _fail("--trace applies to single runs, not --sweep", 2)
-    doc = _load_doc(args.config)
-    sc = sim.Scenario.from_json(doc, base_dir=Path(args.config).parent)
-    seed = _env_seed()
-    if seed is not None:
-        sc.params = with_seed(sc.params, seed)
+    sc = sim.Scenario.from_json(read_config(args.config),
+                                base_dir=Path(args.config).parent)
+    sc.params = _seeded(sc.params)
     if args.sweep:
         result = sim.sweep(sc, jobs=args.jobs)
         m = result.measured
@@ -132,8 +113,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    doc = _load_doc(args.config)
-    params, _ = _params_from_doc(doc, Path(args.config).parent)
+    params = _seeded(load_config(args.config)[0])
     grid = analysis.default_grid(params, args.grid)
     report = analysis.gap_report(params, grid)
     text = report.to_csv()
@@ -146,8 +126,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    doc = _load_doc(args.config)
-    params, _ = _params_from_doc(doc, Path(args.config).parent)
+    if args.m is not None and not math.isfinite(args.m):
+        raise ConfigError(f"--m must be a finite number, got {args.m}")
+    params = _seeded(load_config(args.config)[0])
     t_lb = analysis.storage_lower_bound(params)
     print(f"storage lower bound: T >= {t_lb} = {_num(t_lb)}")
     if args.m is not None:
@@ -167,8 +148,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    doc = _load_doc(args.config)
-    params, arr = _params_from_doc(doc, Path(args.config).parent)
+    params, arr = load_config(args.config)
+    params = _seeded(params)
     if arr is None:
         raise ConfigError('audit needs a "pda" in the config')
     mutations = tuple(args.mutate or ())
@@ -253,7 +234,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ConfigError, sim.ScenarioError, audit_mod.InfeasibleAuditError,
-            json.JSONDecodeError, OSError) as exc:
+            OSError) as exc:
         return _fail(str(exc), 2)
     except analysis.AnalysisInvariantError as exc:
         return _fail(str(exc), 1)

@@ -68,10 +68,6 @@ class Pda:
             raise PdaError(f"symbol {s} outside [1..{self.S}]")
         return self._occ[s - 1]
 
-    def star_rows(self, k0: int) -> tuple[int, ...]:
-        """0-based rows where column k0 is a star."""
-        return tuple(j for j in range(self.F) if self.entries[j][k0] is STAR)
-
     def column(self, k0: int) -> tuple[Entry, ...]:
         return tuple(self.entries[j][k0] for j in range(self.F))
 
@@ -172,7 +168,7 @@ def parse(text: str) -> Pda:
         for pos, tok in enumerate(toks, start=1):
             if tok == "*":
                 row.append(STAR)
-            elif tok.isdigit() and tok[0] != "0":
+            elif tok.isascii() and tok.isdigit() and tok[0] != "0":
                 row.append(int(tok))
             else:
                 raise PdaParseError(

@@ -644,6 +644,44 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _int(value, what: str) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    if not (isinstance(values, list) and all(_is_int(v) for v in values)):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of a config or pda file; unreadable input is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object in a config file; anything else is a ConfigError."""
+    text = read_text(path, "config")
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must contain a JSON object")
+    return doc
+
+
 def params_from_json(doc: dict, base_dir: str | Path | None = None
                      ) -> tuple[SystemParams, Pda | None]:
     """Build (SystemParams, Pda) from a config mapping.
@@ -659,19 +697,11 @@ def params_from_json(doc: dict, base_dir: str | Path | None = None
         if key not in known:
             raise ConfigError(f"unknown config field {key!r}")
     kwargs = {}
-    for name in ("N", "K", "H", "A", "I", "J"):
-        if name not in doc:
-            raise ConfigError(f"missing config field {name!r}")
-        v = doc[name]
-        if not _is_int(v):
-            raise ConfigError(f"config field {name!r} must be an integer, got {v!r}")
-        kwargs[name] = v
-    for name in ("q", "B", "seed"):
+    for name in ("N", "K", "H", "A", "I", "J", "q", "B", "seed"):
         if name in doc:
-            v = doc[name]
-            if not _is_int(v):
-                raise ConfigError(f"config field {name!r} must be an integer, got {v!r}")
-            kwargs[name] = v
+            kwargs[name] = _int(doc[name], f"config field {name!r}")
+        elif name not in ("q", "B", "seed"):
+            raise ConfigError(f"missing config field {name!r}")
     try:
         params = SystemParams(**kwargs)
     except (ProtocolError, ValueError) as exc:
@@ -697,33 +727,25 @@ def _pda_from_json(spec, base_dir) -> Pda:
         path = Path(spec)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read pda file {path}: {exc}") from exc
-        return pda_mod.parse(text)
-    if isinstance(spec, dict) and "man" in spec:
+        return pda_mod.parse(read_text(path, "pda file"))
+    if isinstance(spec, dict) and set(spec) == {"man"}:
         man = spec["man"]
-        if not isinstance(man, dict) or not {"k", "t"} <= set(man):
-            raise ConfigError('pda "man" needs integer fields "k" and "t"')
+        if not (isinstance(man, dict) and {"k", "t"} <= set(man) <= {"k", "t", "seed"}):
+            raise ConfigError('pda "man" takes integer fields "k", "t" and optionally "seed"')
         seed = man.get("seed")
-        if not (_is_int(man["k"]) and _is_int(man["t"]) and (seed is None or _is_int(seed))):
-            raise ConfigError(f'pda "man" fields must be integers, got {man!r}')
-        return pda_mod.man_pda(man["k"], man["t"], seed)
-    if isinstance(spec, dict) and isinstance(spec.get("grid"), str):
+        return pda_mod.man_pda(_int(man["k"], 'pda "man" field "k"'),
+                               _int(man["t"], 'pda "man" field "t"'),
+                               None if seed is None else _int(seed, 'pda "man" field "seed"'))
+    if isinstance(spec, dict) and set(spec) == {"grid"} and isinstance(spec["grid"], str):
         return pda_mod.parse(spec["grid"])
     raise ConfigError('config field "pda" must be a path, {"man": ...} or {"grid": "..."}')
 
 
 def load_config(path: str | Path) -> tuple[SystemParams, Pda | None]:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return params_from_json(doc, base_dir=path.parent)
+    """(SystemParams, Pda) of a config file, params at its top level or under "params"."""
+    doc = read_config(path)
+    inner = doc["params"] if isinstance(doc.get("params"), dict) else doc
+    return params_from_json(inner, base_dir=Path(path).parent)
 
 
 def with_seed(params: SystemParams, seed: int) -> SystemParams:

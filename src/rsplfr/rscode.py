@@ -84,9 +84,6 @@ class EvalPoints:
         """Points 1..H; needs H < q."""
         return cls(q, tuple(range(1, H + 1)))
 
-    def __len__(self):
-        return len(self.alphas)
-
 
 @dataclass
 class Codeword:
@@ -219,7 +216,7 @@ def _interpolate(pairs, field: PrimeField):
 def _berlekamp_welch(pairs, k: int, e: int, field: PrimeField):
     q = field.q
     if e == 0:
-        return _interpolate(pairs[:k], field) + [0] * (k - len(pairs[:k]))
+        return _interpolate(pairs[:k], field)
     rows = []
     rhs = []
     for a, y in pairs:

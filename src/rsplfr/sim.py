@@ -25,9 +25,10 @@ from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams, UniformRandom,
-                       adversary_content, adversary_signal, build_storage,
-                       decode_streams, make_query, params_from_json, place_user,
-                       recover_library, server_signal, strategy_key, user_decode)
+                       _flag, _int, _ints, adversary_content, adversary_signal,
+                       build_storage, decode_streams, make_query, params_from_json,
+                       place_user, recover_library, server_signal, strategy_key,
+                       user_decode)
 from .rscode import DecodingFailure
 
 
@@ -69,6 +70,8 @@ class Scenario:
         params, arr = params_from_json(doc["params"], base_dir)
         if arr is None:
             raise ConfigError('scenario params need a "pda"')
+        if params.q is None or params.B is None:
+            raise ConfigError('scenario params need "q" and "B"')
         sc = cls(params=params, pda=arr)
 
         demands = doc.get("demands")
@@ -93,46 +96,26 @@ class Scenario:
         if sweep is not None:
             if not isinstance(sweep, dict):
                 raise ConfigError('"sweep" must be an object')
-            sweep_known = {"j_subsets", "adversary_subsets", "strategies",
-                           "demand_samples", "adversary_sizes", "check_recovery",
-                           "max_configs"}
             for key in sweep:
-                if key not in sweep_known:
+                if key not in _SWEEP_FIELDS:
                     raise ConfigError(f"unknown sweep field {key!r}")
-            sc.sweep_j_subsets = _flag(sweep.get("j_subsets", False), '"j_subsets"')
-            sc.sweep_adversary_subsets = _flag(sweep.get("adversary_subsets", False),
-                                               '"adversary_subsets"')
-            sc.sweep_strategies = _flag(sweep.get("strategies", False), '"strategies"')
-            if "demand_samples" in sweep:
-                sc.demand_samples = _int(sweep["demand_samples"], '"demand_samples"')
-            if "adversary_sizes" in sweep:
-                sc.adversary_sizes = _ints(sweep["adversary_sizes"], '"adversary_sizes"')
-                sc.allow_excess_adversaries = True
-            if "check_recovery" in sweep:
-                sc.check_recovery = _flag(sweep["check_recovery"], '"check_recovery"')
-            if "max_configs" in sweep:
-                sc.max_configs = _int(sweep["max_configs"], '"max_configs"')
+            for key, (read, attr) in _SWEEP_FIELDS.items():
+                if key in sweep:
+                    setattr(sc, attr, read(sweep[key], f'"{key}"'))
+            sc.allow_excess_adversaries = "adversary_sizes" in sweep
         return sc
 
 
-def _flag(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _ints(values, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a list of integers, got {values!r}") from None
+# sweep field -> (reader, Scenario attribute)
+_SWEEP_FIELDS = {
+    "j_subsets": (_flag, "sweep_j_subsets"),
+    "adversary_subsets": (_flag, "sweep_adversary_subsets"),
+    "strategies": (_flag, "sweep_strategies"),
+    "demand_samples": (_int, "demand_samples"),
+    "adversary_sizes": (_ints, "adversary_sizes"),
+    "check_recovery": (_flag, "check_recovery"),
+    "max_configs": (_int, "max_configs"),
+}
 
 
 def _strategy_from_json(obj):
@@ -143,7 +126,7 @@ def _strategy_from_json(obj):
         extra = {k: v for k, v in obj.items() if k != "name"}
     else:
         raise ConfigError('"strategy" must be a name or {"name": ...}')
-    if name not in STRATEGY_NAMES:
+    if not isinstance(name, str) or name not in STRATEGY_NAMES:
         raise ConfigError(f"unknown strategy {name!r}; choose from {sorted(STRATEGY_NAMES)}")
     cls = STRATEGY_NAMES[name]
     if name == "honest_plus_constant":
@@ -422,23 +405,21 @@ def _sweep_slice(sc: Scenario, lo: int, hi: int):
 def sweep(sc: Scenario, jobs: int = 1) -> RunResult:
     """Replay every selected configuration; aggregate failures with witnesses."""
     t0 = time.perf_counter()
-    configs = _config_list(sc)
-    n = len(configs)
-    if jobs <= 1 or n < 2:
-        failure_count, witnesses, measured, stages = _sweep_slice(sc, 0, n)
+    n = len(_config_list(sc))
+    jobs = max(1, min(jobs, n))
+    bounds = [(i * n) // jobs for i in range(jobs + 1)]
+    args = [(sc, bounds[i], bounds[i + 1]) for i in range(jobs)]
+    if jobs == 1:
+        parts = [_sweep_slice(*args[0])]
     else:
-        jobs = min(jobs, n)
-        bounds = [(i * n) // jobs for i in range(jobs + 1)]
-        args = [(sc, bounds[i], bounds[i + 1]) for i in range(jobs)]
         with get_context("fork").Pool(jobs) as pool:
             parts = pool.starmap(_sweep_slice, args)
-        failure_count = sum(p[0] for p in parts)
-        witnesses = [w for p in parts for w in p[1]][:_WITNESS_CAP]
-        measured = parts[0][2]
-        stages = Counter()
-        for p in parts:
-            stages.update(p[3])
-        stages = dict(stages)
+    failure_count = sum(p[0] for p in parts)
+    witnesses = [w for p in parts for w in p[1]][:_WITNESS_CAP]
+    measured = parts[0][2]
+    stages = Counter()
+    for p in parts:
+        stages.update(p[3])
     return RunResult(ok=failure_count == 0, measured=measured, configurations=n,
                      per_user=None, failure_count=failure_count,
                      failures=tuple(witnesses), elapsed=time.perf_counter() - t0,

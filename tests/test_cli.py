@@ -288,6 +288,16 @@ def test_malformed_json(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ['{"N": 1' + "0" * 5000 + "}",
+                                  "[" * 100_000 + "]" * 100_000],
+                         ids=["too_many_digits", "too_deep"])
+def test_json_beyond_parser_limits(text, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config")
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]", encoding="utf-8")
@@ -299,33 +309,64 @@ def _with_params(**fields) -> dict:
     return {"params": dict(TOY_PARAMS, **fields)}
 
 
+TOY_SWEEP = json.loads((CONFIGS / "toy_sweep.json").read_text(encoding="utf-8"))
+TEXT_N = dict(TOY_SWEEP, params=dict(TOY_SWEEP["params"], N="4"))
+
+# case -> (config, the command line after "rsplfr" without "--config <path>")
 MALFORMED = {
-    "zero_samples": (dict(_with_params(), demands={"samples": 0}), []),
+    "zero_samples": (dict(_with_params(), demands={"samples": 0}), ["simulate"]),
     "zero_sweep_samples": (dict(_with_params(), sweep={"demand_samples": 0}),
-                           ["--sweep"]),
+                           ["simulate", "--sweep"]),
     "text_demand": (dict(_with_params(), demands=[["a", 1, 0, 0], [0, 1, 0, 0],
-                                                  [0, 0, 1, 0]]), []),
-    "scalar_delivery": (dict(_with_params(), delivery=5), []),
-    "text_man_k": (_with_params(pda={"man": {"k": "3", "t": 1}}), []),
-    "man_t_above_k": (_with_params(pda={"man": {"k": 3, "t": 5}}), []),
-    "bad_grid": (_with_params(pda={"grid": "1 x\n"}), []),
+                                                  [0, 0, 1, 0]]), ["simulate"]),
+    "scalar_delivery": (dict(_with_params(), delivery=5), ["simulate"]),
+    "text_man_k": (_with_params(pda={"man": {"k": "3", "t": 1}}), ["simulate"]),
+    "man_t_above_k": (_with_params(pda={"man": {"k": 3, "t": 5}}), ["simulate"]),
+    "bad_grid": (_with_params(pda={"grid": "1 x\n"}), ["simulate"]),
+    "superscript_grid": (_with_params(pda={"grid": "\u00b2\n"}), ["simulate"]),
     "negative_adversary_size": (dict(_with_params(), sweep={
-        "adversary_subsets": True, "adversary_sizes": [-1]}), ["--sweep"]),
+        "adversary_subsets": True, "adversary_sizes": [-1]}), ["simulate", "--sweep"]),
     "adversary_size_above_h": (dict(_with_params(), sweep={
-        "adversary_subsets": True, "adversary_sizes": [9]}), ["--sweep"]),
-    "b_not_divisible": (_with_params(B=5), []),
-    "text_j_subsets": (dict(_with_params(), sweep={"j_subsets": "false"}), ["--sweep"]),
+        "adversary_subsets": True, "adversary_sizes": [9]}), ["simulate", "--sweep"]),
+    "b_not_divisible": (_with_params(B=5), ["simulate"]),
+    "text_j_subsets": (dict(_with_params(), sweep={"j_subsets": "false"}),
+                       ["simulate", "--sweep"]),
     "text_adversary_subsets": (dict(_with_params(), sweep={"adversary_subsets": "no"}),
-                               ["--sweep"]),
-    "integer_strategies": (dict(_with_params(), sweep={"strategies": 1}), ["--sweep"]),
+                               ["simulate", "--sweep"]),
+    "integer_strategies": (dict(_with_params(), sweep={"strategies": 1}),
+                           ["simulate", "--sweep"]),
     "text_check_recovery": (dict(_with_params(), sweep={"check_recovery": "0"}),
-                            ["--sweep"]),
+                            ["simulate", "--sweep"]),
+    # values that int() would coerce into a different configuration
+    "float_delivery": (dict(TOY_SWEEP, delivery=[1.9, 2, 3, 4, 5]), ["simulate"]),
+    "text_delivery": (dict(TOY_SWEEP, delivery="12345"), ["simulate"]),
+    "object_delivery": (dict(TOY_SWEEP, delivery={"1": 0, "2": 0, "3": 0, "4": 0, "5": 0}),
+                        ["simulate"]),
+    "float_adversary": (dict(TOY_SWEEP, adversaries=[1.5]), ["simulate"]),
+    "text_demand_rows": (dict(TOY_SWEEP, demands=["1000", "0100", "0010"]), ["simulate"]),
+    "bool_demand": (dict(TOY_SWEEP, demands=[[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+                    ["simulate"]),
+    "bool_samples": (dict(TOY_SWEEP, demands={"samples": True}), ["simulate"]),
+    "float_samples": (dict(TOY_SWEEP, demands={"samples": 2.9}), ["simulate"]),
+    "text_max_configs": (dict(TOY_SWEEP, sweep=dict(TOY_SWEEP["sweep"], max_configs="200")),
+                         ["simulate"]),
+    "text_constant": (dict(TOY_SWEEP, strategy={"name": "honest_plus_constant",
+                                                 "constant": "2"}), ["simulate"]),
+    # a pda spec with a field it does not use
+    "unknown_man_field": (_with_params(pda={"man": {"k": 3, "t": 1, "u": 0}}),
+                          ["simulate"]),
+    "man_and_grid": (_with_params(pda={"man": {"k": 3, "t": 1}, "grid": "1\n"}),
+                     ["simulate"]),
+    # every subcommand reads params through the same strict reader
+    "text_n_curve": (TEXT_N, ["curve"]),
+    "text_n_bounds": (TEXT_N, ["bounds"]),
+    "text_n_audit": (TEXT_N, ["audit"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_config_exits_two_without_traceback(case, tmp_path):
-    doc, extra = MALFORMED[case]
+    doc, command = MALFORMED[case]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     env = dict(os.environ)
@@ -333,12 +374,48 @@ def test_malformed_config_exits_two_without_traceback(case, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-m", "rsplfr.cli", "simulate", "--config", str(path), *extra],
+        [sys.executable, "-m", "rsplfr.cli", command[0], "--config", str(path),
+         *command[1:]],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+NOT_UTF8 = b"\xe9"  # Latin-1 "e acute", never valid UTF-8 on its own
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("bad", ["config", "pda"])
+def test_non_utf8_config_or_pda_file_exits_two(bad, command, tmp_path, capsys):
+    pda_file = tmp_path / "toy.pda"
+    pda_file.write_bytes(b"* 1 2\n1 * 3\n2 3 *\n" + (NOT_UTF8 if bad == "pda" else b""))
+    raw = json.dumps(_with_params(pda=pda_file.name)).encode("utf-8")
+    if bad == "config":
+        raw = raw[:-1] + b', "note": "' + NOT_UTF8 + b'"}'
+    config = tmp_path / "config.json"
+    config.write_bytes(raw)
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
+
+
+def test_pda_validate_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.pda"
+    path.write_bytes(b"* 1 2\n1 * 3\n2 3 " + NOT_UTF8 + b"\n")
+    assert main(["pda", "validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read pda file")
+
+
+@pytest.mark.parametrize("m", ["nan", "inf", "-inf"])
+def test_bounds_rejects_non_finite_memory(m, capsys):
+    # "--m=" form: argparse takes a bare "-inf" for an option name
+    rc = main(["bounds", "--config", str(CONFIGS / "tradeoff_n10_k100.json"), f"--m={m}"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --m must be a finite number")
 
 
 def test_unknown_command_exits_two():

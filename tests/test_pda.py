@@ -40,8 +40,6 @@ def test_occurrences_are_zero_based_pairs():
 
 def test_star_rows_and_column():
     arr = validate(TOY_GRID)
-    assert arr.star_rows(0) == (0,)
-    assert arr.star_rows(2) == (2,)
     assert arr.column(1) == (1, STAR, 3)
 
 
