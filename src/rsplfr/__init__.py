@@ -28,15 +28,15 @@ from .ff import (FieldError, NotPrimeError, PrimeField, ZeroInverseError, horner
 from .pda import (ConditionAError, ConditionBError, Pda, PdaError,
                   PdaParseError, STAR, StarCountError, SymbolGapError, man_pda,
                   parse, serialize, validate)
-from .protocol import (ALL_STRATEGIES, ConfigError, DecodedStreams,
+from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedStreams,
                        DimensionMismatch, HonestPermutedSlices, HonestPlusConstant,
                        Library, MissingSignals, ProtocolError, Query, Randomness,
                        STRATEGY_NAMES, ServerStore, Signal, SystemParams,
                        UniformRandom, UserCache, ZeroPayload,
                        adversary_content, adversary_signal, build_storage,
-                       decode_streams, load_config, make_query, params_from_json,
-                       place_user, recover_library, server_signal, strategy_key,
-                       user_decode, with_seed)
+                       cache_side, decode_streams, load_config, make_query,
+                       params_from_json, place_user, recover_library,
+                       server_signal, strategy_key, user_decode, with_seed)
 from .rscode import (AmbiguousCandidate, BatchDecoder, Codeword, DecodingFailure,
                      EvalPoints, NoCandidate, brute_force_decode, decode, encode)
 from .sim import RunResult, Scenario, ScenarioError, run, sweep
@@ -61,14 +61,14 @@ __all__ = [
     "STAR", "StarCountError", "SymbolGapError", "man_pda", "parse",
     "serialize", "validate",
     # protocol
-    "ALL_STRATEGIES", "ConfigError", "DecodedStreams", "DimensionMismatch",
-    "HonestPermutedSlices", "HonestPlusConstant", "Library", "MissingSignals",
-    "ProtocolError", "Query", "Randomness", "STRATEGY_NAMES", "ServerStore",
-    "Signal", "SystemParams", "UniformRandom", "UserCache", "ZeroPayload",
-    "adversary_content", "adversary_signal", "build_storage", "decode_streams",
-    "load_config", "make_query", "params_from_json", "place_user",
-    "recover_library", "server_signal", "strategy_key", "user_decode",
-    "with_seed",
+    "ALL_STRATEGIES", "CacheSide", "ConfigError", "DecodedStreams",
+    "DimensionMismatch", "HonestPermutedSlices", "HonestPlusConstant", "Library",
+    "MissingSignals", "ProtocolError", "Query", "Randomness", "STRATEGY_NAMES",
+    "ServerStore", "Signal", "SystemParams", "UniformRandom", "UserCache",
+    "ZeroPayload", "adversary_content", "adversary_signal", "build_storage",
+    "cache_side", "decode_streams", "load_config", "make_query",
+    "params_from_json", "place_user", "recover_library", "server_signal",
+    "strategy_key", "user_decode", "with_seed",
     # rscode
     "AmbiguousCandidate", "BatchDecoder", "Codeword", "DecodingFailure",
     "EvalPoints", "NoCandidate", "brute_force_decode", "decode", "encode",

@@ -518,27 +518,39 @@ def decode_streams(params: SystemParams, pda: Pda, signals) -> DecodedStreams:
     payloads = [by_h[h].payload for h in decoder.positions]
     data, failures = {}, {}
     for s in range(pda.S):
-        per_l = [[0] * pkt for _ in range(L)]
         try:
-            for r in range(pkt):
-                msg, _flags = decoder.decode([p[s][r] for p in payloads])
-                for l in range(L):
-                    per_l[l][r] = msg[l]
+            msgs = [decoder.decode([p[s][r] for p in payloads])[0] for r in range(pkt)]
         except rscode.DecodingFailure as exc:
             failures[s + 1] = exc
         else:
-            data[s + 1] = per_l
+            data[s + 1] = [[msg[l] for msg in msgs] for l in range(L)]
     return DecodedStreams(data, failures)
 
 
-def user_decode(params: SystemParams, pda: Pda, cache: UserCache,
-                d_k, streams: DecodedStreams, queries) -> list[int]:
-    """Recover the demanded blend of files from one delivery's decoded streams.
+@dataclass(frozen=True)
+class CacheSide:
+    """User k's part of decoding one demand that needs no delivery.
+
+    ``streams`` pairs each stream symbol of the user's column, ascending,
+    with its row.  ``values[b]`` is, on a star row, output symbol b
+    itself: the demanded blend of the cached packets.  On an ordinary
+    row it is minus the keyed blend packet and minus every interfering
+    blend packet, so adding the decoded stream symbol yields the output.
+    """
+
+    k: int
+    streams: tuple[tuple[int, int], ...]
+    values: tuple[int, ...]
+
+
+def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
+               d_k, queries) -> CacheSide:
+    """Check user k's query echo and build its cache side for demand d_k.
 
     For each stream symbol in its column, the user subtracts its keyed
     blend packet and, for every other occurrence of the symbol, the
-    interfering blend packet it can rebuild from star-row cache entries.
-    Raises the stream's ``DecodingFailure`` if a needed stream failed.
+    interfering blend packet it can rebuild from star-row cache entries;
+    both depend only on the cache, the demand and the queries.
     """
     subL, pkt = _dims(params, pda)
     N, L, q = params.N, params.L, params.q
@@ -552,16 +564,10 @@ def user_decode(params: SystemParams, pda: Pda, cache: UserCache,
     if queries[k0].values != expect:
         raise ProtocolError(f"query of user {cache.k} does not match demand + blend")
 
-    col = pda.column(k0)
-    for s in sorted({e for e in col if e is not STAR}):
-        if s in streams.failures:
-            failure = streams.failures[s]
-            raise rscode.DecodingFailure(*failure.args) from failure
-
     d = tuple(v % q for v in d_k)
-    out = [0] * params.B
-    for j in range(pda.F):
-        e = col[j]
+    col = pda.column(k0)
+    values = [0] * params.B
+    for j, e in enumerate(col):
         if e is STAR:
             rows = cache.uncoded[j]
             for l in range(L):
@@ -572,25 +578,47 @@ def user_decode(params: SystemParams, pda: Pda, cache: UserCache,
                         c = d[n]
                         if c:
                             acc += c * rows[n][l][r]
-                    out[off + r] = acc % q
+                    values[off + r] = acc % q
         else:
-            per_l = streams.data[e]
             keyed = cache.keys[j]
             others = [(u, v) for (u, v) in pda.occurrences(e) if (u, v) != (j, k0)]
             for l in range(L):
                 off = l * subL + j * pkt
                 for r in range(pkt):
-                    val = per_l[l][r] - keyed[l][r]
+                    val = -keyed[l][r]
                     for (u, v) in others:
                         qv = queries[v].values
                         rows = cache.uncoded[u]
-                        acc = 0
                         for n in range(N):
                             c = qv[n]
                             if c:
-                                acc += c * rows[n][l][r]
-                        val -= acc
-                    out[off + r] = val % q
+                                val -= c * rows[n][l][r]
+                    values[off + r] = val % q
+    streams = tuple(sorted((e, j) for j, e in enumerate(col) if e is not STAR))
+    return CacheSide(k=cache.k, streams=streams, values=tuple(values))
+
+
+def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
+                streams: DecodedStreams) -> list[int]:
+    """Recover the demanded blend of files: the decoded streams plus the cache side.
+
+    Raises the stream's ``DecodingFailure`` if a stream in the user's
+    column failed.
+    """
+    for s, _ in side.streams:
+        if s in streams.failures:
+            failure = streams.failures[s]
+            raise rscode.DecodingFailure(*failure.args) from failure
+
+    q = params.q
+    subL = params.B // params.L
+    pkt = subL // pda.F
+    out = list(side.values)
+    for s, j in side.streams:
+        for l, coeffs in enumerate(streams.data[s]):
+            off = l * subL + j * pkt
+            for r, c in enumerate(coeffs):
+                out[off + r] = (out[off + r] + c) % q
     return out
 
 
@@ -716,9 +744,11 @@ def params_from_json(doc: dict, base_dir: str | Path | None = None
         raise ConfigError(f"invalid pda: {exc}") from exc
     if arr.K != params.K:
         raise ConfigError(f"pda has {arr.K} columns but params.K={params.K}")
-    L, F = params.L, arr.F
-    if params.B is not None and params.B % (L * F):
-        raise ConfigError(f"B={params.B} is not divisible by L*F={L}*{F}={L * F}")
+    if params.q is not None and params.B is not None:
+        try:
+            _dims(params, arr)
+        except DimensionMismatch as exc:
+            raise ConfigError(str(exc)) from exc
     return params, arr
 
 
@@ -741,11 +771,23 @@ def _pda_from_json(spec, base_dir) -> Pda:
     raise ConfigError('config field "pda" must be a path, {"man": ...} or {"grid": "..."}')
 
 
+# the fields of a scenario file; its "params" object is a parameter config
+SCENARIO_FIELDS = frozenset({"params", "demands", "delivery", "adversaries",
+                             "strategy", "library", "sweep"})
+
+
 def load_config(path: str | Path) -> tuple[SystemParams, Pda | None]:
-    """(SystemParams, Pda) of a config file, params at its top level or under "params"."""
+    """(SystemParams, Pda) of a config file, params at its top level or under "params".
+
+    Next to an object "params", only the other scenario fields may appear.
+    """
     doc = read_config(path)
-    inner = doc["params"] if isinstance(doc.get("params"), dict) else doc
-    return params_from_json(inner, base_dir=Path(path).parent)
+    if isinstance(doc.get("params"), dict):
+        for key in doc:
+            if key not in SCENARIO_FIELDS:
+                raise ConfigError(f"unknown scenario field {key!r}")
+        doc = doc["params"]
+    return params_from_json(doc, base_dir=Path(path).parent)
 
 
 def with_seed(params: SystemParams, seed: int) -> SystemParams:

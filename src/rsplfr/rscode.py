@@ -7,27 +7,37 @@ decoder working from J present positions can correct up to e wrong
 symbols whenever J - k >= 2e, because any two codewords disagree on at
 least J - k + 1 of the J positions.
 
-``decode`` is Berlekamp-Welch: find an error-locator polynomial E of
-degree exactly e (monic, so never zero) and Q of degree < k + e with
-Q(a_j) = y_j * E(a_j) at every present point.  Such a pair always
-exists when at most e positions are wrong (take E with the wrong
-points among its roots, padded by powers of x, which never vanish at
-the nonzero evaluation points), and every solution then satisfies
-Q = P * E for the true message polynomial P, since Q - P*E has degree
-< k + e but vanishes at the >= J - e >= k + e agreeing positions.
+The present positions, at points x_1..x_J, carry a generalized RS code
+whose dual is one too: with v_j = 1 / prod_{m != j} (x_j - x_m), every
+codeword c meets the J - k parity checks sum_j v_j x_j^i c_j = 0 for
+i < J - k, since sum_j v_j f(x_j) is the x^(J-1) coefficient of the
+polynomial through the values of f, zero when deg f < J - 1.  So a word
+y = c + err has the syndromes S_i = sum_{j in E} (v_j err_j) x_j^i,
+power sums over the error support E, and they satisfy the key equation:
+the locator prod_{j in E} (1 - x_j z) generates them as a linear
+recurrence of length |E|.  Berlekamp-Massey finds the shortest such
+recurrence; when |E| <= e, 2|E| <= J - k makes it unique, so it is the
+locator and its roots 1/x_j name E exactly (Roth, *Introduction to
+Coding Theory*, ch. 6).
 
 ``BatchDecoder`` decodes many words received at one fixed set of
 positions, as every slice of every multicast stream of one delivery
 is.  A plan for a set S of skipped positions holds the inverse
 Vandermonde matrix of the first k kept points and the evaluation rows
-of every other point; the kept rows are the parity checks (the
-syndrome, in systematic form).  A word that passes them agrees with a
-degree < k polynomial outside S, so with |S| <= e it lies within
-distance e of that codeword, which is then the unique one
-Berlekamp-Welch returns, with the same flags.  Each word tries the
-plan with S empty, then the plan that skips the positions the last
-Berlekamp-Welch fallback flagged (errors come per server, so they
-recur), and only then falls back to ``decode``.
+of every other point; the kept rows are the parity checks, in
+systematic form.  A word that passes them agrees with a degree < k
+polynomial outside S, so with |S| <= e it lies within distance e of
+that codeword, the only one there since 2e < J - k + 1.  Each word
+tries the plan with S empty, then the plan that skips the positions
+located last (errors come per server, so they recur), and only then
+computes its syndromes and locator.  A locator longer than e, or with
+another number of roots among the present positions than its length,
+cannot be the locator of an error pattern within the radius, so the
+word is refused; so is a word that fails the checks of the plan
+skipping the roots.  Otherwise that plan decodes it and becomes the
+suspect plan.  The result is the unique codeword within distance e, or
+``DecodingFailure`` when there is none, exactly as the oracle finds;
+``decode`` is the one-word case.
 
 ``brute_force_decode`` is the independent oracle: try every error
 support up to the radius, interpolate, and keep candidates consistent
@@ -39,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from operator import mul
 
 from .ff import PrimeField, horner
@@ -121,72 +132,6 @@ def _check_radius(J: int, k: int, max_errors: int):
             f"{J} present positions cannot carry dimension {k} with {max_errors} errors")
 
 
-def _check_received(received: Codeword, points: EvalPoints, max_errors: int):
-    k = received.dimension
-    items = sorted(received.positions.items())
-    _check_shape(k, (h for h, _ in items), points, max_errors)
-    return k, items
-
-
-def _solve(rows, rhs, field: PrimeField):
-    """Any solution of rows*x = rhs (free unknowns zeroed), or None."""
-    q = field.q
-    m = len(rows)
-    n = len(rows[0])
-    aug = [list(rows[i]) + [rhs[i] % q] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if aug[i][c] % q:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [v * inv % q for v in aug[r]]
-        prow = aug[r]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                row = aug[i]
-                aug[i] = [(row[j] - f * prow[j]) % q for j in range(n + 1)]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] % q:
-            return None
-    x = [0] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][n]
-    return x
-
-
-def _poly_divmod(num, den, field: PrimeField):
-    q = field.q
-    num = [v % q for v in num]
-    den = [v % q for v in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("zero divisor polynomial")
-    dn = len(den) - 1
-    lead_inv = field.inv(den[-1])
-    quot = [0] * max(len(num) - dn, 0)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            c = c * lead_inv % q
-            quot[i - dn] = c
-            for j, dv in enumerate(den):
-                num[i - dn + j] = (num[i - dn + j] - c * dv) % q
-    return quot, num[:dn]
-
-
 def _interpolate(pairs, field: PrimeField):
     """Lagrange coefficients (low to high) through len(pairs) points."""
     q = field.q
@@ -211,44 +156,6 @@ def _interpolate(pairs, field: PrimeField):
         for d, cv in enumerate(num):
             coeffs[d] = (coeffs[d] + c * cv) % q
     return coeffs
-
-
-def _berlekamp_welch(pairs, k: int, e: int, field: PrimeField):
-    q = field.q
-    if e == 0:
-        return _interpolate(pairs[:k], field)
-    rows = []
-    rhs = []
-    for a, y in pairs:
-        pw = [1]
-        for _ in range(k + e - 1):
-            pw.append(pw[-1] * a % q)
-        # unknowns: Q_0..Q_{k+e-1}, then E_0..E_{e-1} with E monic of degree e
-        rows.append(pw[: k + e] + [(-y * pw[i]) % q for i in range(e)])
-        rhs.append(y * pw[e] % q)
-    sol = _solve(rows, rhs, field)
-    if sol is None:
-        raise DecodingFailure("no locator/quotient pair fits the received word")
-    qc = sol[: k + e]
-    ec = sol[k + e:] + [1]
-    quot, rem = _poly_divmod(qc, ec, field)
-    if any(rem):
-        raise DecodingFailure("error locator does not divide the quotient")
-    return (quot + [0] * k)[:k]
-
-
-def decode(received: Codeword, points: EvalPoints, max_errors: int):
-    """Message and flagged positions from >= k + 2*max_errors present symbols."""
-    k, items = _check_received(received, points, max_errors)
-    _check_radius(len(items), k, max_errors)
-    q = points.q
-    pairs = [(points.alphas[h - 1], y % q) for h, y in items]
-    msg = _berlekamp_welch(pairs, k, max_errors, points.field)
-    flags = {h for (h, y) in items
-             if horner(msg, points.alphas[h - 1], q) != y % q}
-    if len(flags) > max_errors:
-        raise DecodingFailure(f"nearest codeword disagrees in {len(flags)} positions")
-    return msg, flags
 
 
 @dataclass(frozen=True)
@@ -287,13 +194,74 @@ def _plan(points: EvalPoints, positions: tuple[int, ...], k: int,
                  skipped=rows(i for i in range(len(positions)) if i not in kept))
 
 
+@dataclass(frozen=True)
+class _Dual:
+    """Parity rows and inverse points for one (points, positions, k).
+
+    Row i dotted with a word gives its syndrome S_i; the locator vanishes
+    at ``inverse[j]`` when the word's value j is in error.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    inverse: tuple[int, ...]
+
+
+@lru_cache(maxsize=1024)
+def _dual(points: EvalPoints, positions: tuple[int, ...], k: int) -> _Dual:
+    q, field = points.q, points.field
+    xs = [points.alphas[h - 1] for h in positions]
+    row = [field.inv(prod(x - xm for xm in xs if xm != x)) for x in xs]
+    rows = []
+    for _ in range(len(xs) - k):
+        rows.append(tuple(row))
+        row = [v * x % q for v, x in zip(row, xs)]
+    return _Dual(rows=tuple(rows), inverse=tuple(field.inv(x) for x in xs))
+
+
+def _locate(dual: _Dual, y: list[int], max_errors: int, q: int) -> list[int]:
+    """Indices of the wrong values of y, by Berlekamp-Massey on its syndromes.
+
+    Raises ``DecodingFailure`` when the shortest recurrence is longer
+    than the radius or does not have as many roots as its length.
+    """
+    s = [sum(map(mul, row, y)) % q for row in dual.rows]
+    n = len(s)
+    c, b = [1] + [0] * n, [1] + [0] * n  # current and last-changed connection
+    length, shift, last = 0, 1, 1
+    for i in range(n):
+        d = (s[i] + sum(c[t] * s[i - t] for t in range(1, length + 1))) % q
+        if d == 0:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, q) % q
+        prev = c[:]
+        for t in range(n + 1 - shift):
+            c[t + shift] = (c[t + shift] - coef * b[t]) % q
+        if 2 * length <= i:
+            length, b, last, shift = i + 1 - length, prev, d, 1
+        else:
+            shift += 1
+    if length > max_errors:
+        raise DecodingFailure(
+            f"error locator of length {length} exceeds the radius {max_errors}")
+    locator = c[:length + 1]
+    roots = [j for j, z in enumerate(dual.inverse) if horner(locator, z, q) == 0]
+    if len(roots) != length:
+        raise DecodingFailure(
+            f"error locator of length {length} has {len(roots)} of {length} roots "
+            "among the present positions")
+    return roots
+
+
 class BatchDecoder:
-    """``decode`` for many words received at the same positions.
+    """Bounded-distance decoding of many words received at the same positions.
 
     Built once per set of present positions; ``decode(values)`` takes
-    the word's symbols in ascending position order and returns exactly
-    what ``decode`` returns for it, or raises what ``decode`` raises.
-    Berlekamp-Welch runs only for words that neither plan explains.
+    the word's symbols in ascending position order and returns the
+    message and the flagged positions of the unique codeword within
+    distance ``max_errors``, or raises ``DecodingFailure``.  Syndromes
+    and the locator are computed only for words that neither plan
+    explains.
     """
 
     def __init__(self, points: EvalPoints, positions, dimension: int, max_errors: int):
@@ -306,7 +274,7 @@ class BatchDecoder:
         self.dimension = dimension
         self.max_errors = max_errors
         self._clean = _plan(points, self.positions, dimension, ())
-        self._suspect = None  # plan skipping the last fallback's flags
+        self._suspect = None  # plan skipping the last located errors
 
     def _apply(self, plan: _Plan, y: list[int]):
         q = self.points.q
@@ -329,13 +297,25 @@ class BatchDecoder:
             got = self._apply(self._suspect, y)
         if got is not None:
             return got
-        # the module-level Berlekamp-Welch decode
-        msg, flags = decode(Codeword(self.dimension, dict(zip(self.positions, y))),
-                            self.points, self.max_errors)
-        if flags:
-            self._suspect = _plan(self.points, self.positions, self.dimension,
-                                  tuple(sorted(flags)))
-        return msg, flags
+        positions, k = self.positions, self.dimension
+        roots = _locate(_dual(self.points, positions, k), y, self.max_errors, q)
+        plan = _plan(self.points, positions, k, tuple(positions[j] for j in roots))
+        got = self._apply(plan, y)
+        if got is None:
+            raise DecodingFailure(
+                "word fails the parity checks outside the located errors")
+        self._suspect = plan
+        return got
+
+
+def decode(received: Codeword, points: EvalPoints, max_errors: int):
+    """Message and flagged positions from >= k + 2*max_errors present symbols.
+
+    The one-word case of ``BatchDecoder``.
+    """
+    items = sorted(received.positions.items())
+    decoder = BatchDecoder(points, [h for h, _ in items], received.dimension, max_errors)
+    return decoder.decode([y for _, y in items])
 
 
 def brute_force_decode(received: Codeword, points: EvalPoints, max_errors: int):
@@ -345,7 +325,9 @@ def brute_force_decode(received: Codeword, points: EvalPoints, max_errors: int):
     agree with every position outside the support, and demands a unique
     surviving message.  Exponential; for desk-scale cross-checks only.
     """
-    k, items = _check_received(received, points, max_errors)
+    k = received.dimension
+    items = sorted(received.positions.items())
+    _check_shape(k, (h for h, _ in items), points, max_errors)
     J = len(items)
     if J < k:
         raise ValueError(f"{J} present positions cannot determine dimension {k}")

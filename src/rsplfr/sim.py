@@ -25,10 +25,10 @@ from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams, UniformRandom,
-                       _flag, _int, _ints, adversary_content, adversary_signal,
-                       build_storage, decode_streams, make_query, params_from_json,
-                       place_user, recover_library, server_signal, strategy_key,
-                       user_decode)
+                       SCENARIO_FIELDS, _flag, _int, _ints, adversary_content,
+                       adversary_signal, build_storage, cache_side, decode_streams,
+                       make_query, params_from_json, place_user, recover_library,
+                       server_signal, strategy_key, user_decode)
 from .rscode import DecodingFailure
 
 
@@ -62,10 +62,8 @@ class Scenario:
     def from_json(cls, doc: dict, base_dir=None) -> "Scenario":
         if not isinstance(doc, dict) or "params" not in doc:
             raise ConfigError('scenario needs a "params" object')
-        known = {"params", "demands", "delivery", "adversaries", "strategy",
-                 "library", "sweep"}
         for key in doc:
-            if key not in known:
+            if key not in SCENARIO_FIELDS:
                 raise ConfigError(f"unknown scenario field {key!r}")
         params, arr = params_from_json(doc["params"], base_dir)
         if arr is None:
@@ -287,14 +285,16 @@ class _Replay:
         return sum(self.stages.values())
 
 
-def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
-    """Replay configs[lo:hi] under every demand, checking against ground truth.
+def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
+    """Replay configs under every demand, checking against ground truth.
 
-    Honest answers are computed once per demand; an adversarial server
-    corrupts its honest answer.  Each delivery's streams are decoded
-    once and shared by every user's interference cancellation.
-    Per-configuration seeds are keyed by the configuration's index in
-    the full list, so a slice replays exactly what the whole list would.
+    ``configs`` is the slice of the full configuration list that starts
+    at index ``first``.  Honest answers and every user's cache side are
+    computed once per demand; an adversarial server corrupts its honest
+    answer.  Each delivery's streams are decoded once and shared by
+    every user.  Per-configuration seeds are keyed by the configuration's
+    index in the full list, so a slice replays exactly what the whole
+    list would.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -304,6 +304,18 @@ def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
               for queries in queries_list]
     truth_list = [[_ground_truth(state.library, demand[k - 1], params.q)
                    for k in range(1, params.K + 1)] for demand in demand_list]
+    # a side whose query echo fails is kept as its error: it fails that
+    # user's decodes only
+    sides_list = []
+    for demand, queries in zip(demand_list, queries_list):
+        sides = []
+        for k in range(1, params.K + 1):
+            try:
+                sides.append(cache_side(params, arr, state.caches[k - 1],
+                                        demand[k - 1], queries))
+            except ProtocolError as exc:
+                sides.append(exc)
+        sides_list.append(sides)
     witnesses = []
     stages: Counter = Counter()
 
@@ -313,8 +325,7 @@ def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
             witnesses.append(w)
 
     delivered, decoded, per_user = [], [], []
-    for ci in range(lo, hi):
-        js, adv, strat = configs[ci]
+    for ci, (js, adv, strat) in enumerate(configs, start=first):
         key = strategy_key(strat)
         label = {"j_subset": js, "adversaries": adv, "strategy": key}
         if sc.check_recovery:
@@ -331,8 +342,7 @@ def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
                     note(dict(label, stage="recover", error="wrong library"))
             except (DecodingFailure, ProtocolError) as exc:
                 note(dict(label, stage="recover", error=str(exc)))
-        for di, demand in enumerate(demand_list):
-            queries = queries_list[di]
+        for di in range(len(demand_list)):
             delivered = []
             for h in js:
                 sig = honest[di][h - 1]
@@ -342,14 +352,17 @@ def _replay(sc: Scenario, configs, lo: int, hi: int, demand_list) -> _Replay:
                 delivered.append(sig)
             streams = decode_streams(params, arr, delivered)
             decoded, per_user = [], []
-            for k in range(1, params.K + 1):
-                try:
-                    got = user_decode(params, arr, state.caches[k - 1],
-                                      demand[k - 1], streams, queries)
-                except (DecodingFailure, ProtocolError) as exc:
-                    got, error = None, str(exc)
+            for k, side in enumerate(sides_list[di], start=1):
+                if isinstance(side, ProtocolError):
+                    got, error = None, str(side)
                 else:
-                    error = None if got == truth_list[di][k - 1] else "wrong output"
+                    try:
+                        got = user_decode(params, arr, side, streams)
+                    except DecodingFailure as exc:
+                        got, error = None, str(exc)
+                    else:
+                        right = got == truth_list[di][k - 1]
+                        error = None if right else "wrong output"
                 if error is not None:
                     note(dict(label, stage="decode", demand_index=di, user=k, error=error))
                 decoded.append(got)
@@ -371,7 +384,7 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
     t0 = time.perf_counter()
     config = (_delivery(sc), _check_adversaries(sc, sc.adversaries), sc.strategy)
     demand = _demand_list(sc)[0]
-    rep = _replay(sc, [config], 0, 1, [demand])
+    rep = _replay(sc, [config], 0, [demand])
     trace = None
     if collect_trace:
         state = rep.state
@@ -396,19 +409,20 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
                      stage_counts=tuple(sorted(rep.stages.items())), trace=trace)
 
 
-def _sweep_slice(sc: Scenario, lo: int, hi: int):
-    """Process configs[lo:hi]; returns (failure_count, witnesses, measured, stages)."""
-    rep = _replay(sc, _config_list(sc), lo, hi, _demand_list(sc))
+def _sweep_slice(sc: Scenario, configs, first: int):
+    """(failure_count, witnesses, measured, stages) of configs from index first."""
+    rep = _replay(sc, configs, first, _demand_list(sc))
     return rep.failure_count, rep.witnesses, rep.measured, dict(rep.stages)
 
 
 def sweep(sc: Scenario, jobs: int = 1) -> RunResult:
     """Replay every selected configuration; aggregate failures with witnesses."""
     t0 = time.perf_counter()
-    n = len(_config_list(sc))
+    configs = _config_list(sc)
+    n = len(configs)
     jobs = max(1, min(jobs, n))
     bounds = [(i * n) // jobs for i in range(jobs + 1)]
-    args = [(sc, bounds[i], bounds[i + 1]) for i in range(jobs)]
+    args = [(sc, configs[bounds[i]:bounds[i + 1]], bounds[i]) for i in range(jobs)]
     if jobs == 1:
         parts = [_sweep_slice(*args[0])]
     else:

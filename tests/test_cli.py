@@ -361,6 +361,9 @@ MALFORMED = {
     "text_n_curve": (TEXT_N, ["curve"]),
     "text_n_bounds": (TEXT_N, ["bounds"]),
     "text_n_audit": (TEXT_N, ["audit"]),
+    # a field next to "params" that no scenario has
+    "bogus_key_bounds": (dict(TOY_SWEEP, bogus=1), ["bounds", "--m", "1"]),
+    "bogus_key_curve": (dict(TOY_SWEEP, bogus=1), ["curve"]),
 }
 
 

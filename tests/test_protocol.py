@@ -10,7 +10,7 @@ from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              MissingSignals, ProtocolError, Randomness, Signal,
                              SystemParams, UniformRandom, ZeroPayload,
                              adversary_content, adversary_signal,
-                             build_storage, decode_streams, make_query,
+                             build_storage, cache_side, decode_streams, make_query,
                              params_from_json, place_user, recover_library,
                              server_signal, strategy_key, user_decode, with_seed)
 from rsplfr.rscode import DecodingFailure
@@ -182,8 +182,8 @@ def test_every_user_decodes_its_blend_on_the_toy_instance():
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
     streams = decode_streams(params, TOY_PDA, signals[:params.J])
     for k in range(1, params.K + 1):
-        got = user_decode(params, TOY_PDA, caches[k - 1], demands[k - 1],
-                          streams, queries)
+        side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
+        got = user_decode(params, TOY_PDA, side, streams)
         assert got == combine(library, demands[k - 1], params.q)
 
 
@@ -199,8 +199,9 @@ def test_decoding_is_linear_in_the_demand():
         queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
         signals = [server_signal(params, TOY_PDA, st, queries)
                    for st in stores[:params.J]]
-        outs[tag] = user_decode(params, TOY_PDA, caches[0], demand,
-                                decode_streams(params, TOY_PDA, signals), queries)
+        side = cache_side(params, TOY_PDA, caches[0], demand, queries)
+        outs[tag] = user_decode(params, TOY_PDA, side,
+                                decode_streams(params, TOY_PDA, signals))
     assert [(a + b) % q for a, b in zip(outs["d1"], outs["d2"])] == outs["sum"]
 
 
@@ -211,11 +212,11 @@ def test_any_j_subset_suffices():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
     expected = combine(library, demand, params.q)
+    side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     from itertools import combinations
     for subset in combinations(range(6), params.J):
         streams = decode_streams(params, TOY_PDA, [signals[i] for i in subset])
-        got = user_decode(params, TOY_PDA, caches[0], demand, streams, queries)
-        assert got == expected
+        assert user_decode(params, TOY_PDA, side, streams) == expected
 
 
 def test_single_adversary_is_corrected():
@@ -224,14 +225,14 @@ def test_single_adversary_is_corrected():
     demands = [demand, [1] * 4, [2] * 4]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     expected = combine(library, demand, params.q)
+    side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     for strategy in ALL_STRATEGIES:
         signals = [server_signal(params, TOY_PDA, st, queries)
                    for st in stores[:params.J]]
         signals[2] = adversary_signal(params, strategy, signals[2])
         assert not signals[2].honest
         streams = decode_streams(params, TOY_PDA, signals)
-        got = user_decode(params, TOY_PDA, caches[0], demand, streams, queries)
-        assert got == expected
+        assert user_decode(params, TOY_PDA, side, streams) == expected
 
 
 def test_partial_slice_corruption_is_corrected():
@@ -249,6 +250,8 @@ def test_partial_slice_corruption_is_corrected():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[1:]]
     expected = [combine(library, demands[k], 7) for k in range(3)]
+    sides = [cache_side(params, TOY_PDA, caches[k], demands[k], queries)
+             for k in range(3)]
     cells = [(s, r) for s in range(TOY_PDA.S) for r in range(2)]
     honest = signals[2]
     for mask in range(1, 1 << len(cells)):
@@ -261,7 +264,7 @@ def test_partial_slice_corruption_is_corrected():
         streams = decode_streams(params, TOY_PDA, signals[:2] + [bad] + signals[3:])
         assert not streams.failures
         for k in range(3):
-            got = user_decode(params, TOY_PDA, caches[k], demands[k], streams, queries)
+            got = user_decode(params, TOY_PDA, sides[k], streams)
             assert got == expected[k], (mask, k)
 
 
@@ -279,13 +282,12 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
     streams = decode_streams(params, TOY_PDA, signals)
     assert set(streams.failures) == {1}
     for k in range(1, 4):
+        side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
         if 1 in TOY_PDA.column(k - 1):
             with pytest.raises(DecodingFailure):
-                user_decode(params, TOY_PDA, caches[k - 1], demands[k - 1],
-                            streams, queries)
+                user_decode(params, TOY_PDA, side, streams)
         else:
-            assert user_decode(params, TOY_PDA, caches[k - 1], demands[k - 1],
-                               streams, queries) == \
+            assert user_decode(params, TOY_PDA, side, streams) == \
                 combine(library, demands[k - 1], params.q)
 
 
@@ -308,9 +310,12 @@ def test_decode_checks_the_query_echo():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
     wrong = [make_query(params, [0, 1, 0, 0], ps[0])] + queries[1:]
-    streams = decode_streams(params, TOY_PDA, signals[:5])
     with pytest.raises(ProtocolError):
-        user_decode(params, TOY_PDA, caches[0], demand, streams, wrong)
+        cache_side(params, TOY_PDA, caches[0], demand, wrong)
+    side = cache_side(params, TOY_PDA, caches[0], demand, queries)
+    streams = decode_streams(params, TOY_PDA, signals[:5])
+    assert user_decode(params, TOY_PDA, side, streams) == \
+        combine(library, demand, params.q)
 
 
 def test_zero_library_decodes_to_zero():
@@ -327,8 +332,8 @@ def test_zero_library_decodes_to_zero():
     signals = [server_signal(params, TOY_PDA, st, queries)
                for st in stores[:params.J]]
     streams = decode_streams(params, TOY_PDA, signals)
-    assert user_decode(params, TOY_PDA, caches[0], demand, streams,
-                       queries) == [0] * params.B
+    side = cache_side(params, TOY_PDA, caches[0], demand, queries)
+    assert user_decode(params, TOY_PDA, side, streams) == [0] * params.B
 
 
 # ---------- whole-library recovery ----------

@@ -1,11 +1,12 @@
 """Errors-and-erasures decoding over a prime field.
 
-The production decoder solves the bilinear key equation with a linear
-system; the oracle enumerates every error support.  They must agree on
-success (same message) and on failure (both refuse).
+The production decoder locates errors from the syndromes by
+Berlekamp-Massey; the oracle enumerates every error support.  They must
+agree on success (same message and flags) and on failure (both refuse).
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -232,10 +233,7 @@ def word(points, positions, msg, errors):
 def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
     # errors on server 1 in some words, on server 6 in others, none in
     # the rest: the plan reusing the last located support misses on the
-    # switch and must fall back
-    calls = []
-    monkeypatch.setattr(rsplfr.rscode, "decode",
-                        lambda *a: calls.append(a) or decode(*a))
+    # switch and must run the locator
     points = EvalPoints.consecutive(13, 8)
     positions = (1, 2, 3, 5, 6, 7, 8)  # J = 7, k = 3, radius 2
     rng = random.Random(5)
@@ -243,9 +241,17 @@ def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
                 {1: 5}, {1: 2, 6: 9}, {6: 1}, {}]
     words = [word(points, positions, [rng.randrange(13) for _ in range(3)], errs)
              for errs in patterns]
-    batch_agrees(points, positions, 3, 2, words)
-    # one fallback per change of located support: {1}, {6}, {1}, {1, 6}
+    calls = []
+    locate = rsplfr.rscode._locate
+    monkeypatch.setattr(rsplfr.rscode, "_locate",
+                        lambda *a: calls.append(a) or locate(*a))
+    batch = BatchDecoder(points, positions, 3, 2)
+    for values in words:
+        batch.decode(values)
+    # one locator run per change of located support: {1}, {6}, {1}, {1, 6}
     assert len(calls) == 4
+    monkeypatch.undo()
+    batch_agrees(points, positions, 3, 2, words)
 
 
 def test_batch_beyond_radius_and_radius_zero_match_decode():
@@ -291,3 +297,26 @@ def test_batch_decoder_checks_its_shape():
         BatchDecoder(points, (1, 1, 2), 1, 0)
     with pytest.raises(ValueError):
         BatchDecoder(points, (1, 2, 3), 2, 0).decode([1, 2])
+
+
+def test_criterion_6_code_edges_match_the_oracle():
+    # the criterion-6 stream code: N=2, K=2, H=5, A=1, I=1, J=4, q=11, so
+    # dimension I + L = 2 and radius 1 at every delivery.  Decoding is
+    # linear, so one message stands for all; every single error, and
+    # every weight-2 pattern beyond the radius, on every J-subset
+    q, k, e = 11, 2, 1
+    points = EvalPoints.consecutive(q, 5)
+    msg = [3, 7]
+    for positions in combinations(range(1, 6), 4):
+        patterns = [{h: v} for h in positions for v in range(1, q)]
+        patterns += [{h1: v1, h2: v2} for h1, h2 in combinations(positions, 2)
+                     for v1 in range(1, q) for v2 in range(1, q)]
+        batch = BatchDecoder(points, positions, k, e)
+        for errs in patterns:
+            values = word(points, positions, msg, errs)
+            cw = Codeword(k, dict(zip(positions, values)))
+            expected = outcome(lambda: brute_force_decode(cw, points, e))
+            if len(errs) == 1:
+                assert expected == (msg, set(errs))
+            assert outcome(lambda: batch.decode(values)) == expected, errs
+            assert outcome(lambda: decode(cw, points, e)) == expected, errs

@@ -6,7 +6,8 @@ import pytest
 
 from rsplfr.analysis import msc_from_pda
 from rsplfr.pda import man_pda
-from rsplfr.protocol import ConfigError, HonestPlusConstant, SystemParams, UniformRandom
+from rsplfr.protocol import (ConfigError, HonestPlusConstant, Query, SystemParams,
+                             UniformRandom)
 from rsplfr.sim import Scenario, ScenarioError, run, sweep
 
 TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
@@ -145,12 +146,12 @@ def test_run_is_the_sweep_of_its_one_configuration():
 
 
 def test_streams_are_decoded_once_per_delivery(monkeypatch):
-    # Berlekamp-Welch runs only where a word is no codeword and the
+    # the error locator runs only where a word is no codeword and the
     # support located earlier in the same delivery does not explain it
     import rsplfr.rscode
-    original = rsplfr.rscode.decode
+    original = rsplfr.rscode._locate
     calls = []
-    monkeypatch.setattr(rsplfr.rscode, "decode",
+    monkeypatch.setattr(rsplfr.rscode, "_locate",
                         lambda *args: calls.append(args) or original(*args))
     honest = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                           sweep_strategies=True, adversary_sizes=(0,),
@@ -166,6 +167,43 @@ def test_streams_are_decoded_once_per_delivery(monkeypatch):
     deliveries = result.configurations * 3
     recoveries = result.configurations
     assert 0 < len(calls) <= deliveries + recoveries
+
+
+def test_cache_sides_are_built_once_per_demand_and_user(monkeypatch):
+    import rsplfr.sim
+    original = rsplfr.sim.cache_side
+    calls = []
+    monkeypatch.setattr(rsplfr.sim, "cache_side",
+                        lambda *args: calls.append(args) or original(*args))
+    sc = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                      sweep_strategies=True, demand_samples=3)
+    result = sweep(sc)
+    assert result.ok and result.configurations == 168
+    assert len(calls) == 3 * TOY.K
+
+
+def test_a_failed_query_echo_fails_only_that_users_decodes(monkeypatch):
+    # user 1's query disagrees with its demand + blend; the servers answer
+    # the queries as sent, so users 2 and 3 still decode
+    import rsplfr.sim
+    original = rsplfr.sim.make_query
+    made = []
+
+    def shifted(params, d_k, p_k):
+        query = original(params, d_k, p_k)
+        made.append(query)
+        if len(made) % params.K == 1:  # queries are made for users 1..K in turn
+            return Query(((query.values[0] + 1) % params.q,) + query.values[1:])
+        return query
+
+    monkeypatch.setattr(rsplfr.sim, "make_query", shifted)
+    result = run(toy_scenario(adversaries=(2,), strategy=HonestPlusConstant(1)))
+    assert result.per_user == (False, True, True)
+    assert dict(result.stage_counts) == {"decode": 1}
+    assert result.failures[0]["error"] == "query of user 1 does not match demand + blend"
+    swept = sweep(toy_scenario(sweep_j_subsets=True, demand_samples=2))
+    assert swept.failure_count == 6 * 2
+    assert {w["user"] for w in swept.failures} == {1}
 
 
 def test_sweep_size_cap():
