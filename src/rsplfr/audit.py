@@ -17,8 +17,9 @@ Repeated work is left out, never outcomes: queries depend only on
 (blends, demands), so they are built once per pair before the library
 and randomness loops, and since ``server_signal`` is a pure function of
 (store, queries), each server answers each distinct query vector once
-per (library, randomness) outcome.  Every outcome is still counted, in
-the original order.
+per (library, randomness) outcome.  The demand-privacy audit builds the
+stores once per (library, randomness) outcome for all coalitions.
+Every outcome is still counted, in the original order.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
@@ -316,6 +317,17 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     outcomes = _guard(space, space.n_w + space.n_delta + space.n_vee + space.n_lambda
                       + space.n_p + space.n_d, "demand-privacy", cap, len(real))
     grid = _query_grid(space)
+    # the stores depend only on the (library, randomness) outcome, so
+    # they are built once and shared by every coalition
+    worlds = []
+    for wflat in product(range(q), repeat=space.n_w):
+        library = _library(space, wflat)
+        outcomes_u = []
+        for uflat in _u_space(space):
+            randomness = _randomness(space, uflat)
+            stores = build_storage(params, arr, library, randomness)
+            outcomes_u.append((randomness, tuple(_contents(st) for st in stores)))
+        worlds.append((wflat, library, outcomes_u))
     details = []
     worst = 0.0
     witness = None
@@ -331,13 +343,9 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
                        for dflat, _queries, qvals in rows])
                  for ps, rows in grid]
         s_worst = 0.0
-        for wflat in product(range(q), repeat=space.n_w):
-            library = _library(space, wflat)
+        for wflat, library, outcomes_u in worlds:
             table: dict = {}
-            for uflat in _u_space(space):
-                randomness = _randomness(space, uflat)
-                stores = build_storage(params, arr, library, randomness)
-                zed = tuple(_contents(st) for st in stores)
+            for randomness, zed in outcomes_u:
                 for ps, rows in views:
                     caches = tuple(_cached(place_user(params, arr, library, randomness,
                                                       k, ps[k - 1]))

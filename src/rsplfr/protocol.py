@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 from . import pda as pda_mod
@@ -487,44 +489,71 @@ class DecodedStreams:
     ``data[s][l][r]`` is data coefficient l of slice r of stream s: the
     keyed multicast symbol every user in the stream's occurrence set
     receives.  A stream with a slice that could not be decoded maps in
-    ``failures`` to the reason instead.
+    ``failures`` to the reason instead.  ``flagged[h]`` counts the
+    decoded (stream, slice) words in which server h's symbol is off its
+    codeword; servers never flagged are absent.
     """
 
     data: dict[int, list[list[int]]]
     failures: dict[int, rscode.DecodingFailure]
+    flagged: dict[int, int]
 
 
-def decode_streams(params: SystemParams, pda: Pda, signals) -> DecodedStreams:
-    """Decode every stream and slice of any J signals, <= A corrupt.
+def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedStreams]:
+    """Decode every stream and slice of deliveries of J signals each, <= A corrupt.
 
-    Per stream and slice, the J payload symbols are one MDS codeword of
-    dimension I + L; one batch decoder serves the whole delivery.
+    All deliveries must come from the same J servers.  Per delivery,
+    stream and slice, the J payload symbols are one MDS codeword of
+    dimension I + L; one batch decoder decodes them all in one call.
+    Returns one ``DecodedStreams`` per delivery, in order.
     """
     subL, pkt = _dims(params, pda)
-    by_h: dict[int, Signal] = {}
-    for sig in signals:
-        if sig.h in by_h:
-            raise MissingSignals(f"duplicate signal from server {sig.h}")
-        if not 1 <= sig.h <= params.H:
-            raise MissingSignals(f"signal origin {sig.h} outside [1..{params.H}]")
-        if len(sig.payload) != pda.S or any(len(p) != pkt for p in sig.payload):
-            raise DimensionMismatch(f"payload of server {sig.h} has the wrong shape")
-        by_h[sig.h] = sig
-    if len(by_h) != params.J:
-        raise MissingSignals(f"need signals from {params.J} servers, got {len(by_h)}")
+    shape = {pkt}
+    received = []
+    for signals in deliveries:
+        by_h: dict[int, Signal] = {}
+        for sig in signals:
+            if sig.h in by_h:
+                raise MissingSignals(f"duplicate signal from server {sig.h}")
+            if not 1 <= sig.h <= params.H:
+                raise MissingSignals(f"signal origin {sig.h} outside [1..{params.H}]")
+            if len(sig.payload) != pda.S or not set(map(len, sig.payload)) <= shape:
+                raise DimensionMismatch(f"payload of server {sig.h} has the wrong shape")
+            by_h[sig.h] = sig
+        if len(by_h) != params.J:
+            raise MissingSignals(f"need signals from {params.J} servers, got {len(by_h)}")
+        if received and by_h.keys() != received[0].keys():
+            raise MissingSignals(f"deliveries come from servers {sorted(received[0])} "
+                                 f"and {sorted(by_h)}")
+        received.append(by_h)
+    if not received:
+        return []
 
-    L = params.L
-    decoder = rscode.BatchDecoder(params.points, by_h, params.I + L, params.A)
-    payloads = [by_h[h].payload for h in decoder.positions]
-    data, failures = {}, {}
-    for s in range(pda.S):
-        try:
-            msgs = [decoder.decode([p[s][r] for p in payloads])[0] for r in range(pkt)]
-        except rscode.DecodingFailure as exc:
-            failures[s + 1] = exc
-        else:
-            data[s + 1] = [[msg[l] for msg in msgs] for l in range(L)]
-    return DecodedStreams(data, failures)
+    L, S = params.L, pda.S
+    decoder = rscode.BatchDecoder(params.points, received[0], params.I + L, params.A)
+    # word (d * S + s) * pkt + r is slice r of stream s of delivery d
+    columns = [list(chain.from_iterable(chain.from_iterable(
+        by_h[h].payload for by_h in received))) for h in decoder.positions]
+    messages, flags, failed = decoder.decode_columns(columns)
+    per = S * pkt
+    failures = [{} for _ in received]
+    for w in sorted(failed):
+        d, s = divmod(w // pkt, S)
+        failures[d].setdefault(s + 1, failed[w])
+    flagged = [{} for _ in received]
+    for h, words in zip(decoder.positions, flags):
+        for d, count in Counter(map(per.__rfloordiv__, words)).items():
+            flagged[d][h] = count
+    data = messages[:L]
+    out = []
+    for d, fails in enumerate(failures):
+        streams = {}
+        for s in range(S):
+            if s + 1 not in fails:
+                first = d * per + s * pkt
+                streams[s + 1] = [col[first:first + pkt] for col in data]
+        out.append(DecodedStreams(streams, fails, flagged[d]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -653,15 +682,16 @@ def recover_library(params: SystemParams, contents) -> Library:
         if len(st.coded_subfiles) != N or any(len(v) != subL for v in st.coded_subfiles):
             raise DimensionMismatch(f"contents of server {h} have the wrong shape")
     decoder = rscode.BatchDecoder(params.points, by_h, I + L, params.A)
-    stored = [by_h[h].coded_subfiles for h in decoder.positions]
-    files = []
-    for n in range(N):
-        symbols = [0] * params.B
-        for m in range(subL):
-            msg, _flags = decoder.decode([st[n][m] for st in stored])
-            for l in range(L):
-                symbols[l * subL + m] = msg[l]
-        files.append(tuple(symbols))
+    # word n * subL + m is slice m of file n
+    messages, _flags, failed = decoder.decode_columns(
+        [list(chain.from_iterable(by_h[h].coded_subfiles)) for h in decoder.positions],
+        stop=True)
+    if failed:
+        (failure,) = failed.values()  # the first failing word: decoding stopped there
+        raise failure
+    files = [tuple(chain.from_iterable(messages[l][n * subL:(n + 1) * subL]
+                                       for l in range(L)))
+             for n in range(N)]
     return Library(tuple(files))
 
 

@@ -21,23 +21,36 @@ locator and its roots 1/x_j name E exactly (Roth, *Introduction to
 Coding Theory*, ch. 6).
 
 ``BatchDecoder`` decodes many words received at one fixed set of
-positions, as every slice of every multicast stream of one delivery
-is.  A plan for a set S of skipped positions holds the inverse
-Vandermonde matrix of the first k kept points and the evaluation rows
-of every other point; the kept rows are the parity checks, in
-systematic form.  A word that passes them agrees with a degree < k
-polynomial outside S, so with |S| <= e it lies within distance e of
-that codeword, the only one there since 2e < J - k + 1.  Each word
-tries the plan with S empty, then the plan that skips the positions
-located last (errors come per server, so they recur), and only then
-computes its syndromes and locator.  A locator longer than e, or with
-another number of roots among the present positions than its length,
-cannot be the locator of an error pattern within the radius, so the
-word is refused; so is a word that fails the checks of the plan
-skipping the roots.  Otherwise that plan decodes it and becomes the
-suspect plan.  The result is the unique codeword within distance e, or
-``DecodingFailure`` when there is none, exactly as the oracle finds;
-``decode`` is the one-word case.
+positions, as every slice of every multicast stream of every delivery
+from the same J servers is.  A plan for a set S of skipped positions
+holds the inverse Vandermonde matrix of the first k kept points and the
+evaluation rows of every other point; the kept rows are the parity
+checks, in systematic form.  A word that passes them agrees with a
+degree < k polynomial outside S, so with |S| <= e it lies within
+distance e of that codeword, the only one there since 2e < J - k + 1.
+Each word tries the plan with S empty, then the plan that skips the
+positions located last (errors come per server, so they recur), and
+only then computes its syndromes and locator.  A locator longer than
+e, or with another number of roots among the present positions than
+its length, cannot be the locator of an error pattern within the
+radius, so the word is refused; so is a word that fails the checks of
+the plan skipping the roots.  Otherwise that plan decodes it and
+becomes the suspect plan.  The result is the unique codeword within
+distance e, or ``DecodingFailure`` when there is none, exactly as the
+oracle finds.
+
+``decode_columns`` does this for a whole batch at once, column by
+column: the words are packed one per slot into one integer per
+position, so each plan row is a few big-integer operations for all
+words.  The clean plan is applied to the batch, then the suspect plan
+to the words it left.  The locator runs on the first word that
+neither explains; when it yields a new suspect plan, that plan is
+swept again over every later pending word, which then follows it.
+Each word thus meets the same plans, in the same order, as when the
+words are decoded one by one: same results, same failure texts and
+the same locator runs.  A failing word drops out of a plan at its
+first failed check row, and messages are computed only for the words
+a plan explains.  ``decode`` is the one-word case.
 
 ``brute_force_decode`` is the independent oracle: try every error
 support up to the radius, interpolate, and keep candidates consistent
@@ -46,11 +59,13 @@ with all remaining positions.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import prod
-from operator import mul
+from operator import mul, not_
+from sys import byteorder
 
 from .ff import PrimeField, horner
 
@@ -163,9 +178,12 @@ class _Plan:
     """Interpolation and evaluation rows for one (points, positions, k, skipped).
 
     Indices refer to the word's values, in position order.  ``basis[m]``
-    gives message coefficient m from the values at ``base``; each row of
-    ``checks`` predicts a kept value from them, and each row of
-    ``skipped`` a value that is only compared, for the flags.
+    gives message coefficient m from the values at ``base``.  Each entry
+    ``(j, row)`` of ``checks`` or ``skipped`` holds k coefficients that
+    predict value j from the base values, then -1: dotted with the base
+    values and value j, the row is zero exactly where value j is the
+    prediction.  Kept values are checks; skipped ones are only compared,
+    for the flags.
     """
 
     base: tuple[int, ...]
@@ -187,7 +205,7 @@ def _plan(points: EvalPoints, positions: tuple[int, ...], k: int,
     basis = tuple(tuple(lagrange[i][m] for i in range(k)) for m in range(k))
 
     def rows(indices):
-        return tuple((j, tuple(horner(ell, xs[j], q) for ell in lagrange))
+        return tuple((j, tuple(horner(ell, xs[j], q) for ell in lagrange) + (q - 1,))
                      for j in indices)
 
     return _Plan(base=base, basis=basis, checks=rows(kept[k:]),
@@ -253,15 +271,49 @@ def _locate(dual: _Dual, y: list[int], max_errors: int, q: int) -> list[int]:
     return roots
 
 
+@dataclass(frozen=True)
+class _Slots:
+    """Residues packed one per word into the fixed-width slots of one integer.
+
+    A slot holds any sum of ``terms`` products of residues, so a linear
+    combination of packed columns is a few big-integer products and sums
+    with no carry between words: one pass of arithmetic for a batch.
+    """
+
+    size: int         # bytes per slot
+    code: str | None  # the array type of that size, if there is one
+
+    @classmethod
+    def for_sums(cls, q: int, terms: int) -> "_Slots":
+        need = max(1, ((terms * (q - 1) ** 2).bit_length() + 7) // 8)
+        for code in "BHIQ":
+            if array(code).itemsize >= need:
+                return cls(array(code).itemsize, code)
+        return cls(need, None)
+
+    def pack(self, values) -> int:
+        if self.code:
+            return int.from_bytes(array(self.code, values), byteorder)
+        return int.from_bytes(b"".join(v.to_bytes(self.size, byteorder) for v in values),
+                              byteorder)
+
+    def combine(self, row, packed, count: int):
+        """The slots of sum_t row[t] * packed[t], one per word, not reduced."""
+        raw = sum(map(mul, row, packed)).to_bytes(count * self.size, byteorder)
+        if self.code:
+            return array(self.code, raw)
+        return [int.from_bytes(raw[i:i + self.size], byteorder)
+                for i in range(0, len(raw), self.size)]
+
+
 class BatchDecoder:
     """Bounded-distance decoding of many words received at the same positions.
 
-    Built once per set of present positions; ``decode(values)`` takes
-    the word's symbols in ascending position order and returns the
-    message and the flagged positions of the unique codeword within
-    distance ``max_errors``, or raises ``DecodingFailure``.  Syndromes
-    and the locator are computed only for words that neither plan
-    explains.
+    Built once per set of present positions.  ``decode_columns`` takes
+    the words column by column, in ascending position order, and decodes
+    them all in one batch; ``decode(values)`` is its one-word case.
+    Syndromes and the locator are computed only for words that neither
+    plan explains.  The suspect plan carries over between calls.
     """
 
     def __init__(self, points: EvalPoints, positions, dimension: int, max_errors: int):
@@ -273,39 +325,117 @@ class BatchDecoder:
         self.points = points
         self.dimension = dimension
         self.max_errors = max_errors
+        self._slots = _Slots.for_sums(points.q, dimension + 1)
         self._clean = _plan(points, self.positions, dimension, ())
         self._suspect = None  # plan skipping the last located errors
 
-    def _apply(self, plan: _Plan, y: list[int]):
-        q = self.points.q
-        yb = [y[i] for i in plan.base]
+    def _residues(self, row, columns, words, count: int):
+        """Row dotted with the columns, mod q, at each of the words."""
+        slots = self._slots.combine(row, columns, count)
+        if len(words) != count:
+            slots = map(slots.__getitem__, words)
+        return map(self.points.q.__rmod__, slots)
+
+    def _sweep(self, plan: _Plan, packed, words, count: int):
+        """Split ascending ``words`` into those that pass the plan's checks and the rest.
+
+        A word leaves at the first check row it fails, so later rows
+        look only at the words still passing.
+        """
+        base = [packed[i] for i in plan.base]
+        failing = []
         for j, row in plan.checks:
-            if sum(map(mul, row, yb)) % q != y[j]:
-                return None
-        msg = [sum(map(mul, row, yb)) % q for row in plan.basis]
-        flags = {self.positions[j] for j, row in plan.skipped
-                 if sum(map(mul, row, yb)) % q != y[j]}
-        return msg, flags
+            off = list(self._residues(row, base + [packed[j]], words, count))
+            if any(off):
+                failing.extend(compress(words, off))
+                words = list(compress(words, map(not_, off)))
+                if not words:
+                    break
+        return words, sorted(failing)
+
+    def _solve(self, plan: _Plan, packed, words, count: int, messages, flags):
+        """Write the messages of ``words``, which pass the plan, and flag their skipped values."""
+        base = [packed[i] for i in plan.base]
+        for out, row in zip(messages, plan.basis):
+            values = self._residues(row, base, words, count)
+            if len(words) == count:
+                out[:] = values
+            else:
+                for w, v in zip(words, values):
+                    out[w] = v
+        for j, row in plan.skipped:
+            flags[j].update(compress(words, self._residues(row, base + [packed[j]],
+                                                           words, count)))
+
+    def decode_columns(self, columns, stop: bool = False):
+        """Decode every word of the batch; ``columns[i][w]`` is word w at position i.
+
+        Returns ``(messages, flags, failures)``: ``messages[m][w]`` is
+        message coefficient m of word w (None if it failed), ``flags[i]``
+        the set of words whose value at position i differs from their
+        codeword, and ``failures`` maps each failing word to its
+        ``DecodingFailure``.
+        The results, and the locator runs, are those of decoding the
+        words one by one, in order.  With ``stop``, decoding ends at the
+        first word that fails, for a caller that needs every word: only
+        that failure is returned, and no message.
+        """
+        q, k = self.points.q, self.dimension
+        y = [[v % q for v in col] for col in columns]
+        if len(y) != len(self.positions):
+            raise ValueError(f"need {len(self.positions)} columns, got {len(y)}")
+        W = len(y[0])
+        if any(len(col) != W for col in y):
+            raise ValueError("columns must hold one value per word")
+        packed = [self._slots.pack(col) for col in y]
+        clean, pending = self._sweep(self._clean, packed, range(W), W)
+        groups = [(self._clean, clean)]
+        failures = {}
+        # each pending word sees the suspect plan current at its turn: a
+        # new plan is swept again over every later pending word
+        plan, run = self._suspect, []
+        explained = set(self._sweep(plan, packed, pending, W)[0]) if plan else set()
+        dual = _dual(self.points, self.positions, k)
+        for i, w in enumerate(pending):
+            if w in explained:
+                run.append(w)
+                continue
+            try:
+                roots = _locate(dual, [col[w] for col in y], self.max_errors, q)
+                located = _plan(self.points, self.positions, k,
+                                tuple(self.positions[j] for j in roots))
+                passing = self._sweep(located, packed, pending[i:], W)[0]
+                if not passing or passing[0] != w:
+                    raise DecodingFailure(
+                        "word fails the parity checks outside the located errors")
+            except DecodingFailure as exc:
+                failures[w] = exc
+                if stop:
+                    break
+                continue
+            groups.append((plan, run))
+            plan, run, explained = located, [w], set(passing)
+            self._suspect = located
+        groups.append((plan, run))
+        messages = [[None] * W for _ in range(k)]
+        flags = [set() for _ in y]
+        if not (stop and failures):
+            for plan, words in groups:
+                if words:
+                    self._solve(plan, packed, words, W, messages, flags)
+        return messages, flags, failures
 
     def decode(self, values):
-        q = self.points.q
-        y = [v % q for v in values]
-        if len(y) != len(self.positions):
-            raise ValueError(f"need {len(self.positions)} symbols, got {len(y)}")
-        got = self._apply(self._clean, y)
-        if got is None and self._suspect is not None:
-            got = self._apply(self._suspect, y)
-        if got is not None:
-            return got
-        positions, k = self.positions, self.dimension
-        roots = _locate(_dual(self.points, positions, k), y, self.max_errors, q)
-        plan = _plan(self.points, positions, k, tuple(positions[j] for j in roots))
-        got = self._apply(plan, y)
-        if got is None:
-            raise DecodingFailure(
-                "word fails the parity checks outside the located errors")
-        self._suspect = plan
-        return got
+        """(message, flagged positions) of one word, given in position order.
+
+        Raises ``DecodingFailure`` when no codeword lies within the radius.
+        """
+        if len(values) != len(self.positions):
+            raise ValueError(f"need {len(self.positions)} symbols, got {len(values)}")
+        messages, flags, failures = self.decode_columns([[v] for v in values])
+        if failures:
+            raise failures[0]
+        return [m[0] for m in messages], {h for h, f in zip(self.positions, flags) if f}
 
 
 def decode(received: Codeword, points: EvalPoints, max_errors: int):

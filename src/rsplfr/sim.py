@@ -291,8 +291,9 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     ``configs`` is the slice of the full configuration list that starts
     at index ``first``.  Honest answers and every user's cache side are
     computed once per demand; an adversarial server corrupts its honest
-    answer.  Each delivery's streams are decoded once and shared by
-    every user.  Per-configuration seeds are keyed by the configuration's
+    answer.  The streams of all deliveries of one configuration are
+    decoded in one batch, and each delivery's are shared by every user.
+    Per-configuration seeds are keyed by the configuration's
     index in the full list, so a slice replays exactly what the whole
     list would.
     """
@@ -342,6 +343,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     note(dict(label, stage="recover", error="wrong library"))
             except (DecodingFailure, ProtocolError) as exc:
                 note(dict(label, stage="recover", error=str(exc)))
+        deliveries = []
         for di in range(len(demand_list)):
             delivered = []
             for h in js:
@@ -350,7 +352,8 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     rng = random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
                     sig = adversary_signal(params, strat, sig, rng)
                 delivered.append(sig)
-            streams = decode_streams(params, arr, delivered)
+            deliveries.append(delivered)
+        for di, streams in enumerate(decode_streams(params, arr, deliveries)):
             decoded, per_user = [], []
             for k, side in enumerate(sides_list[di], start=1):
                 if isinstance(side, ProtocolError):

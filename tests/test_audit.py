@@ -244,6 +244,21 @@ def test_queries_and_answers_are_built_once(monkeypatch):
     assert queries[0] == 81
 
 
+def test_demand_privacy_builds_the_stores_once_per_outcome(monkeypatch):
+    # all three mutations leave no randomness: 3^4 (library) outcomes,
+    # shared by the three coalitions that hide a demand (243 builds before)
+    params = SystemParams(N=2, K=2, H=2, A=0, I=1, J=2, q=3, B=2)
+    stores = _count_calls(monkeypatch, "build_storage")
+    report = audit_demand_privacy(params, man_pda(2, 1), MUTATIONS)
+    assert stores[0] == 81
+    assert (round(report.mi_bits, 5), report.outcomes, report.tables) == (6.33985, 19683, 243)
+    assert [(name, round(mi, 5)) for name, mi in report.details] == [
+        ("colluders=[]", 6.33985), ("colluders=[1]", 3.16993),
+        ("colluders=[2]", 3.16993), ("colluders=[1, 2]", 0.0)]
+    assert report.witness == {"colluders": [], "library": [0, 0, 0, 0],
+                              "mi_bits": report.mi_bits}
+
+
 # ---------- robustness replay ----------
 
 

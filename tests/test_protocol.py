@@ -1,6 +1,7 @@
 """The storage, placement, query, delivery, and decode pipeline."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,8 +26,8 @@ ROBUST = SystemParams(N=2, K=2, H=5, A=1, I=1, J=4, q=11, B=2)
 ROBUST_PDA = man_pda(2, 1)
 
 
-def build_toy_state(seed=0):
-    params = with_seed(TOY, seed)
+def build_toy_state(seed=0, B=6):
+    params = replace(TOY, B=B, seed=seed)
     rng = random.Random(seed)
     library = Library.random(params, rng)
     randomness = Randomness.sample(params, TOY_PDA, rng)
@@ -180,7 +181,7 @@ def test_every_user_decodes_its_blend_on_the_toy_instance():
                for _ in range(params.K)]
     queries = [make_query(params, demands[k], ps[k]) for k in range(params.K)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
-    streams = decode_streams(params, TOY_PDA, signals[:params.J])
+    (streams,) = decode_streams(params, TOY_PDA, [signals[:params.J]])
     for k in range(1, params.K + 1):
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
         got = user_decode(params, TOY_PDA, side, streams)
@@ -201,7 +202,7 @@ def test_decoding_is_linear_in_the_demand():
                    for st in stores[:params.J]]
         side = cache_side(params, TOY_PDA, caches[0], demand, queries)
         outs[tag] = user_decode(params, TOY_PDA, side,
-                                decode_streams(params, TOY_PDA, signals))
+                                decode_streams(params, TOY_PDA, [signals])[0])
     assert [(a + b) % q for a, b in zip(outs["d1"], outs["d2"])] == outs["sum"]
 
 
@@ -215,7 +216,7 @@ def test_any_j_subset_suffices():
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     from itertools import combinations
     for subset in combinations(range(6), params.J):
-        streams = decode_streams(params, TOY_PDA, [signals[i] for i in subset])
+        (streams,) = decode_streams(params, TOY_PDA, [[signals[i] for i in subset]])
         assert user_decode(params, TOY_PDA, side, streams) == expected
 
 
@@ -231,7 +232,7 @@ def test_single_adversary_is_corrected():
                    for st in stores[:params.J]]
         signals[2] = adversary_signal(params, strategy, signals[2])
         assert not signals[2].honest
-        streams = decode_streams(params, TOY_PDA, signals)
+        (streams,) = decode_streams(params, TOY_PDA, [signals])
         assert user_decode(params, TOY_PDA, side, streams) == expected
 
 
@@ -261,7 +262,7 @@ def test_partial_slice_corruption_is_corrected():
                 payload[s][r] = (payload[s][r] + 1 + bit % 6) % 7
         bad = Signal(h=honest.h, queries=honest.queries,
                      payload=tuple(tuple(p) for p in payload), honest=False)
-        streams = decode_streams(params, TOY_PDA, signals[:2] + [bad] + signals[3:])
+        (streams,) = decode_streams(params, TOY_PDA, [signals[:2] + [bad] + signals[3:]])
         assert not streams.failures
         for k in range(3):
             got = user_decode(params, TOY_PDA, sides[k], streams)
@@ -279,7 +280,7 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
         payload[0] = tuple((x + 1) % 7 for x in payload[0])
         signals[i] = Signal(h=signals[i].h, queries=signals[i].queries,
                             payload=tuple(payload), honest=False)
-    streams = decode_streams(params, TOY_PDA, signals)
+    (streams,) = decode_streams(params, TOY_PDA, [signals])
     assert set(streams.failures) == {1}
     for k in range(1, 4):
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
@@ -291,6 +292,28 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
                 combine(library, demands[k - 1], params.q)
 
 
+def test_a_stream_fails_with_its_first_failing_slice():
+    # servers 1 and 2 push both slices of stream 1 beyond the radius, each
+    # slice failing in its own way: the stream reports its first slice's
+    params, library, randomness, stores, ps, caches = build_toy_state(17, B=12)
+    demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
+
+    def shifted(sig, deltas):
+        first = tuple((x + d) % 7 for x, d in zip(sig.payload[0], deltas))
+        return Signal(h=sig.h, queries=sig.queries, payload=(first,) + sig.payload[1:],
+                      honest=False)
+
+    both = [shifted(signals[0], (1, 1)), shifted(signals[1], (1, 2))] + signals[2:]
+    second = [shifted(signals[0], (0, 1)), shifted(signals[1], (0, 2))] + signals[2:]
+    decoded = decode_streams(params, TOY_PDA, [both, second])
+    assert [set(d.failures) for d in decoded] == [{1}, {1}]
+    assert str(decoded[0].failures[1]) == (
+        "error locator of length 1 has 0 of 1 roots among the present positions")
+    assert str(decoded[1].failures[1]) == "error locator of length 2 exceeds the radius 1"
+
+
 def test_decode_needs_exactly_j_distinct_origins():
     params, library, randomness, stores, ps, caches = build_toy_state(7)
     demand = [1, 0, 0, 0]
@@ -298,9 +321,63 @@ def test_decode_needs_exactly_j_distinct_origins():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
     with pytest.raises(MissingSignals):
-        decode_streams(params, TOY_PDA, signals[:4])
+        decode_streams(params, TOY_PDA, [signals[:4]])
     with pytest.raises(MissingSignals):
-        decode_streams(params, TOY_PDA, signals[:4] + [signals[3]])
+        decode_streams(params, TOY_PDA, [signals[:4] + [signals[3]]])
+
+
+def test_decode_checks_every_signal_shape():
+    params, library, randomness, stores, ps, caches = build_toy_state(7)
+    demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
+    last = signals[4]
+    # the last stream's packet one symbol short, in the second delivery
+    short = Signal(h=last.h, queries=last.queries,
+                   payload=last.payload[:-1] + (last.payload[-1][:-1],))
+    with pytest.raises(DimensionMismatch, match="server 5"):
+        decode_streams(params, TOY_PDA, [signals, signals[:4] + [short]])
+    with pytest.raises(DimensionMismatch, match="server 5"):
+        decode_streams(params, TOY_PDA, [signals[:4] + [Signal(
+            h=last.h, queries=last.queries, payload=last.payload[:-1])]])
+
+
+def test_deliveries_must_come_from_the_same_servers():
+    params, library, randomness, stores, ps, caches = build_toy_state(7)
+    demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
+    with pytest.raises(MissingSignals, match="deliveries come from servers"):
+        decode_streams(params, TOY_PDA, [signals[:5], signals[1:]])
+    assert len(decode_streams(params, TOY_PDA, [signals[1:], signals[:0:-1]])) == 2
+    assert decode_streams(params, TOY_PDA, []) == []
+
+
+def test_flags_name_the_servers_that_changed_their_symbols():
+    # one adversary in the delivery, two slices per stream (B=12), three
+    # demands decoded in one call: per delivery, each server is flagged in
+    # exactly the (stream, slice) words where it sent another symbol
+    params, library, randomness, stores, ps, caches = build_toy_state(19, B=12)
+    rng = random.Random(19)
+    delivery = stores[1:]
+    for strategy in ALL_STRATEGIES:
+        for bad in range(len(delivery)):
+            deliveries, expected = [], []
+            for trial in range(3):
+                demands = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
+                queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+                signals = [server_signal(params, TOY_PDA, st, queries) for st in delivery]
+                honest = signals[bad]
+                signals[bad] = adversary_signal(params, strategy, honest,
+                                                random.Random(trial))
+                changed = sum(x != y for p, r in zip(signals[bad].payload, honest.payload)
+                              for x, y in zip(p, r))
+                deliveries.append(signals)
+                expected.append({honest.h: changed} if changed else {})
+            decoded = decode_streams(params, TOY_PDA, deliveries)
+            assert [d.flagged for d in decoded] == expected, (strategy, bad)
+            assert not any(d.failures for d in decoded)
+            assert any(expected), (strategy, bad)
 
 
 def test_decode_checks_the_query_echo():
@@ -313,7 +390,7 @@ def test_decode_checks_the_query_echo():
     with pytest.raises(ProtocolError):
         cache_side(params, TOY_PDA, caches[0], demand, wrong)
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-    streams = decode_streams(params, TOY_PDA, signals[:5])
+    (streams,) = decode_streams(params, TOY_PDA, [signals[:5]])
     assert user_decode(params, TOY_PDA, side, streams) == \
         combine(library, demand, params.q)
 
@@ -331,7 +408,7 @@ def test_zero_library_decodes_to_zero():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries)
                for st in stores[:params.J]]
-    streams = decode_streams(params, TOY_PDA, signals)
+    (streams,) = decode_streams(params, TOY_PDA, [signals])
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     assert user_decode(params, TOY_PDA, side, streams) == [0] * params.B
 

@@ -3,6 +3,7 @@
 The production decoder locates errors from the syndromes by
 Berlekamp-Massey; the oracle enumerates every error support.  They must
 agree on success (same message and flags) and on failure (both refuse).
+A batch of words decoded as columns must equal decoding them one by one.
 """
 
 import random
@@ -230,6 +231,58 @@ def word(points, positions, msg, errors):
     return [(clean[h] + errors.get(h, 0)) % points.q for h in positions]
 
 
+def locator_runs(monkeypatch, fn):
+    """fn's result and how often it ran the error locator."""
+    calls = []
+    locate = rsplfr.rscode._locate
+    monkeypatch.setattr(rsplfr.rscode, "_locate", lambda *a: calls.append(a) or locate(*a))
+    try:
+        return fn(), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def one_by_one(batch, words):
+    """Each word through batch.decode, in order: (message, flags) or failure text."""
+    out = []
+    for values in words:
+        try:
+            out.append(batch.decode(values))
+        except DecodingFailure as exc:
+            out.append(str(exc))
+    return out
+
+
+def as_columns(batch, words):
+    """All words through one batch.decode_columns call, in the same form."""
+    columns = [[values[i] for values in words] for i in range(len(batch.positions))]
+    messages, flags, failures = batch.decode_columns(columns)
+    return [str(failures[w]) if w in failures else
+            ([m[w] for m in messages], {h for h, f in zip(batch.positions, flags) if w in f})
+            for w in range(len(words))]
+
+
+def columns_agree(monkeypatch, points, positions, k, e, words, cut=None):
+    """Decoding the words as columns equals decoding them one by one.
+
+    Same messages, flags and failure texts, and as many locator runs; with
+    ``cut``, the columns go in two calls to one decoder.  Returns the runs.
+    """
+    expected, runs = locator_runs(
+        monkeypatch, lambda: one_by_one(BatchDecoder(points, positions, k, e), words))
+
+    def batched():
+        batch = BatchDecoder(points, positions, k, e)
+        if cut is None:
+            return as_columns(batch, words)
+        return as_columns(batch, words[:cut]) + as_columns(batch, words[cut:])
+
+    got, got_runs = locator_runs(monkeypatch, batched)
+    assert got == expected
+    assert got_runs == runs
+    return runs
+
+
 def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
     # errors on server 1 in some words, on server 6 in others, none in
     # the rest: the plan reusing the last located support misses on the
@@ -241,16 +294,10 @@ def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
                 {1: 5}, {1: 2, 6: 9}, {6: 1}, {}]
     words = [word(points, positions, [rng.randrange(13) for _ in range(3)], errs)
              for errs in patterns]
-    calls = []
-    locate = rsplfr.rscode._locate
-    monkeypatch.setattr(rsplfr.rscode, "_locate",
-                        lambda *a: calls.append(a) or locate(*a))
-    batch = BatchDecoder(points, positions, 3, 2)
-    for values in words:
-        batch.decode(values)
-    # one locator run per change of located support: {1}, {6}, {1}, {1, 6}
-    assert len(calls) == 4
-    monkeypatch.undo()
+    # one locator run per change of located support: {1}, {6}, {1}, {1, 6},
+    # both word by word and as one batch of columns
+    assert columns_agree(monkeypatch, points, positions, 3, 2, words) == 4
+    assert columns_agree(monkeypatch, points, positions, 3, 2, words, cut=6) == 4
     batch_agrees(points, positions, 3, 2, words)
 
 
@@ -268,7 +315,7 @@ def test_batch_beyond_radius_and_radius_zero_match_decode():
     batch_agrees(points, (2, 4), 2, 0, [[1, 5], [0, 0]])
 
 
-def test_batch_randomized_sequences_match_decode():
+def test_batch_randomized_sequences_match_decode(monkeypatch):
     rng = random.Random(424242)
     for _ in range(150):
         q = rng.choice([7, 11, 13])
@@ -285,6 +332,53 @@ def test_batch_randomized_sequences_match_decode():
             msg = [rng.randrange(q) for _ in range(k)]
             words.append(word(points, positions, msg, errs))
         batch_agrees(points, positions, k, e, words)
+        columns_agree(monkeypatch, points, positions, k, e, words)
+        columns_agree(monkeypatch, points, positions, k, e, words, cut=rng.randint(0, 8))
+
+
+def test_columns_beyond_radius_match_decode(monkeypatch):
+    # words with no codeword within the radius fail with decode's text,
+    # and leave the suspect plan to the words after them
+    points = EvalPoints.consecutive(11, 6)
+    positions = (1, 2, 3, 4, 5, 6)
+    rng = random.Random(3)
+    patterns = [{}, {2: 1}, {2: 1, 4: 1, 5: 3}, {2: 5}, {1: 1, 2: 1, 3: 1}, {3: 4},
+                {h: 1 for h in positions}, {2: 4}, {3: 1}, {}]
+    words = [word(points, positions, [rng.randrange(11) for _ in range(2)], errs)
+             for errs in patterns]
+    assert columns_agree(monkeypatch, points, positions, 2, 2, words) > 0
+    messages, flags, failures = BatchDecoder(points, positions, 2, 2).decode_columns(
+        [[values[i] for values in words] for i in range(6)])
+    assert all(messages[m][w] is None for m in range(2) for w in failures)
+    assert not any(w in f for f in flags for w in failures)
+    # stopping at the first failure runs the locator as decode does up to it
+    expected = one_by_one(BatchDecoder(points, positions, 2, 2), words)
+    first = min(w for w, got in enumerate(expected) if isinstance(got, str))
+    (messages, flags, failures), runs = locator_runs(
+        monkeypatch, lambda: BatchDecoder(points, positions, 2, 2).decode_columns(
+            [[values[i] for values in words] for i in range(6)], stop=True))
+    assert {w: str(exc) for w, exc in failures.items()} == {first: expected[first]}
+    assert runs == locator_runs(monkeypatch, lambda: one_by_one(
+        BatchDecoder(points, positions, 2, 2), words[:first + 1]))[1]
+
+
+def test_large_field_uses_wide_slots():
+    # a slot must hold (k + 1)(q - 1)^2 = 4(q - 1)^2 >= 2^64: more than
+    # any array type, so the slots are packed and read byte by byte
+    q = 2 ** 31 + 11
+    points = EvalPoints.consecutive(q, 7)
+    positions = (1, 2, 3, 4, 5, 6, 7)
+    rng = random.Random(61)
+    patterns = [{}, {3: 5}, {3: q - 1, 6: 2}, {1: 1, 2: 1, 4: 1}, {}]
+    msgs = [[rng.randrange(q) for _ in range(3)] for _ in patterns]
+    words = [word(points, positions, m, errs) for m, errs in zip(msgs, patterns)]
+    batch_agrees(points, positions, 3, 2, words)
+    messages, flags, failures = BatchDecoder(points, positions, 3, 2).decode_columns(
+        [[values[i] for values in words] for i in range(7)])
+    assert set(failures) == {3}
+    for w in (0, 1, 2, 4):
+        assert [m[w] for m in messages] == msgs[w]
+        assert {h for h, f in zip(positions, flags) if w in f} == set(patterns[w])
 
 
 def test_batch_decoder_checks_its_shape():
@@ -297,6 +391,13 @@ def test_batch_decoder_checks_its_shape():
         BatchDecoder(points, (1, 1, 2), 1, 0)
     with pytest.raises(ValueError):
         BatchDecoder(points, (1, 2, 3), 2, 0).decode([1, 2])
+    with pytest.raises(ValueError):
+        BatchDecoder(points, (1, 2, 3), 2, 0).decode_columns([[1], [2]])
+    with pytest.raises(ValueError):
+        BatchDecoder(points, (1, 2, 3), 2, 0).decode_columns([[1], [2], [3, 4]])
+    # an empty batch decodes to nothing
+    assert BatchDecoder(points, (1, 2, 3), 2, 0).decode_columns([[], [], []]) == (
+        [[], []], [set(), set(), set()], {})
 
 
 def test_criterion_6_code_edges_match_the_oracle():
