@@ -30,7 +30,7 @@ from .pda import (ConditionAError, ConditionBError, Pda, PdaError,
                   parse, serialize, validate)
 from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedStreams,
                        DimensionMismatch, HonestPermutedSlices, HonestPlusConstant,
-                       Library, MissingSignals, ProtocolError, Query, Randomness,
+                       Library, MissingSignals, ProtocolError, Randomness,
                        STRATEGY_NAMES, ServerStore, Signal, SystemParams,
                        UniformRandom, UserCache, ZeroPayload,
                        adversary_content, adversary_signal, build_storage,
@@ -63,7 +63,7 @@ __all__ = [
     # protocol
     "ALL_STRATEGIES", "CacheSide", "ConfigError", "DecodedStreams",
     "DimensionMismatch", "HonestPermutedSlices", "HonestPlusConstant", "Library",
-    "MissingSignals", "ProtocolError", "Query", "Randomness", "STRATEGY_NAMES",
+    "MissingSignals", "ProtocolError", "Randomness", "STRATEGY_NAMES",
     "ServerStore", "Signal", "SystemParams", "UniformRandom", "UserCache",
     "ZeroPayload", "adversary_content", "adversary_signal", "build_storage",
     "cache_side", "decode_streams", "load_config", "make_query",

@@ -185,7 +185,7 @@ class BoundReport:
     gap_limit_R: Fraction
     rows: tuple[BoundRow, ...]
 
-    def to_csv(self, fileobj=None) -> str:
+    def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["M", "T_ach", "R_ach", "T_lb", "R_lb", "gap_T", "gap_R",
@@ -195,10 +195,7 @@ class BoundReport:
                         float(r.T_lb), float(r.R_lb), float(r.gap_T),
                         float(r.gap_R) if r.gap_R is not None else math.nan,
                         r.regime])
-        text = buf.getvalue()
-        if fileobj is not None:
-            fileobj.write(text)
-        return text
+        return buf.getvalue()
 
 
 def default_grid(params, count: int = 200):
@@ -229,7 +226,7 @@ def _check_envelope_tangency(params):
                 raise AnalysisInvariantError(f"envelope exceeds the u={u} term at M={x}")
 
 
-def gap_report(params, grid=None) -> BoundReport:
+def gap_report(params, grid) -> BoundReport:
     """Achievability vs lower bounds across a memory grid, with regime flags.
 
     Checks, in exact arithmetic: the corner-point envelope matches the
@@ -239,8 +236,6 @@ def gap_report(params, grid=None) -> BoundReport:
     or M >= 2.  The K > N, M < 2 region is only flagged "unbounded".
     """
     N, K, L, A = params.N, params.K, params.L, params.A
-    if grid is None:
-        grid = default_grid(params)
     curve = man_curve(params)
     corner_r = [(p.M, Fraction(K - p.t, p.t + 1)) for p in curve.points]
     hull = lower_envelope(corner_r)

@@ -205,7 +205,7 @@ def _query_grid(space: _Space) -> list:
             ds = _rows(dflat, K, N)
             queries = tuple(make_query(params, ds[k], ps[k]) for k in range(K))
             rows.append((dflat, queries,
-                         tuple(chain.from_iterable(qr.values for qr in queries))))
+                         tuple(chain.from_iterable(queries))))
         grid.append((ps, rows))
     return grid
 
@@ -367,19 +367,19 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
                        witness=witness)
 
 
-def audit_robustness(params: SystemParams, arr: Pda, demand_samples: int = 2,
-                     max_configs: int = 10_000) -> tuple[AuditReport, AuditReport]:
+def audit_robustness(params: SystemParams, arr: Pda) -> tuple[AuditReport, AuditReport]:
     """Replay every delivery configuration within the corruption budget.
 
     Returns a pair of reports: exact recovery of the whole library from
     any J stored contents, and exact scalar-combination decoding by every
     user from any J signals, both under every adversary placement of size
-    up to A and every corruption strategy.
+    up to A and every corruption strategy, for two demand samples and at
+    most 10,000 configurations.
     """
-    sc = sim.Scenario(params=params, pda=arr, demand_samples=demand_samples,
+    sc = sim.Scenario(params=params, pda=arr, demand_samples=2,
                       sweep_j_subsets=True, sweep_adversary_subsets=True,
                       sweep_strategies=True, check_recovery=True,
-                      max_configs=max_configs)
+                      max_configs=10_000)
     result = sim.sweep(sc)
     counts = dict(result.stage_counts)
     reports = []

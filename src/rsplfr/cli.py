@@ -78,6 +78,8 @@ def _cmd_pda_man(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.trace and args.sweep:
         return _fail("--trace applies to single runs, not --sweep", 2)
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}", 2)
     sc = sim.Scenario.from_json(read_config(args.config),
                                 base_dir=Path(args.config).parent)
     sc.params = _seeded(sc.params)
@@ -129,15 +131,16 @@ def _cmd_bounds(args) -> int:
     if args.m is not None and not math.isfinite(args.m):
         raise ConfigError(f"--m must be a finite number, got {args.m}")
     params = _seeded(load_config(args.config)[0])
-    t_lb = analysis.storage_lower_bound(params)
-    print(f"storage lower bound: T >= {t_lb} = {_num(t_lb)}")
     if args.m is not None:
         points = [Fraction(str(args.m))]
     else:
         points = analysis.default_grid(params, args.grid)
+    # every point is range-checked here, before anything is printed
+    r_lbs = [analysis.load_lower_bound(M, params) for M in points]
+    t_lb = analysis.storage_lower_bound(params)
+    print(f"storage lower bound: T >= {t_lb} = {_num(t_lb)}")
     curve = analysis.man_curve(params)
-    for M in points:
-        r_lb = analysis.load_lower_bound(M, params)
+    for M, r_lb in zip(points, r_lbs):
         try:
             t_ach, r_ach = curve.T(M), curve.R(M)
             ach = f" T_ach={_num(t_ach)} R_ach={_num(r_ach)}"

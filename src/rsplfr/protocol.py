@@ -13,7 +13,8 @@ Roles and the objects they hold:
     any I servers combined see pure noise;
   * each user caches packets according to its column of a placement
     delivery array, together with key-padded packet combinations of a
-    random file blend p_k, and queries every server with d_k + p_k;
+    random file blend p_k, and queries every server with d_k + p_k, a
+    plain tuple of N residues;
   * each server answers with one multicast symbol stream per ordinary
     array symbol; across servers the streams form codewords of an MDS
     code of dimension I + L, so any J answers survive A corruptions,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -62,7 +63,8 @@ class SystemParams:
     N files, K users, H servers; at most A adversarial servers, any I
     servers may collude without learning the library, any J answers
     suffice to decode.  Requires A <= I <= J <= H and I + 2A < J, which
-    makes L = J - I - 2A a positive number of data coefficients.
+    makes L = J - I - 2A a positive number of data coefficients.  With q
+    set, server h is evaluated at point h, so q must exceed H.
     """
 
     N: int
@@ -73,7 +75,6 @@ class SystemParams:
     J: int
     q: int | None = None
     B: int | None = None
-    alphas: tuple[int, ...] | None = None
     seed: int = 0
     points: EvalPoints | None = field(default=None, init=False, repr=False,
                                       compare=False)
@@ -94,18 +95,11 @@ class SystemParams:
             raise ProtocolError(
                 f"need I + 2A < J, got I={self.I}, A={self.A}, J={self.J}")
         if self.q is not None:
-            alphas = (tuple(range(1, self.H + 1)) if self.alphas is None
-                      else tuple(self.alphas))
-            if len(alphas) != self.H:
-                raise ProtocolError(f"need {self.H} evaluation points")
             try:
-                points = EvalPoints(self.q, alphas)
+                points = EvalPoints.consecutive(self.q, self.H)
             except ValueError as exc:
                 raise ProtocolError(str(exc)) from exc
-            object.__setattr__(self, "alphas", points.alphas)
             object.__setattr__(self, "points", points)
-        elif self.alphas is not None:
-            raise ProtocolError("evaluation points need q")
         if self.B is not None and self.B < 1:
             raise ProtocolError(f"B must be >= 1, got {self.B}")
 
@@ -171,15 +165,6 @@ class Randomness:
                            for _ in range(S)) for _ in range(L))
         lambdas = tuple(tuple(tuple(rng.randrange(q) for _ in range(pkt))
                               for _ in range(S)) for _ in range(I))
-        return cls(deltas, vees, lambdas)
-
-    @classmethod
-    def zeros(cls, params: SystemParams, pda: Pda) -> "Randomness":
-        subL, pkt = _dims(params, pda)
-        N, I, L, S = params.N, params.I, params.L, pda.S
-        deltas = tuple(tuple((0,) * subL for _ in range(I)) for _ in range(N))
-        vees = tuple(tuple((0,) * pkt for _ in range(S)) for _ in range(L))
-        lambdas = tuple(tuple((0,) * pkt for _ in range(S)) for _ in range(I))
         return cls(deltas, vees, lambdas)
 
 
@@ -267,21 +252,13 @@ class UserCache:
 
 
 @dataclass(frozen=True)
-class Query:
-    """What a user sends to every server: its demand shifted by its blend."""
-
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Signal:
-    """One server's answer: the query echo and one packet per stream.
+    """One server's answer: one packet per stream.
 
     ``honest`` is simulator bookkeeping only; decoders never read it.
     """
 
     h: int
-    queries: tuple[Query, ...]
     payload: tuple[tuple[int, ...], ...]  # S x B/(L*F)
     honest: bool = True
 
@@ -297,7 +274,7 @@ def build_storage(params: SystemParams, pda: Pda,
     bank = PolyBank(params, pda, library, randomness)
     q = params.q
     stores = []
-    for h, a in enumerate(params.alphas, start=1):
+    for h, a in enumerate(params.points.alphas, start=1):
         coded_subfiles = tuple(tuple(horner(coeffs, a, q) for coeffs in per_file)
                                for per_file in bank.file_coeffs)
         coded_keys = tuple(tuple(horner(coeffs, a, q) for coeffs in per_key)
@@ -343,13 +320,14 @@ def place_user(params: SystemParams, pda: Pda, library: Library,
     return UserCache(k=k, p=p, uncoded=uncoded, keys=keys)
 
 
-def make_query(params: SystemParams, d_k, p_k) -> Query:
+def make_query(params: SystemParams, d_k, p_k) -> tuple[int, ...]:
+    """What user k sends to every server: its demand shifted by its blend."""
     q = params.q
     if q is None:
         raise ProtocolError("q is not set")
     if len(d_k) != params.N or len(p_k) != params.N:
         raise DimensionMismatch(f"demand and blend vectors must hold {params.N} symbols")
-    return Query(tuple((d + p) % q for d, p in zip(d_k, p_k)))
+    return tuple((d + p) % q for d, p in zip(d_k, p_k))
 
 
 def server_signal(params: SystemParams, pda: Pda,
@@ -363,7 +341,7 @@ def server_signal(params: SystemParams, pda: Pda,
     for s in range(1, pda.S + 1):
         acc = list(store.coded_keys[s - 1])
         for (j, v) in pda.occurrences(s):
-            qv = queries[v].values
+            qv = queries[v]
             base = j * pkt
             for r in range(pkt):
                 t = acc[r]
@@ -373,7 +351,7 @@ def server_signal(params: SystemParams, pda: Pda,
                         t += c * store.coded_subfiles[n][base + r]
                 acc[r] = t % q
         payload.append(tuple(acc))
-    return Signal(h=store.h, queries=queries, payload=tuple(payload), honest=True)
+    return Signal(h=store.h, payload=tuple(payload), honest=True)
 
 
 # ---------- adversaries ----------
@@ -405,12 +383,12 @@ class ZeroPayload:
 class HonestPlusConstant:
     """Shift every honest symbol by a fixed constant."""
 
-    c: int = 1
+    constant: int = 1
 
     label = "honest_plus_constant"
 
     def corrupt(self, flat, q, rng):
-        return [(x + self.c) % q for x in flat]
+        return [(x + self.constant) % q for x in flat]
 
 
 @dataclass(frozen=True)
@@ -428,22 +406,16 @@ class HonestPermutedSlices:
 ALL_STRATEGIES = (UniformRandom(), ZeroPayload(), HonestPlusConstant(1),
                   HonestPermutedSlices())
 
-STRATEGY_NAMES = {
-    "uniform_random": UniformRandom,
-    "zero_payload": ZeroPayload,
-    "honest_plus_constant": HonestPlusConstant,
-    "honest_permuted_slices": HonestPermutedSlices,
-}
+STRATEGY_NAMES = {s.label: type(s) for s in ALL_STRATEGIES}
 
 
 def strategy_key(strategy) -> str:
-    """Stable text form, used for deterministic per-config seeding."""
-    parts = [strategy.label]
-    if isinstance(strategy, UniformRandom):
-        parts.append(str(strategy.seed))
-    if isinstance(strategy, HonestPlusConstant):
-        parts.append(str(strategy.c))
-    return ":".join(parts)
+    """Stable text form, used for deterministic per-config seeding.
+
+    The label, then the value of every dataclass field, in field order.
+    """
+    return ":".join([strategy.label]
+                    + [str(getattr(strategy, f.name)) for f in fields(strategy)])
 
 
 def _corrupt(params: SystemParams, strategy, parts, rng: random.Random) -> tuple:
@@ -461,19 +433,15 @@ def _corrupt(params: SystemParams, strategy, parts, rng: random.Random) -> tuple
 
 
 def adversary_signal(params: SystemParams, strategy, honest: Signal,
-                     rng: random.Random | None = None) -> Signal:
+                     rng: random.Random) -> Signal:
     """A corrupted answer, transformed from the server's own honest answer."""
-    if rng is None:
-        rng = random.Random(f"{params.seed}:adv:{honest.h}:{strategy_key(strategy)}")
     payload = _corrupt(params, strategy, honest.payload, rng)
-    return Signal(h=honest.h, queries=honest.queries, payload=payload, honest=False)
+    return Signal(h=honest.h, payload=payload, honest=False)
 
 
 def adversary_content(params: SystemParams, strategy, store: ServerStore,
-                      rng: random.Random | None = None) -> ServerStore:
+                      rng: random.Random) -> ServerStore:
     """Corrupted stored contents of the honest shape, from the store alone."""
-    if rng is None:
-        rng = random.Random(f"{params.seed}:content:{store.h}:{strategy_key(strategy)}")
     n = len(store.coded_subfiles)
     parts = _corrupt(params, strategy, store.coded_subfiles + store.coded_keys, rng)
     return ServerStore(h=store.h, coded_subfiles=parts[:n], coded_keys=parts[n:])
@@ -574,7 +542,7 @@ class CacheSide:
 
 def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
                d_k, queries) -> CacheSide:
-    """Check user k's query echo and build its cache side for demand d_k.
+    """Check the queries the servers answered; build user k's cache side for d_k.
 
     For each stream symbol in its column, the user subtracts its keyed
     blend packet and, for every other occurrence of the symbol, the
@@ -590,7 +558,7 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
     expect = tuple((d + p) % q for d, p in zip(d_k, cache.p))
     if len(d_k) != N:
         raise DimensionMismatch(f"demand vector must hold {N} symbols")
-    if queries[k0].values != expect:
+    if queries[k0] != expect:
         raise ProtocolError(f"query of user {cache.k} does not match demand + blend")
 
     d = tuple(v % q for v in d_k)
@@ -616,7 +584,7 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
                 for r in range(pkt):
                     val = -keyed[l][r]
                     for (u, v) in others:
-                        qv = queries[v].values
+                        qv = queries[v]
                         rows = cache.uncoded[u]
                         for n in range(N):
                             c = qv[n]
@@ -651,8 +619,8 @@ def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
     return out
 
 
-def recover_library(params: SystemParams, contents) -> Library:
-    """Rebuild the whole library from any J stored contents, <= A corrupt.
+def recover_library(params: SystemParams, stores) -> Library:
+    """Rebuild the whole library from the stores of any J servers, <= A corrupt.
 
     Slice by slice, the J evaluations of each file polynomial form an
     MDS codeword of dimension I + L whose first L coefficients are the
@@ -660,14 +628,11 @@ def recover_library(params: SystemParams, contents) -> Library:
     """
     if params.q is None or params.B is None:
         raise ProtocolError("protocol operations need q and B")
-    if hasattr(contents, "items"):
-        by_h = dict(contents)
-    else:
-        by_h = {}
-        for store in contents:
-            if store.h in by_h:
-                raise ProtocolError(f"duplicate contents for server {store.h}")
-            by_h[store.h] = store
+    by_h = {}
+    for store in stores:
+        if store.h in by_h:
+            raise ProtocolError(f"duplicate contents for server {store.h}")
+        by_h[store.h] = store
     if len(by_h) != params.J:
         raise ProtocolError(f"need contents of {params.J} servers, got {len(by_h)}")
     L, I, N = params.L, params.I, params.N
@@ -677,8 +642,6 @@ def recover_library(params: SystemParams, contents) -> Library:
     for h, st in by_h.items():
         if not (_is_int(h) and 1 <= h <= params.H):
             raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
-        if st.h != h:
-            raise ProtocolError(f"contents given for server {h} are server {st.h}'s")
         if len(st.coded_subfiles) != N or any(len(v) != subL for v in st.coded_subfiles):
             raise DimensionMismatch(f"contents of server {h} have the wrong shape")
     decoder = rscode.BatchDecoder(params.points, by_h, I + L, params.A)

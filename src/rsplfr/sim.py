@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from multiprocessing import get_context
@@ -127,15 +127,11 @@ def _strategy_from_json(obj):
     if not isinstance(name, str) or name not in STRATEGY_NAMES:
         raise ConfigError(f"unknown strategy {name!r}; choose from {sorted(STRATEGY_NAMES)}")
     cls = STRATEGY_NAMES[name]
-    if name == "honest_plus_constant":
-        args = [_int(extra.pop("constant", 1), '"constant"')]
-    elif name == "uniform_random":
-        args = [_int(extra.pop("seed", 0), '"seed"')]
-    else:
-        args = []
+    kwargs = {f.name: _int(extra.pop(f.name), f'"{f.name}"')
+              for f in fields(cls) if f.name in extra}
     if extra:
         raise ConfigError(f"strategy {name!r} does not take fields {sorted(extra)}")
-    return cls(*args)
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -305,8 +301,8 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
               for queries in queries_list]
     truth_list = [[_ground_truth(state.library, demand[k - 1], params.q)
                    for k in range(1, params.K + 1)] for demand in demand_list]
-    # a side whose query echo fails is kept as its error: it fails that
-    # user's decodes only
+    # a side whose check of the answered queries fails is kept as its
+    # error: it fails that user's decodes only
     sides_list = []
     for demand, queries in zip(demand_list, queries_list):
         sides = []
@@ -330,13 +326,13 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         key = strategy_key(strat)
         label = {"j_subset": js, "adversaries": adv, "strategy": key}
         if sc.check_recovery:
-            contents = {}
+            contents = []
             for h in js:
                 st = state.stores[h - 1]
                 if h in adv:
                     rng = random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
                     st = adversary_content(params, strat, st, rng)
-                contents[h] = st
+                contents.append(st)
             try:
                 recovered = recover_library(params, contents)
                 if recovered.files != state.library.files:
@@ -395,7 +391,7 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
             "library": [list(f) for f in state.library.files],
             "blends": [list(p) for p in state.ps],
             "demands": [list(d) for d in demand],
-            "queries": [list(qr.values) for qr in rep.queries],
+            "queries": [list(qr) for qr in rep.queries],
             "stores": [{"h": st.h,
                         "coded_subfiles": [list(v) for v in st.coded_subfiles],
                         "coded_keys": [list(v) for v in st.coded_keys]}

@@ -421,6 +421,30 @@ def test_bounds_rejects_non_finite_memory(m, capsys):
     assert err.startswith("error: --m must be a finite number")
 
 
+@pytest.mark.parametrize("arg, message", [
+    ("--m=0.5", "M=1/2 outside [1, 10]"),
+    ("--m=11", "M=11 outside [1, 10]"),
+    ("--grid=1", "grid needs at least 2 points"),
+    ("--grid=0", "grid needs at least 2 points"),
+], ids=["m=0.5", "m=11", "grid=1", "grid=0"])
+def test_bounds_checks_every_memory_point_before_printing(arg, message, capsys):
+    rc = main(["bounds", "--config", str(CONFIGS / "tradeoff_n10_k100.json"), arg])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_a_usage_error(jobs, capsys):
+    rc = main(["simulate", "--config", str(CONFIGS / "robust_sweep.json"),
+               "--sweep", f"--jobs={jobs}"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -55,7 +55,7 @@ def test_params_derive_payload_dimension():
 
 
 def test_params_default_evaluation_points():
-    assert TOY.alphas == (1, 2, 3, 4, 5, 6)
+    assert TOY.points.alphas == (1, 2, 3, 4, 5, 6)
     assert TOY.points.q == 7
 
 
@@ -68,10 +68,6 @@ def test_params_invalid_combinations_rejected():
         SystemParams(N=2, K=1, H=2, A=2, I=1, J=2, q=5)  # A > I
     with pytest.raises(ProtocolError):
         SystemParams(N=2, K=1, H=3, A=0, I=1, J=2, q=3)  # q <= H
-    with pytest.raises(ProtocolError):
-        SystemParams(N=2, K=1, H=2, A=0, I=1, J=2, q=5, alphas=(1, 1))
-    with pytest.raises(ProtocolError):
-        SystemParams(N=2, K=1, H=2, A=0, I=1, J=2, alphas=(1, 2))
 
 
 # ---------- storage ----------
@@ -134,7 +130,7 @@ def test_full_caching_column_stores_whole_library():
 
 def test_cache_rejects_out_of_range_user():
     library = Library(((0,), (0,)))
-    randomness = Randomness.zeros(MICRO, MICRO_PDA)
+    randomness = Randomness.sample(MICRO, MICRO_PDA, random.Random(0))
     with pytest.raises(ProtocolError):
         place_user(MICRO, MICRO_PDA, library, randomness, 2, [0, 0])
 
@@ -144,7 +140,7 @@ def test_cache_rejects_out_of_range_user():
 
 def test_query_is_demand_plus_blend():
     params = SystemParams(N=4, K=1, H=2, A=0, I=1, J=2, q=5)
-    assert make_query(params, [1, 0, 0, 0], [2, 4, 1, 3]).values == (3, 4, 1, 3)
+    assert make_query(params, [1, 0, 0, 0], [2, 4, 1, 3]) == (3, 4, 1, 3)
 
 
 def test_query_length_checked():
@@ -230,7 +226,7 @@ def test_single_adversary_is_corrected():
     for strategy in ALL_STRATEGIES:
         signals = [server_signal(params, TOY_PDA, st, queries)
                    for st in stores[:params.J]]
-        signals[2] = adversary_signal(params, strategy, signals[2])
+        signals[2] = adversary_signal(params, strategy, signals[2], random.Random(0))
         assert not signals[2].honest
         (streams,) = decode_streams(params, TOY_PDA, [signals])
         assert user_decode(params, TOY_PDA, side, streams) == expected
@@ -260,8 +256,7 @@ def test_partial_slice_corruption_is_corrected():
         for bit, (s, r) in enumerate(cells):
             if mask >> bit & 1:
                 payload[s][r] = (payload[s][r] + 1 + bit % 6) % 7
-        bad = Signal(h=honest.h, queries=honest.queries,
-                     payload=tuple(tuple(p) for p in payload), honest=False)
+        bad = Signal(h=honest.h, payload=tuple(tuple(p) for p in payload), honest=False)
         (streams,) = decode_streams(params, TOY_PDA, [signals[:2] + [bad] + signals[3:]])
         assert not streams.failures
         for k in range(3):
@@ -278,8 +273,7 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
     for i in (0, 1):
         payload = list(signals[i].payload)
         payload[0] = tuple((x + 1) % 7 for x in payload[0])
-        signals[i] = Signal(h=signals[i].h, queries=signals[i].queries,
-                            payload=tuple(payload), honest=False)
+        signals[i] = Signal(h=signals[i].h, payload=tuple(payload), honest=False)
     (streams,) = decode_streams(params, TOY_PDA, [signals])
     assert set(streams.failures) == {1}
     for k in range(1, 4):
@@ -302,8 +296,7 @@ def test_a_stream_fails_with_its_first_failing_slice():
 
     def shifted(sig, deltas):
         first = tuple((x + d) % 7 for x, d in zip(sig.payload[0], deltas))
-        return Signal(h=sig.h, queries=sig.queries, payload=(first,) + sig.payload[1:],
-                      honest=False)
+        return Signal(h=sig.h, payload=(first,) + sig.payload[1:], honest=False)
 
     both = [shifted(signals[0], (1, 1)), shifted(signals[1], (1, 2))] + signals[2:]
     second = [shifted(signals[0], (0, 1)), shifted(signals[1], (0, 2))] + signals[2:]
@@ -333,13 +326,12 @@ def test_decode_checks_every_signal_shape():
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
     last = signals[4]
     # the last stream's packet one symbol short, in the second delivery
-    short = Signal(h=last.h, queries=last.queries,
-                   payload=last.payload[:-1] + (last.payload[-1][:-1],))
+    short = Signal(h=last.h, payload=last.payload[:-1] + (last.payload[-1][:-1],))
     with pytest.raises(DimensionMismatch, match="server 5"):
         decode_streams(params, TOY_PDA, [signals, signals[:4] + [short]])
     with pytest.raises(DimensionMismatch, match="server 5"):
         decode_streams(params, TOY_PDA, [signals[:4] + [Signal(
-            h=last.h, queries=last.queries, payload=last.payload[:-1])]])
+            h=last.h, payload=last.payload[:-1])]])
 
 
 def test_deliveries_must_come_from_the_same_servers():
@@ -427,8 +419,8 @@ def test_recover_library_from_any_j_contents():
 def test_recover_library_with_one_corrupted_content():
     params, library, randomness, stores, ps, caches = build_toy_state(10)
     for strategy in ALL_STRATEGIES:
-        contents = {st.h: st for st in stores[:params.J]}
-        contents[2] = adversary_content(params, strategy, stores[1])
+        contents = stores[:params.J]
+        contents[1] = adversary_content(params, strategy, stores[1], random.Random(0))
         assert recover_library(params, contents).files == library.files
 
 
@@ -439,10 +431,10 @@ def test_two_corruptions_exceed_the_budget_detectably():
     library = Library.random(params, random.Random(12))
     randomness = Randomness.sample(params, ROBUST_PDA, random.Random(13))
     stores = build_storage(params, ROBUST_PDA, library, randomness)
-    contents = {st.h: st for st in stores[:params.J]}
+    contents = stores[:params.J]
     bump = HonestPlusConstant(1)
-    contents[1] = adversary_content(params, bump, stores[0])
-    contents[2] = adversary_content(params, bump, stores[1])
+    contents[0] = adversary_content(params, bump, stores[0], random.Random(0))
+    contents[1] = adversary_content(params, bump, stores[1], random.Random(0))
     with pytest.raises(DecodingFailure):
         recover_library(params, contents)
 
@@ -457,13 +449,10 @@ def test_recover_rejects_wrong_count_and_duplicates():
 
 def test_recover_checks_the_server_keys():
     params, library, randomness, stores, ps, caches = build_toy_state(14)
-    contents = {st.h: st for st in stores[:4]}
     with pytest.raises(ProtocolError, match="server 9 outside"):
-        recover_library(params, {**contents, 9: stores[4]})
+        recover_library(params, stores[:4] + [replace(stores[4], h=9)])
     with pytest.raises(ProtocolError, match="server '5' outside"):
-        recover_library(params, {**contents, "5": stores[4]})
-    with pytest.raises(ProtocolError, match="server 5's"):
-        recover_library(params, {**contents, 6: stores[4]})
+        recover_library(params, stores[:4] + [replace(stores[4], h="5")])
 
 
 # ---------- adversary plumbing ----------
@@ -476,25 +465,24 @@ def test_strategies_transform_the_flat_payload():
     honest = server_signal(params, TOY_PDA, stores[0], queries)
     flat = [x for p in honest.payload for x in p]
 
-    zeroed = adversary_signal(params, ZeroPayload(), honest)
+    zeroed = adversary_signal(params, ZeroPayload(), honest, random.Random(0))
     assert [x for p in zeroed.payload for x in p] == [0] * len(flat)
 
-    bumped = adversary_signal(params, HonestPlusConstant(2), honest)
+    bumped = adversary_signal(params, HonestPlusConstant(2), honest, random.Random(0))
     assert [x for p in bumped.payload for x in p] == [(x + 2) % 7 for x in flat]
 
-    rotated = adversary_signal(params, HonestPermutedSlices(), honest)
+    rotated = adversary_signal(params, HonestPermutedSlices(), honest, random.Random(0))
     assert [x for p in rotated.payload for x in p] == flat[1:] + [flat[0]]
 
-    noisy1 = adversary_signal(params, UniformRandom(), honest)
-    noisy2 = adversary_signal(params, UniformRandom(), honest)
-    assert noisy1.payload == noisy2.payload  # same derived stream, same draw
-    assert noisy1.queries == honest.queries
+    noisy1 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
+    noisy2 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
+    assert noisy1.payload == noisy2.payload  # same seeded stream, same draw
 
 
 def test_adversary_content_preserves_shape():
     params, library, randomness, stores, ps, caches = build_toy_state(16)
     for strategy in ALL_STRATEGIES:
-        fake = adversary_content(params, strategy, stores[3])
+        fake = adversary_content(params, strategy, stores[3], random.Random(0))
         assert fake.h == stores[3].h
         assert [len(v) for v in fake.coded_subfiles] == \
             [len(v) for v in stores[3].coded_subfiles]
@@ -503,10 +491,12 @@ def test_adversary_content_preserves_shape():
 
 
 def test_strategy_keys_are_stable_and_distinct():
-    keys = {strategy_key(s) for s in ALL_STRATEGIES}
-    assert len(keys) == 4
-    assert strategy_key(HonestPlusConstant(3)) != strategy_key(HonestPlusConstant(1))
-    assert strategy_key(UniformRandom(5)) != strategy_key(UniformRandom(0))
+    # the keys seed every adversary's random stream: they must never change
+    assert [strategy_key(s) for s in ALL_STRATEGIES] == [
+        "uniform_random:0", "zero_payload", "honest_plus_constant:1",
+        "honest_permuted_slices"]
+    assert strategy_key(UniformRandom(5)) == "uniform_random:5"
+    assert strategy_key(HonestPlusConstant(3)) == "honest_plus_constant:3"
 
 
 # ---------- dimension errors and config ----------

@@ -6,8 +6,7 @@ import pytest
 
 from rsplfr.analysis import msc_from_pda
 from rsplfr.pda import man_pda
-from rsplfr.protocol import (ConfigError, HonestPlusConstant, Query, SystemParams,
-                             UniformRandom)
+from rsplfr.protocol import ConfigError, HonestPlusConstant, SystemParams, UniformRandom
 from rsplfr.sim import Scenario, ScenarioError, run, sweep
 
 TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
@@ -193,7 +192,7 @@ def test_a_failed_query_echo_fails_only_that_users_decodes(monkeypatch):
         query = original(params, d_k, p_k)
         made.append(query)
         if len(made) % params.K == 1:  # queries are made for users 1..K in turn
-            return Query(((query.values[0] + 1) % params.q,) + query.values[1:])
+            return ((query[0] + 1) % params.q,) + query[1:]
         return query
 
     monkeypatch.setattr(rsplfr.sim, "make_query", shifted)
