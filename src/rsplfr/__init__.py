@@ -9,7 +9,7 @@ field absorbs the corruption.
 
 Layout: prime field arithmetic (ff), placement delivery arrays (pda),
 errors-and-erasures codes (rscode), the storage/placement/delivery/
-decode pipeline (protocol), exhaustive leakage and recovery audits
+decode pipeline (protocol), exact leakage and recovery audits
 (audit), achievable triples and converse bounds (analysis), seeded
 end-to-end simulation (sim), and the command line front end (cli).
 """

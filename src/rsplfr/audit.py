@@ -1,36 +1,53 @@
-"""Exhaustive information-theoretic audits over tiny instances.
+"""Exact information-theoretic audits over tiny instances.
 
-Each audit enumerates every equally likely joint outcome (library,
-randomness, blend vectors, demands), tabulates integer counts of
-(secret, observation) pairs, and reports mutual information in bits.
+Server and signal security are computed from ranks over F_q.  Stores
+are linear in (library, noise, keys, masks), and for fixed queries the
+signals are linear in the stores, so for uniform secrets the leakage is
+exactly I(W; Y) = (rank [G_W | G_R] - rank G_R) log2 q.  The columns of
+G are the production ``build_storage`` and ``server_signal`` outputs on
+unit vectors of the (library, randomness) space; linearity is checked
+at zero and at seeded random inputs before any column is trusted, and
+a failed check raises ``AuditError``.  A gap of 0 is a literal 0.0.
+
+Demand privacy, and the enumeration oracles that the rank audits are
+tested against, enumerate every equally likely joint outcome (library,
+randomness, blend vectors, demands), tabulate integer counts of
+(secret, observation) pairs, and report mutual information in bits.
 Independence is detected by an exact integer rank-one test on the
 count table, so a passing audit returns a literal 0.0 rather than a
 small float.  Priors are uniform by construction; there is no hook
-for weighting outcomes.
+for weighting outcomes.  Every audit reports, and refuses above its
+cap, the joint outcomes its figure covers, whether or not they are
+enumerated.
 
 Corruption by the bounded adversaries cannot make these leakage
 figures worse: every deterministic strategy is a function of the
 honest signal, and the randomized one adds noise drawn independently
-of all secrets.  The audits therefore enumerate honest transcripts.
+of all secrets.  The audits therefore cover honest transcripts.
 
-Repeated work is left out, never outcomes: queries depend only on
-(blends, demands), so they are built once per pair before the library
-and randomness loops, and since ``server_signal`` is a pure function of
-(store, queries), each server answers each distinct query vector once
-per (library, randomness) outcome.  The demand-privacy audit builds the
-stores once per (library, randomness) outcome for all coalitions.
-Every outcome is still counted, in the original order.
+Queries depend only on (blends, demands), so every audit builds them
+once per pair.  The enumerations leave out repeated work, never
+outcomes: since ``server_signal`` is a pure function of (store,
+queries), the signal oracle has each server answer each distinct query
+vector once per (library, randomness) outcome, and the demand-privacy
+audit builds the stores once per (library, randomness) outcome for all
+coalitions.  Every outcome is still counted, in the original order.
+The signal rank audit answers each distinct query vector once per
+probe store.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
-which shrinks the enumeration instead of changing protocol code.
+which drops those coordinates from the outcome space instead of
+changing protocol code.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations, product
 
 from . import sim
@@ -48,6 +65,10 @@ class InfeasibleAuditError(AuditError):
 
 
 MUTATIONS = ("zero-noise", "key-removal", "zero-pad")
+
+# the rank audits check linearity at zero and at _CHECKS seeded random inputs
+_CHECK_SEED = 0
+_CHECKS = 2
 
 
 def _check_mutations(mutations) -> frozenset:
@@ -85,7 +106,7 @@ class AuditReport:
     constraint: str
     satisfied: bool
     mi_bits: float | None            # worst table, None for replay-style checks
-    outcomes: int                    # joint outcomes enumerated or configs replayed
+    outcomes: int                    # joint outcomes the figure covers, or configs replayed
     tables: int
     details: tuple[tuple[str, float], ...]
     witness: dict | None = None
@@ -125,6 +146,11 @@ def _space(params: SystemParams, arr: Pda, muts: frozenset) -> _Space:
         n_p=0 if "zero-pad" in muts else params.K * params.N,
         n_d=params.K * params.N,
     )
+
+
+def _n_inputs(space: _Space) -> int:
+    """Coordinates of one (library, randomness) outcome, after mutations."""
+    return space.n_w + space.n_delta + space.n_vee + space.n_lambda
 
 
 def _guard(space: _Space, dims: int, constraint: str, cap: int,
@@ -215,29 +241,92 @@ def _u_space(space: _Space):
     return product(range(q), repeat=space.n_delta + space.n_vee + space.n_lambda)
 
 
+# ---------- rank audits ----------
+
+
+def _probe_inputs(space: _Space) -> list:
+    """The n unit vectors, then the inputs that check linearity.
+
+    The checks are the zero vector and two vectors from a fixed-seed
+    generator; a mutation's pinned coordinates are not in the space.
+    """
+    n, q = _n_inputs(space), space.params.q
+    rng = random.Random(_CHECK_SEED)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return units + [(0,) * n] + [tuple(rng.randrange(q) for _ in range(n))
+                                 for _ in range(_CHECKS)]
+
+
+def _columns(space: _Space, inputs: list, outputs: list, what: str) -> list:
+    """The outputs at the unit vectors, once f(x) = sum x_i f(e_i) holds
+    at every check input x; the generator is untrusted until then."""
+    n, q = _n_inputs(space), space.params.q
+    cols = outputs[:n]
+    for x, got in zip(inputs[n:], outputs[n:]):
+        want = tuple(sum(xi * col[r] for xi, col in zip(x, cols)) % q
+                     for r in range(len(cols[0])))
+        if tuple(got) != want:
+            raise AuditError(f"{what} is not linear over F_{q} in "
+                             f"(library, randomness); the rank audit needs it")
+    return cols
+
+
+def _probe_stores(space: _Space) -> tuple[list, list]:
+    """Every probe input with the server stores built from it."""
+    params, arr, w = space.params, space.arr, space.n_w
+    inputs = _probe_inputs(space)
+    stores = [build_storage(params, arr, _library(space, x[:w]),
+                            _randomness(space, x[w:])) for x in inputs]
+    _columns(space, inputs,
+             [tuple(chain.from_iterable(_contents(st) for st in sts))
+              for sts in stores], "build_storage")
+    return inputs, stores
+
+
+def _rank_gap(columns: list, split: int, q: int) -> int:
+    """rank G - rank G[:, split:] over F_q, for G given by its columns.
+
+    The randomness columns (from `split` on) are eliminated first; the gap
+    is the number of library columns that still raise the rank.
+    """
+    basis: dict = {}                     # leading index -> row, leading entry 1
+    gap = 0
+    for c in chain(range(split, len(columns)), range(split)):
+        v = [x % q for x in columns[c]]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        while lead in basis:
+            f, row = v[lead], basis[lead]
+            v = [(x - f * y) % q for x, y in zip(v, row)]
+            lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], q - 2, q)
+        basis[lead] = [x * inv % q for x in v]
+        gap += c < split
+    return gap
+
+
 def audit_server_security(params: SystemParams, arr: Pda, mutations=(),
                           cap: int = 2_000_000) -> AuditReport:
-    """Any set of at most I server stores must be independent of the library."""
+    """Any set of at most I server stores must be independent of the library.
+
+    The stores of T are G_W W + G_R R for the uniform library W and
+    randomness R, so I(W; stores) = (rank G - rank G_R) log2 q exactly.
+    G's columns are the production stores of the probe inputs.
+    """
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
-    q = params.q
-    per_table = _guard(space, space.n_w + space.n_delta + space.n_vee
-                       + space.n_lambda, "server-security", cap)
+    per_table = _guard(space, _n_inputs(space), "server-security", cap)
     subsets = list(combinations(range(1, params.H + 1), params.I))
-    tables = {T: {} for T in subsets}
-    for wflat in product(range(q), repeat=space.n_w):
-        library = _library(space, wflat)
-        for uflat in _u_space(space):
-            stores = build_storage(params, arr, library, _randomness(space, uflat))
-            zed = [_contents(st) for st in stores]
-            for T in subsets:
-                key = (wflat, tuple(zed[h - 1] for h in T))
-                tables[T][key] = tables[T].get(key, 0) + 1
+    _, stores = _probe_stores(space)
+    zeds = [[_contents(st) for st in sts] for sts in stores[:_n_inputs(space)]]
     details = []
     worst = 0.0
     witness = None
     for T in subsets:
-        mi = exact_mi(tables[T])
+        cols = [tuple(chain.from_iterable(zed[h - 1] for h in T)) for zed in zeds]
+        gap = _rank_gap(cols, space.n_w, params.q)
+        mi = gap * math.log2(params.q)
         details.append((f"servers={list(T)}", mi))
         if mi > worst:
             worst = mi
@@ -251,50 +340,59 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
                           cap: int = 2_000_000) -> AuditReport:
     """Queries plus every server's payload must be independent of the library.
 
-    A second, stronger table checks the pair (library, demands) against the
-    same observation, so the transmission leaks neither content nor intent.
+    A second, stronger figure holds the pair (library W, demands D) against
+    the same observation (queries Q, payloads Y), so the transmission leaks
+    neither content nor intent.
+
+    For fixed Q the payloads are G_W(Q) W + G_R(Q) R, with G(Q)'s columns
+    the production payloads on the probe stores.  Q is a function of
+    (blends, demands), which are independent of (W, R), so
+        I(W; Q, Y) = I(W; Y | Q) = E_Q[rank G(Q) - rank G_R(Q)] log2 q,
+    the mean over equally likely grid points.  Given (Q, W), Y depends only
+    on R, so I(D; Y | Q, W) = 0, and W is independent of (D, Q):
+        I((W, D); (Q, Y)) = I((W, D); Q) + I((W, D); Y | Q)
+                          = I(D; Q) + I(W; Y | Q),
+    where I(D; Q) comes from the exact count table over the grid.
     """
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
     q = params.q
-    total = _guard(space, space.n_w + space.n_delta + space.n_vee
-                   + space.n_lambda + space.n_p + space.n_d,
+    total = _guard(space, _n_inputs(space) + space.n_p + space.n_d,
                    "signal-security", cap)
-    table: dict = {}
-    strong: dict = {}
-    grid = _query_grid(space)
-    for wflat in product(range(q), repeat=space.n_w):
-        library = _library(space, wflat)
-        for uflat in _u_space(space):
-            stores = build_storage(params, arr, library, _randomness(space, uflat))
-            # server_signal is a pure function of (store, queries): answer
-            # each distinct query vector once within this outcome
-            answers: dict = {}
-            for _ps, rows in grid:
-                for dflat, queries, qvals in rows:
-                    payloads = answers.get(qvals)
-                    if payloads is None:
-                        payloads = answers[qvals] = tuple(
-                            tuple(chain.from_iterable(
-                                server_signal(params, arr, st, queries).payload))
-                            for st in stores)
-                    obs = (qvals, payloads)
-                    key = (wflat, obs)
-                    table[key] = table.get(key, 0) + 1
-                    skey = ((wflat, dflat), obs)
-                    strong[skey] = strong.get(skey, 0) + 1
-    mi_main = exact_mi(table)
-    mi_strong = exact_mi(strong)
+    inputs, stores = _probe_stores(space)
+    gaps: dict = {}
+    gap_sum = 0
+    grid_points = 0
+    demand_query: dict = {}
+    for _ps, rows in _query_grid(space):
+        for dflat, queries, qvals in rows:
+            gap = gaps.get(qvals)
+            if gap is None:
+                outputs = [tuple(v for st in sts for packet in
+                                 server_signal(params, arr, st, queries).payload
+                                 for v in packet) for sts in stores]
+                gap = gaps[qvals] = _rank_gap(
+                    _columns(space, inputs, outputs, "server_signal"), space.n_w, q)
+            gap_sum += gap
+            grid_points += 1
+            key = (dflat, qvals)
+            demand_query[key] = demand_query.get(key, 0) + 1
+    mi_main = Fraction(gap_sum, grid_points) * math.log2(q)    # a float
+    mi_demands = exact_mi(demand_query)
+    mi_strong = mi_demands + mi_main
     worst = max(mi_main, mi_strong)
     witness = None
     if worst > 0.0:
-        which = "library" if mi_main >= mi_strong else "library+demands"
+        which = "library" if mi_demands == 0.0 else "library+demands"
         witness = {"secret": which, "mi_bits": worst}
     return AuditReport(constraint="signal-security", satisfied=worst == 0.0,
                        mi_bits=worst, outcomes=total, tables=2,
                        details=(("secret=library", mi_main),
                                 ("secret=library+demands", mi_strong)),
                        witness=witness)
+
+
+# ---------- enumeration and replay audits ----------
 
 
 def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
@@ -314,8 +412,8 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     coalitions = [tuple(c) for r in range(K + 1)
                   for c in combinations(range(1, K + 1), r)]
     real = [S for S in coalitions if len(S) < K]
-    outcomes = _guard(space, space.n_w + space.n_delta + space.n_vee + space.n_lambda
-                      + space.n_p + space.n_d, "demand-privacy", cap, len(real))
+    outcomes = _guard(space, _n_inputs(space) + space.n_p + space.n_d,
+                      "demand-privacy", cap, len(real))
     grid = _query_grid(space)
     # the stores depend only on the (library, randomness) outcome, so
     # they are built once and shared by every coalition
@@ -392,6 +490,89 @@ def audit_robustness(params: SystemParams, arr: Pda) -> tuple[AuditReport, Audit
             details=((f"failures={bad}", float(bad)),),
             witness=dict(sample[0]) if sample else None))
     return reports[0], reports[1]
+
+
+# ---------- enumeration oracles ----------
+
+
+def enumerate_server_security(params: SystemParams, arr: Pda, mutations=(),
+                              cap: int = 2_000_000) -> AuditReport:
+    """Oracle for `audit_server_security`: tabulate every joint outcome."""
+    muts = _check_mutations(mutations)
+    space = _space(params, arr, muts)
+    q = params.q
+    per_table = _guard(space, _n_inputs(space), "server-security", cap)
+    subsets = list(combinations(range(1, params.H + 1), params.I))
+    tables = {T: {} for T in subsets}
+    for wflat in product(range(q), repeat=space.n_w):
+        library = _library(space, wflat)
+        for uflat in _u_space(space):
+            stores = build_storage(params, arr, library, _randomness(space, uflat))
+            zed = [_contents(st) for st in stores]
+            for T in subsets:
+                key = (wflat, tuple(zed[h - 1] for h in T))
+                tables[T][key] = tables[T].get(key, 0) + 1
+    details = []
+    worst = 0.0
+    witness = None
+    for T in subsets:
+        mi = exact_mi(tables[T])
+        details.append((f"servers={list(T)}", mi))
+        if mi > worst:
+            worst = mi
+            witness = {"servers": list(T), "mi_bits": mi}
+    return AuditReport(constraint="server-security", satisfied=worst == 0.0,
+                       mi_bits=worst, outcomes=per_table * len(subsets),
+                       tables=len(subsets), details=tuple(details), witness=witness)
+
+
+def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=(),
+                              cap: int = 2_000_000) -> AuditReport:
+    """Oracle for `audit_signal_security`: tabulate every joint outcome.
+
+    The second table holds the pair (library, demands) against the same
+    observation.
+    """
+    muts = _check_mutations(mutations)
+    space = _space(params, arr, muts)
+    q = params.q
+    total = _guard(space, _n_inputs(space) + space.n_p + space.n_d,
+                   "signal-security", cap)
+    table: dict = {}
+    strong: dict = {}
+    grid = _query_grid(space)
+    for wflat in product(range(q), repeat=space.n_w):
+        library = _library(space, wflat)
+        for uflat in _u_space(space):
+            stores = build_storage(params, arr, library, _randomness(space, uflat))
+            # server_signal is a pure function of (store, queries): answer
+            # each distinct query vector once within this outcome
+            answers: dict = {}
+            for _ps, rows in grid:
+                for dflat, queries, qvals in rows:
+                    payloads = answers.get(qvals)
+                    if payloads is None:
+                        payloads = answers[qvals] = tuple(
+                            tuple(chain.from_iterable(
+                                server_signal(params, arr, st, queries).payload))
+                            for st in stores)
+                    obs = (qvals, payloads)
+                    key = (wflat, obs)
+                    table[key] = table.get(key, 0) + 1
+                    skey = ((wflat, dflat), obs)
+                    strong[skey] = strong.get(skey, 0) + 1
+    mi_main = exact_mi(table)
+    mi_strong = exact_mi(strong)
+    worst = max(mi_main, mi_strong)
+    witness = None
+    if worst > 0.0:
+        which = "library" if mi_main >= mi_strong else "library+demands"
+        witness = {"secret": which, "mi_bits": worst}
+    return AuditReport(constraint="signal-security", satisfied=worst == 0.0,
+                       mi_bits=worst, outcomes=total, tables=2,
+                       details=(("secret=library", mi_main),
+                                ("secret=library+demands", mi_strong)),
+                       witness=witness)
 
 
 def run_audits(params: SystemParams, arr: Pda, mutations=(),

@@ -9,6 +9,7 @@ the seed found in any config file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -45,6 +46,31 @@ def _num(value) -> str:
     if isinstance(value, Fraction) and value.denominator == 1:
         return str(value.numerator)
     return f"{float(value):.10g}"
+
+
+@contextlib.contextmanager
+def _open_out(path):
+    """The output file opened for writing, or None for no (or an empty) path.
+
+    Commands open it before their run, so an unwritable path exits 2
+    before any work is done or any result is printed.  The file is cut
+    to what was written only when the run succeeds; if the run raises,
+    a file that did not exist is removed again and an existing one is
+    left as it was.
+    """
+    if not path:
+        yield None
+        return
+    existed = os.path.exists(path)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8") as out:
+        try:
+            yield out
+        except BaseException:
+            if not existed:
+                os.remove(path)
+            raise
+        out.truncate()
 
 
 # ---------- subcommands ----------
@@ -97,10 +123,10 @@ def _cmd_simulate(args) -> int:
         for w in result.failures[:5]:
             print(f"  {w}")
         return 1
-    result = sim.run(sc, collect_trace=bool(args.trace))
-    if args.trace:
-        Path(args.trace).write_text(json.dumps(result.trace, indent=1),
-                                    encoding="utf-8")
+    with _open_out(args.trace) as trace_file:
+        result = sim.run(sc, collect_trace=bool(args.trace))
+        if trace_file is not None:
+            trace_file.write(json.dumps(result.trace, indent=1))
     m = result.measured
     ok_users = sum(result.per_user)
     print(f"users decoded: {ok_users}/{len(result.per_user)}")
@@ -156,17 +182,17 @@ def _cmd_audit(args) -> int:
     if arr is None:
         raise ConfigError('audit needs a "pda" in the config')
     mutations = tuple(args.mutate or ())
-    reports = audit_mod.run_audits(params, arr, mutations,
-                                   robustness=not args.skip_robustness)
-    for report in reports:
-        print(report.line())
-    if args.out:
-        payload = [{"constraint": r.constraint, "satisfied": r.satisfied,
-                    "mi_bits": r.mi_bits, "outcomes": r.outcomes,
-                    "tables": r.tables, "details": list(r.details),
-                    "witness": r.witness} for r in reports]
-        Path(args.out).write_text(json.dumps(payload, indent=1),
-                                  encoding="utf-8")
+    with _open_out(args.out) as out:
+        reports = audit_mod.run_audits(params, arr, mutations,
+                                       robustness=not args.skip_robustness)
+        for report in reports:
+            print(report.line())
+        if out is not None:
+            payload = [{"constraint": r.constraint, "satisfied": r.satisfied,
+                        "mi_bits": r.mi_bits, "outcomes": r.outcomes,
+                        "tables": r.tables, "details": list(r.details),
+                        "witness": r.witness} for r in reports]
+            out.write(json.dumps(payload, indent=1))
     return 0 if all(r.satisfied for r in reports) else 1
 
 
@@ -208,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--grid", type=int, default=11,
                        help="number of memory points")
 
-    auditp = sub.add_parser("audit", help="exhaustive leakage and recovery audits")
+    auditp = sub.add_parser("audit", help="exact leakage and recovery audits")
     auditp.add_argument("--config", required=True,
                         help="system parameter JSON with a pda")
     auditp.add_argument("--mutate", action="append",

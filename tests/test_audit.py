@@ -8,6 +8,7 @@ each mutation must flip its targeted audit to a strictly positive figure.
 
 import hashlib
 import math
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,8 @@ from rsplfr import (
     ConfigError,
     InfeasibleAuditError,
     MUTATIONS,
+    ServerStore,
+    Signal,
     SystemParams,
     audit_demand_privacy,
     audit_robustness,
@@ -34,6 +37,9 @@ MICRO_PDA = parse("1")
 
 ROBUST = SystemParams(N=2, K=2, H=5, A=1, I=1, J=4, q=11, B=2)
 ROBUST_PDA = man_pda(2, 1)
+
+K2 = SystemParams(N=2, K=2, H=2, A=0, I=1, J=2, q=3, B=2)
+K2_PDA = man_pda(2, 1)
 
 TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
 TOY_PDA = man_pda(3, 1)
@@ -201,7 +207,9 @@ def test_count_tables_and_reports_are_pinned(monkeypatch):
     # SHA-256 over the SHA-256 of repr(sorted(table.items())) of every table
     # handed to exact_mi, in call order, and of the reports; both values come
     # from the enumeration that rebuilt queries and answers for every outcome,
-    # so skipping repeated work must leave every count and report unchanged
+    # so skipping repeated work must leave every count and report unchanged.
+    # Server and signal security are pinned on their enumeration oracles,
+    # which the rank audits are checked against below.
     digests = []
     original = audit_module.exact_mi
 
@@ -210,13 +218,95 @@ def test_count_tables_and_reports_are_pinned(monkeypatch):
         return original(counts)
 
     monkeypatch.setattr(audit_module, "exact_mi", recording)
-    reports = [run_audits(MICRO, MICRO_PDA, mutations, robustness=False)
+    reports = [[audit(MICRO, MICRO_PDA, mutations)
+                for audit in (audit_module.enumerate_server_security,
+                              audit_module.enumerate_signal_security,
+                              audit_demand_privacy)]
                for mutations in ((), ("zero-noise",), ("key-removal",), ("zero-pad",))]
     assert len(digests) == 52
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
         "62cf6c5b5f501229c09d3d559a4815505629840d1fbf8015819b68e2bf036c55")
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
         "a28e52b0ccb874162187302a4ceb7476a543af720744a72b8be7eff5fb9e820a")
+
+
+MUTATION_SUBSETS = [m for r in range(len(MUTATIONS) + 1)
+                    for m in combinations(MUTATIONS, r)]
+
+# every micro case, plus the K=2 cases whose oracle runs in under a second;
+# the honest and zero-pad server cases and the remaining feasible signal
+# cases take 1-9 s each and were compared once (see CHANGES.md)
+RANK_CASES = (
+    [("micro", kind, m) for kind in ("server", "signal") for m in MUTATION_SUBSETS]
+    + [("k2", "server", m) for m in (
+        ("zero-noise",), ("key-removal",), ("zero-noise", "key-removal"),
+        ("zero-noise", "zero-pad"), ("key-removal", "zero-pad"), MUTATIONS)]
+    + [("k2", "signal", MUTATIONS)])
+
+INSTANCES = {"micro": (MICRO, MICRO_PDA), "k2": (K2, K2_PDA)}
+RANK_AUDITS = {
+    "server": (audit_server_security, audit_module.enumerate_server_security),
+    "signal": (audit_signal_security, audit_module.enumerate_signal_security)}
+
+
+@pytest.mark.parametrize(
+    "instance,kind,mutations", RANK_CASES,
+    ids=[f"{i}-{k}-{'+'.join(m) or 'honest'}" for i, k, m in RANK_CASES])
+def test_rank_audit_equals_the_enumeration_oracle(instance, kind, mutations):
+    params, arr = INSTANCES[instance]
+    audit, oracle = RANK_AUDITS[kind]
+    got = audit(params, arr, mutations)
+    want = oracle(params, arr, mutations)
+    assert (got.constraint, got.satisfied, got.outcomes, got.tables) == (
+        want.constraint, want.satisfied, want.outcomes, want.tables)
+    assert round(got.mi_bits, 9) == round(want.mi_bits, 9)
+    assert [(label, round(mi, 9)) for label, mi in got.details] == [
+        (label, round(mi, 9)) for label, mi in want.details]
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        assert round(got.witness["mi_bits"], 9) == round(want.witness["mi_bits"], 9)
+        if kind == "server":
+            assert got.witness["servers"] == want.witness["servers"]
+        else:
+            # "library" exactly when I(D; Q) = 0, where the oracle's two
+            # figures are the same number up to float noise
+            library, both = (mi for _, mi in want.details)
+            assert (got.witness["secret"] == "library") == (
+                round(library, 9) == round(both, 9))
+
+
+def _affine(function, shift):
+    def shifted(*args, **kwargs):
+        return shift(function(*args, **kwargs))
+    return shifted
+
+
+def test_rank_audits_refuse_affine_stores(monkeypatch):
+    # every stored symbol + 1: f(0) != 0, so the columns cannot be trusted
+    def plus_one(stores):
+        return [ServerStore(st.h,
+                            tuple(tuple((v + 1) % 3 for v in row) for row in st.coded_subfiles),
+                            tuple(tuple((v + 1) % 3 for v in row) for row in st.coded_keys))
+                for st in stores]
+
+    monkeypatch.setattr(audit_module, "build_storage",
+                        _affine(audit_module.build_storage, plus_one))
+    with pytest.raises(AuditError, match="build_storage is not linear"):
+        audit_server_security(MICRO, MICRO_PDA)
+    with pytest.raises(AuditError, match="build_storage is not linear"):
+        audit_signal_security(MICRO, MICRO_PDA)
+
+
+def test_rank_audit_refuses_affine_signals(monkeypatch):
+    def plus_one(signal):
+        return Signal(signal.h, tuple(tuple((v + 1) % 3 for v in packet)
+                                      for packet in signal.payload))
+
+    monkeypatch.setattr(audit_module, "server_signal",
+                        _affine(audit_module.server_signal, plus_one))
+    with pytest.raises(AuditError, match="server_signal is not linear"):
+        audit_signal_security(MICRO, MICRO_PDA)
+    assert audit_server_security(MICRO, MICRO_PDA).satisfied
 
 
 def _count_calls(monkeypatch, name):
@@ -232,13 +322,14 @@ def _count_calls(monkeypatch, name):
 
 
 def test_queries_and_answers_are_built_once(monkeypatch):
-    # 3^4 (blend, demand) pairs, 9 distinct query vectors per outcome,
-    # 3^2 x 3^4 (library, randomness) outcomes, 2 servers
+    # 3^4 (blend, demand) pairs; the rank audit answers each of the 9
+    # distinct query vectors once per probe store and server:
+    # (6 unit vectors + zero + 2 random checks) x 2 servers x 9 = 162
     queries = _count_calls(monkeypatch, "make_query")
     answers = _count_calls(monkeypatch, "server_signal")
     audit_signal_security(MICRO, MICRO_PDA)
     assert queries[0] == 81
-    assert answers[0] <= 13122
+    assert answers[0] == 162
     queries[0] = 0
     audit_demand_privacy(MICRO, MICRO_PDA)
     assert queries[0] == 81
@@ -247,9 +338,8 @@ def test_queries_and_answers_are_built_once(monkeypatch):
 def test_demand_privacy_builds_the_stores_once_per_outcome(monkeypatch):
     # all three mutations leave no randomness: 3^4 (library) outcomes,
     # shared by the three coalitions that hide a demand (243 builds before)
-    params = SystemParams(N=2, K=2, H=2, A=0, I=1, J=2, q=3, B=2)
     stores = _count_calls(monkeypatch, "build_storage")
-    report = audit_demand_privacy(params, man_pda(2, 1), MUTATIONS)
+    report = audit_demand_privacy(K2, K2_PDA, MUTATIONS)
     assert stores[0] == 81
     assert (round(report.mi_bits, 5), report.outcomes, report.tables) == (6.33985, 19683, 243)
     assert [(name, round(mi, 5)) for name, mi in report.details] == [

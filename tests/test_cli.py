@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rsplfr import cli
 from rsplfr.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,6 +126,49 @@ def test_trace_with_sweep_is_a_usage_error(tmp_path, capsys):
     rc = main(["simulate", "--config", config, "--sweep", "--trace", "t.json"])
     assert rc == 2
     assert "single runs" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before its output file was opened")
+
+
+def test_simulate_unwritable_trace_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.sim, "run", _must_not_run)
+    rc = main(["simulate", "--config", str(CONFIGS / "toy_sweep.json"),
+               "--trace", str(tmp_path / "missing" / "t.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+
+
+def test_audit_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.audit_mod, "run_audits", _must_not_run)
+    rc = main(["audit", "--config", str(CONFIGS / "micro_audit.json"),
+               "--out", str(tmp_path / "missing" / "r.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:")
+
+
+def test_audit_out_is_replaced_on_success_and_kept_on_refusal(tmp_path, capsys):
+    stale = "x" * 100_000
+    out = tmp_path / "report.json"
+    out.write_text(stale, encoding="utf-8")
+    assert main(["audit", "--config", str(CONFIGS / "toy_sweep.json"),
+                 "--skip-robustness", "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == stale
+    fresh = tmp_path / "fresh.json"
+    assert main(["audit", "--config", str(CONFIGS / "toy_sweep.json"),
+                 "--skip-robustness", "--out", str(fresh)]) == 2
+    assert not fresh.exists()
+    assert main(["audit", "--config", str(CONFIGS / "micro_audit.json"),
+                 "--skip-robustness", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))) == 3
+    capsys.readouterr()
 
 
 def test_simulate_sweep_toy_instance(capsys, monkeypatch):
