@@ -37,8 +37,8 @@ from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedStreams,
                        cache_side, decode_streams, load_config, make_query,
                        params_from_json, place_user, recover_library,
                        server_signal, strategy_key, user_decode, with_seed)
-from .rscode import (AmbiguousCandidate, BatchDecoder, Codeword, DecodingFailure,
-                     EvalPoints, NoCandidate, brute_force_decode, decode, encode)
+from .rscode import (AmbiguousCandidate, Codeword, DecodingFailure, EvalPoints,
+                     NoCandidate, brute_force_decode, decode, decode_columns, encode)
 from .sim import RunResult, Scenario, ScenarioError, run, sweep
 
 __version__ = "0.1.0"
@@ -70,8 +70,8 @@ __all__ = [
     "params_from_json", "place_user", "recover_library", "server_signal",
     "strategy_key", "user_decode", "with_seed",
     # rscode
-    "AmbiguousCandidate", "BatchDecoder", "Codeword", "DecodingFailure",
-    "EvalPoints", "NoCandidate", "brute_force_decode", "decode", "encode",
+    "AmbiguousCandidate", "Codeword", "DecodingFailure", "EvalPoints",
+    "NoCandidate", "brute_force_decode", "decode", "decode_columns", "encode",
     # sim
     "RunResult", "Scenario", "ScenarioError", "run", "sweep",
 ]

@@ -23,19 +23,35 @@ class ZeroInverseError(FieldError, ZeroDivisionError):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this
+# bound (Sorenson & Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; moduli here are machine-word sized."""
+    """Deterministic Miller-Rabin; refuses n at or above the bound where it is proven."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    if n >= _MR_BOUND:
+        raise FieldError(f"modulus {n} exceeds the primality test's bound {_MR_BOUND}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 

@@ -168,49 +168,6 @@ class Randomness:
         return cls(deltas, vees, lambdas)
 
 
-class PolyBank:
-    """Per-slice coefficient tables of the file and key polynomials.
-
-    Slice m of file n has coefficients (subfile_1[m], ..., subfile_L[m],
-    noise_1[m], ..., noise_I[m]); slice r of stream s likewise with keys
-    then masks.  Packet j of subfile l sits at slices j*pkt .. j*pkt+pkt-1.
-    """
-
-    __slots__ = ("file_coeffs", "key_coeffs", "subfile_len", "packet_len")
-
-    def __init__(self, params: SystemParams, pda: Pda,
-                 library: Library, randomness: Randomness):
-        subL, pkt = _dims(params, pda)
-        N, I, L, S = params.N, params.I, params.L, pda.S
-        if len(library.files) != N:
-            raise DimensionMismatch(f"library has {len(library.files)} files, expected {N}")
-        for n, f in enumerate(library.files):
-            if len(f) != params.B:
-                raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {params.B}")
-        if len(randomness.deltas) != N or any(len(d) != I for d in randomness.deltas):
-            raise DimensionMismatch("noise table must be N x I")
-        if any(len(v) != subL for d in randomness.deltas for v in d):
-            raise DimensionMismatch(f"noise entries must hold {subL} symbols")
-        if len(randomness.vees) != L or any(len(v) != S for v in randomness.vees):
-            raise DimensionMismatch("key table must be L x S")
-        if len(randomness.lambdas) != I or any(len(v) != S for v in randomness.lambdas):
-            raise DimensionMismatch("mask table must be I x S")
-        self.subfile_len = subL
-        self.packet_len = pkt
-        self.file_coeffs = [
-            [[library.files[n][l * subL + m] for l in range(L)]
-             + [randomness.deltas[n][i][m] for i in range(I)]
-             for m in range(subL)]
-            for n in range(N)
-        ]
-        self.key_coeffs = [
-            [[randomness.vees[l][s][r] for l in range(L)]
-             + [randomness.lambdas[i][s][r] for i in range(I)]
-             for r in range(pkt)]
-            for s in range(S)
-        ]
-
-
 # ---------- per-role containers ----------
 
 
@@ -271,14 +228,42 @@ class Signal:
 
 def build_storage(params: SystemParams, pda: Pda,
                   library: Library, randomness: Randomness) -> list[ServerStore]:
-    bank = PolyBank(params, pda, library, randomness)
+    """Every server's evaluation of every file and key polynomial.
+
+    Slice m of file n has coefficients (subfile_1[m], ..., subfile_L[m],
+    noise_1[m], ..., noise_I[m]); slice r of stream s likewise with keys
+    then masks.  Packet j of subfile l sits at slices j*pkt .. j*pkt+pkt-1.
+    """
+    subL, pkt = _dims(params, pda)
+    N, I, L, S = params.N, params.I, params.L, pda.S
+    if len(library.files) != N:
+        raise DimensionMismatch(f"library has {len(library.files)} files, expected {N}")
+    for n, f in enumerate(library.files):
+        if len(f) != params.B:
+            raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {params.B}")
+    if len(randomness.deltas) != N or any(len(d) != I for d in randomness.deltas):
+        raise DimensionMismatch("noise table must be N x I")
+    if any(len(v) != subL for d in randomness.deltas for v in d):
+        raise DimensionMismatch(f"noise entries must hold {subL} symbols")
+    if len(randomness.vees) != L or any(len(v) != S for v in randomness.vees):
+        raise DimensionMismatch("key table must be L x S")
+    if len(randomness.lambdas) != I or any(len(v) != S for v in randomness.lambdas):
+        raise DimensionMismatch("mask table must be I x S")
+    file_coeffs = [[[library.files[n][l * subL + m] for l in range(L)]
+                    + [randomness.deltas[n][i][m] for i in range(I)]
+                    for m in range(subL)]
+                   for n in range(N)]
+    key_coeffs = [[[randomness.vees[l][s][r] for l in range(L)]
+                   + [randomness.lambdas[i][s][r] for i in range(I)]
+                   for r in range(pkt)]
+                  for s in range(S)]
     q = params.q
     stores = []
     for h, a in enumerate(params.points.alphas, start=1):
         coded_subfiles = tuple(tuple(horner(coeffs, a, q) for coeffs in per_file)
-                               for per_file in bank.file_coeffs)
+                               for per_file in file_coeffs)
         coded_keys = tuple(tuple(horner(coeffs, a, q) for coeffs in per_key)
-                           for per_key in bank.key_coeffs)
+                           for per_key in key_coeffs)
         stores.append(ServerStore(h, coded_subfiles, coded_keys))
     return stores
 
@@ -472,7 +457,7 @@ def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedSt
 
     All deliveries must come from the same J servers.  Per delivery,
     stream and slice, the J payload symbols are one MDS codeword of
-    dimension I + L; one batch decoder decodes them all in one call.
+    dimension I + L; one ``rscode.decode_columns`` call decodes them all.
     Returns one ``DecodedStreams`` per delivery, in order.
     """
     subL, pkt = _dims(params, pda)
@@ -498,18 +483,19 @@ def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedSt
         return []
 
     L, S = params.L, pda.S
-    decoder = rscode.BatchDecoder(params.points, received[0], params.I + L, params.A)
+    positions = sorted(received[0])
     # word (d * S + s) * pkt + r is slice r of stream s of delivery d
     columns = [list(chain.from_iterable(chain.from_iterable(
-        by_h[h].payload for by_h in received))) for h in decoder.positions]
-    messages, flags, failed = decoder.decode_columns(columns)
+        by_h[h].payload for by_h in received))) for h in positions]
+    messages, flags, failed = rscode.decode_columns(params.points, positions,
+                                                    params.I + L, params.A, columns)
     per = S * pkt
     failures = [{} for _ in received]
     for w in sorted(failed):
         d, s = divmod(w // pkt, S)
         failures[d].setdefault(s + 1, failed[w])
     flagged = [{} for _ in received]
-    for h, words in zip(decoder.positions, flags):
+    for h, words in zip(positions, flags):
         for d, count in Counter(map(per.__rfloordiv__, words)).items():
             flagged[d][h] = count
     data = messages[:L]
@@ -644,10 +630,11 @@ def recover_library(params: SystemParams, stores) -> Library:
             raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
         if len(st.coded_subfiles) != N or any(len(v) != subL for v in st.coded_subfiles):
             raise DimensionMismatch(f"contents of server {h} have the wrong shape")
-    decoder = rscode.BatchDecoder(params.points, by_h, I + L, params.A)
+    positions = sorted(by_h)
     # word n * subL + m is slice m of file n
-    messages, _flags, failed = decoder.decode_columns(
-        [list(chain.from_iterable(by_h[h].coded_subfiles)) for h in decoder.positions],
+    messages, _flags, failed = rscode.decode_columns(
+        params.points, positions, I + L, params.A,
+        [list(chain.from_iterable(by_h[h].coded_subfiles)) for h in positions],
         stop=True)
     if failed:
         (failure,) = failed.values()  # the first failing word: decoding stopped there

@@ -20,37 +20,29 @@ recurrence; when |E| <= e, 2|E| <= J - k makes it unique, so it is the
 locator and its roots 1/x_j name E exactly (Roth, *Introduction to
 Coding Theory*, ch. 6).
 
-``BatchDecoder`` decodes many words received at one fixed set of
-positions, as every slice of every multicast stream of every delivery
-from the same J servers is.  A plan for a set S of skipped positions
-holds the inverse Vandermonde matrix of the first k kept points and the
-evaluation rows of every other point; the kept rows are the parity
-checks, in systematic form.  A word that passes them agrees with a
-degree < k polynomial outside S, so with |S| <= e it lies within
+``decode_columns`` decodes a batch of words received at one fixed set
+of positions, as every slice of every multicast stream of every
+delivery from the same J servers is.  A plan for a set S of skipped
+positions holds the inverse Vandermonde matrix of the first k kept
+points and the evaluation rows of every other point; the kept rows are
+the parity checks, in systematic form.  A word that passes them agrees
+with a degree < k polynomial outside S, so with |S| <= e it lies within
 distance e of that codeword, the only one there since 2e < J - k + 1.
-Each word tries the plan with S empty, then the plan that skips the
-positions located last (errors come per server, so they recur), and
-only then computes its syndromes and locator.  A locator longer than
+Which such plan decodes a word thus changes only the work.
+
+The words are packed one per slot into one integer per position, so
+each plan row is a few big-integer operations for the whole batch.  The
+plan with S empty is swept over every word.  While words are left, the
+lowest of them gets its syndromes and locator.  A locator longer than
 e, or with another number of roots among the present positions than
 its length, cannot be the locator of an error pattern within the
-radius, so the word is refused; so is a word that fails the checks of
-the plan skipping the roots.  Otherwise that plan decodes it and
-becomes the suspect plan.  The result is the unique codeword within
-distance e, or ``DecodingFailure`` when there is none, exactly as the
-oracle finds.
-
-``decode_columns`` does this for a whole batch at once, column by
-column: the words are packed one per slot into one integer per
-position, so each plan row is a few big-integer operations for all
-words.  The clean plan is applied to the batch, then the suspect plan
-to the words it left.  The locator runs on the first word that
-neither explains; when it yields a new suspect plan, that plan is
-swept again over every later pending word, which then follows it.
-Each word thus meets the same plans, in the same order, as when the
-words are decoded one by one: same results, same failure texts and
-the same locator runs.  A failing word drops out of a plan at its
-first failed check row, and messages are computed only for the words
-a plan explains.  ``decode`` is the one-word case.
+radius, so the word is refused.  Otherwise the plan skipping the roots
+is swept over every word left, since errors come per server and recur;
+the located word must pass it, or it is refused too.  A failing word
+drops out of a plan at its first failed check row, and messages are
+computed only for the words a plan explains.  The result is the unique
+codeword within distance e, or ``DecodingFailure`` when there is none,
+exactly as the oracle finds.  ``decode`` is the one-word case.
 
 ``brute_force_decode`` is the independent oracle: try every error
 support up to the radius, interpolate, and keep candidates consistent
@@ -139,12 +131,6 @@ def _check_shape(k: int, positions, points: EvalPoints, max_errors: int):
     for h in positions:
         if not 1 <= h <= H:
             raise ValueError(f"position {h} outside [1..{H}]")
-
-
-def _check_radius(J: int, k: int, max_errors: int):
-    if J - k < 2 * max_errors:
-        raise ValueError(
-            f"{J} present positions cannot carry dimension {k} with {max_errors} errors")
 
 
 def _interpolate(pairs, field: PrimeField):
@@ -306,37 +292,43 @@ class _Slots:
                 for i in range(0, len(raw), self.size)]
 
 
-class BatchDecoder:
-    """Bounded-distance decoding of many words received at the same positions.
+def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: int,
+                   columns, stop: bool = False):
+    """Decode a batch of words received at ``positions``; ``columns[i][w]`` is word w there.
 
-    Built once per set of present positions.  ``decode_columns`` takes
-    the words column by column, in ascending position order, and decodes
-    them all in one batch; ``decode(values)`` is its one-word case.
-    Syndromes and the locator are computed only for words that neither
-    plan explains.  The suspect plan carries over between calls.
+    ``positions`` must ascend strictly.  Returns ``(messages, flags,
+    failures)``: ``messages[m][w]`` is message coefficient m of word w
+    (None if it failed), ``flags[i]`` the set of words whose value at
+    position i differs from their codeword, and ``failures`` maps each
+    failing word to its ``DecodingFailure``.  With ``stop``, decoding
+    ends at the lowest failing word, for a caller that needs every word:
+    only that failure is returned, and no message.
     """
+    positions = tuple(positions)
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise ValueError("positions must be strictly ascending")
+    _check_shape(dimension, positions, points, max_errors)
+    J, k, q = len(positions), dimension, points.q
+    if J - k < 2 * max_errors:
+        raise ValueError(
+            f"{J} present positions cannot carry dimension {k} with {max_errors} errors")
+    y = [[v % q for v in col] for col in columns]
+    if len(y) != J:
+        raise ValueError(f"need {J} columns, got {len(y)}")
+    W = len(y[0])
+    if any(len(col) != W for col in y):
+        raise ValueError("columns must hold one value per word")
+    slots = _Slots.for_sums(q, k + 1)
+    packed = [slots.pack(col) for col in y]
 
-    def __init__(self, points: EvalPoints, positions, dimension: int, max_errors: int):
-        self.positions = tuple(sorted(positions))
-        if len(set(self.positions)) != len(self.positions):
-            raise ValueError("positions must be distinct")
-        _check_shape(dimension, self.positions, points, max_errors)
-        _check_radius(len(self.positions), dimension, max_errors)
-        self.points = points
-        self.dimension = dimension
-        self.max_errors = max_errors
-        self._slots = _Slots.for_sums(points.q, dimension + 1)
-        self._clean = _plan(points, self.positions, dimension, ())
-        self._suspect = None  # plan skipping the last located errors
+    def residues(row, cols, words):
+        """Row dotted with the packed columns, mod q, at each of the words."""
+        values = slots.combine(row, cols, W)
+        if len(words) != W:
+            values = map(values.__getitem__, words)
+        return map(q.__rmod__, values)
 
-    def _residues(self, row, columns, words, count: int):
-        """Row dotted with the columns, mod q, at each of the words."""
-        slots = self._slots.combine(row, columns, count)
-        if len(words) != count:
-            slots = map(slots.__getitem__, words)
-        return map(self.points.q.__rmod__, slots)
-
-    def _sweep(self, plan: _Plan, packed, words, count: int):
+    def sweep(plan: _Plan, words):
         """Split ascending ``words`` into those that pass the plan's checks and the rest.
 
         A word leaves at the first check row it fails, so later rows
@@ -345,7 +337,7 @@ class BatchDecoder:
         base = [packed[i] for i in plan.base]
         failing = []
         for j, row in plan.checks:
-            off = list(self._residues(row, base + [packed[j]], words, count))
+            off = list(residues(row, base + [packed[j]], words))
             if any(off):
                 failing.extend(compress(words, off))
                 words = list(compress(words, map(not_, off)))
@@ -353,99 +345,61 @@ class BatchDecoder:
                     break
         return words, sorted(failing)
 
-    def _solve(self, plan: _Plan, packed, words, count: int, messages, flags):
-        """Write the messages of ``words``, which pass the plan, and flag their skipped values."""
+    clean = _plan(points, positions, k, ())
+    passing, pending = sweep(clean, range(W))
+    groups = [(clean, passing)]
+    failures = {}
+    dual = _dual(points, positions, k)
+    while pending:
+        w = pending[0]
+        try:
+            roots = _locate(dual, [col[w] for col in y], max_errors, q)
+            plan = _plan(points, positions, k, tuple(positions[j] for j in roots))
+            passing, rest = sweep(plan, pending)
+            if not passing or passing[0] != w:
+                raise DecodingFailure(
+                    "word fails the parity checks outside the located errors")
+        except DecodingFailure as exc:
+            failures[w] = exc
+            if stop:
+                break
+            pending = pending[1:]
+        else:
+            groups.append((plan, passing))
+            pending = rest
+    messages = [[None] * W for _ in range(k)]
+    flags = [set() for _ in y]
+    if stop and failures:
+        return messages, flags, failures
+    for plan, words in groups:
+        if not words:
+            continue
         base = [packed[i] for i in plan.base]
         for out, row in zip(messages, plan.basis):
-            values = self._residues(row, base, words, count)
-            if len(words) == count:
+            values = residues(row, base, words)
+            if len(words) == W:
                 out[:] = values
             else:
                 for w, v in zip(words, values):
                     out[w] = v
         for j, row in plan.skipped:
-            flags[j].update(compress(words, self._residues(row, base + [packed[j]],
-                                                           words, count)))
-
-    def decode_columns(self, columns, stop: bool = False):
-        """Decode every word of the batch; ``columns[i][w]`` is word w at position i.
-
-        Returns ``(messages, flags, failures)``: ``messages[m][w]`` is
-        message coefficient m of word w (None if it failed), ``flags[i]``
-        the set of words whose value at position i differs from their
-        codeword, and ``failures`` maps each failing word to its
-        ``DecodingFailure``.
-        The results, and the locator runs, are those of decoding the
-        words one by one, in order.  With ``stop``, decoding ends at the
-        first word that fails, for a caller that needs every word: only
-        that failure is returned, and no message.
-        """
-        q, k = self.points.q, self.dimension
-        y = [[v % q for v in col] for col in columns]
-        if len(y) != len(self.positions):
-            raise ValueError(f"need {len(self.positions)} columns, got {len(y)}")
-        W = len(y[0])
-        if any(len(col) != W for col in y):
-            raise ValueError("columns must hold one value per word")
-        packed = [self._slots.pack(col) for col in y]
-        clean, pending = self._sweep(self._clean, packed, range(W), W)
-        groups = [(self._clean, clean)]
-        failures = {}
-        # each pending word sees the suspect plan current at its turn: a
-        # new plan is swept again over every later pending word
-        plan, run = self._suspect, []
-        explained = set(self._sweep(plan, packed, pending, W)[0]) if plan else set()
-        dual = _dual(self.points, self.positions, k)
-        for i, w in enumerate(pending):
-            if w in explained:
-                run.append(w)
-                continue
-            try:
-                roots = _locate(dual, [col[w] for col in y], self.max_errors, q)
-                located = _plan(self.points, self.positions, k,
-                                tuple(self.positions[j] for j in roots))
-                passing = self._sweep(located, packed, pending[i:], W)[0]
-                if not passing or passing[0] != w:
-                    raise DecodingFailure(
-                        "word fails the parity checks outside the located errors")
-            except DecodingFailure as exc:
-                failures[w] = exc
-                if stop:
-                    break
-                continue
-            groups.append((plan, run))
-            plan, run, explained = located, [w], set(passing)
-            self._suspect = located
-        groups.append((plan, run))
-        messages = [[None] * W for _ in range(k)]
-        flags = [set() for _ in y]
-        if not (stop and failures):
-            for plan, words in groups:
-                if words:
-                    self._solve(plan, packed, words, W, messages, flags)
-        return messages, flags, failures
-
-    def decode(self, values):
-        """(message, flagged positions) of one word, given in position order.
-
-        Raises ``DecodingFailure`` when no codeword lies within the radius.
-        """
-        if len(values) != len(self.positions):
-            raise ValueError(f"need {len(self.positions)} symbols, got {len(values)}")
-        messages, flags, failures = self.decode_columns([[v] for v in values])
-        if failures:
-            raise failures[0]
-        return [m[0] for m in messages], {h for h, f in zip(self.positions, flags) if f}
+            flags[j].update(compress(words, residues(row, base + [packed[j]], words)))
+    return messages, flags, failures
 
 
 def decode(received: Codeword, points: EvalPoints, max_errors: int):
     """Message and flagged positions from >= k + 2*max_errors present symbols.
 
-    The one-word case of ``BatchDecoder``.
+    The one-word case of ``decode_columns``.  Raises ``DecodingFailure``
+    when no codeword lies within the radius.
     """
-    items = sorted(received.positions.items())
-    decoder = BatchDecoder(points, [h for h, _ in items], received.dimension, max_errors)
-    return decoder.decode([y for _, y in items])
+    positions = sorted(received.positions)
+    messages, flags, failures = decode_columns(
+        points, positions, received.dimension, max_errors,
+        [[received.positions[h]] for h in positions])
+    if failures:
+        raise failures[0]
+    return [m[0] for m in messages], {h for h, f in zip(positions, flags) if f}
 
 
 def brute_force_decode(received: Codeword, points: EvalPoints, max_errors: int):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,19 @@ def test_bounds_grid_line_count(capsys):
     assert sum(line.startswith("M=") for line in lines) == 5
 
 
+def test_bounds_on_a_word_sized_modulus(tmp_path, capsys):
+    # q = 2^61 - 1, a word-sized prime: its primality check must be quick
+    path = tmp_path / "q61.json"
+    path.write_text(json.dumps({"N": 4, "K": 3, "H": 6, "A": 1, "I": 1, "J": 5,
+                                "q": 2 ** 61 - 1, "B": 6}), encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = main(["bounds", "--config", str(path), "--m", "2"])
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 0
+    assert capsys.readouterr().out == ("storage lower bound: T >= 1 = 1\n"
+                                       "M=2 R_lb=0.125 T_ach=2.5 R_ach=0.5\n")
+
+
 # ---------- audit ----------
 
 
@@ -408,6 +422,8 @@ MALFORMED = {
     # a field next to "params" that no scenario has
     "bogus_key_bounds": (dict(TOY_SWEEP, bogus=1), ["bounds", "--m", "1"]),
     "bogus_key_curve": (dict(TOY_SWEEP, bogus=1), ["curve"]),
+    # past the bound where the primality test is proven exact
+    "q_beyond_primality_bound": (_with_params(q=2 ** 89 - 1), ["bounds", "--m", "2"]),
 }
 
 

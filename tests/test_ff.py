@@ -2,18 +2,32 @@
 
 import pytest
 
-from rsplfr.ff import NotPrimeError, PrimeField, ZeroInverseError, horner, is_prime
+from rsplfr.ff import (FieldError, NotPrimeError, PrimeField, ZeroInverseError, horner,
+                       is_prime)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
-def test_is_prime_matches_sieve_below_200():
-    sieve = set()
-    for n in range(2, 200):
-        if all(n % d for d in range(2, n)):
-            sieve.add(n)
-    for n in range(-3, 200):
-        assert is_prime(n) == (n in sieve)
+def test_is_prime_matches_sieve_below_10000():
+    limit = 10_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, 100):
+        if sieve[n]:
+            sieve[n * n::n] = [False] * len(range(n * n, limit, n))
+    primes = {n for n in range(limit) if sieve[n]}
+    for n in range(-3, limit):
+        assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_on_word_sized_moduli():
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 3825123056546413051 to every prime base up to 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 31 - 1) and is_prime(2 ** 61 - 1)
+    assert not is_prime((2 ** 31 - 1) ** 2)
+    with pytest.raises(FieldError):
+        is_prime(3_317_044_064_679_887_385_961_981)
 
 
 @pytest.mark.parametrize("q", SMALL_PRIMES)

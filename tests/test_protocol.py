@@ -1,7 +1,9 @@
 """The storage, placement, query, delivery, and decode pipeline."""
 
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
@@ -403,6 +405,67 @@ def test_zero_library_decodes_to_zero():
     (streams,) = decode_streams(params, TOY_PDA, [signals])
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     assert user_decode(params, TOY_PDA, side, streams) == [0] * params.B
+
+
+def test_criterion_6_instance_at_every_error_pattern():
+    # the criterion-6 instance carries one symbol per server, so each
+    # error pattern is one delivery.  Per J-subset, one decode_streams
+    # call takes every single error (within the budget: every user exact,
+    # the adversary flagged) and every weight-2 pattern (beyond it: each
+    # user outcome counted); recovery corrects every single-symbol error
+    params = with_seed(ROBUST, 21)
+    q = params.q
+    rng = random.Random(21)
+    library = Library.random(params, rng)
+    randomness = Randomness.sample(params, ROBUST_PDA, rng)
+    stores = build_storage(params, ROBUST_PDA, library, randomness)
+    ps = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
+    caches = [place_user(params, ROBUST_PDA, library, randomness, k, ps[k - 1])
+              for k in (1, 2)]
+    demands = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(2)]
+    sides = [cache_side(params, ROBUST_PDA, caches[k], demands[k], queries)
+             for k in range(2)]
+    expected = [combine(library, demands[k], q) for k in range(2)]
+    honest = {st.h: server_signal(params, ROBUST_PDA, st, queries) for st in stores}
+    assert {sig.payload_symbols() for sig in honest.values()} == {1}
+
+    def delivery(js, errors):
+        return [Signal(h, (((honest[h].payload[0][0] + errors[h]) % q,),), honest=False)
+                if h in errors else honest[h] for h in js]
+
+    within, beyond = 0, Counter()
+    for js in combinations(range(1, 6), 4):
+        single = [{h: v} for h in js for v in range(1, q)]
+        double = [{h1: v1, h2: v2} for h1, h2 in combinations(js, 2)
+                  for v1 in range(1, q) for v2 in range(1, q)]
+        decoded = decode_streams(params, ROBUST_PDA,
+                                 [delivery(js, errs) for errs in single + double])
+        for errs, streams in zip(single, decoded):
+            assert streams.flagged == dict.fromkeys(errs, 1), errs
+            for k in range(2):
+                assert user_decode(params, ROBUST_PDA, sides[k], streams) == expected[k]
+            within += 1
+        for streams in decoded[len(single):]:
+            for k in range(2):
+                try:
+                    got = user_decode(params, ROBUST_PDA, sides[k], streams)
+                except DecodingFailure:
+                    beyond["detected"] += 1
+                else:
+                    beyond["right" if got == expected[k] else "miscorrected"] += 1
+        for i, h in enumerate(js):
+            for n, m in product(range(2), range(2)):
+                for v in range(1, q):
+                    contents = [stores[g - 1] for g in js]
+                    files = [list(f) for f in contents[i].coded_subfiles]
+                    files[n][m] = (files[n][m] + v) % q
+                    contents[i] = replace(contents[i], coded_subfiles=tuple(map(tuple, files)))
+                    assert recover_library(params, contents).files == library.files
+    assert within == 200
+    # a miscorrection adds a codeword of weight 3, so f = d + c x with
+    # d != 0 (c x vanishes at no point): no beyond-budget output is right
+    assert (beyond["detected"], beyond["miscorrected"], beyond["right"]) == (4800, 1200, 0)
 
 
 # ---------- whole-library recovery ----------

@@ -3,7 +3,8 @@
 The production decoder locates errors from the syndromes by
 Berlekamp-Massey; the oracle enumerates every error support.  They must
 agree on success (same message and flags) and on failure (both refuse).
-A batch of words decoded as columns must equal decoding them one by one.
+Every word of a ``decode_columns`` batch must equal the oracle and the
+one-word ``decode``, failure text included.
 """
 
 import random
@@ -13,9 +14,9 @@ import pytest
 
 from rsplfr.ff import NotPrimeError
 import rsplfr.rscode
-from rsplfr.rscode import (AmbiguousCandidate, BatchDecoder, Codeword,
-                           DecodingFailure, EvalPoints, NoCandidate,
-                           brute_force_decode, decode, encode)
+from rsplfr.rscode import (AmbiguousCandidate, Codeword, DecodingFailure,
+                           EvalPoints, NoCandidate, brute_force_decode, decode,
+                           decode_columns, encode)
 
 
 def corrupt(cw: Codeword, position: int, delta: int, q: int) -> Codeword:
@@ -205,7 +206,7 @@ def test_randomized_overload_agreement_with_oracle():
             assert got[1] == expected[1]
 
 
-# ---------- one decoder for many words at the same positions ----------
+# ---------- one batch of words at the same positions ----------
 
 
 def outcome(fn):
@@ -215,20 +216,47 @@ def outcome(fn):
         return "failure"
 
 
-def batch_agrees(points, positions, k, e, words):
-    """Every word through one BatchDecoder equals decode and the oracle."""
-    batch = BatchDecoder(points, positions, k, e)
-    for values in words:
-        cw = Codeword(k, dict(zip(positions, values)))
-        got = outcome(lambda: batch.decode(values))
-        assert got == outcome(lambda: decode(cw, points, e)), values
-        assert got == outcome(lambda: brute_force_decode(cw, points, e)), values
-
-
 def word(points, positions, msg, errors):
     """msg encoded at positions, plus errors: {position: delta}."""
     clean = encode(msg, points).positions
     return [(clean[h] + errors.get(h, 0)) % points.q for h in positions]
+
+
+def as_columns(words, J):
+    return [[values[i] for values in words] for i in range(J)]
+
+
+def batch(points, positions, k, e, words):
+    """Each word of one decode_columns call: (message, flags) or its failure text."""
+    messages, flags, failures = decode_columns(points, positions, k, e,
+                                               as_columns(words, len(positions)))
+    return [str(failures[w]) if w in failures else
+            ([m[w] for m in messages], {h for h, f in zip(positions, flags) if w in f})
+            for w in range(len(words))]
+
+
+def batch_agrees(points, positions, k, e, words, cut=None):
+    """Every word of a decode_columns batch equals decode and the oracle.
+
+    decode must give the same message, flags and failure text, and the
+    oracle the same message and flags, or refuse too.  With ``cut``, the
+    two parts of the batch must each agree as well.
+    """
+    expected = []
+    for values in words:
+        cw = Codeword(k, dict(zip(positions, values)))
+        try:
+            one = decode(cw, points, e)
+        except DecodingFailure as exc:
+            one = str(exc)
+        oracle = outcome(lambda: brute_force_decode(cw, points, e))
+        assert ("failure" if isinstance(one, str) else one) == oracle, values
+        expected.append(one)
+    assert batch(points, positions, k, e, words) == expected
+    if cut is not None:
+        assert batch(points, positions, k, e, words[:cut]) == expected[:cut]
+        assert batch(points, positions, k, e, words[cut:]) == expected[cut:]
+    return expected
 
 
 def locator_runs(monkeypatch, fn):
@@ -242,51 +270,9 @@ def locator_runs(monkeypatch, fn):
         monkeypatch.undo()
 
 
-def one_by_one(batch, words):
-    """Each word through batch.decode, in order: (message, flags) or failure text."""
-    out = []
-    for values in words:
-        try:
-            out.append(batch.decode(values))
-        except DecodingFailure as exc:
-            out.append(str(exc))
-    return out
-
-
-def as_columns(batch, words):
-    """All words through one batch.decode_columns call, in the same form."""
-    columns = [[values[i] for values in words] for i in range(len(batch.positions))]
-    messages, flags, failures = batch.decode_columns(columns)
-    return [str(failures[w]) if w in failures else
-            ([m[w] for m in messages], {h for h, f in zip(batch.positions, flags) if w in f})
-            for w in range(len(words))]
-
-
-def columns_agree(monkeypatch, points, positions, k, e, words, cut=None):
-    """Decoding the words as columns equals decoding them one by one.
-
-    Same messages, flags and failure texts, and as many locator runs; with
-    ``cut``, the columns go in two calls to one decoder.  Returns the runs.
-    """
-    expected, runs = locator_runs(
-        monkeypatch, lambda: one_by_one(BatchDecoder(points, positions, k, e), words))
-
-    def batched():
-        batch = BatchDecoder(points, positions, k, e)
-        if cut is None:
-            return as_columns(batch, words)
-        return as_columns(batch, words[:cut]) + as_columns(batch, words[cut:])
-
-    got, got_runs = locator_runs(monkeypatch, batched)
-    assert got == expected
-    assert got_runs == runs
-    return runs
-
-
 def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
     # errors on server 1 in some words, on server 6 in others, none in
-    # the rest: the plan reusing the last located support misses on the
-    # switch and must run the locator
+    # the rest: each located support is swept over every word left
     points = EvalPoints.consecutive(13, 8)
     positions = (1, 2, 3, 5, 6, 7, 8)  # J = 7, k = 3, radius 2
     rng = random.Random(5)
@@ -294,11 +280,11 @@ def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
                 {1: 5}, {1: 2, 6: 9}, {6: 1}, {}]
     words = [word(points, positions, [rng.randrange(13) for _ in range(3)], errs)
              for errs in patterns]
-    # one locator run per change of located support: {1}, {6}, {1}, {1, 6},
-    # both word by word and as one batch of columns
-    assert columns_agree(monkeypatch, points, positions, 3, 2, words) == 4
-    assert columns_agree(monkeypatch, points, positions, 3, 2, words, cut=6) == 4
     batch_agrees(points, positions, 3, 2, words)
+    batch_agrees(points, positions, 3, 2, words, cut=6)
+    # one locator run per distinct support: {1}, {6}, {1, 6}
+    _, runs = locator_runs(monkeypatch, lambda: batch(points, positions, 3, 2, words))
+    assert runs == 3
 
 
 def test_batch_beyond_radius_and_radius_zero_match_decode():
@@ -315,7 +301,7 @@ def test_batch_beyond_radius_and_radius_zero_match_decode():
     batch_agrees(points, (2, 4), 2, 0, [[1, 5], [0, 0]])
 
 
-def test_batch_randomized_sequences_match_decode(monkeypatch):
+def test_batch_randomized_sequences_match_decode():
     rng = random.Random(424242)
     for _ in range(150):
         q = rng.choice([7, 11, 13])
@@ -332,13 +318,12 @@ def test_batch_randomized_sequences_match_decode(monkeypatch):
             msg = [rng.randrange(q) for _ in range(k)]
             words.append(word(points, positions, msg, errs))
         batch_agrees(points, positions, k, e, words)
-        columns_agree(monkeypatch, points, positions, k, e, words)
-        columns_agree(monkeypatch, points, positions, k, e, words, cut=rng.randint(0, 8))
+        batch_agrees(points, positions, k, e, words, cut=rng.randint(0, 8))
 
 
-def test_columns_beyond_radius_match_decode(monkeypatch):
+def test_columns_beyond_radius_match_decode():
     # words with no codeword within the radius fail with decode's text,
-    # and leave the suspect plan to the words after them
+    # and the words after them still decode
     points = EvalPoints.consecutive(11, 6)
     positions = (1, 2, 3, 4, 5, 6)
     rng = random.Random(3)
@@ -346,20 +331,20 @@ def test_columns_beyond_radius_match_decode(monkeypatch):
                 {h: 1 for h in positions}, {2: 4}, {3: 1}, {}]
     words = [word(points, positions, [rng.randrange(11) for _ in range(2)], errs)
              for errs in patterns]
-    assert columns_agree(monkeypatch, points, positions, 2, 2, words) > 0
-    messages, flags, failures = BatchDecoder(points, positions, 2, 2).decode_columns(
-        [[values[i] for values in words] for i in range(6)])
+    expected = batch_agrees(points, positions, 2, 2, words)
+    failed = [w for w, got in enumerate(expected) if isinstance(got, str)]
+    assert failed
+    messages, flags, failures = decode_columns(points, positions, 2, 2,
+                                               as_columns(words, 6))
+    assert sorted(failures) == failed
     assert all(messages[m][w] is None for m in range(2) for w in failures)
     assert not any(w in f for f in flags for w in failures)
-    # stopping at the first failure runs the locator as decode does up to it
-    expected = one_by_one(BatchDecoder(points, positions, 2, 2), words)
-    first = min(w for w, got in enumerate(expected) if isinstance(got, str))
-    (messages, flags, failures), runs = locator_runs(
-        monkeypatch, lambda: BatchDecoder(points, positions, 2, 2).decode_columns(
-            [[values[i] for values in words] for i in range(6)], stop=True))
-    assert {w: str(exc) for w, exc in failures.items()} == {first: expected[first]}
-    assert runs == locator_runs(monkeypatch, lambda: one_by_one(
-        BatchDecoder(points, positions, 2, 2), words[:first + 1]))[1]
+    # stopping at the first failure returns exactly that word, with decode's text
+    messages, flags, failures = decode_columns(points, positions, 2, 2,
+                                               as_columns(words, 6), stop=True)
+    assert {w: str(exc) for w, exc in failures.items()} == {failed[0]: expected[failed[0]]}
+    assert messages == [[None] * len(words)] * 2
+    assert flags == [set()] * 6
 
 
 def test_large_field_uses_wide_slots():
@@ -373,8 +358,8 @@ def test_large_field_uses_wide_slots():
     msgs = [[rng.randrange(q) for _ in range(3)] for _ in patterns]
     words = [word(points, positions, m, errs) for m, errs in zip(msgs, patterns)]
     batch_agrees(points, positions, 3, 2, words)
-    messages, flags, failures = BatchDecoder(points, positions, 3, 2).decode_columns(
-        [[values[i] for values in words] for i in range(7)])
+    messages, flags, failures = decode_columns(points, positions, 3, 2,
+                                               as_columns(words, 7))
     assert set(failures) == {3}
     for w in (0, 1, 2, 4):
         assert [m[w] for m in messages] == msgs[w]
@@ -383,20 +368,23 @@ def test_large_field_uses_wide_slots():
 
 def test_batch_decoder_checks_its_shape():
     points = EvalPoints.consecutive(7, 5)
+    one = [[1], [2], [3]]
     with pytest.raises(ValueError):
-        BatchDecoder(points, (1, 2, 3), 2, 1)  # 3 - 2 < 2
+        decode_columns(points, (1, 2, 3), 2, 1, one)  # 3 - 2 < 2
     with pytest.raises(ValueError):
-        BatchDecoder(points, (1, 2, 9), 1, 0)
+        decode_columns(points, (1, 2, 9), 1, 0, one)
+    with pytest.raises(ValueError, match="ascending"):
+        decode_columns(points, (1, 1, 2), 1, 0, one)
+    with pytest.raises(ValueError, match="ascending"):
+        decode_columns(points, (2, 1, 3), 1, 0, one)
     with pytest.raises(ValueError):
-        BatchDecoder(points, (1, 1, 2), 1, 0)
+        decode_columns(points, (1, 2, 3), 2, 0, [[1], [2]])
     with pytest.raises(ValueError):
-        BatchDecoder(points, (1, 2, 3), 2, 0).decode([1, 2])
+        decode_columns(points, (1, 2, 3), 2, 0, [[1, 4], [2, 5]])
     with pytest.raises(ValueError):
-        BatchDecoder(points, (1, 2, 3), 2, 0).decode_columns([[1], [2]])
-    with pytest.raises(ValueError):
-        BatchDecoder(points, (1, 2, 3), 2, 0).decode_columns([[1], [2], [3, 4]])
+        decode_columns(points, (1, 2, 3), 2, 0, [[1], [2], [3, 4]])
     # an empty batch decodes to nothing
-    assert BatchDecoder(points, (1, 2, 3), 2, 0).decode_columns([[], [], []]) == (
+    assert decode_columns(points, (1, 2, 3), 2, 0, [[], [], []]) == (
         [[], []], [set(), set(), set()], {})
 
 
@@ -404,7 +392,8 @@ def test_criterion_6_code_edges_match_the_oracle():
     # the criterion-6 stream code: N=2, K=2, H=5, A=1, I=1, J=4, q=11, so
     # dimension I + L = 2 and radius 1 at every delivery.  Decoding is
     # linear, so one message stands for all; every single error, and
-    # every weight-2 pattern beyond the radius, on every J-subset
+    # every weight-2 pattern beyond the radius, on every J-subset, each
+    # J-subset's patterns in one batch
     q, k, e = 11, 2, 1
     points = EvalPoints.consecutive(q, 5)
     msg = [3, 7]
@@ -412,12 +401,8 @@ def test_criterion_6_code_edges_match_the_oracle():
         patterns = [{h: v} for h in positions for v in range(1, q)]
         patterns += [{h1: v1, h2: v2} for h1, h2 in combinations(positions, 2)
                      for v1 in range(1, q) for v2 in range(1, q)]
-        batch = BatchDecoder(points, positions, k, e)
-        for errs in patterns:
-            values = word(points, positions, msg, errs)
-            cw = Codeword(k, dict(zip(positions, values)))
-            expected = outcome(lambda: brute_force_decode(cw, points, e))
+        words = [word(points, positions, msg, errs) for errs in patterns]
+        expected = batch_agrees(points, positions, k, e, words)
+        for errs, got in zip(patterns, expected):
             if len(errs) == 1:
-                assert expected == (msg, set(errs))
-            assert outcome(lambda: batch.decode(values)) == expected, errs
-            assert outcome(lambda: decode(cw, points, e)) == expected, errs
+                assert got == (msg, set(errs))
