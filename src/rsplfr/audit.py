@@ -1,39 +1,50 @@
 """Exact information-theoretic audits over tiny instances.
 
-Server and signal security are computed from ranks over F_q.  Stores
-are linear in (library, noise, keys, masks), and for fixed queries the
-signals are linear in the stores, so for uniform secrets the leakage is
-exactly I(W; Y) = (rank [G_W | G_R] - rank G_R) log2 q.  The columns of
-G are the production ``build_storage`` and ``server_signal`` outputs on
-unit vectors of the (library, randomness) space; linearity is checked
-at zero and at seeded random inputs before any column is trusted, and
-a failed check raises ``AuditError``.  A gap of 0 is a literal 0.0.
+Every leakage figure is a rank gap over F_q.  For uniform secrets X and
+uniform nuisance inputs Z, an observation c + G_X X + G_Z Z leaks exactly
+I(X; observation) = (rank [G_X | G_Z] - rank G_Z) log2 q bits.  The
+columns of G are the outputs of the production functions on unit
+vectors of the input space; the functions are checked at zero and at
+seeded random inputs before any column is trusted, and a failed check
+raises ``AuditError``.  A gap of 0 is a literal 0.0.
 
-Demand privacy, and the enumeration oracles that the rank audits are
-tested against, enumerate every equally likely joint outcome (library,
-randomness, blend vectors, demands), tabulate integer counts of
-(secret, observation) pairs, and report mutual information in bits.
-Independence is detected by an exact integer rank-one test on the
-count table, so a passing audit returns a literal 0.0 rather than a
-small float.  Priors are uniform by construction; there is no hook
-for weighting outcomes.  Every audit reports, and refuses above its
-cap, the joint outcomes its figure covers, whether or not they are
-enumerated.
+- Server security: stores are linear in (library, noise, keys, masks).
+- Signal security: for fixed queries the signals are linear in the
+  stores; the figure is the mean gap over the query grid.  Queries are
+  demands plus blends, so I(demands; queries) is a rank gap too.
+- Demand privacy: for a fixed library, everything a coalition sees
+  (stores, its caches, its demands, every query) is affine in
+  (randomness, blends, demands), and the hidden demands are the secret.
+
+Each audit refuses, above its cap, the probe evaluations it would make,
+counted before any work is done, and reports the joint outcomes its
+figure covers.
+
+The enumeration oracles (``enumerate_server_security``,
+``enumerate_signal_security``, ``enumerate_demand_privacy``) are what
+the rank audits are tested against.  They enumerate every equally likely
+joint outcome (library, randomness, blend vectors, demands), tabulate
+integer counts of (secret, observation) pairs, and report mutual
+information in bits from ``exact_mi``, whose exact integer rank-one test
+returns a literal 0.0 for independent tables.  They refuse above their
+cap the outcomes they would enumerate.  Priors are uniform by
+construction; there is no hook for weighting outcomes.
 
 Corruption by the bounded adversaries cannot make these leakage
 figures worse: every deterministic strategy is a function of the
 honest signal, and the randomized one adds noise drawn independently
 of all secrets.  The audits therefore cover honest transcripts.
 
-Queries depend only on (blends, demands), so every audit builds them
-once per pair.  The enumerations leave out repeated work, never
-outcomes: since ``server_signal`` is a pure function of (store,
+Queries depend only on (blends, demands), so the signal audit and the
+oracles build them once per pair.  The oracles leave out repeated work,
+never outcomes: since ``server_signal`` is a pure function of (store,
 queries), the signal oracle has each server answer each distinct query
 vector once per (library, randomness) outcome, and the demand-privacy
-audit builds the stores once per (library, randomness) outcome for all
+oracle builds the stores once per (library, randomness) outcome for all
 coalitions.  Every outcome is still counted, in the original order.
-The signal rank audit answers each distinct query vector once per
-probe store.
+The signal rank audit answers each distinct query vector once per probe
+store, and the demand-privacy rank audit builds the stores and caches
+once per (library, probe) for all coalitions.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
@@ -69,6 +80,10 @@ MUTATIONS = ("zero-noise", "key-removal", "zero-pad")
 # the rank audits check linearity at zero and at _CHECKS seeded random inputs
 _CHECK_SEED = 0
 _CHECKS = 2
+
+# what the guards count: the oracles' outcomes, the rank audits' probes
+_ENUMERATE = "enumerate {} outcomes"
+_EVALUATE = "evaluate {} probes"
 
 
 def _check_mutations(mutations) -> frozenset:
@@ -153,13 +168,16 @@ def _n_inputs(space: _Space) -> int:
     return space.n_w + space.n_delta + space.n_vee + space.n_lambda
 
 
-def _guard(space: _Space, dims: int, constraint: str, cap: int,
-           copies: int = 1) -> int:
-    """Outcomes of `copies` enumerations of q^dims each, refused above cap."""
-    count = space.params.q ** dims * copies
+def _outcomes(space: _Space, dims: int, copies: int = 1) -> int:
+    """Outcomes of `copies` enumerations of q^dims each."""
+    return space.params.q ** dims * copies
+
+
+def _guard(constraint: str, count: int, cap: int, work: str = _ENUMERATE) -> int:
+    """`count`, the work an audit would do, refused above cap."""
     if count > cap:
         raise InfeasibleAuditError(
-            f"{constraint} would enumerate {count} outcomes (cap {cap})")
+            f"{constraint} would {work.format(count)} (cap {cap})")
     return count
 
 
@@ -213,6 +231,15 @@ def _demands(dflat, users, N: int) -> tuple:
     return tuple(v for k in users for v in dflat[(k - 1) * N:k * N])
 
 
+def _query_values(space: _Space, dflat, pflat) -> tuple:
+    """Every user's query, concatenated, for flat demands and blends."""
+    params = space.params
+    ds = _rows(dflat, params.K, params.N)
+    ps = _rows(pflat, params.K, params.N)
+    return tuple(chain.from_iterable(make_query(params, ds[k], ps[k])
+                                     for k in range(params.K)))
+
+
 def _query_grid(space: _Space) -> list:
     """Every blend outcome with its demand outcomes and their queries.
 
@@ -244,40 +271,48 @@ def _u_space(space: _Space):
 # ---------- rank audits ----------
 
 
-def _probe_inputs(space: _Space) -> list:
+def _probes(n: int) -> int:
+    """Probe inputs of an n-coordinate space: units, zero and the checks."""
+    return n + 1 + _CHECKS
+
+
+def _probe_inputs(n: int, q: int) -> list:
     """The n unit vectors, then the inputs that check linearity.
 
     The checks are the zero vector and two vectors from a fixed-seed
     generator; a mutation's pinned coordinates are not in the space.
     """
-    n, q = _n_inputs(space), space.params.q
     rng = random.Random(_CHECK_SEED)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return units + [(0,) * n] + [tuple(rng.randrange(q) for _ in range(n))
                                  for _ in range(_CHECKS)]
 
 
-def _columns(space: _Space, inputs: list, outputs: list, what: str) -> list:
-    """The outputs at the unit vectors, once f(x) = sum x_i f(e_i) holds
-    at every check input x; the generator is untrusted until then."""
-    n, q = _n_inputs(space), space.params.q
-    cols = outputs[:n]
+def _columns(q: int, inputs: list, outputs: list, what: str,
+             over: str = "(library, randomness)", affine: bool = False) -> list:
+    """The columns f(e_i) - f(0), once f(x) = f(0) + sum x_i (f(e_i) - f(0))
+    holds at every check input x, with f(0) = 0 unless `affine`; the
+    generator is untrusted until then."""
+    n = len(inputs[0])
+    offset = tuple(outputs[n]) if affine else (0,) * len(outputs[n])
+    cols = [tuple((v - o) % q for v, o in zip(out, offset)) for out in outputs[:n]]
     for x, got in zip(inputs[n:], outputs[n:]):
-        want = tuple(sum(xi * col[r] for xi, col in zip(x, cols)) % q
-                     for r in range(len(cols[0])))
+        want = tuple((o + sum(xi * col[r] for xi, col in zip(x, cols))) % q
+                     for r, o in enumerate(offset))
         if tuple(got) != want:
-            raise AuditError(f"{what} is not linear over F_{q} in "
-                             f"(library, randomness); the rank audit needs it")
+            kind = "affine" if affine else "linear"
+            raise AuditError(f"{what} is not {kind} over F_{q} in {over}; "
+                             f"the rank audit needs it")
     return cols
 
 
 def _probe_stores(space: _Space) -> tuple[list, list]:
     """Every probe input with the server stores built from it."""
     params, arr, w = space.params, space.arr, space.n_w
-    inputs = _probe_inputs(space)
+    inputs = _probe_inputs(_n_inputs(space), params.q)
     stores = [build_storage(params, arr, _library(space, x[:w]),
                             _randomness(space, x[w:])) for x in inputs]
-    _columns(space, inputs,
+    _columns(params.q, inputs,
              [tuple(chain.from_iterable(_contents(st) for st in sts))
               for sts in stores], "build_storage")
     return inputs, stores
@@ -316,7 +351,8 @@ def audit_server_security(params: SystemParams, arr: Pda, mutations=(),
     """
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
-    per_table = _guard(space, _n_inputs(space), "server-security", cap)
+    _guard("server-security", _probes(_n_inputs(space)), cap, _EVALUATE)
+    per_table = _outcomes(space, _n_inputs(space))
     subsets = list(combinations(range(1, params.H + 1), params.I))
     _, stores = _probe_stores(space)
     zeds = [[_contents(st) for st in sts] for sts in stores[:_n_inputs(space)]]
@@ -351,34 +387,42 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
     the mean over equally likely grid points.  Given (Q, W), Y depends only
     on R, so I(D; Y | Q, W) = 0, and W is independent of (D, Q):
         I((W, D); (Q, Y)) = I((W, D); Q) + I((W, D); Y | Q)
-                          = I(D; Q) + I(W; Y | Q),
-    where I(D; Q) comes from the exact count table over the grid.
+                          = I(D; Q) + I(W; Y | Q).
+    Q = D + P is linear in the uniform (D, P), so I(D; Q) is the rank gap
+    of the production queries probed over (D, P), with D as the secret.
+
+    The work refused above `cap` is the probe stores times the query-grid
+    points, each of which may need an answer from every probe store,
+    plus the query probes.
     """
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
     q = params.q
-    total = _guard(space, _n_inputs(space) + space.n_p + space.n_d,
-                   "signal-security", cap)
+    n_dp = space.n_d + space.n_p
+    _guard("signal-security",
+           _probes(_n_inputs(space)) * q ** n_dp + _probes(n_dp), cap, _EVALUATE)
+    total = _outcomes(space, _n_inputs(space) + n_dp)
     inputs, stores = _probe_stores(space)
     gaps: dict = {}
     gap_sum = 0
     grid_points = 0
-    demand_query: dict = {}
     for _ps, rows in _query_grid(space):
-        for dflat, queries, qvals in rows:
+        for _dflat, queries, qvals in rows:
             gap = gaps.get(qvals)
             if gap is None:
                 outputs = [tuple(v for st in sts for packet in
                                  server_signal(params, arr, st, queries).payload
                                  for v in packet) for sts in stores]
                 gap = gaps[qvals] = _rank_gap(
-                    _columns(space, inputs, outputs, "server_signal"), space.n_w, q)
+                    _columns(q, inputs, outputs, "server_signal"), space.n_w, q)
             gap_sum += gap
             grid_points += 1
-            key = (dflat, qvals)
-            demand_query[key] = demand_query.get(key, 0) + 1
     mi_main = Fraction(gap_sum, grid_points) * math.log2(q)    # a float
-    mi_demands = exact_mi(demand_query)
+    dp_inputs = _probe_inputs(n_dp, q)
+    query_cols = _columns(
+        q, dp_inputs, [_query_values(space, x[:space.n_d], x[space.n_d:])
+                       for x in dp_inputs], "make_query", "(demands, blends)")
+    mi_demands = _rank_gap(query_cols, space.n_d, q) * math.log2(q)
     mi_strong = mi_demands + mi_main
     worst = max(mi_main, mi_strong)
     witness = None
@@ -392,9 +436,6 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
                        witness=witness)
 
 
-# ---------- enumeration and replay audits ----------
-
-
 def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
                          cap: int = 2_000_000) -> AuditReport:
     """Non-colluders' demands must stay hidden from servers plus any colluders.
@@ -403,8 +444,195 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     users' demand rows must be independent of everything the coalition
     sees: all queries, all server stores, and the colluders' own caches,
     blend vectors, and demands.  Conditioning on the library makes this
-    strictly stronger than an unconditional check.
+    strictly stronger than an unconditional check.  The signals are left
+    out: they are a function of the stores and the queries.
+
+    For a fixed library W the view is affine in the uniform (randomness,
+    blends, demands): stores are G_R R + c_W, keyed cache packets are
+    vee + p W, queries are d + p.  So
+        I(D_rest; view | W = w) = (rank G - rank G without D_rest) log2 q,
+    with G's columns the production outputs on unit vectors minus their
+    value at zero.  The stores and caches of every (library, probe) are
+    built once for all coalitions.  The work refused above `cap` is the
+    libraries times the probes per library.
     """
+    muts = _check_mutations(mutations)
+    space = _space(params, arr, muts)
+    q, K, N = params.q, params.K, params.N
+    coalitions = [tuple(c) for r in range(K + 1)
+                  for c in combinations(range(1, K + 1), r)]
+    real = [S for S in coalitions if len(S) < K]
+    n_u = _n_inputs(space) - space.n_w
+    d0 = n_u + space.n_p                 # where a probe's demands start
+    n = d0 + space.n_d
+    _guard("demand-privacy", q ** space.n_w * _probes(n), cap, _EVALUATE)
+    outcomes = _outcomes(space, _n_inputs(space) + space.n_p + space.n_d, len(real))
+    # a probe x is (randomness, blends, demands); the queries and the
+    # colluders' own demands do not depend on the library
+    inputs = _probe_inputs(n, q)
+    probes = [(_randomness(space, x[:n_u]), _rows(x[n_u:d0], K, N)) for x in inputs]
+    over = "(randomness, blends, demands) for a fixed library"
+    queries = _columns(q, inputs, [_query_values(space, x[d0:], x[n_u:d0]) for x in inputs],
+                       "make_query", over, affine=True)
+    # per coalition, the hidden demand columns go first
+    orders = {}
+    for S in real:
+        hidden = [d0 + (k - 1) * N + i for k in range(1, K + 1) if k not in S
+                  for i in range(N)]
+        orders[S] = (hidden + sorted(set(range(n)) - set(hidden)), len(hidden))
+    gaps: dict = {S: [] for S in real}
+    for wflat in product(range(q), repeat=space.n_w):
+        library = _library(space, wflat)
+        stores = _columns(q, inputs, [
+            tuple(chain.from_iterable(_contents(st) for st in
+                                      build_storage(params, arr, library, randomness)))
+            for randomness, _ps in probes], "build_storage", over, affine=True)
+        caches = [_columns(q, inputs, [
+            _cached(place_user(params, arr, library, randomness, k, ps[k - 1]))
+            for randomness, ps in probes], "place_user", over, affine=True)
+            for k in range(1, K + 1)]
+        for S, (order, split) in orders.items():
+            view = [stores[c] + queries[c] + _demands(inputs[c][d0:], S, N)
+                    + tuple(chain.from_iterable(caches[k - 1][c] for k in S))
+                    for c in order]
+            gaps[S].append(_rank_gap(view, split, q))
+    details = []
+    worst = 0
+    witness = None
+    for S in coalitions:
+        if len(S) == K:
+            # the whole user set colludes: nothing is left to hide
+            details.append((f"colluders={list(S)}", 0.0))
+            continue
+        for wflat, gap in zip(product(range(q), repeat=space.n_w), gaps[S]):
+            if gap > worst:
+                worst = gap
+                witness = {"colluders": list(S), "library": list(wflat),
+                           "mi_bits": gap * math.log2(q)}
+        details.append((f"colluders={list(S)}", max(gaps[S]) * math.log2(q)))
+    return AuditReport(constraint="demand-privacy", satisfied=worst == 0,
+                       mi_bits=worst * math.log2(q), outcomes=outcomes,
+                       tables=len(real) * (q ** space.n_w), details=tuple(details),
+                       witness=witness)
+
+
+# ---------- replay audit ----------
+
+
+def audit_robustness(params: SystemParams, arr: Pda) -> tuple[AuditReport, AuditReport]:
+    """Replay every delivery configuration within the corruption budget.
+
+    Returns a pair of reports: exact recovery of the whole library from
+    any J stored contents, and exact scalar-combination decoding by every
+    user from any J signals, both under every adversary placement of size
+    up to A and every corruption strategy, for two demand samples and at
+    most 10,000 configurations.
+    """
+    sc = sim.Scenario(params=params, pda=arr, demand_samples=2,
+                      sweep_j_subsets=True, sweep_adversary_subsets=True,
+                      sweep_strategies=True, check_recovery=True,
+                      max_configs=10_000)
+    result = sim.sweep(sc)
+    counts = dict(result.stage_counts)
+    reports = []
+    for stage, name in (("recover", "robust-recovery"), ("decode", "robust-decoding")):
+        bad = counts.get(stage, 0)
+        sample = tuple(w for w in result.failures if w.get("stage") == stage)
+        reports.append(AuditReport(
+            constraint=name, satisfied=bad == 0, mi_bits=None,
+            outcomes=result.configurations, tables=1,
+            details=((f"failures={bad}", float(bad)),),
+            witness=dict(sample[0]) if sample else None))
+    return reports[0], reports[1]
+
+
+# ---------- enumeration oracles ----------
+
+
+def enumerate_server_security(params: SystemParams, arr: Pda, mutations=(),
+                              cap: int = 2_000_000) -> AuditReport:
+    """Oracle for `audit_server_security`: tabulate every joint outcome."""
+    muts = _check_mutations(mutations)
+    space = _space(params, arr, muts)
+    q = params.q
+    per_table = _guard("server-security", _outcomes(space, _n_inputs(space)), cap)
+    subsets = list(combinations(range(1, params.H + 1), params.I))
+    tables = {T: {} for T in subsets}
+    for wflat in product(range(q), repeat=space.n_w):
+        library = _library(space, wflat)
+        for uflat in _u_space(space):
+            stores = build_storage(params, arr, library, _randomness(space, uflat))
+            zed = [_contents(st) for st in stores]
+            for T in subsets:
+                key = (wflat, tuple(zed[h - 1] for h in T))
+                tables[T][key] = tables[T].get(key, 0) + 1
+    details = []
+    worst = 0.0
+    witness = None
+    for T in subsets:
+        mi = exact_mi(tables[T])
+        details.append((f"servers={list(T)}", mi))
+        if mi > worst:
+            worst = mi
+            witness = {"servers": list(T), "mi_bits": mi}
+    return AuditReport(constraint="server-security", satisfied=worst == 0.0,
+                       mi_bits=worst, outcomes=per_table * len(subsets),
+                       tables=len(subsets), details=tuple(details), witness=witness)
+
+
+def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=(),
+                              cap: int = 2_000_000) -> AuditReport:
+    """Oracle for `audit_signal_security`: tabulate every joint outcome.
+
+    The second table holds the pair (library, demands) against the same
+    observation.
+    """
+    muts = _check_mutations(mutations)
+    space = _space(params, arr, muts)
+    q = params.q
+    total = _guard("signal-security", _outcomes(
+        space, _n_inputs(space) + space.n_p + space.n_d), cap)
+    table: dict = {}
+    strong: dict = {}
+    grid = _query_grid(space)
+    for wflat in product(range(q), repeat=space.n_w):
+        library = _library(space, wflat)
+        for uflat in _u_space(space):
+            stores = build_storage(params, arr, library, _randomness(space, uflat))
+            # server_signal is a pure function of (store, queries): answer
+            # each distinct query vector once within this outcome
+            answers: dict = {}
+            for _ps, rows in grid:
+                for dflat, queries, qvals in rows:
+                    payloads = answers.get(qvals)
+                    if payloads is None:
+                        payloads = answers[qvals] = tuple(
+                            tuple(chain.from_iterable(
+                                server_signal(params, arr, st, queries).payload))
+                            for st in stores)
+                    obs = (qvals, payloads)
+                    key = (wflat, obs)
+                    table[key] = table.get(key, 0) + 1
+                    skey = ((wflat, dflat), obs)
+                    strong[skey] = strong.get(skey, 0) + 1
+    mi_main = exact_mi(table)
+    mi_strong = exact_mi(strong)
+    worst = max(mi_main, mi_strong)
+    witness = None
+    if worst > 0.0:
+        which = "library" if mi_main >= mi_strong else "library+demands"
+        witness = {"secret": which, "mi_bits": worst}
+    return AuditReport(constraint="signal-security", satisfied=worst == 0.0,
+                       mi_bits=worst, outcomes=total, tables=2,
+                       details=(("secret=library", mi_main),
+                                ("secret=library+demands", mi_strong)),
+                       witness=witness)
+
+
+def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
+                             cap: int = 2_000_000) -> AuditReport:
+    """Oracle for `audit_demand_privacy`: tabulate every joint outcome,
+    one count table per (coalition, library)."""
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
     q = params.q
@@ -412,8 +640,8 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     coalitions = [tuple(c) for r in range(K + 1)
                   for c in combinations(range(1, K + 1), r)]
     real = [S for S in coalitions if len(S) < K]
-    outcomes = _guard(space, _n_inputs(space) + space.n_p + space.n_d,
-                      "demand-privacy", cap, len(real))
+    outcomes = _guard("demand-privacy", _outcomes(
+        space, _n_inputs(space) + space.n_p + space.n_d, len(real)), cap)
     grid = _query_grid(space)
     # the stores depend only on the (library, randomness) outcome, so
     # they are built once and shared by every coalition
@@ -462,116 +690,6 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     return AuditReport(constraint="demand-privacy", satisfied=worst == 0.0,
                        mi_bits=worst, outcomes=outcomes,
                        tables=len(real) * (q ** space.n_w), details=tuple(details),
-                       witness=witness)
-
-
-def audit_robustness(params: SystemParams, arr: Pda) -> tuple[AuditReport, AuditReport]:
-    """Replay every delivery configuration within the corruption budget.
-
-    Returns a pair of reports: exact recovery of the whole library from
-    any J stored contents, and exact scalar-combination decoding by every
-    user from any J signals, both under every adversary placement of size
-    up to A and every corruption strategy, for two demand samples and at
-    most 10,000 configurations.
-    """
-    sc = sim.Scenario(params=params, pda=arr, demand_samples=2,
-                      sweep_j_subsets=True, sweep_adversary_subsets=True,
-                      sweep_strategies=True, check_recovery=True,
-                      max_configs=10_000)
-    result = sim.sweep(sc)
-    counts = dict(result.stage_counts)
-    reports = []
-    for stage, name in (("recover", "robust-recovery"), ("decode", "robust-decoding")):
-        bad = counts.get(stage, 0)
-        sample = tuple(w for w in result.failures if w.get("stage") == stage)
-        reports.append(AuditReport(
-            constraint=name, satisfied=bad == 0, mi_bits=None,
-            outcomes=result.configurations, tables=1,
-            details=((f"failures={bad}", float(bad)),),
-            witness=dict(sample[0]) if sample else None))
-    return reports[0], reports[1]
-
-
-# ---------- enumeration oracles ----------
-
-
-def enumerate_server_security(params: SystemParams, arr: Pda, mutations=(),
-                              cap: int = 2_000_000) -> AuditReport:
-    """Oracle for `audit_server_security`: tabulate every joint outcome."""
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
-    q = params.q
-    per_table = _guard(space, _n_inputs(space), "server-security", cap)
-    subsets = list(combinations(range(1, params.H + 1), params.I))
-    tables = {T: {} for T in subsets}
-    for wflat in product(range(q), repeat=space.n_w):
-        library = _library(space, wflat)
-        for uflat in _u_space(space):
-            stores = build_storage(params, arr, library, _randomness(space, uflat))
-            zed = [_contents(st) for st in stores]
-            for T in subsets:
-                key = (wflat, tuple(zed[h - 1] for h in T))
-                tables[T][key] = tables[T].get(key, 0) + 1
-    details = []
-    worst = 0.0
-    witness = None
-    for T in subsets:
-        mi = exact_mi(tables[T])
-        details.append((f"servers={list(T)}", mi))
-        if mi > worst:
-            worst = mi
-            witness = {"servers": list(T), "mi_bits": mi}
-    return AuditReport(constraint="server-security", satisfied=worst == 0.0,
-                       mi_bits=worst, outcomes=per_table * len(subsets),
-                       tables=len(subsets), details=tuple(details), witness=witness)
-
-
-def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=(),
-                              cap: int = 2_000_000) -> AuditReport:
-    """Oracle for `audit_signal_security`: tabulate every joint outcome.
-
-    The second table holds the pair (library, demands) against the same
-    observation.
-    """
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
-    q = params.q
-    total = _guard(space, _n_inputs(space) + space.n_p + space.n_d,
-                   "signal-security", cap)
-    table: dict = {}
-    strong: dict = {}
-    grid = _query_grid(space)
-    for wflat in product(range(q), repeat=space.n_w):
-        library = _library(space, wflat)
-        for uflat in _u_space(space):
-            stores = build_storage(params, arr, library, _randomness(space, uflat))
-            # server_signal is a pure function of (store, queries): answer
-            # each distinct query vector once within this outcome
-            answers: dict = {}
-            for _ps, rows in grid:
-                for dflat, queries, qvals in rows:
-                    payloads = answers.get(qvals)
-                    if payloads is None:
-                        payloads = answers[qvals] = tuple(
-                            tuple(chain.from_iterable(
-                                server_signal(params, arr, st, queries).payload))
-                            for st in stores)
-                    obs = (qvals, payloads)
-                    key = (wflat, obs)
-                    table[key] = table.get(key, 0) + 1
-                    skey = ((wflat, dflat), obs)
-                    strong[skey] = strong.get(skey, 0) + 1
-    mi_main = exact_mi(table)
-    mi_strong = exact_mi(strong)
-    worst = max(mi_main, mi_strong)
-    witness = None
-    if worst > 0.0:
-        which = "library" if mi_main >= mi_strong else "library+demands"
-        witness = {"secret": which, "mi_bits": worst}
-    return AuditReport(constraint="signal-security", satisfied=worst == 0.0,
-                       mi_bits=worst, outcomes=total, tables=2,
-                       details=(("secret=library", mi_main),
-                                ("secret=library+demands", mi_strong)),
                        witness=witness)
 
 

@@ -1,13 +1,15 @@
-"""Exact leakage audits on enumerable instances, plus mutation controls.
+"""Exact leakage audits, their enumeration oracles, and mutation controls.
 
 The micro instance (q=3, two files, one user, two servers) has a joint
 outcome space of 3^10 = 59049, small enough to enumerate exactly.  Every
 audit must report literal zero leakage on the honest construction, and
 each mutation must flip its targeted audit to a strictly positive figure.
+The rank audits must equal the enumeration oracles wherever those run.
 """
 
 import hashlib
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -174,24 +176,46 @@ def test_mutation_names_are_checked():
 
 
 def test_realistic_instances_are_rejected_as_infeasible():
-    with pytest.raises(InfeasibleAuditError):
-        audit_server_security(TOY, TOY_PDA)
-    with pytest.raises(InfeasibleAuditError):
+    # toy signal security would answer 7^24 query-grid points per probe
+    # store, and demand privacy would probe each of 7^24 libraries
+    with pytest.raises(InfeasibleAuditError, match="would evaluate"):
         audit_signal_security(TOY, TOY_PDA)
-    with pytest.raises(InfeasibleAuditError):
+    with pytest.raises(InfeasibleAuditError, match="would evaluate"):
         audit_demand_privacy(TOY, TOY_PDA)
+    # the oracles count outcomes: about 1.07e38 for toy server security
+    with pytest.raises(InfeasibleAuditError, match="would enumerate"):
+        audit_module.enumerate_server_security(TOY, TOY_PDA)
+
+
+def test_toy_server_security_runs_by_rank():
+    # 7^45 outcomes per server, but only 49 probe stores to build
+    report = audit_server_security(TOY, TOY_PDA)
+    assert report.satisfied
+    assert report.mi_bits == 0.0
+    assert report.outcomes == 6 * 7 ** 45
+    assert report.tables == 6
 
 
 def test_cap_is_adjustable():
-    with pytest.raises(InfeasibleAuditError):
-        audit_server_security(MICRO, MICRO_PDA, cap=100)
+    # the rank audits count probe evaluations before doing any work:
+    # 6 units + zero + 2 checks for server security; those 9 stores times
+    # 3^4 query-grid points plus 4 + 3 query probes for signal security;
+    # 3^2 libraries times 8 + 3 probes for demand privacy
+    for audit, work in ((audit_server_security, 9),
+                        (audit_signal_security, 736),
+                        (audit_demand_privacy, 99)):
+        with pytest.raises(InfeasibleAuditError,
+                           match=rf"would evaluate {work} probes \(cap {work - 1}\)"):
+            audit(MICRO, MICRO_PDA, cap=work - 1)
+        assert audit(MICRO, MICRO_PDA, cap=work).satisfied
 
 
 def test_demand_privacy_cap_bounds_the_whole_enumeration():
     # 3^2 libraries x 3^8 outcomes each x one coalition = 59049
-    with pytest.raises(InfeasibleAuditError, match="59049"):
-        audit_demand_privacy(MICRO, MICRO_PDA, cap=59048)
-    assert audit_demand_privacy(MICRO, MICRO_PDA, cap=59049).outcomes == 59049
+    oracle = audit_module.enumerate_demand_privacy
+    with pytest.raises(InfeasibleAuditError, match="would enumerate 59049 outcomes"):
+        oracle(MICRO, MICRO_PDA, cap=59048)
+    assert oracle(MICRO, MICRO_PDA, cap=59049).outcomes == 59049
 
 
 def test_audit_requires_fixed_sizes():
@@ -208,8 +232,8 @@ def test_count_tables_and_reports_are_pinned(monkeypatch):
     # handed to exact_mi, in call order, and of the reports; both values come
     # from the enumeration that rebuilt queries and answers for every outcome,
     # so skipping repeated work must leave every count and report unchanged.
-    # Server and signal security are pinned on their enumeration oracles,
-    # which the rank audits are checked against below.
+    # Every audit is pinned on its enumeration oracle, which the rank
+    # audit is checked against below.
     digests = []
     original = audit_module.exact_mi
 
@@ -221,7 +245,7 @@ def test_count_tables_and_reports_are_pinned(monkeypatch):
     reports = [[audit(MICRO, MICRO_PDA, mutations)
                 for audit in (audit_module.enumerate_server_security,
                               audit_module.enumerate_signal_security,
-                              audit_demand_privacy)]
+                              audit_module.enumerate_demand_privacy)]
                for mutations in ((), ("zero-noise",), ("key-removal",), ("zero-pad",))]
     assert len(digests) == 52
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == (
@@ -235,18 +259,21 @@ MUTATION_SUBSETS = [m for r in range(len(MUTATIONS) + 1)
 
 # every micro case, plus the K=2 cases whose oracle runs in under a second;
 # the honest and zero-pad server cases and the remaining feasible signal
-# cases take 1-9 s each and were compared once (see CHANGES.md)
+# and demand cases take 1-9 s each and were compared once (see CHANGES.md)
 RANK_CASES = (
-    [("micro", kind, m) for kind in ("server", "signal") for m in MUTATION_SUBSETS]
+    [("micro", kind, m) for kind in ("server", "signal", "demand")
+     for m in MUTATION_SUBSETS]
     + [("k2", "server", m) for m in (
         ("zero-noise",), ("key-removal",), ("zero-noise", "key-removal"),
         ("zero-noise", "zero-pad"), ("key-removal", "zero-pad"), MUTATIONS)]
-    + [("k2", "signal", MUTATIONS)])
+    + [("k2", "signal", MUTATIONS)]
+    + [("k2", "demand", m) for m in (("zero-noise", "zero-pad"), MUTATIONS)])
 
 INSTANCES = {"micro": (MICRO, MICRO_PDA), "k2": (K2, K2_PDA)}
 RANK_AUDITS = {
     "server": (audit_server_security, audit_module.enumerate_server_security),
-    "signal": (audit_signal_security, audit_module.enumerate_signal_security)}
+    "signal": (audit_signal_security, audit_module.enumerate_signal_security),
+    "demand": (audit_demand_privacy, audit_module.enumerate_demand_privacy)}
 
 
 @pytest.mark.parametrize(
@@ -267,6 +294,9 @@ def test_rank_audit_equals_the_enumeration_oracle(instance, kind, mutations):
         assert round(got.witness["mi_bits"], 9) == round(want.witness["mi_bits"], 9)
         if kind == "server":
             assert got.witness["servers"] == want.witness["servers"]
+        elif kind == "demand":
+            assert (got.witness["colluders"], got.witness["library"]) == (
+                want.witness["colluders"], want.witness["library"])
         else:
             # "library" exactly when I(D; Q) = 0, where the oracle's two
             # figures are the same number up to float noise
@@ -309,6 +339,40 @@ def test_rank_audit_refuses_affine_signals(monkeypatch):
     assert audit_server_security(MICRO, MICRO_PDA).satisfied
 
 
+def test_rank_demand_audit_refuses_non_affine_caches(monkeypatch):
+    # squaring the cached blend vector agrees with it on unit vectors only
+    def squared(cache):
+        return replace(cache, p=tuple(v * v % 3 for v in cache.p))
+
+    monkeypatch.setattr(audit_module, "place_user",
+                        _affine(audit_module.place_user, squared))
+    with pytest.raises(AuditError, match="place_user is not affine"):
+        audit_demand_privacy(MICRO, MICRO_PDA)
+
+
+def test_rank_audits_refuse_non_linear_queries(monkeypatch):
+    def squared(query):
+        return tuple(v * v % 3 for v in query)
+
+    monkeypatch.setattr(audit_module, "make_query",
+                        _affine(audit_module.make_query, squared))
+    with pytest.raises(AuditError, match="make_query is not linear"):
+        audit_signal_security(MICRO, MICRO_PDA)
+    with pytest.raises(AuditError, match="make_query is not affine"):
+        audit_demand_privacy(MICRO, MICRO_PDA)
+
+
+@pytest.mark.parametrize("instance", ["micro", "k2"])
+def test_production_audits_never_tabulate(monkeypatch, instance):
+    def refuse(counts):
+        raise AssertionError("exact_mi is for the enumeration oracles only")
+
+    monkeypatch.setattr(audit_module, "exact_mi", refuse)
+    reports = run_audits(*INSTANCES[instance])
+    assert len(reports) == 5
+    assert all(r.satisfied for r in reports)
+
+
 def _count_calls(monkeypatch, name):
     calls = [0]
     original = getattr(audit_module, name)
@@ -322,16 +386,17 @@ def _count_calls(monkeypatch, name):
 
 
 def test_queries_and_answers_are_built_once(monkeypatch):
-    # 3^4 (blend, demand) pairs; the rank audit answers each of the 9
-    # distinct query vectors once per probe store and server:
+    # 3^4 (blend, demand) pairs, plus I(D; Q)'s 4 unit + zero + 2 check
+    # probes = 88; the rank audit answers each of the 9 distinct query
+    # vectors once per probe store and server:
     # (6 unit vectors + zero + 2 random checks) x 2 servers x 9 = 162
     queries = _count_calls(monkeypatch, "make_query")
     answers = _count_calls(monkeypatch, "server_signal")
     audit_signal_security(MICRO, MICRO_PDA)
-    assert queries[0] == 81
+    assert queries[0] == 88
     assert answers[0] == 162
     queries[0] = 0
-    audit_demand_privacy(MICRO, MICRO_PDA)
+    audit_module.enumerate_demand_privacy(MICRO, MICRO_PDA)
     assert queries[0] == 81
 
 
@@ -339,7 +404,7 @@ def test_demand_privacy_builds_the_stores_once_per_outcome(monkeypatch):
     # all three mutations leave no randomness: 3^4 (library) outcomes,
     # shared by the three coalitions that hide a demand (243 builds before)
     stores = _count_calls(monkeypatch, "build_storage")
-    report = audit_demand_privacy(K2, K2_PDA, MUTATIONS)
+    report = audit_module.enumerate_demand_privacy(K2, K2_PDA, MUTATIONS)
     assert stores[0] == 81
     assert (round(report.mi_bits, 5), report.outcomes, report.tables) == (6.33985, 19683, 243)
     assert [(name, round(mi, 5)) for name, mi in report.details] == [

@@ -311,6 +311,21 @@ def test_audit_mutation_flips_verdict(capsys):
     assert any(line.startswith("demand-privacy: VIOLATED") for line in lines)
 
 
+def test_audit_k2_instance_passes_and_each_mutation_breaks_its_target(capsys):
+    config = str(CONFIGS / "k2_audit.json")
+    assert main(["audit", "--config", config]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert all(": OK" in line for line in lines)
+    for mutation, target in (("zero-noise", "server-security"),
+                             ("key-removal", "signal-security"),
+                             ("zero-pad", "demand-privacy")):
+        assert main(["audit", "--config", config, "--mutate", mutation,
+                     "--skip-robustness"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"{target}: VIOLATED") for line in lines), mutation
+
+
 def test_audit_writes_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["audit", "--config", str(CONFIGS / "micro_audit.json"),
