@@ -455,10 +455,10 @@ class DecodedStreams:
 def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedStreams]:
     """Decode every stream and slice of deliveries of J signals each, <= A corrupt.
 
-    All deliveries must come from the same J servers.  Per delivery,
-    stream and slice, the J payload symbols are one MDS codeword of
-    dimension I + L; one ``rscode.decode_columns`` call decodes them all.
-    Returns one ``DecodedStreams`` per delivery, in order.
+    All deliveries must come from the same J servers.  Checks every
+    signal, lays each server's payloads out as one column and decodes
+    them with one ``decode_stream_columns`` call.  Returns one
+    ``DecodedStreams`` per delivery, in order.
     """
     subL, pkt = _dims(params, pda)
     shape = {pkt}
@@ -481,26 +481,55 @@ def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedSt
         received.append(by_h)
     if not received:
         return []
-
-    L, S = params.L, pda.S
     positions = sorted(received[0])
-    # word (d * S + s) * pkt + r is slice r of stream s of delivery d
-    columns = [list(chain.from_iterable(chain.from_iterable(
-        by_h[h].payload for by_h in received))) for h in positions]
-    messages, flags, failed = rscode.decode_columns(params.points, positions,
-                                                    params.I + L, params.A, columns)
+    columns = [stream_column(by_h[h] for by_h in received) for h in positions]
+    return split_streams(params, pda, len(received), positions,
+                         *decode_stream_columns(params, positions, columns))
+
+
+def stream_column(signals) -> list[int]:
+    """One server's payloads of a run of deliveries, laid out as one column.
+
+    Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery d.
+    """
+    return list(chain.from_iterable(chain.from_iterable(sig.payload for sig in signals)))
+
+
+def decode_stream_columns(params: SystemParams, positions, columns):
+    """Decode every stream word of a batch of deliveries in one call.
+
+    ``columns[i]`` is the ``stream_column`` of the server at
+    ``positions[i]``, ascending; each word is one MDS codeword of
+    dimension I + L with <= A errors.  Returns ``(data, failures, flags)``:
+    ``data[l][w]`` is data coefficient l of word w (None where the word
+    failed), ``failures`` maps each failing word to its
+    ``DecodingFailure``, and ``flags[i]`` is the set of words in which the
+    server at ``positions[i]`` is off its codeword.
+    """
+    messages, flags, failures = rscode.decode_columns(
+        params.points, positions, params.I + params.L, params.A, columns)
+    return messages[:params.L], failures, flags
+
+
+def split_streams(params: SystemParams, pda: Pda, count: int, positions, data, failures,
+                  flags) -> list[DecodedStreams]:
+    """One ``DecodedStreams`` per delivery of a ``decode_stream_columns`` result.
+
+    ``count`` is the number of deliveries the decoded columns hold.
+    """
+    subL, pkt = _dims(params, pda)
+    S = pda.S
     per = S * pkt
-    failures = [{} for _ in received]
-    for w in sorted(failed):
+    failed = [{} for _ in range(count)]
+    for w in sorted(failures):
         d, s = divmod(w // pkt, S)
-        failures[d].setdefault(s + 1, failed[w])
-    flagged = [{} for _ in received]
+        failed[d].setdefault(s + 1, failures[w])
+    flagged = [{} for _ in range(count)]
     for h, words in zip(positions, flags):
-        for d, count in Counter(map(per.__rfloordiv__, words)).items():
-            flagged[d][h] = count
-    data = messages[:L]
+        for d, n in Counter(map(per.__rfloordiv__, words)).items():
+            flagged[d][h] = n
     out = []
-    for d, fails in enumerate(failures):
+    for d, fails in enumerate(failed):
         streams = {}
         for s in range(S):
             if s + 1 not in fails:

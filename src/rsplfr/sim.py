@@ -26,9 +26,10 @@ from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams, UniformRandom,
                        SCENARIO_FIELDS, _flag, _int, _ints, adversary_content,
-                       adversary_signal, build_storage, cache_side, decode_streams,
-                       make_query, params_from_json, place_user, recover_library,
-                       server_signal, strategy_key, user_decode)
+                       adversary_signal, build_storage, cache_side,
+                       decode_stream_columns, make_query, params_from_json, place_user,
+                       recover_library, server_signal, split_streams, stream_column,
+                       strategy_key, user_decode)
 from .rscode import DecodingFailure
 
 
@@ -281,17 +282,99 @@ class _Replay:
         return sum(self.stages.values())
 
 
+class _SeedOnDraw(random.Random):
+    """A ``random.Random`` seeded from ``key`` at its first draw, not at birth.
+
+    Its draws equal ``random.Random(key)``'s.  A sweep hands one to every
+    corruption, and seeding from a string costs far more than making the
+    object, while only some strategies ever draw.
+    """
+
+    def __init__(self, key):
+        self._key = key
+        self.gauss_next = None
+
+    def _seed_pending(self):
+        if self._key is not None:
+            self.seed(self._key)
+
+    def seed(self, *args, **kwargs):
+        self._key = None
+        super().seed(*args, **kwargs)
+
+    def random(self):
+        self._seed_pending()
+        return super().random()
+
+    def getrandbits(self, k):
+        self._seed_pending()
+        return super().getrandbits(k)
+
+    def getstate(self):
+        self._seed_pending()
+        return super().getstate()
+
+    def setstate(self, state):
+        self._key = None
+        super().setstate(state)
+
+
+def _stream_reference(params: SystemParams, arr: Pda, sides_list, truth_list):
+    """The decoded data every demand's users need, or None if no data serves them all.
+
+    ``reference[l][w]`` is data coefficient l of stream word w, in the
+    layout of ``stream_column``: the value that makes the output of every
+    user receiving the word equal ground truth.  ``user_decode`` adds the
+    decoded word to the cache side at the stream's positions and keeps the
+    side elsewhere, each position covered once and data in [0, q), so a
+    user is right exactly when the data equals this reference at its
+    words and its side equals truth at its other positions.  There is no
+    reference when a side is an error, two users need different data for
+    one word, or a side is off truth outside its streams.
+    """
+    q, L, F, S = params.q, params.L, arr.F, arr.S
+    subL = params.B // L
+    pkt = subL // F
+    reference = [[None] * (len(sides_list) * S * pkt) for _ in range(L)]
+    for d, (sides, truths) in enumerate(zip(sides_list, truth_list)):
+        for side, truth in zip(sides, truths):
+            if isinstance(side, ProtocolError):
+                return None
+            values = side.values
+            rows = set()
+            for s, j in side.streams:
+                rows.add(j)
+                first = (d * S + s - 1) * pkt
+                for l, col in enumerate(reference):
+                    off = l * subL + j * pkt
+                    for r in range(pkt):
+                        need = (truth[off + r] - values[off + r]) % q
+                        if col[first + r] is None:
+                            col[first + r] = need
+                        elif col[first + r] != need:
+                            return None
+            for j in set(range(F)) - rows:
+                for l in range(L):
+                    off = l * subL + j * pkt
+                    if list(values[off:off + pkt]) != truth[off:off + pkt]:
+                        return None
+    return reference
+
+
 def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     """Replay configs under every demand, checking against ground truth.
 
     ``configs`` is the slice of the full configuration list that starts
-    at index ``first``.  Honest answers and every user's cache side are
-    computed once per demand; an adversarial server corrupts its honest
-    answer.  The streams of all deliveries of one configuration are
-    decoded in one batch, and each delivery's are shared by every user.
-    Per-configuration seeds are keyed by the configuration's
-    index in the full list, so a slice replays exactly what the whole
-    list would.
+    at index ``first``.  Honest answers, every user's cache side, each
+    server's honest stream column and the stream reference (the decoded
+    data that makes every user right) are computed once per replay; an
+    adversarial server corrupts its honest answers.  The streams of all
+    deliveries of one configuration are decoded in one batch, whose data
+    is compared once with the reference: only a configuration that
+    differs is split into deliveries, and only the users of a delivery
+    that differs are decoded one by one, for their witnesses.
+    Per-configuration seeds are keyed by the configuration's index in
+    the full list, so a slice replays exactly what the whole list would.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -313,6 +396,12 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             except ProtocolError as exc:
                 sides.append(exc)
         sides_list.append(sides)
+    reference = _stream_reference(params, arr, sides_list, truth_list)
+    # the reference split per delivery, as a failing configuration's data is
+    reference_streams = (None if reference is None else
+                         [d.data for d in split_streams(params, arr, len(demand_list), (),
+                                                        reference, {}, ())])
+    honest_columns = [stream_column(per_demand) for per_demand in zip(*honest)]
     witnesses = []
     stages: Counter = Counter()
 
@@ -320,6 +409,26 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         stages[w["stage"]] += 1
         if len(witnesses) < _WITNESS_CAP:
             witnesses.append(w)
+
+    def decode_users(label, di, streams):
+        """Each user's output from one delivery's streams, and whether it is right."""
+        decoded, per_user = [], []
+        for k, side in enumerate(sides_list[di], start=1):
+            if isinstance(side, ProtocolError):
+                got, error = None, str(side)
+            else:
+                try:
+                    got = user_decode(params, arr, side, streams)
+                except DecodingFailure as exc:
+                    got, error = None, str(exc)
+                else:
+                    right = got == truth_list[di][k - 1]
+                    error = None if right else "wrong output"
+            if error is not None:
+                note(dict(label, stage="decode", demand_index=di, user=k, error=error))
+            decoded.append(got)
+            per_user.append(error is None)
+        return decoded, per_user
 
     delivered, decoded, per_user = [], [], []
     for ci, (js, adv, strat) in enumerate(configs, start=first):
@@ -330,7 +439,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             for h in js:
                 st = state.stores[h - 1]
                 if h in adv:
-                    rng = random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
+                    rng = _SeedOnDraw(f"{sc.seed}:content:{ci}:{h}:{key}")
                     st = adversary_content(params, strat, st, rng)
                 contents.append(st)
             try:
@@ -339,33 +448,23 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     note(dict(label, stage="recover", error="wrong library"))
             except (DecodingFailure, ProtocolError) as exc:
                 note(dict(label, stage="recover", error=str(exc)))
-        deliveries = []
-        for di in range(len(demand_list)):
-            delivered = []
-            for h in js:
-                sig = honest[di][h - 1]
-                if h in adv:
-                    rng = random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
-                    sig = adversary_signal(params, strat, sig, rng)
-                delivered.append(sig)
-            deliveries.append(delivered)
-        for di, streams in enumerate(decode_streams(params, arr, deliveries)):
-            decoded, per_user = [], []
-            for k, side in enumerate(sides_list[di], start=1):
-                if isinstance(side, ProtocolError):
-                    got, error = None, str(side)
-                else:
-                    try:
-                        got = user_decode(params, arr, side, streams)
-                    except DecodingFailure as exc:
-                        got, error = None, str(exc)
-                    else:
-                        right = got == truth_list[di][k - 1]
-                        error = None if right else "wrong output"
-                if error is not None:
-                    note(dict(label, stage="decode", demand_index=di, user=k, error=error))
-                decoded.append(got)
-                per_user.append(error is None)
+        corrupted = {h: [adversary_signal(params, strat, honest[di][h - 1],
+                                          _SeedOnDraw(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}"))
+                         for di in range(len(demand_list))]
+                     for h in js if h in adv}
+        columns = [stream_column(corrupted[h]) if h in corrupted else honest_columns[h - 1]
+                   for h in js]
+        delivered = [corrupted[h][-1] if h in corrupted else honest[-1][h - 1] for h in js]
+        data, failures, flags = decode_stream_columns(params, js, columns)
+        if data == reference:  # every user of every delivery is right
+            decoded, per_user = truth_list[-1], [True] * params.K
+            continue
+        for di, streams in enumerate(split_streams(params, arr, len(demand_list), js,
+                                                   data, failures, flags)):
+            if reference_streams is not None and streams.data == reference_streams[di]:
+                decoded, per_user = truth_list[di], [True] * params.K
+            else:
+                decoded, per_user = decode_users(label, di, streams)
     max_payload = max(sig.payload_symbols() for sig in honest[0])
     measured = MscTriple(M=state.M, T=state.T,
                          R=Fraction(max_payload, params.B),
@@ -375,7 +474,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
 
 
 def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
-    """Replay one configuration under the first demand sample, every user decoded.
+    """Replay one configuration under the first demand sample, every user checked.
 
     The configuration is the scenario's (delivery, adversaries, strategy);
     its sweep settings are ignored.

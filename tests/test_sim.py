@@ -1,5 +1,7 @@
 """Seeded scenario runs and exhaustive sweeps."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -287,3 +289,100 @@ def test_uniform_adversary_rng_is_scenario_seeded():
     b = run(sc, collect_trace=True)
     assert a.trace == b.trace
     assert a.ok and b.ok
+
+
+def test_seed_on_draw_draws_what_eager_seeding_draws():
+    from rsplfr.sim import _SeedOnDraw
+    key = "0:adv:7:3:2:uniform_random:0"
+    flat = list(range(1000))
+    assert UniformRandom().corrupt(flat, 7, _SeedOnDraw(key)) == \
+        UniformRandom().corrupt(flat, 7, random.Random(key))
+    assert _SeedOnDraw(key).getstate() == random.Random(key).getstate()
+    assert _SeedOnDraw(key).random() == random.Random(key).random()
+    reseeded = _SeedOnDraw(key)
+    reseeded.seed(5)
+    assert reseeded.random() == random.Random(5).random()
+
+
+def beyond_budget_sweep(monkeypatch, jobs=1):
+    # every witness kept: two adversaries against a radius of one
+    import rsplfr.sim
+    monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
+    return sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                              sweep_strategies=True, adversary_sizes=(2,),
+                              allow_excess_adversaries=True, demand_samples=3,
+                              check_recovery=True), jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_outcomes_beyond_the_budget_are_pinned(monkeypatch, jobs):
+    result = beyond_budget_sweep(monkeypatch, jobs)
+    assert result.configurations == 360
+    assert result.failure_count == 2252
+    assert result.stage_counts == (("decode", 2012), ("recover", 240))
+    assert len(result.failures) == result.failure_count
+    digest = hashlib.sha256(repr((result.ok, result.failure_count, result.stage_counts,
+                                  result.measured, result.failures)).encode()).hexdigest()
+    assert digest == "de50fe8e0480a763d95d1e9c14b4aa4f903f1db4e48234b81fe35cb1362e28e9"
+
+
+def count_user_decodes(monkeypatch):
+    import rsplfr.sim
+    original = rsplfr.sim.user_decode
+    calls = []
+    monkeypatch.setattr(rsplfr.sim, "user_decode",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_users_are_decoded_one_by_one_only_in_failing_deliveries(monkeypatch):
+    calls = count_user_decodes(monkeypatch)
+    for sizes in ((0,), (0, 1)):
+        result = sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                                    sweep_strategies=True, adversary_sizes=sizes,
+                                    demand_samples=3, check_recovery=True))
+        assert result.ok
+    assert calls == []
+
+    result = beyond_budget_sweep(monkeypatch)
+    failing = {(w["j_subset"], w["adversaries"], w["strategy"], w["demand_index"])
+               for w in result.failures if w["stage"] == "decode"}
+    assert len(failing) == 693
+    assert len(calls) == TOY.K * len(failing)
+
+
+@pytest.mark.parametrize("row", ["stream", "star"])
+@pytest.mark.parametrize("user", [1, 2, 3])
+def test_a_cache_side_off_by_one_fails_only_that_users_decodes(monkeypatch, user, row):
+    # one user's side is off by one at one position, on a stream row it
+    # shares with another user or on its star row: no decoded data makes
+    # it right, so each of its decodes is a wrong output, and the other
+    # users still decode right
+    import dataclasses
+
+    import rsplfr.sim
+    original = rsplfr.sim.cache_side
+
+    def off_by_one(params, arr, cache, d_k, queries):
+        side = original(params, arr, cache, d_k, queries)
+        if cache.k != user:
+            return side
+        rows = {j for _, j in side.streams}
+        j = min(rows) if row == "stream" else min(set(range(arr.F)) - rows)
+        b = j * (params.B // (params.L * arr.F))
+        values = list(side.values)
+        values[b] = (values[b] + 1) % params.q
+        return dataclasses.replace(side, values=tuple(values))
+
+    monkeypatch.setattr(rsplfr.sim, "cache_side", off_by_one)
+    calls = count_user_decodes(monkeypatch)
+    single = run(toy_scenario(adversaries=(2,), strategy=UniformRandom()))
+    assert single.per_user == tuple(k != user for k in (1, 2, 3))
+    assert single.failures[0]["error"] == "wrong output"
+    swept = sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                               sweep_strategies=True, demand_samples=2))
+    assert swept.configurations == 168
+    assert swept.failure_count == 168 * 2
+    assert swept.stage_counts == (("decode", 168 * 2),)
+    assert {(w["user"], w["error"]) for w in swept.failures} == {(user, "wrong output")}
+    assert len(calls) == TOY.K * (1 + 168 * 2)
