@@ -211,12 +211,6 @@ def _randomness(space: _Space, uflat) -> Randomness:
     return Randomness(deltas=deltas, vees=vees, lambdas=lambdas)
 
 
-def _contents(store) -> tuple:
-    """A server store flattened: its coded subfiles, then its coded keys."""
-    return (tuple(chain.from_iterable(store.coded_subfiles))
-            + tuple(chain.from_iterable(store.coded_keys)))
-
-
 def _cached(cache) -> tuple:
     """A user cache flattened: blend vector, star-row packets, keyed packets."""
     return (cache.p
@@ -313,7 +307,7 @@ def _probe_stores(space: _Space) -> tuple[list, list]:
     stores = [build_storage(params, arr, _library(space, x[:w]),
                             _randomness(space, x[w:])) for x in inputs]
     _columns(params.q, inputs,
-             [tuple(chain.from_iterable(_contents(st) for st in sts))
+             [tuple(chain.from_iterable(st.coded_subfiles + st.coded_keys for st in sts))
               for sts in stores], "build_storage")
     return inputs, stores
 
@@ -355,7 +349,8 @@ def audit_server_security(params: SystemParams, arr: Pda, mutations=(),
     per_table = _outcomes(space, _n_inputs(space))
     subsets = list(combinations(range(1, params.H + 1), params.I))
     _, stores = _probe_stores(space)
-    zeds = [[_contents(st) for st in sts] for sts in stores[:_n_inputs(space)]]
+    zeds = [[st.coded_subfiles + st.coded_keys for st in sts]
+            for sts in stores[:_n_inputs(space)]]
     details = []
     worst = 0.0
     witness = None
@@ -410,9 +405,9 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
         for _dflat, queries, qvals in rows:
             gap = gaps.get(qvals)
             if gap is None:
-                outputs = [tuple(v for st in sts for packet in
-                                 server_signal(params, arr, st, queries).payload
-                                 for v in packet) for sts in stores]
+                outputs = [tuple(chain.from_iterable(
+                    server_signal(params, arr, st, queries).payload for st in sts))
+                    for sts in stores]
                 gap = gaps[qvals] = _rank_gap(
                     _columns(q, inputs, outputs, "server_signal"), space.n_w, q)
             gap_sum += gap
@@ -484,7 +479,7 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     for wflat in product(range(q), repeat=space.n_w):
         library = _library(space, wflat)
         stores = _columns(q, inputs, [
-            tuple(chain.from_iterable(_contents(st) for st in
+            tuple(chain.from_iterable(st.coded_subfiles + st.coded_keys for st in
                                       build_storage(params, arr, library, randomness)))
             for randomness, _ps in probes], "build_storage", over, affine=True)
         caches = [_columns(q, inputs, [
@@ -562,7 +557,7 @@ def enumerate_server_security(params: SystemParams, arr: Pda, mutations=(),
         library = _library(space, wflat)
         for uflat in _u_space(space):
             stores = build_storage(params, arr, library, _randomness(space, uflat))
-            zed = [_contents(st) for st in stores]
+            zed = [st.coded_subfiles + st.coded_keys for st in stores]
             for T in subsets:
                 key = (wflat, tuple(zed[h - 1] for h in T))
                 tables[T][key] = tables[T].get(key, 0) + 1
@@ -607,8 +602,7 @@ def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=(),
                     payloads = answers.get(qvals)
                     if payloads is None:
                         payloads = answers[qvals] = tuple(
-                            tuple(chain.from_iterable(
-                                server_signal(params, arr, st, queries).payload))
+                            server_signal(params, arr, st, queries).payload
                             for st in stores)
                     obs = (qvals, payloads)
                     key = (wflat, obs)
@@ -652,7 +646,8 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
         for uflat in _u_space(space):
             randomness = _randomness(space, uflat)
             stores = build_storage(params, arr, library, randomness)
-            outcomes_u.append((randomness, tuple(_contents(st) for st in stores)))
+            outcomes_u.append((randomness, tuple(st.coded_subfiles + st.coded_keys
+                                                 for st in stores)))
         worlds.append((wflat, library, outcomes_u))
     details = []
     worst = 0.0

@@ -21,7 +21,12 @@ Roles and the objects they hold:
     because L is chosen as J - I - 2A.
 
 All containers hold canonical residues as plain ints; field context
-comes from the parameter object.
+comes from the parameter object.  Server-side containers hold flat runs
+of symbols in the order the decoder reads them, with pkt = B/(L*F): a
+store's coded subfiles hold slice m of file n at n*B/L + m, and its
+coded keys, a signal's payload and each data coefficient of a
+delivery's decoded streams hold slice r of stream s at (s-1)*pkt + r.
+Across any J servers, each such word is one MDS codeword.
 """
 
 from __future__ import annotations
@@ -173,15 +178,18 @@ class Randomness:
 
 @dataclass(frozen=True)
 class ServerStore:
-    """What one server holds: an evaluation of every file and key polynomial."""
+    """What one server holds: an evaluation of every file and key polynomial.
+
+    ``coded_subfiles[n * B/L + m]`` is slice m of file n, and
+    ``coded_keys[(s - 1) * pkt + r]`` is slice r of stream s.
+    """
 
     h: int
-    coded_subfiles: tuple[tuple[int, ...], ...]  # N x B/L
-    coded_keys: tuple[tuple[int, ...], ...]      # S x B/(L*F)
+    coded_subfiles: tuple[int, ...]  # N * B/L
+    coded_keys: tuple[int, ...]      # S * B/(L*F)
 
     def symbol_count(self) -> int:
-        return (sum(len(v) for v in self.coded_subfiles)
-                + sum(len(v) for v in self.coded_keys))
+        return len(self.coded_subfiles) + len(self.coded_keys)
 
 
 @dataclass(frozen=True)
@@ -212,15 +220,16 @@ class UserCache:
 class Signal:
     """One server's answer: one packet per stream.
 
-    ``honest`` is simulator bookkeeping only; decoders never read it.
+    ``payload[(s - 1) * pkt + r]`` is slice r of stream s.  ``honest``
+    is simulator bookkeeping only; decoders never read it.
     """
 
     h: int
-    payload: tuple[tuple[int, ...], ...]  # S x B/(L*F)
+    payload: tuple[int, ...]  # S * B/(L*F)
     honest: bool = True
 
     def payload_symbols(self) -> int:
-        return sum(len(p) for p in self.payload)
+        return len(self.payload)
 
 
 # ---------- coordinator and servers ----------
@@ -249,23 +258,16 @@ def build_storage(params: SystemParams, pda: Pda,
         raise DimensionMismatch("key table must be L x S")
     if len(randomness.lambdas) != I or any(len(v) != S for v in randomness.lambdas):
         raise DimensionMismatch("mask table must be I x S")
-    file_coeffs = [[[library.files[n][l * subL + m] for l in range(L)]
-                    + [randomness.deltas[n][i][m] for i in range(I)]
-                    for m in range(subL)]
-                   for n in range(N)]
-    key_coeffs = [[[randomness.vees[l][s][r] for l in range(L)]
-                   + [randomness.lambdas[i][s][r] for i in range(I)]
-                   for r in range(pkt)]
-                  for s in range(S)]
+    file_coeffs = [[library.files[n][l * subL + m] for l in range(L)]
+                   + [randomness.deltas[n][i][m] for i in range(I)]
+                   for n in range(N) for m in range(subL)]
+    key_coeffs = [[randomness.vees[l][s][r] for l in range(L)]
+                  + [randomness.lambdas[i][s][r] for i in range(I)]
+                  for s in range(S) for r in range(pkt)]
     q = params.q
-    stores = []
-    for h, a in enumerate(params.points.alphas, start=1):
-        coded_subfiles = tuple(tuple(horner(coeffs, a, q) for coeffs in per_file)
-                               for per_file in file_coeffs)
-        coded_keys = tuple(tuple(horner(coeffs, a, q) for coeffs in per_key)
-                           for per_key in key_coeffs)
-        stores.append(ServerStore(h, coded_subfiles, coded_keys))
-    return stores
+    return [ServerStore(h, tuple(horner(coeffs, a, q) for coeffs in file_coeffs),
+                        tuple(horner(coeffs, a, q) for coeffs in key_coeffs))
+            for h, a in enumerate(params.points.alphas, start=1)]
 
 
 def place_user(params: SystemParams, pda: Pda, library: Library,
@@ -322,20 +324,20 @@ def server_signal(params: SystemParams, pda: Pda,
     queries = tuple(queries)
     if len(queries) != params.K:
         raise DimensionMismatch(f"need {params.K} queries, got {len(queries)}")
-    payload = []
+    payload = list(store.coded_keys)
+    files = store.coded_subfiles
     for s in range(1, pda.S + 1):
-        acc = list(store.coded_keys[s - 1])
+        first = (s - 1) * pkt
         for (j, v) in pda.occurrences(s):
             qv = queries[v]
             base = j * pkt
             for r in range(pkt):
-                t = acc[r]
+                t = payload[first + r]
                 for n in range(N):
                     c = qv[n]
                     if c:
-                        t += c * store.coded_subfiles[n][base + r]
-                acc[r] = t % q
-        payload.append(tuple(acc))
+                        t += c * files[n * subL + base + r]
+                payload[first + r] = t % q
     return Signal(h=store.h, payload=tuple(payload), honest=True)
 
 
@@ -403,18 +405,12 @@ def strategy_key(strategy) -> str:
                     + [str(getattr(strategy, f.name)) for f in fields(strategy)])
 
 
-def _corrupt(params: SystemParams, strategy, parts, rng: random.Random) -> tuple:
-    """Run the strategy over the concatenated parts and re-split to their shape."""
-    flat = [x for part in parts for x in part]
+def _corrupt(params: SystemParams, strategy, flat: tuple, rng: random.Random) -> tuple:
+    """Run the strategy over a flat run of symbols; the result keeps its size."""
     corrupted = strategy.corrupt(flat, params.q, rng)
     if len(corrupted) != len(flat):
         raise ProtocolError("corruption must preserve the size")
-    out = []
-    pos = 0
-    for part in parts:
-        out.append(tuple(corrupted[pos:pos + len(part)]))
-        pos += len(part)
-    return tuple(out)
+    return tuple(corrupted)
 
 
 def adversary_signal(params: SystemParams, strategy, honest: Signal,
@@ -428,8 +424,8 @@ def adversary_content(params: SystemParams, strategy, store: ServerStore,
                       rng: random.Random) -> ServerStore:
     """Corrupted stored contents of the honest shape, from the store alone."""
     n = len(store.coded_subfiles)
-    parts = _corrupt(params, strategy, store.coded_subfiles + store.coded_keys, rng)
-    return ServerStore(h=store.h, coded_subfiles=parts[:n], coded_keys=parts[n:])
+    flat = _corrupt(params, strategy, store.coded_subfiles + store.coded_keys, rng)
+    return ServerStore(h=store.h, coded_subfiles=flat[:n], coded_keys=flat[n:])
 
 
 # ---------- decoding ----------
@@ -439,15 +435,16 @@ def adversary_content(params: SystemParams, strategy, store: ServerStore,
 class DecodedStreams:
     """One delivery's multicast streams, decoded once for all users.
 
-    ``data[s][l][r]`` is data coefficient l of slice r of stream s: the
-    keyed multicast symbol every user in the stream's occurrence set
-    receives.  A stream with a slice that could not be decoded maps in
-    ``failures`` to the reason instead.  ``flagged[h]`` counts the
-    decoded (stream, slice) words in which server h's symbol is off its
-    codeword; servers never flagged are absent.
+    ``data[l][(s - 1) * pkt + r]`` is data coefficient l of slice r of
+    stream s: the keyed multicast symbol every user in the stream's
+    occurrence set receives, or None where the word could not be
+    decoded.  A stream with such a slice maps in ``failures`` to the
+    reason of its first.  ``flagged[h]`` counts the decoded (stream,
+    slice) words in which server h's symbol is off its codeword; servers
+    never flagged are absent.
     """
 
-    data: dict[int, list[list[int]]]
+    data: list[list[int | None]]
     failures: dict[int, rscode.DecodingFailure]
     flagged: dict[int, int]
 
@@ -461,7 +458,7 @@ def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedSt
     ``DecodedStreams`` per delivery, in order.
     """
     subL, pkt = _dims(params, pda)
-    shape = {pkt}
+    size = pda.S * pkt
     received = []
     for signals in deliveries:
         by_h: dict[int, Signal] = {}
@@ -470,7 +467,7 @@ def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedSt
                 raise MissingSignals(f"duplicate signal from server {sig.h}")
             if not 1 <= sig.h <= params.H:
                 raise MissingSignals(f"signal origin {sig.h} outside [1..{params.H}]")
-            if len(sig.payload) != pda.S or not set(map(len, sig.payload)) <= shape:
+            if len(sig.payload) != size:
                 raise DimensionMismatch(f"payload of server {sig.h} has the wrong shape")
             by_h[sig.h] = sig
         if len(by_h) != params.J:
@@ -488,11 +485,11 @@ def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedSt
 
 
 def stream_column(signals) -> list[int]:
-    """One server's payloads of a run of deliveries, laid out as one column.
+    """One server's flat payloads of a run of deliveries, chained into one column.
 
     Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery d.
     """
-    return list(chain.from_iterable(chain.from_iterable(sig.payload for sig in signals)))
+    return list(chain.from_iterable(sig.payload for sig in signals))
 
 
 def decode_stream_columns(params: SystemParams, positions, columns):
@@ -515,7 +512,8 @@ def split_streams(params: SystemParams, pda: Pda, count: int, positions, data, f
                   flags) -> list[DecodedStreams]:
     """One ``DecodedStreams`` per delivery of a ``decode_stream_columns`` result.
 
-    ``count`` is the number of deliveries the decoded columns hold.
+    ``count`` is the number of deliveries the decoded columns hold; each
+    delivery's data is its run of S * pkt words of every data coefficient.
     """
     subL, pkt = _dims(params, pda)
     S = pda.S
@@ -528,15 +526,8 @@ def split_streams(params: SystemParams, pda: Pda, count: int, positions, data, f
     for h, words in zip(positions, flags):
         for d, n in Counter(map(per.__rfloordiv__, words)).items():
             flagged[d][h] = n
-    out = []
-    for d, fails in enumerate(failed):
-        streams = {}
-        for s in range(S):
-            if s + 1 not in fails:
-                first = d * per + s * pkt
-                streams[s + 1] = [col[first:first + pkt] for col in data]
-        out.append(DecodedStreams(streams, fails, flagged[d]))
-    return out
+    return [DecodedStreams([col[d * per:(d + 1) * per] for col in data], fails, flagged[d])
+            for d, fails in enumerate(failed)]
 
 
 @dataclass(frozen=True)
@@ -627,10 +618,11 @@ def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
     pkt = subL // pda.F
     out = list(side.values)
     for s, j in side.streams:
-        for l, coeffs in enumerate(streams.data[s]):
+        first = (s - 1) * pkt
+        for l, col in enumerate(streams.data):
             off = l * subL + j * pkt
-            for r, c in enumerate(coeffs):
-                out[off + r] = (out[off + r] + c) % q
+            for r in range(pkt):
+                out[off + r] = (out[off + r] + col[first + r]) % q
     return out
 
 
@@ -657,14 +649,12 @@ def recover_library(params: SystemParams, stores) -> Library:
     for h, st in by_h.items():
         if not (_is_int(h) and 1 <= h <= params.H):
             raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
-        if len(st.coded_subfiles) != N or any(len(v) != subL for v in st.coded_subfiles):
+        if len(st.coded_subfiles) != N * subL:
             raise DimensionMismatch(f"contents of server {h} have the wrong shape")
     positions = sorted(by_h)
-    # word n * subL + m is slice m of file n
     messages, _flags, failed = rscode.decode_columns(
         params.points, positions, I + L, params.A,
-        [list(chain.from_iterable(by_h[h].coded_subfiles)) for h in positions],
-        stop=True)
+        [by_h[h].coded_subfiles for h in positions], stop=True)
     if failed:
         (failure,) = failed.values()  # the first failing word: decoding stopped there
         raise failure

@@ -486,17 +486,24 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
     trace = None
     if collect_trace:
         state = rep.state
+        subL = sc.params.B // sc.params.L
+        pkt = subL // sc.pda.F
+
+        def runs(flat, size):
+            """A flat run of symbols as the nested lists of the trace format."""
+            return [list(flat[i:i + size]) for i in range(0, len(flat), size)]
+
         trace = {
             "library": [list(f) for f in state.library.files],
             "blends": [list(p) for p in state.ps],
             "demands": [list(d) for d in demand],
             "queries": [list(qr) for qr in rep.queries],
             "stores": [{"h": st.h,
-                        "coded_subfiles": [list(v) for v in st.coded_subfiles],
-                        "coded_keys": [list(v) for v in st.coded_keys]}
+                        "coded_subfiles": runs(st.coded_subfiles, subL),
+                        "coded_keys": runs(st.coded_keys, pkt)}
                        for st in state.stores],
             "signals": [{"h": sig.h, "honest": sig.honest,
-                         "payload": [list(p) for p in sig.payload]}
+                         "payload": runs(sig.payload, pkt)}
                         for sig in rep.delivered],
             "decoded": [list(d) if d is not None else None for d in rep.decoded],
         }

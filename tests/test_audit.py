@@ -314,9 +314,8 @@ def _affine(function, shift):
 def test_rank_audits_refuse_affine_stores(monkeypatch):
     # every stored symbol + 1: f(0) != 0, so the columns cannot be trusted
     def plus_one(stores):
-        return [ServerStore(st.h,
-                            tuple(tuple((v + 1) % 3 for v in row) for row in st.coded_subfiles),
-                            tuple(tuple((v + 1) % 3 for v in row) for row in st.coded_keys))
+        return [ServerStore(st.h, tuple((v + 1) % 3 for v in st.coded_subfiles),
+                            tuple((v + 1) % 3 for v in st.coded_keys))
                 for st in stores]
 
     monkeypatch.setattr(audit_module, "build_storage",
@@ -329,8 +328,7 @@ def test_rank_audits_refuse_affine_stores(monkeypatch):
 
 def test_rank_audit_refuses_affine_signals(monkeypatch):
     def plus_one(signal):
-        return Signal(signal.h, tuple(tuple((v + 1) % 3 for v in packet)
-                                      for packet in signal.payload))
+        return Signal(signal.h, tuple((v + 1) % 3 for v in signal.payload))
 
     monkeypatch.setattr(audit_module, "server_signal",
                         _affine(audit_module.server_signal, plus_one))

@@ -82,10 +82,10 @@ def test_storage_micro_golden_values():
     randomness = Randomness(deltas=(((1,),), ((2,),)),
                             vees=(((1,),),), lambdas=(((2,),),))
     stores = build_storage(MICRO, MICRO_PDA, library, randomness)
-    assert stores[0].coded_subfiles == ((2,), (1,))
-    assert stores[0].coded_keys == ((0,),)
-    assert stores[1].coded_subfiles == ((0,), (0,))
-    assert stores[1].coded_keys == ((2,),)
+    assert stores[0].coded_subfiles == (2, 1)
+    assert stores[0].coded_keys == (0,)
+    assert stores[1].coded_subfiles == (0, 0)
+    assert stores[1].coded_keys == (2,)
 
 
 def test_storage_symbol_count_uniform():
@@ -166,7 +166,7 @@ def test_micro_signal_golden_value():
     query = make_query(MICRO, [1, 2], [0, 0])
     sig = server_signal(MICRO, MICRO_PDA, stores[0], [query])
     # key eval + 1*(file1 eval) + 2*(file2 eval) at alpha=1: 0 + 2 + 2*1 = 4 = 1
-    assert sig.payload == ((1,),)
+    assert sig.payload == (1,)
 
 
 # ---------- end to end ----------
@@ -254,11 +254,11 @@ def test_partial_slice_corruption_is_corrected():
     cells = [(s, r) for s in range(TOY_PDA.S) for r in range(2)]
     honest = signals[2]
     for mask in range(1, 1 << len(cells)):
-        payload = [list(p) for p in honest.payload]
+        payload = list(honest.payload)
         for bit, (s, r) in enumerate(cells):
             if mask >> bit & 1:
-                payload[s][r] = (payload[s][r] + 1 + bit % 6) % 7
-        bad = Signal(h=honest.h, payload=tuple(tuple(p) for p in payload), honest=False)
+                payload[s * 2 + r] = (payload[s * 2 + r] + 1 + bit % 6) % 7
+        bad = Signal(h=honest.h, payload=tuple(payload), honest=False)
         (streams,) = decode_streams(params, TOY_PDA, [signals[:2] + [bad] + signals[3:]])
         assert not streams.failures
         for k in range(3):
@@ -271,11 +271,11 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
     demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
-    # two servers shift stream 1 only: beyond the radius there
+    # two servers shift stream 1 only (its one slice): beyond the radius there
     for i in (0, 1):
-        payload = list(signals[i].payload)
-        payload[0] = tuple((x + 1) % 7 for x in payload[0])
-        signals[i] = Signal(h=signals[i].h, payload=tuple(payload), honest=False)
+        payload = signals[i].payload
+        payload = ((payload[0] + 1) % 7,) + payload[1:]
+        signals[i] = Signal(h=signals[i].h, payload=payload, honest=False)
     (streams,) = decode_streams(params, TOY_PDA, [signals])
     assert set(streams.failures) == {1}
     for k in range(1, 4):
@@ -297,8 +297,8 @@ def test_a_stream_fails_with_its_first_failing_slice():
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
 
     def shifted(sig, deltas):
-        first = tuple((x + d) % 7 for x, d in zip(sig.payload[0], deltas))
-        return Signal(h=sig.h, payload=(first,) + sig.payload[1:], honest=False)
+        first = tuple((x + d) % 7 for x, d in zip(sig.payload[:2], deltas))
+        return Signal(h=sig.h, payload=first + sig.payload[2:], honest=False)
 
     both = [shifted(signals[0], (1, 1)), shifted(signals[1], (1, 2))] + signals[2:]
     second = [shifted(signals[0], (0, 1)), shifted(signals[1], (0, 2))] + signals[2:]
@@ -327,13 +327,14 @@ def test_decode_checks_every_signal_shape():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
     last = signals[4]
-    # the last stream's packet one symbol short, in the second delivery
-    short = Signal(h=last.h, payload=last.payload[:-1] + (last.payload[-1][:-1],))
+    # the payload one symbol short, in the second delivery
+    short = Signal(h=last.h, payload=last.payload[:-1])
     with pytest.raises(DimensionMismatch, match="server 5"):
         decode_streams(params, TOY_PDA, [signals, signals[:4] + [short]])
+    # and one symbol long
     with pytest.raises(DimensionMismatch, match="server 5"):
         decode_streams(params, TOY_PDA, [signals[:4] + [Signal(
-            h=last.h, payload=last.payload[:-1])]])
+            h=last.h, payload=last.payload + (0,))]])
 
 
 def test_deliveries_must_come_from_the_same_servers():
@@ -364,8 +365,7 @@ def test_flags_name_the_servers_that_changed_their_symbols():
                 honest = signals[bad]
                 signals[bad] = adversary_signal(params, strategy, honest,
                                                 random.Random(trial))
-                changed = sum(x != y for p, r in zip(signals[bad].payload, honest.payload)
-                              for x, y in zip(p, r))
+                changed = sum(x != y for x, y in zip(signals[bad].payload, honest.payload))
                 deliveries.append(signals)
                 expected.append({honest.h: changed} if changed else {})
             decoded = decode_streams(params, TOY_PDA, deliveries)
@@ -431,7 +431,7 @@ def test_criterion_6_instance_at_every_error_pattern():
     assert {sig.payload_symbols() for sig in honest.values()} == {1}
 
     def delivery(js, errors):
-        return [Signal(h, (((honest[h].payload[0][0] + errors[h]) % q,),), honest=False)
+        return [Signal(h, ((honest[h].payload[0] + errors[h]) % q,), honest=False)
                 if h in errors else honest[h] for h in js]
 
     within, beyond = 0, Counter()
@@ -458,9 +458,9 @@ def test_criterion_6_instance_at_every_error_pattern():
             for n, m in product(range(2), range(2)):
                 for v in range(1, q):
                     contents = [stores[g - 1] for g in js]
-                    files = [list(f) for f in contents[i].coded_subfiles]
-                    files[n][m] = (files[n][m] + v) % q
-                    contents[i] = replace(contents[i], coded_subfiles=tuple(map(tuple, files)))
+                    files = list(contents[i].coded_subfiles)
+                    files[n * 2 + m] = (files[n * 2 + m] + v) % q  # slice m of file n
+                    contents[i] = replace(contents[i], coded_subfiles=tuple(files))
                     assert recover_library(params, contents).files == library.files
     assert within == 200
     # a miscorrection adds a codeword of weight 3, so f = d + c x with
@@ -518,6 +518,17 @@ def test_recover_checks_the_server_keys():
         recover_library(params, stores[:4] + [replace(stores[4], h="5")])
 
 
+@pytest.mark.parametrize("extra", [1, -1])
+def test_recover_checks_the_content_size(extra):
+    # N * B/L = 12 coded subfile symbols per server; one more or one fewer
+    params, library, randomness, stores, ps, caches = build_toy_state(14)
+    subfiles = stores[4].coded_subfiles
+    assert len(subfiles) == params.N * params.B // params.L
+    resized = subfiles + (0,) if extra > 0 else subfiles[:-1]
+    with pytest.raises(DimensionMismatch, match="^contents of server 5 have the wrong shape$"):
+        recover_library(params, stores[:4] + [replace(stores[4], coded_subfiles=resized)])
+
+
 # ---------- adversary plumbing ----------
 
 
@@ -526,16 +537,16 @@ def test_strategies_transform_the_flat_payload():
     demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     honest = server_signal(params, TOY_PDA, stores[0], queries)
-    flat = [x for p in honest.payload for x in p]
+    flat = list(honest.payload)
 
     zeroed = adversary_signal(params, ZeroPayload(), honest, random.Random(0))
-    assert [x for p in zeroed.payload for x in p] == [0] * len(flat)
+    assert list(zeroed.payload) == [0] * len(flat)
 
     bumped = adversary_signal(params, HonestPlusConstant(2), honest, random.Random(0))
-    assert [x for p in bumped.payload for x in p] == [(x + 2) % 7 for x in flat]
+    assert list(bumped.payload) == [(x + 2) % 7 for x in flat]
 
     rotated = adversary_signal(params, HonestPermutedSlices(), honest, random.Random(0))
-    assert [x for p in rotated.payload for x in p] == flat[1:] + [flat[0]]
+    assert list(rotated.payload) == flat[1:] + [flat[0]]
 
     noisy1 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
     noisy2 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
@@ -547,10 +558,26 @@ def test_adversary_content_preserves_shape():
     for strategy in ALL_STRATEGIES:
         fake = adversary_content(params, strategy, stores[3], random.Random(0))
         assert fake.h == stores[3].h
-        assert [len(v) for v in fake.coded_subfiles] == \
-            [len(v) for v in stores[3].coded_subfiles]
-        assert [len(v) for v in fake.coded_keys] == \
-            [len(v) for v in stores[3].coded_keys]
+        assert len(fake.coded_subfiles) == len(stores[3].coded_subfiles)
+        assert len(fake.coded_keys) == len(stores[3].coded_keys)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_corruption_must_preserve_the_size(extra):
+    # a strategy that sends one symbol more, or one fewer, than it got
+    class Resized:
+        label = "resized"
+
+        def corrupt(self, flat, q, rng):
+            return list(flat) + [0] if extra > 0 else list(flat[:-1])
+
+    params, library, randomness, stores, ps, caches = build_toy_state(16)
+    queries = [make_query(params, [1, 0, 0, 0], ps[k]) for k in range(3)]
+    honest = server_signal(params, TOY_PDA, stores[3], queries)
+    with pytest.raises(ProtocolError, match="^corruption must preserve the size$"):
+        adversary_signal(params, Resized(), honest, random.Random(0))
+    with pytest.raises(ProtocolError, match="^corruption must preserve the size$"):
+        adversary_content(params, Resized(), stores[3], random.Random(0))
 
 
 def test_strategy_keys_are_stable_and_distinct():
