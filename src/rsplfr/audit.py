@@ -187,14 +187,6 @@ def _rows(flat, rows: int, cols: int):
     return [list(flat[r * cols:(r + 1) * cols]) for r in range(rows)]
 
 
-def _nest(flat, d1: int, d2: int, d3: int):
-    if not flat:
-        flat = (0,) * (d1 * d2 * d3)
-    it = iter(flat)
-    return tuple(tuple(tuple(next(it) for _ in range(d3))
-                       for _ in range(d2)) for _ in range(d1))
-
-
 def _library(space: _Space, wflat) -> Library:
     B = space.params.B
     return Library(tuple(tuple(wflat[n * B:(n + 1) * B])
@@ -202,13 +194,14 @@ def _library(space: _Space, wflat) -> Library:
 
 
 def _randomness(space: _Space, uflat) -> Randomness:
+    """uflat cut into the runs of ``Randomness``; a run a mutation pins is all zeros."""
     p, arr = space.params, space.arr
     a = space.n_delta
     b = a + space.n_vee
-    deltas = _nest(uflat[:a], p.N, p.I, space.sub_len)
-    vees = _nest(uflat[a:b], p.L, arr.S, space.pkt)
-    lambdas = _nest(uflat[b:], p.I, arr.S, space.pkt)
-    return Randomness(deltas=deltas, vees=vees, lambdas=lambdas)
+    runs = ((uflat[:a], p.N * p.I * space.sub_len),
+            (uflat[a:b], p.L * arr.S * space.pkt),
+            (uflat[b:], p.I * arr.S * space.pkt))
+    return Randomness(*(tuple(run) or (0,) * size for run, size in runs))
 
 
 def _cached(cache) -> tuple:

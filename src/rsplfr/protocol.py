@@ -21,12 +21,14 @@ Roles and the objects they hold:
     because L is chosen as J - I - 2A.
 
 All containers hold canonical residues as plain ints; field context
-comes from the parameter object.  Server-side containers hold flat runs
-of symbols in the order the decoder reads them, with pkt = B/(L*F): a
-store's coded subfiles hold slice m of file n at n*B/L + m, and its
-coded keys, a signal's payload and each data coefficient of a
-delivery's decoded streams hold slice r of stream s at (s-1)*pkt + r.
-Across any J servers, each such word is one MDS codeword.
+comes from the parameter object.  The coordinator's randomness holds
+flat runs in the order ``build_storage`` reads them (see
+``Randomness``).  Server-side containers hold flat runs of symbols in
+the order the decoder reads them, with pkt = B/(L*F): a store's coded
+subfiles hold slice m of file n at n*B/L + m, and its coded keys, a
+signal's payload and each data coefficient of a delivery's decoded
+streams hold slice r of stream s at (s-1)*pkt + r.  Across any J
+servers, each such word is one MDS codeword.
 """
 
 from __future__ import annotations
@@ -150,26 +152,26 @@ class Library:
 class Randomness:
     """Coordinator randomness: file noise, one-time keys, key masks.
 
-    deltas[n][i]  : B/L symbols of noise for file n, degree slot L+i
-    vees[l][s]    : one packet keying data coefficient l of stream s
-    lambdas[i][s] : one packet masking noise coefficient i of stream s
+    Each field is one flat run of symbols, in the order ``build_storage``
+    reads it, with pkt = B/(L*F):
+
+    deltas[(n*I + i)*B/L + m]      : slice m of the noise of file n, degree slot L+i
+    vees[(l*S + s-1)*pkt + r]      : slice r of the key of data coefficient l, stream s
+    lambdas[(i*S + s-1)*pkt + r]   : slice r of the mask of noise coefficient i, stream s
     """
 
-    deltas: tuple[tuple[tuple[int, ...], ...], ...]
-    vees: tuple[tuple[tuple[int, ...], ...], ...]
-    lambdas: tuple[tuple[tuple[int, ...], ...], ...]
+    deltas: tuple[int, ...]   # N * I * B/L
+    vees: tuple[int, ...]     # L * S * pkt
+    lambdas: tuple[int, ...]  # I * S * pkt
 
     @classmethod
     def sample(cls, params: SystemParams, pda: Pda, rng: random.Random) -> "Randomness":
         subL, pkt = _dims(params, pda)
         q = params.q
         N, I, L, S = params.N, params.I, params.L, pda.S
-        deltas = tuple(tuple(tuple(rng.randrange(q) for _ in range(subL))
-                             for _ in range(I)) for _ in range(N))
-        vees = tuple(tuple(tuple(rng.randrange(q) for _ in range(pkt))
-                           for _ in range(S)) for _ in range(L))
-        lambdas = tuple(tuple(tuple(rng.randrange(q) for _ in range(pkt))
-                              for _ in range(S)) for _ in range(I))
+        deltas = tuple(rng.randrange(q) for _ in range(N * I * subL))
+        vees = tuple(rng.randrange(q) for _ in range(L * S * pkt))
+        lambdas = tuple(rng.randrange(q) for _ in range(I * S * pkt))
         return cls(deltas, vees, lambdas)
 
 
@@ -240,8 +242,12 @@ def build_storage(params: SystemParams, pda: Pda,
     """Every server's evaluation of every file and key polynomial.
 
     Slice m of file n has coefficients (subfile_1[m], ..., subfile_L[m],
-    noise_1[m], ..., noise_I[m]); slice r of stream s likewise with keys
-    then masks.  Packet j of subfile l sits at slices j*pkt .. j*pkt+pkt-1.
+    noise_1[m], ..., noise_I[m]), the noise read from ``deltas`` at
+    (n*I + i)*B/L + m; slice r of stream s likewise with keys then masks,
+    read from ``vees`` and ``lambdas`` at (l*S + s-1)*pkt + r and
+    (i*S + s-1)*pkt + r.  Packet j of subfile l sits at slices
+    j*pkt .. j*pkt+pkt-1.  Each randomness run must hold exactly the
+    symbols its layout names.
     """
     subL, pkt = _dims(params, pda)
     N, I, L, S = params.N, params.I, params.L, pda.S
@@ -250,19 +256,17 @@ def build_storage(params: SystemParams, pda: Pda,
     for n, f in enumerate(library.files):
         if len(f) != params.B:
             raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {params.B}")
-    if len(randomness.deltas) != N or any(len(d) != I for d in randomness.deltas):
-        raise DimensionMismatch("noise table must be N x I")
-    if any(len(v) != subL for d in randomness.deltas for v in d):
-        raise DimensionMismatch(f"noise entries must hold {subL} symbols")
-    if len(randomness.vees) != L or any(len(v) != S for v in randomness.vees):
-        raise DimensionMismatch("key table must be L x S")
-    if len(randomness.lambdas) != I or any(len(v) != S for v in randomness.lambdas):
-        raise DimensionMismatch("mask table must be I x S")
+    for name, run, size in (("deltas", randomness.deltas, N * I * subL),
+                            ("vees", randomness.vees, L * S * pkt),
+                            ("lambdas", randomness.lambdas, I * S * pkt)):
+        if len(run) != size:
+            raise DimensionMismatch(f"{name} must hold {size} symbols, got {len(run)}")
+    deltas, vees, lambdas = randomness.deltas, randomness.vees, randomness.lambdas
     file_coeffs = [[library.files[n][l * subL + m] for l in range(L)]
-                   + [randomness.deltas[n][i][m] for i in range(I)]
+                   + [deltas[(n * I + i) * subL + m] for i in range(I)]
                    for n in range(N) for m in range(subL)]
-    key_coeffs = [[randomness.vees[l][s][r] for l in range(L)]
-                  + [randomness.lambdas[i][s][r] for i in range(I)]
+    key_coeffs = [[vees[(l * S + s) * pkt + r] for l in range(L)]
+                  + [lambdas[(i * S + s) * pkt + r] for i in range(I)]
                   for s in range(S) for r in range(pkt)]
     q = params.q
     return [ServerStore(h, tuple(horner(coeffs, a, q) for coeffs in file_coeffs),
@@ -273,7 +277,7 @@ def build_storage(params: SystemParams, pda: Pda,
 def place_user(params: SystemParams, pda: Pda, library: Library,
                randomness: Randomness, k: int, p_k) -> UserCache:
     subL, pkt = _dims(params, pda)
-    N, L = params.N, params.L
+    N, L, S = params.N, params.L, pda.S
     q = params.q
     if not 1 <= k <= params.K:
         raise ProtocolError(f"user index {k} outside [1..{params.K}]")
@@ -296,7 +300,7 @@ def place_user(params: SystemParams, pda: Pda, library: Library,
                 off = l * subL + j * pkt
                 packet = []
                 for r in range(pkt):
-                    acc = randomness.vees[l][e - 1][r]
+                    acc = randomness.vees[(l * S + e - 1) * pkt + r]
                     for n in range(N):
                         pn = p[n]
                         if pn:

@@ -319,62 +319,25 @@ class _SeedOnDraw(random.Random):
         super().setstate(state)
 
 
-def _stream_reference(params: SystemParams, arr: Pda, sides_list, truth_list):
-    """The decoded data every demand's users need, or None if no data serves them all.
-
-    ``reference[l][w]`` is data coefficient l of stream word w, in the
-    layout of ``stream_column``: the value that makes the output of every
-    user receiving the word equal ground truth.  ``user_decode`` adds the
-    decoded word to the cache side at the stream's positions and keeps the
-    side elsewhere, each position covered once and data in [0, q), so a
-    user is right exactly when the data equals this reference at its
-    words and its side equals truth at its other positions.  There is no
-    reference when a side is an error, two users need different data for
-    one word, or a side is off truth outside its streams.
-    """
-    q, L, F, S = params.q, params.L, arr.F, arr.S
-    subL = params.B // L
-    pkt = subL // F
-    reference = [[None] * (len(sides_list) * S * pkt) for _ in range(L)]
-    for d, (sides, truths) in enumerate(zip(sides_list, truth_list)):
-        for side, truth in zip(sides, truths):
-            if isinstance(side, ProtocolError):
-                return None
-            values = side.values
-            rows = set()
-            for s, j in side.streams:
-                rows.add(j)
-                first = (d * S + s - 1) * pkt
-                for l, col in enumerate(reference):
-                    off = l * subL + j * pkt
-                    for r in range(pkt):
-                        need = (truth[off + r] - values[off + r]) % q
-                        if col[first + r] is None:
-                            col[first + r] = need
-                        elif col[first + r] != need:
-                            return None
-            for j in set(range(F)) - rows:
-                for l in range(L):
-                    off = l * subL + j * pkt
-                    if list(values[off:off + pkt]) != truth[off:off + pkt]:
-                        return None
-    return reference
-
-
 def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     """Replay configs under every demand, checking against ground truth.
 
     ``configs`` is the slice of the full configuration list that starts
-    at index ``first``.  Honest answers, every user's cache side, each
-    server's honest stream column and the stream reference (the decoded
-    data that makes every user right) are computed once per replay; an
-    adversarial server corrupts its honest answers.  The streams of all
-    deliveries of one configuration are decoded in one batch, whose data
-    is compared once with the reference: only a configuration that
-    differs is split into deliveries, and only the users of a delivery
-    that differs are decoded one by one, for their witnesses.
-    Per-configuration seeds are keyed by the configuration's index in
-    the full list, so a slice replays exactly what the whole list would.
+    at index ``first``.  Honest answers, every user's cache side and each
+    server's honest stream column are computed once per replay; an
+    adversarial server corrupts its honest answers.  The honest answers
+    of servers 1..J are decoded once, and every user of every demand is
+    decoded from them and checked: only if all are right does that data
+    become the reference.  Any J answers with <= A corrupt decode to the
+    same data, and a user's output depends only on its cache side and
+    the decoded data, so data equal to the reference makes every user
+    right.  The streams of all deliveries of one configuration are
+    decoded in one batch, whose data is compared once with the
+    reference: only a configuration that differs is split into
+    deliveries, and only the users of a delivery that differs are
+    decoded one by one, for their witnesses.  Per-configuration seeds
+    are keyed by the configuration's index in the full list, so a slice
+    replays exactly what the whole list would.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -396,11 +359,6 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             except ProtocolError as exc:
                 sides.append(exc)
         sides_list.append(sides)
-    reference = _stream_reference(params, arr, sides_list, truth_list)
-    # the reference split per delivery, as a failing configuration's data is
-    reference_streams = (None if reference is None else
-                         [d.data for d in split_streams(params, arr, len(demand_list), (),
-                                                        reference, {}, ())])
     honest_columns = [stream_column(per_demand) for per_demand in zip(*honest)]
     witnesses = []
     stages: Counter = Counter()
@@ -410,26 +368,35 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         if len(witnesses) < _WITNESS_CAP:
             witnesses.append(w)
 
-    def decode_users(label, di, streams):
-        """Each user's output from one delivery's streams, and whether it is right."""
-        decoded, per_user = [], []
+    def decode_users(di, streams):
+        """Each user's output from one delivery's streams, and its error or None."""
+        decoded, errors = [], []
         for k, side in enumerate(sides_list[di], start=1):
+            got = None
             if isinstance(side, ProtocolError):
-                got, error = None, str(side)
+                error = str(side)
             else:
                 try:
                     got = user_decode(params, arr, side, streams)
                 except DecodingFailure as exc:
-                    got, error = None, str(exc)
+                    error = str(exc)
                 else:
-                    right = got == truth_list[di][k - 1]
-                    error = None if right else "wrong output"
-            if error is not None:
-                note(dict(label, stage="decode", demand_index=di, user=k, error=error))
+                    error = None if got == truth_list[di][k - 1] else "wrong output"
             decoded.append(got)
-            per_user.append(error is None)
-        return decoded, per_user
+            errors.append(error)
+        return decoded, errors
 
+    # the honest check decodes every user, with no short cut, so call
+    # counts do not depend on where the first wrong output is
+    honest_js = tuple(range(1, params.J + 1))
+    reference, failures, flags = decode_stream_columns(params, honest_js,
+                                                       honest_columns[:params.J])
+    reference_streams = split_streams(params, arr, len(demand_list), honest_js,
+                                      reference, failures, flags)
+    wrong = [error is not None for di, streams in enumerate(reference_streams)
+             for error in decode_users(di, streams)[1]]
+    if any(wrong):
+        reference = reference_streams = None
     delivered, decoded, per_user = [], [], []
     for ci, (js, adv, strat) in enumerate(configs, start=first):
         key = strategy_key(strat)
@@ -461,10 +428,14 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             continue
         for di, streams in enumerate(split_streams(params, arr, len(demand_list), js,
                                                    data, failures, flags)):
-            if reference_streams is not None and streams.data == reference_streams[di]:
+            if reference_streams is not None and streams.data == reference_streams[di].data:
                 decoded, per_user = truth_list[di], [True] * params.K
-            else:
-                decoded, per_user = decode_users(label, di, streams)
+                continue
+            decoded, errors = decode_users(di, streams)
+            per_user = [error is None for error in errors]
+            for k, error in enumerate(errors, start=1):
+                if error is not None:
+                    note(dict(label, stage="decode", demand_index=di, user=k, error=error))
     max_payload = max(sig.payload_symbols() for sig in honest[0])
     measured = MscTriple(M=state.M, T=state.T,
                          R=Fraction(max_payload, params.B),

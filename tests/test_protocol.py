@@ -79,13 +79,23 @@ def test_storage_micro_golden_values():
     # one-symbol files (1,) and (2,); noise 1 and 2; key 1, mask 2; q=3.
     # server h stores file_n + noise_n * h and key + mask * h.
     library = Library(((1,), (2,)))
-    randomness = Randomness(deltas=(((1,),), ((2,),)),
-                            vees=(((1,),),), lambdas=(((2,),),))
+    randomness = Randomness(deltas=(1, 2), vees=(1,), lambdas=(2,))
     stores = build_storage(MICRO, MICRO_PDA, library, randomness)
     assert stores[0].coded_subfiles == (2, 1)
     assert stores[0].coded_keys == (0,)
     assert stores[1].coded_subfiles == (0, 0)
     assert stores[1].coded_keys == (2,)
+
+
+@pytest.mark.parametrize("run", ["deltas", "vees", "lambdas"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_storage_rejects_a_randomness_run_of_the_wrong_length(run, change):
+    params, library, randomness, _, _, _ = build_toy_state()
+    size = len(getattr(randomness, run))
+    symbols = getattr(randomness, run)[:size + change] + (0,) * change
+    bad = replace(randomness, **{run: symbols})
+    with pytest.raises(DimensionMismatch, match=f"{run} must hold {size} symbols"):
+        build_storage(params, TOY_PDA, library, bad)
 
 
 def test_storage_symbol_count_uniform():
@@ -113,8 +123,7 @@ def test_cache_shape_on_toy_instance():
 def test_cache_with_zero_blend_stores_bare_keys():
     params = MICRO
     library = Library(((1,), (2,)))
-    randomness = Randomness(deltas=(((0,),), ((0,),)),
-                            vees=(((2,),),), lambdas=(((0,),),))
+    randomness = Randomness(deltas=(0, 0), vees=(2,), lambdas=(0,))
     cache = place_user(params, MICRO_PDA, library, randomness, 1, [0, 0])
     assert cache.keys[0] == ((2,),)
     assert cache.uncoded == {}
@@ -160,8 +169,7 @@ def test_signal_payload_size_sets_the_load():
 
 def test_micro_signal_golden_value():
     library = Library(((1,), (2,)))
-    randomness = Randomness(deltas=(((1,),), ((2,),)),
-                            vees=(((1,),),), lambdas=(((2,),),))
+    randomness = Randomness(deltas=(1, 2), vees=(1,), lambdas=(2,))
     stores = build_storage(MICRO, MICRO_PDA, library, randomness)
     query = make_query(MICRO, [1, 2], [0, 0])
     sig = server_signal(MICRO, MICRO_PDA, stores[0], [query])

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -342,13 +343,15 @@ def test_users_are_decoded_one_by_one_only_in_failing_deliveries(monkeypatch):
                                     sweep_strategies=True, adversary_sizes=sizes,
                                     demand_samples=3, check_recovery=True))
         assert result.ok
-    assert calls == []
+    # only the honest check of each sweep's replay: K users x 3 demands
+    assert len(calls) == 2 * TOY.K * 3
+    calls.clear()
 
     result = beyond_budget_sweep(monkeypatch)
     failing = {(w["j_subset"], w["adversaries"], w["strategy"], w["demand_index"])
                for w in result.failures if w["stage"] == "decode"}
     assert len(failing) == 693
-    assert len(calls) == TOY.K * len(failing)
+    assert len(calls) == TOY.K * (len(failing) + 3)
 
 
 @pytest.mark.parametrize("row", ["stream", "star"])
@@ -385,4 +388,32 @@ def test_a_cache_side_off_by_one_fails_only_that_users_decodes(monkeypatch, user
     assert swept.failure_count == 168 * 2
     assert swept.stage_counts == (("decode", 168 * 2),)
     assert {(w["user"], w["error"]) for w in swept.failures} == {(user, "wrong output")}
-    assert len(calls) == TOY.K * (1 + 168 * 2)
+    # each replay's honest check fails too: every delivery decodes per user
+    assert len(calls) == TOY.K * (1 + 168 * 2 + 1 + 2)
+
+
+def test_a_server_side_bug_on_every_server_fails_the_users_of_its_stream(monkeypatch):
+    # slice 0 of stream 1 is one too high on every server: the answers
+    # are still codewords and decode, to wrong data, so the honest
+    # delivery is no reference and users 1 and 2, who receive stream 1,
+    # are wrong in every delivery
+    import dataclasses
+
+    import rsplfr.sim
+    original = rsplfr.sim.server_signal
+
+    def shifted(params, arr, store, queries):
+        sig = original(params, arr, store, queries)
+        payload = ((sig.payload[0] + 1) % params.q,) + sig.payload[1:]
+        return dataclasses.replace(sig, payload=payload)
+
+    monkeypatch.setattr(rsplfr.sim, "server_signal", shifted)
+    monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
+    single = run(toy_scenario(adversaries=(2,), strategy=UniformRandom()))
+    assert single.per_user == (False, False, True)
+    swept = sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                               sweep_strategies=True, demand_samples=2))
+    assert swept.configurations == 168
+    assert swept.stage_counts == (("decode", 672),)
+    assert Counter((w["user"], w["error"]) for w in swept.failures) == {
+        (1, "wrong output"): 336, (2, "wrong output"): 336}
