@@ -16,7 +16,7 @@ raises ``AuditError``.  A gap of 0 is a literal 0.0.
   (stores, its caches, its demands, every query) is affine in
   (randomness, blends, demands), and the hidden demands are the secret.
 
-Each audit refuses, above its cap, the probe evaluations it would make,
+Each audit refuses, above ``CAP``, the probe evaluations it would make,
 counted before any work is done, and reports the joint outcomes its
 figure covers.
 
@@ -26,8 +26,8 @@ the rank audits are tested against.  They enumerate every equally likely
 joint outcome (library, randomness, blend vectors, demands), tabulate
 integer counts of (secret, observation) pairs, and report mutual
 information in bits from ``exact_mi``, whose exact integer rank-one test
-returns a literal 0.0 for independent tables.  They refuse above their
-cap the outcomes they would enumerate.  Priors are uniform by
+returns a literal 0.0 for independent tables.  They refuse above
+``CAP`` the outcomes they would enumerate.  Priors are uniform by
 construction; there is no hook for weighting outcomes.
 
 Corruption by the bounded adversaries cannot make these leakage
@@ -84,6 +84,9 @@ _CHECKS = 2
 # what the guards count: the oracles' outcomes, the rank audits' probes
 _ENUMERATE = "enumerate {} outcomes"
 _EVALUATE = "evaluate {} probes"
+
+# the most work any audit or oracle takes on; above it, it is refused
+CAP = 2_000_000
 
 
 def _check_mutations(mutations) -> frozenset:
@@ -173,11 +176,11 @@ def _outcomes(space: _Space, dims: int, copies: int = 1) -> int:
     return space.params.q ** dims * copies
 
 
-def _guard(constraint: str, count: int, cap: int, work: str = _ENUMERATE) -> int:
-    """`count`, the work an audit would do, refused above cap."""
-    if count > cap:
+def _guard(constraint: str, count: int, work: str = _ENUMERATE) -> int:
+    """`count`, the work an audit would do, refused above ``CAP``."""
+    if count > CAP:
         raise InfeasibleAuditError(
-            f"{constraint} would {work.format(count)} (cap {cap})")
+            f"{constraint} would {work.format(count)} (cap {CAP})")
     return count
 
 
@@ -328,8 +331,7 @@ def _rank_gap(columns: list, split: int, q: int) -> int:
     return gap
 
 
-def audit_server_security(params: SystemParams, arr: Pda, mutations=(),
-                          cap: int = 2_000_000) -> AuditReport:
+def audit_server_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Any set of at most I server stores must be independent of the library.
 
     The stores of T are G_W W + G_R R for the uniform library W and
@@ -338,7 +340,7 @@ def audit_server_security(params: SystemParams, arr: Pda, mutations=(),
     """
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
-    _guard("server-security", _probes(_n_inputs(space)), cap, _EVALUATE)
+    _guard("server-security", _probes(_n_inputs(space)), _EVALUATE)
     per_table = _outcomes(space, _n_inputs(space))
     subsets = list(combinations(range(1, params.H + 1), params.I))
     _, stores = _probe_stores(space)
@@ -360,8 +362,7 @@ def audit_server_security(params: SystemParams, arr: Pda, mutations=(),
                        tables=len(subsets), details=tuple(details), witness=witness)
 
 
-def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
-                          cap: int = 2_000_000) -> AuditReport:
+def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Queries plus every server's payload must be independent of the library.
 
     A second, stronger figure holds the pair (library W, demands D) against
@@ -379,7 +380,7 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
     Q = D + P is linear in the uniform (D, P), so I(D; Q) is the rank gap
     of the production queries probed over (D, P), with D as the secret.
 
-    The work refused above `cap` is the probe stores times the query-grid
+    The work refused above ``CAP`` is the probe stores times the query-grid
     points, each of which may need an answer from every probe store,
     plus the query probes.
     """
@@ -388,7 +389,7 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
     q = params.q
     n_dp = space.n_d + space.n_p
     _guard("signal-security",
-           _probes(_n_inputs(space)) * q ** n_dp + _probes(n_dp), cap, _EVALUATE)
+           _probes(_n_inputs(space)) * q ** n_dp + _probes(n_dp), _EVALUATE)
     total = _outcomes(space, _n_inputs(space) + n_dp)
     inputs, stores = _probe_stores(space)
     gaps: dict = {}
@@ -424,8 +425,7 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=(),
                        witness=witness)
 
 
-def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
-                         cap: int = 2_000_000) -> AuditReport:
+def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Non-colluders' demands must stay hidden from servers plus any colluders.
 
     For every colluding user set and every fixed library, the remaining
@@ -441,7 +441,7 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
         I(D_rest; view | W = w) = (rank G - rank G without D_rest) log2 q,
     with G's columns the production outputs on unit vectors minus their
     value at zero.  The stores and caches of every (library, probe) are
-    built once for all coalitions.  The work refused above `cap` is the
+    built once for all coalitions.  The work refused above ``CAP`` is the
     libraries times the probes per library.
     """
     muts = _check_mutations(mutations)
@@ -453,7 +453,7 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
     n_u = _n_inputs(space) - space.n_w
     d0 = n_u + space.n_p                 # where a probe's demands start
     n = d0 + space.n_d
-    _guard("demand-privacy", q ** space.n_w * _probes(n), cap, _EVALUATE)
+    _guard("demand-privacy", q ** space.n_w * _probes(n), _EVALUATE)
     outcomes = _outcomes(space, _n_inputs(space) + space.n_p + space.n_d, len(real))
     # a probe x is (randomness, blends, demands); the queries and the
     # colluders' own demands do not depend on the library
@@ -537,13 +537,12 @@ def audit_robustness(params: SystemParams, arr: Pda) -> tuple[AuditReport, Audit
 # ---------- enumeration oracles ----------
 
 
-def enumerate_server_security(params: SystemParams, arr: Pda, mutations=(),
-                              cap: int = 2_000_000) -> AuditReport:
+def enumerate_server_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Oracle for `audit_server_security`: tabulate every joint outcome."""
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
     q = params.q
-    per_table = _guard("server-security", _outcomes(space, _n_inputs(space)), cap)
+    per_table = _guard("server-security", _outcomes(space, _n_inputs(space)))
     subsets = list(combinations(range(1, params.H + 1), params.I))
     tables = {T: {} for T in subsets}
     for wflat in product(range(q), repeat=space.n_w):
@@ -568,8 +567,7 @@ def enumerate_server_security(params: SystemParams, arr: Pda, mutations=(),
                        tables=len(subsets), details=tuple(details), witness=witness)
 
 
-def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=(),
-                              cap: int = 2_000_000) -> AuditReport:
+def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Oracle for `audit_signal_security`: tabulate every joint outcome.
 
     The second table holds the pair (library, demands) against the same
@@ -579,7 +577,7 @@ def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=(),
     space = _space(params, arr, muts)
     q = params.q
     total = _guard("signal-security", _outcomes(
-        space, _n_inputs(space) + space.n_p + space.n_d), cap)
+        space, _n_inputs(space) + space.n_p + space.n_d))
     table: dict = {}
     strong: dict = {}
     grid = _query_grid(space)
@@ -616,8 +614,7 @@ def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=(),
                        witness=witness)
 
 
-def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
-                             cap: int = 2_000_000) -> AuditReport:
+def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Oracle for `audit_demand_privacy`: tabulate every joint outcome,
     one count table per (coalition, library)."""
     muts = _check_mutations(mutations)
@@ -628,7 +625,7 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
                   for c in combinations(range(1, K + 1), r)]
     real = [S for S in coalitions if len(S) < K]
     outcomes = _guard("demand-privacy", _outcomes(
-        space, _n_inputs(space) + space.n_p + space.n_d, len(real)), cap)
+        space, _n_inputs(space) + space.n_p + space.n_d, len(real)))
     grid = _query_grid(space)
     # the stores depend only on the (library, randomness) outcome, so
     # they are built once and shared by every coalition
@@ -682,12 +679,12 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=(),
 
 
 def run_audits(params: SystemParams, arr: Pda, mutations=(),
-               robustness: bool = True, cap: int = 2_000_000) -> list[AuditReport]:
+               robustness: bool = True) -> list[AuditReport]:
     """All audits in report order; mutations apply to the three leakage audits."""
     reports = [
-        audit_server_security(params, arr, mutations, cap),
-        audit_signal_security(params, arr, mutations, cap),
-        audit_demand_privacy(params, arr, mutations, cap),
+        audit_server_security(params, arr, mutations),
+        audit_signal_security(params, arr, mutations),
+        audit_demand_privacy(params, arr, mutations),
     ]
     if robustness:
         reports.extend(audit_robustness(params, arr))

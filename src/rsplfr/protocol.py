@@ -25,17 +25,21 @@ comes from the parameter object.  The coordinator's randomness holds
 flat runs in the order ``build_storage`` reads them (see
 ``Randomness``).  Server-side containers hold flat runs of symbols in
 the order the decoder reads them, with pkt = B/(L*F): a store's coded
-subfiles hold slice m of file n at n*B/L + m, and its coded keys, a
-signal's payload and each data coefficient of a delivery's decoded
-streams hold slice r of stream s at (s-1)*pkt + r.  Across any J
-servers, each such word is one MDS codeword.
+subfiles hold slice m of file n at n*B/L + m, and its coded keys and a
+signal's payload hold slice r of stream s at (s-1)*pkt + r.  Across any
+J servers, each such word is one MDS codeword.
+
+Deliveries are decoded on one path: ``stream_column`` chains one
+server's answers to a batch of deliveries into a column, checking each
+answer, and ``decode_streams`` decodes the columns of J servers into one
+``DecodedStreams``, slice r of stream s of delivery d at word
+(d*S + s-1)*pkt + r.  ``user_decode`` reads one delivery from it.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -346,6 +350,11 @@ def server_signal(params: SystemParams, pda: Pda,
 
 
 # ---------- adversaries ----------
+#
+# A strategy's ``corrupt(flat, q, rng)`` returns its replacement for a
+# flat run of honest symbols.  ``rng`` is a ``random.Random`` for a
+# strategy whose class constant ``draws`` is True, and None for one that
+# does not draw.
 
 
 @dataclass(frozen=True)
@@ -355,6 +364,7 @@ class UniformRandom:
     seed: int = 0
 
     label = "uniform_random"
+    draws = True
 
     def corrupt(self, flat, q, rng):
         return [rng.randrange(q) for _ in flat]
@@ -365,6 +375,7 @@ class ZeroPayload:
     """Send all zeros of the honest size."""
 
     label = "zero_payload"
+    draws = False
 
     def corrupt(self, flat, q, rng):
         return [0] * len(flat)
@@ -377,6 +388,7 @@ class HonestPlusConstant:
     constant: int = 1
 
     label = "honest_plus_constant"
+    draws = False
 
     def corrupt(self, flat, q, rng):
         return [(x + self.constant) % q for x in flat]
@@ -387,6 +399,7 @@ class HonestPermutedSlices:
     """Send the honest symbols cyclically rotated by one slice."""
 
     label = "honest_permuted_slices"
+    draws = False
 
     def corrupt(self, flat, q, rng):
         if len(flat) < 2:
@@ -409,7 +422,8 @@ def strategy_key(strategy) -> str:
                     + [str(getattr(strategy, f.name)) for f in fields(strategy)])
 
 
-def _corrupt(params: SystemParams, strategy, flat: tuple, rng: random.Random) -> tuple:
+def _corrupt(params: SystemParams, strategy, flat: tuple,
+             rng: random.Random | None) -> tuple:
     """Run the strategy over a flat run of symbols; the result keeps its size."""
     corrupted = strategy.corrupt(flat, params.q, rng)
     if len(corrupted) != len(flat):
@@ -418,14 +432,14 @@ def _corrupt(params: SystemParams, strategy, flat: tuple, rng: random.Random) ->
 
 
 def adversary_signal(params: SystemParams, strategy, honest: Signal,
-                     rng: random.Random) -> Signal:
+                     rng: random.Random | None) -> Signal:
     """A corrupted answer, transformed from the server's own honest answer."""
     payload = _corrupt(params, strategy, honest.payload, rng)
     return Signal(h=honest.h, payload=payload, honest=False)
 
 
 def adversary_content(params: SystemParams, strategy, store: ServerStore,
-                      rng: random.Random) -> ServerStore:
+                      rng: random.Random | None) -> ServerStore:
     """Corrupted stored contents of the honest shape, from the store alone."""
     n = len(store.coded_subfiles)
     flat = _corrupt(params, strategy, store.coded_subfiles + store.coded_keys, rng)
@@ -437,101 +451,69 @@ def adversary_content(params: SystemParams, strategy, store: ServerStore,
 
 @dataclass(frozen=True)
 class DecodedStreams:
-    """One delivery's multicast streams, decoded once for all users.
+    """A batch of deliveries' multicast streams, decoded once for all users.
 
-    ``data[l][(s - 1) * pkt + r]`` is data coefficient l of slice r of
-    stream s: the keyed multicast symbol every user in the stream's
-    occurrence set receives, or None where the word could not be
-    decoded.  A stream with such a slice maps in ``failures`` to the
-    reason of its first.  ``flagged[h]`` counts the decoded (stream,
-    slice) words in which server h's symbol is off its codeword; servers
-    never flagged are absent.
+    Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery
+    d, and each delivery holds ``words`` = S * pkt of them.  ``data[l][w]``
+    is data coefficient l of word w: the keyed multicast symbol every user
+    in the stream's occurrence set receives, or None where the word could
+    not be decoded.  ``failures`` maps each such word to its
+    ``DecodingFailure``.  ``flagged[h]`` is the set of decoded words in
+    which server h's symbol is off its codeword; servers never flagged
+    are absent.
     """
 
+    words: int
     data: list[list[int | None]]
     failures: dict[int, rscode.DecodingFailure]
-    flagged: dict[int, int]
+    flagged: dict[int, set[int]]
+
+    def delivery(self, d: int) -> list[list[int | None]]:
+        """Delivery d's data: its run of words of every data coefficient."""
+        return [col[d * self.words:(d + 1) * self.words] for col in self.data]
 
 
-def decode_streams(params: SystemParams, pda: Pda, deliveries) -> list[DecodedStreams]:
-    """Decode every stream and slice of deliveries of J signals each, <= A corrupt.
+def stream_column(params: SystemParams, pda: Pda, h: int, signals) -> list[int]:
+    """Server h's answers to a run of deliveries, chained into one column.
 
-    All deliveries must come from the same J servers.  Checks every
-    signal, lays each server's payloads out as one column and decodes
-    them with one ``decode_stream_columns`` call.  Returns one
-    ``DecodedStreams`` per delivery, in order.
+    Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery
+    d.  Every signal must come from server h, an integer, and hold S * pkt
+    symbols.
     """
-    subL, pkt = _dims(params, pda)
-    size = pda.S * pkt
-    received = []
-    for signals in deliveries:
-        by_h: dict[int, Signal] = {}
-        for sig in signals:
-            if sig.h in by_h:
-                raise MissingSignals(f"duplicate signal from server {sig.h}")
-            if not 1 <= sig.h <= params.H:
-                raise MissingSignals(f"signal origin {sig.h} outside [1..{params.H}]")
-            if len(sig.payload) != size:
-                raise DimensionMismatch(f"payload of server {sig.h} has the wrong shape")
-            by_h[sig.h] = sig
-        if len(by_h) != params.J:
-            raise MissingSignals(f"need signals from {params.J} servers, got {len(by_h)}")
-        if received and by_h.keys() != received[0].keys():
-            raise MissingSignals(f"deliveries come from servers {sorted(received[0])} "
-                                 f"and {sorted(by_h)}")
-        received.append(by_h)
-    if not received:
-        return []
-    positions = sorted(received[0])
-    columns = [stream_column(by_h[h] for by_h in received) for h in positions]
-    return split_streams(params, pda, len(received), positions,
-                         *decode_stream_columns(params, positions, columns))
+    size = pda.S * _dims(params, pda)[1]
+    column = []
+    for sig in signals:
+        if not (_is_int(sig.h) and sig.h == h):
+            raise MissingSignals(f"signal from server {sig.h!r} in the column of server {h!r}")
+        if len(sig.payload) != size:
+            raise DimensionMismatch(f"payload of server {h} has the wrong shape")
+        column.extend(sig.payload)
+    return column
 
 
-def stream_column(signals) -> list[int]:
-    """One server's flat payloads of a run of deliveries, chained into one column.
+def decode_streams(params: SystemParams, pda: Pda, columns) -> DecodedStreams:
+    """Decode every word of a batch of deliveries from J servers' columns, <= A corrupt.
 
-    Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery d.
+    ``columns`` maps each of J servers to its ``stream_column``; every
+    column must hold the same whole number of deliveries.  All words are
+    decoded in one ``decode_columns`` call.
     """
-    return list(chain.from_iterable(sig.payload for sig in signals))
-
-
-def decode_stream_columns(params: SystemParams, positions, columns):
-    """Decode every stream word of a batch of deliveries in one call.
-
-    ``columns[i]`` is the ``stream_column`` of the server at
-    ``positions[i]``, ascending; each word is one MDS codeword of
-    dimension I + L with <= A errors.  Returns ``(data, failures, flags)``:
-    ``data[l][w]`` is data coefficient l of word w (None where the word
-    failed), ``failures`` maps each failing word to its
-    ``DecodingFailure``, and ``flags[i]`` is the set of words in which the
-    server at ``positions[i]`` is off its codeword.
-    """
+    words = pda.S * _dims(params, pda)[1]
+    if len(columns) != params.J:
+        raise MissingSignals(f"need signals from {params.J} servers, got {len(columns)}")
+    for h in columns:
+        if not (_is_int(h) and 1 <= h <= params.H):
+            raise MissingSignals(f"signal origin {h!r} outside [1..{params.H}]")
+    positions = sorted(columns)
+    lengths = {len(col) for col in columns.values()}
+    whole = all(n % words == 0 for n in lengths) if words else lengths == {0}
+    if len(lengths) != 1 or not whole:
+        raise MissingSignals(f"servers {positions} must answer the same whole deliveries")
     messages, flags, failures = rscode.decode_columns(
-        params.points, positions, params.I + params.L, params.A, columns)
-    return messages[:params.L], failures, flags
-
-
-def split_streams(params: SystemParams, pda: Pda, count: int, positions, data, failures,
-                  flags) -> list[DecodedStreams]:
-    """One ``DecodedStreams`` per delivery of a ``decode_stream_columns`` result.
-
-    ``count`` is the number of deliveries the decoded columns hold; each
-    delivery's data is its run of S * pkt words of every data coefficient.
-    """
-    subL, pkt = _dims(params, pda)
-    S = pda.S
-    per = S * pkt
-    failed = [{} for _ in range(count)]
-    for w in sorted(failures):
-        d, s = divmod(w // pkt, S)
-        failed[d].setdefault(s + 1, failures[w])
-    flagged = [{} for _ in range(count)]
-    for h, words in zip(positions, flags):
-        for d, n in Counter(map(per.__rfloordiv__, words)).items():
-            flagged[d][h] = n
-    return [DecodedStreams([col[d * per:(d + 1) * per] for col in data], fails, flagged[d])
-            for d, fails in enumerate(failed)]
+        params.points, positions, params.I + params.L, params.A,
+        [columns[h] for h in positions])
+    return DecodedStreams(words, messages[:params.L], failures,
+                          {h: flagged for h, flagged in zip(positions, flags) if flagged})
 
 
 @dataclass(frozen=True)
@@ -568,7 +550,7 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
     expect = tuple((d + p) % q for d, p in zip(d_k, cache.p))
     if len(d_k) != N:
         raise DimensionMismatch(f"demand vector must hold {N} symbols")
-    if queries[k0] != expect:
+    if tuple(queries[k0]) != expect:
         raise ProtocolError(f"query of user {cache.k} does not match demand + blend")
 
     d = tuple(v % q for v in d_k)
@@ -606,23 +588,26 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
 
 
 def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
-                streams: DecodedStreams) -> list[int]:
-    """Recover the demanded blend of files: the decoded streams plus the cache side.
+                streams: DecodedStreams, d: int) -> list[int]:
+    """Recover the demanded blend of files: delivery d's decoded streams plus the cache side.
 
-    Raises the stream's ``DecodingFailure`` if a stream in the user's
-    column failed.
+    If a stream in the user's column failed, raises the failure of the
+    lowest such stream, at its first failing slice.
     """
-    for s, _ in side.streams:
-        if s in streams.failures:
-            failure = streams.failures[s]
-            raise rscode.DecodingFailure(*failure.args) from failure
-
-    q = params.q
     subL = params.B // params.L
     pkt = subL // pda.F
+    # each stream of the user's column, ascending: its row and its first word
+    rows = [(j, d * streams.words + (s - 1) * pkt) for s, j in side.streams]
+    failures = streams.failures
+    if failures:
+        for _, first in rows:
+            for w in range(first, first + pkt):
+                if w in failures:
+                    raise rscode.DecodingFailure(*failures[w].args) from failures[w]
+
+    q = params.q
     out = list(side.values)
-    for s, j in side.streams:
-        first = (s - 1) * pkt
+    for j, first in rows:
         for l, col in enumerate(streams.data):
             off = l * subL + j * pkt
             for r in range(pkt):

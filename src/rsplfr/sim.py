@@ -26,10 +26,9 @@ from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams, UniformRandom,
                        SCENARIO_FIELDS, _flag, _int, _ints, adversary_content,
-                       adversary_signal, build_storage, cache_side,
-                       decode_stream_columns, make_query, params_from_json, place_user,
-                       recover_library, server_signal, split_streams, stream_column,
-                       strategy_key, user_decode)
+                       adversary_signal, build_storage, cache_side, decode_streams,
+                       make_query, params_from_json, place_user, recover_library,
+                       server_signal, stream_column, strategy_key, user_decode)
 from .rscode import DecodingFailure
 
 
@@ -282,43 +281,6 @@ class _Replay:
         return sum(self.stages.values())
 
 
-class _SeedOnDraw(random.Random):
-    """A ``random.Random`` seeded from ``key`` at its first draw, not at birth.
-
-    Its draws equal ``random.Random(key)``'s.  A sweep hands one to every
-    corruption, and seeding from a string costs far more than making the
-    object, while only some strategies ever draw.
-    """
-
-    def __init__(self, key):
-        self._key = key
-        self.gauss_next = None
-
-    def _seed_pending(self):
-        if self._key is not None:
-            self.seed(self._key)
-
-    def seed(self, *args, **kwargs):
-        self._key = None
-        super().seed(*args, **kwargs)
-
-    def random(self):
-        self._seed_pending()
-        return super().random()
-
-    def getrandbits(self, k):
-        self._seed_pending()
-        return super().getrandbits(k)
-
-    def getstate(self):
-        self._seed_pending()
-        return super().getstate()
-
-    def setstate(self, state):
-        self._key = None
-        super().setstate(state)
-
-
 def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     """Replay configs under every demand, checking against ground truth.
 
@@ -333,11 +295,12 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     the decoded data, so data equal to the reference makes every user
     right.  The streams of all deliveries of one configuration are
     decoded in one batch, whose data is compared once with the
-    reference: only a configuration that differs is split into
-    deliveries, and only the users of a delivery that differs are
+    reference: only in a configuration that differs is each delivery's
+    data compared, and only the users of a delivery that differs are
     decoded one by one, for their witnesses.  Per-configuration seeds
     are keyed by the configuration's index in the full list, so a slice
-    replays exactly what the whole list would.
+    replays exactly what the whole list would; only a strategy that
+    draws gets a generator.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -359,7 +322,8 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             except ProtocolError as exc:
                 sides.append(exc)
         sides_list.append(sides)
-    honest_columns = [stream_column(per_demand) for per_demand in zip(*honest)]
+    honest_columns = {h: stream_column(params, arr, h, [signals[h - 1] for signals in honest])
+                      for h in range(1, params.H + 1)}
     witnesses = []
     stages: Counter = Counter()
 
@@ -369,7 +333,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             witnesses.append(w)
 
     def decode_users(di, streams):
-        """Each user's output from one delivery's streams, and its error or None."""
+        """Each user's output from delivery di of the streams, and its error or None."""
         decoded, errors = [], []
         for k, side in enumerate(sides_list[di], start=1):
             got = None
@@ -377,7 +341,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                 error = str(side)
             else:
                 try:
-                    got = user_decode(params, arr, side, streams)
+                    got = user_decode(params, arr, side, streams, di)
                 except DecodingFailure as exc:
                     error = str(exc)
                 else:
@@ -388,15 +352,12 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
 
     # the honest check decodes every user, with no short cut, so call
     # counts do not depend on where the first wrong output is
-    honest_js = tuple(range(1, params.J + 1))
-    reference, failures, flags = decode_stream_columns(params, honest_js,
-                                                       honest_columns[:params.J])
-    reference_streams = split_streams(params, arr, len(demand_list), honest_js,
-                                      reference, failures, flags)
-    wrong = [error is not None for di, streams in enumerate(reference_streams)
-             for error in decode_users(di, streams)[1]]
+    reference = decode_streams(params, arr, {h: honest_columns[h]
+                                             for h in range(1, params.J + 1)})
+    wrong = [error is not None for di in range(len(demand_list))
+             for error in decode_users(di, reference)[1]]
     if any(wrong):
-        reference = reference_streams = None
+        reference = None
     delivered, decoded, per_user = [], [], []
     for ci, (js, adv, strat) in enumerate(configs, start=first):
         key = strategy_key(strat)
@@ -406,7 +367,8 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             for h in js:
                 st = state.stores[h - 1]
                 if h in adv:
-                    rng = _SeedOnDraw(f"{sc.seed}:content:{ci}:{h}:{key}")
+                    rng = (random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
+                           if strat.draws else None)
                     st = adversary_content(params, strat, st, rng)
                 contents.append(st)
             try:
@@ -416,19 +378,20 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             except (DecodingFailure, ProtocolError) as exc:
                 note(dict(label, stage="recover", error=str(exc)))
         corrupted = {h: [adversary_signal(params, strat, honest[di][h - 1],
-                                          _SeedOnDraw(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}"))
+                                          random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
+                                          if strat.draws else None)
                          for di in range(len(demand_list))]
                      for h in js if h in adv}
-        columns = [stream_column(corrupted[h]) if h in corrupted else honest_columns[h - 1]
-                   for h in js]
+        streams = decode_streams(params, arr, {
+            h: stream_column(params, arr, h, corrupted[h]) if h in corrupted
+            else honest_columns[h] for h in js})
         delivered = [corrupted[h][-1] if h in corrupted else honest[-1][h - 1] for h in js]
-        data, failures, flags = decode_stream_columns(params, js, columns)
-        if data == reference:  # every user of every delivery is right
+        if reference is not None and streams.data == reference.data:
+            # every user of every delivery is right
             decoded, per_user = truth_list[-1], [True] * params.K
             continue
-        for di, streams in enumerate(split_streams(params, arr, len(demand_list), js,
-                                                   data, failures, flags)):
-            if reference_streams is not None and streams.data == reference_streams[di].data:
+        for di in range(len(demand_list)):
+            if reference is not None and streams.delivery(di) == reference.delivery(di):
                 decoded, per_user = truth_list[di], [True] * params.K
                 continue
             decoded, errors = decode_users(di, streams)

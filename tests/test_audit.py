@@ -196,7 +196,7 @@ def test_toy_server_security_runs_by_rank():
     assert report.tables == 6
 
 
-def test_cap_is_adjustable():
+def test_cap_is_adjustable(monkeypatch):
     # the rank audits count probe evaluations before doing any work:
     # 6 units + zero + 2 checks for server security; those 9 stores times
     # 3^4 query-grid points plus 4 + 3 query probes for signal security;
@@ -204,18 +204,22 @@ def test_cap_is_adjustable():
     for audit, work in ((audit_server_security, 9),
                         (audit_signal_security, 736),
                         (audit_demand_privacy, 99)):
+        monkeypatch.setattr(audit_module, "CAP", work - 1)
         with pytest.raises(InfeasibleAuditError,
                            match=rf"would evaluate {work} probes \(cap {work - 1}\)"):
-            audit(MICRO, MICRO_PDA, cap=work - 1)
-        assert audit(MICRO, MICRO_PDA, cap=work).satisfied
+            audit(MICRO, MICRO_PDA)
+        monkeypatch.setattr(audit_module, "CAP", work)
+        assert audit(MICRO, MICRO_PDA).satisfied
 
 
-def test_demand_privacy_cap_bounds_the_whole_enumeration():
+def test_demand_privacy_cap_bounds_the_whole_enumeration(monkeypatch):
     # 3^2 libraries x 3^8 outcomes each x one coalition = 59049
     oracle = audit_module.enumerate_demand_privacy
+    monkeypatch.setattr(audit_module, "CAP", 59048)
     with pytest.raises(InfeasibleAuditError, match="would enumerate 59049 outcomes"):
-        oracle(MICRO, MICRO_PDA, cap=59048)
-    assert oracle(MICRO, MICRO_PDA, cap=59049).outcomes == 59049
+        oracle(MICRO, MICRO_PDA)
+    monkeypatch.setattr(audit_module, "CAP", 59049)
+    assert oracle(MICRO, MICRO_PDA).outcomes == 59049
 
 
 def test_audit_requires_fixed_sizes():

@@ -15,7 +15,8 @@ from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              adversary_content, adversary_signal,
                              build_storage, cache_side, decode_streams, make_query,
                              params_from_json, place_user, recover_library,
-                             server_signal, strategy_key, user_decode, with_seed)
+                             server_signal, strategy_key, stream_column, user_decode,
+                             with_seed)
 from rsplfr.rscode import DecodingFailure
 
 MICRO = SystemParams(N=2, K=1, H=2, A=0, I=1, J=2, q=3, B=1)
@@ -39,6 +40,19 @@ def build_toy_state(seed=0, B=6):
     caches = [place_user(params, TOY_PDA, library, randomness, k, ps[k - 1])
               for k in range(1, params.K + 1)]
     return params, library, randomness, stores, ps, caches
+
+
+def decode(params, pda, *deliveries):
+    """Decode deliveries of the same servers, each its signals in one order."""
+    return decode_streams(params, pda, {sigs[0].h: stream_column(params, pda, sigs[0].h, sigs)
+                                        for sigs in zip(*deliveries)})
+
+
+def flag_counts(streams, d):
+    """Per server flagged in delivery d of a batch, its words flagged there."""
+    words = range(d * streams.words, (d + 1) * streams.words)
+    counts = {h: sum(w in flags for w in words) for h, flags in streams.flagged.items()}
+    return {h: n for h, n in counts.items() if n}
 
 
 def combine(library: Library, demand, q: int):
@@ -187,10 +201,10 @@ def test_every_user_decodes_its_blend_on_the_toy_instance():
                for _ in range(params.K)]
     queries = [make_query(params, demands[k], ps[k]) for k in range(params.K)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
-    (streams,) = decode_streams(params, TOY_PDA, [signals[:params.J]])
+    streams = decode(params, TOY_PDA, signals[:params.J])
     for k in range(1, params.K + 1):
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
-        got = user_decode(params, TOY_PDA, side, streams)
+        got = user_decode(params, TOY_PDA, side, streams, 0)
         assert got == combine(library, demands[k - 1], params.q)
 
 
@@ -207,8 +221,7 @@ def test_decoding_is_linear_in_the_demand():
         signals = [server_signal(params, TOY_PDA, st, queries)
                    for st in stores[:params.J]]
         side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-        outs[tag] = user_decode(params, TOY_PDA, side,
-                                decode_streams(params, TOY_PDA, [signals])[0])
+        outs[tag] = user_decode(params, TOY_PDA, side, decode(params, TOY_PDA, signals), 0)
     assert [(a + b) % q for a, b in zip(outs["d1"], outs["d2"])] == outs["sum"]
 
 
@@ -222,8 +235,8 @@ def test_any_j_subset_suffices():
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     from itertools import combinations
     for subset in combinations(range(6), params.J):
-        (streams,) = decode_streams(params, TOY_PDA, [[signals[i] for i in subset]])
-        assert user_decode(params, TOY_PDA, side, streams) == expected
+        streams = decode(params, TOY_PDA, [signals[i] for i in subset])
+        assert user_decode(params, TOY_PDA, side, streams, 0) == expected
 
 
 def test_single_adversary_is_corrected():
@@ -238,8 +251,8 @@ def test_single_adversary_is_corrected():
                    for st in stores[:params.J]]
         signals[2] = adversary_signal(params, strategy, signals[2], random.Random(0))
         assert not signals[2].honest
-        (streams,) = decode_streams(params, TOY_PDA, [signals])
-        assert user_decode(params, TOY_PDA, side, streams) == expected
+        streams = decode(params, TOY_PDA, signals)
+        assert user_decode(params, TOY_PDA, side, streams, 0) == expected
 
 
 def test_partial_slice_corruption_is_corrected():
@@ -267,10 +280,10 @@ def test_partial_slice_corruption_is_corrected():
             if mask >> bit & 1:
                 payload[s * 2 + r] = (payload[s * 2 + r] + 1 + bit % 6) % 7
         bad = Signal(h=honest.h, payload=tuple(payload), honest=False)
-        (streams,) = decode_streams(params, TOY_PDA, [signals[:2] + [bad] + signals[3:]])
+        streams = decode(params, TOY_PDA, signals[:2] + [bad] + signals[3:])
         assert not streams.failures
         for k in range(3):
-            got = user_decode(params, TOY_PDA, sides[k], streams)
+            got = user_decode(params, TOY_PDA, sides[k], streams, 0)
             assert got == expected[k], (mask, k)
 
 
@@ -284,15 +297,15 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
         payload = signals[i].payload
         payload = ((payload[0] + 1) % 7,) + payload[1:]
         signals[i] = Signal(h=signals[i].h, payload=payload, honest=False)
-    (streams,) = decode_streams(params, TOY_PDA, [signals])
-    assert set(streams.failures) == {1}
+    streams = decode(params, TOY_PDA, signals)
+    assert set(streams.failures) == {0}  # the one word of stream 1
     for k in range(1, 4):
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
         if 1 in TOY_PDA.column(k - 1):
             with pytest.raises(DecodingFailure):
-                user_decode(params, TOY_PDA, side, streams)
+                user_decode(params, TOY_PDA, side, streams, 0)
         else:
-            assert user_decode(params, TOY_PDA, side, streams) == \
+            assert user_decode(params, TOY_PDA, side, streams, 0) == \
                 combine(library, demands[k - 1], params.q)
 
 
@@ -310,11 +323,18 @@ def test_a_stream_fails_with_its_first_failing_slice():
 
     both = [shifted(signals[0], (1, 1)), shifted(signals[1], (1, 2))] + signals[2:]
     second = [shifted(signals[0], (0, 1)), shifted(signals[1], (0, 2))] + signals[2:]
-    decoded = decode_streams(params, TOY_PDA, [both, second])
-    assert [set(d.failures) for d in decoded] == [{1}, {1}]
-    assert str(decoded[0].failures[1]) == (
-        "error locator of length 1 has 0 of 1 roots among the present positions")
-    assert str(decoded[1].failures[1]) == "error locator of length 2 exceeds the radius 1"
+    decoded = decode(params, TOY_PDA, both, second)
+    # stream 1 is words 0 and 1 of delivery 0 and words 6 and 7 of delivery 1
+    assert set(decoded.failures) == {0, 1, 7}
+    first = "error locator of length 1 has 0 of 1 roots among the present positions"
+    assert str(decoded.failures[0]) == first
+    assert str(decoded.failures[1]) == str(decoded.failures[7]) == (
+        "error locator of length 2 exceeds the radius 1")
+    for k in (1, 2):  # the users whose columns hold stream 1
+        side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
+        for d, text in ((0, first), (1, "error locator of length 2 exceeds the radius 1")):
+            with pytest.raises(DecodingFailure, match=f"^{text}$"):
+                user_decode(params, TOY_PDA, side, decoded, d)
 
 
 def test_decode_needs_exactly_j_distinct_origins():
@@ -323,10 +343,34 @@ def test_decode_needs_exactly_j_distinct_origins():
     demands = [demand, [0] * 4, [0] * 4]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
-    with pytest.raises(MissingSignals):
-        decode_streams(params, TOY_PDA, [signals[:4]])
-    with pytest.raises(MissingSignals):
-        decode_streams(params, TOY_PDA, [signals[:4] + [signals[3]]])
+    with pytest.raises(MissingSignals, match="need signals from 5 servers, got 4"):
+        decode(params, TOY_PDA, signals[:4])
+    with pytest.raises(MissingSignals, match="need signals from 5 servers, got 4"):
+        decode(params, TOY_PDA, signals[:4] + [signals[3]])
+    with pytest.raises(MissingSignals, match="need signals from 5 servers, got 6"):
+        decode(params, TOY_PDA, signals)
+    columns = {sig.h: stream_column(params, TOY_PDA, sig.h, [sig]) for sig in signals[:5]}
+    columns[9] = columns.pop(5)
+    with pytest.raises(MissingSignals, match=r"signal origin 9 outside \[1..6\]"):
+        decode_streams(params, TOY_PDA, columns)
+    with pytest.raises(MissingSignals, match="signal from server 2 in the column of server 1"):
+        stream_column(params, TOY_PDA, 1, signals[:2])
+
+
+@pytest.mark.parametrize("origin", ["1", True, 1.0])
+def test_decode_refuses_an_origin_that_is_no_integer(origin):
+    params, library, randomness, stores, ps, caches = build_toy_state(7)
+    queries = [make_query(params, [1, 0, 0, 0], ps[k]) for k in range(3)]
+    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
+    odd = replace(signals[0], h=origin)
+    with pytest.raises(MissingSignals, match=f"signal from server {origin!r}"):
+        decode(params, TOY_PDA, [odd] + signals[1:])
+    with pytest.raises(MissingSignals, match=f"signal from server {origin!r}"):
+        stream_column(params, TOY_PDA, 1, [odd])
+    columns = {sig.h: stream_column(params, TOY_PDA, sig.h, [sig]) for sig in signals}
+    columns[origin] = columns.pop(1)
+    with pytest.raises(MissingSignals, match=f"signal origin {origin!r} outside"):
+        decode_streams(params, TOY_PDA, columns)
 
 
 def test_decode_checks_every_signal_shape():
@@ -338,11 +382,10 @@ def test_decode_checks_every_signal_shape():
     # the payload one symbol short, in the second delivery
     short = Signal(h=last.h, payload=last.payload[:-1])
     with pytest.raises(DimensionMismatch, match="server 5"):
-        decode_streams(params, TOY_PDA, [signals, signals[:4] + [short]])
+        decode(params, TOY_PDA, signals, signals[:4] + [short])
     # and one symbol long
     with pytest.raises(DimensionMismatch, match="server 5"):
-        decode_streams(params, TOY_PDA, [signals[:4] + [Signal(
-            h=last.h, payload=last.payload + (0,))]])
+        decode(params, TOY_PDA, signals[:4] + [Signal(h=last.h, payload=last.payload + (0,))])
 
 
 def test_deliveries_must_come_from_the_same_servers():
@@ -350,10 +393,19 @@ def test_deliveries_must_come_from_the_same_servers():
     demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
-    with pytest.raises(MissingSignals, match="deliveries come from servers"):
-        decode_streams(params, TOY_PDA, [signals[:5], signals[1:]])
-    assert len(decode_streams(params, TOY_PDA, [signals[1:], signals[:0:-1]])) == 2
-    assert decode_streams(params, TOY_PDA, []) == []
+    # in column form: every server's column holds the same whole deliveries
+    columns = {sig.h: stream_column(params, TOY_PDA, sig.h, [sig, sig]) for sig in signals[:5]}
+    both = decode_streams(params, TOY_PDA, columns)
+    assert both.delivery(0) == both.delivery(1)
+    assert decode_streams(params, TOY_PDA, dict(reversed(columns.items()))) == both
+    uneven = [{**columns, 5: columns[5][:3]}, {**columns, 1: columns[1] * 2},
+              {**columns, 2: [0]}, {h: column[:5] for h, column in columns.items()}]
+    for bad in uneven:
+        with pytest.raises(MissingSignals, match=r"servers \[1, 2, 3, 4, 5\] must answer "
+                                                 "the same whole deliveries"):
+            decode_streams(params, TOY_PDA, bad)
+    empty = decode_streams(params, TOY_PDA, {h: [] for h in range(2, 7)})
+    assert (empty.data, empty.failures, empty.flagged) == ([[], []], {}, {})
 
 
 def test_flags_name_the_servers_that_changed_their_symbols():
@@ -376,9 +428,9 @@ def test_flags_name_the_servers_that_changed_their_symbols():
                 changed = sum(x != y for x, y in zip(signals[bad].payload, honest.payload))
                 deliveries.append(signals)
                 expected.append({honest.h: changed} if changed else {})
-            decoded = decode_streams(params, TOY_PDA, deliveries)
-            assert [d.flagged for d in decoded] == expected, (strategy, bad)
-            assert not any(d.failures for d in decoded)
+            decoded = decode(params, TOY_PDA, *deliveries)
+            assert [flag_counts(decoded, d) for d in range(3)] == expected, (strategy, bad)
+            assert not decoded.failures
             assert any(expected), (strategy, bad)
 
 
@@ -392,9 +444,21 @@ def test_decode_checks_the_query_echo():
     with pytest.raises(ProtocolError):
         cache_side(params, TOY_PDA, caches[0], demand, wrong)
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-    (streams,) = decode_streams(params, TOY_PDA, [signals[:5]])
-    assert user_decode(params, TOY_PDA, side, streams) == \
+    streams = decode(params, TOY_PDA, signals[:5])
+    assert user_decode(params, TOY_PDA, side, streams, 0) == \
         combine(library, demand, params.q)
+
+
+def test_list_and_tuple_queries_give_the_same_side():
+    params, library, randomness, stores, ps, caches = build_toy_state(8)
+    demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    listed = [list(qr) for qr in queries]
+    assert server_signal(params, TOY_PDA, stores[0], listed) == \
+        server_signal(params, TOY_PDA, stores[0], queries)
+    for k in range(3):
+        assert cache_side(params, TOY_PDA, caches[k], demands[k], listed) == \
+            cache_side(params, TOY_PDA, caches[k], demands[k], queries)
 
 
 def test_zero_library_decodes_to_zero():
@@ -410,15 +474,15 @@ def test_zero_library_decodes_to_zero():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     signals = [server_signal(params, TOY_PDA, st, queries)
                for st in stores[:params.J]]
-    (streams,) = decode_streams(params, TOY_PDA, [signals])
+    streams = decode(params, TOY_PDA, signals)
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-    assert user_decode(params, TOY_PDA, side, streams) == [0] * params.B
+    assert user_decode(params, TOY_PDA, side, streams, 0) == [0] * params.B
 
 
 def test_criterion_6_instance_at_every_error_pattern():
     # the criterion-6 instance carries one symbol per server, so each
     # error pattern is one delivery.  Per J-subset, one decode_streams
-    # call takes every single error (within the budget: every user exact,
+    # batch takes every single error (within the budget: every user exact,
     # the adversary flagged) and every weight-2 pattern (beyond it: each
     # user outcome counted); recovery corrects every single-symbol error
     params = with_seed(ROBUST, 21)
@@ -447,17 +511,16 @@ def test_criterion_6_instance_at_every_error_pattern():
         single = [{h: v} for h in js for v in range(1, q)]
         double = [{h1: v1, h2: v2} for h1, h2 in combinations(js, 2)
                   for v1 in range(1, q) for v2 in range(1, q)]
-        decoded = decode_streams(params, ROBUST_PDA,
-                                 [delivery(js, errs) for errs in single + double])
-        for errs, streams in zip(single, decoded):
-            assert streams.flagged == dict.fromkeys(errs, 1), errs
+        decoded = decode(params, ROBUST_PDA, *[delivery(js, errs) for errs in single + double])
+        for d, errs in enumerate(single):
+            assert flag_counts(decoded, d) == dict.fromkeys(errs, 1), errs
             for k in range(2):
-                assert user_decode(params, ROBUST_PDA, sides[k], streams) == expected[k]
+                assert user_decode(params, ROBUST_PDA, sides[k], decoded, d) == expected[k]
             within += 1
-        for streams in decoded[len(single):]:
+        for d in range(len(single), len(single) + len(double)):
             for k in range(2):
                 try:
-                    got = user_decode(params, ROBUST_PDA, sides[k], streams)
+                    got = user_decode(params, ROBUST_PDA, sides[k], decoded, d)
                 except DecodingFailure:
                     beyond["detected"] += 1
                 else:

@@ -1,7 +1,6 @@
 """Seeded scenario runs and exhaustive sweeps."""
 
 import hashlib
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -292,17 +291,29 @@ def test_uniform_adversary_rng_is_scenario_seeded():
     assert a.ok and b.ok
 
 
-def test_seed_on_draw_draws_what_eager_seeding_draws():
-    from rsplfr.sim import _SeedOnDraw
-    key = "0:adv:7:3:2:uniform_random:0"
-    flat = list(range(1000))
-    assert UniformRandom().corrupt(flat, 7, _SeedOnDraw(key)) == \
-        UniformRandom().corrupt(flat, 7, random.Random(key))
-    assert _SeedOnDraw(key).getstate() == random.Random(key).getstate()
-    assert _SeedOnDraw(key).random() == random.Random(key).random()
-    reseeded = _SeedOnDraw(key)
-    reseeded.seed(5)
-    assert reseeded.random() == random.Random(5).random()
+def test_only_strategies_that_draw_get_a_generator(monkeypatch):
+    # each corruption of a drawing strategy gets random.Random(its key);
+    # the others get None
+    import rsplfr.sim
+    seen = Counter()
+
+    def recording(original):
+        def wrapped(params, strategy, honest, rng):
+            seen[strategy.label, type(rng).__name__] += 1
+            assert (rng is None) != strategy.draws
+            return original(params, strategy, honest, rng)
+        return wrapped
+
+    for name in ("adversary_signal", "adversary_content"):
+        monkeypatch.setattr(rsplfr.sim, name, recording(getattr(rsplfr.sim, name)))
+    assert sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                              sweep_strategies=True, demand_samples=2,
+                              check_recovery=True)).ok
+    # 30 configurations with one adversary per strategy: two answers and
+    # one store each
+    assert seen == {("uniform_random", "Random"): 90, ("zero_payload", "NoneType"): 90,
+                    ("honest_plus_constant", "NoneType"): 90,
+                    ("honest_permuted_slices", "NoneType"): 90}
 
 
 def beyond_budget_sweep(monkeypatch, jobs=1):
