@@ -34,6 +34,11 @@ server's answers to a batch of deliveries into a column, checking each
 answer, and ``decode_streams`` decodes the columns of J servers into one
 ``DecodedStreams``, slice r of stream s of delivery d at word
 (d*S + s-1)*pkt + r.  ``user_decode`` reads one delivery from it.
+Stored contents are decoded the same way: ``recover_library`` decodes a
+batch of J-store sets from the same servers in one call and returns
+each set's library or failure.  A word's decode never depends on the
+rest of its batch, so a batch may hold any deliveries or sets that
+share their servers.
 """
 
 from __future__ import annotations
@@ -325,13 +330,23 @@ def make_query(params: SystemParams, d_k, p_k) -> tuple[int, ...]:
     return tuple((d + p) % q for d, p in zip(d_k, p_k))
 
 
+def _checked_queries(params: SystemParams, queries) -> tuple:
+    """The K queries as a tuple; each must hold N residues."""
+    queries = tuple(queries)
+    if len(queries) != params.K:
+        raise DimensionMismatch(f"need {params.K} queries, got {len(queries)}")
+    for k, query in enumerate(queries, start=1):
+        if len(query) != params.N:
+            raise DimensionMismatch(
+                f"query of user {k} must hold {params.N} symbols, got {len(query)}")
+    return queries
+
+
 def server_signal(params: SystemParams, pda: Pda,
                   store: ServerStore, queries) -> Signal:
     subL, pkt = _dims(params, pda)
     N, q = params.N, params.q
-    queries = tuple(queries)
-    if len(queries) != params.K:
-        raise DimensionMismatch(f"need {params.K} queries, got {len(queries)}")
+    queries = _checked_queries(params, queries)
     payload = list(store.coded_keys)
     files = store.coded_subfiles
     for s in range(1, pda.S + 1):
@@ -468,9 +483,9 @@ class DecodedStreams:
     failures: dict[int, rscode.DecodingFailure]
     flagged: dict[int, set[int]]
 
-    def delivery(self, d: int) -> list[list[int | None]]:
-        """Delivery d's data: its run of words of every data coefficient."""
-        return [col[d * self.words:(d + 1) * self.words] for col in self.data]
+    def delivery(self, d: int, count: int = 1) -> list[list[int | None]]:
+        """The data of deliveries d .. d+count-1: their run of words of every data coefficient."""
+        return [col[d * self.words:(d + count) * self.words] for col in self.data]
 
 
 def stream_column(params: SystemParams, pda: Pda, h: int, signals) -> list[int]:
@@ -543,9 +558,7 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
     """
     subL, pkt = _dims(params, pda)
     N, L, q = params.N, params.L, params.q
-    queries = tuple(queries)
-    if len(queries) != params.K:
-        raise DimensionMismatch(f"need {params.K} queries, got {len(queries)}")
+    queries = _checked_queries(params, queries)
     k0 = cache.k - 1
     expect = tuple((d + p) % q for d, p in zip(d_k, cache.p))
     if len(d_k) != N:
@@ -615,15 +628,55 @@ def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
     return out
 
 
-def recover_library(params: SystemParams, stores) -> Library:
-    """Rebuild the whole library from the stores of any J servers, <= A corrupt.
+def recover_library(params: SystemParams, store_sets) -> list:
+    """Rebuild the whole library from each of a batch of J-store sets, <= A corrupt in each.
 
     Slice by slice, the J evaluations of each file polynomial form an
     MDS codeword of dimension I + L whose first L coefficients are the
-    subfile symbols.
+    subfile symbols.  Every set whose contents pass the checks must come
+    from the same J servers; all their slices are decoded in one
+    ``decode_columns`` call.  Returns, per set, its ``Library``, or the
+    ``DecodingFailure`` of its lowest failing slice, or the
+    ``ProtocolError`` its contents raise.
     """
     if params.q is None or params.B is None:
         raise ProtocolError("protocol operations need q and B")
+    L, I, N = params.L, params.I, params.N
+    if params.B % L:
+        raise DimensionMismatch(f"B={params.B} is not divisible by L={L}")
+    subL = params.B // L
+    size = N * subL
+    results, sets = [], []
+    for stores in store_sets:
+        try:
+            sets.append((len(results), _contents_by_server(params, stores, size)))
+        except ProtocolError as exc:
+            results.append(exc)
+        else:
+            results.append(None)
+    if not sets:
+        return results
+    positions = sorted(sets[0][1])
+    if any(sorted(by_h) != positions for _, by_h in sets):
+        raise ProtocolError("store sets must come from the same servers")
+    messages, _flags, failed = rscode.decode_columns(
+        params.points, positions, I + L, params.A,
+        [list(chain.from_iterable(by_h[h].coded_subfiles for _, by_h in sets))
+         for h in positions])
+    for w in sorted(failed, reverse=True):  # each set keeps its lowest failing slice
+        results[sets[w // size][0]] = failed[w]
+    for t, (i, _) in enumerate(sets):
+        if results[i] is None:
+            off = t * size
+            results[i] = Library(tuple(
+                tuple(chain.from_iterable(messages[l][off + n * subL:off + (n + 1) * subL]
+                                          for l in range(L)))
+                for n in range(N)))
+    return results
+
+
+def _contents_by_server(params: SystemParams, stores, size: int) -> dict:
+    """One set's stores keyed by server; J distinct servers with ``size`` coded subfile symbols each."""
     by_h = {}
     for store in stores:
         if store.h in by_h:
@@ -631,26 +684,12 @@ def recover_library(params: SystemParams, stores) -> Library:
         by_h[store.h] = store
     if len(by_h) != params.J:
         raise ProtocolError(f"need contents of {params.J} servers, got {len(by_h)}")
-    L, I, N = params.L, params.I, params.N
-    if params.B % L:
-        raise DimensionMismatch(f"B={params.B} is not divisible by L={L}")
-    subL = params.B // L
     for h, st in by_h.items():
         if not (_is_int(h) and 1 <= h <= params.H):
             raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
-        if len(st.coded_subfiles) != N * subL:
+        if len(st.coded_subfiles) != size:
             raise DimensionMismatch(f"contents of server {h} have the wrong shape")
-    positions = sorted(by_h)
-    messages, _flags, failed = rscode.decode_columns(
-        params.points, positions, I + L, params.A,
-        [by_h[h].coded_subfiles for h in positions], stop=True)
-    if failed:
-        (failure,) = failed.values()  # the first failing word: decoding stopped there
-        raise failure
-    files = [tuple(chain.from_iterable(messages[l][n * subL:(n + 1) * subL]
-                                       for l in range(L)))
-             for n in range(N)]
-    return Library(tuple(files))
+    return by_h
 
 
 # ---------- configuration ----------

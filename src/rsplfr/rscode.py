@@ -31,18 +31,25 @@ distance e of that codeword, the only one there since 2e < J - k + 1.
 Which such plan decodes a word thus changes only the work.
 
 The words are packed one per slot into one integer per position, so
-each plan row is a few big-integer operations for the whole batch.  The
-plan with S empty is swept over every word.  While words are left, the
-lowest of them gets its syndromes and locator.  A locator longer than
-e, or with another number of roots among the present positions than
-its length, cannot be the locator of an error pattern within the
-radius, so the word is refused.  Otherwise the plan skipping the roots
-is swept over every word left, since errors come per server and recur;
-the located word must pass it, or it is refused too.  A failing word
-drops out of a plan at its first failed check row, and messages are
-computed only for the words a plan explains.  The result is the unique
-codeword within distance e, or ``DecodingFailure`` when there is none,
-exactly as the oracle finds.  ``decode`` is the one-word case.
+each plan row, and its reduction mod q (see ``_Slots``), is a few
+big-integer operations for the whole batch.  A set of words is a mask
+of their whole slots, so a check row that every word of a set passes
+is one test for zero.  The plan with S empty is swept over every word.
+While words are left, the lowest of them gets its syndromes and
+locator.  A locator longer than e, or with another number of roots
+among the present positions than its length, cannot be the locator of
+an error pattern within the radius, so the word is refused.  Otherwise
+the plan skipping the roots is swept over every word left, since
+errors come per server and recur; the located word must pass it, or it
+is refused too.  A failing word drops out of a plan at its first failed
+check row.  Each plan's message and flag rows are masked to the words
+it explains, and every row is read out for the whole batch at once.
+The result is the unique codeword within distance e, or
+``DecodingFailure`` when there is none, exactly as the oracle finds.
+It depends on the word alone, never on the rest of the batch: a word
+passes a plan only if it lies within distance e of a codeword, and a
+refused word's text comes from its own locator.  ``decode`` is the
+one-word case.
 
 ``brute_force_decode`` is the independent oracle: try every error
 support up to the radius, interpolate, and keep candidates consistent
@@ -56,7 +63,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import combinations, compress
 from math import prod
-from operator import mul, not_
+from operator import mul
 from sys import byteorder
 
 from .ff import PrimeField, horner
@@ -261,21 +268,40 @@ def _locate(dual: _Dual, y: list[int], max_errors: int, q: int) -> list[int]:
 class _Slots:
     """Residues packed one per word into the fixed-width slots of one integer.
 
-    A slot holds any sum of ``terms`` products of residues, so a linear
+    A slot holds any sum v of ``terms`` products of residues, so a linear
     combination of packed columns is a few big-integer products and sums
     with no carry between words: one pass of arithmetic for a batch.
+    The sums are reduced mod q the same way, by exact division by the
+    invariant q (Granlund & Montgomery, *Division by Invariant Integers
+    using Multiplication*, PLDI 1994): with magic = ceil(2^shift / q) and
+    e = magic*q - 2^shift, v*magic / 2^shift exceeds v/q by
+    v*e / (q*2^shift), less than 1/q while v*e < 2^shift, so its floor is
+    floor(v/q) for every v <= terms*(q-1)^2.  The slots are wide enough
+    to hold v*magic, so one multiply, shift and mask of a packed integer
+    gives every slot's quotient, and v - q*quotient its residue.
     """
 
+    q: int
     size: int         # bytes per slot
     code: str | None  # the array type of that size, if there is one
+    magic: int
+    shift: int
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_sums(cls, q: int, terms: int) -> "_Slots":
-        need = max(1, ((terms * (q - 1) ** 2).bit_length() + 7) // 8)
+        top = terms * (q - 1) ** 2
+        # the least shift with top*e < 2^shift; e < q makes
+        # top.bit_length() + (q - 1).bit_length() always qualify
+        shift = 0
+        while top * (-(1 << shift) % q) >= 1 << shift:
+            shift += 1
+        magic = -(-(1 << shift) // q)
+        need = max(1, ((top * magic).bit_length() + 7) // 8)
         for code in "BHIQ":
             if array(code).itemsize >= need:
-                return cls(array(code).itemsize, code)
-        return cls(need, None)
+                return cls(q, array(code).itemsize, code, magic, shift)
+        return cls(q, need, None, magic, shift)
 
     def pack(self, values) -> int:
         if self.code:
@@ -283,26 +309,60 @@ class _Slots:
         return int.from_bytes(b"".join(v.to_bytes(self.size, byteorder) for v in values),
                               byteorder)
 
-    def combine(self, row, packed, count: int):
-        """The slots of sum_t row[t] * packed[t], one per word, not reduced."""
-        raw = sum(map(mul, row, packed)).to_bytes(count * self.size, byteorder)
+    def unpack(self, packed: int, count: int) -> list[int]:
+        raw = packed.to_bytes(count * self.size, byteorder)
         if self.code:
-            return array(self.code, raw)
+            return array(self.code, raw).tolist()
         return [int.from_bytes(raw[i:i + self.size], byteorder)
                 for i in range(0, len(raw), self.size)]
 
+    @lru_cache(maxsize=16)
+    def masks(self, count: int) -> tuple[int, int]:
+        """Over ``count`` slots: 1 in each, and the bits each slot's quotient occupies."""
+        bits = 8 * self.size
+        ones = ((1 << bits * count) - 1) // ((1 << bits) - 1)
+        return ones, ones * ((1 << bits - self.shift) - 1)
+
+    def reduce(self, total: int, count: int) -> int:
+        """Every slot of ``total`` mod q."""
+        return total - self.q * ((total * self.magic >> self.shift) & self.masks(count)[1])
+
+    def nonzero(self, residues: int, count: int) -> int:
+        """The full slots where ``residues``, each below q, is nonzero; the rest empty.
+
+        Adding 2^b - 1 to a residue below 2^b carries into bit b exactly
+        when the residue is nonzero.
+        """
+        b = (self.q - 1).bit_length()
+        ones = self.masks(count)[0]
+        return ((residues + ones * ((1 << b) - 1)) >> b & ones) * ((1 << 8 * self.size) - 1)
+
+    def word(self, w: int, count: int) -> int:
+        """The full slot of word w."""
+        slot = w if byteorder == "little" else count - 1 - w
+        return ((1 << 8 * self.size) - 1) << (8 * self.size * slot)
+
+    def lowest(self, words: int, count: int) -> int:
+        """The lowest word among the full slots of ``words``."""
+        slot = ((words & -words).bit_length() - 1) // (8 * self.size)
+        return slot if byteorder == "little" else count - 1 - slot
+
+
+def _canonical(column, q: int) -> bool:
+    """Whether every value of the column is already a residue mod q."""
+    return not column or (min(column) >= 0 and max(column) < q)
+
 
 def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: int,
-                   columns, stop: bool = False):
+                   columns):
     """Decode a batch of words received at ``positions``; ``columns[i][w]`` is word w there.
 
     ``positions`` must ascend strictly.  Returns ``(messages, flags,
     failures)``: ``messages[m][w]`` is message coefficient m of word w
     (None if it failed), ``flags[i]`` the set of words whose value at
     position i differs from their codeword, and ``failures`` maps each
-    failing word to its ``DecodingFailure``.  With ``stop``, decoding
-    ends at the lowest failing word, for a caller that needs every word:
-    only that failure is returned, and no message.
+    failing word to its ``DecodingFailure``.  Each word's result depends
+    on that word alone, not on the rest of the batch.
     """
     positions = tuple(positions)
     if any(a >= b for a, b in zip(positions, positions[1:])):
@@ -312,7 +372,7 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
     if J - k < 2 * max_errors:
         raise ValueError(
             f"{J} present positions cannot carry dimension {k} with {max_errors} errors")
-    y = [[v % q for v in col] for col in columns]
+    y = [col if _canonical(col, q) else [v % q for v in col] for col in columns]
     if len(y) != J:
         raise ValueError(f"need {J} columns, got {len(y)}")
     W = len(y[0])
@@ -321,70 +381,63 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
     slots = _Slots.for_sums(q, k + 1)
     packed = [slots.pack(col) for col in y]
 
-    def residues(row, cols, words):
-        """Row dotted with the packed columns, mod q, at each of the words."""
-        values = slots.combine(row, cols, W)
-        if len(words) != W:
-            values = map(values.__getitem__, words)
-        return map(q.__rmod__, values)
+    def residues(row, cols):
+        """Row dotted with the packed columns, mod q, in every slot."""
+        return slots.reduce(sum(map(mul, row, cols)), W)
 
-    def sweep(plan: _Plan, words):
-        """Split ascending ``words`` into those that pass the plan's checks and the rest.
+    def sweep(plan: _Plan, words: int) -> int:
+        """The words, as full slots, that pass the plan's checks.
 
-        A word leaves at the first check row it fails, so later rows
-        look only at the words still passing.
+        A word leaves at the first check row it fails; a row that every
+        word left passes is one test for zero.
         """
         base = [packed[i] for i in plan.base]
-        failing = []
         for j, row in plan.checks:
-            off = list(residues(row, base + [packed[j]], words))
-            if any(off):
-                failing.extend(compress(words, off))
-                words = list(compress(words, map(not_, off)))
+            off = residues(row, base + [packed[j]]) & words
+            if off:
+                words ^= slots.nonzero(off, W)
                 if not words:
                     break
-        return words, sorted(failing)
+        return words
 
     clean = _plan(points, positions, k, ())
-    passing, pending = sweep(clean, range(W))
+    every = (1 << 8 * slots.size * W) - 1
+    passing = sweep(clean, every)
     groups = [(clean, passing)]
+    pending = every ^ passing
     failures = {}
     dual = _dual(points, positions, k)
     while pending:
-        w = pending[0]
+        w = slots.lowest(pending, W)
+        word = slots.word(w, W)
         try:
             roots = _locate(dual, [col[w] for col in y], max_errors, q)
             plan = _plan(points, positions, k, tuple(positions[j] for j in roots))
-            passing, rest = sweep(plan, pending)
-            if not passing or passing[0] != w:
+            passing = sweep(plan, pending)
+            if not passing & word:
                 raise DecodingFailure(
                     "word fails the parity checks outside the located errors")
         except DecodingFailure as exc:
             failures[w] = exc
-            if stop:
-                break
-            pending = pending[1:]
+            pending ^= word
         else:
             groups.append((plan, passing))
-            pending = rest
-    messages = [[None] * W for _ in range(k)]
-    flags = [set() for _ in y]
-    if stop and failures:
-        return messages, flags, failures
+            pending ^= passing
+    messages, flags = [0] * k, [0] * J
     for plan, words in groups:
         if not words:
             continue
         base = [packed[i] for i in plan.base]
-        for out, row in zip(messages, plan.basis):
-            values = residues(row, base, words)
-            if len(words) == W:
-                out[:] = values
-            else:
-                for w, v in zip(words, values):
-                    out[w] = v
+        for m, row in enumerate(plan.basis):
+            messages[m] |= residues(row, base) & words
         for j, row in plan.skipped:
-            flags[j].update(compress(words, residues(row, base + [packed[j]], words)))
-    return messages, flags, failures
+            flags[j] |= residues(row, base + [packed[j]]) & words
+    messages = [slots.unpack(m, W) for m in messages]
+    for w in failures:
+        for out in messages:
+            out[w] = None
+    return (messages, [set(compress(range(W), slots.unpack(f, W))) if f else set()
+                       for f in flags], failures)
 
 
 def decode(received: Codeword, points: EvalPoints, max_errors: int):

@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from multiprocessing import get_context
 
 from .analysis import MscTriple
@@ -265,14 +265,17 @@ def _config_list(sc: Scenario):
 
 @dataclass
 class _Replay:
-    """What one replay saw: failures, the measured triple, and its last delivery."""
+    """What one replay saw: failures, the measured triple, and the last delivery it judged.
+
+    A replay of one configuration judges its last demand last.
+    """
 
     witnesses: list
     stages: Counter    # failures per stage
     measured: MscTriple
     state: _State
     queries: list      # of the first demand
-    delivered: list    # signals of the last (configuration, demand) pair
+    delivered: list    # signals of the last (configuration, demand) pair judged
     decoded: list      # each user's output there, None where decoding failed
     per_user: list     # whether each user's output there is right
 
@@ -293,14 +296,24 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     become the reference.  Any J answers with <= A corrupt decode to the
     same data, and a user's output depends only on its cache side and
     the decoded data, so data equal to the reference makes every user
-    right.  The streams of all deliveries of one configuration are
-    decoded in one batch, whose data is compared once with the
-    reference: only in a configuration that differs is each delivery's
-    data compared, and only the users of a delivery that differs are
-    decoded one by one, for their witnesses.  Per-configuration seeds
-    are keyed by the configuration's index in the full list, so a slice
-    replays exactly what the whole list would; only a strategy that
-    draws gets a generator.
+    right.
+
+    Configurations with the same J servers and the same adversaries
+    among them put their errors at the same positions of every word, so
+    each such group is decoded as one batch: one ``decode_streams`` call
+    for the streams of every delivery of every member, and one
+    ``recover_library`` call for their stored contents.  Member t's
+    delivery d is delivery t*D + d of the batch, with D demands.  Each
+    member's data is compared once with the reference: only in a member
+    that differs is each delivery's data compared, and only the users of
+    a delivery that differs are decoded one by one, for their
+    witnesses.  A group's batch is dropped before the next is built.
+    The notes are kept per configuration and joined in configuration
+    order, so the witnesses are those a replay of one configuration at a
+    time would keep.  Per-configuration seeds are keyed by the
+    configuration's index in the full list, so a slice replays exactly
+    what the whole list would; only a strategy that draws gets a
+    generator.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -324,16 +337,17 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         sides_list.append(sides)
     honest_columns = {h: stream_column(params, arr, h, [signals[h - 1] for signals in honest])
                       for h in range(1, params.H + 1)}
-    witnesses = []
+    D = len(demand_list)
     stages: Counter = Counter()
+    notes = [[] for _ in configs]  # each configuration's witnesses, capped
 
-    def note(w):
+    def note(c, w):
         stages[w["stage"]] += 1
-        if len(witnesses) < _WITNESS_CAP:
-            witnesses.append(w)
+        if len(notes[c]) < _WITNESS_CAP:
+            notes[c].append(w)
 
-    def decode_users(di, streams):
-        """Each user's output from delivery di of the streams, and its error or None."""
+    def decode_users(di, streams, d):
+        """Each user's output for demand di from delivery d of the streams, and its error or None."""
         decoded, errors = [], []
         for k, side in enumerate(sides_list[di], start=1):
             got = None
@@ -341,7 +355,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                 error = str(side)
             else:
                 try:
-                    got = user_decode(params, arr, side, streams, di)
+                    got = user_decode(params, arr, side, streams, d)
                 except DecodingFailure as exc:
                     error = str(exc)
                 else:
@@ -354,51 +368,65 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     # counts do not depend on where the first wrong output is
     reference = decode_streams(params, arr, {h: honest_columns[h]
                                              for h in range(1, params.J + 1)})
-    wrong = [error is not None for di in range(len(demand_list))
-             for error in decode_users(di, reference)[1]]
+    wrong = [error is not None for di in range(D)
+             for error in decode_users(di, reference, di)[1]]
     if any(wrong):
         reference = None
+    groups = {}
+    for c, (js, adv, _) in enumerate(configs):
+        groups.setdefault((js, tuple(h for h in js if h in adv)), []).append(c)
     delivered, decoded, per_user = [], [], []
-    for ci, (js, adv, strat) in enumerate(configs, start=first):
-        key = strategy_key(strat)
-        label = {"j_subset": js, "adversaries": adv, "strategy": key}
-        if sc.check_recovery:
-            contents = []
-            for h in js:
-                st = state.stores[h - 1]
-                if h in adv:
-                    rng = (random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
-                           if strat.draws else None)
-                    st = adversary_content(params, strat, st, rng)
-                contents.append(st)
-            try:
-                recovered = recover_library(params, contents)
-                if recovered.files != state.library.files:
-                    note(dict(label, stage="recover", error="wrong library"))
-            except (DecodingFailure, ProtocolError) as exc:
-                note(dict(label, stage="recover", error=str(exc)))
-        corrupted = {h: [adversary_signal(params, strat, honest[di][h - 1],
-                                          random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
-                                          if strat.draws else None)
-                         for di in range(len(demand_list))]
-                     for h in js if h in adv}
+    for (js, bad), members in groups.items():
+        signals = {h: [] for h in bad}
+        contents = []
+        for c in members:
+            ci = first + c
+            _, adv, strat = configs[c]
+            key = strategy_key(strat)
+            if sc.check_recovery:
+                contents.append([
+                    adversary_content(params, strat, state.stores[h - 1],
+                                      random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
+                                      if strat.draws else None)
+                    if h in adv else state.stores[h - 1] for h in js])
+            for h in bad:
+                signals[h].extend(
+                    adversary_signal(params, strat, honest[di][h - 1],
+                                     random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
+                                     if strat.draws else None)
+                    for di in range(D))
+        recovered = recover_library(params, contents) if sc.check_recovery else None
         streams = decode_streams(params, arr, {
-            h: stream_column(params, arr, h, corrupted[h]) if h in corrupted
-            else honest_columns[h] for h in js})
-        delivered = [corrupted[h][-1] if h in corrupted else honest[-1][h - 1] for h in js]
-        if reference is not None and streams.data == reference.data:
-            # every user of every delivery is right
-            decoded, per_user = truth_list[-1], [True] * params.K
-            continue
-        for di in range(len(demand_list)):
-            if reference is not None and streams.delivery(di) == reference.delivery(di):
-                decoded, per_user = truth_list[di], [True] * params.K
+            h: stream_column(params, arr, h, signals[h]) if h in signals
+            else honest_columns[h] * len(members) for h in js})
+        for t, c in enumerate(members):
+            _, adv, strat = configs[c]
+            label = {"j_subset": js, "adversaries": adv, "strategy": strategy_key(strat)}
+            if recovered is not None:
+                got = recovered[t]
+                if isinstance(got, Exception):
+                    note(c, dict(label, stage="recover", error=str(got)))
+                elif got.files != state.library.files:
+                    note(c, dict(label, stage="recover", error="wrong library"))
+            delivered = [signals[h][(t + 1) * D - 1] if h in signals else honest[-1][h - 1]
+                         for h in js]
+            if reference is not None and streams.delivery(t * D, D) == reference.data:
+                # every user of every delivery is right
+                decoded, per_user = truth_list[-1], [True] * params.K
                 continue
-            decoded, errors = decode_users(di, streams)
-            per_user = [error is None for error in errors]
-            for k, error in enumerate(errors, start=1):
-                if error is not None:
-                    note(dict(label, stage="decode", demand_index=di, user=k, error=error))
+            for di in range(D):
+                d = t * D + di
+                if reference is not None and streams.delivery(d) == reference.delivery(di):
+                    decoded, per_user = truth_list[di], [True] * params.K
+                    continue
+                decoded, errors = decode_users(di, streams, d)
+                per_user = [error is None for error in errors]
+                for k, error in enumerate(errors, start=1):
+                    if error is not None:
+                        note(c, dict(label, stage="decode", demand_index=di, user=k,
+                                     error=error))
+        del signals, contents, recovered, streams  # before the next group is built
+    witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
     max_payload = max(sig.payload_symbols() for sig in honest[0])
     measured = MscTriple(M=state.M, T=state.T,
                          R=Fraction(max_payload, params.B),

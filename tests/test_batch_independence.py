@@ -1,0 +1,54 @@
+"""A word's decode does not depend on the other words of its batch.
+
+A word passes a plan that skips at most e positions only if a codeword
+lies within distance e, and a failing word's text comes from its own
+error locator, so decoding the concatenation of batches must give each
+word what decoding its own batch gives it.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from rsplfr.rscode import EvalPoints, decode_columns, encode  # noqa: E402
+
+
+def outcomes(points, positions, k, e, words):
+    """Each word's (message, flags) or failure text, from one decode_columns call."""
+    columns = [[values[i] for values in words] for i in range(len(positions))]
+    messages, flags, failures = decode_columns(points, positions, k, e, columns)
+    return [str(failures[w]) if w in failures else
+            ([m[w] for m in messages], {h for h, f in zip(positions, flags) if w in f})
+            for w in range(len(words))]
+
+
+@st.composite
+def batches(draw):
+    """A code, a few error supports up to two past the radius, and words on them in parts."""
+    q = draw(st.sampled_from([7, 11, 13]))
+    k = draw(st.integers(1, 3))
+    H = draw(st.integers(k + 1, min(q - 1, 8)))
+    positions = tuple(sorted(draw(st.sets(st.integers(1, H), min_size=k + 1))))
+    e = draw(st.integers(0, (len(positions) - k) // 2))
+    supports = draw(st.lists(st.sets(st.sampled_from(positions), max_size=e + 2),
+                             min_size=1, max_size=4))
+    points = EvalPoints.consecutive(q, H)
+    symbol = st.integers(0, q - 1)
+
+    def word():
+        support = draw(st.sampled_from(supports))
+        clean = encode(draw(st.lists(symbol, min_size=k, max_size=k)), points).positions
+        return [(clean[h] + (draw(st.integers(1, q - 1)) if h in support else 0)) % q
+                for h in positions]
+
+    parts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    return points, positions, k, e, [[word() for _ in range(n)] for n in parts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches())
+def test_decoding_does_not_depend_on_the_batch(batch):
+    points, positions, k, e, parts = batch
+    whole = outcomes(points, positions, k, e, [w for part in parts for w in part])
+    assert whole == [got for part in parts for got in outcomes(points, positions, k, e, part)]

@@ -48,6 +48,14 @@ def decode(params, pda, *deliveries):
                                         for sigs in zip(*deliveries)})
 
 
+def recover(params, stores):
+    """One set's library from recover_library's batch, or its failure raised."""
+    (got,) = recover_library(params, [stores])
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
 def flag_counts(streams, d):
     """Per server flagged in delivery d of a batch, its words flagged there."""
     words = range(d * streams.words, (d + 1) * streams.words)
@@ -449,6 +457,21 @@ def test_decode_checks_the_query_echo():
         combine(library, demand, params.q)
 
 
+@pytest.mark.parametrize("user", [1, 2, 3])
+def test_a_short_query_is_a_dimension_mismatch(user):
+    # any user's query one residue short, not only the caller's own
+    params, library, randomness, stores, ps, caches = build_toy_state(8)
+    demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    queries[user - 1] = queries[user - 1][:3]
+    message = f"^query of user {user} must hold 4 symbols, got 3$"
+    with pytest.raises(DimensionMismatch, match=message):
+        server_signal(params, TOY_PDA, stores[0], queries)
+    other = user % 3  # a user whose own query is whole
+    with pytest.raises(DimensionMismatch, match=message):
+        cache_side(params, TOY_PDA, caches[other], demands[other], queries)
+
+
 def test_list_and_tuple_queries_give_the_same_side():
     params, library, randomness, stores, ps, caches = build_toy_state(8)
     demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
@@ -532,7 +555,7 @@ def test_criterion_6_instance_at_every_error_pattern():
                     files = list(contents[i].coded_subfiles)
                     files[n * 2 + m] = (files[n * 2 + m] + v) % q  # slice m of file n
                     contents[i] = replace(contents[i], coded_subfiles=tuple(files))
-                    assert recover_library(params, contents).files == library.files
+                    assert recover(params, contents).files == library.files
     assert within == 200
     # a miscorrection adds a codeword of weight 3, so f = d + c x with
     # d != 0 (c x vanishes at no point): no beyond-budget output is right
@@ -546,7 +569,7 @@ def test_recover_library_from_any_j_contents():
     params, library, randomness, stores, ps, caches = build_toy_state(9)
     from itertools import combinations
     for subset in combinations(range(6), params.J):
-        got = recover_library(params, [stores[i] for i in subset])
+        got = recover(params, [stores[i] for i in subset])
         assert got.files == library.files
 
 
@@ -555,7 +578,7 @@ def test_recover_library_with_one_corrupted_content():
     for strategy in ALL_STRATEGIES:
         contents = stores[:params.J]
         contents[1] = adversary_content(params, strategy, stores[1], random.Random(0))
-        assert recover_library(params, contents).files == library.files
+        assert recover(params, contents).files == library.files
 
 
 def test_two_corruptions_exceed_the_budget_detectably():
@@ -570,23 +593,45 @@ def test_two_corruptions_exceed_the_budget_detectably():
     contents[0] = adversary_content(params, bump, stores[0], random.Random(0))
     contents[1] = adversary_content(params, bump, stores[1], random.Random(0))
     with pytest.raises(DecodingFailure):
-        recover_library(params, contents)
+        recover(params, contents)
+
+
+def test_recover_batch_judges_each_set_alone():
+    # one decode for every set; each gets its library, its own failure
+    # text, or its own shape error
+    params, library, randomness, stores, ps, caches = build_toy_state(16)
+    J = params.J
+    bump = HonestPlusConstant(1)
+    one = [adversary_content(params, bump, stores[0], None)] + stores[1:J]
+    two = one[:1] + [adversary_content(params, bump, stores[1], None)] + stores[2:J]
+    short = stores[:J - 1]
+    got = recover_library(params, [stores[:J], two, one, short, two])
+    assert [type(g) for g in got] == [Library, DecodingFailure, Library,
+                                      ProtocolError, DecodingFailure]
+    assert got[0].files == got[2].files == library.files
+    with pytest.raises(DecodingFailure) as alone:
+        recover(params, two)
+    assert str(got[1]) == str(got[4]) == str(alone.value)
+    assert str(got[3]) == f"need contents of {J} servers, got {J - 1}"
+    assert recover_library(params, []) == []
+    with pytest.raises(ProtocolError, match="same servers"):
+        recover_library(params, [stores[:J], stores[1:]])
 
 
 def test_recover_rejects_wrong_count_and_duplicates():
     params, library, randomness, stores, ps, caches = build_toy_state(14)
     with pytest.raises(ProtocolError):
-        recover_library(params, stores[:4])
+        recover(params, stores[:4])
     with pytest.raises(ProtocolError):
-        recover_library(params, stores[:4] + [stores[3]])
+        recover(params, stores[:4] + [stores[3]])
 
 
 def test_recover_checks_the_server_keys():
     params, library, randomness, stores, ps, caches = build_toy_state(14)
     with pytest.raises(ProtocolError, match="server 9 outside"):
-        recover_library(params, stores[:4] + [replace(stores[4], h=9)])
+        recover(params, stores[:4] + [replace(stores[4], h=9)])
     with pytest.raises(ProtocolError, match="server '5' outside"):
-        recover_library(params, stores[:4] + [replace(stores[4], h="5")])
+        recover(params, stores[:4] + [replace(stores[4], h="5")])
 
 
 @pytest.mark.parametrize("extra", [1, -1])
@@ -597,7 +642,7 @@ def test_recover_checks_the_content_size(extra):
     assert len(subfiles) == params.N * params.B // params.L
     resized = subfiles + (0,) if extra > 0 else subfiles[:-1]
     with pytest.raises(DimensionMismatch, match="^contents of server 5 have the wrong shape$"):
-        recover_library(params, stores[:4] + [replace(stores[4], coded_subfiles=resized)])
+        recover(params, stores[:4] + [replace(stores[4], coded_subfiles=resized)])
 
 
 # ---------- adversary plumbing ----------

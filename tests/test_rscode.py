@@ -339,12 +339,9 @@ def test_columns_beyond_radius_match_decode():
     assert sorted(failures) == failed
     assert all(messages[m][w] is None for m in range(2) for w in failures)
     assert not any(w in f for f in flags for w in failures)
-    # stopping at the first failure returns exactly that word, with decode's text
-    messages, flags, failures = decode_columns(points, positions, 2, 2,
-                                               as_columns(words, 6), stop=True)
-    assert {w: str(exc) for w, exc in failures.items()} == {failed[0]: expected[failed[0]]}
-    assert messages == [[None] * len(words)] * 2
-    assert flags == [set()] * 6
+    # the lowest failing word, the one a caller that needs every word
+    # reports, carries decode's text
+    assert str(failures[min(failures)]) == expected[failed[0]]
 
 
 def test_large_field_uses_wide_slots():
@@ -406,3 +403,26 @@ def test_criterion_6_code_edges_match_the_oracle():
         for errs, got in zip(patterns, expected):
             if len(errs) == 1:
                 assert got == (msg, set(errs))
+
+
+def test_slot_reduction_is_exact():
+    # every slot value a decode can form, v <= terms * (q-1)^2, reduces to
+    # v % q in one multiply and shift of the packed integer
+    primes = [p for p in range(2, 40) if all(p % d for d in range(2, p))]
+    for q in primes:
+        for terms in range(1, 13):
+            slots = rsplfr.rscode._Slots.for_sums(q, terms)
+            values = range(terms * (q - 1) ** 2 + 1)
+            residues = slots.reduce(slots.pack(values), len(values))
+            assert slots.unpack(residues, len(values)) == [v % q for v in values], (q, terms)
+    # no array type fits these slots: the edges, and the multiples of q
+    # with their neighbours
+    q = 2 ** 31 + 11
+    for terms in range(1, 13):
+        slots = rsplfr.rscode._Slots.for_sums(q, terms)
+        assert slots.code is None
+        top = terms * (q - 1) ** 2
+        values = sorted({v for m in (1, 2, 3, top // q - 1, top // q)
+                         for v in (m * q - 1, m * q, m * q + 1) if 0 <= v <= top} | {0, top})
+        residues = slots.reduce(slots.pack(values), len(values))
+        assert slots.unpack(residues, len(values)) == [v % q for v in values], terms

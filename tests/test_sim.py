@@ -316,14 +316,19 @@ def test_only_strategies_that_draw_get_a_generator(monkeypatch):
                     ("honest_permuted_slices", "NoneType"): 90}
 
 
+def beyond_budget_scenario():
+    # two adversaries against a radius of one
+    return toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                        sweep_strategies=True, adversary_sizes=(2,),
+                        allow_excess_adversaries=True, demand_samples=3,
+                        check_recovery=True)
+
+
 def beyond_budget_sweep(monkeypatch, jobs=1):
-    # every witness kept: two adversaries against a radius of one
+    # every witness kept
     import rsplfr.sim
     monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
-    return sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
-                              sweep_strategies=True, adversary_sizes=(2,),
-                              allow_excess_adversaries=True, demand_samples=3,
-                              check_recovery=True), jobs=jobs)
+    return sweep(beyond_budget_scenario(), jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -336,6 +341,22 @@ def test_outcomes_beyond_the_budget_are_pinned(monkeypatch, jobs):
     digest = hashlib.sha256(repr((result.ok, result.failure_count, result.stage_counts,
                                   result.measured, result.failures)).encode()).hexdigest()
     assert digest == "de50fe8e0480a763d95d1e9c14b4aa4f903f1db4e48234b81fe35cb1362e28e9"
+
+
+def test_grouped_configurations_record_what_each_records_alone(monkeypatch):
+    # a replay decodes the configurations that corrupt the same servers
+    # in one batch; each must record what a replay of it alone records
+    import rsplfr.sim
+    result = beyond_budget_sweep(monkeypatch)
+    sc = beyond_budget_scenario()
+    failures, stages = [], Counter()
+    for i, config in enumerate(rsplfr.sim._config_list(sc)):
+        _, witnesses, measured, part = rsplfr.sim._sweep_slice(sc, [config], i)
+        assert measured == result.measured
+        failures.extend(witnesses)
+        stages.update(part)
+    assert tuple(failures) == result.failures
+    assert tuple(sorted(stages.items())) == result.stage_counts
 
 
 def count_user_decodes(monkeypatch):
