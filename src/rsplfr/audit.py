@@ -10,15 +10,18 @@ raises ``AuditError``.  A gap of 0 is a literal 0.0.
 
 - Server security: stores are linear in (library, noise, keys, masks).
 - Signal security: for fixed queries the signals are linear in the
-  stores; the figure is the mean gap over the query grid.  Queries are
-  demands plus blends, so I(demands; queries) is a rank gap too.
+  stores; the figure is the mean gap over the q^(K*N) query vectors,
+  which equals the mean over the (blend, demand) grid because queries
+  are demands plus blends, linear and onto.  I(demands; queries) is a
+  rank gap too.
 - Demand privacy: for a fixed library, everything a coalition sees
   (stores, its caches, its demands, every query) is affine in
   (randomness, blends, demands), and the hidden demands are the secret.
 
 Each audit refuses, above ``CAP``, the probe evaluations it would make,
 counted before any work is done, and reports the joint outcomes its
-figure covers.
+figure covers.  The signal audit's count is taken over the (blend,
+demand) grid, not the fewer query vectors it answers.
 
 The enumeration oracles (``enumerate_server_security``,
 ``enumerate_signal_security``, ``enumerate_demand_privacy``) are what
@@ -35,16 +38,16 @@ figures worse: every deterministic strategy is a function of the
 honest signal, and the randomized one adds noise drawn independently
 of all secrets.  The audits therefore cover honest transcripts.
 
-Queries depend only on (blends, demands), so the signal audit and the
-oracles build them once per pair.  The oracles leave out repeated work,
+Queries depend only on (blends, demands), so the oracles build them
+once per pair.  The oracles leave out repeated work,
 never outcomes: since ``server_signal`` is a pure function of (store,
 queries), the signal oracle has each server answer each distinct query
 vector once per (library, randomness) outcome, and the demand-privacy
 oracle builds the stores once per (library, randomness) outcome for all
 coalitions.  Every outcome is still counted, in the original order.
-The signal rank audit answers each distinct query vector once per probe
-store, and the demand-privacy rank audit builds the stores and caches
-once per (library, probe) for all coalitions.
+The signal rank audit answers each query vector once per probe store,
+and the demand-privacy rank audit builds the stores and caches once per
+(library, probe) for all coalitions.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
@@ -64,7 +67,7 @@ from itertools import chain, combinations, product
 from . import sim
 from .pda import Pda
 from .protocol import (ConfigError, Library, ProtocolError, Randomness, SystemParams,
-                       _dims, build_storage, make_query, place_user, server_signal)
+                       build_storage, make_query, place_user, server_signal)
 
 
 class AuditError(Exception):
@@ -140,8 +143,7 @@ class _Space:
     """Flat enumeration dimensions for one instance, after mutations."""
     params: SystemParams
     arr: Pda
-    sub_len: int
-    pkt: int
+    runs: tuple[int, int, int]  # the full size of each Randomness run
     n_w: int
     n_delta: int
     n_vee: int
@@ -152,15 +154,16 @@ class _Space:
 
 def _space(params: SystemParams, arr: Pda, muts: frozenset) -> _Space:
     try:
-        sub_len, pkt = _dims(params, arr)
+        runs = Randomness.sizes(params, arr)
     except ProtocolError as exc:
         raise ConfigError(str(exc)) from exc
+    n_delta, n_vee, n_lambda = runs
     return _Space(
-        params=params, arr=arr, sub_len=sub_len, pkt=pkt,
+        params=params, arr=arr, runs=runs,
         n_w=params.N * params.B,
-        n_delta=0 if "zero-noise" in muts else params.N * params.I * sub_len,
-        n_vee=0 if "key-removal" in muts else params.L * arr.S * pkt,
-        n_lambda=0 if "key-removal" in muts else params.I * arr.S * pkt,
+        n_delta=0 if "zero-noise" in muts else n_delta,
+        n_vee=0 if "key-removal" in muts else n_vee,
+        n_lambda=0 if "key-removal" in muts else n_lambda,
         n_p=0 if "zero-pad" in muts else params.K * params.N,
         n_d=params.K * params.N,
     )
@@ -198,22 +201,16 @@ def _library(space: _Space, wflat) -> Library:
 
 def _randomness(space: _Space, uflat) -> Randomness:
     """uflat cut into the runs of ``Randomness``; a run a mutation pins is all zeros."""
-    p, arr = space.params, space.arr
     a = space.n_delta
     b = a + space.n_vee
-    runs = ((uflat[:a], p.N * p.I * space.sub_len),
-            (uflat[a:b], p.L * arr.S * space.pkt),
-            (uflat[b:], p.I * arr.S * space.pkt))
-    return Randomness(*(tuple(run) or (0,) * size for run, size in runs))
+    return Randomness(*(tuple(run) or (0,) * size
+                        for run, size in zip((uflat[:a], uflat[a:b], uflat[b:]), space.runs)))
 
 
 def _cached(cache) -> tuple:
-    """A user cache flattened: blend vector, star-row packets, keyed packets."""
-    return (cache.p
-            + tuple(v for j in sorted(cache.uncoded) for per_file in cache.uncoded[j]
-                    for packet in per_file for v in packet)
-            + tuple(v for j in sorted(cache.keys) for packet in cache.keys[j]
-                    for v in packet))
+    """A user cache flattened: blend vector, star-row runs, keyed runs, rows ascending."""
+    return tuple(chain(cache.p, *(cache.uncoded[j] for j in sorted(cache.uncoded)),
+                       *(cache.keys[j] for j in sorted(cache.keys))))
 
 
 def _demands(dflat, users, N: int) -> tuple:
@@ -233,7 +230,7 @@ def _query_values(space: _Space, dflat, pflat) -> tuple:
 def _query_grid(space: _Space) -> list:
     """Every blend outcome with its demand outcomes and their queries.
 
-    Queries depend only on (blends, demands), so the audits build them
+    Queries depend only on (blends, demands), so the oracles build them
     here once instead of once per (library, randomness) outcome.
     Returns [(ps, [(dflat, queries, flat query values), ...]), ...] in
     enumeration order, which keeps the count tables' insertion order.
@@ -303,8 +300,8 @@ def _probe_stores(space: _Space) -> tuple[list, list]:
     stores = [build_storage(params, arr, _library(space, x[:w]),
                             _randomness(space, x[w:])) for x in inputs]
     _columns(params.q, inputs,
-             [tuple(chain.from_iterable(st.coded_subfiles + st.coded_keys for st in sts))
-              for sts in stores], "build_storage")
+             [tuple(chain.from_iterable(st.symbols() for st in sts)) for sts in stores],
+             "build_storage")
     return inputs, stores
 
 
@@ -344,8 +341,7 @@ def audit_server_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     per_table = _outcomes(space, _n_inputs(space))
     subsets = list(combinations(range(1, params.H + 1), params.I))
     _, stores = _probe_stores(space)
-    zeds = [[st.coded_subfiles + st.coded_keys for st in sts]
-            for sts in stores[:_n_inputs(space)]]
+    zeds = [[st.symbols() for st in sts] for sts in stores[:_n_inputs(space)]]
     details = []
     worst = 0.0
     witness = None
@@ -372,46 +368,47 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     For fixed Q the payloads are G_W(Q) W + G_R(Q) R, with G(Q)'s columns
     the production payloads on the probe stores.  Q is a function of
     (blends, demands), which are independent of (W, R), so
-        I(W; Q, Y) = I(W; Y | Q) = E_Q[rank G(Q) - rank G_R(Q)] log2 q,
-    the mean over equally likely grid points.  Given (Q, W), Y depends only
-    on R, so I(D; Y | Q, W) = 0, and W is independent of (D, Q):
+        I(W; Q, Y) = I(W; Y | Q) = E_Q[rank G(Q) - rank G_R(Q)] log2 q.
+    Q = D + P is linear in the uniform (D, P) and reaches every vector of
+    F_q^(K*N), so Q is uniform: the mean over the (blend, demand) grid is
+    the mean over the q^(K*N) query vectors, which are answered directly.
+    The probed query columns must have rank K*N, or ``AuditError``.
+    Given (Q, W), Y depends only on R, so I(D; Y | Q, W) = 0, and W is
+    independent of (D, Q):
         I((W, D); (Q, Y)) = I((W, D); Q) + I((W, D); Y | Q)
                           = I(D; Q) + I(W; Y | Q).
-    Q = D + P is linear in the uniform (D, P), so I(D; Q) is the rank gap
-    of the production queries probed over (D, P), with D as the secret.
+    So I(D; Q) is the rank gap of the production queries probed over
+    (D, P), with D as the secret.
 
-    The work refused above ``CAP`` is the probe stores times the query-grid
-    points, each of which may need an answer from every probe store,
-    plus the query probes.
+    The work refused above ``CAP`` is counted over the query grid: the
+    probe stores times the (blend, demand) grid points, plus the query
+    probes.  That overstates the q^(K*N) query vectors answered; item 1
+    of ROADMAP.md replaces the count with a certificate's own work.
     """
     muts = _check_mutations(mutations)
     space = _space(params, arr, muts)
-    q = params.q
+    q, K, N = params.q, params.K, params.N
     n_dp = space.n_d + space.n_p
     _guard("signal-security",
            _probes(_n_inputs(space)) * q ** n_dp + _probes(n_dp), _EVALUATE)
     total = _outcomes(space, _n_inputs(space) + n_dp)
-    inputs, stores = _probe_stores(space)
-    gaps: dict = {}
-    gap_sum = 0
-    grid_points = 0
-    for _ps, rows in _query_grid(space):
-        for _dflat, queries, qvals in rows:
-            gap = gaps.get(qvals)
-            if gap is None:
-                outputs = [tuple(chain.from_iterable(
-                    server_signal(params, arr, st, queries).payload for st in sts))
-                    for sts in stores]
-                gap = gaps[qvals] = _rank_gap(
-                    _columns(q, inputs, outputs, "server_signal"), space.n_w, q)
-            gap_sum += gap
-            grid_points += 1
-    mi_main = Fraction(gap_sum, grid_points) * math.log2(q)    # a float
     dp_inputs = _probe_inputs(n_dp, q)
     query_cols = _columns(
         q, dp_inputs, [_query_values(space, x[:space.n_d], x[space.n_d:])
                        for x in dp_inputs], "make_query", "(demands, blends)")
+    if _rank_gap(query_cols, n_dp, q) != K * N:
+        raise AuditError(f"make_query does not reach every vector of F_{q}^{K * N}; "
+                         f"the mean over query vectors needs it")
     mi_demands = _rank_gap(query_cols, space.n_d, q) * math.log2(q)
+    inputs, stores = _probe_stores(space)
+    gap_sum = 0
+    for qvals in product(range(q), repeat=K * N):
+        queries = _rows(qvals, K, N)
+        outputs = [tuple(chain.from_iterable(
+            server_signal(params, arr, st, queries).payload for st in sts))
+            for sts in stores]
+        gap_sum += _rank_gap(_columns(q, inputs, outputs, "server_signal"), space.n_w, q)
+    mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
     mi_strong = mi_demands + mi_main
     worst = max(mi_main, mi_strong)
     witness = None
@@ -472,8 +469,8 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
     for wflat in product(range(q), repeat=space.n_w):
         library = _library(space, wflat)
         stores = _columns(q, inputs, [
-            tuple(chain.from_iterable(st.coded_subfiles + st.coded_keys for st in
-                                      build_storage(params, arr, library, randomness)))
+            tuple(chain.from_iterable(
+                st.symbols() for st in build_storage(params, arr, library, randomness)))
             for randomness, _ps in probes], "build_storage", over, affine=True)
         caches = [_columns(q, inputs, [
             _cached(place_user(params, arr, library, randomness, k, ps[k - 1]))
@@ -549,7 +546,7 @@ def enumerate_server_security(params: SystemParams, arr: Pda, mutations=()) -> A
         library = _library(space, wflat)
         for uflat in _u_space(space):
             stores = build_storage(params, arr, library, _randomness(space, uflat))
-            zed = [st.coded_subfiles + st.coded_keys for st in stores]
+            zed = [st.symbols() for st in stores]
             for T in subsets:
                 key = (wflat, tuple(zed[h - 1] for h in T))
                 tables[T][key] = tables[T].get(key, 0) + 1
@@ -636,8 +633,7 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> Au
         for uflat in _u_space(space):
             randomness = _randomness(space, uflat)
             stores = build_storage(params, arr, library, randomness)
-            outcomes_u.append((randomness, tuple(st.coded_subfiles + st.coded_keys
-                                                 for st in stores)))
+            outcomes_u.append((randomness, tuple(st.symbols() for st in stores)))
         worlds.append((wflat, library, outcomes_u))
     details = []
     worst = 0.0

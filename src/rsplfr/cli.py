@@ -161,18 +161,15 @@ def _cmd_bounds(args) -> int:
         points = [Fraction(str(args.m))]
     else:
         points = analysis.default_grid(params, args.grid)
-    # every point is range-checked here, before anything is printed
+    # every point is range-checked here, before anything is printed; the
+    # achievable curve spans the same [1, N]
     r_lbs = [analysis.load_lower_bound(M, params) for M in points]
     t_lb = analysis.storage_lower_bound(params)
     print(f"storage lower bound: T >= {t_lb} = {_num(t_lb)}")
     curve = analysis.man_curve(params)
     for M, r_lb in zip(points, r_lbs):
-        try:
-            t_ach, r_ach = curve.T(M), curve.R(M)
-            ach = f" T_ach={_num(t_ach)} R_ach={_num(r_ach)}"
-        except analysis.AnalysisError:
-            ach = ""
-        print(f"M={_num(M)} R_lb={_num(r_lb)}{ach}")
+        print(f"M={_num(M)} R_lb={_num(r_lb)} "
+              f"T_ach={_num(curve.T(M))} R_ach={_num(curve.R(M))}")
     return 0
 
 

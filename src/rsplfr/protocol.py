@@ -21,13 +21,14 @@ Roles and the objects they hold:
     because L is chosen as J - I - 2A.
 
 All containers hold canonical residues as plain ints; field context
-comes from the parameter object.  The coordinator's randomness holds
-flat runs in the order ``build_storage`` reads them (see
-``Randomness``).  Server-side containers hold flat runs of symbols in
-the order the decoder reads them, with pkt = B/(L*F): a store's coded
-subfiles hold slice m of file n at n*B/L + m, and its coded keys and a
-signal's payload hold slice r of stream s at (s-1)*pkt + r.  Across any
-J servers, each such word is one MDS codeword.
+comes from the parameter object.  This module is the one owner of every
+symbol layout; ``sim`` and ``audit`` read them through it.  ``_dims``
+gives (B/L, pkt), pkt = B/(L*F) being the packet length, and each
+container's docstring gives its flat order: ``Randomness``, whose
+``sizes`` are its run sizes, in the order ``build_storage`` reads it;
+``ServerStore`` and ``Signal`` in the order the decoder reads them, each
+word across any J servers one MDS codeword; ``UserCache`` one run per
+array row.
 
 Deliveries are decoded on one path: ``stream_column`` chains one
 server's answers to a batch of deliveries into a column, checking each
@@ -173,15 +174,19 @@ class Randomness:
     vees: tuple[int, ...]     # L * S * pkt
     lambdas: tuple[int, ...]  # I * S * pkt
 
+    @staticmethod
+    def sizes(params: SystemParams, pda: Pda) -> tuple[int, int, int]:
+        """The symbols of (deltas, vees, lambdas)."""
+        subL, pkt = _dims(params, pda)
+        I, S = params.I, pda.S
+        return params.N * I * subL, params.L * S * pkt, I * S * pkt
+
     @classmethod
     def sample(cls, params: SystemParams, pda: Pda, rng: random.Random) -> "Randomness":
-        subL, pkt = _dims(params, pda)
+        """Uniform runs, drawn in field order: deltas, vees, lambdas."""
         q = params.q
-        N, I, L, S = params.N, params.I, params.L, pda.S
-        deltas = tuple(rng.randrange(q) for _ in range(N * I * subL))
-        vees = tuple(rng.randrange(q) for _ in range(L * S * pkt))
-        lambdas = tuple(rng.randrange(q) for _ in range(I * S * pkt))
-        return cls(deltas, vees, lambdas)
+        return cls(*(tuple(rng.randrange(q) for _ in range(size))
+                     for size in cls.sizes(params, pda)))
 
 
 # ---------- per-role containers ----------
@@ -199,6 +204,10 @@ class ServerStore:
     coded_subfiles: tuple[int, ...]  # N * B/L
     coded_keys: tuple[int, ...]      # S * B/(L*F)
 
+    def symbols(self) -> tuple[int, ...]:
+        """The whole store in decoder order: coded subfiles, then coded keys."""
+        return self.coded_subfiles + self.coded_keys
+
     def symbol_count(self) -> int:
         return len(self.coded_subfiles) + len(self.coded_keys)
 
@@ -207,24 +216,21 @@ class ServerStore:
 class UserCache:
     """User k's cache: its blend vector, star-row packets, keyed packets.
 
-    uncoded[j][n][l] is packet j of subfile l of file n, present for
-    every star row j of the user's column.  keys[j][l] is the keyed
-    blend packet for ordinary row j.
+    ``uncoded[j]``, for every star row j of the user's column, is packet
+    j of every subfile: symbol r of subfile l of file n at
+    (n*L + l)*pkt + r.  ``keys[j]``, for every ordinary row j, is the
+    keyed blend packet: symbol r of data coefficient l at l*pkt + r.
     """
 
     k: int
     p: tuple[int, ...]
-    uncoded: dict[int, tuple[tuple[tuple[int, ...], ...], ...]]
-    keys: dict[int, tuple[tuple[int, ...], ...]]
+    uncoded: dict[int, tuple[int, ...]]  # N * L * pkt per star row
+    keys: dict[int, tuple[int, ...]]     # L * pkt per ordinary row
 
     def symbol_count(self) -> int:
         """Cached symbols, excluding the N-symbol blend vector."""
-        total = 0
-        for rows in self.uncoded.values():
-            total += sum(len(p) for per_file in rows for p in per_file)
-        for per_l in self.keys.values():
-            total += sum(len(p) for p in per_l)
-        return total
+        return (sum(map(len, self.uncoded.values()))
+                + sum(map(len, self.keys.values())))
 
 
 @dataclass(frozen=True)
@@ -265,12 +271,10 @@ def build_storage(params: SystemParams, pda: Pda,
     for n, f in enumerate(library.files):
         if len(f) != params.B:
             raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {params.B}")
-    for name, run, size in (("deltas", randomness.deltas, N * I * subL),
-                            ("vees", randomness.vees, L * S * pkt),
-                            ("lambdas", randomness.lambdas, I * S * pkt)):
+    deltas, vees, lambdas = runs = randomness.deltas, randomness.vees, randomness.lambdas
+    for f, run, size in zip(fields(Randomness), runs, Randomness.sizes(params, pda)):
         if len(run) != size:
-            raise DimensionMismatch(f"{name} must hold {size} symbols, got {len(run)}")
-    deltas, vees, lambdas = randomness.deltas, randomness.vees, randomness.lambdas
+            raise DimensionMismatch(f"{f.name} must hold {size} symbols, got {len(run)}")
     file_coeffs = [[library.files[n][l * subL + m] for l in range(L)]
                    + [deltas[(n * I + i) * subL + m] for i in range(I)]
                    for n in range(N) for m in range(subL)]
@@ -299,15 +303,13 @@ def place_user(params: SystemParams, pda: Pda, library: Library,
     for j in range(pda.F):
         e = pda.entries[j][k0]
         if e is STAR:
-            uncoded[j] = tuple(
-                tuple(tuple(library.files[n][l * subL + j * pkt: l * subL + j * pkt + pkt])
-                      for l in range(L))
-                for n in range(N))
+            uncoded[j] = tuple(chain.from_iterable(
+                library.files[n][l * subL + j * pkt:l * subL + j * pkt + pkt]
+                for n in range(N) for l in range(L)))
         else:
-            per_l = []
+            packet = []
             for l in range(L):
                 off = l * subL + j * pkt
-                packet = []
                 for r in range(pkt):
                     acc = randomness.vees[(l * S + e - 1) * pkt + r]
                     for n in range(N):
@@ -315,8 +317,7 @@ def place_user(params: SystemParams, pda: Pda, library: Library,
                         if pn:
                             acc += pn * library.files[n][off + r]
                     packet.append(acc % q)
-                per_l.append(tuple(packet))
-            keys[j] = tuple(per_l)
+            keys[j] = tuple(packet)
     return UserCache(k=k, p=p, uncoded=uncoded, keys=keys)
 
 
@@ -457,7 +458,7 @@ def adversary_content(params: SystemParams, strategy, store: ServerStore,
                       rng: random.Random | None) -> ServerStore:
     """Corrupted stored contents of the honest shape, from the store alone."""
     n = len(store.coded_subfiles)
-    flat = _corrupt(params, strategy, store.coded_subfiles + store.coded_keys, rng)
+    flat = _corrupt(params, strategy, store.symbols(), rng)
     return ServerStore(h=store.h, coded_subfiles=flat[:n], coded_keys=flat[n:])
 
 
@@ -569,32 +570,34 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
     d = tuple(v % q for v in d_k)
     col = pda.column(k0)
     values = [0] * params.B
+    step = L * pkt  # from one file's symbol of a star-row run to the next file's
     for j, e in enumerate(col):
         if e is STAR:
-            rows = cache.uncoded[j]
+            packets = cache.uncoded[j]
             for l in range(L):
                 off = l * subL + j * pkt
                 for r in range(pkt):
+                    i = l * pkt + r
                     acc = 0
                     for n in range(N):
                         c = d[n]
                         if c:
-                            acc += c * rows[n][l][r]
+                            acc += c * packets[n * step + i]
                     values[off + r] = acc % q
         else:
             keyed = cache.keys[j]
-            others = [(u, v) for (u, v) in pda.occurrences(e) if (u, v) != (j, k0)]
+            others = [(queries[v], cache.uncoded[u])
+                      for (u, v) in pda.occurrences(e) if (u, v) != (j, k0)]
             for l in range(L):
                 off = l * subL + j * pkt
                 for r in range(pkt):
-                    val = -keyed[l][r]
-                    for (u, v) in others:
-                        qv = queries[v]
-                        rows = cache.uncoded[u]
+                    i = l * pkt + r
+                    val = -keyed[i]
+                    for qv, packets in others:
                         for n in range(N):
                             c = qv[n]
                             if c:
-                                val -= c * rows[n][l][r]
+                                val -= c * packets[n * step + i]
                     values[off + r] = val % q
     streams = tuple(sorted((e, j) for j, e in enumerate(col) if e is not STAR))
     return CacheSide(k=cache.k, streams=streams, values=tuple(values))
@@ -607,8 +610,7 @@ def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
     If a stream in the user's column failed, raises the failure of the
     lowest such stream, at its first failing slice.
     """
-    subL = params.B // params.L
-    pkt = subL // pda.F
+    subL, pkt = _dims(params, pda)
     # each stream of the user's column, ascending: its row and its first word
     rows = [(j, d * streams.words + (s - 1) * pkt) for s, j in side.streams]
     failures = streams.failures

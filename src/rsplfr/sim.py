@@ -25,7 +25,7 @@ from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams, UniformRandom,
-                       SCENARIO_FIELDS, _flag, _int, _ints, adversary_content,
+                       SCENARIO_FIELDS, _dims, _flag, _int, _ints, adversary_content,
                        adversary_signal, build_storage, cache_side, decode_streams,
                        make_query, params_from_json, place_user, recover_library,
                        server_signal, stream_column, strategy_key, user_decode)
@@ -153,7 +153,6 @@ _WITNESS_CAP = 50
 @dataclass
 class _State:
     library: Library
-    randomness: Randomness
     stores: list
     ps: list
     caches: list
@@ -181,7 +180,7 @@ def _build_state(sc: Scenario) -> _State:
     store_counts = {st.symbol_count() for st in stores}
     if len(store_counts) != 1:
         raise ScenarioError("servers store unequal symbol counts")
-    return _State(library=library, randomness=randomness, stores=stores, ps=ps,
+    return _State(library=library, stores=stores, ps=ps,
                   caches=caches, M=Fraction(counts.pop(), params.B),
                   T=Fraction(store_counts.pop(), params.B))
 
@@ -213,7 +212,9 @@ def _ground_truth(library: Library, demand, q: int) -> list[int]:
     return [v % q for v in out]
 
 
-def _delivery(sc: Scenario) -> tuple[int, ...]:
+def _own_config(sc: Scenario) -> tuple:
+    """The scenario's own (delivery, adversaries, strategy), checked with its
+    adversary sizes; a run and a sweep both check them, whatever the sweep replaces."""
     params = sc.params
     d = sc.delivery if sc.delivery is not None else tuple(range(1, params.J + 1))
     d = tuple(sorted(d))
@@ -221,17 +222,15 @@ def _delivery(sc: Scenario) -> tuple[int, ...]:
         raise ScenarioError(f"delivery must name {params.J} distinct servers")
     if any(not 1 <= h <= params.H for h in d):
         raise ScenarioError(f"delivery servers outside [1..{params.H}]")
-    return d
-
-
-def _check_adversaries(sc: Scenario, adv) -> tuple[int, ...]:
-    params = sc.params
-    adv = tuple(sorted(adv))
+    adv = tuple(sorted(sc.adversaries))
     if len(set(adv)) != len(adv) or any(not 1 <= h <= params.H for h in adv):
         raise ScenarioError(f"adversary set {adv} is not a subset of [1..{params.H}]")
     if len(adv) > params.A and not sc.allow_excess_adversaries:
         raise ScenarioError(f"{len(adv)} adversaries exceed A={params.A}")
-    return adv
+    for size in sc.adversary_sizes or ():
+        if not 0 <= size <= params.H:
+            raise ScenarioError(f"adversary size {size} outside [0, {params.H}]")
+    return d, adv, sc.strategy
 
 
 # ---------- replay ----------
@@ -240,20 +239,17 @@ def _check_adversaries(sc: Scenario, adv) -> tuple[int, ...]:
 def _config_list(sc: Scenario):
     params = sc.params
     H, J, A = params.H, params.J, params.A
+    delivery, adversaries, strategy = _own_config(sc)
     if sc.sweep_j_subsets:
         j_subsets = list(combinations(range(1, H + 1), J))
     else:
-        j_subsets = [_delivery(sc)]
+        j_subsets = [delivery]
     if sc.sweep_adversary_subsets:
         sizes = sc.adversary_sizes if sc.adversary_sizes is not None else tuple(range(A + 1))
-        adv_subsets = []
-        for size in sizes:
-            if not 0 <= size <= H:
-                raise ScenarioError(f"adversary size {size} outside [0, {H}]")
-            adv_subsets.extend(combinations(range(1, H + 1), size))
+        adv_subsets = [adv for size in sizes for adv in combinations(range(1, H + 1), size)]
     else:
-        adv_subsets = [_check_adversaries(sc, sc.adversaries)]
-    strategies = list(ALL_STRATEGIES) if sc.sweep_strategies else [sc.strategy]
+        adv_subsets = [adversaries]
+    strategies = list(ALL_STRATEGIES) if sc.sweep_strategies else [strategy]
     configs = [(js, tuple(adv), st)
                for js in j_subsets for adv in adv_subsets for st in strategies]
     if not configs:
@@ -442,14 +438,13 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
     its sweep settings are ignored.
     """
     t0 = time.perf_counter()
-    config = (_delivery(sc), _check_adversaries(sc, sc.adversaries), sc.strategy)
+    config = _own_config(sc)
     demand = _demand_list(sc)[0]
     rep = _replay(sc, [config], 0, [demand])
     trace = None
     if collect_trace:
         state = rep.state
-        subL = sc.params.B // sc.params.L
-        pkt = subL // sc.pda.F
+        subL, pkt = _dims(sc.params, sc.pda)
 
         def runs(flat, size):
             """A flat run of symbols as the nested lists of the trace format."""

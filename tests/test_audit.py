@@ -364,6 +364,18 @@ def test_rank_audits_refuse_non_linear_queries(monkeypatch):
         audit_demand_privacy(MICRO, MICRO_PDA)
 
 
+def test_signal_audit_refuses_queries_that_miss_vectors(monkeypatch):
+    # still linear, but no query has a nonzero last symbol, so the mean
+    # over the query vectors would not be the mean over (blends, demands)
+    def last_zeroed(query):
+        return query[:-1] + (0,)
+
+    monkeypatch.setattr(audit_module, "make_query",
+                        _affine(audit_module.make_query, last_zeroed))
+    with pytest.raises(AuditError, match="make_query does not reach every vector of F_3"):
+        audit_signal_security(MICRO, MICRO_PDA)
+
+
 @pytest.mark.parametrize("instance", ["micro", "k2"])
 def test_production_audits_never_tabulate(monkeypatch, instance):
     def refuse(counts):
@@ -388,14 +400,14 @@ def _count_calls(monkeypatch, name):
 
 
 def test_queries_and_answers_are_built_once(monkeypatch):
-    # 3^4 (blend, demand) pairs, plus I(D; Q)'s 4 unit + zero + 2 check
-    # probes = 88; the rank audit answers each of the 9 distinct query
-    # vectors once per probe store and server:
+    # queries are built only for I(D; Q)'s 4 unit + zero + 2 check probes
+    # = 7; the rank audit answers each of the 3^2 query vectors once per
+    # probe store and server:
     # (6 unit vectors + zero + 2 random checks) x 2 servers x 9 = 162
     queries = _count_calls(monkeypatch, "make_query")
     answers = _count_calls(monkeypatch, "server_signal")
     audit_signal_security(MICRO, MICRO_PDA)
-    assert queries[0] == 88
+    assert queries[0] == 7
     assert answers[0] == 162
     queries[0] = 0
     audit_module.enumerate_demand_privacy(MICRO, MICRO_PDA)

@@ -440,6 +440,19 @@ MALFORMED = {
     # past the bound where the primality test is proven exact
     "q_beyond_primality_bound": (_with_params(q=2 ** 89 - 1), ["bounds", "--m", "2"]),
 }
+# a scenario's own delivery, adversaries and adversary sizes are checked
+# by a single run and by a sweep alike, whatever the sweep replaces
+SCENARIO_CHECKS = {
+    "repeated_delivery": (dict(TOY_SWEEP, delivery=[1, 1, 2, 3, 4]),
+                          "delivery must name 5 distinct servers"),
+    "adversary_beyond_h": (dict(TOY_SWEEP, adversaries=[9]),
+                           "adversary set (9,) is not a subset of [1..6]"),
+    "adversary_size_above_h_unswept": (
+        dict(TOY_SWEEP, sweep={"adversary_sizes": [7]}), "adversary size 7 outside [0, 6]"),
+}
+for _case, (_doc, _) in SCENARIO_CHECKS.items():
+    MALFORMED[_case] = (_doc, ["simulate"])
+    MALFORMED[f"{_case}_sweep"] = (_doc, ["simulate", "--sweep"])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -459,6 +472,16 @@ def test_malformed_config_exits_two_without_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+@pytest.mark.parametrize("case", sorted(SCENARIO_CHECKS))
+def test_run_and_sweep_refuse_a_scenario_with_the_same_text(case, sweep, tmp_path, capsys):
+    doc, message = SCENARIO_CHECKS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--config", str(path)] + ["--sweep"] * sweep) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 NOT_UTF8 = b"\xe9"  # Latin-1 "e acute", never valid UTF-8 on its own

@@ -136,10 +136,18 @@ def test_cache_shape_on_toy_instance():
     assert set(cache.uncoded) == {0}       # first row is the starred one
     assert set(cache.keys) == {1, 2}
     assert cache.symbol_count() == 12      # M*B = 2*6
-    # star row packets are raw library symbols
-    for n in range(4):
-        for l in range(2):
-            assert cache.uncoded[0][n][l] == (library.files[n][l * 3],)
+    # B/L = 3 and pkt = 1: a star row's run holds packet 0 of subfile l
+    # of file n, raw library symbols, at n*L + l
+    assert cache.uncoded[0] == tuple(library.files[n][l * 3]
+                                     for n in range(4) for l in range(2))
+    # an ordinary row's run holds the keyed blend packet of data
+    # coefficient l at l: key (l*S + e-1) plus the blend of packet j
+    for j in (1, 2):
+        e = TOY_PDA.entries[j][0]
+        assert cache.keys[j] == tuple(
+            (randomness.vees[l * TOY_PDA.S + e - 1]
+             + sum(ps[0][n] * library.files[n][l * 3 + j] for n in range(4))) % 7
+            for l in range(2))
 
 
 def test_cache_with_zero_blend_stores_bare_keys():
@@ -147,7 +155,7 @@ def test_cache_with_zero_blend_stores_bare_keys():
     library = Library(((1,), (2,)))
     randomness = Randomness(deltas=(0, 0), vees=(2,), lambdas=(0,))
     cache = place_user(params, MICRO_PDA, library, randomness, 1, [0, 0])
-    assert cache.keys[0] == ((2,),)
+    assert cache.keys == {0: (2,)}
     assert cache.uncoded == {}
 
 
