@@ -33,6 +33,13 @@ returns a literal 0.0 for independent tables.  They refuse above
 ``CAP`` the outcomes they would enumerate.  Priors are uniform by
 construction; there is no hook for weighting outcomes.
 
+Every leakage report, rank audit or oracle, is one fold over an ordered
+list of figures (label, bits, witness fields): the details list them in
+that order, the worst is the first largest, and the witness is its
+fields plus ``mi_bits`` (None when the worst is 0.0, which satisfies
+the constraint).  A demand-privacy coalition's figure is its largest
+over the libraries, witnessed by the first library that reaches it.
+
 Corruption by the bounded adversaries cannot make these leakage
 figures worse: every deterministic strategy is a function of the
 honest signal, and the randomized one adds noise drawn independently
@@ -92,14 +99,6 @@ _EVALUATE = "evaluate {} probes"
 CAP = 2_000_000
 
 
-def _check_mutations(mutations) -> frozenset:
-    muts = frozenset(mutations)
-    for m in muts:
-        if m not in MUTATIONS:
-            raise ConfigError(f"unknown mutation {m!r}; choose from {list(MUTATIONS)}")
-    return muts
-
-
 def exact_mi(counts: dict) -> float:
     """Mutual information in bits of a {(secret, observation): count} table."""
     total = sum(counts.values())
@@ -138,6 +137,27 @@ class AuditReport:
         return f"{self.constraint}: {verdict}{figure} ({self.outcomes} outcomes)"
 
 
+def _report(constraint: str, figures: list, outcomes: int, tables: int) -> AuditReport:
+    """The leakage report on ordered figures [(label, bits, witness fields), ...]."""
+    _label, worst, fields = max(figures, key=lambda figure: figure[1])
+    return AuditReport(constraint=constraint, satisfied=worst == 0.0, mi_bits=worst,
+                       outcomes=outcomes, tables=tables,
+                       details=tuple((label, bits) for label, bits, _ in figures),
+                       witness={**fields, "mi_bits": worst} if worst > 0.0 else None)
+
+
+def _coalition_figures(K: int, libraries: list, bits: dict) -> list:
+    """Demand-privacy figures from {coalition: bits per library}, then a
+    literal 0.0 for the whole user set, which has nothing left to hide."""
+    figures = []
+    for S, row in bits.items():
+        best = max(row)
+        figures.append((f"colluders={list(S)}", best,
+                        {"colluders": list(S), "library": list(libraries[row.index(best)])}))
+    everyone = list(range(1, K + 1))
+    return figures + [(f"colluders={everyone}", 0.0, {"colluders": everyone})]
+
+
 @dataclass(frozen=True)
 class _Space:
     """Flat enumeration dimensions for one instance, after mutations."""
@@ -152,7 +172,11 @@ class _Space:
     n_d: int
 
 
-def _space(params: SystemParams, arr: Pda, muts: frozenset) -> _Space:
+def _space(params: SystemParams, arr: Pda, mutations) -> _Space:
+    muts = frozenset(mutations)
+    for m in muts:
+        if m not in MUTATIONS:
+            raise ConfigError(f"unknown mutation {m!r}; choose from {list(MUTATIONS)}")
     try:
         runs = Randomness.sizes(params, arr)
     except ProtocolError as exc:
@@ -335,27 +359,18 @@ def audit_server_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     randomness R, so I(W; stores) = (rank G - rank G_R) log2 q exactly.
     G's columns are the production stores of the probe inputs.
     """
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
+    space = _space(params, arr, mutations)
     _guard("server-security", _probes(_n_inputs(space)), _EVALUATE)
     per_table = _outcomes(space, _n_inputs(space))
     subsets = list(combinations(range(1, params.H + 1), params.I))
     _, stores = _probe_stores(space)
     zeds = [[st.symbols() for st in sts] for sts in stores[:_n_inputs(space)]]
-    details = []
-    worst = 0.0
-    witness = None
+    figures = []
     for T in subsets:
         cols = [tuple(chain.from_iterable(zed[h - 1] for h in T)) for zed in zeds]
         gap = _rank_gap(cols, space.n_w, params.q)
-        mi = gap * math.log2(params.q)
-        details.append((f"servers={list(T)}", mi))
-        if mi > worst:
-            worst = mi
-            witness = {"servers": list(T), "mi_bits": mi}
-    return AuditReport(constraint="server-security", satisfied=worst == 0.0,
-                       mi_bits=worst, outcomes=per_table * len(subsets),
-                       tables=len(subsets), details=tuple(details), witness=witness)
+        figures.append((f"servers={list(T)}", gap * math.log2(params.q), {"servers": list(T)}))
+    return _report("server-security", figures, per_table * len(subsets), len(subsets))
 
 
 def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
@@ -385,8 +400,7 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     probes.  That overstates the q^(K*N) query vectors answered; item 1
     of ROADMAP.md replaces the count with a certificate's own work.
     """
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
+    space = _space(params, arr, mutations)
     q, K, N = params.q, params.K, params.N
     n_dp = space.n_d + space.n_p
     _guard("signal-security",
@@ -409,17 +423,10 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
             for sts in stores]
         gap_sum += _rank_gap(_columns(q, inputs, outputs, "server_signal"), space.n_w, q)
     mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
-    mi_strong = mi_demands + mi_main
-    worst = max(mi_main, mi_strong)
-    witness = None
-    if worst > 0.0:
-        which = "library" if mi_demands == 0.0 else "library+demands"
-        witness = {"secret": which, "mi_bits": worst}
-    return AuditReport(constraint="signal-security", satisfied=worst == 0.0,
-                       mi_bits=worst, outcomes=total, tables=2,
-                       details=(("secret=library", mi_main),
-                                ("secret=library+demands", mi_strong)),
-                       witness=witness)
+    return _report("signal-security",
+                   [("secret=library", mi_main, {"secret": "library"}),
+                    ("secret=library+demands", mi_demands + mi_main,
+                     {"secret": "library+demands"})], total, 2)
 
 
 def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
@@ -441,12 +448,10 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
     built once for all coalitions.  The work refused above ``CAP`` is the
     libraries times the probes per library.
     """
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
+    space = _space(params, arr, mutations)
     q, K, N = params.q, params.K, params.N
-    coalitions = [tuple(c) for r in range(K + 1)
-                  for c in combinations(range(1, K + 1), r)]
-    real = [S for S in coalitions if len(S) < K]
+    # every coalition but the whole user set, which has nothing left to hide
+    real = [tuple(c) for r in range(K) for c in combinations(range(1, K + 1), r)]
     n_u = _n_inputs(space) - space.n_w
     d0 = n_u + space.n_p                 # where a probe's demands start
     n = d0 + space.n_d
@@ -465,8 +470,9 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
         hidden = [d0 + (k - 1) * N + i for k in range(1, K + 1) if k not in S
                   for i in range(N)]
         orders[S] = (hidden + sorted(set(range(n)) - set(hidden)), len(hidden))
-    gaps: dict = {S: [] for S in real}
-    for wflat in product(range(q), repeat=space.n_w):
+    libraries = list(product(range(q), repeat=space.n_w))
+    bits: dict = {S: [] for S in real}
+    for wflat in libraries:
         library = _library(space, wflat)
         stores = _columns(q, inputs, [
             tuple(chain.from_iterable(
@@ -480,25 +486,9 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
             view = [stores[c] + queries[c] + _demands(inputs[c][d0:], S, N)
                     + tuple(chain.from_iterable(caches[k - 1][c] for k in S))
                     for c in order]
-            gaps[S].append(_rank_gap(view, split, q))
-    details = []
-    worst = 0
-    witness = None
-    for S in coalitions:
-        if len(S) == K:
-            # the whole user set colludes: nothing is left to hide
-            details.append((f"colluders={list(S)}", 0.0))
-            continue
-        for wflat, gap in zip(product(range(q), repeat=space.n_w), gaps[S]):
-            if gap > worst:
-                worst = gap
-                witness = {"colluders": list(S), "library": list(wflat),
-                           "mi_bits": gap * math.log2(q)}
-        details.append((f"colluders={list(S)}", max(gaps[S]) * math.log2(q)))
-    return AuditReport(constraint="demand-privacy", satisfied=worst == 0,
-                       mi_bits=worst * math.log2(q), outcomes=outcomes,
-                       tables=len(real) * (q ** space.n_w), details=tuple(details),
-                       witness=witness)
+            bits[S].append(_rank_gap(view, split, q) * math.log2(q))
+    return _report("demand-privacy", _coalition_figures(K, libraries, bits),
+                   outcomes, len(real) * len(libraries))
 
 
 # ---------- replay audit ----------
@@ -536,8 +526,7 @@ def audit_robustness(params: SystemParams, arr: Pda) -> tuple[AuditReport, Audit
 
 def enumerate_server_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Oracle for `audit_server_security`: tabulate every joint outcome."""
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
+    space = _space(params, arr, mutations)
     q = params.q
     per_table = _guard("server-security", _outcomes(space, _n_inputs(space)))
     subsets = list(combinations(range(1, params.H + 1), params.I))
@@ -550,18 +539,9 @@ def enumerate_server_security(params: SystemParams, arr: Pda, mutations=()) -> A
             for T in subsets:
                 key = (wflat, tuple(zed[h - 1] for h in T))
                 tables[T][key] = tables[T].get(key, 0) + 1
-    details = []
-    worst = 0.0
-    witness = None
-    for T in subsets:
-        mi = exact_mi(tables[T])
-        details.append((f"servers={list(T)}", mi))
-        if mi > worst:
-            worst = mi
-            witness = {"servers": list(T), "mi_bits": mi}
-    return AuditReport(constraint="server-security", satisfied=worst == 0.0,
-                       mi_bits=worst, outcomes=per_table * len(subsets),
-                       tables=len(subsets), details=tuple(details), witness=witness)
+    figures = [(f"servers={list(T)}", exact_mi(tables[T]), {"servers": list(T)})
+               for T in subsets]
+    return _report("server-security", figures, per_table * len(subsets), len(subsets))
 
 
 def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
@@ -570,8 +550,7 @@ def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=()) -> A
     The second table holds the pair (library, demands) against the same
     observation.
     """
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
+    space = _space(params, arr, mutations)
     q = params.q
     total = _guard("signal-security", _outcomes(
         space, _n_inputs(space) + space.n_p + space.n_d))
@@ -597,60 +576,44 @@ def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=()) -> A
                     table[key] = table.get(key, 0) + 1
                     skey = ((wflat, dflat), obs)
                     strong[skey] = strong.get(skey, 0) + 1
-    mi_main = exact_mi(table)
-    mi_strong = exact_mi(strong)
-    worst = max(mi_main, mi_strong)
-    witness = None
-    if worst > 0.0:
-        which = "library" if mi_main >= mi_strong else "library+demands"
-        witness = {"secret": which, "mi_bits": worst}
-    return AuditReport(constraint="signal-security", satisfied=worst == 0.0,
-                       mi_bits=worst, outcomes=total, tables=2,
-                       details=(("secret=library", mi_main),
-                                ("secret=library+demands", mi_strong)),
-                       witness=witness)
+    return _report("signal-security",
+                   [("secret=library", exact_mi(table), {"secret": "library"}),
+                    ("secret=library+demands", exact_mi(strong),
+                     {"secret": "library+demands"})], total, 2)
 
 
 def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Oracle for `audit_demand_privacy`: tabulate every joint outcome,
     one count table per (coalition, library)."""
-    muts = _check_mutations(mutations)
-    space = _space(params, arr, muts)
+    space = _space(params, arr, mutations)
     q = params.q
     K, N = params.K, params.N
-    coalitions = [tuple(c) for r in range(K + 1)
-                  for c in combinations(range(1, K + 1), r)]
-    real = [S for S in coalitions if len(S) < K]
+    # every coalition but the whole user set, which has nothing left to hide
+    real = [tuple(c) for r in range(K) for c in combinations(range(1, K + 1), r)]
     outcomes = _guard("demand-privacy", _outcomes(
         space, _n_inputs(space) + space.n_p + space.n_d, len(real)))
     grid = _query_grid(space)
+    libraries = list(product(range(q), repeat=space.n_w))
     # the stores depend only on the (library, randomness) outcome, so
     # they are built once and shared by every coalition
     worlds = []
-    for wflat in product(range(q), repeat=space.n_w):
+    for wflat in libraries:
         library = _library(space, wflat)
         outcomes_u = []
         for uflat in _u_space(space):
             randomness = _randomness(space, uflat)
             stores = build_storage(params, arr, library, randomness)
             outcomes_u.append((randomness, tuple(st.symbols() for st in stores)))
-        worlds.append((wflat, library, outcomes_u))
-    details = []
-    worst = 0.0
-    witness = None
-    for S in coalitions:
-        if len(S) == K:
-            # the whole user set colludes: nothing is left to hide
-            details.append((f"colluders={list(S)}", 0.0))
-            continue
+        worlds.append((library, outcomes_u))
+    bits: dict = {S: [] for S in real}
+    for S in real:
         rest = [k for k in range(1, K + 1) if k not in S]
         # per (blend, demand) pair: the hidden demands, the coalition's own
         # demands and the query values, built once per coalition
         views = [(ps, [(_demands(dflat, rest, N), _demands(dflat, S, N), qvals)
                        for dflat, _queries, qvals in rows])
                  for ps, rows in grid]
-        s_worst = 0.0
-        for wflat, library, outcomes_u in worlds:
+        for library, outcomes_u in worlds:
             table: dict = {}
             for randomness, zed in outcomes_u:
                 for ps, rows in views:
@@ -660,18 +623,9 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> Au
                     for secret, seen_demands, qvals in rows:
                         key = (secret, (caches, seen_demands, qvals, zed))
                         table[key] = table.get(key, 0) + 1
-            mi = exact_mi(table)
-            if mi > s_worst:
-                s_worst = mi
-            if mi > worst:
-                worst = mi
-                witness = {"colluders": list(S), "library": list(wflat),
-                           "mi_bits": mi}
-        details.append((f"colluders={list(S)}", s_worst))
-    return AuditReport(constraint="demand-privacy", satisfied=worst == 0.0,
-                       mi_bits=worst, outcomes=outcomes,
-                       tables=len(real) * (q ** space.n_w), details=tuple(details),
-                       witness=witness)
+            bits[S].append(exact_mi(table))
+    return _report("demand-privacy", _coalition_figures(K, libraries, bits),
+                   outcomes, len(real) * len(libraries))
 
 
 def run_audits(params: SystemParams, arr: Pda, mutations=(),

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain failure (an invalid array, a failed
-run, a violated audit, a broken bound invariant), 2 usage or
-configuration errors.  The RSPLFR_SEED environment variable overrides
-the seed found in any config file.
+run, a violated audit, an audit check that a production function fails,
+a broken bound invariant), 2 usage or configuration errors (an audit
+refused as infeasible among them).  The RSPLFR_SEED environment
+variable overrides the seed found in any config file.
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), 1)
     except analysis.AnalysisError as exc:
         return _fail(str(exc), 2)
-    except (DecodingFailure, ProtocolError) as exc:
+    except (DecodingFailure, ProtocolError, audit_mod.AuditError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -471,31 +471,29 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
                      stage_counts=tuple(sorted(rep.stages.items())), trace=trace)
 
 
-def _sweep_slice(sc: Scenario, configs, first: int):
-    """(failure_count, witnesses, measured, stages) of configs from index first."""
-    rep = _replay(sc, configs, first, _demand_list(sc))
-    return rep.failure_count, rep.witnesses, rep.measured, dict(rep.stages)
-
-
 def sweep(sc: Scenario, jobs: int = 1) -> RunResult:
-    """Replay every selected configuration; aggregate failures with witnesses."""
+    """Replay every selected configuration; aggregate failures with witnesses.
+
+    The configurations are cut into ``jobs`` slices, each replayed by
+    ``_replay`` (in a pool of worker processes when ``jobs`` > 1).
+    """
     t0 = time.perf_counter()
     configs = _config_list(sc)
+    demand_list = _demand_list(sc)
     n = len(configs)
     jobs = max(1, min(jobs, n))
     bounds = [(i * n) // jobs for i in range(jobs + 1)]
-    args = [(sc, configs[bounds[i]:bounds[i + 1]], bounds[i]) for i in range(jobs)]
+    args = [(sc, configs[bounds[i]:bounds[i + 1]], bounds[i], demand_list)
+            for i in range(jobs)]
     if jobs == 1:
-        parts = [_sweep_slice(*args[0])]
+        parts = [_replay(*args[0])]
     else:
         with get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_sweep_slice, args)
-    failure_count = sum(p[0] for p in parts)
-    witnesses = [w for p in parts for w in p[1]][:_WITNESS_CAP]
-    measured = parts[0][2]
-    stages = Counter()
-    for p in parts:
-        stages.update(p[3])
+            parts = pool.starmap(_replay, args)
+    failure_count = sum(p.failure_count for p in parts)
+    witnesses = [w for p in parts for w in p.witnesses][:_WITNESS_CAP]
+    measured = parts[0].measured
+    stages = sum((p.stages for p in parts), Counter())
     return RunResult(ok=failure_count == 0, measured=measured, configurations=n,
                      per_user=None, failure_count=failure_count,
                      failures=tuple(witnesses), elapsed=time.perf_counter() - t0,

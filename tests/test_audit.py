@@ -295,18 +295,18 @@ def test_rank_audit_equals_the_enumeration_oracle(instance, kind, mutations):
         (label, round(mi, 9)) for label, mi in want.details]
     assert (got.witness is None) == (want.witness is None)
     if got.witness is not None:
-        assert round(got.witness["mi_bits"], 9) == round(want.witness["mi_bits"], 9)
-        if kind == "server":
-            assert got.witness["servers"] == want.witness["servers"]
-        elif kind == "demand":
-            assert (got.witness["colluders"], got.witness["library"]) == (
-                want.witness["colluders"], want.witness["library"])
-        else:
-            # "library" exactly when I(D; Q) = 0, where the oracle's two
-            # figures are the same number up to float noise
-            library, both = (mi for _, mi in want.details)
-            assert (got.witness["secret"] == "library") == (
-                round(library, 9) == round(both, 9))
+        got_fields, want_fields = dict(got.witness), dict(want.witness)
+        assert round(got_fields.pop("mi_bits"), 9) == round(want_fields.pop("mi_bits"), 9)
+        if kind == "signal" and len({round(mi, 9) for _, mi in want.details}) == 1:
+            # I(D; Q) = 0, so the two signal figures tie at 9 digits (micro
+            # with key-removal, with or without zero-noise: 1.408855556 bits
+            # each).  The rank audit's are the same float, so it names
+            # "library"; the oracle's differ by float noise, so its first
+            # largest may be either: under key-removal alone its strong figure
+            # is 1.4088555561965883 against 1.4088555561965768.
+            assert got_fields.pop("secret") == "library"
+            want_fields.pop("secret")
+        assert got_fields == want_fields
 
 
 def _affine(function, shift):

@@ -172,6 +172,24 @@ def test_audit_out_is_replaced_on_success_and_kept_on_refusal(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_failed_audit_check_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    # a make_query whose last symbol is always 0 misses query vectors, so
+    # the signal audit's rank check raises AuditError
+    original = cli.audit_mod.make_query
+    monkeypatch.setattr(cli.audit_mod, "make_query",
+                        lambda *args: original(*args)[:-1] + (0,))
+    out = tmp_path / "report.json"
+    rc = main(["audit", "--config", str(CONFIGS / "micro_audit.json"),
+               "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: make_query does not reach every vector")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_simulate_sweep_toy_instance(capsys, monkeypatch):
     monkeypatch.delenv("RSPLFR_SEED", raising=False)
     rc = main(["simulate", "--config", str(CONFIGS / "toy_sweep.json"),

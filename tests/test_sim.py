@@ -350,11 +350,12 @@ def test_grouped_configurations_record_what_each_records_alone(monkeypatch):
     result = beyond_budget_sweep(monkeypatch)
     sc = beyond_budget_scenario()
     failures, stages = [], Counter()
+    demand_list = rsplfr.sim._demand_list(sc)
     for i, config in enumerate(rsplfr.sim._config_list(sc)):
-        _, witnesses, measured, part = rsplfr.sim._sweep_slice(sc, [config], i)
-        assert measured == result.measured
-        failures.extend(witnesses)
-        stages.update(part)
+        rep = rsplfr.sim._replay(sc, [config], i, demand_list)
+        assert rep.measured == result.measured
+        failures.extend(rep.witnesses)
+        stages.update(rep.stages)
     assert tuple(failures) == result.failures
     assert tuple(sorted(stages.items())) == result.stage_counts
 
