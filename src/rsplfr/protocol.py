@@ -30,16 +30,14 @@ container's docstring gives its flat order: ``Randomness``, whose
 word across any J servers one MDS codeword; ``UserCache`` one run per
 array row.
 
-Deliveries are decoded on one path: ``stream_column`` chains one
-server's answers to a batch of deliveries into a column, checking each
-answer, and ``decode_streams`` decodes the columns of J servers into one
-``DecodedStreams``, slice r of stream s of delivery d at word
-(d*S + s-1)*pkt + r.  ``user_decode`` reads one delivery from it.
-Stored contents are decoded the same way: ``recover_library`` decodes a
-batch of J-store sets from the same servers in one call and returns
-each set's library or failure.  A word's decode never depends on the
-rest of its batch, so a batch may hold any deliveries or sets that
-share their servers.
+Both decoders take a batch as a mapping from each of J servers to what
+it sent, and make one ``decode_columns`` call.  ``decode_streams`` takes
+``{h: column}``, ``stream_column`` chaining server h's checked answers
+to a batch of deliveries; it returns one ``DecodedStreams``, slice r of
+stream s of delivery d at word (d*S + s-1)*pkt + r, from which
+``user_decode`` reads one delivery.  ``recover_library`` takes
+``{h: [store per set]}`` and returns each set's library or failure.
+A word's decode never depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -266,15 +264,8 @@ def build_storage(params: SystemParams, pda: Pda,
     """
     subL, pkt = _dims(params, pda)
     N, I, L, S = params.N, params.I, params.L, pda.S
-    if len(library.files) != N:
-        raise DimensionMismatch(f"library has {len(library.files)} files, expected {N}")
-    for n, f in enumerate(library.files):
-        if len(f) != params.B:
-            raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {params.B}")
-    deltas, vees, lambdas = runs = randomness.deltas, randomness.vees, randomness.lambdas
-    for f, run, size in zip(fields(Randomness), runs, Randomness.sizes(params, pda)):
-        if len(run) != size:
-            raise DimensionMismatch(f"{f.name} must hold {size} symbols, got {len(run)}")
+    _check_sources(params, pda, library, randomness)
+    deltas, vees, lambdas = randomness.deltas, randomness.vees, randomness.lambdas
     file_coeffs = [[library.files[n][l * subL + m] for l in range(L)]
                    + [deltas[(n * I + i) * subL + m] for i in range(I)]
                    for n in range(N) for m in range(subL)]
@@ -287,10 +278,25 @@ def build_storage(params: SystemParams, pda: Pda,
             for h, a in enumerate(params.points.alphas, start=1)]
 
 
+def _check_sources(params: SystemParams, pda: Pda, library: Library, randomness: Randomness):
+    """N files of B symbols, and randomness runs of the sizes ``Randomness.sizes`` names."""
+    N = params.N
+    if len(library.files) != N:
+        raise DimensionMismatch(f"library has {len(library.files)} files, expected {N}")
+    for n, f in enumerate(library.files):
+        if len(f) != params.B:
+            raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {params.B}")
+    runs = randomness.deltas, randomness.vees, randomness.lambdas
+    for name, run, size in zip(("deltas", "vees", "lambdas"), runs, Randomness.sizes(params, pda)):
+        if len(run) != size:
+            raise DimensionMismatch(f"{name} must hold {size} symbols, got {len(run)}")
+
+
 def place_user(params: SystemParams, pda: Pda, library: Library,
                randomness: Randomness, k: int, p_k) -> UserCache:
     subL, pkt = _dims(params, pda)
     N, L, S = params.N, params.L, pda.S
+    _check_sources(params, pda, library, randomness)
     q = params.q
     if not 1 <= k <= params.K:
         raise ProtocolError(f"user index {k} outside [1..{params.K}]")
@@ -347,6 +353,8 @@ def server_signal(params: SystemParams, pda: Pda,
                   store: ServerStore, queries) -> Signal:
     subL, pkt = _dims(params, pda)
     N, q = params.N, params.q
+    if len(store.coded_subfiles) != N * subL or len(store.coded_keys) != pda.S * pkt:
+        raise DimensionMismatch(f"contents of server {store.h} have the wrong shape")
     queries = _checked_queries(params, queries)
     payload = list(store.coded_keys)
     files = store.coded_subfiles
@@ -470,13 +478,13 @@ class DecodedStreams:
     """A batch of deliveries' multicast streams, decoded once for all users.
 
     Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery
-    d, and each delivery holds ``words`` = S * pkt of them.  ``data[l][w]``
-    is data coefficient l of word w: the keyed multicast symbol every user
-    in the stream's occurrence set receives, or None where the word could
-    not be decoded.  ``failures`` maps each such word to its
-    ``DecodingFailure``.  ``flagged[h]`` is the set of decoded words in
-    which server h's symbol is off its codeword; servers never flagged
-    are absent.
+    d, and each delivery holds ``words`` = S * pkt of them; with S = 0
+    none, so any d >= 0 is in the batch.  ``data[l][w]`` is data
+    coefficient l of word w: the keyed multicast symbol every user in the
+    stream's occurrence set receives, or None where the word could not be
+    decoded.  ``failures`` maps each such word to its ``DecodingFailure``.
+    ``flagged[h]`` is the set of decoded words in which server h's symbol
+    is off its codeword; servers never flagged are absent.
     """
 
     words: int
@@ -485,7 +493,9 @@ class DecodedStreams:
     flagged: dict[int, set[int]]
 
     def delivery(self, d: int, count: int = 1) -> list[list[int | None]]:
-        """The data of deliveries d .. d+count-1: their run of words of every data coefficient."""
+        """The data of deliveries d .. d+count-1, all in the batch: each coefficient's words."""
+        if d < 0 or count < 1 or (d + count) * self.words > len(self.data[0]):
+            raise MissingSignals(f"deliveries {d}..{d + count - 1} lie outside the batch")
         return [col[d * self.words:(d + count) * self.words] for col in self.data]
 
 
@@ -608,90 +618,73 @@ def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
     """Recover the demanded blend of files: delivery d's decoded streams plus the cache side.
 
     If a stream in the user's column failed, raises the failure of the
-    lowest such stream, at its first failing slice.
+    lowest such stream, at its first failing slice.  A delivery outside
+    the batch raises ``MissingSignals``.
     """
     subL, pkt = _dims(params, pda)
-    # each stream of the user's column, ascending: its row and its first word
-    rows = [(j, d * streams.words + (s - 1) * pkt) for s, j in side.streams]
+    data = streams.delivery(d)
+    # each stream of the user's column, ascending: its row and its first word in the delivery
+    rows = [(j, (s - 1) * pkt) for s, j in side.streams]
     failures = streams.failures
     if failures:
+        base = d * streams.words
         for _, first in rows:
-            for w in range(first, first + pkt):
+            for w in range(base + first, base + first + pkt):
                 if w in failures:
                     raise rscode.DecodingFailure(*failures[w].args) from failures[w]
 
     q = params.q
     out = list(side.values)
     for j, first in rows:
-        for l, col in enumerate(streams.data):
+        for l, col in enumerate(data):
             off = l * subL + j * pkt
             for r in range(pkt):
                 out[off + r] = (out[off + r] + col[first + r]) % q
     return out
 
 
-def recover_library(params: SystemParams, store_sets) -> list:
-    """Rebuild the whole library from each of a batch of J-store sets, <= A corrupt in each.
+def recover_library(params: SystemParams, stores) -> list:
+    """Rebuild the whole library from each set of a batch of J servers' contents, <= A corrupt.
 
     Slice by slice, the J evaluations of each file polynomial form an
     MDS codeword of dimension I + L whose first L coefficients are the
-    subfile symbols.  Every set whose contents pass the checks must come
-    from the same J servers; all their slices are decoded in one
-    ``decode_columns`` call.  Returns, per set, its ``Library``, or the
-    ``DecodingFailure`` of its lowest failing slice, or the
-    ``ProtocolError`` its contents raise.
+    subfile symbols.  ``stores`` maps each of J servers to its
+    ``ServerStore`` in every set, in set order; every server must hold
+    the same number of sets.  All slices of all sets are decoded in one
+    ``decode_columns`` call.  Returns, per set, its ``Library`` or the
+    ``DecodingFailure`` of its lowest failing slice.
     """
     if params.q is None or params.B is None:
         raise ProtocolError("protocol operations need q and B")
-    L, I, N = params.L, params.I, params.N
+    L, N = params.L, params.N
     if params.B % L:
         raise DimensionMismatch(f"B={params.B} is not divisible by L={L}")
     subL = params.B // L
     size = N * subL
-    results, sets = [], []
-    for stores in store_sets:
-        try:
-            sets.append((len(results), _contents_by_server(params, stores, size)))
-        except ProtocolError as exc:
-            results.append(exc)
-        else:
-            results.append(None)
-    if not sets:
-        return results
-    positions = sorted(sets[0][1])
-    if any(sorted(by_h) != positions for _, by_h in sets):
-        raise ProtocolError("store sets must come from the same servers")
+    if len(stores) != params.J:
+        raise ProtocolError(f"need contents of {params.J} servers, got {len(stores)}")
+    for h, sets in stores.items():
+        if not (_is_int(h) and 1 <= h <= params.H):
+            raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
+        for st in sets:
+            if not (_is_int(st.h) and st.h == h):
+                raise ProtocolError(f"contents of server {st.h!r} in the sets of server {h}")
+            if len(st.coded_subfiles) != size:
+                raise DimensionMismatch(f"contents of server {h} have the wrong shape")
+    positions = sorted(stores)
+    counts = {len(stores[h]) for h in positions}
+    if len(counts) != 1:
+        raise ProtocolError(f"servers {positions} must hold the same number of sets")
     messages, _flags, failed = rscode.decode_columns(
-        params.points, positions, I + L, params.A,
-        [list(chain.from_iterable(by_h[h].coded_subfiles for _, by_h in sets))
-         for h in positions])
-    for w in sorted(failed, reverse=True):  # each set keeps its lowest failing slice
-        results[sets[w // size][0]] = failed[w]
-    for t, (i, _) in enumerate(sets):
-        if results[i] is None:
-            off = t * size
-            results[i] = Library(tuple(
+        params.points, positions, params.I + L, params.A,
+        [list(chain.from_iterable(st.coded_subfiles for st in stores[h])) for h in positions])
+    # a failing set's first word -> its lowest failing slice's failure, written last
+    lowest = {w - w % size: failed[w] for w in sorted(failed, reverse=True)}
+    return [lowest[off] if off in lowest else Library(tuple(
                 tuple(chain.from_iterable(messages[l][off + n * subL:off + (n + 1) * subL]
                                           for l in range(L)))
                 for n in range(N)))
-    return results
-
-
-def _contents_by_server(params: SystemParams, stores, size: int) -> dict:
-    """One set's stores keyed by server; J distinct servers with ``size`` coded subfile symbols each."""
-    by_h = {}
-    for store in stores:
-        if store.h in by_h:
-            raise ProtocolError(f"duplicate contents for server {store.h}")
-        by_h[store.h] = store
-    if len(by_h) != params.J:
-        raise ProtocolError(f"need contents of {params.J} servers, got {len(by_h)}")
-    for h, st in by_h.items():
-        if not (_is_int(h) and 1 <= h <= params.H):
-            raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
-        if len(st.coded_subfiles) != size:
-            raise DimensionMismatch(f"contents of server {h} have the wrong shape")
-    return by_h
+            for off in range(0, counts.pop() * size, size)]
 
 
 # ---------- configuration ----------

@@ -296,9 +296,11 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
 
     Configurations with the same J servers and the same adversaries
     among them put their errors at the same positions of every word, so
-    each such group is decoded as one batch: one ``decode_streams`` call
-    for the streams of every delivery of every member, and one
-    ``recover_library`` call for their stored contents.  Member t's
+    each such group is decoded as one batch, built per server: an honest
+    server repeats its column and its store once per member, an
+    adversarial one holds each member's corruptions.  One
+    ``decode_streams`` call decodes every delivery of every member, and
+    one ``recover_library`` call their stored contents.  Member t's
     delivery d is delivery t*D + d of the batch, with D demands.  Each
     member's data is compared once with the reference: only in a member
     that differs is each delivery's data compared, and only the users of
@@ -374,24 +376,25 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     delivered, decoded, per_user = [], [], []
     for (js, bad), members in groups.items():
         signals = {h: [] for h in bad}
-        contents = []
+        contents = {h: [] for h in bad}
         for c in members:
             ci = first + c
-            _, adv, strat = configs[c]
+            strat = configs[c][2]
             key = strategy_key(strat)
-            if sc.check_recovery:
-                contents.append([
-                    adversary_content(params, strat, state.stores[h - 1],
-                                      random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
-                                      if strat.draws else None)
-                    if h in adv else state.stores[h - 1] for h in js])
             for h in bad:
                 signals[h].extend(
                     adversary_signal(params, strat, honest[di][h - 1],
                                      random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
                                      if strat.draws else None)
                     for di in range(D))
-        recovered = recover_library(params, contents) if sc.check_recovery else None
+                if sc.check_recovery:
+                    contents[h].append(
+                        adversary_content(params, strat, state.stores[h - 1],
+                                          random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
+                                          if strat.draws else None))
+        recovered = recover_library(params, {
+            h: contents[h] if h in contents else [state.stores[h - 1]] * len(members)
+            for h in js}) if sc.check_recovery else None
         streams = decode_streams(params, arr, {
             h: stream_column(params, arr, h, signals[h]) if h in signals
             else honest_columns[h] * len(members) for h in js})
@@ -400,7 +403,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             label = {"j_subset": js, "adversaries": adv, "strategy": strategy_key(strat)}
             if recovered is not None:
                 got = recovered[t]
-                if isinstance(got, Exception):
+                if isinstance(got, DecodingFailure):
                     note(c, dict(label, stage="recover", error=str(got)))
                 elif got.files != state.library.files:
                     note(c, dict(label, stage="recover", error="wrong library"))

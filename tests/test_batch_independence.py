@@ -3,14 +3,21 @@
 A word passes a plan that skips at most e positions only if a codeword
 lies within distance e, and a failing word's text comes from its own
 error locator, so decoding the concatenation of batches must give each
-word what decoding its own batch gives it.
+word what decoding its own batch gives it.  The same holds one level up:
+``recover_library`` gives each set of stored contents what it gives
+that set alone.
 """
+
+import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from rsplfr.pda import man_pda  # noqa: E402
+from rsplfr.protocol import (ALL_STRATEGIES, Library, Randomness, SystemParams,  # noqa: E402
+                             adversary_content, build_storage, recover_library)
 from rsplfr.rscode import EvalPoints, decode_columns, encode  # noqa: E402
 
 
@@ -52,3 +59,37 @@ def test_decoding_does_not_depend_on_the_batch(batch):
     points, positions, k, e, parts = batch
     whole = outcomes(points, positions, k, e, [w for part in parts for w in part])
     assert whole == [got for part in parts for got in outcomes(points, positions, k, e, part)]
+
+
+TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
+TOY_PDA = man_pda(3, 1)
+
+
+@st.composite
+def store_batches(draw):
+    """J servers' contents in 1-4 sets, 0-3 of the servers corrupted in each, any strategy."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    library = Library.random(TOY, rng)
+    stores = build_storage(TOY, TOY_PDA, library, Randomness.sample(TOY, TOY_PDA, rng))
+    js = sorted(draw(st.sets(st.integers(1, TOY.H), min_size=TOY.J, max_size=TOY.J)))
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        bad = draw(st.sets(st.sampled_from(js), max_size=3))
+        strategy = draw(st.sampled_from(ALL_STRATEGIES))
+        sets.append({h: adversary_content(TOY, strategy, stores[h - 1], random.Random(h))
+                     if h in bad else stores[h - 1] for h in js})
+    return js, sets
+
+
+def judged(got):
+    """A recovered library as itself, a failure as its text."""
+    return got if isinstance(got, Library) else str(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(store_batches())
+def test_recovery_does_not_depend_on_the_batch(batch):
+    js, sets = batch
+    whole = recover_library(TOY, {h: [s[h] for s in sets] for h in js})
+    assert [judged(got) for got in whole] == [
+        judged(recover_library(TOY, {h: [s[h]] for h in js})[0]) for s in sets]

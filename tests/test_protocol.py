@@ -50,7 +50,7 @@ def decode(params, pda, *deliveries):
 
 def recover(params, stores):
     """One set's library from recover_library's batch, or its failure raised."""
-    (got,) = recover_library(params, [stores])
+    (got,) = recover_library(params, {st.h: [st] for st in stores})
     if isinstance(got, Exception):
         raise got
     return got
@@ -118,6 +118,32 @@ def test_storage_rejects_a_randomness_run_of_the_wrong_length(run, change):
     bad = replace(randomness, **{run: symbols})
     with pytest.raises(DimensionMismatch, match=f"{run} must hold {size} symbols"):
         build_storage(params, TOY_PDA, library, bad)
+
+
+def test_placement_checks_its_sources_as_storage_does():
+    params, library, randomness, _, ps, _ = build_toy_state()
+    size = len(randomness.vees)
+    cases = [(Library(library.files[:3]), randomness, "library has 3 files, expected 4"),
+             (Library(tuple(f[:1] for f in library.files)), randomness,
+              "file 1 has 1 symbols, expected 6"),
+             (library, replace(randomness, vees=randomness.vees[:-1]),
+              f"vees must hold {size} symbols, got {size - 1}")]
+    for lib, rnd, text in cases:
+        with pytest.raises(DimensionMismatch, match=f"^{text}$"):
+            place_user(params, TOY_PDA, lib, rnd, 1, ps[0])
+        with pytest.raises(DimensionMismatch, match=f"^{text}$"):
+            build_storage(params, TOY_PDA, lib, rnd)
+
+
+def test_server_signal_checks_both_runs_of_the_store():
+    # N * B/L = 12 coded subfile symbols and S * pkt = 3 coded key symbols
+    params, library, randomness, stores, ps, caches = build_toy_state()
+    queries = [make_query(params, [1, 0, 0, 0], ps[k]) for k in range(3)]
+    store = stores[0]
+    for bad in (replace(store, coded_subfiles=store.coded_subfiles[:-1]),
+                replace(store, coded_keys=store.coded_keys + (0,))):
+        with pytest.raises(DimensionMismatch, match="^contents of server 1 have the wrong shape$"):
+            server_signal(params, TOY_PDA, bad, queries)
 
 
 def test_storage_symbol_count_uniform():
@@ -424,6 +450,47 @@ def test_deliveries_must_come_from_the_same_servers():
     assert (empty.data, empty.failures, empty.flagged) == ([[], []], {}, {})
 
 
+def test_a_delivery_outside_the_batch_is_refused():
+    # a one-delivery batch: a negative index must not read from the end,
+    # and one past the end must not read nothing
+    params, library, randomness, stores, ps, caches = build_toy_state(7)
+    demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    streams = decode(params, TOY_PDA, [server_signal(params, TOY_PDA, st, queries)
+                                       for st in stores[:5]])
+    side = cache_side(params, TOY_PDA, caches[0], demands[0], queries)
+    assert user_decode(params, TOY_PDA, side, streams, 0) == combine(library, demands[0], 7)
+    for d in (-1, 1):
+        with pytest.raises(MissingSignals, match=f"^deliveries {d}..{d} lie outside the batch$"):
+            user_decode(params, TOY_PDA, side, streams, d)
+    assert streams.delivery(0) == streams.data
+    for d, count, last in ((-1, 1, -1), (5, 1, 5), (0, 2, 1), (0, 0, -1)):
+        with pytest.raises(MissingSignals, match=f"^deliveries {d}..{last} lie outside the batch$"):
+            streams.delivery(d, count)
+
+
+def test_an_all_star_batch_refuses_only_negative_deliveries():
+    # S = 0: a delivery holds no words, so any d >= 0 reads the empty run
+    arr = man_pda(3, 3)
+    assert arr.S == 0
+    params = TOY
+    rng = random.Random(3)
+    library = Library.random(params, rng)
+    randomness = Randomness.sample(params, arr, rng)
+    stores = build_storage(params, arr, library, randomness)
+    cache = place_user(params, arr, library, randomness, 1, [2, 0, 1, 0])
+    demands = [[1, 2, 0, 0], [0] * 4, [0] * 4]
+    queries = [make_query(params, demands[0], cache.p)] + [make_query(params, [0] * 4, [0] * 4)] * 2
+    streams = decode(params, arr, [server_signal(params, arr, st, queries) for st in stores[:5]])
+    assert streams.words == 0
+    side = cache_side(params, arr, cache, demands[0], queries)
+    for d in (0, 1):
+        assert user_decode(params, arr, side, streams, d) == combine(library, demands[0], 7)
+    assert streams.delivery(3, 2) == [[], []]
+    with pytest.raises(MissingSignals, match=r"^deliveries -1..-1 lie outside the batch$"):
+        user_decode(params, arr, side, streams, -1)
+
+
 def test_flags_name_the_servers_that_changed_their_symbols():
     # one adversary in the delivery, two slices per stream (B=12), three
     # demands decoded in one call: per delivery, each server is flagged in
@@ -605,25 +672,31 @@ def test_two_corruptions_exceed_the_budget_detectably():
 
 
 def test_recover_batch_judges_each_set_alone():
-    # one decode for every set; each gets its library, its own failure
-    # text, or its own shape error
+    # one decode for every set; each gets its library or its own failure
+    # text, and a batch whose servers disagree is refused whole
     params, library, randomness, stores, ps, caches = build_toy_state(16)
     J = params.J
     bump = HonestPlusConstant(1)
     one = [adversary_content(params, bump, stores[0], None)] + stores[1:J]
     two = one[:1] + [adversary_content(params, bump, stores[1], None)] + stores[2:J]
-    short = stores[:J - 1]
-    got = recover_library(params, [stores[:J], two, one, short, two])
-    assert [type(g) for g in got] == [Library, DecodingFailure, Library,
-                                      ProtocolError, DecodingFailure]
+    sets = [stores[:J], two, one, two]
+    got = recover_library(params, {h: [s[h - 1] for s in sets] for h in range(1, J + 1)})
+    assert [type(g) for g in got] == [Library, DecodingFailure, Library, DecodingFailure]
     assert got[0].files == got[2].files == library.files
     with pytest.raises(DecodingFailure) as alone:
         recover(params, two)
-    assert str(got[1]) == str(got[4]) == str(alone.value)
-    assert str(got[3]) == f"need contents of {J} servers, got {J - 1}"
-    assert recover_library(params, []) == []
-    with pytest.raises(ProtocolError, match="same servers"):
-        recover_library(params, [stores[:J], stores[1:]])
+    assert str(got[1]) == str(got[3]) == str(alone.value)
+    assert recover_library(params, {h: [] for h in range(1, J + 1)}) == []
+    uneven = {h: [stores[h - 1]] * (2 if h == 1 else 1) for h in range(1, J + 1)}
+    with pytest.raises(ProtocolError, match=r"^servers \[1, 2, 3, 4, 5\] must hold the "
+                                            "same number of sets$"):
+        recover_library(params, uneven)
+    for h, st, origin in ((2, stores[5], 6), (1, replace(stores[0], h=True), True)):
+        misfiled = {g: [stores[g - 1]] for g in range(1, J + 1)}
+        misfiled[h] = [st]
+        with pytest.raises(ProtocolError,
+                           match=f"^contents of server {origin} in the sets of server {h}$"):
+            recover_library(params, misfiled)
 
 
 def test_recover_rejects_wrong_count_and_duplicates():
