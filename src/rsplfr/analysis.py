@@ -5,6 +5,13 @@ only when a report is serialized.  Conventions: M is the per-user cache
 size in files, T the per-server storage in files, R the per-server
 delivery load in files, L = J - I - 2A the number of data coefficients
 per codeword.
+
+The tradeoff claims hold for every M in [1, N], and are checked there
+exactly, not on a grid.  T_ach and R_ach are linear between the corners
+M_t = 1 + t(N-1)/K, and R_lb between the M where its best cut-set term
+changes.  So a bound below achievability at all these breakpoints is
+below it everywhere, and each gap, a ratio of two linear functions, is
+monotone between them and peaks at one.
 """
 
 from __future__ import annotations
@@ -60,25 +67,6 @@ class CurvePoint:
     R: Fraction
 
 
-class _PiecewiseLinear:
-    """Exact piecewise-linear interpolation through (x, y) corner points."""
-
-    def __init__(self, xs, ys):
-        self.xs = list(xs)
-        self.ys = list(ys)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        xs, ys = self.xs, self.ys
-        if x < xs[0] or x > xs[-1]:
-            raise AnalysisError(f"M={x} outside [{xs[0]}, {xs[-1]}]")
-        i = bisect_right(xs, x) - 1
-        if i == len(xs) - 1:
-            return ys[-1]
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[i], ys[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-
 @dataclass(frozen=True)
 class ManCurve:
     """Memory-sharing curve through the K+1 corner points, t = 0..K."""
@@ -89,12 +77,17 @@ class ManCurve:
     points: tuple[CurvePoint, ...]
 
     def T(self, M) -> Fraction:
-        return _PiecewiseLinear([p.M for p in self.points],
-                                [p.T for p in self.points])(Fraction(M))
+        # every corner has T = N/L + R, so every point between them does too
+        return Fraction(self.N, self.L) + self.R(M)
 
     def R(self, M) -> Fraction:
-        return _PiecewiseLinear([p.M for p in self.points],
-                                [p.R for p in self.points])(Fraction(M))
+        """Exact linear interpolation between the corners around M."""
+        M, pts = Fraction(M), self.points
+        if not pts[0].M <= M <= pts[-1].M:
+            raise AnalysisError(f"M={M} outside [{pts[0].M}, {pts[-1].M}]")
+        i = min(bisect_right(pts, M, key=lambda p: p.M), len(pts) - 1)
+        a, b = pts[i - 1], pts[i]
+        return a.R + (b.R - a.R) * (M - a.M) / (b.M - a.M)
 
 
 def man_curve(params) -> ManCurve:
@@ -107,23 +100,6 @@ def man_curve(params) -> ManCurve:
         T = Fraction(N, L) + R
         pts.append(CurvePoint(t=t, M=M, T=T, R=R))
     return ManCurve(N=N, K=K, L=L, points=tuple(pts))
-
-
-def lower_envelope(points):
-    """Vertices of the lower convex envelope of (x, y) pairs, x increasing."""
-    pts = sorted(points)
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in pts:
-        # drop the middle point while slopes fail to increase strictly
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            x3, y3 = p
-            if (y2 - y1) * (x3 - x2) >= (y3 - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
 
 
 # ---------- converse bounds ----------
@@ -207,7 +183,13 @@ def default_grid(params, count: int = 200):
 
 
 def _check_envelope_tangency(params):
-    """The smooth envelope meets each cut-set term exactly at the stated points."""
+    """The smooth envelope meets each cut-set term exactly at the stated points.
+
+    Between them it stays below the term with no sampling needed:
+    4(M+1)(L+2A)N (term_u - f) = 4u(M+1)(N-u+1-uM) - (N-M)(N+M+2) is a
+    quadratic in M with leading coefficient 1 - 4u^2 < 0 that vanishes at
+    both points, so it is >= 0 between them.
+    """
     N = params.N
     denom = (params.L + 2 * params.A) * N
     for u in range(1, min(N // 2, params.K) + 1):
@@ -219,63 +201,80 @@ def _check_envelope_tangency(params):
             raise AnalysisInvariantError(f"tangency at the left endpoint failed for u={u}")
         if f_bound(hi, params) != hi_val or load_term(u, hi, params) != hi_val:
             raise AnalysisInvariantError(f"tangency at the right endpoint failed for u={u}")
-        # envelope stays below the term across the bracket
-        for i in range(26):
-            x = lo + (hi - lo) * Fraction(i, 25)
-            if f_bound(x, params) > load_term(u, x, params):
-                raise AnalysisInvariantError(f"envelope exceeds the u={u} term at M={x}")
+
+
+def _breakpoints(params, curve):
+    """Sorted M in [1, N] where T_ach, R_ach or R_lb may bend, plus M = 2 if K > N.
+
+    Term u is concave in u, so only neighbouring terms take over from
+    each other, at M = (N+1)/(2u+1) - 1.
+    """
+    N, K = params.N, params.K
+    cuts = (Fraction(N + 1, 2 * u + 1) - 1 for u in range(1, min(N // 2, K)))
+    points = {p.M for p in curve.points} | {M for M in cuts if M >= 1}
+    return sorted(points | ({Fraction(2)} if K > N else set()))
+
+
+def gap_supremum(params):
+    """(sup gap_T, sup gap_R, least M where gap_R peaks) over the bounded
+    region, M in [1, N] or, when K > N, [2, N].
+
+    gap_T peaks at the region's left end, as T_ach falls and T_lb is
+    fixed; gap_R at a breakpoint below N.  With no M < N in the region
+    (N = 2 < K) gap_R and its M are None.
+    """
+    curve = man_curve(params)
+    left = 2 if params.K > params.N else 1
+    gaps = [(curve.R(M) / load_lower_bound(M, params), M)
+            for M in _breakpoints(params, curve) if left <= M < params.N]
+    sup_R, at = max(gaps, key=lambda g: g[0], default=(None, None))
+    return curve.T(left) / storage_lower_bound(params), sup_R, at
 
 
 def gap_report(params, grid) -> BoundReport:
     """Achievability vs lower bounds across a memory grid, with regime flags.
 
-    Checks, in exact arithmetic: the corner-point envelope matches the
-    memory-sharing curve, r(M) <= (N-M)/(M-1) for M > 1, the bounds
-    never exceed the achievable values, and the multiplicative gaps stay
+    Checks each claim once over all M in [1, N], in exact arithmetic: the
+    corner points are strictly convex, r(M) = L R_ach(M) <= (N-M)/(M-1),
+    the bounds never exceed the achievable values, and the gaps stay
     within 2(1+2A/L) for storage and 12(1+2A/L) for load wherever K <= N
-    or M >= 2.  The K > N, M < 2 region is only flagged "unbounded".
+    or M >= 2.  Every curve is linear between breakpoints, so the bounds
+    hold if they hold at the breakpoints, and each gap peaks at one
+    (`gap_supremum`).  The K > N, M < 2 region is only flagged
+    "unbounded"; the rows are plain values at the grid points.
     """
     N, K, L, A = params.N, params.K, params.L, params.A
     curve = man_curve(params)
-    corner_r = [(p.M, Fraction(K - p.t, p.t + 1)) for p in curve.points]
-    hull = lower_envelope(corner_r)
-    if hull != corner_r:
+    pts = curve.points
+    slopes = [(b.R - a.R) / (b.M - a.M) for a, b in zip(pts, pts[1:])]
+    if any(s >= t for s, t in zip(slopes, slopes[1:])):
         raise AnalysisInvariantError("corner points are not already convex")
-    r_of = _PiecewiseLinear([x for x, _ in hull], [y for _, y in hull])
-
+    # on a segment r = c + kM with k < 0, so (N-M) - r(M)(M-1) is a convex
+    # quadratic, least at a corner or at its vertex; it is N - 1 at M = 1
+    for a, b, s in zip(pts, pts[1:], slopes):
+        k, c = L * s, L * (a.R - s * a.M)
+        for M in (b.M, (k - c - 1) / (2 * k)):
+            if a.M < M <= b.M and (c + k * M) * (M - 1) > N - M:
+                raise AnalysisInvariantError(f"envelope exceeds (N-M)/(M-1) at M={M}")
     _check_envelope_tangency(params)
 
     gap_limit_T = 2 * (1 + Fraction(2 * A, L))
     gap_limit_R = 12 * (1 + Fraction(2 * A, L))
     T_lb = storage_lower_bound(params)
+    for M in _breakpoints(params, curve):
+        if T_lb > curve.T(M) or load_lower_bound(M, params) > curve.R(M):
+            raise AnalysisInvariantError(f"a lower bound crossed achievability at M={M}")
+    sup_T, sup_R, at = gap_supremum(params)
+    if sup_T > gap_limit_T:
+        raise AnalysisInvariantError(f"storage gap {sup_T} exceeds the limit")
+    if sup_R is not None and sup_R > gap_limit_R:
+        raise AnalysisInvariantError(f"load gap {sup_R} exceeds the limit at M={at}")
 
     rows = []
-    for M in grid:
-        M = Fraction(M)
-        r = r_of(M)
-        T_ach = curve.T(M)
-        R_ach = curve.R(M)
-        if T_ach != (N + r) / L or R_ach != Fraction(r, L):
-            raise AnalysisInvariantError(f"curve does not match the envelope at M={M}")
-        if M > 1 and r > Fraction(N - M, M - 1):
-            raise AnalysisInvariantError(f"envelope exceeds (N-M)/(M-1) at M={M}")
-        R_lb = load_lower_bound(M, params)
-        if T_lb > T_ach or R_lb > R_ach:
-            raise AnalysisInvariantError(f"a lower bound crossed achievability at M={M}")
-        regime = "unbounded" if (K > N and M < 2) else "bounded"
-        gap_T = T_ach / T_lb
-        if R_lb == 0:
-            if R_ach != 0:
-                raise AnalysisInvariantError(f"load bound degenerate at M={M} with R_ach > 0")
-            gap_R = None
-        else:
-            gap_R = R_ach / R_lb
-        if regime == "bounded":
-            if gap_T > gap_limit_T:
-                raise AnalysisInvariantError(f"storage gap {gap_T} exceeds the limit at M={M}")
-            if gap_R is not None and gap_R > gap_limit_R:
-                raise AnalysisInvariantError(f"load gap {gap_R} exceeds the limit at M={M}")
+    for M in map(Fraction, grid):
+        R_lb, T_ach, R_ach = load_lower_bound(M, params), curve.T(M), curve.R(M)
         rows.append(BoundRow(M=M, T_ach=T_ach, R_ach=R_ach, T_lb=T_lb, R_lb=R_lb,
-                             gap_T=gap_T, gap_R=gap_R, regime=regime))
+                             gap_T=T_ach / T_lb, gap_R=R_ach / R_lb if R_lb else None,
+                             regime="unbounded" if (K > N and M < 2) else "bounded"))
     return BoundReport(N=N, K=K, L=L, A=A, gap_limit_T=gap_limit_T,
                        gap_limit_R=gap_limit_R, rows=tuple(rows))

@@ -89,16 +89,17 @@ def _cmd_pda_validate(args) -> int:
 
 
 def _cmd_pda_man(args) -> int:
-    try:
-        arr = pda_mod.man_pda(args.k, args.t, seed=args.seed)
-    except (ValueError, pda_mod.PdaError) as exc:
-        return _fail(str(exc), 2)
-    text = pda_mod.serialize(arr)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {arr.F}x{arr.K} array to {args.out}")
-    else:
-        print(text, end="")
+    with _open_out(args.out) as out:
+        try:
+            arr = pda_mod.man_pda(args.k, args.t, seed=args.seed)
+        except (ValueError, pda_mod.PdaError) as exc:
+            raise ConfigError(str(exc)) from None
+        text = pda_mod.serialize(arr)
+        if out is None:
+            print(text, end="")
+        else:
+            out.write(text)
+            print(f"wrote {arr.F}x{arr.K} array to {args.out}")
     return 0
 
 
@@ -144,13 +145,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_curve(args) -> int:
     params = _seeded(load_config(args.config)[0])
     grid = analysis.default_grid(params, args.grid)
-    report = analysis.gap_report(params, grid)
-    text = report.to_csv()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {len(report.rows)} rows to {args.out}")
-    else:
-        print(text, end="")
+    with _open_out(args.out) as out:
+        report = analysis.gap_report(params, grid)
+        if out is None:
+            print(report.to_csv(), end="")
+        else:
+            out.write(report.to_csv())
+            print(f"wrote {len(report.rows)} rows to {args.out}")
     return 0
 
 
@@ -162,15 +163,13 @@ def _cmd_bounds(args) -> int:
         points = [Fraction(str(args.m))]
     else:
         points = analysis.default_grid(params, args.grid)
-    # every point is range-checked here, before anything is printed; the
-    # achievable curve spans the same [1, N]
-    r_lbs = [analysis.load_lower_bound(M, params) for M in points]
-    t_lb = analysis.storage_lower_bound(params)
+    # the report range-checks every point before anything is printed
+    rows = analysis.gap_report(params, points).rows
+    t_lb = rows[0].T_lb
     print(f"storage lower bound: T >= {t_lb} = {_num(t_lb)}")
-    curve = analysis.man_curve(params)
-    for M, r_lb in zip(points, r_lbs):
-        print(f"M={_num(M)} R_lb={_num(r_lb)} "
-              f"T_ach={_num(curve.T(M))} R_ach={_num(curve.R(M))}")
+    for row in rows:
+        print(f"M={_num(row.M)} R_lb={_num(row.R_lb)} "
+              f"T_ach={_num(row.T_ach)} R_ach={_num(row.R_ach)}")
     return 0
 
 

@@ -1,13 +1,17 @@
 """Achievable triples, memory-sharing curve, converse bounds, gap report."""
 
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rsplfr.analysis import (AnalysisError, ManCurve, MscTriple, default_grid,
-                             f_bound, gap_report, load_lower_bound, load_term,
-                             lower_envelope, man_curve, msc_from_pda,
-                             storage_lower_bound)
+from rsplfr import analysis
+from rsplfr.analysis import (AnalysisError, AnalysisInvariantError, ManCurve,
+                             MscTriple, default_grid, f_bound, gap_report,
+                             gap_supremum, load_lower_bound, load_term,
+                             man_curve, msc_from_pda, storage_lower_bound)
+from rsplfr.cli import main
 from rsplfr.pda import man_pda, validate
 from rsplfr.protocol import SystemParams
 
@@ -72,18 +76,6 @@ def test_curve_rejects_memory_outside_range():
         curve.R(Fraction(1, 2))
     with pytest.raises(AnalysisError):
         curve.T(5)
-
-
-def test_lower_envelope_keeps_convex_vertices():
-    pts = [(Fraction(1), Fraction(5)), (Fraction(2), Fraction(3)),
-           (Fraction(3), Fraction(2))]
-    assert lower_envelope(pts) == pts
-    collinear = [(Fraction(1), Fraction(5)), (Fraction(2), Fraction(4)),
-                 (Fraction(3), Fraction(3))]
-    assert lower_envelope(collinear) == [collinear[0], collinear[2]]
-    above = [(Fraction(1), Fraction(5)), (Fraction(2), Fraction(6)),
-             (Fraction(3), Fraction(3))]
-    assert lower_envelope(above) == [above[0], above[2]]
 
 
 def test_storage_lower_bound_value():
@@ -185,3 +177,112 @@ def test_curve_load_never_exceeds_the_sharing_ratio():
             continue
         r = curve.R(M) * params.L
         assert r <= Fraction(params.N - M, M - 1)
+
+
+# ---------- exact gap suprema ----------
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _brute_supremum(params):
+    """(sup gap_R, least M reaching it) over the bounded region, read at
+    the corners and at every crossing of two cut-set terms."""
+    N, K = params.N, params.K
+    left = 2 if K > N else 1
+    top = min(N // 2, K)
+    points = {1 + Fraction(t * (N - 1), K) for t in range(K + 1)} | {Fraction(left)}
+    points |= {Fraction(N + 1, u + v) - 1
+               for u in range(1, top + 1) for v in range(u + 1, top + 1)}
+    curve = man_curve(params)
+    gaps = [(curve.R(M) / load_lower_bound(M, params), M)
+            for M in sorted(points) if left <= M < N]
+    return max(gaps, key=lambda g: g[0], default=(None, None))
+
+
+def test_gap_supremum_matches_every_crossing_on_a_small_family():
+    # N, K <= 16 keeps this test under 5 s
+    for N in range(2, 17):
+        for K in range(1, 17):
+            params = SystemParams(N=N, K=K, H=5, A=1, I=1, J=4)
+            sup_T, sup_R, at = gap_supremum(params)
+            assert (sup_R, at) == _brute_supremum(params), (N, K)
+            rows = gap_report(params, default_grid(params, 50)).rows
+            for row in rows:
+                if row.regime == "bounded":
+                    assert row.gap_T <= sup_T, (N, K, row.M)
+                    assert row.gap_R is None or row.gap_R <= sup_R, (N, K, row.M)
+            if K <= N:
+                assert rows[0].gap_T == sup_T
+
+
+def test_gap_supremum_pins_the_committed_tradeoff_configs():
+    assert gap_supremum(WIDE_FILES) == (Fraction(77, 50), Fraction(28000, 8181),
+                                        Fraction(96, 5))
+    assert gap_supremum(WIDE_USERS) == (Fraction(21308, 8775), Fraction(18046, 1755),
+                                        Fraction(2))
+    # the default 200-point grid misses both load peaks
+    for params in (WIDE_FILES, WIDE_USERS):
+        rows = gap_report(params, default_grid(params, 200)).rows
+        grid_peak = max(r.gap_R for r in rows if r.regime == "bounded" and r.gap_R)
+        assert grid_peak < gap_supremum(params)[1]
+
+
+def test_gap_supremum_without_a_load_gap():
+    # K > N = 2: the bounded region is M = 2 = N alone, where R_lb = 0
+    params = SystemParams(N=2, K=3, H=5, A=1, I=1, J=4)
+    assert gap_supremum(params) == (Fraction(3), None, None)
+    rows = gap_report(params, default_grid(params, 5)).rows
+    assert [r.regime for r in rows] == ["unbounded"] * 4 + ["bounded"]
+    assert rows[-1].gap_R is None
+
+
+_f_bound = analysis.f_bound
+_load_lower_bound = analysis.load_lower_bound
+_man_curve = analysis.man_curve
+
+
+def _reshaped_curve(load):
+    """man_curve with load(t, R) in place of each corner's R."""
+    def curve(params):
+        c = _man_curve(params)
+        return replace(c, points=tuple(replace(p, R=load(p.t, p.R)) for p in c.points))
+    return curve
+
+
+# on WIDE_FILES the t = 0, 1, 2 corners have R = 1, 9/20, 4/15
+BROKEN = {
+    "collinear_corners": (
+        "man_curve", _reshaped_curve(lambda t, R: Fraction(19, 30) if t == 1 else R),
+        "not already convex"),
+    "raised_corner": (
+        "man_curve", _reshaped_curve(lambda t, R: Fraction(2, 3) if t == 1 else R),
+        "not already convex"),
+    "load_above_the_sharing_ratio": (
+        "man_curve", _reshaped_curve(lambda t, R: 3 * R), "envelope exceeds"),
+    "envelope_off_the_cut_terms": (
+        "f_bound", lambda M, params: 2 * _f_bound(M, params), "tangency"),
+    "storage_bound_above_achievability": (
+        "storage_lower_bound", lambda params: Fraction(10 ** 6), "crossed achievability"),
+    "load_bound_above_achievability": (
+        "load_lower_bound", lambda M, params: 2 * _load_lower_bound(M, params),
+        "crossed achievability"),
+    "storage_gap_over_the_limit": (
+        "storage_lower_bound", lambda params: Fraction(1, 10 ** 6), "storage gap"),
+    "load_gap_over_the_limit": (
+        "load_lower_bound", lambda M, params: _load_lower_bound(M, params) / 100,
+        "load gap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_a_broken_invariant_fails_the_report_and_the_curve_command(case, monkeypatch,
+                                                                   capsys):
+    name, broken, message = BROKEN[case]
+    monkeypatch.setattr(analysis, name, broken)
+    with pytest.raises(AnalysisInvariantError, match=message):
+        gap_report(WIDE_FILES, default_grid(WIDE_FILES, 11))
+    assert main(["curve", "--config", str(CONFIGS / "tradeoff_n100_k10.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rsplfr import cli
+from rsplfr import analysis, cli, pda as pda_mod
 from rsplfr.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -306,6 +306,23 @@ def test_bounds_on_a_word_sized_modulus(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out == ("storage lower bound: T >= 1 = 1\n"
                                        "M=2 R_lb=0.125 T_ach=2.5 R_ach=0.5\n")
+
+
+@pytest.mark.parametrize("command, module, work", [
+    (["curve", "--config", str(CONFIGS / "tradeoff_n100_k10.json")], analysis, "gap_report"),
+    (["pda", "man", "--k", "4", "--t", "2"], pda_mod, "man_pda"),
+], ids=["curve", "pda_man"])
+def test_out_in_a_missing_directory_exits_two_before_the_work(command, module, work,
+                                                              tmp_path, capsys,
+                                                              monkeypatch):
+    calls = []
+    monkeypatch.setattr(module, work, lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "missing" / "out.txt"
+    assert main(command + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert calls == []
 
 
 # ---------- audit ----------
