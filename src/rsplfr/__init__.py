@@ -32,8 +32,8 @@ from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedStreams,
                        Library, MissingSignals, ProtocolError, Randomness,
                        STRATEGY_NAMES, ServerStore, Signal, SystemParams,
                        UniformRandom, UserCache, ZeroPayload,
-                       adversary_content, adversary_signal, build_storage,
-                       cache_side, decode_streams, load_config, make_query,
+                       adversary_column, adversary_content, adversary_signal,
+                       build_storage, cache_side, decode_streams, load_config, make_query,
                        params_from_json, place_user, recover_library, server_signal,
                        strategy_key, stream_column, user_decode, with_seed)
 from .rscode import (AmbiguousCandidate, Codeword, DecodingFailure, EvalPoints,
@@ -64,8 +64,8 @@ __all__ = [
     "DimensionMismatch", "HonestPermutedSlices", "HonestPlusConstant", "Library",
     "MissingSignals", "ProtocolError", "Randomness", "STRATEGY_NAMES",
     "ServerStore", "Signal", "SystemParams", "UniformRandom", "UserCache",
-    "ZeroPayload", "adversary_content", "adversary_signal", "build_storage",
-    "cache_side", "decode_streams", "load_config", "make_query",
+    "ZeroPayload", "adversary_column", "adversary_content", "adversary_signal",
+    "build_storage", "cache_side", "decode_streams", "load_config", "make_query",
     "params_from_json", "place_user", "recover_library", "server_signal",
     "strategy_key", "stream_column", "user_decode", "with_seed",
     # rscode

@@ -31,13 +31,17 @@ word across any J servers one MDS codeword; ``UserCache`` one run per
 array row.
 
 Both decoders take a batch as a mapping from each of J servers to what
-it sent, and make one ``decode_columns`` call.  ``decode_streams`` takes
+it sent, and make one ``decode_columns`` call, which computes only the
+L data rows of each word's message.  ``decode_streams`` takes
 ``{h: column}``, ``stream_column`` chaining server h's checked answers
 to a batch of deliveries; it returns one ``DecodedStreams``, slice r of
 stream s of delivery d at word (d*S + s-1)*pkt + r, from which
-``user_decode`` reads one delivery.  ``recover_library`` takes
-``{h: [store per set]}`` and returns each set's library or failure.
-A word's decode never depends on the rest of its batch.
+``user_decode`` reads one delivery.  An adversarial server's column is
+``adversary_column`` of its honest one, corrupted a delivery at a time
+with that delivery's generator, with no ``Signal`` built on the way.
+``recover_library`` takes ``{h: [store per set]}`` and returns each
+set's library or failure.  A word's decode never depends on the rest of
+its batch.
 """
 
 from __future__ import annotations
@@ -378,7 +382,9 @@ def server_signal(params: SystemParams, pda: Pda,
 # A strategy's ``corrupt(flat, q, rng)`` returns its replacement for a
 # flat run of honest symbols.  ``rng`` is a ``random.Random`` for a
 # strategy whose class constant ``draws`` is True, and None for one that
-# does not draw.
+# does not draw.  ``adversary_column`` runs it over each run of a
+# column; ``adversary_signal`` and ``adversary_content`` are its
+# one-run cases.
 
 
 @dataclass(frozen=True)
@@ -391,7 +397,16 @@ class UniformRandom:
     draws = True
 
     def corrupt(self, flat, q, rng):
-        return [rng.randrange(q) for _ in flat]
+        # rng.randrange(q) per symbol, by the same rejection loop over
+        # getrandbits, so the draws are the same
+        bits, draw = q.bit_length(), rng.getrandbits
+        out = []
+        for _ in flat:
+            v = draw(bits)
+            while v >= q:
+                v = draw(bits)
+            out.append(v)
+        return out
 
 
 @dataclass(frozen=True)
@@ -446,28 +461,41 @@ def strategy_key(strategy) -> str:
                     + [str(getattr(strategy, f.name)) for f in fields(strategy)])
 
 
-def _corrupt(params: SystemParams, strategy, flat: tuple,
-             rng: random.Random | None) -> tuple:
-    """Run the strategy over a flat run of symbols; the result keeps its size."""
-    corrupted = strategy.corrupt(flat, params.q, rng)
-    if len(corrupted) != len(flat):
-        raise ProtocolError("corruption must preserve the size")
-    return tuple(corrupted)
+def adversary_column(params: SystemParams, strategy, column, size: int, rngs) -> list[int]:
+    """A server's corrupted column, from its honest column, one run of ``size`` at a time.
+
+    Run d, ``column[d*size:(d+1)*size]``, is corrupted with ``rngs[d]``
+    and keeps its size; ``column`` must hold one run per generator.  On
+    a ``stream_column`` the runs are its deliveries.
+    """
+    if len(column) != size * len(rngs):
+        raise DimensionMismatch(f"a column of {len(column)} symbols is not "
+                                f"{len(rngs)} runs of {size}")
+    q = params.q
+    out = []
+    for d, rng in enumerate(rngs):
+        corrupted = strategy.corrupt(column[d * size:(d + 1) * size], q, rng)
+        if len(corrupted) != size:
+            raise ProtocolError("corruption must preserve the size")
+        out += corrupted
+    return out
 
 
 def adversary_signal(params: SystemParams, strategy, honest: Signal,
                      rng: random.Random | None) -> Signal:
     """A corrupted answer, transformed from the server's own honest answer."""
-    payload = _corrupt(params, strategy, honest.payload, rng)
-    return Signal(h=honest.h, payload=payload, honest=False)
+    payload = honest.payload
+    return Signal(h=honest.h, honest=False, payload=tuple(
+        adversary_column(params, strategy, payload, len(payload), [rng])))
 
 
 def adversary_content(params: SystemParams, strategy, store: ServerStore,
                       rng: random.Random | None) -> ServerStore:
     """Corrupted stored contents of the honest shape, from the store alone."""
     n = len(store.coded_subfiles)
-    flat = _corrupt(params, strategy, store.symbols(), rng)
-    return ServerStore(h=store.h, coded_subfiles=flat[:n], coded_keys=flat[n:])
+    flat = adversary_column(params, strategy, store.symbols(), store.symbol_count(), [rng])
+    return ServerStore(h=store.h, coded_subfiles=tuple(flat[:n]),
+                       coded_keys=tuple(flat[n:]))
 
 
 # ---------- decoding ----------
@@ -537,8 +565,8 @@ def decode_streams(params: SystemParams, pda: Pda, columns) -> DecodedStreams:
         raise MissingSignals(f"servers {positions} must answer the same whole deliveries")
     messages, flags, failures = rscode.decode_columns(
         params.points, positions, params.I + params.L, params.A,
-        [columns[h] for h in positions])
-    return DecodedStreams(words, messages[:params.L], failures,
+        [columns[h] for h in positions], rows=params.L)
+    return DecodedStreams(words, messages, failures,
                           {h: flagged for h, flagged in zip(positions, flags) if flagged})
 
 
@@ -677,7 +705,8 @@ def recover_library(params: SystemParams, stores) -> list:
         raise ProtocolError(f"servers {positions} must hold the same number of sets")
     messages, _flags, failed = rscode.decode_columns(
         params.points, positions, params.I + L, params.A,
-        [list(chain.from_iterable(st.coded_subfiles for st in stores[h])) for h in positions])
+        [list(chain.from_iterable(st.coded_subfiles for st in stores[h])) for h in positions],
+        rows=L)
     # a failing set's first word -> its lowest failing slice's failure, written last
     lowest = {w - w % size: failed[w] for w in sorted(failed, reverse=True)}
     return [lowest[off] if off in lowest else Library(tuple(

@@ -32,9 +32,11 @@ Which such plan decodes a word thus changes only the work.
 
 The words are packed one per slot into one integer per position, so
 each plan row, and its reduction mod q (see ``_Slots``), is a few
-big-integer operations for the whole batch.  A set of words is a mask
-of their whole slots, so a check row that every word of a set passes
-is one test for zero.  The plan with S empty is swept over every word.
+big-integer operations for the whole batch.  A column is packed as it
+comes and its packed integer range-checked at once; only a column with
+a value below 0 or at least q is reduced mod q and packed again.  A set
+of words is a mask of their whole slots, so a check row that every word
+of a set passes is one test for zero.  The plan with S empty is swept over every word.
 While words are left, the lowest of them gets its syndromes and
 locator.  A locator longer than e, or with another number of roots
 among the present positions than its length, cannot be the locator of
@@ -43,7 +45,10 @@ the plan skipping the roots is swept over every word left, since
 errors come per server and recur; the located word must pass it, or it
 is refused too.  A failing word drops out of a plan at its first failed
 check row.  Each plan's message and flag rows are masked to the words
-it explains, and every row is read out for the whole batch at once.
+it explains, and every row is read out for the whole batch at once;
+a caller that keeps only the first message rows, as the protocol
+keeps the L data coefficients and drops the I noise ones, gets only
+those computed.
 The result is the unique codeword within distance e, or
 ``DecodingFailure`` when there is none, exactly as the oracle finds.
 It depends on the word alone, never on the rest of the batch: a word
@@ -323,6 +328,23 @@ class _Slots:
         ones = ((1 << bits * count) - 1) // ((1 << bits) - 1)
         return ones, ones * ((1 << bits - self.shift) - 1)
 
+    @lru_cache(maxsize=16)
+    def _range(self, count: int) -> tuple[int, int]:
+        """Over ``count`` slots: the bits from b up, and 2^b - q in each; b = bits of q-1."""
+        b = (self.q - 1).bit_length()
+        ones = self.masks(count)[0]
+        return ones * ((1 << 8 * self.size) - (1 << b)), ones * ((1 << b) - self.q)
+
+    def canonical(self, packed: int, count: int) -> bool:
+        """Whether every slot of ``packed`` is below q.
+
+        A slot below 2^b has no bit from b up, and is then below q exactly
+        when adding 2^b - q, which cannot leave the slot, carries into no
+        bit from b up.
+        """
+        high, offset = self._range(count)
+        return not (packed & high or (packed + offset) & high)
+
     def reduce(self, total: int, count: int) -> int:
         """Every slot of ``total`` mod q."""
         return total - self.q * ((total * self.magic >> self.shift) & self.masks(count)[1])
@@ -348,21 +370,17 @@ class _Slots:
         return slot if byteorder == "little" else count - 1 - slot
 
 
-def _canonical(column, q: int) -> bool:
-    """Whether every value of the column is already a residue mod q."""
-    return not column or (min(column) >= 0 and max(column) < q)
-
-
 def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: int,
-                   columns):
+                   columns, rows: int | None = None):
     """Decode a batch of words received at ``positions``; ``columns[i][w]`` is word w there.
 
     ``positions`` must ascend strictly.  Returns ``(messages, flags,
     failures)``: ``messages[m][w]`` is message coefficient m of word w
-    (None if it failed), ``flags[i]`` the set of words whose value at
-    position i differs from their codeword, and ``failures`` maps each
-    failing word to its ``DecodingFailure``.  Each word's result depends
-    on that word alone, not on the rest of the batch.
+    (None if it failed), for the first ``rows`` coefficients (all k by
+    default), ``flags[i]`` the set of words whose value at position i
+    differs from their codeword, and ``failures`` maps each failing word
+    to its ``DecodingFailure``.  Each word's result depends on that word
+    alone, not on the rest of the batch.
     """
     positions = tuple(positions)
     if any(a >= b for a, b in zip(positions, positions[1:])):
@@ -372,14 +390,27 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
     if J - k < 2 * max_errors:
         raise ValueError(
             f"{J} present positions cannot carry dimension {k} with {max_errors} errors")
-    y = [col if _canonical(col, q) else [v % q for v in col] for col in columns]
+    if rows is None:
+        rows = k
+    elif not 0 <= rows <= k:
+        raise ValueError(f"cannot read {rows} of {k} message rows")
+    y = list(columns)
     if len(y) != J:
         raise ValueError(f"need {J} columns, got {len(y)}")
     W = len(y[0])
     if any(len(col) != W for col in y):
         raise ValueError("columns must hold one value per word")
     slots = _Slots.for_sums(q, k + 1)
-    packed = [slots.pack(col) for col in y]
+    packed = []
+    for i, col in enumerate(y):
+        try:
+            whole = slots.pack(col)
+        except OverflowError:  # a value below 0 or too wide for its slot
+            whole = None
+        if whole is None or not slots.canonical(whole, W):
+            y[i] = [v % q for v in col]
+            whole = slots.pack(y[i])
+        packed.append(whole)
 
     def residues(row, cols):
         """Row dotted with the packed columns, mod q, in every slot."""
@@ -423,12 +454,12 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
         else:
             groups.append((plan, passing))
             pending ^= passing
-    messages, flags = [0] * k, [0] * J
+    messages, flags = [0] * rows, [0] * J
     for plan, words in groups:
         if not words:
             continue
         base = [packed[i] for i in plan.base]
-        for m, row in enumerate(plan.basis):
+        for m, row in enumerate(plan.basis[:rows]):
             messages[m] |= residues(row, base) & words
         for j, row in plan.skipped:
             flags[j] |= residues(row, base + [packed[j]]) & words

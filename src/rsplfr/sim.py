@@ -19,16 +19,19 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from multiprocessing import get_context
 
 from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
-                       Library, ProtocolError, Randomness, SystemParams, UniformRandom,
-                       SCENARIO_FIELDS, _dims, _flag, _int, _ints, adversary_content,
-                       adversary_signal, build_storage, cache_side, decode_streams,
-                       make_query, params_from_json, place_user, recover_library,
-                       server_signal, stream_column, strategy_key, user_decode)
+                       Library, ProtocolError, Randomness, Signal, SystemParams,
+                       UniformRandom, SCENARIO_FIELDS, _dims, _flag, _int, _ints,
+                       adversary_column, adversary_content, build_storage, cache_side,
+                       decode_streams, make_query, params_from_json, place_user,
+                       recover_library, server_signal, stream_column, strategy_key,
+                       user_decode)
+# uncalled here, but bound: instrumentation wraps the sweep's layers at
+# this module's names
+from .protocol import adversary_signal  # noqa: F401
 from .rscode import DecodingFailure
 
 
@@ -286,7 +289,9 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     ``configs`` is the slice of the full configuration list that starts
     at index ``first``.  Honest answers, every user's cache side and each
     server's honest stream column are computed once per replay; an
-    adversarial server corrupts its honest answers.  The honest answers
+    adversarial server corrupts its honest column with
+    ``adversary_column``, a delivery at a time, each with the generator
+    of its (configuration, demand, server).  The honest answers
     of servers 1..J are decoded once, and every user of every demand is
     decoded from them and checked: only if all are right does that data
     become the reference.  Any J answers with <= A corrupt decode to the
@@ -298,7 +303,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     among them put their errors at the same positions of every word, so
     each such group is decoded as one batch, built per server: an honest
     server repeats its column and its store once per member, an
-    adversarial one holds each member's corruptions.  One
+    adversarial one holds each member's corrupted column.  One
     ``decode_streams`` call decodes every delivery of every member, and
     one ``recover_library`` call their stored contents.  Member t's
     delivery d is delivery t*D + d of the batch, with D demands.  Each
@@ -373,20 +378,20 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     groups = {}
     for c, (js, adv, _) in enumerate(configs):
         groups.setdefault((js, tuple(h for h in js if h in adv)), []).append(c)
+    size = arr.S * _dims(params, arr)[1]  # symbols per delivery
     delivered, decoded, per_user = [], [], []
     for (js, bad), members in groups.items():
-        signals = {h: [] for h in bad}
+        columns = {h: [] for h in bad}
         contents = {h: [] for h in bad}
         for c in members:
             ci = first + c
             strat = configs[c][2]
             key = strategy_key(strat)
             for h in bad:
-                signals[h].extend(
-                    adversary_signal(params, strat, honest[di][h - 1],
-                                     random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}")
-                                     if strat.draws else None)
-                    for di in range(D))
+                columns[h] += adversary_column(
+                    params, strat, honest_columns[h], size,
+                    [random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}") if strat.draws
+                     else None for di in range(D)])
                 if sc.check_recovery:
                     contents[h].append(
                         adversary_content(params, strat, state.stores[h - 1],
@@ -396,8 +401,11 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             h: contents[h] if h in contents else [state.stores[h - 1]] * len(members)
             for h in js}) if sc.check_recovery else None
         streams = decode_streams(params, arr, {
-            h: stream_column(params, arr, h, signals[h]) if h in signals
-            else honest_columns[h] * len(members) for h in js})
+            h: columns[h] if h in columns else honest_columns[h] * len(members) for h in js})
+        # the last delivery of the group's last member
+        last = len(members) * D - 1
+        delivered = [Signal(h, tuple(columns[h][last * size:(last + 1) * size]), honest=False)
+                     if h in columns else honest[-1][h - 1] for h in js]
         for t, c in enumerate(members):
             _, adv, strat = configs[c]
             label = {"j_subset": js, "adversaries": adv, "strategy": strategy_key(strat)}
@@ -407,8 +415,6 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     note(c, dict(label, stage="recover", error=str(got)))
                 elif got.files != state.library.files:
                     note(c, dict(label, stage="recover", error="wrong library"))
-            delivered = [signals[h][(t + 1) * D - 1] if h in signals else honest[-1][h - 1]
-                         for h in js]
             if reference is not None and streams.delivery(t * D, D) == reference.data:
                 # every user of every delivery is right
                 decoded, per_user = truth_list[-1], [True] * params.K
@@ -424,7 +430,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     if error is not None:
                         note(c, dict(label, stage="decode", demand_index=di, user=k,
                                      error=error))
-        del signals, contents, recovered, streams  # before the next group is built
+        del columns, contents, recovered, streams  # before the next group is built
     witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
     max_payload = max(sig.payload_symbols() for sig in honest[0])
     measured = MscTriple(M=state.M, T=state.T,
@@ -491,6 +497,7 @@ def sweep(sc: Scenario, jobs: int = 1) -> RunResult:
     if jobs == 1:
         parts = [_replay(*args[0])]
     else:
+        from multiprocessing import get_context  # slow to import; only pools need it
         with get_context("fork").Pool(jobs) as pool:
             parts = pool.starmap(_replay, args)
     failure_count = sum(p.failure_count for p in parts)

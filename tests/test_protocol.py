@@ -12,7 +12,7 @@ from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              HonestPermutedSlices, HonestPlusConstant, Library,
                              MissingSignals, ProtocolError, Randomness, Signal,
                              SystemParams, UniformRandom, ZeroPayload,
-                             adversary_content, adversary_signal,
+                             adversary_column, adversary_content, adversary_signal,
                              build_storage, cache_side, decode_streams, make_query,
                              params_from_json, place_user, recover_library,
                              server_signal, strategy_key, stream_column, user_decode,
@@ -748,6 +748,28 @@ def test_strategies_transform_the_flat_payload():
     noisy1 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
     noisy2 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
     assert noisy1.payload == noisy2.payload  # same seeded stream, same draw
+
+
+def test_a_column_is_corrupted_as_its_deliveries_are():
+    # a column of three deliveries, each corrupted with its own generator,
+    # is the three corrupted signals chained
+    params, library, randomness, stores, ps, caches = build_toy_state(15)
+    signals = [server_signal(params, TOY_PDA, stores[1],
+                             [make_query(params, [d, 1, 0, d], ps[k]) for k in range(3)])
+               for d in range(3)]
+    column = stream_column(params, TOY_PDA, 2, signals)
+    size = len(signals[0].payload)
+    for strategy in ALL_STRATEGIES:
+        def rngs():
+            return [random.Random(d) if strategy.draws else None for d in range(3)]
+
+        expected = [adversary_signal(params, strategy, sig, rng)
+                    for sig, rng in zip(signals, rngs())]
+        assert all(sig.h == 2 and not sig.honest for sig in expected)
+        assert adversary_column(params, strategy, column, size, rngs()) == [
+            v for sig in expected for v in sig.payload]
+    with pytest.raises(DimensionMismatch, match="^a column of 9 symbols is not 2 runs of 3$"):
+        adversary_column(params, ZeroPayload(), column, size, [None, None])
 
 
 def test_adversary_content_preserves_shape():

@@ -385,6 +385,27 @@ def test_batch_decoder_checks_its_shape():
         [[], []], [set(), set(), set()], {})
 
 
+def test_batch_decoder_reads_only_the_rows_asked_for():
+    # the first rows of the message, the flags and the failures are those
+    # of the whole decode
+    q, positions = 13, (1, 2, 3, 4, 5, 6, 7)
+    points = EvalPoints.consecutive(q, 7)
+    rng = random.Random(5)
+    words = [word(points, positions, [rng.randrange(q) for _ in range(3)], errs)
+             for errs in ({}, {2: 4}, {1: 1, 7: 3}, {1: 1, 2: 1, 3: 1})]
+    columns = as_columns(words, 7)
+    messages, flags, failures = decode_columns(points, positions, 3, 2, columns)
+    assert set(failures) == {3}
+    for rows in range(4):
+        got = decode_columns(points, positions, 3, 2, columns, rows=rows)
+        assert got[0] == messages[:rows]
+        assert got[1] == flags
+        assert {w: str(exc) for w, exc in got[2].items()} == {3: str(failures[3])}
+    for rows in (-1, 4):
+        with pytest.raises(ValueError, match=f"^cannot read {rows} of 3 message rows$"):
+            decode_columns(points, positions, 3, 2, columns, rows=rows)
+
+
 def test_criterion_6_code_edges_match_the_oracle():
     # the criterion-6 stream code: N=2, K=2, H=5, A=1, I=1, J=4, q=11, so
     # dimension I + L = 2 and radius 1 at every delivery.  Decoding is

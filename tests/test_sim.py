@@ -292,20 +292,28 @@ def test_uniform_adversary_rng_is_scenario_seeded():
 
 
 def test_only_strategies_that_draw_get_a_generator(monkeypatch):
-    # each corruption of a drawing strategy gets random.Random(its key);
-    # the others get None
+    # each delivery of a column and each store corrupted by a drawing
+    # strategy gets random.Random(its key); the others get None
     import rsplfr.sim
     seen = Counter()
+    column, content = rsplfr.sim.adversary_column, rsplfr.sim.adversary_content
 
-    def recording(original):
-        def wrapped(params, strategy, honest, rng):
+    def record(strategy, rngs):
+        for rng in rngs:
             seen[strategy.label, type(rng).__name__] += 1
             assert (rng is None) != strategy.draws
-            return original(params, strategy, honest, rng)
-        return wrapped
 
-    for name in ("adversary_signal", "adversary_content"):
-        monkeypatch.setattr(rsplfr.sim, name, recording(getattr(rsplfr.sim, name)))
+    def recording_column(params, strategy, honest, size, rngs):
+        assert len(honest) == 2 * size  # one run per demand
+        record(strategy, rngs)
+        return column(params, strategy, honest, size, rngs)
+
+    def recording_content(params, strategy, store, rng):
+        record(strategy, [rng])
+        return content(params, strategy, store, rng)
+
+    monkeypatch.setattr(rsplfr.sim, "adversary_column", recording_column)
+    monkeypatch.setattr(rsplfr.sim, "adversary_content", recording_content)
     assert sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                               sweep_strategies=True, demand_samples=2,
                               check_recovery=True)).ok
