@@ -30,12 +30,12 @@ from .pda import (ConditionAError, ConditionBError, Pda, PdaError,
 from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedStreams,
                        DimensionMismatch, HonestPermutedSlices, HonestPlusConstant,
                        Library, MissingSignals, ProtocolError, Randomness,
-                       STRATEGY_NAMES, ServerStore, Signal, SystemParams,
+                       STRATEGY_NAMES, ServerStore, SystemParams,
                        UniformRandom, UserCache, ZeroPayload,
                        adversary_column, adversary_content, adversary_signal,
                        build_storage, cache_side, decode_streams, load_config, make_query,
                        params_from_json, place_user, recover_library, server_signal,
-                       strategy_key, stream_column, user_decode, with_seed)
+                       strategy_key, user_decode, with_seed)
 from .rscode import (AmbiguousCandidate, Codeword, DecodingFailure, EvalPoints,
                      NoCandidate, brute_force_decode, decode, decode_columns, encode)
 from .sim import RunResult, Scenario, ScenarioError, run, sweep
@@ -63,11 +63,11 @@ __all__ = [
     "ALL_STRATEGIES", "CacheSide", "ConfigError", "DecodedStreams",
     "DimensionMismatch", "HonestPermutedSlices", "HonestPlusConstant", "Library",
     "MissingSignals", "ProtocolError", "Randomness", "STRATEGY_NAMES",
-    "ServerStore", "Signal", "SystemParams", "UniformRandom", "UserCache",
+    "ServerStore", "SystemParams", "UniformRandom", "UserCache",
     "ZeroPayload", "adversary_column", "adversary_content", "adversary_signal",
     "build_storage", "cache_side", "decode_streams", "load_config", "make_query",
     "params_from_json", "place_user", "recover_library", "server_signal",
-    "strategy_key", "stream_column", "user_decode", "with_seed",
+    "strategy_key", "user_decode", "with_seed",
     # rscode
     "AmbiguousCandidate", "Codeword", "DecodingFailure", "EvalPoints",
     "NoCandidate", "brute_force_decode", "decode", "decode_columns", "encode",

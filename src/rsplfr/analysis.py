@@ -118,15 +118,20 @@ def load_term(u: int, M, params) -> Fraction:
 
 
 def load_lower_bound(M, params) -> Fraction:
-    """Best cut-set term over u in [1 .. min(floor(N/2), K)], floored at 0."""
+    """Best cut-set term over u in [1 .. min(floor(N/2), K)], floored at 0.
+
+    Term u is concave in u with its real peak at (N+1) / (2(M+1)), so
+    the best u is the floor or the ceiling of that peak, clamped to the
+    range.
+    """
     N, K = params.N, params.K
     M = Fraction(M)
     if not 1 <= M <= N:
         raise AnalysisError(f"M={M} outside [1, {N}]")
-    best = Fraction(0)
-    for u in range(1, min(N // 2, K) + 1):
-        best = max(best, load_term(u, M, params))
-    return best
+    top = min(N // 2, K)
+    peak = (N + 1) / (2 * (M + 1))
+    return max([Fraction(0)] + [load_term(min(max(u, 1), top), M, params)
+                                for u in (math.floor(peak), math.ceil(peak))])
 
 
 def f_bound(M, params) -> Fraction:

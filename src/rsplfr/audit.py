@@ -419,7 +419,7 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     for qvals in product(range(q), repeat=K * N):
         queries = _rows(qvals, K, N)
         outputs = [tuple(chain.from_iterable(
-            server_signal(params, arr, st, queries).payload for st in sts))
+            server_signal(params, arr, st, queries) for st in sts))
             for sts in stores]
         gap_sum += _rank_gap(_columns(q, inputs, outputs, "server_signal"), space.n_w, q)
     mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
@@ -569,8 +569,7 @@ def enumerate_signal_security(params: SystemParams, arr: Pda, mutations=()) -> A
                     payloads = answers.get(qvals)
                     if payloads is None:
                         payloads = answers[qvals] = tuple(
-                            server_signal(params, arr, st, queries).payload
-                            for st in stores)
+                            server_signal(params, arr, st, queries) for st in stores)
                     obs = (qvals, payloads)
                     key = (wflat, obs)
                     table[key] = table.get(key, 0) + 1

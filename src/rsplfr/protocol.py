@@ -24,24 +24,23 @@ All containers hold canonical residues as plain ints; field context
 comes from the parameter object.  This module is the one owner of every
 symbol layout; ``sim`` and ``audit`` read them through it.  ``_dims``
 gives (B/L, pkt), pkt = B/(L*F) being the packet length, and each
-container's docstring gives its flat order: ``Randomness``, whose
-``sizes`` are its run sizes, in the order ``build_storage`` reads it;
-``ServerStore`` and ``Signal`` in the order the decoder reads them, each
-word across any J servers one MDS codeword; ``UserCache`` one run per
-array row.
+docstring gives its flat order: ``Randomness``, whose ``sizes`` are its
+run sizes, in the order ``build_storage`` reads it; ``ServerStore`` and
+a server's answer, the tuple ``server_signal`` returns, in the order the
+decoder reads them, each word across any J servers one MDS codeword;
+``UserCache`` one run per array row.
 
 Both decoders take a batch as a mapping from each of J servers to what
 it sent, and make one ``decode_columns`` call, which computes only the
 L data rows of each word's message.  ``decode_streams`` takes
-``{h: column}``, ``stream_column`` chaining server h's checked answers
-to a batch of deliveries; it returns one ``DecodedStreams``, slice r of
-stream s of delivery d at word (d*S + s-1)*pkt + r, from which
-``user_decode`` reads one delivery.  An adversarial server's column is
+``{h: column}``, server h's answers to a batch of deliveries chained in
+delivery order; it returns one ``DecodedStreams``, slice r of stream s
+of delivery d at word (d*S + s-1)*pkt + r, from which ``user_decode``
+reads one delivery.  An adversarial server's column is
 ``adversary_column`` of its honest one, corrupted a delivery at a time
-with that delivery's generator, with no ``Signal`` built on the way.
-``recover_library`` takes ``{h: [store per set]}`` and returns each
-set's library or failure.  A word's decode never depends on the rest of
-its batch.
+with that delivery's generator.  ``recover_library`` takes
+``{h: [store per set]}`` and returns each set's library or failure.  A
+word's decode never depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -235,22 +234,6 @@ class UserCache:
                 + sum(map(len, self.keys.values())))
 
 
-@dataclass(frozen=True)
-class Signal:
-    """One server's answer: one packet per stream.
-
-    ``payload[(s - 1) * pkt + r]`` is slice r of stream s.  ``honest``
-    is simulator bookkeeping only; decoders never read it.
-    """
-
-    h: int
-    payload: tuple[int, ...]  # S * B/(L*F)
-    honest: bool = True
-
-    def payload_symbols(self) -> int:
-        return len(self.payload)
-
-
 # ---------- coordinator and servers ----------
 
 
@@ -354,7 +337,8 @@ def _checked_queries(params: SystemParams, queries) -> tuple:
 
 
 def server_signal(params: SystemParams, pda: Pda,
-                  store: ServerStore, queries) -> Signal:
+                  store: ServerStore, queries) -> tuple[int, ...]:
+    """Server h's answer to the K queries: slice r of stream s at (s-1)*pkt + r."""
     subL, pkt = _dims(params, pda)
     N, q = params.N, params.q
     if len(store.coded_subfiles) != N * subL or len(store.coded_keys) != pda.S * pkt:
@@ -374,7 +358,7 @@ def server_signal(params: SystemParams, pda: Pda,
                     if c:
                         t += c * files[n * subL + base + r]
                 payload[first + r] = t % q
-    return Signal(h=store.h, payload=tuple(payload), honest=True)
+    return tuple(payload)
 
 
 # ---------- adversaries ----------
@@ -466,7 +450,7 @@ def adversary_column(params: SystemParams, strategy, column, size: int, rngs) ->
 
     Run d, ``column[d*size:(d+1)*size]``, is corrupted with ``rngs[d]``
     and keeps its size; ``column`` must hold one run per generator.  On
-    a ``stream_column`` the runs are its deliveries.
+    a server's chained answers the runs are its deliveries.
     """
     if len(column) != size * len(rngs):
         raise DimensionMismatch(f"a column of {len(column)} symbols is not "
@@ -481,12 +465,10 @@ def adversary_column(params: SystemParams, strategy, column, size: int, rngs) ->
     return out
 
 
-def adversary_signal(params: SystemParams, strategy, honest: Signal,
-                     rng: random.Random | None) -> Signal:
+def adversary_signal(params: SystemParams, strategy, honest: tuple[int, ...],
+                     rng: random.Random | None) -> tuple[int, ...]:
     """A corrupted answer, transformed from the server's own honest answer."""
-    payload = honest.payload
-    return Signal(h=honest.h, honest=False, payload=tuple(
-        adversary_column(params, strategy, payload, len(payload), [rng])))
+    return tuple(adversary_column(params, strategy, honest, len(honest), [rng]))
 
 
 def adversary_content(params: SystemParams, strategy, store: ServerStore,
@@ -527,30 +509,14 @@ class DecodedStreams:
         return [col[d * self.words:(d + count) * self.words] for col in self.data]
 
 
-def stream_column(params: SystemParams, pda: Pda, h: int, signals) -> list[int]:
-    """Server h's answers to a run of deliveries, chained into one column.
-
-    Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery
-    d.  Every signal must come from server h, an integer, and hold S * pkt
-    symbols.
-    """
-    size = pda.S * _dims(params, pda)[1]
-    column = []
-    for sig in signals:
-        if not (_is_int(sig.h) and sig.h == h):
-            raise MissingSignals(f"signal from server {sig.h!r} in the column of server {h!r}")
-        if len(sig.payload) != size:
-            raise DimensionMismatch(f"payload of server {h} has the wrong shape")
-        column.extend(sig.payload)
-    return column
-
-
 def decode_streams(params: SystemParams, pda: Pda, columns) -> DecodedStreams:
     """Decode every word of a batch of deliveries from J servers' columns, <= A corrupt.
 
-    ``columns`` maps each of J servers to its ``stream_column``; every
-    column must hold the same whole number of deliveries.  All words are
-    decoded in one ``decode_columns`` call.
+    ``columns`` maps each of J servers, an integer in [1..H], to its
+    answers to a batch of deliveries chained in delivery order: word
+    ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery d.
+    Every column must hold the same whole number of deliveries.  All
+    words are decoded in one ``decode_columns`` call.
     """
     words = pda.S * _dims(params, pda)[1]
     if len(columns) != params.J:

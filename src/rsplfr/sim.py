@@ -23,12 +23,11 @@ from itertools import chain, combinations, islice
 from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
-                       Library, ProtocolError, Randomness, Signal, SystemParams,
+                       Library, ProtocolError, Randomness, SystemParams,
                        UniformRandom, SCENARIO_FIELDS, _dims, _flag, _int, _ints,
                        adversary_column, adversary_content, build_storage, cache_side,
                        decode_streams, make_query, params_from_json, place_user,
-                       recover_library, server_signal, stream_column, strategy_key,
-                       user_decode)
+                       recover_library, server_signal, strategy_key, user_decode)
 # uncalled here, but bound: instrumentation wraps the sweep's layers at
 # this module's names
 from .protocol import adversary_signal  # noqa: F401
@@ -53,7 +52,6 @@ class Scenario:
     sweep_adversary_subsets: bool = False
     sweep_strategies: bool = False
     adversary_sizes: tuple[int, ...] | None = None
-    allow_excess_adversaries: bool = False
     check_recovery: bool = False
     max_configs: int = 1_000_000
 
@@ -103,7 +101,6 @@ class Scenario:
             for key, (read, attr) in _SWEEP_FIELDS.items():
                 if key in sweep:
                     setattr(sc, attr, read(sweep[key], f'"{key}"'))
-            sc.allow_excess_adversaries = "adversary_sizes" in sweep
         return sc
 
 
@@ -217,7 +214,8 @@ def _ground_truth(library: Library, demand, q: int) -> list[int]:
 
 def _own_config(sc: Scenario) -> tuple:
     """The scenario's own (delivery, adversaries, strategy), checked with its
-    adversary sizes; a run and a sweep both check them, whatever the sweep replaces."""
+    adversary sizes; a run and a sweep both check them, whatever the sweep replaces.
+    More than A adversaries are allowed only where adversary sizes are set."""
     params = sc.params
     d = sc.delivery if sc.delivery is not None else tuple(range(1, params.J + 1))
     d = tuple(sorted(d))
@@ -228,7 +226,7 @@ def _own_config(sc: Scenario) -> tuple:
     adv = tuple(sorted(sc.adversaries))
     if len(set(adv)) != len(adv) or any(not 1 <= h <= params.H for h in adv):
         raise ScenarioError(f"adversary set {adv} is not a subset of [1..{params.H}]")
-    if len(adv) > params.A and not sc.allow_excess_adversaries:
+    if len(adv) > params.A and sc.adversary_sizes is None:
         raise ScenarioError(f"{len(adv)} adversaries exceed A={params.A}")
     for size in sc.adversary_sizes or ():
         if not 0 <= size <= params.H:
@@ -274,7 +272,7 @@ class _Replay:
     measured: MscTriple
     state: _State
     queries: list      # of the first demand
-    delivered: list    # signals of the last (configuration, demand) pair judged
+    delivered: list    # (h, honest, answer) of the last (configuration, demand) pair judged
     decoded: list      # each user's output there, None where decoding failed
     per_user: list     # whether each user's output there is right
 
@@ -287,26 +285,28 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     """Replay configs under every demand, checking against ground truth.
 
     ``configs`` is the slice of the full configuration list that starts
-    at index ``first``.  Honest answers, every user's cache side and each
-    server's honest stream column are computed once per replay; an
-    adversarial server corrupts its honest column with
-    ``adversary_column``, a delivery at a time, each with the generator
-    of its (configuration, demand, server).  The honest answers
-    of servers 1..J are decoded once, and every user of every demand is
-    decoded from them and checked: only if all are right does that data
-    become the reference.  Any J answers with <= A corrupt decode to the
-    same data, and a user's output depends only on its cache side and
-    the decoded data, so data equal to the reference makes every user
-    right.
+    at index ``first``.  A server's honest column, its ``server_signal``
+    answers to every demand chained in demand order, and every user's
+    cache side are computed once per replay; an adversarial server
+    corrupts its honest column with ``adversary_column``, a delivery at
+    a time, each with the generator of its (configuration, demand,
+    server).  The honest columns of servers 1..J are decoded once, and
+    every user of every demand is decoded from them and checked: only if
+    all are right does that data become the reference.  Any J answers
+    with <= A corrupt decode to the same data, and a user's output
+    depends only on its cache side and the decoded data, so data equal
+    to the reference makes every user right.
 
     Configurations with the same J servers and the same adversaries
     among them put their errors at the same positions of every word, so
-    each such group is decoded as one batch, built per server: an honest
-    server repeats its column and its store once per member, an
-    adversarial one holds each member's corrupted column.  One
+    each such group is decoded as one batch ``{h: column}``, built once:
+    an honest server repeats its column and its store once per member,
+    an adversarial one holds each member's corrupted column.  One
     ``decode_streams`` call decodes every delivery of every member, and
     one ``recover_library`` call their stored contents.  Member t's
-    delivery d is delivery t*D + d of the batch, with D demands.  Each
+    delivery d is delivery t*D + d of the batch, with D demands; the
+    transcript's delivery, the batch's last, is cut from it alike for
+    every server, honest when not among the group's adversaries.  Each
     member's data is compared once with the reference: only in a member
     that differs is each delivery's data compared, and only the users of
     a delivery that differs are decoded one by one, for their
@@ -322,8 +322,9 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     state = _build_state(sc)
     queries_list = [[make_query(params, demand[k - 1], state.ps[k - 1])
                      for k in range(1, params.K + 1)] for demand in demand_list]
-    honest = [[server_signal(params, arr, st, queries) for st in state.stores]
-              for queries in queries_list]
+    honest_columns = {st.h: list(chain.from_iterable(
+        server_signal(params, arr, st, queries) for queries in queries_list))
+        for st in state.stores}
     truth_list = [[_ground_truth(state.library, demand[k - 1], params.q)
                    for k in range(1, params.K + 1)] for demand in demand_list]
     # a side whose check of the answered queries fails is kept as its
@@ -338,8 +339,6 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             except ProtocolError as exc:
                 sides.append(exc)
         sides_list.append(sides)
-    honest_columns = {h: stream_column(params, arr, h, [signals[h - 1] for signals in honest])
-                      for h in range(1, params.H + 1)}
     D = len(demand_list)
     stages: Counter = Counter()
     notes = [[] for _ in configs]  # each configuration's witnesses, capped
@@ -400,12 +399,12 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         recovered = recover_library(params, {
             h: contents[h] if h in contents else [state.stores[h - 1]] * len(members)
             for h in js}) if sc.check_recovery else None
-        streams = decode_streams(params, arr, {
-            h: columns[h] if h in columns else honest_columns[h] * len(members) for h in js})
+        batch = {h: columns[h] if h in columns else honest_columns[h] * len(members)
+                 for h in js}
+        streams = decode_streams(params, arr, batch)
         # the last delivery of the group's last member
         last = len(members) * D - 1
-        delivered = [Signal(h, tuple(columns[h][last * size:(last + 1) * size]), honest=False)
-                     if h in columns else honest[-1][h - 1] for h in js]
+        delivered = [(h, h not in bad, batch[h][last * size:(last + 1) * size]) for h in js]
         for t, c in enumerate(members):
             _, adv, strat = configs[c]
             label = {"j_subset": js, "adversaries": adv, "strategy": strategy_key(strat)}
@@ -430,11 +429,10 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     if error is not None:
                         note(c, dict(label, stage="decode", demand_index=di, user=k,
                                      error=error))
-        del columns, contents, recovered, streams  # before the next group is built
+        del columns, contents, batch, recovered, streams  # before the next group is built
     witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
-    max_payload = max(sig.payload_symbols() for sig in honest[0])
     measured = MscTriple(M=state.M, T=state.T,
-                         R=Fraction(max_payload, params.B),
+                         R=Fraction(len(honest_columns[1]), D * params.B),
                          subpacketization=params.L * arr.F)
     return _Replay(witnesses, stages, measured, state, queries_list[0], delivered,
                    decoded, per_user)
@@ -468,9 +466,8 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
                         "coded_subfiles": runs(st.coded_subfiles, subL),
                         "coded_keys": runs(st.coded_keys, pkt)}
                        for st in state.stores],
-            "signals": [{"h": sig.h, "honest": sig.honest,
-                         "payload": runs(sig.payload, pkt)}
-                        for sig in rep.delivered],
+            "signals": [{"h": h, "honest": honest, "payload": runs(answer, pkt)}
+                        for h, honest, answer in rep.delivered],
             "decoded": [list(d) if d is not None else None for d in rep.decoded],
         }
     return RunResult(ok=rep.failure_count == 0, measured=rep.measured,

@@ -209,7 +209,7 @@ def test_criterion_6_robust_recovery():
 
     over = Scenario(params=ROBUST, pda=arr, adversaries=(1, 2),
                     strategy=HonestPlusConstant(1),
-                    allow_excess_adversaries=True, check_recovery=True)
+                    adversary_sizes=(2,), check_recovery=True)
     result = run(over)
     assert not result.ok
     assert result.per_user == (False, False)

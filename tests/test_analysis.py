@@ -103,6 +103,26 @@ def test_load_lower_bound_domain_checked():
         load_lower_bound(WIDE_FILES.N + 1, WIDE_FILES)
 
 
+def _every_term_lower_bounds(M, params):
+    # the closed form's oracle: entry top is the best of cut-set terms
+    # u = 1..top, floored at 0, for every top up to N/2 (no term reads K)
+    best = [Fraction(0)]
+    for u in range(1, params.N // 2 + 1):
+        best.append(max(best[-1], load_term(u, M, params)))
+    return best
+
+
+def test_load_lower_bound_closed_form_matches_every_term():
+    for N in range(2, 31):
+        family = [SystemParams(N=N, K=K, H=5, A=1, I=1, J=4) for K in range(1, 31)]
+        for i in range(41):
+            M = 1 + Fraction(i * (N - 1), 40)
+            best = _every_term_lower_bounds(M, family[0])
+            for params in family:
+                assert load_lower_bound(M, params) == best[min(N // 2, params.K)], \
+                    (N, params.K, M)
+
+
 def test_smooth_minorant_touches_the_cut_terms():
     params = WIDE_USERS  # N=10: tangency of the u=2 term at M = 6/5
     M = Fraction(6, 5)

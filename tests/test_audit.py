@@ -22,7 +22,6 @@ from rsplfr import (
     InfeasibleAuditError,
     MUTATIONS,
     ServerStore,
-    Signal,
     SystemParams,
     audit_demand_privacy,
     audit_robustness,
@@ -331,8 +330,8 @@ def test_rank_audits_refuse_affine_stores(monkeypatch):
 
 
 def test_rank_audit_refuses_affine_signals(monkeypatch):
-    def plus_one(signal):
-        return Signal(signal.h, tuple((v + 1) % 3 for v in signal.payload))
+    def plus_one(answer):
+        return tuple((v + 1) % 3 for v in answer)
 
     monkeypatch.setattr(audit_module, "server_signal",
                         _affine(audit_module.server_signal, plus_one))

@@ -10,12 +10,12 @@ import pytest
 from rsplfr.pda import STAR, man_pda, validate
 from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              HonestPermutedSlices, HonestPlusConstant, Library,
-                             MissingSignals, ProtocolError, Randomness, Signal,
+                             MissingSignals, ProtocolError, Randomness,
                              SystemParams, UniformRandom, ZeroPayload,
                              adversary_column, adversary_content, adversary_signal,
                              build_storage, cache_side, decode_streams, make_query,
                              params_from_json, place_user, recover_library,
-                             server_signal, strategy_key, stream_column, user_decode,
+                             server_signal, strategy_key, user_decode,
                              with_seed)
 from rsplfr.rscode import DecodingFailure
 
@@ -42,10 +42,15 @@ def build_toy_state(seed=0, B=6):
     return params, library, randomness, stores, ps, caches
 
 
+def answers(params, pda, stores, queries):
+    """Each store's server's answer to the queries, keyed by the server."""
+    return {st.h: server_signal(params, pda, st, queries) for st in stores}
+
+
 def decode(params, pda, *deliveries):
-    """Decode deliveries of the same servers, each its signals in one order."""
-    return decode_streams(params, pda, {sigs[0].h: stream_column(params, pda, sigs[0].h, sigs)
-                                        for sigs in zip(*deliveries)})
+    """Decode deliveries of the same servers, each a mapping from server to its answer."""
+    return decode_streams(params, pda, {h: [v for sent in deliveries for v in sent[h]]
+                                        for h in deliveries[0]})
 
 
 def recover(params, stores):
@@ -220,8 +225,8 @@ def test_signal_payload_size_sets_the_load():
     demand = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     queries = [make_query(params, demand[k], ps[k]) for k in range(3)]
     sig = server_signal(params, TOY_PDA, stores[0], queries)
-    assert sig.payload_symbols() == 3      # R*B = 0.5*6
-    assert sig.honest
+    assert type(sig) is tuple
+    assert len(sig) == 3      # R*B = 0.5*6
 
 def test_micro_signal_golden_value():
     library = Library(((1,), (2,)))
@@ -230,7 +235,7 @@ def test_micro_signal_golden_value():
     query = make_query(MICRO, [1, 2], [0, 0])
     sig = server_signal(MICRO, MICRO_PDA, stores[0], [query])
     # key eval + 1*(file1 eval) + 2*(file2 eval) at alpha=1: 0 + 2 + 2*1 = 4 = 1
-    assert sig.payload == (1,)
+    assert sig == (1,)
 
 
 # ---------- end to end ----------
@@ -242,8 +247,7 @@ def test_every_user_decodes_its_blend_on_the_toy_instance():
     demands = [[rng.randrange(params.q) for _ in range(params.N)]
                for _ in range(params.K)]
     queries = [make_query(params, demands[k], ps[k]) for k in range(params.K)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
-    streams = decode(params, TOY_PDA, signals[:params.J])
+    streams = decode(params, TOY_PDA, answers(params, TOY_PDA, stores[:params.J], queries))
     for k in range(1, params.K + 1):
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
         got = user_decode(params, TOY_PDA, side, streams, 0)
@@ -260,8 +264,7 @@ def test_decoding_is_linear_in_the_demand():
     for tag, demand in (("d1", d1), ("d2", d2), ("sum", dsum)):
         demands = [demand] + [[0] * 4, [0] * 4]
         queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-        signals = [server_signal(params, TOY_PDA, st, queries)
-                   for st in stores[:params.J]]
+        signals = answers(params, TOY_PDA, stores[:params.J], queries)
         side = cache_side(params, TOY_PDA, caches[0], demand, queries)
         outs[tag] = user_decode(params, TOY_PDA, side, decode(params, TOY_PDA, signals), 0)
     assert [(a + b) % q for a, b in zip(outs["d1"], outs["d2"])] == outs["sum"]
@@ -272,12 +275,11 @@ def test_any_j_subset_suffices():
     demand = [1, 1, 1, 1]
     demands = [demand, [0] * 4, [0] * 4]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
+    signals = answers(params, TOY_PDA, stores, queries)
     expected = combine(library, demand, params.q)
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-    from itertools import combinations
-    for subset in combinations(range(6), params.J):
-        streams = decode(params, TOY_PDA, [signals[i] for i in subset])
+    for subset in combinations(signals, params.J):
+        streams = decode(params, TOY_PDA, {h: signals[h] for h in subset})
         assert user_decode(params, TOY_PDA, side, streams, 0) == expected
 
 
@@ -289,10 +291,9 @@ def test_single_adversary_is_corrected():
     expected = combine(library, demand, params.q)
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     for strategy in ALL_STRATEGIES:
-        signals = [server_signal(params, TOY_PDA, st, queries)
-                   for st in stores[:params.J]]
-        signals[2] = adversary_signal(params, strategy, signals[2], random.Random(0))
-        assert not signals[2].honest
+        signals = answers(params, TOY_PDA, stores[:params.J], queries)
+        signals[3] = adversary_signal(params, strategy, signals[3], random.Random(0))
+        assert type(signals[3]) is tuple
         streams = decode(params, TOY_PDA, signals)
         assert user_decode(params, TOY_PDA, side, streams, 0) == expected
 
@@ -310,19 +311,18 @@ def test_partial_slice_corruption_is_corrected():
               for k in (1, 2, 3)]
     demands = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[1:]]
+    signals = answers(params, TOY_PDA, stores[1:], queries)
     expected = [combine(library, demands[k], 7) for k in range(3)]
     sides = [cache_side(params, TOY_PDA, caches[k], demands[k], queries)
              for k in range(3)]
     cells = [(s, r) for s in range(TOY_PDA.S) for r in range(2)]
-    honest = signals[2]
+    honest = signals[4]
     for mask in range(1, 1 << len(cells)):
-        payload = list(honest.payload)
+        payload = list(honest)
         for bit, (s, r) in enumerate(cells):
             if mask >> bit & 1:
                 payload[s * 2 + r] = (payload[s * 2 + r] + 1 + bit % 6) % 7
-        bad = Signal(h=honest.h, payload=tuple(payload), honest=False)
-        streams = decode(params, TOY_PDA, signals[:2] + [bad] + signals[3:])
+        streams = decode(params, TOY_PDA, {**signals, 4: tuple(payload)})
         assert not streams.failures
         for k in range(3):
             got = user_decode(params, TOY_PDA, sides[k], streams, 0)
@@ -333,12 +333,11 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
     params, library, randomness, stores, ps, caches = build_toy_state(18)
     demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
+    signals = answers(params, TOY_PDA, stores[:5], queries)
     # two servers shift stream 1 only (its one slice): beyond the radius there
-    for i in (0, 1):
-        payload = signals[i].payload
-        payload = ((payload[0] + 1) % 7,) + payload[1:]
-        signals[i] = Signal(h=signals[i].h, payload=payload, honest=False)
+    for h in (1, 2):
+        payload = signals[h]
+        signals[h] = ((payload[0] + 1) % 7,) + payload[1:]
     streams = decode(params, TOY_PDA, signals)
     assert set(streams.failures) == {0}  # the one word of stream 1
     for k in range(1, 4):
@@ -357,14 +356,13 @@ def test_a_stream_fails_with_its_first_failing_slice():
     params, library, randomness, stores, ps, caches = build_toy_state(17, B=12)
     demands = [[1, 2, 3, 4], [0, 1, 0, 1], [5, 5, 0, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
+    signals = answers(params, TOY_PDA, stores[:5], queries)
 
-    def shifted(sig, deltas):
-        first = tuple((x + d) % 7 for x, d in zip(sig.payload[:2], deltas))
-        return Signal(h=sig.h, payload=first + sig.payload[2:], honest=False)
+    def shifted(payload, deltas):
+        return tuple((x + d) % 7 for x, d in zip(payload[:2], deltas)) + payload[2:]
 
-    both = [shifted(signals[0], (1, 1)), shifted(signals[1], (1, 2))] + signals[2:]
-    second = [shifted(signals[0], (0, 1)), shifted(signals[1], (0, 2))] + signals[2:]
+    both = {**signals, 1: shifted(signals[1], (1, 1)), 2: shifted(signals[2], (1, 2))}
+    second = {**signals, 1: shifted(signals[1], (0, 1)), 2: shifted(signals[2], (0, 2))}
     decoded = decode(params, TOY_PDA, both, second)
     # stream 1 is words 0 and 1 of delivery 0 and words 6 and 7 of delivery 1
     assert set(decoded.failures) == {0, 1, 7}
@@ -384,32 +382,23 @@ def test_decode_needs_exactly_j_distinct_origins():
     demand = [1, 0, 0, 0]
     demands = [demand, [0] * 4, [0] * 4]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
+    signals = answers(params, TOY_PDA, stores, queries)
     with pytest.raises(MissingSignals, match="need signals from 5 servers, got 4"):
-        decode(params, TOY_PDA, signals[:4])
-    with pytest.raises(MissingSignals, match="need signals from 5 servers, got 4"):
-        decode(params, TOY_PDA, signals[:4] + [signals[3]])
+        decode(params, TOY_PDA, {h: signals[h] for h in range(1, 5)})
     with pytest.raises(MissingSignals, match="need signals from 5 servers, got 6"):
         decode(params, TOY_PDA, signals)
-    columns = {sig.h: stream_column(params, TOY_PDA, sig.h, [sig]) for sig in signals[:5]}
+    columns = {h: list(signals[h]) for h in range(1, 6)}
     columns[9] = columns.pop(5)
     with pytest.raises(MissingSignals, match=r"signal origin 9 outside \[1..6\]"):
         decode_streams(params, TOY_PDA, columns)
-    with pytest.raises(MissingSignals, match="signal from server 2 in the column of server 1"):
-        stream_column(params, TOY_PDA, 1, signals[:2])
 
 
 @pytest.mark.parametrize("origin", ["1", True, 1.0])
 def test_decode_refuses_an_origin_that_is_no_integer(origin):
     params, library, randomness, stores, ps, caches = build_toy_state(7)
     queries = [make_query(params, [1, 0, 0, 0], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
-    odd = replace(signals[0], h=origin)
-    with pytest.raises(MissingSignals, match=f"signal from server {origin!r}"):
-        decode(params, TOY_PDA, [odd] + signals[1:])
-    with pytest.raises(MissingSignals, match=f"signal from server {origin!r}"):
-        stream_column(params, TOY_PDA, 1, [odd])
-    columns = {sig.h: stream_column(params, TOY_PDA, sig.h, [sig]) for sig in signals}
+    columns = {h: list(answer)
+               for h, answer in answers(params, TOY_PDA, stores[:5], queries).items()}
     columns[origin] = columns.pop(1)
     with pytest.raises(MissingSignals, match=f"signal origin {origin!r} outside"):
         decode_streams(params, TOY_PDA, columns)
@@ -419,24 +408,26 @@ def test_decode_checks_every_signal_shape():
     params, library, randomness, stores, ps, caches = build_toy_state(7)
     demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores[:5]]
-    last = signals[4]
-    # the payload one symbol short, in the second delivery
-    short = Signal(h=last.h, payload=last.payload[:-1])
-    with pytest.raises(DimensionMismatch, match="server 5"):
-        decode(params, TOY_PDA, signals, signals[:4] + [short])
+    signals = answers(params, TOY_PDA, stores[:5], queries)
+    uneven = r"^servers \[1, 2, 3, 4, 5\] must answer the same whole deliveries$"
+    # server 5's answer one symbol short, in the second delivery
+    with pytest.raises(MissingSignals, match=uneven):
+        decode(params, TOY_PDA, signals, {**signals, 5: signals[5][:-1]})
     # and one symbol long
-    with pytest.raises(DimensionMismatch, match="server 5"):
-        decode(params, TOY_PDA, signals[:4] + [Signal(h=last.h, payload=last.payload + (0,))])
+    with pytest.raises(MissingSignals, match=uneven):
+        decode(params, TOY_PDA, {**signals, 5: signals[5] + (0,)})
+    # every answer one symbol long: equal columns, but no whole delivery
+    with pytest.raises(MissingSignals, match=uneven):
+        decode(params, TOY_PDA, {h: answer + (0,) for h, answer in signals.items()})
 
 
 def test_deliveries_must_come_from_the_same_servers():
     params, library, randomness, stores, ps, caches = build_toy_state(7)
     demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
     # in column form: every server's column holds the same whole deliveries
-    columns = {sig.h: stream_column(params, TOY_PDA, sig.h, [sig, sig]) for sig in signals[:5]}
+    columns = {h: list(answer) * 2
+               for h, answer in answers(params, TOY_PDA, stores[:5], queries).items()}
     both = decode_streams(params, TOY_PDA, columns)
     assert both.delivery(0) == both.delivery(1)
     assert decode_streams(params, TOY_PDA, dict(reversed(columns.items()))) == both
@@ -456,8 +447,7 @@ def test_a_delivery_outside_the_batch_is_refused():
     params, library, randomness, stores, ps, caches = build_toy_state(7)
     demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    streams = decode(params, TOY_PDA, [server_signal(params, TOY_PDA, st, queries)
-                                       for st in stores[:5]])
+    streams = decode(params, TOY_PDA, answers(params, TOY_PDA, stores[:5], queries))
     side = cache_side(params, TOY_PDA, caches[0], demands[0], queries)
     assert user_decode(params, TOY_PDA, side, streams, 0) == combine(library, demands[0], 7)
     for d in (-1, 1):
@@ -481,7 +471,7 @@ def test_an_all_star_batch_refuses_only_negative_deliveries():
     cache = place_user(params, arr, library, randomness, 1, [2, 0, 1, 0])
     demands = [[1, 2, 0, 0], [0] * 4, [0] * 4]
     queries = [make_query(params, demands[0], cache.p)] + [make_query(params, [0] * 4, [0] * 4)] * 2
-    streams = decode(params, arr, [server_signal(params, arr, st, queries) for st in stores[:5]])
+    streams = decode(params, arr, answers(params, arr, stores[:5], queries))
     assert streams.words == 0
     side = cache_side(params, arr, cache, demands[0], queries)
     for d in (0, 1):
@@ -497,20 +487,19 @@ def test_flags_name_the_servers_that_changed_their_symbols():
     # exactly the (stream, slice) words where it sent another symbol
     params, library, randomness, stores, ps, caches = build_toy_state(19, B=12)
     rng = random.Random(19)
-    delivery = stores[1:]
     for strategy in ALL_STRATEGIES:
-        for bad in range(len(delivery)):
+        for bad in range(2, 7):
             deliveries, expected = [], []
             for trial in range(3):
                 demands = [[rng.randrange(7) for _ in range(4)] for _ in range(3)]
                 queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-                signals = [server_signal(params, TOY_PDA, st, queries) for st in delivery]
+                signals = answers(params, TOY_PDA, stores[1:], queries)
                 honest = signals[bad]
                 signals[bad] = adversary_signal(params, strategy, honest,
                                                 random.Random(trial))
-                changed = sum(x != y for x, y in zip(signals[bad].payload, honest.payload))
+                changed = sum(x != y for x, y in zip(signals[bad], honest))
                 deliveries.append(signals)
-                expected.append({honest.h: changed} if changed else {})
+                expected.append({bad: changed} if changed else {})
             decoded = decode(params, TOY_PDA, *deliveries)
             assert [flag_counts(decoded, d) for d in range(3)] == expected, (strategy, bad)
             assert not decoded.failures
@@ -522,12 +511,12 @@ def test_decode_checks_the_query_echo():
     demand = [1, 0, 0, 0]
     demands = [demand, [0] * 4, [0] * 4]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries) for st in stores]
+    signals = answers(params, TOY_PDA, stores[:5], queries)
     wrong = [make_query(params, [0, 1, 0, 0], ps[0])] + queries[1:]
     with pytest.raises(ProtocolError):
         cache_side(params, TOY_PDA, caches[0], demand, wrong)
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-    streams = decode(params, TOY_PDA, signals[:5])
+    streams = decode(params, TOY_PDA, signals)
     assert user_decode(params, TOY_PDA, side, streams, 0) == \
         combine(library, demand, params.q)
 
@@ -570,9 +559,7 @@ def test_zero_library_decodes_to_zero():
     demand = [5, 4, 3, 2]
     demands = [demand, [0] * 4, [0] * 4]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
-    signals = [server_signal(params, TOY_PDA, st, queries)
-               for st in stores[:params.J]]
-    streams = decode(params, TOY_PDA, signals)
+    streams = decode(params, TOY_PDA, answers(params, TOY_PDA, stores[:params.J], queries))
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     assert user_decode(params, TOY_PDA, side, streams, 0) == [0] * params.B
 
@@ -597,12 +584,12 @@ def test_criterion_6_instance_at_every_error_pattern():
     sides = [cache_side(params, ROBUST_PDA, caches[k], demands[k], queries)
              for k in range(2)]
     expected = [combine(library, demands[k], q) for k in range(2)]
-    honest = {st.h: server_signal(params, ROBUST_PDA, st, queries) for st in stores}
-    assert {sig.payload_symbols() for sig in honest.values()} == {1}
+    honest = answers(params, ROBUST_PDA, stores, queries)
+    assert {len(answer) for answer in honest.values()} == {1}
 
     def delivery(js, errors):
-        return [Signal(h, ((honest[h].payload[0] + errors[h]) % q,), honest=False)
-                if h in errors else honest[h] for h in js]
+        return {h: ((honest[h][0] + errors[h]) % q,) if h in errors else honest[h]
+                for h in js}
 
     within, beyond = 0, Counter()
     for js in combinations(range(1, 6), 4):
@@ -734,40 +721,39 @@ def test_strategies_transform_the_flat_payload():
     demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     honest = server_signal(params, TOY_PDA, stores[0], queries)
-    flat = list(honest.payload)
+    flat = list(honest)
 
     zeroed = adversary_signal(params, ZeroPayload(), honest, random.Random(0))
-    assert list(zeroed.payload) == [0] * len(flat)
+    assert zeroed == (0,) * len(flat)
 
     bumped = adversary_signal(params, HonestPlusConstant(2), honest, random.Random(0))
-    assert list(bumped.payload) == [(x + 2) % 7 for x in flat]
+    assert list(bumped) == [(x + 2) % 7 for x in flat]
 
     rotated = adversary_signal(params, HonestPermutedSlices(), honest, random.Random(0))
-    assert list(rotated.payload) == flat[1:] + [flat[0]]
+    assert list(rotated) == flat[1:] + [flat[0]]
 
     noisy1 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
     noisy2 = adversary_signal(params, UniformRandom(), honest, random.Random(0))
-    assert noisy1.payload == noisy2.payload  # same seeded stream, same draw
+    assert noisy1 == noisy2  # same seeded stream, same draw
 
 
 def test_a_column_is_corrupted_as_its_deliveries_are():
     # a column of three deliveries, each corrupted with its own generator,
-    # is the three corrupted signals chained
+    # is the three corrupted answers chained
     params, library, randomness, stores, ps, caches = build_toy_state(15)
     signals = [server_signal(params, TOY_PDA, stores[1],
                              [make_query(params, [d, 1, 0, d], ps[k]) for k in range(3)])
                for d in range(3)]
-    column = stream_column(params, TOY_PDA, 2, signals)
-    size = len(signals[0].payload)
+    column = [v for sig in signals for v in sig]
+    size = len(signals[0])
     for strategy in ALL_STRATEGIES:
         def rngs():
             return [random.Random(d) if strategy.draws else None for d in range(3)]
 
         expected = [adversary_signal(params, strategy, sig, rng)
                     for sig, rng in zip(signals, rngs())]
-        assert all(sig.h == 2 and not sig.honest for sig in expected)
         assert adversary_column(params, strategy, column, size, rngs()) == [
-            v for sig in expected for v in sig.payload]
+            v for sig in expected for v in sig]
     with pytest.raises(DimensionMismatch, match="^a column of 9 symbols is not 2 runs of 3$"):
         adversary_column(params, ZeroPayload(), column, size, [None, None])
 

@@ -1,14 +1,18 @@
 """Seeded scenario runs and exhaustive sweeps."""
 
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from rsplfr.analysis import msc_from_pda
 from rsplfr.pda import man_pda
-from rsplfr.protocol import ConfigError, HonestPlusConstant, SystemParams, UniformRandom
+from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, HonestPlusConstant, ServerStore,
+                             SystemParams, UniformRandom, adversary_column, server_signal,
+                             strategy_key)
 from rsplfr.sim import Scenario, ScenarioError, run, sweep
 
 TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
@@ -63,6 +67,32 @@ def test_trace_contains_the_full_transcript():
     assert all(sig["honest"] for sig in t["signals"])
 
 
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=strategy_key)
+def test_transcript_of_a_run_with_an_adversary(strategy):
+    # server 2 corrupts its honest answer with the generator of
+    # configuration 0, demand 0, server 2; every other server answers
+    # the traced queries from its traced store
+    sc = toy_scenario(adversaries=(2,), strategy=strategy)
+    result = run(sc, collect_trace=True)
+    assert result.ok
+    t = result.trace
+    queries = [tuple(qr) for qr in t["queries"]]
+    assert [sig["h"] for sig in t["signals"]] == [1, 2, 3, 4, 5]
+    for sig, st in zip(t["signals"], t["stores"]):
+        assert sig["honest"] == (sig["h"] != 2)
+        store = ServerStore(st["h"], tuple(chain.from_iterable(st["coded_subfiles"])),
+                            tuple(chain.from_iterable(st["coded_keys"])))
+        honest = list(server_signal(TOY, TOY_PDA, store, queries))
+        sent = list(chain.from_iterable(sig["payload"]))
+        if sig["h"] == 2:
+            key = f"{sc.seed}:adv:0:0:2:{strategy_key(strategy)}"
+            assert sent == adversary_column(
+                TOY, strategy, honest, len(honest),
+                [random.Random(key) if strategy.draws else None]) != honest
+        else:
+            assert sent == honest
+
+
 def test_full_sweep_covers_every_configuration():
     sc = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                       sweep_strategies=True, demand_samples=2)
@@ -96,7 +126,7 @@ def test_adversary_outside_the_delivery_set_is_harmless():
 def test_recovery_check_catches_excess_corruption():
     sc = Scenario(params=ROBUST, pda=ROBUST_PDA, delivery=(1, 2, 3, 4),
                   adversaries=(1, 2), strategy=HonestPlusConstant(1),
-                  allow_excess_adversaries=True, check_recovery=True)
+                  adversary_sizes=(2,), check_recovery=True)
     result = run(sc)
     assert not result.ok
     assert result.per_user == (False, False)
@@ -109,7 +139,7 @@ def test_adversary_budget_enforced_unless_waived():
     sc = toy_scenario(adversaries=(1, 2), strategy=HonestPlusConstant(1))
     with pytest.raises(ScenarioError):
         run(sc)
-    sc.allow_excess_adversaries = True
+    sc.adversary_sizes = (2,)
     result = run(sc)  # two corruptions, radius one: must fail, not crash
     assert not result.ok
 
@@ -122,7 +152,7 @@ def test_scenario_shape_errors():
     with pytest.raises(ScenarioError):
         run(toy_scenario(demands=((1, 0, 0, 0),)))
     with pytest.raises(ScenarioError):
-        run(toy_scenario(adversaries=(0,), allow_excess_adversaries=True))
+        run(toy_scenario(adversaries=(0,), adversary_sizes=(1,)))
 
 
 def test_demand_samples_below_one_rejected():
@@ -137,7 +167,7 @@ def test_run_is_the_sweep_of_its_one_configuration():
     import dataclasses
     for adversaries in ((), (2,), (1, 2)):
         sc = toy_scenario(adversaries=adversaries, strategy=HonestPlusConstant(1),
-                          demand_samples=3, allow_excess_adversaries=True,
+                          demand_samples=3, adversary_sizes=(len(adversaries),),
                           check_recovery=True)
         single = run(sc)
         swept = sweep(dataclasses.replace(sc, demand_samples=1))
@@ -224,8 +254,7 @@ def test_adversary_size_override_controls_the_sweep():
 
     harder = Scenario(params=ROBUST, pda=ROBUST_PDA, sweep_j_subsets=True,
                       sweep_adversary_subsets=True, adversary_sizes=(2,),
-                      strategy=HonestPlusConstant(1),
-                      allow_excess_adversaries=True)
+                      strategy=HonestPlusConstant(1))
     over = sweep(harder)
     assert not over.ok
     assert over.configurations == 5 * 10
@@ -327,8 +356,7 @@ def test_only_strategies_that_draw_get_a_generator(monkeypatch):
 def beyond_budget_scenario():
     # two adversaries against a radius of one
     return toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
-                        sweep_strategies=True, adversary_sizes=(2,),
-                        allow_excess_adversaries=True, demand_samples=3,
+                        sweep_strategies=True, adversary_sizes=(2,), demand_samples=3,
                         check_recovery=True)
 
 
@@ -438,15 +466,12 @@ def test_a_server_side_bug_on_every_server_fails_the_users_of_its_stream(monkeyp
     # are still codewords and decode, to wrong data, so the honest
     # delivery is no reference and users 1 and 2, who receive stream 1,
     # are wrong in every delivery
-    import dataclasses
-
     import rsplfr.sim
     original = rsplfr.sim.server_signal
 
     def shifted(params, arr, store, queries):
-        sig = original(params, arr, store, queries)
-        payload = ((sig.payload[0] + 1) % params.q,) + sig.payload[1:]
-        return dataclasses.replace(sig, payload=payload)
+        answer = original(params, arr, store, queries)
+        return ((answer[0] + 1) % params.q,) + answer[1:]
 
     monkeypatch.setattr(rsplfr.sim, "server_signal", shifted)
     monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
