@@ -33,9 +33,9 @@ from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedStreams,
                        STRATEGY_NAMES, ServerStore, SystemParams,
                        UniformRandom, UserCache, ZeroPayload,
                        adversary_column, adversary_content, adversary_signal,
-                       build_storage, cache_side, decode_streams, load_config, make_query,
-                       params_from_json, place_user, recover_library, server_signal,
-                       strategy_key, user_decode, with_seed)
+                       build_storage, cache_side, decode_group, decode_streams, load_config,
+                       make_query, params_from_json, place_user, recover_library,
+                       server_signal, strategy_key, user_decode, with_seed)
 from .rscode import (AmbiguousCandidate, Codeword, DecodingFailure, EvalPoints,
                      NoCandidate, brute_force_decode, decode, decode_columns, encode)
 from .sim import RunResult, Scenario, ScenarioError, run, sweep
@@ -65,9 +65,9 @@ __all__ = [
     "MissingSignals", "ProtocolError", "Randomness", "STRATEGY_NAMES",
     "ServerStore", "SystemParams", "UniformRandom", "UserCache",
     "ZeroPayload", "adversary_column", "adversary_content", "adversary_signal",
-    "build_storage", "cache_side", "decode_streams", "load_config", "make_query",
-    "params_from_json", "place_user", "recover_library", "server_signal",
-    "strategy_key", "user_decode", "with_seed",
+    "build_storage", "cache_side", "decode_group", "decode_streams", "load_config",
+    "make_query", "params_from_json", "place_user", "recover_library",
+    "server_signal", "strategy_key", "user_decode", "with_seed",
     # rscode
     "AmbiguousCandidate", "Codeword", "DecodingFailure", "EvalPoints",
     "NoCandidate", "brute_force_decode", "decode", "decode_columns", "encode",

@@ -130,8 +130,8 @@ def load_lower_bound(M, params) -> Fraction:
         raise AnalysisError(f"M={M} outside [1, {N}]")
     top = min(N // 2, K)
     peak = (N + 1) / (2 * (M + 1))
-    return max([Fraction(0)] + [load_term(min(max(u, 1), top), M, params)
-                                for u in (math.floor(peak), math.ceil(peak))])
+    best = {min(max(u, 1), top) for u in (math.floor(peak), math.ceil(peak))}
+    return max([Fraction(0)] + [load_term(u, M, params) for u in best])
 
 
 def f_bound(M, params) -> Fraction:
@@ -220,6 +220,12 @@ def _breakpoints(params, curve):
     return sorted(points | ({Fraction(2)} if K > N else set()))
 
 
+def _loads(params, curve):
+    """(M, R_ach, R_lb) at every breakpoint, each value evaluated once."""
+    return [(M, curve.R(M), load_lower_bound(M, params))
+            for M in _breakpoints(params, curve)]
+
+
 def gap_supremum(params):
     """(sup gap_T, sup gap_R, least M where gap_R peaks) over the bounded
     region, M in [1, N] or, when K > N, [2, N].
@@ -229,9 +235,13 @@ def gap_supremum(params):
     (N = 2 < K) gap_R and its M are None.
     """
     curve = man_curve(params)
+    return _supremum(params, curve, _loads(params, curve))
+
+
+def _supremum(params, curve, loads):
+    """``gap_supremum`` from the curve and its breakpoints' ``_loads``."""
     left = 2 if params.K > params.N else 1
-    gaps = [(curve.R(M) / load_lower_bound(M, params), M)
-            for M in _breakpoints(params, curve) if left <= M < params.N]
+    gaps = [(R / R_lb, M) for M, R, R_lb in loads if left <= M < params.N]
     sup_R, at = max(gaps, key=lambda g: g[0], default=(None, None))
     return curve.T(left) / storage_lower_bound(params), sup_R, at
 
@@ -266,10 +276,11 @@ def gap_report(params, grid) -> BoundReport:
     gap_limit_T = 2 * (1 + Fraction(2 * A, L))
     gap_limit_R = 12 * (1 + Fraction(2 * A, L))
     T_lb = storage_lower_bound(params)
-    for M in _breakpoints(params, curve):
-        if T_lb > curve.T(M) or load_lower_bound(M, params) > curve.R(M):
+    loads = _loads(params, curve)
+    for M, R, R_lb in loads:
+        if T_lb > curve.T(M) or R_lb > R:
             raise AnalysisInvariantError(f"a lower bound crossed achievability at M={M}")
-    sup_T, sup_R, at = gap_supremum(params)
+    sup_T, sup_R, at = _supremum(params, curve, loads)
     if sup_T > gap_limit_T:
         raise AnalysisInvariantError(f"storage gap {sup_T} exceeds the limit")
     if sup_R is not None and sup_R > gap_limit_R:

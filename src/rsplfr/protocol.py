@@ -30,16 +30,18 @@ a server's answer, the tuple ``server_signal`` returns, in the order the
 decoder reads them, each word across any J servers one MDS codeword;
 ``UserCache`` one run per array row.
 
-Both decoders take a batch as a mapping from each of J servers to what
-it sent, and make one ``decode_columns`` call, which computes only the
-L data rows of each word's message.  ``decode_streams`` takes
-``{h: column}``, server h's answers to a batch of deliveries chained in
-delivery order; it returns one ``DecodedStreams``, slice r of stream s
-of delivery d at word (d*S + s-1)*pkt + r, from which ``user_decode``
-reads one delivery.  An adversarial server's column is
+Deliveries and stored contents are decoded on one path,
+``decode_group``, which takes a batch as a mapping from each of J
+servers to what it sent, and makes one ``decode_columns`` call, which
+computes only the L data rows of each word's message.  Its stream side
+takes ``{h: column}``, server h's answers to a batch of deliveries
+chained in delivery order, and gives one ``DecodedStreams``, slice r of
+stream s of delivery d at word (d*S + s-1)*pkt + r, from which
+``user_decode`` reads one delivery.  An adversarial server's column is
 ``adversary_column`` of its honest one, corrupted a delivery at a time
-with that delivery's generator.  ``recover_library`` takes
-``{h: [store per set]}`` and returns each set's library or failure.  A
+with that delivery's generator.  Its store side takes
+``{h: [store per set]}`` and gives each set's library or failure.
+``decode_streams`` and ``recover_library`` are its one-sided cases.  A
 word's decode never depends on the rest of its batch.
 """
 
@@ -509,31 +511,130 @@ class DecodedStreams:
         return [col[d * self.words:(d + count) * self.words] for col in self.data]
 
 
+def decode_group(params: SystemParams, pda: Pda | None, columns,
+                 stores) -> tuple[DecodedStreams | None, list | None]:
+    """Decode a group's deliveries and stored contents from J servers, <= A corrupt, at once.
+
+    ``columns`` maps each of J servers to its answers to a batch of
+    deliveries chained in delivery order, as ``decode_streams`` takes
+    them, and ``stores`` maps the same servers to their ``ServerStore``
+    in every set, as ``recover_library`` takes them.  Stream words and
+    coded subfiles are words of the same MDS code at the same points, so
+    server h's stream words, then the coded subfiles of its sets in set
+    order, make one column, and one ``decode_columns`` call decodes them
+    all: an adversary that corrupts both parts is located once.
+    Returns ``(streams, libraries)``: the ``DecodedStreams`` of the
+    stream words alone, with their failures and flags only, and per set
+    its ``Library`` or the ``DecodingFailure`` of its lowest failing
+    slice.  Either side may be None, when it is neither checked nor
+    decoded and its result is None; ``decode_streams`` and
+    ``recover_library`` are those one-sided cases.  The stores are
+    checked before the columns.
+    """
+    if columns is None and stores is None:
+        raise ProtocolError("a group needs columns or stores")
+    if stores is not None:
+        if params.q is None or params.B is None:
+            raise ProtocolError("protocol operations need q and B")
+        L, N = params.L, params.N
+        if params.B % L:
+            raise DimensionMismatch(f"B={params.B} is not divisible by L={L}")
+        subL = params.B // L
+        size = N * subL
+        if len(stores) != params.J:
+            raise ProtocolError(f"need contents of {params.J} servers, got {len(stores)}")
+        for h, sets in stores.items():
+            if not (_is_int(h) and 1 <= h <= params.H):
+                raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
+            for st in sets:
+                if not (_is_int(st.h) and st.h == h):
+                    raise ProtocolError(f"contents of server {st.h!r} in the sets of server {h}")
+                if len(st.coded_subfiles) != size:
+                    raise DimensionMismatch(f"contents of server {h} have the wrong shape")
+        positions = sorted(stores)
+        counts = {len(stores[h]) for h in positions}
+        if len(counts) != 1:
+            raise ProtocolError(f"servers {positions} must hold the same number of sets")
+    if columns is not None:
+        words = pda.S * _dims(params, pda)[1]
+        if len(columns) != params.J:
+            raise MissingSignals(f"need signals from {params.J} servers, got {len(columns)}")
+        for h in columns:
+            if not (_is_int(h) and 1 <= h <= params.H):
+                raise MissingSignals(f"signal origin {h!r} outside [1..{params.H}]")
+        positions = sorted(columns)
+        lengths = {len(col) for col in columns.values()}
+        whole = all(n % words == 0 for n in lengths) if words else lengths == {0}
+        if len(lengths) != 1 or not whole:
+            raise MissingSignals(f"servers {positions} must answer the same whole deliveries")
+        if stores is not None and set(stores) != set(columns):
+            raise ProtocolError(f"columns of servers {positions} and contents of servers "
+                                f"{sorted(stores)} are no group")
+
+    first = lengths.pop() if columns is not None else 0  # stream words per column
+
+    def column(h):
+        """Server h's stream words, then the coded subfiles of its sets in set order."""
+        if stores is None:
+            return columns[h]
+        col = list(columns[h]) if columns is not None else []
+        for st in stores[h]:
+            col += st.coded_subfiles
+        return col
+
+    messages, flags, failed = rscode.decode_columns(
+        params.points, positions, params.I + params.L, params.A,
+        [column(h) for h in positions], rows=params.L)
+    streams = libraries = None
+    if columns is not None:
+        data, failures = messages, failed
+        stored = range(first, len(messages[0]))  # the store words, after the stream words
+        if stored:
+            data = [m[:first] for m in messages]
+            failures = {w: f for w, f in failed.items() if w < first}
+            flags = [f.difference(stored) if f else f for f in flags]
+        streams = DecodedStreams(words, data, failures,
+                                 {h: f for h, f in zip(positions, flags) if f})
+    if stores is not None:
+        sets = counts.pop()
+        # a failing set's first word -> its lowest failing slice's failure, written last
+        lowest = {w - (w - first) % size: failed[w]
+                  for w in sorted(failed, reverse=True) if w >= first}
+        files = []  # file n of set i at i*N + n: its slices of every data row, in row order
+        for o in range(first, first + sets * size, subL):
+            run = []
+            for m in messages:
+                run += m[o:o + subL]
+            files.append(tuple(run))
+        libraries = [lowest[first + i * size] if first + i * size in lowest
+                     else Library(tuple(files[i * N:(i + 1) * N])) for i in range(sets)]
+    return streams, libraries
+
+
 def decode_streams(params: SystemParams, pda: Pda, columns) -> DecodedStreams:
     """Decode every word of a batch of deliveries from J servers' columns, <= A corrupt.
 
     ``columns`` maps each of J servers, an integer in [1..H], to its
     answers to a batch of deliveries chained in delivery order: word
     ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery d.
-    Every column must hold the same whole number of deliveries.  All
-    words are decoded in one ``decode_columns`` call.
+    Every column must hold the same whole number of deliveries.  The
+    stream side of ``decode_group``: one ``decode_columns`` call.
     """
-    words = pda.S * _dims(params, pda)[1]
-    if len(columns) != params.J:
-        raise MissingSignals(f"need signals from {params.J} servers, got {len(columns)}")
-    for h in columns:
-        if not (_is_int(h) and 1 <= h <= params.H):
-            raise MissingSignals(f"signal origin {h!r} outside [1..{params.H}]")
-    positions = sorted(columns)
-    lengths = {len(col) for col in columns.values()}
-    whole = all(n % words == 0 for n in lengths) if words else lengths == {0}
-    if len(lengths) != 1 or not whole:
-        raise MissingSignals(f"servers {positions} must answer the same whole deliveries")
-    messages, flags, failures = rscode.decode_columns(
-        params.points, positions, params.I + params.L, params.A,
-        [columns[h] for h in positions], rows=params.L)
-    return DecodedStreams(words, messages, failures,
-                          {h: flagged for h, flagged in zip(positions, flags) if flagged})
+    return decode_group(params, pda, columns, None)[0]
+
+
+def recover_library(params: SystemParams, stores) -> list:
+    """Rebuild the whole library from each set of a batch of J servers' contents, <= A corrupt.
+
+    Slice by slice, the J evaluations of each file polynomial form an
+    MDS codeword of dimension I + L whose first L coefficients are the
+    subfile symbols.  ``stores`` maps each of J servers to its
+    ``ServerStore`` in every set, in set order; every server must hold
+    the same number of sets.  The store side of ``decode_group``: one
+    ``decode_columns`` call.  Returns, per set, its ``Library`` or the
+    ``DecodingFailure`` of its lowest failing slice.
+    """
+    return decode_group(params, None, None, stores)[1]
 
 
 @dataclass(frozen=True)
@@ -635,51 +736,6 @@ def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
             for r in range(pkt):
                 out[off + r] = (out[off + r] + col[first + r]) % q
     return out
-
-
-def recover_library(params: SystemParams, stores) -> list:
-    """Rebuild the whole library from each set of a batch of J servers' contents, <= A corrupt.
-
-    Slice by slice, the J evaluations of each file polynomial form an
-    MDS codeword of dimension I + L whose first L coefficients are the
-    subfile symbols.  ``stores`` maps each of J servers to its
-    ``ServerStore`` in every set, in set order; every server must hold
-    the same number of sets.  All slices of all sets are decoded in one
-    ``decode_columns`` call.  Returns, per set, its ``Library`` or the
-    ``DecodingFailure`` of its lowest failing slice.
-    """
-    if params.q is None or params.B is None:
-        raise ProtocolError("protocol operations need q and B")
-    L, N = params.L, params.N
-    if params.B % L:
-        raise DimensionMismatch(f"B={params.B} is not divisible by L={L}")
-    subL = params.B // L
-    size = N * subL
-    if len(stores) != params.J:
-        raise ProtocolError(f"need contents of {params.J} servers, got {len(stores)}")
-    for h, sets in stores.items():
-        if not (_is_int(h) and 1 <= h <= params.H):
-            raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
-        for st in sets:
-            if not (_is_int(st.h) and st.h == h):
-                raise ProtocolError(f"contents of server {st.h!r} in the sets of server {h}")
-            if len(st.coded_subfiles) != size:
-                raise DimensionMismatch(f"contents of server {h} have the wrong shape")
-    positions = sorted(stores)
-    counts = {len(stores[h]) for h in positions}
-    if len(counts) != 1:
-        raise ProtocolError(f"servers {positions} must hold the same number of sets")
-    messages, _flags, failed = rscode.decode_columns(
-        params.points, positions, params.I + L, params.A,
-        [list(chain.from_iterable(st.coded_subfiles for st in stores[h])) for h in positions],
-        rows=L)
-    # a failing set's first word -> its lowest failing slice's failure, written last
-    lowest = {w - w % size: failed[w] for w in sorted(failed, reverse=True)}
-    return [lowest[off] if off in lowest else Library(tuple(
-                tuple(chain.from_iterable(messages[l][off + n * subL:off + (n + 1) * subL]
-                                          for l in range(L)))
-                for n in range(N)))
-            for off in range(0, counts.pop() * size, size)]
 
 
 # ---------- configuration ----------

@@ -26,11 +26,11 @@ from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams,
                        UniformRandom, SCENARIO_FIELDS, _dims, _flag, _int, _ints,
                        adversary_column, adversary_content, build_storage, cache_side,
-                       decode_streams, make_query, params_from_json, place_user,
-                       recover_library, server_signal, strategy_key, user_decode)
+                       decode_group, decode_streams, make_query, params_from_json,
+                       place_user, server_signal, strategy_key, user_decode)
 # uncalled here, but bound: instrumentation wraps the sweep's layers at
 # this module's names
-from .protocol import adversary_signal  # noqa: F401
+from .protocol import adversary_signal, recover_library  # noqa: F401
 from .rscode import DecodingFailure
 
 
@@ -301,12 +301,17 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     among them put their errors at the same positions of every word, so
     each such group is decoded as one batch ``{h: column}``, built once:
     an honest server repeats its column and its store once per member,
-    an adversarial one holds each member's corrupted column.  One
-    ``decode_streams`` call decodes every delivery of every member, and
-    one ``recover_library`` call their stored contents.  Member t's
-    delivery d is delivery t*D + d of the batch, with D demands; the
-    transcript's delivery, the batch's last, is cut from it alike for
-    every server, honest when not among the group's adversaries.  Each
+    an adversarial one holds each member's corrupted column and stores.
+    One ``decode_group`` call decodes every delivery of every member
+    together with their stored contents (``decode_streams`` alone when
+    recovery is not checked).  In a group with no adversary among its J
+    servers every member's batch is the same, so the batch holds one
+    member's, decoded once, and every member is judged on that result:
+    a word's result depends on that word alone.  Member t's delivery d
+    is delivery u*D + d of the batch, with D demands and u = t, or 0 in
+    such a group; the transcript's delivery, the batch's last, is cut
+    from it alike for every server, honest when not among the group's
+    adversaries.  Each
     member's data is compared once with the reference: only in a member
     that differs is each delivery's data compared, and only the users of
     a delivery that differs are decoded one by one, for their
@@ -380,6 +385,8 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     size = arr.S * _dims(params, arr)[1]  # symbols per delivery
     delivered, decoded, per_user = [], [], []
     for (js, bad), members in groups.items():
+        # every member of an honest group gets the same batch: it holds one
+        copies = len(members) if bad else 1
         columns = {h: [] for h in bad}
         contents = {h: [] for h in bad}
         for c in members:
@@ -396,30 +403,33 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                         adversary_content(params, strat, state.stores[h - 1],
                                           random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
                                           if strat.draws else None))
-        recovered = recover_library(params, {
-            h: contents[h] if h in contents else [state.stores[h - 1]] * len(members)
-            for h in js}) if sc.check_recovery else None
-        batch = {h: columns[h] if h in columns else honest_columns[h] * len(members)
+        batch = {h: columns[h] if h in columns else honest_columns[h] * copies
                  for h in js}
-        streams = decode_streams(params, arr, batch)
-        # the last delivery of the group's last member
-        last = len(members) * D - 1
+        if sc.check_recovery:
+            streams, recovered = decode_group(params, arr, batch, {
+                h: contents[h] if h in contents else [state.stores[h - 1]] * copies
+                for h in js})
+        else:
+            streams, recovered = decode_streams(params, arr, batch), None
+        # the batch's last delivery, of its last member
+        last = copies * D - 1
         delivered = [(h, h not in bad, batch[h][last * size:(last + 1) * size]) for h in js]
         for t, c in enumerate(members):
             _, adv, strat = configs[c]
             label = {"j_subset": js, "adversaries": adv, "strategy": strategy_key(strat)}
+            u = t if bad else 0  # the member's place in the batch
             if recovered is not None:
-                got = recovered[t]
+                got = recovered[u]
                 if isinstance(got, DecodingFailure):
                     note(c, dict(label, stage="recover", error=str(got)))
                 elif got.files != state.library.files:
                     note(c, dict(label, stage="recover", error="wrong library"))
-            if reference is not None and streams.delivery(t * D, D) == reference.data:
+            if reference is not None and streams.delivery(u * D, D) == reference.data:
                 # every user of every delivery is right
                 decoded, per_user = truth_list[-1], [True] * params.K
                 continue
             for di in range(D):
-                d = t * D + di
+                d = u * D + di
                 if reference is not None and streams.delivery(d) == reference.delivery(di):
                     decoded, per_user = truth_list[di], [True] * params.K
                     continue

@@ -221,9 +221,9 @@ def _brute_supremum(params):
 
 
 def test_gap_supremum_matches_every_crossing_on_a_small_family():
-    # N, K <= 16 keeps this test under 5 s
-    for N in range(2, 17):
-        for K in range(1, 17):
+    # N, K <= 20 keeps this test under 5 s
+    for N in range(2, 21):
+        for K in range(1, 21):
             params = SystemParams(N=N, K=K, H=5, A=1, I=1, J=4)
             sup_T, sup_R, at = gap_supremum(params)
             assert (sup_R, at) == _brute_supremum(params), (N, K)

@@ -5,7 +5,9 @@ lies within distance e, and a failing word's text comes from its own
 error locator, so decoding the concatenation of batches must give each
 word what decoding its own batch gives it.  The same holds one level up:
 ``recover_library`` gives each set of stored contents what it gives
-that set alone.
+that set alone, and ``decode_group``, which decodes a group's stream
+words and stored contents in one batch, gives each side what
+``decode_streams`` and ``recover_library`` give it.
 """
 
 import random
@@ -17,7 +19,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rsplfr.pda import man_pda  # noqa: E402
 from rsplfr.protocol import (ALL_STRATEGIES, Library, Randomness, SystemParams,  # noqa: E402
-                             adversary_content, build_storage, recover_library)
+                             adversary_column, adversary_content, build_storage,
+                             decode_group, decode_streams, recover_library, server_signal)
 from rsplfr.rscode import EvalPoints, decode_columns, encode  # noqa: E402
 
 
@@ -93,3 +96,60 @@ def test_recovery_does_not_depend_on_the_batch(batch):
     whole = recover_library(TOY, {h: [s[h] for s in sets] for h in js})
     assert [judged(got) for got in whole] == [
         judged(recover_library(TOY, {h: [s[h]] for h in js})[0]) for s in sets]
+
+
+@st.composite
+def groups(draw):
+    """A group of J servers: 1-3 members' deliveries and 0-3 sets of stored contents.
+
+    The same 0-3 of the J servers are adversarial in every member and set,
+    each with any strategy, so the group is honest, within the radius
+    (A = 1) or past it.  The array is man_pda(3, 1) or the all-star
+    man_pda(3, 3), whose deliveries hold no words.
+    """
+    arr = draw(st.sampled_from([TOY_PDA, man_pda(3, 3)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    library = Library.random(TOY, rng)
+    stores = build_storage(TOY, arr, library, Randomness.sample(TOY, arr, rng))
+    js = sorted(draw(st.sets(st.integers(1, TOY.H), min_size=TOY.J, max_size=TOY.J)))
+    bad = draw(st.sets(st.sampled_from(js), max_size=3))
+    D = draw(st.integers(1, 2))
+    queries = [[tuple(rng.randrange(TOY.q) for _ in range(TOY.N)) for _ in range(TOY.K)]
+               for _ in range(D)]
+    honest = {h: [v for qs in queries for v in server_signal(TOY, arr, stores[h - 1], qs)]
+              for h in js}
+    size = len(honest[js[0]]) // D
+    columns = {h: [] for h in js}
+    for _ in range(draw(st.integers(1, 3))):
+        strategy = draw(st.sampled_from(ALL_STRATEGIES))
+        for h in js:
+            columns[h] += adversary_column(
+                TOY, strategy, honest[h], size,
+                [random.Random(rng.getrandbits(32)) for _ in range(D)]) if h in bad else honest[h]
+    contents = {h: [] for h in js}
+    for _ in range(draw(st.integers(0, 3))):
+        strategy = draw(st.sampled_from(ALL_STRATEGIES))
+        for h in js:
+            contents[h].append(adversary_content(TOY, strategy, stores[h - 1],
+                                                 random.Random(rng.getrandbits(32)))
+                               if h in bad else stores[h - 1])
+    return arr, columns, contents
+
+
+def streamed(streams):
+    """Decoded streams as their words, data, failure texts and flags."""
+    return (streams.words, streams.data, {w: str(f) for w, f in streams.failures.items()},
+            streams.flagged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups())
+def test_a_group_decodes_as_its_two_sides_do(group):
+    arr, columns, stores = group
+    streams, libraries = decode_group(TOY, arr, columns, stores)
+    assert streamed(streams) == streamed(decode_streams(TOY, arr, columns))
+    assert [judged(got) for got in libraries] == [
+        judged(got) for got in recover_library(TOY, stores)]
+    # flags name stream words only, never a word of the stored contents
+    stream_words = len(next(iter(columns.values())))
+    assert all(w < stream_words for flagged in streams.flagged.values() for w in flagged)

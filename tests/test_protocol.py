@@ -13,7 +13,8 @@ from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              MissingSignals, ProtocolError, Randomness,
                              SystemParams, UniformRandom, ZeroPayload,
                              adversary_column, adversary_content, adversary_signal,
-                             build_storage, cache_side, decode_streams, make_query,
+                             build_storage, cache_side, decode_group, decode_streams,
+                             make_query,
                              params_from_json, place_user, recover_library,
                              server_signal, strategy_key, user_decode,
                              with_seed)
@@ -711,6 +712,35 @@ def test_recover_checks_the_content_size(extra):
     resized = subfiles + (0,) if extra > 0 else subfiles[:-1]
     with pytest.raises(DimensionMismatch, match="^contents of server 5 have the wrong shape$"):
         recover(params, stores[:4] + [replace(stores[4], coded_subfiles=resized)])
+
+
+def test_a_group_is_checked_stores_first_and_as_one():
+    # decode_group makes the checks of both one-sided fronts, the stores'
+    # first, and refuses sides that do not come from the same servers
+    params, library, randomness, stores, ps, caches = build_toy_state(14)
+    queries = [make_query(params, [1, 0, 0, 0], ps[k]) for k in range(3)]
+    columns = {h: list(answer)
+               for h, answer in answers(params, TOY_PDA, stores[:5], queries).items()}
+    contents = {st.h: [st] for st in stores[:5]}
+    streams, libraries = decode_group(params, TOY_PDA, columns, contents)
+    assert [got.files for got in libraries] == [library.files]
+    assert streams.data == decode_streams(params, TOY_PDA, columns).data
+    assert decode_group(params, TOY_PDA, columns, None)[1] is None
+    assert decode_group(params, None, None, contents)[0] is None
+    with pytest.raises(ProtocolError, match="^a group needs columns or stores$"):
+        decode_group(params, TOY_PDA, None, None)
+    # a bad store and a bad column: the store's error
+    short = {**columns, 5: columns[5][:-1]}
+    misfiled = {h: contents[h] for h in range(1, 5)}
+    misfiled[9] = contents[5]
+    with pytest.raises(ProtocolError, match=r"^server 9 outside \[1..6\]$"):
+        decode_group(params, TOY_PDA, short, misfiled)
+    with pytest.raises(MissingSignals, match="must answer the same whole deliveries"):
+        decode_group(params, TOY_PDA, short, contents)
+    with pytest.raises(ProtocolError, match=r"^columns of servers \[1, 2, 3, 4, 5\] and "
+                                            r"contents of servers \[2, 3, 4, 5, 6\] "
+                                            "are no group$"):
+        decode_group(params, TOY_PDA, columns, {st.h: [st] for st in stores[1:]})
 
 
 # ---------- adversary plumbing ----------

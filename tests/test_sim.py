@@ -164,16 +164,92 @@ def test_demand_samples_below_one_rejected():
 
 
 def test_run_is_the_sweep_of_its_one_configuration():
+    # (6,) lies outside the delivery 1..5: an honest group of one member
     import dataclasses
-    for adversaries in ((), (2,), (1, 2)):
+    for adversaries in ((), (2,), (1, 2), (6,)):
         sc = toy_scenario(adversaries=adversaries, strategy=HonestPlusConstant(1),
                           demand_samples=3, adversary_sizes=(len(adversaries),),
                           check_recovery=True)
         single = run(sc)
         swept = sweep(dataclasses.replace(sc, demand_samples=1))
         assert (single.ok, single.failure_count, single.stage_counts,
-                single.measured) == \
-            (swept.ok, swept.failure_count, swept.stage_counts, swept.measured)
+                single.measured, single.failures) == \
+            (swept.ok, swept.failure_count, swept.stage_counts, swept.measured,
+             swept.failures)
+
+
+def test_an_honest_group_keeps_each_members_own_witnesses(monkeypatch):
+    # slice 0 of stream 1 is one too high on every server, so users 1 and
+    # 2 are wrong in every delivery; the configurations with no adversary
+    # among their J servers share one decoded batch per J-subset, and each
+    # keeps the witnesses of its own run
+    import dataclasses
+
+    import rsplfr.sim
+    original = rsplfr.sim.server_signal
+
+    def shifted(params, arr, store, queries):
+        answer = original(params, arr, store, queries)
+        return ((answer[0] + 1) % params.q,) + answer[1:]
+
+    monkeypatch.setattr(rsplfr.sim, "server_signal", shifted)
+    monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
+    sc = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                      sweep_strategies=True, check_recovery=True)
+    swept = sweep(sc)
+    honest = [(js, adv, strategy) for js, adv, strategy in rsplfr.sim._config_list(sc)
+              if not set(adv) & set(js)]
+    assert len(honest) == 6 * 2 * len(ALL_STRATEGIES)
+    for js, adv, strategy in honest:
+        single = run(dataclasses.replace(sc, delivery=js, adversaries=adv, strategy=strategy))
+        assert single.failure_count == 2
+        assert list(single.failures) == [
+            w for w in swept.failures
+            if (w["j_subset"], w["adversaries"], w["strategy"]) ==
+            (js, adv, strategy_key(strategy))]
+
+
+MID = SystemParams(N=5, K=6, H=12, A=2, I=2, J=10, q=13, B=60)
+MID_PDA = man_pda(6, 2)
+
+
+def test_each_group_is_one_kernel_call(monkeypatch):
+    # one decode_columns call for the honest check, then one per group of
+    # configurations with the same J servers and adversaries among them,
+    # its deliveries and stored contents together; the batch of a group
+    # with no adversary among its J servers holds one member's words
+    import rsplfr.rscode
+    original = rsplfr.rscode.decode_columns
+    words = []
+
+    def counted(points, positions, dimension, max_errors, columns, rows=None):
+        words.append(len(columns[0]))
+        return original(points, positions, dimension, max_errors, columns, rows)
+
+    monkeypatch.setattr(rsplfr.rscode, "decode_columns", counted)
+    D = 2
+    toy = sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                             sweep_strategies=True, demand_samples=D, check_recovery=True))
+    assert toy.ok and toy.configurations == 168
+    # a member: D deliveries of S*pkt stream words, then one set of N*B/L store words
+    streamed = D * TOY_PDA.S * TOY.B // (TOY.L * TOY_PDA.F)
+    member = streamed + TOY.N * TOY.B // TOY.L
+    # per J-subset: one honest group (no adversary, or the one server left
+    # out, with each strategy) and 5 single-adversary groups of 4 members
+    assert Counter(words) == {streamed: 1, member: 6, 4 * member: 6 * 5}
+    assert len(words) == 37
+
+    words.clear()
+    mid = sweep(Scenario(params=MID, pda=MID_PDA, delivery=tuple(range(1, 11)),
+                         sweep_adversary_subsets=True, adversary_sizes=(0, 1, 2),
+                         strategy=UniformRandom(), check_recovery=True))
+    assert mid.ok and mid.configurations == 79
+    streamed = MID_PDA.S * MID.B // (MID.L * MID_PDA.F)
+    member = streamed + MID.N * MID.B // MID.L
+    # the honest group holds 4 configurations (no adversary, 11, 12, both),
+    # each single adversary inside 3 (alone, with 11, with 12), each pair inside 1
+    assert Counter(words) == {streamed: 1, member: 1 + 45, 3 * member: 10}
+    assert len(words) == 57
 
 
 def test_streams_are_decoded_once_per_delivery(monkeypatch):
