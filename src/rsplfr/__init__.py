@@ -16,8 +16,8 @@ end-to-end simulation (sim), and the command line front end (cli).
 
 from .analysis import (AnalysisError, AnalysisInvariantError, BoundReport,
                        BoundRow, CurvePoint, ManCurve, MscTriple, default_grid,
-                       f_bound, gap_report, gap_supremum, load_lower_bound,
-                       load_term, man_curve, msc_from_pda, storage_lower_bound)
+                       f_bound, gap_report, load_lower_bound, load_term,
+                       man_curve, msc_from_pda, storage_lower_bound)
 from .audit import (AuditError, AuditReport, InfeasibleAuditError, MUTATIONS,
                     audit_demand_privacy, audit_robustness,
                     audit_server_security, audit_signal_security, exact_mi,
@@ -46,8 +46,8 @@ __all__ = [
     # analysis
     "AnalysisError", "AnalysisInvariantError", "BoundReport", "BoundRow",
     "CurvePoint", "ManCurve", "MscTriple", "default_grid", "f_bound",
-    "gap_report", "gap_supremum", "load_lower_bound", "load_term",
-    "man_curve", "msc_from_pda", "storage_lower_bound",
+    "gap_report", "load_lower_bound", "load_term", "man_curve",
+    "msc_from_pda", "storage_lower_bound",
     # audit
     "AuditError", "AuditReport", "InfeasibleAuditError", "MUTATIONS",
     "audit_demand_privacy", "audit_robustness", "audit_server_security",

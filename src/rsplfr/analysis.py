@@ -164,6 +164,9 @@ class BoundReport:
     A: int
     gap_limit_T: Fraction
     gap_limit_R: Fraction
+    sup_gap_T: Fraction            # sup of gap_T over the bounded region
+    sup_gap_R: Fraction | None     # sup of gap_R there, None with no M < N in it
+    peak_M: Fraction | None        # the least M where gap_R reaches sup_gap_R
     rows: tuple[BoundRow, ...]
 
     def to_csv(self) -> str:
@@ -220,43 +223,20 @@ def _breakpoints(params, curve):
     return sorted(points | ({Fraction(2)} if K > N else set()))
 
 
-def _loads(params, curve):
-    """(M, R_ach, R_lb) at every breakpoint, each value evaluated once."""
-    return [(M, curve.R(M), load_lower_bound(M, params))
-            for M in _breakpoints(params, curve)]
-
-
-def gap_supremum(params):
-    """(sup gap_T, sup gap_R, least M where gap_R peaks) over the bounded
-    region, M in [1, N] or, when K > N, [2, N].
-
-    gap_T peaks at the region's left end, as T_ach falls and T_lb is
-    fixed; gap_R at a breakpoint below N.  With no M < N in the region
-    (N = 2 < K) gap_R and its M are None.
-    """
-    curve = man_curve(params)
-    return _supremum(params, curve, _loads(params, curve))
-
-
-def _supremum(params, curve, loads):
-    """``gap_supremum`` from the curve and its breakpoints' ``_loads``."""
-    left = 2 if params.K > params.N else 1
-    gaps = [(R / R_lb, M) for M, R, R_lb in loads if left <= M < params.N]
-    sup_R, at = max(gaps, key=lambda g: g[0], default=(None, None))
-    return curve.T(left) / storage_lower_bound(params), sup_R, at
-
-
 def gap_report(params, grid) -> BoundReport:
     """Achievability vs lower bounds across a memory grid, with regime flags.
 
     Checks each claim once over all M in [1, N], in exact arithmetic: the
     corner points are strictly convex, r(M) = L R_ach(M) <= (N-M)/(M-1),
     the bounds never exceed the achievable values, and the gaps stay
-    within 2(1+2A/L) for storage and 12(1+2A/L) for load wherever K <= N
-    or M >= 2.  Every curve is linear between breakpoints, so the bounds
-    hold if they hold at the breakpoints, and each gap peaks at one
-    (`gap_supremum`).  The K > N, M < 2 region is only flagged
-    "unbounded"; the rows are plain values at the grid points.
+    within 2(1+2A/L) for storage and 12(1+2A/L) for load over the bounded
+    region, M in [1, N] or, when K > N, [2, N].  Every curve is linear
+    between breakpoints, so the bounds hold if they hold there, and each
+    gap peaks at one: gap_T at the region's left end (T_ach falls, T_lb
+    is fixed), gap_R at a breakpoint below N.  The report carries both
+    suprema and the least M where gap_R peaks; these last two are None
+    with no M < N in the region (N = 2 < K).  Rows below M = 2 when K > N
+    are only flagged "unbounded"; all rows are plain values at the grid.
     """
     N, K, L, A = params.N, params.K, params.L, params.A
     curve = man_curve(params)
@@ -276,11 +256,16 @@ def gap_report(params, grid) -> BoundReport:
     gap_limit_T = 2 * (1 + Fraction(2 * A, L))
     gap_limit_R = 12 * (1 + Fraction(2 * A, L))
     T_lb = storage_lower_bound(params)
-    loads = _loads(params, curve)
-    for M, R, R_lb in loads:
-        if T_lb > curve.T(M) or R_lb > R:
+    left = 2 if K > N else 1
+    sup_R = at = None
+    for M in _breakpoints(params, curve):
+        R, R_lb = curve.R(M), load_lower_bound(M, params)
+        if T_lb > Fraction(N, L) + R or R_lb > R:
             raise AnalysisInvariantError(f"a lower bound crossed achievability at M={M}")
-    sup_T, sup_R, at = _supremum(params, curve, loads)
+        # ascending M, so a strict > keeps the least M of the peak
+        if left <= M < N and (sup_R is None or R / R_lb > sup_R):
+            sup_R, at = R / R_lb, M
+    sup_T = curve.T(left) / T_lb
     if sup_T > gap_limit_T:
         raise AnalysisInvariantError(f"storage gap {sup_T} exceeds the limit")
     if sup_R is not None and sup_R > gap_limit_R:
@@ -288,9 +273,11 @@ def gap_report(params, grid) -> BoundReport:
 
     rows = []
     for M in map(Fraction, grid):
-        R_lb, T_ach, R_ach = load_lower_bound(M, params), curve.T(M), curve.R(M)
+        R_lb, R_ach = load_lower_bound(M, params), curve.R(M)
+        T_ach = Fraction(N, L) + R_ach
         rows.append(BoundRow(M=M, T_ach=T_ach, R_ach=R_ach, T_lb=T_lb, R_lb=R_lb,
                              gap_T=T_ach / T_lb, gap_R=R_ach / R_lb if R_lb else None,
                              regime="unbounded" if (K > N and M < 2) else "bounded"))
     return BoundReport(N=N, K=K, L=L, A=A, gap_limit_T=gap_limit_T,
-                       gap_limit_R=gap_limit_R, rows=tuple(rows))
+                       gap_limit_R=gap_limit_R, sup_gap_T=sup_T, sup_gap_R=sup_R,
+                       peak_M=at, rows=tuple(rows))

@@ -29,7 +29,9 @@ the rank audits are tested against.  They enumerate every equally likely
 joint outcome (library, randomness, blend vectors, demands), tabulate
 integer counts of (secret, observation) pairs, and report mutual
 information in bits from ``exact_mi``, whose exact integer rank-one test
-returns a literal 0.0 for independent tables.  They refuse above
+returns a literal 0.0 for independent tables; any other figure is the
+log of one exact rational, so equal information gives equal floats and
+witnesses never differ by summation order.  They refuse above
 ``CAP`` the outcomes they would enumerate.  Priors are uniform by
 construction; there is no hook for weighting outcomes.
 
@@ -115,10 +117,15 @@ def exact_mi(counts: dict) -> float:
     # missing cells cannot hide here: the row sums force full support
     if all(c * total == rows[x] * cols[y] for (x, y), c in counts.items()):
         return 0.0
-    mi = 0.0
-    for (x, y), c in counts.items():
-        mi += (c / total) * math.log2(c * total / (rows[x] * cols[y]))
-    return mi
+    # 2^(total*I) = total^total prod c^c / (prod r^r prod s^s), exact and
+    # reduced, so tables of one total with equal information give one float
+    def power(values):  # prod v^v, each distinct power taken once
+        return math.prod(v ** (v * n) for v, n in Counter(values).items())
+    ratio = Fraction(power([total, *counts.values()]), power([*rows.values(), *cols.values()]))
+    # log2 ratio = e + log2(num/den), with num/den = ratio / 2^e in (1/2, 2)
+    e = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+    num, den = ratio.numerator << max(-e, 0), ratio.denominator << max(e, 0)
+    return (e + math.log1p((num - den) / den) / math.log(2)) / total
 
 
 @dataclass(frozen=True)
@@ -397,8 +404,8 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
 
     The work refused above ``CAP`` is counted over the query grid: the
     probe stores times the (blend, demand) grid points, plus the query
-    probes.  That overstates the q^(K*N) query vectors answered; item 1
-    of ROADMAP.md replaces the count with a certificate's own work.
+    probes.  That overstates the q^(K*N) query vectors answered; the
+    count stays until a certificate replaces it with its own work.
     """
     space = _space(params, arr, mutations)
     q, K, N = params.q, params.K, params.N

@@ -164,10 +164,13 @@ def _cmd_bounds(args) -> int:
     else:
         points = analysis.default_grid(params, args.grid)
     # the report range-checks every point before anything is printed
-    rows = analysis.gap_report(params, points).rows
-    t_lb = rows[0].T_lb
+    report = analysis.gap_report(params, points)
+    t_lb, sup_t, sup_r = report.rows[0].T_lb, report.sup_gap_T, report.sup_gap_R
     print(f"storage lower bound: T >= {t_lb} = {_num(t_lb)}")
-    for row in rows:
+    load_gap = ("no load gap: no M < N where the gaps are bounded" if sup_r is None
+                else f"sup gap_R = {sup_r} = {_num(sup_r)} at M={_num(report.peak_M)}")
+    print(f"sup gap_T = {sup_t} = {_num(sup_t)}, {load_gap}")
+    for row in report.rows:
         print(f"M={_num(row.M)} R_lb={_num(row.R_lb)} "
               f"T_ach={_num(row.T_ach)} R_ach={_num(row.R_ach)}")
     return 0

@@ -303,16 +303,16 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     an honest server repeats its column and its store once per member,
     an adversarial one holds each member's corrupted column and stores.
     One ``decode_group`` call decodes every delivery of every member
-    together with their stored contents (``decode_streams`` alone when
-    recovery is not checked).  In a group with no adversary among its J
-    servers every member's batch is the same, so the batch holds one
-    member's, decoded once, and every member is judged on that result:
-    a word's result depends on that word alone.  Member t's delivery d
-    is delivery u*D + d of the batch, with D demands and u = t, or 0 in
-    such a group; the transcript's delivery, the batch's last, is cut
-    from it alike for every server, honest when not among the group's
-    adversaries.  Each
-    member's data is compared once with the reference: only in a member
+    together with their stored contents, or the deliveries alone, with
+    no stores, when recovery is not checked.  In a group with no
+    adversary among its J servers every member's batch is the same, so
+    the batch holds one member's, decoded once, and every member is
+    judged on that result: a word's result depends on that word alone.
+    Member t's delivery d is delivery u*D + d of the batch, with D
+    demands and u = t, or 0 in such a group; the transcript's delivery,
+    the batch's last, is cut from it alike for every server, honest when
+    not among the group's adversaries.  Each member's data is compared
+    once with the reference: only in a member
     that differs is each delivery's data compared, and only the users of
     a delivery that differs are decoded one by one, for their
     witnesses.  A group's batch is dropped before the next is built.
@@ -405,12 +405,9 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                                           if strat.draws else None))
         batch = {h: columns[h] if h in columns else honest_columns[h] * copies
                  for h in js}
-        if sc.check_recovery:
-            streams, recovered = decode_group(params, arr, batch, {
-                h: contents[h] if h in contents else [state.stores[h - 1]] * copies
-                for h in js})
-        else:
-            streams, recovered = decode_streams(params, arr, batch), None
+        stores = {h: contents[h] if h in contents else [state.stores[h - 1]] * copies
+                  for h in js} if sc.check_recovery else None
+        streams, recovered = decode_group(params, arr, batch, stores)
         # the batch's last delivery, of its last member
         last = copies * D - 1
         delivered = [(h, h not in bad, batch[h][last * size:(last + 1) * size]) for h in js]
@@ -439,7 +436,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     if error is not None:
                         note(c, dict(label, stage="decode", demand_index=di, user=k,
                                      error=error))
-        del columns, contents, batch, recovered, streams  # before the next group is built
+        del columns, contents, batch, stores, recovered, streams  # before the next group is built
     witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
     measured = MscTriple(M=state.M, T=state.T,
                          R=Fraction(len(honest_columns[1]), D * params.B),

@@ -9,8 +9,8 @@ import pytest
 from rsplfr import analysis
 from rsplfr.analysis import (AnalysisError, AnalysisInvariantError, ManCurve,
                              MscTriple, default_grid, f_bound, gap_report,
-                             gap_supremum, load_lower_bound, load_term,
-                             man_curve, msc_from_pda, storage_lower_bound)
+                             load_lower_bound, load_term, man_curve,
+                             msc_from_pda, storage_lower_bound)
 from rsplfr.cli import main
 from rsplfr.pda import man_pda, validate
 from rsplfr.protocol import SystemParams
@@ -220,41 +220,48 @@ def _brute_supremum(params):
     return max(gaps, key=lambda g: g[0], default=(None, None))
 
 
+def _suprema(report):
+    return report.sup_gap_T, report.sup_gap_R, report.peak_M
+
+
 def test_gap_supremum_matches_every_crossing_on_a_small_family():
-    # N, K <= 20 keeps this test under 5 s
+    # one report per (N, K), its grid rows and its suprema together
     for N in range(2, 21):
         for K in range(1, 21):
             params = SystemParams(N=N, K=K, H=5, A=1, I=1, J=4)
-            sup_T, sup_R, at = gap_supremum(params)
+            report = gap_report(params, default_grid(params, 50))
+            sup_T, sup_R, at = _suprema(report)
             assert (sup_R, at) == _brute_supremum(params), (N, K)
-            rows = gap_report(params, default_grid(params, 50)).rows
-            for row in rows:
+            for row in report.rows:
                 if row.regime == "bounded":
                     assert row.gap_T <= sup_T, (N, K, row.M)
                     assert row.gap_R is None or row.gap_R <= sup_R, (N, K, row.M)
             if K <= N:
-                assert rows[0].gap_T == sup_T
+                assert report.rows[0].gap_T == sup_T
 
 
 def test_gap_supremum_pins_the_committed_tradeoff_configs():
-    assert gap_supremum(WIDE_FILES) == (Fraction(77, 50), Fraction(28000, 8181),
-                                        Fraction(96, 5))
-    assert gap_supremum(WIDE_USERS) == (Fraction(21308, 8775), Fraction(18046, 1755),
-                                        Fraction(2))
-    # the default 200-point grid misses both load peaks
-    for params in (WIDE_FILES, WIDE_USERS):
-        rows = gap_report(params, default_grid(params, 200)).rows
-        grid_peak = max(r.gap_R for r in rows if r.regime == "bounded" and r.gap_R)
-        assert grid_peak < gap_supremum(params)[1]
+    pins = [(WIDE_FILES, (Fraction(77, 50), Fraction(28000, 8181), Fraction(96, 5))),
+            (WIDE_USERS, (Fraction(21308, 8775), Fraction(18046, 1755), Fraction(2)))]
+    for params, pinned in pins:
+        # the suprema do not depend on the grid, and need none
+        bare = gap_report(params, ())
+        assert bare.rows == () and _suprema(bare) == pinned
+        report = gap_report(params, default_grid(params, 200))
+        assert _suprema(report) == pinned
+        # the default 200-point grid misses the load peak
+        grid_peak = max(r.gap_R for r in report.rows if r.regime == "bounded" and r.gap_R)
+        assert grid_peak < report.sup_gap_R
 
 
 def test_gap_supremum_without_a_load_gap():
     # K > N = 2: the bounded region is M = 2 = N alone, where R_lb = 0
     params = SystemParams(N=2, K=3, H=5, A=1, I=1, J=4)
-    assert gap_supremum(params) == (Fraction(3), None, None)
-    rows = gap_report(params, default_grid(params, 5)).rows
-    assert [r.regime for r in rows] == ["unbounded"] * 4 + ["bounded"]
-    assert rows[-1].gap_R is None
+    assert _suprema(gap_report(params, ())) == (Fraction(3), None, None)
+    report = gap_report(params, default_grid(params, 5))
+    assert _suprema(report) == (Fraction(3), None, None)
+    assert [r.regime for r in report.rows] == ["unbounded"] * 4 + ["bounded"]
+    assert report.rows[-1].gap_R is None
 
 
 _f_bound = analysis.f_bound
@@ -300,8 +307,9 @@ def test_a_broken_invariant_fails_the_report_and_the_curve_command(case, monkeyp
                                                                    capsys):
     name, broken, message = BROKEN[case]
     monkeypatch.setattr(analysis, name, broken)
-    with pytest.raises(AnalysisInvariantError, match=message):
-        gap_report(WIDE_FILES, default_grid(WIDE_FILES, 11))
+    for grid in (default_grid(WIDE_FILES, 11), ()):  # a report with no rows checks too
+        with pytest.raises(AnalysisInvariantError, match=message):
+            gap_report(WIDE_FILES, grid)
     assert main(["curve", "--config", str(CONFIGS / "tradeoff_n100_k10.json")]) == 1
     out, err = capsys.readouterr()
     assert out == ""

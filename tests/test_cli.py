@@ -1,5 +1,6 @@
 """End-to-end command line checks through main(argv)."""
 
+import ast
 import hashlib
 import json
 import os
@@ -89,6 +90,29 @@ def test_simulate_single_run(tmp_path, capsys, monkeypatch):
     assert "users decoded: 3/3" in out
     assert "measured: M=2 T=5/2 R=1/2 subpacketization=6" in out
     assert out.rstrip().endswith("ok")
+
+
+def test_a_failing_single_run_exits_one_with_its_witnesses(tmp_path, capsys,
+                                                          monkeypatch):
+    # two adversaries among the J = 4 answering servers, past the A = 1
+    # that the robust instance corrects; adversary sizes allow them
+    monkeypatch.delenv("RSPLFR_SEED", raising=False)
+    path = tmp_path / "overload.json"
+    path.write_text(json.dumps({
+        "params": json.loads((CONFIGS / "robust_sweep.json").read_text(
+            encoding="utf-8"))["params"],
+        "adversaries": [1, 2], "sweep": {"adversary_sizes": [2]}}), encoding="utf-8")
+    assert main(["simulate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("users decoded: ")
+    decoded, total = map(int, lines[0].removeprefix("users decoded: ").split("/"))
+    assert decoded < total == 2
+    assert lines[1].startswith("measured: ")
+    witnesses = [ast.literal_eval(line.strip()) for line in lines[2:]]
+    assert len(witnesses) == total - decoded
+    for w in witnesses:
+        assert w["adversaries"] == (1, 2) and w["stage"] == "decode"
+        assert w["demand_index"] == 0 and w["error"]
 
 
 def test_simulate_writes_trace(tmp_path, monkeypatch):
@@ -286,12 +310,44 @@ def test_bounds_at_unit_memory(capsys):
     assert "M=1 R_lb=0.5785714286 T_ach=11 R_ach=1" in out
 
 
+# the exact gap suprema, the same line whatever the memory points
+GAP_LINES = {
+    "tradeoff_n100_k10": "sup gap_T = 77/50 = 1.54, "
+                         "sup gap_R = 28000/8181 = 3.422564479 at M=19.2",
+    "tradeoff_n10_k100": "sup gap_T = 21308/8775 = 2.428262108, "
+                         "sup gap_R = 18046/1755 = 10.28262108 at M=2",
+}
+
+
+@pytest.mark.parametrize("points", [["--m", "1"], ["--m", "2"], ["--grid", "11"]],
+                         ids=["m=1", "m=2", "grid=11"])
+@pytest.mark.parametrize("name", sorted(GAP_LINES))
+def test_bounds_prints_the_gap_suprema_after_the_storage_bound(name, points, capsys):
+    assert main(["bounds", "--config", str(CONFIGS / f"{name}.json"), *points]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("storage lower bound: ")
+    assert lines[1] == GAP_LINES[name]
+    assert all(line.startswith("M=") for line in lines[2:])
+
+
+def test_bounds_says_when_there_is_no_load_gap(tmp_path, capsys):
+    # K > N = 2: the gaps are bounded only at M = 2 = N, where R_lb = 0
+    path = tmp_path / "n2_k3.json"
+    path.write_text(json.dumps({"N": 2, "K": 3, "H": 5, "A": 1, "I": 1, "J": 4}),
+                    encoding="utf-8")
+    assert main(["bounds", "--config", str(path), "--m", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "storage lower bound: T >= 2/3 = 0.6666666667\n"
+        "sup gap_T = 3 = 3, no load gap: no M < N where the gaps are bounded\n"
+        "M=2 R_lb=0 T_ach=2 R_ach=0\n")
+
+
 def test_bounds_grid_line_count(capsys):
     rc = main(["bounds", "--config", str(CONFIGS / "tradeoff_n10_k100.json"),
                "--grid", "5"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6  # one bound line plus five memory points
+    assert len(lines) == 7  # the bound and gap lines plus five memory points
     assert sum(line.startswith("M=") for line in lines) == 5
 
 
@@ -304,8 +360,10 @@ def test_bounds_on_a_word_sized_modulus(tmp_path, capsys):
     rc = main(["bounds", "--config", str(path), "--m", "2"])
     assert time.perf_counter() - t0 < 5.0
     assert rc == 0
-    assert capsys.readouterr().out == ("storage lower bound: T >= 1 = 1\n"
-                                       "M=2 R_lb=0.125 T_ach=2.5 R_ach=0.5\n")
+    assert capsys.readouterr().out == (
+        "storage lower bound: T >= 1 = 1\n"
+        "sup gap_T = 7/2 = 3.5, sup gap_R = 8 = 8 at M=1\n"
+        "M=2 R_lb=0.125 T_ach=2.5 R_ach=0.5\n")
 
 
 @pytest.mark.parametrize("command, module, work", [
@@ -419,6 +477,7 @@ def _with_params(**fields) -> dict:
 
 TOY_SWEEP = json.loads((CONFIGS / "toy_sweep.json").read_text(encoding="utf-8"))
 TEXT_N = dict(TOY_SWEEP, params=dict(TOY_SWEEP["params"], N="4"))
+EMPTY_ADVERSARY_SWEEP = {"adversary_subsets": True, "adversary_sizes": []}
 
 # case -> (config, the command line after "rsplfr" without "--config <path>")
 MALFORMED = {
@@ -445,6 +504,13 @@ MALFORMED = {
                            ["simulate", "--sweep"]),
     "text_check_recovery": (dict(_with_params(), sweep={"check_recovery": "0"}),
                             ["simulate", "--sweep"]),
+    "no_params": ({"demands": {"samples": 1}}, ["simulate"]),
+    "params_without_q_and_b": ({"params": {k: v for k, v in TOY_PARAMS.items()
+                                           if k not in ("q", "B")}}, ["simulate"]),
+    "scalar_demands": (dict(_with_params(), demands=5), ["simulate"]),
+    "integer_strategy": (dict(_with_params(), strategy=3), ["simulate"]),
+    "no_adversary_sizes": (dict(_with_params(), sweep=EMPTY_ADVERSARY_SWEEP),
+                           ["simulate", "--sweep"]),
     # values that int() would coerce into a different configuration
     "float_delivery": (dict(TOY_SWEEP, delivery=[1.9, 2, 3, 4, 5]), ["simulate"]),
     "text_delivery": (dict(TOY_SWEEP, delivery="12345"), ["simulate"]),
@@ -488,6 +554,16 @@ SCENARIO_CHECKS = {
 for _case, (_doc, _) in SCENARIO_CHECKS.items():
     MALFORMED[_case] = (_doc, ["simulate"])
     MALFORMED[f"{_case}_sweep"] = (_doc, ["simulate", "--sweep"])
+
+
+def test_a_sweep_of_no_adversary_sizes_is_refused_only_by_a_sweep(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.delenv("RSPLFR_SEED", raising=False)
+    config = toy_single_config(tmp_path, sweep=EMPTY_ADVERSARY_SWEEP)
+    assert main(["simulate", "--config", config, "--sweep"]) == 2
+    assert capsys.readouterr().err == "error: the sweep selects no configurations\n"
+    assert main(["simulate", "--config", config]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("ok")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
