@@ -18,10 +18,32 @@ raises ``AuditError``.  A gap of 0 is a literal 0.0.
   (stores, its caches, its demands, every query) is affine in
   (randomness, blends, demands), and the hidden demands are the secret.
 
+Two of these are first decided by a certificate from unit probes, and
+enumerate only where it fails (Shamir 1979; Cai & Yeung, ISIT 2002):
+
+- Signal security: the payload columns G(Q) are probed at Q = 0, at the
+  K*N unit queries and at the checks, and must be affine in Q.  The
+  randomness columns the same at all of them are the key columns, the
+  same at every Q.  If G_W(0) = 0 and every library increment
+  G_W(e_u) - G_W(0) lies in their span, the library columns lie in the
+  span of the randomness columns at every Q: the figure is 0.0 without
+  the q^(K*N) query vectors.
+- Demand privacy: the view columns are built at the zero library, the
+  N*B unit libraries and the checks, and must be affine in the library.
+  A coalition none of whose columns moves with the library has one gap
+  for every library.  A coalition whose hidden-demand columns lie in the
+  span of its non-hidden columns that do not move has gap 0 at every
+  library.  Only the other coalitions take the gap library by library.
+
+A certificate decides the same figure the enumeration does, so every
+report is unchanged.
+
 Each audit refuses, above ``CAP``, the probe evaluations it would make,
 counted before any work is done, and reports the joint outcomes its
-figure covers.  The signal audit's count is taken over the (blend,
-demand) grid, not the fewer query vectors it answers.
+figure covers.  The signal audit's count is still taken over the (blend,
+demand) grid, not the fewer query vectors it answers, and the demand
+audit's over every library: the guards bound the enumeration a failed
+certificate falls back to.
 
 The enumeration oracles (``enumerate_server_security``,
 ``enumerate_signal_security``, ``enumerate_demand_privacy``) are what
@@ -54,9 +76,10 @@ queries), the signal oracle has each server answer each distinct query
 vector once per (library, randomness) outcome, and the demand-privacy
 oracle builds the stores once per (library, randomness) outcome for all
 coalitions.  Every outcome is still counted, in the original order.
-The signal rank audit answers each query vector once per probe store,
-and the demand-privacy rank audit builds the stores and caches once per
-(library, probe) for all coalitions.
+The signal rank audit answers each query vector at most once per probe
+store, and the demand-privacy rank audit builds the stores and caches at
+most once per (library, probe) for all coalitions; where the
+enumeration follows a failed certificate, it reuses the probes'.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
@@ -306,11 +329,10 @@ def _probe_inputs(n: int, q: int) -> list:
                                  for _ in range(_CHECKS)]
 
 
-def _columns(q: int, inputs: list, outputs: list, what: str,
-             over: str = "(library, randomness)", affine: bool = False) -> list:
-    """The columns f(e_i) - f(0), once f(x) = f(0) + sum x_i (f(e_i) - f(0))
-    holds at every check input x, with f(0) = 0 unless `affine`; the
-    generator is untrusted until then."""
+def _fit(q: int, inputs: list, outputs: list, affine: bool = False) -> list | None:
+    """The columns f(e_i) - f(0), or None unless f(x) = f(0) + sum x_i
+    (f(e_i) - f(0)) holds at every check input x, with f(0) = 0 unless
+    `affine`."""
     n = len(inputs[0])
     offset = tuple(outputs[n]) if affine else (0,) * len(outputs[n])
     cols = [tuple((v - o) % q for v, o in zip(out, offset)) for out in outputs[:n]]
@@ -318,9 +340,18 @@ def _columns(q: int, inputs: list, outputs: list, what: str,
         want = tuple((o + sum(xi * col[r] for xi, col in zip(x, cols))) % q
                      for r, o in enumerate(offset))
         if tuple(got) != want:
-            kind = "affine" if affine else "linear"
-            raise AuditError(f"{what} is not {kind} over F_{q} in {over}; "
-                             f"the rank audit needs it")
+            return None
+    return cols
+
+
+def _columns(q: int, inputs: list, outputs: list, what: str,
+             over: str = "(library, randomness)", affine: bool = False) -> list:
+    """``_fit``'s columns of `what`; the generator is untrusted until then."""
+    cols = _fit(q, inputs, outputs, affine)
+    if cols is None:
+        kind = "affine" if affine else "linear"
+        raise AuditError(f"{what} is not {kind} over F_{q} in {over}; "
+                         f"the rank audit needs it")
     return cols
 
 
@@ -402,10 +433,18 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     So I(D; Q) is the rank gap of the production queries probed over
     (D, P), with D as the secret.
 
+    Most instances need no grid.  The payloads are first answered for
+    the K*N unit query vectors, zero and the checks; where
+    ``_signal_certified`` proves I(W; Y | Q) = 0 for every Q from them,
+    the figure is a literal 0.0.  Otherwise the mean is taken over all
+    q^(K*N) query vectors, each answered once per probe store, the
+    probed ones included.
+
     The work refused above ``CAP`` is counted over the query grid: the
     probe stores times the (blend, demand) grid points, plus the query
-    probes.  That overstates the q^(K*N) query vectors answered; the
-    count stays until a certificate replaces it with its own work.
+    probes.  That overstates the q^(K*N) query vectors the grid answers,
+    and by far the few a certificate answers; the count stays, since it
+    bounds the grid, until the guard counts a certificate's own work.
     """
     space = _space(params, arr, mutations)
     q, K, N = params.q, params.K, params.N
@@ -422,18 +461,53 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
                          f"the mean over query vectors needs it")
     mi_demands = _rank_gap(query_cols, space.n_d, q) * math.log2(q)
     inputs, stores = _probe_stores(space)
-    gap_sum = 0
-    for qvals in product(range(q), repeat=K * N):
+
+    def columns(qvals) -> list:
+        """G(Q)'s columns: the payloads of every probe store to Q = qvals."""
         queries = _rows(qvals, K, N)
-        outputs = [tuple(chain.from_iterable(
-            server_signal(params, arr, st, queries) for st in sts))
-            for sts in stores]
-        gap_sum += _rank_gap(_columns(q, inputs, outputs, "server_signal"), space.n_w, q)
-    mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
+        return _columns(q, inputs, [tuple(chain.from_iterable(
+            server_signal(params, arr, st, queries) for st in sts)) for sts in stores],
+            "server_signal")
+
+    qinputs = _probe_inputs(K * N, q)
+    probed = {x: columns(x) for x in dict.fromkeys(qinputs)}
+    if _signal_certified(space, qinputs, probed):
+        mi_main = 0.0
+    else:
+        # the grid; each probed query vector is answered once, not again
+        gap_sum = sum(_rank_gap(probed.pop(qvals, None) or columns(qvals), space.n_w, q)
+                      for qvals in product(range(q), repeat=K * N))
+        mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
     return _report("signal-security",
                    [("secret=library", mi_main, {"secret": "library"}),
                     ("secret=library+demands", mi_demands + mi_main,
                      {"secret": "library+demands"})], total, 2)
+
+
+def _signal_certified(space: _Space, qinputs: list, probed: dict) -> bool:
+    """Whether I(W; Y | Q) = 0 for every Q, from G at the probe queries.
+
+    `qinputs` are ``_probe_inputs(K*N, q)``: the K*N unit queries, zero
+    and the checks; `probed` maps each to G(Q)'s columns.  Once G is
+    affine in Q at the checks, G(Q) = G(0) + sum_u Q_u (G(e_u) - G(0)).
+    A randomness column equal at zero and at every unit query is then
+    the same at every Q: a key column.  If G_W(0) = 0 and every library
+    increment G_W(e_u) lies in the span of the key columns, then every
+    G_W(Q) does too, so rank G(Q) = rank G_R(Q) for every Q.  A False
+    proves nothing; the caller then takes the mean over the grid.
+    """
+    q, n_w = space.params.q, space.n_w
+    units = len(qinputs[0])
+    gs = [probed[x] for x in qinputs]
+    if _fit(q, qinputs, [tuple(chain.from_iterable(g)) for g in gs], affine=True) is None:
+        return False
+    zero = gs[units]
+    if any(any(col) for col in zero[:n_w]):
+        return False
+    keys = [col for c, col in enumerate(zero[n_w:], n_w)
+            if all(g[c] == col for g in gs[:units])]
+    increments = [col for g in gs[:units] for col in g[:n_w]]
+    return _rank_gap(increments + keys, len(increments), q) == 0
 
 
 def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
@@ -449,11 +523,24 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
     For a fixed library W the view is affine in the uniform (randomness,
     blends, demands): stores are G_R R + c_W, keyed cache packets are
     vee + p W, queries are d + p.  So
-        I(D_rest; view | W = w) = (rank G - rank G without D_rest) log2 q,
-    with G's columns the production outputs on unit vectors minus their
-    value at zero.  The stores and caches of every (library, probe) are
-    built once for all coalitions.  The work refused above ``CAP`` is the
-    libraries times the probes per library.
+        I(D_rest; view | W = w) = (rank G(w) - rank G(w) without D_rest) log2 q,
+    with G(w)'s columns the production outputs on unit vectors minus
+    their value at zero.
+
+    Most coalitions need no library loop.  The columns are built at the
+    zero library, the N*B unit libraries and the checks, and must be
+    affine in the library there; a column equal at zero and at every
+    unit library is then the same at every library.  Per coalition:
+    - if no column of its view moves, G(w) = G(0) and its gap is taken
+      once, for every library;
+    - if its hidden-demand columns do not move and lie in the span of
+      its non-hidden columns that do not move, they lie in the span of
+      G(w)'s non-hidden columns for every w, and its gap is 0;
+    - otherwise it takes the gap at every library, as does every
+      coalition when the columns are not affine in the library.
+    The stores and caches of a (library, probe) are built at most once,
+    for all coalitions.  The work refused above ``CAP`` is still the
+    libraries times the probes per library, which bounds the loop.
     """
     space = _space(params, arr, mutations)
     q, K, N = params.q, params.K, params.N
@@ -477,25 +564,63 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
         hidden = [d0 + (k - 1) * N + i for k in range(1, K + 1) if k not in S
                   for i in range(N)]
         orders[S] = (hidden + sorted(set(range(n)) - set(hidden)), len(hidden))
-    libraries = list(product(range(q), repeat=space.n_w))
-    bits: dict = {S: [] for S in real}
-    for wflat in libraries:
+
+    def columns(wflat) -> list:
+        """[store columns, user 1's cache columns, ..., user K's] at one library."""
         library = _library(space, wflat)
         stores = _columns(q, inputs, [
             tuple(chain.from_iterable(
                 st.symbols() for st in build_storage(params, arr, library, randomness)))
             for randomness, _ps in probes], "build_storage", over, affine=True)
-        caches = [_columns(q, inputs, [
+        return [stores] + [_columns(q, inputs, [
             _cached(place_user(params, arr, library, randomness, k, ps[k - 1]))
             for randomness, ps in probes], "place_user", over, affine=True)
             for k in range(1, K + 1)]
-        for S, (order, split) in orders.items():
-            view = [stores[c] + queries[c] + _demands(inputs[c][d0:], S, N)
-                    + tuple(chain.from_iterable(caches[k - 1][c] for k in S))
-                    for c in order]
-            bits[S].append(_rank_gap(view, split, q) * math.log2(q))
+
+    def view(S, parts, cols) -> list:
+        return [parts[0][c] + queries[c] + _demands(inputs[c][d0:], S, N)
+                + tuple(chain.from_iterable(parts[k][c] for k in S)) for c in cols]
+
+    libraries = list(product(range(q), repeat=space.n_w))
+    w_inputs = _probe_inputs(space.n_w, q)
+    built = {w: columns(w) for w in dict.fromkeys(w_inputs)}
+    moving = _moving_columns(q, w_inputs, built)
+    zero = built[w_inputs[space.n_w]]
+    bits: dict = {}
+    for S, (order, split) in orders.items():
+        fixed = [c for c in order if not any(moving[i][c] for i in (0, *S))]
+        if len(fixed) == n:
+            bits[S] = [_rank_gap(view(S, zero, order), split, q) * math.log2(q)] * len(libraries)
+        elif fixed[:split] == order[:split] and _rank_gap(view(S, zero, fixed), split, q) == 0:
+            bits[S] = [0.0] * len(libraries)
+        else:
+            bits[S] = []
+    loop = [S for S in real if not bits[S]]
+    if loop:
+        for wflat in libraries:
+            parts = built.pop(wflat, None) or columns(wflat)
+            for S in loop:
+                order, split = orders[S]
+                bits[S].append(_rank_gap(view(S, parts, order), split, q) * math.log2(q))
     return _report("demand-privacy", _coalition_figures(K, libraries, bits),
                    outcomes, len(real) * len(libraries))
+
+
+def _moving_columns(q: int, w_inputs: list, built: dict) -> list:
+    """Which view columns move with the library, from the probe libraries.
+
+    `w_inputs` are ``_probe_inputs(N*B, q)`` and `built` maps each to its
+    [store columns, cache columns per user].  Returns one flag per column
+    of each part.  Unless the columns are affine in the library at the
+    checks, no column is shown to stay put, and every flag is True.
+    """
+    units = len(w_inputs[0])
+    zero = built[w_inputs[units]]
+    flat = [tuple(chain.from_iterable(chain.from_iterable(built[w]))) for w in w_inputs]
+    if _fit(q, w_inputs, flat, affine=True) is None:
+        return [[True] * len(part) for part in zero]
+    return [[any(built[w][i][c] != col for w in w_inputs[:units])
+             for c, col in enumerate(part)] for i, part in enumerate(zero)]
 
 
 # ---------- replay audit ----------

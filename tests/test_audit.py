@@ -9,6 +9,7 @@ The rank audits must equal the enumeration oracles wherever those run.
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -280,14 +281,8 @@ RANK_AUDITS = {
     "demand": (audit_demand_privacy, audit_module.enumerate_demand_privacy)}
 
 
-@pytest.mark.parametrize(
-    "instance,kind,mutations", RANK_CASES,
-    ids=[f"{i}-{k}-{'+'.join(m) or 'honest'}" for i, k, m in RANK_CASES])
-def test_rank_audit_equals_the_enumeration_oracle(instance, kind, mutations):
-    params, arr = INSTANCES[instance]
-    audit, oracle = RANK_AUDITS[kind]
-    got = audit(params, arr, mutations)
-    want = oracle(params, arr, mutations)
+def _assert_same_figures(got, want):
+    """Rank report against oracle report, figures to 9 digits."""
     assert (got.constraint, got.satisfied, got.outcomes, got.tables) == (
         want.constraint, want.satisfied, want.outcomes, want.tables)
     assert round(got.mi_bits, 9) == round(want.mi_bits, 9)
@@ -300,6 +295,81 @@ def test_rank_audit_equals_the_enumeration_oracle(instance, kind, mutations):
         # exact: where I(D; Q) = 0 the two signal figures are the same float
         # in both, so both name "library" (micro with key-removal)
         assert got_fields == want_fields
+
+
+@pytest.mark.parametrize(
+    "instance,kind,mutations", RANK_CASES,
+    ids=[f"{i}-{k}-{'+'.join(m) or 'honest'}" for i, k, m in RANK_CASES])
+def test_rank_audit_equals_the_enumeration_oracle(instance, kind, mutations):
+    params, arr = INSTANCES[instance]
+    audit, oracle = RANK_AUDITS[kind]
+    _assert_same_figures(audit(params, arr, mutations), oracle(params, arr, mutations))
+
+
+def test_rank_audit_reports_are_pinned():
+    # SHA-256 of repr of all 48 rank-audit reports: micro, then K=2; per
+    # instance the mutation subsets in order; per subset server, signal,
+    # demand.  Taken when signal security and demand privacy still
+    # enumerated every query vector and library, so the certificates
+    # must leave every report byte-identical.
+    reports = [audit(params, arr, mutations)
+               for params, arr in (INSTANCES["micro"], INSTANCES["k2"])
+               for mutations in MUTATION_SUBSETS
+               for audit in (audit_server_security, audit_signal_security,
+                             audit_demand_privacy)]
+    assert len(reports) == 48
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
+        "8fb15236e017462b9e51d8b85ada7e578f3fc2cf07903f5ee581b07886b84075")
+
+
+def test_signal_certificate_takes_only_keys_that_stay_put(monkeypatch):
+    # keys times 1 + the first query symbol: still linear in the store and
+    # affine in the query, and the keys span the library columns at Q = 0,
+    # but they vanish wherever that symbol is q - 1, and there the payload
+    # carries the library in the clear; the key columns move with Q, so
+    # the certificate must fail and the grid give the oracle's figure
+    original = audit_module.server_signal
+
+    def fading(params, arr, store, queries):
+        f = 1 + queries[0][0]
+        return original(params, arr, replace(
+            store, coded_keys=tuple(v * f % params.q for v in store.coded_keys)), queries)
+
+    monkeypatch.setattr(audit_module, "server_signal", fading)
+    got = audit_signal_security(MICRO, MICRO_PDA)
+    assert not got.satisfied
+    _assert_same_figures(got, audit_module.enumerate_signal_security(MICRO, MICRO_PDA))
+
+
+def test_demand_privacy_loop_equals_the_oracle_where_no_certificate_holds(monkeypatch):
+    # keyed packets times 1 + the library's first symbol: with zero noise
+    # and zero pads the colluders' key columns then move with the library,
+    # and their hidden demands lie in no span, so [1] and [2] take the gap
+    # at every library ([] sees no cache and takes one gap for all)
+    original = audit_module.place_user
+
+    def scaled(params, arr, library, randomness, k, p):
+        cache = original(params, arr, library, randomness, k, p)
+        f = 1 + library.files[0][0]
+        return replace(cache, keys={j: tuple(v * f % params.q for v in run)
+                                    for j, run in cache.keys.items()})
+
+    monkeypatch.setattr(audit_module, "place_user", scaled)
+    builds = Counter()
+    build_storage = audit_module.build_storage
+
+    def counting(params, arr, library, randomness):
+        builds[library] += 1
+        return build_storage(params, arr, library, randomness)
+
+    monkeypatch.setattr(audit_module, "build_storage", counting)
+    mutations = ("zero-noise", "zero-pad")
+    got = audit_demand_privacy(K2, K2_PDA, mutations)
+    # every one of the 3^4 libraries, each with its 6 + 3 probes, once
+    assert len(builds) == 81
+    assert set(builds.values()) == {9}
+    _assert_same_figures(got, audit_module.enumerate_demand_privacy(K2, K2_PDA, mutations))
+    assert round(got.mi_bits, 5) == 6.33985
 
 
 def _affine(function, shift):
@@ -394,17 +464,33 @@ def _count_calls(monkeypatch, name):
 
 def test_queries_and_answers_are_built_once(monkeypatch):
     # queries are built only for I(D; Q)'s 4 unit + zero + 2 check probes
-    # = 7; the rank audit answers each of the 3^2 query vectors once per
-    # probe store and server:
-    # (6 unit vectors + zero + 2 random checks) x 2 servers x 9 = 162
+    # = 7.  Honest, the certificate answers its probe query vectors, 2
+    # units, zero and 2 checks, of which the second is the unit (0, 1),
+    # once per probe store and server:
+    # 4 x (6 unit vectors + zero + 2 random checks) x 2 servers = 72
     queries = _count_calls(monkeypatch, "make_query")
     answers = _count_calls(monkeypatch, "server_signal")
     audit_signal_security(MICRO, MICRO_PDA)
     assert queries[0] == 7
-    assert answers[0] == 162
+    assert answers[0] == 72
+    # without keys the certificate fails, and the grid answers each of the
+    # 3^2 query vectors once, the probed ones included:
+    # 9 x (4 unit vectors + zero + 2 checks) x 2 servers = 126
+    answers[0] = 0
+    assert not audit_signal_security(MICRO, MICRO_PDA, ("key-removal",)).satisfied
+    assert answers[0] == 126
     queries[0] = 0
     audit_module.enumerate_demand_privacy(MICRO, MICRO_PDA)
     assert queries[0] == 81
+
+
+def test_demand_privacy_builds_only_the_probe_libraries(monkeypatch):
+    # every coalition is decided from the 2 unit libraries, zero and 2
+    # checks, of which the second is the unit (0, 1), each built once:
+    # 4 libraries x (8 unit probes + zero + 2 checks) = 44
+    stores = _count_calls(monkeypatch, "build_storage")
+    assert audit_demand_privacy(MICRO, MICRO_PDA).satisfied
+    assert stores[0] == 44
 
 
 def test_demand_privacy_builds_the_stores_once_per_outcome(monkeypatch):
