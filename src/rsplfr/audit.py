@@ -18,25 +18,17 @@ raises ``AuditError``.  A gap of 0 is a literal 0.0.
   (stores, its caches, its demands, every query) is affine in
   (randomness, blends, demands), and the hidden demands are the secret.
 
-Two of these are first decided by a certificate from unit probes, and
-enumerate only where it fails (Shamir 1979; Cai & Yeung, ISIT 2002):
-
-- Signal security: the payload columns G(Q) are probed at Q = 0, at the
-  K*N unit queries and at the checks, and must be affine in Q.  The
-  randomness columns the same at all of them are the key columns, the
-  same at every Q.  If G_W(0) = 0 and every library increment
-  G_W(e_u) - G_W(0) lies in their span, the library columns lie in the
-  span of the randomness columns at every Q: the figure is 0.0 without
-  the q^(K*N) query vectors.
-- Demand privacy: the view columns are built at the zero library, the
-  N*B unit libraries and the checks, and must be affine in the library.
-  A coalition none of whose columns moves with the library has one gap
-  for every library.  A coalition whose hidden-demand columns lie in the
-  span of its non-hidden columns that do not move has gap 0 at every
-  library.  Only the other coalitions take the gap library by library.
-
-A certificate decides the same figure the enumeration does, so every
-report is unchanged.
+Signal security and demand privacy share one certificate, ``_figures``,
+over an outer input x: the query vector for the first, the library for
+the second (Shamir 1979; Cai & Yeung, ISIT 2002).  The columns are built
+at x = 0, the unit vectors and the checks, and must be affine in x there;
+a column equal at all of them is the same at every x.  Each view then
+has one of three outcomes: no column moves, and its gap at zero is its
+gap at every x; every secret column at zero, and each of its
+increments, lies in the span of the non-secret columns that stay put,
+and its gap is 0 at every x; or it takes the gap at every x.  Either
+short cut gives the figure the enumeration gives, so every report is
+unchanged.
 
 Each audit refuses, above ``CAP``, the probe evaluations it would make,
 counted before any work is done, and reports the joint outcomes its
@@ -76,10 +68,8 @@ queries), the signal oracle has each server answer each distinct query
 vector once per (library, randomness) outcome, and the demand-privacy
 oracle builds the stores once per (library, randomness) outcome for all
 coalitions.  Every outcome is still counted, in the original order.
-The signal rank audit answers each query vector at most once per probe
-store, and the demand-privacy rank audit builds the stores and caches at
-most once per (library, probe) for all coalitions; where the
-enumeration follows a failed certificate, it reuses the probes'.
+The rank audits build the columns at each x at most once, for every
+view; a walk over every x reuses the probes'.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
@@ -176,16 +166,14 @@ def _report(constraint: str, figures: list, outcomes: int, tables: int) -> Audit
                        witness={**fields, "mi_bits": worst} if worst > 0.0 else None)
 
 
-def _coalition_figures(K: int, libraries: list, bits: dict) -> list:
-    """Demand-privacy figures from {coalition: bits per library}, then a
-    literal 0.0 for the whole user set, which has nothing left to hide."""
-    figures = []
-    for S, row in bits.items():
-        best = max(row)
-        figures.append((f"colluders={list(S)}", best,
-                        {"colluders": list(S), "library": list(libraries[row.index(best)])}))
+def _coalition_figures(K: int, figures: list) -> list:
+    """Demand-privacy figures from (coalition, largest bits, first library
+    reaching them) triples, then a literal 0.0 for the whole user set,
+    which has nothing left to hide."""
     everyone = list(range(1, K + 1))
-    return figures + [(f"colluders={everyone}", 0.0, {"colluders": everyone})]
+    return [(f"colluders={list(S)}", bits, {"colluders": list(S), "library": list(library)})
+            for S, bits, library in figures] + [
+        (f"colluders={everyone}", 0.0, {"colluders": everyone})]
 
 
 @dataclass(frozen=True)
@@ -390,6 +378,51 @@ def _rank_gap(columns: list, split: int, q: int) -> int:
     return gap
 
 
+def _figures(q: int, n_x: int, build, views: list) -> list:
+    """[gap sum, largest gap, first x reaching it] of each view over x in F_q^n_x.
+
+    `build(x)` gives the parts at x, each a list of columns.  A view is
+    (select, split): select(parts) lists its columns, the `split` secret
+    ones first, from a fixed selection of the parts and pieces that do not
+    depend on x, so it is affine in x wherever the parts are.  The parts
+    are built at ``_probe_inputs(n_x, q)`` and checked affine in x once.
+    Each view is then decided by the certificate in the module docstring;
+    only the views it leaves open, or all of them when the check fails,
+    walk every x in ``product`` order, reusing the probes' parts.
+    """
+    inputs = _probe_inputs(n_x, q)
+    built = {x: build(x) for x in dict.fromkeys(inputs)}
+    affine = _fit(q, inputs, [tuple(chain.from_iterable(chain.from_iterable(built[x])))
+                              for x in inputs], affine=True) is not None
+    origin = inputs[n_x]
+    figures, walk = [], []
+    for select, split in views:
+        zero = select(built[origin])
+        units = [select(built[x]) for x in inputs[:n_x]]
+        stay = [affine and all(g[c] == col for g in units) for c, col in enumerate(zero)]
+        if all(stay):
+            gap = _rank_gap(zero, split, q)
+            figures.append([gap * q ** n_x, gap, origin])
+            continue
+        fixed = [col for col, still in zip(zero[split:], stay[split:]) if still]
+        secrets = zero[:split] + [tuple((v - o) % q for v, o in zip(g[c], zero[c]))
+                                  for g in units for c in range(split)]
+        if affine and _rank_gap(secrets + fixed, len(secrets), q) == 0:
+            figures.append([0, 0, origin])
+        else:
+            walk.append((len(figures), select, split))
+            figures.append([0, -1, None])      # any gap, 0 too, beats -1
+    if walk:
+        for x in product(range(q), repeat=n_x):
+            parts = built.pop(x) if x in built else build(x)
+            for i, select, split in walk:
+                gap = _rank_gap(select(parts), split, q)
+                figures[i][0] += gap
+                if gap > figures[i][1]:
+                    figures[i][1:] = gap, x
+    return figures
+
+
 def audit_server_security(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
     """Any set of at most I server stores must be independent of the library.
 
@@ -433,12 +466,11 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     So I(D; Q) is the rank gap of the production queries probed over
     (D, P), with D as the secret.
 
-    Most instances need no grid.  The payloads are first answered for
-    the K*N unit query vectors, zero and the checks; where
-    ``_signal_certified`` proves I(W; Y | Q) = 0 for every Q from them,
-    the figure is a literal 0.0.  Otherwise the mean is taken over all
-    q^(K*N) query vectors, each answered once per probe store, the
-    probed ones included.
+    The payload columns are ``_figures``' one view of G(Q), with the
+    library columns as the secret: the sum of its gaps over the q^(K*N)
+    query vectors gives the mean.  Most instances need no grid: the
+    certificate answers only the K*N unit query vectors, zero and the
+    checks.
 
     The work refused above ``CAP`` is counted over the query grid: the
     probe stores times the (blend, demand) grid points, plus the query
@@ -463,51 +495,18 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     inputs, stores = _probe_stores(space)
 
     def columns(qvals) -> list:
-        """G(Q)'s columns: the payloads of every probe store to Q = qvals."""
+        """[G(Q)'s columns]: the payloads of every probe store to Q = qvals."""
         queries = _rows(qvals, K, N)
-        return _columns(q, inputs, [tuple(chain.from_iterable(
+        return [_columns(q, inputs, [tuple(chain.from_iterable(
             server_signal(params, arr, st, queries) for st in sts)) for sts in stores],
-            "server_signal")
+            "server_signal")]
 
-    qinputs = _probe_inputs(K * N, q)
-    probed = {x: columns(x) for x in dict.fromkeys(qinputs)}
-    if _signal_certified(space, qinputs, probed):
-        mi_main = 0.0
-    else:
-        # the grid; each probed query vector is answered once, not again
-        gap_sum = sum(_rank_gap(probed.pop(qvals, None) or columns(qvals), space.n_w, q)
-                      for qvals in product(range(q), repeat=K * N))
-        mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
+    [(gap_sum, _, _)] = _figures(q, K * N, columns, [(lambda parts: parts[0], space.n_w)])
+    mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
     return _report("signal-security",
                    [("secret=library", mi_main, {"secret": "library"}),
                     ("secret=library+demands", mi_demands + mi_main,
                      {"secret": "library+demands"})], total, 2)
-
-
-def _signal_certified(space: _Space, qinputs: list, probed: dict) -> bool:
-    """Whether I(W; Y | Q) = 0 for every Q, from G at the probe queries.
-
-    `qinputs` are ``_probe_inputs(K*N, q)``: the K*N unit queries, zero
-    and the checks; `probed` maps each to G(Q)'s columns.  Once G is
-    affine in Q at the checks, G(Q) = G(0) + sum_u Q_u (G(e_u) - G(0)).
-    A randomness column equal at zero and at every unit query is then
-    the same at every Q: a key column.  If G_W(0) = 0 and every library
-    increment G_W(e_u) lies in the span of the key columns, then every
-    G_W(Q) does too, so rank G(Q) = rank G_R(Q) for every Q.  A False
-    proves nothing; the caller then takes the mean over the grid.
-    """
-    q, n_w = space.params.q, space.n_w
-    units = len(qinputs[0])
-    gs = [probed[x] for x in qinputs]
-    if _fit(q, qinputs, [tuple(chain.from_iterable(g)) for g in gs], affine=True) is None:
-        return False
-    zero = gs[units]
-    if any(any(col) for col in zero[:n_w]):
-        return False
-    keys = [col for c, col in enumerate(zero[n_w:], n_w)
-            if all(g[c] == col for g in gs[:units])]
-    increments = [col for g in gs[:units] for col in g[:n_w]]
-    return _rank_gap(increments + keys, len(increments), q) == 0
 
 
 def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditReport:
@@ -527,18 +526,11 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
     with G(w)'s columns the production outputs on unit vectors minus
     their value at zero.
 
-    Most coalitions need no library loop.  The columns are built at the
-    zero library, the N*B unit libraries and the checks, and must be
-    affine in the library there; a column equal at zero and at every
-    unit library is then the same at every library.  Per coalition:
-    - if no column of its view moves, G(w) = G(0) and its gap is taken
-      once, for every library;
-    - if its hidden-demand columns do not move and lie in the span of
-      its non-hidden columns that do not move, they lie in the span of
-      G(w)'s non-hidden columns for every w, and its gap is 0;
-    - otherwise it takes the gap at every library, as does every
-      coalition when the columns are not affine in the library.
-    The stores and caches of a (library, probe) are built at most once,
+    Each coalition is one ``_figures`` view over the library: its stores,
+    its caches, every query and its own demands, the hidden demands as
+    the secret.  Its figure is its largest gap, witnessed by the first
+    library that reaches it.  Most coalitions need no library loop, and
+    the stores and caches of a (library, probe) are built at most once,
     for all coalitions.  The work refused above ``CAP`` is still the
     libraries times the probes per library, which bounds the loop.
     """
@@ -558,12 +550,6 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
     over = "(randomness, blends, demands) for a fixed library"
     queries = _columns(q, inputs, [_query_values(space, x[d0:], x[n_u:d0]) for x in inputs],
                        "make_query", over, affine=True)
-    # per coalition, the hidden demand columns go first
-    orders = {}
-    for S in real:
-        hidden = [d0 + (k - 1) * N + i for k in range(1, K + 1) if k not in S
-                  for i in range(N)]
-        orders[S] = (hidden + sorted(set(range(n)) - set(hidden)), len(hidden))
 
     def columns(wflat) -> list:
         """[store columns, user 1's cache columns, ..., user K's] at one library."""
@@ -577,50 +563,19 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
             for randomness, ps in probes], "place_user", over, affine=True)
             for k in range(1, K + 1)]
 
-    def view(S, parts, cols) -> list:
-        return [parts[0][c] + queries[c] + _demands(inputs[c][d0:], S, N)
-                + tuple(chain.from_iterable(parts[k][c] for k in S)) for c in cols]
+    def view(S):
+        """Coalition S's view, the hidden demand columns first."""
+        hidden = [d0 + (k - 1) * N + i for k in range(1, K + 1) if k not in S
+                  for i in range(N)]
+        order = hidden + sorted(set(range(n)) - set(hidden))
+        return (lambda parts: [parts[0][c] + queries[c] + _demands(inputs[c][d0:], S, N)
+                               + tuple(chain.from_iterable(parts[k][c] for k in S))
+                               for c in order]), len(hidden)
 
-    libraries = list(product(range(q), repeat=space.n_w))
-    w_inputs = _probe_inputs(space.n_w, q)
-    built = {w: columns(w) for w in dict.fromkeys(w_inputs)}
-    moving = _moving_columns(q, w_inputs, built)
-    zero = built[w_inputs[space.n_w]]
-    bits: dict = {}
-    for S, (order, split) in orders.items():
-        fixed = [c for c in order if not any(moving[i][c] for i in (0, *S))]
-        if len(fixed) == n:
-            bits[S] = [_rank_gap(view(S, zero, order), split, q) * math.log2(q)] * len(libraries)
-        elif fixed[:split] == order[:split] and _rank_gap(view(S, zero, fixed), split, q) == 0:
-            bits[S] = [0.0] * len(libraries)
-        else:
-            bits[S] = []
-    loop = [S for S in real if not bits[S]]
-    if loop:
-        for wflat in libraries:
-            parts = built.pop(wflat, None) or columns(wflat)
-            for S in loop:
-                order, split = orders[S]
-                bits[S].append(_rank_gap(view(S, parts, order), split, q) * math.log2(q))
-    return _report("demand-privacy", _coalition_figures(K, libraries, bits),
-                   outcomes, len(real) * len(libraries))
-
-
-def _moving_columns(q: int, w_inputs: list, built: dict) -> list:
-    """Which view columns move with the library, from the probe libraries.
-
-    `w_inputs` are ``_probe_inputs(N*B, q)`` and `built` maps each to its
-    [store columns, cache columns per user].  Returns one flag per column
-    of each part.  Unless the columns are affine in the library at the
-    checks, no column is shown to stay put, and every flag is True.
-    """
-    units = len(w_inputs[0])
-    zero = built[w_inputs[units]]
-    flat = [tuple(chain.from_iterable(chain.from_iterable(built[w]))) for w in w_inputs]
-    if _fit(q, w_inputs, flat, affine=True) is None:
-        return [[True] * len(part) for part in zero]
-    return [[any(built[w][i][c] != col for w in w_inputs[:units])
-             for c, col in enumerate(part)] for i, part in enumerate(zero)]
+    figures = _figures(q, space.n_w, columns, [view(S) for S in real])
+    return _report("demand-privacy", _coalition_figures(
+        K, [(S, gap * math.log2(q), library) for S, (_, gap, library) in zip(real, figures)]),
+        outcomes, len(real) * q ** space.n_w)
 
 
 # ---------- replay audit ----------
@@ -736,7 +691,7 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> Au
             stores = build_storage(params, arr, library, randomness)
             outcomes_u.append((randomness, tuple(st.symbols() for st in stores)))
         worlds.append((library, outcomes_u))
-    bits: dict = {S: [] for S in real}
+    figures = []
     for S in real:
         rest = [k for k in range(1, K + 1) if k not in S]
         # per (blend, demand) pair: the hidden demands, the coalition's own
@@ -744,6 +699,7 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> Au
         views = [(ps, [(_demands(dflat, rest, N), _demands(dflat, S, N), qvals)
                        for dflat, _queries, qvals in rows])
                  for ps, rows in grid]
+        bits = []
         for library, outcomes_u in worlds:
             table: dict = {}
             for randomness, zed in outcomes_u:
@@ -754,8 +710,10 @@ def enumerate_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> Au
                     for secret, seen_demands, qvals in rows:
                         key = (secret, (caches, seen_demands, qvals, zed))
                         table[key] = table.get(key, 0) + 1
-            bits[S].append(exact_mi(table))
-    return _report("demand-privacy", _coalition_figures(K, libraries, bits),
+            bits.append(exact_mi(table))
+        best = max(bits)
+        figures.append((S, best, libraries[bits.index(best)]))
+    return _report("demand-privacy", _coalition_figures(K, figures),
                    outcomes, len(real) * len(libraries))
 
 

@@ -9,9 +9,11 @@ The rank audits must equal the enumeration oracles wherever those run.
 
 import hashlib
 import math
+import time
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from rsplfr import (
     AuditReport,
     ConfigError,
     InfeasibleAuditError,
+    Library,
     MUTATIONS,
     ServerStore,
     SystemParams,
@@ -29,6 +32,7 @@ from rsplfr import (
     audit_server_security,
     audit_signal_security,
     exact_mi,
+    load_config,
     man_pda,
     parse,
     run_audits,
@@ -47,6 +51,8 @@ TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
 TOY_PDA = man_pda(3, 1)
 
 LOG2_3 = math.log2(3)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------- exact_mi ----------
@@ -370,6 +376,107 @@ def test_demand_privacy_loop_equals_the_oracle_where_no_certificate_holds(monkey
     assert set(builds.values()) == {9}
     _assert_same_figures(got, audit_module.enumerate_demand_privacy(K2, K2_PDA, mutations))
     assert round(got.mi_bits, 5) == 6.33985
+
+
+def test_signal_certificate_takes_library_columns_in_the_keys_span_at_zero(monkeypatch):
+    # each answer plus the server's keys and its first coded subfile: still
+    # linear in the store and affine in the query, but the library columns
+    # are nonzero at Q = 0; they lie in the keys' span there, so the
+    # certificate holds and only the 4 probe query vectors are answered:
+    # 4 x 9 probe stores x 2 servers = 72 (the grid answers 9 x 9 x 2 = 162)
+    original = audit_module.server_signal
+
+    def shifted(params, arr, store, queries):
+        answer = original(params, arr, store, queries)
+        return tuple((v + k + store.coded_subfiles[0]) % params.q
+                     for v, k in zip(answer, store.coded_keys))
+
+    monkeypatch.setattr(audit_module, "server_signal", shifted)
+    want = audit_module.enumerate_signal_security(MICRO, MICRO_PDA)
+    answers = _count_calls(monkeypatch, "server_signal")
+    got = audit_signal_security(MICRO, MICRO_PDA)
+    assert got == want
+    assert got.mi_bits == 0.0
+    assert answers[0] == 72
+
+
+def test_toy_audits_decide_from_the_probe_libraries(monkeypatch):
+    # with the guard lifted, the certificate decides toy signal security
+    # and every demand-privacy coalition from 27 probe libraries, where a
+    # walk would visit 7^24 libraries
+    started = time.perf_counter()
+    params, arr = load_config(CONFIGS / "toy_sweep.json")
+    monkeypatch.setattr(audit_module, "CAP", 10 ** 30)
+    assert audit_signal_security(params, arr).mi_bits == 0.0
+    libraries = set()
+    build_storage = audit_module.build_storage
+
+    def recording(params, arr, library, randomness):
+        libraries.add(library)
+        return build_storage(params, arr, library, randomness)
+
+    monkeypatch.setattr(audit_module, "build_storage", recording)
+    assert audit_demand_privacy(params, arr).mi_bits == 0.0
+    # without pads each coalition has one gap, the empty one's the largest
+    assert audit_demand_privacy(params, arr, ("zero-pad",)).mi_bits == 12 * math.log2(7)
+    probes = audit_module._probe_inputs(params.N * params.B, params.q)
+    assert libraries == {Library(tuple(tuple(w[n * params.B:(n + 1) * params.B])
+                                       for n in range(params.N))) for w in probes}
+    assert time.perf_counter() - started < 2.0
+
+
+def _brute_figures(q, n_x, build, views):
+    """_figures' result from the gap at every x."""
+    figures = [[0, -1, None] for _ in views]
+    for x in product(range(q), repeat=n_x):
+        parts = build(x)
+        for figure, (select, split) in zip(figures, views):
+            gap = audit_module._rank_gap(select(parts), split, q)
+            figure[0] += gap
+            if gap > figure[1]:
+                figure[1:] = gap, x
+    return figures
+
+
+def test_figures_equal_the_gap_at_every_x():
+    # synthetic parts over F_3^2, one view per outcome of the certificate
+    def build(x):
+        a, b = x
+        return [[(1, 0, 0), (0, 1, 0), (0, 0, 1), ((1 + a) % 3, b, 0), (a, 0, 0),
+                 (0, (a + b) % 3, 1)]]
+
+    constant = (lambda parts: parts[0][:2], 1)        # e1 against e2: gap 1 at every x
+    spanned = (lambda parts: [parts[0][3], *parts[0][:3]], 1)  # secret in the keys' span
+    walked = (lambda parts: [parts[0][4], parts[0][5], parts[0][1]], 1)  # gap 1 iff a != 0
+    calls = Counter()
+
+    def counting(x):
+        calls[x] += 1
+        return build(x)
+
+    probes = set(audit_module._probe_inputs(2, 3))
+    got = audit_module._figures(3, 2, counting, [constant, spanned])
+    assert got == _brute_figures(3, 2, build, [constant, spanned]) == [
+        [9, 1, (0, 0)], [0, 0, (0, 0)]]
+    assert set(calls) == probes and set(calls.values()) == {1}
+    calls.clear()
+    views = [constant, spanned, walked]
+    got = audit_module._figures(3, 2, counting, views)
+    assert got == _brute_figures(3, 2, build, views)
+    assert got[2] == [6, 1, (1, 0)]
+    assert len(calls) == 9 and set(calls.values()) == {1}
+
+
+def test_figures_walk_every_x_when_the_parts_are_not_affine():
+    # a * b vanishes at zero, the units and the check (0, 1), so the
+    # secret column looks constant there; the check (1, 1) catches it
+    def build(x):
+        a, b = x
+        return [[(a * b % 3, 0), (0, 1)]]
+
+    views = [(lambda parts: parts[0], 1)]
+    got = audit_module._figures(3, 2, build, views)
+    assert got == _brute_figures(3, 2, build, views) == [[4, 1, (1, 1)]]
 
 
 def _affine(function, shift):
