@@ -39,7 +39,7 @@ chained in delivery order, and gives one ``DecodedStreams``, slice r of
 stream s of delivery d at word (d*S + s-1)*pkt + r, from which
 ``user_decode`` reads one delivery.  An adversarial server's column is
 ``adversary_column`` of its honest one, corrupted a delivery at a time
-with that delivery's generator.  Its store side takes
+with the server's one generator.  Its store side takes
 ``{h: [store per set]}`` and gives each set's library or failure.
 ``decode_streams`` and ``recover_library`` are its one-sided cases.  A
 word's decode never depends on the rest of its batch.
@@ -368,9 +368,9 @@ def server_signal(params: SystemParams, pda: Pda,
 # A strategy's ``corrupt(flat, q, rng)`` returns its replacement for a
 # flat run of honest symbols.  ``rng`` is a ``random.Random`` for a
 # strategy whose class constant ``draws`` is True, and None for one that
-# does not draw.  ``adversary_column`` runs it over each run of a
-# column; ``adversary_signal`` and ``adversary_content`` are its
-# one-run cases.
+# does not draw.  ``adversary_column`` runs it over each of a column's
+# equal runs in order, all with one generator; ``adversary_signal`` and
+# ``adversary_content`` are its one-run cases.
 
 
 @dataclass(frozen=True)
@@ -447,19 +447,18 @@ def strategy_key(strategy) -> str:
                     + [str(getattr(strategy, f.name)) for f in fields(strategy)])
 
 
-def adversary_column(params: SystemParams, strategy, column, size: int, rngs) -> list[int]:
-    """A server's corrupted column, from its honest column, one run of ``size`` at a time.
+def adversary_column(params: SystemParams, strategy, column, runs: int, rng) -> list[int]:
+    """A server's corrupted column, from its honest column, one of ``runs`` equal runs at a time.
 
-    Run d, ``column[d*size:(d+1)*size]``, is corrupted with ``rngs[d]``
-    and keeps its size; ``column`` must hold one run per generator.  On
-    a server's chained answers the runs are its deliveries.
+    Each run keeps its size and is corrupted in order, all with ``rng``.
+    On a server's chained answers the runs are its deliveries.
     """
-    if len(column) != size * len(rngs):
+    if runs < 1 or len(column) % runs:
         raise DimensionMismatch(f"a column of {len(column)} symbols is not "
-                                f"{len(rngs)} runs of {size}")
-    q = params.q
+                                f"{runs} equal runs")
+    q, size = params.q, len(column) // runs
     out = []
-    for d, rng in enumerate(rngs):
+    for d in range(runs):
         corrupted = strategy.corrupt(column[d * size:(d + 1) * size], q, rng)
         if len(corrupted) != size:
             raise ProtocolError("corruption must preserve the size")
@@ -470,14 +469,14 @@ def adversary_column(params: SystemParams, strategy, column, size: int, rngs) ->
 def adversary_signal(params: SystemParams, strategy, honest: tuple[int, ...],
                      rng: random.Random | None) -> tuple[int, ...]:
     """A corrupted answer, transformed from the server's own honest answer."""
-    return tuple(adversary_column(params, strategy, honest, len(honest), [rng]))
+    return tuple(adversary_column(params, strategy, honest, 1, rng))
 
 
 def adversary_content(params: SystemParams, strategy, store: ServerStore,
                       rng: random.Random | None) -> ServerStore:
     """Corrupted stored contents of the honest shape, from the store alone."""
     n = len(store.coded_subfiles)
-    flat = adversary_column(params, strategy, store.symbols(), store.symbol_count(), [rng])
+    flat = adversary_column(params, strategy, store.symbols(), 1, rng)
     return ServerStore(h=store.h, coded_subfiles=tuple(flat[:n]),
                        coded_keys=tuple(flat[n:]))
 

@@ -3,7 +3,9 @@
 A scenario fixes the instance, the placement delivery array, who is
 adversarial and how, which J servers answer, and the demands.  All
 sampling flows from string-derived random.Random streams keyed by the
-scenario seed, so identical scenarios reproduce identical results.
+scenario seed, so identical scenarios reproduce identical results; an
+adversary that draws gets one stream per (configuration, server), for
+its stored contents first and then its deliveries.
 A sweep replays many (J-subset, adversary set, strategy) configurations
 against a single placement, checking every user's decoded output and,
 optionally, whole-library recovery, against ground truth computed
@@ -13,6 +15,7 @@ configuration under the first demand sample, with a transcript.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from collections import Counter
@@ -287,12 +290,14 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     ``configs`` is the slice of the full configuration list that starts
     at index ``first``.  A server's honest column, its ``server_signal``
     answers to every demand chained in demand order, and every user's
-    cache side are computed once per replay; an adversarial server
-    corrupts its honest column with ``adversary_column``, a delivery at
-    a time, each with the generator of its (configuration, demand,
-    server).  The honest columns of servers 1..J are decoded once, and
-    every user of every demand is decoded from them and checked: only if
-    all are right does that data become the reference.  Any J answers
+    cache side are computed once per replay.  An adversarial server
+    corrupts its stored contents (when recovery is checked), then its
+    honest column a delivery at a time, with ``adversary_content``,
+    ``adversary_column`` and the one generator of its (configuration,
+    server), so its contents do not depend on the number of demands.
+    The honest columns of servers 1..J are decoded once, and every user
+    of every demand is decoded from them and checked: only if all are
+    right does that data become the reference.  Any J answers
     with <= A corrupt decode to the same data, and a user's output
     depends only on its cache side and the decoded data, so data equal
     to the reference makes every user right.
@@ -312,10 +317,10 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     demands and u = t, or 0 in such a group; the transcript's delivery,
     the batch's last, is cut from it alike for every server, honest when
     not among the group's adversaries.  Each member's data is compared
-    once with the reference: only in a member
-    that differs is each delivery's data compared, and only the users of
-    a delivery that differs are decoded one by one, for their
-    witnesses.  A group's batch is dropped before the next is built.
+    once with the reference: only in a member that differs is each
+    delivery's data compared, and only the users of a delivery that
+    differs are decoded one by one, for their witnesses.  A group's
+    batch is dropped before the next is built.
     The notes are kept per configuration and joined in configuration
     order, so the witnesses are those a replay of one configuration at a
     time would keep.  Per-configuration seeds are keyed by the
@@ -390,19 +395,14 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         columns = {h: [] for h in bad}
         contents = {h: [] for h in bad}
         for c in members:
-            ci = first + c
             strat = configs[c][2]
-            key = strategy_key(strat)
             for h in bad:
-                columns[h] += adversary_column(
-                    params, strat, honest_columns[h], size,
-                    [random.Random(f"{sc.seed}:adv:{ci}:{di}:{h}:{key}") if strat.draws
-                     else None for di in range(D)])
+                rng = (random.Random(f"{sc.seed}:adv:{first + c}:{h}:{strategy_key(strat)}")
+                       if strat.draws else None)
                 if sc.check_recovery:
-                    contents[h].append(
-                        adversary_content(params, strat, state.stores[h - 1],
-                                          random.Random(f"{sc.seed}:content:{ci}:{h}:{key}")
-                                          if strat.draws else None))
+                    contents[h].append(adversary_content(params, strat,
+                                                         state.stores[h - 1], rng))
+                columns[h] += adversary_column(params, strat, honest_columns[h], D, rng)
         batch = {h: columns[h] if h in columns else honest_columns[h] * copies
                  for h in js}
         stores = {h: contents[h] if h in contents else [state.stores[h - 1]] * copies
@@ -487,14 +487,15 @@ def run(sc: Scenario, collect_trace: bool = False) -> RunResult:
 def sweep(sc: Scenario, jobs: int = 1) -> RunResult:
     """Replay every selected configuration; aggregate failures with witnesses.
 
-    The configurations are cut into ``jobs`` slices, each replayed by
-    ``_replay`` (in a pool of worker processes when ``jobs`` > 1).
+    The configurations are cut into ``jobs`` slices, at most one per
+    configuration and per CPU, each replayed by ``_replay`` (in a pool
+    of worker processes when there are several).
     """
     t0 = time.perf_counter()
     configs = _config_list(sc)
     demand_list = _demand_list(sc)
     n = len(configs)
-    jobs = max(1, min(jobs, n))
+    jobs = max(1, min(jobs, n, os.cpu_count() or 1))
     bounds = [(i * n) // jobs for i in range(jobs + 1)]
     args = [(sc, configs[bounds[i]:bounds[i + 1]], bounds[i], demand_list)
             for i in range(jobs)]

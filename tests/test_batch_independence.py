@@ -118,14 +118,13 @@ def groups(draw):
                for _ in range(D)]
     honest = {h: [v for qs in queries for v in server_signal(TOY, arr, stores[h - 1], qs)]
               for h in js}
-    size = len(honest[js[0]]) // D
     columns = {h: [] for h in js}
     for _ in range(draw(st.integers(1, 3))):
         strategy = draw(st.sampled_from(ALL_STRATEGIES))
         for h in js:
             columns[h] += adversary_column(
-                TOY, strategy, honest[h], size,
-                [random.Random(rng.getrandbits(32)) for _ in range(D)]) if h in bad else honest[h]
+                TOY, strategy, honest[h], D,
+                random.Random(rng.getrandbits(32))) if h in bad else honest[h]
     contents = {h: [] for h in js}
     for _ in range(draw(st.integers(0, 3))):
         strategy = draw(st.sampled_from(ALL_STRATEGIES))

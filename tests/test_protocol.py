@@ -768,24 +768,27 @@ def test_strategies_transform_the_flat_payload():
 
 
 def test_a_column_is_corrupted_as_its_deliveries_are():
-    # a column of three deliveries, each corrupted with its own generator,
-    # is the three corrupted answers chained
+    # a column of three deliveries, corrupted with one generator, is the
+    # three answers corrupted in order with that generator, chained
     params, library, randomness, stores, ps, caches = build_toy_state(15)
     signals = [server_signal(params, TOY_PDA, stores[1],
                              [make_query(params, [d, 1, 0, d], ps[k]) for k in range(3)])
                for d in range(3)]
     column = [v for sig in signals for v in sig]
-    size = len(signals[0])
     for strategy in ALL_STRATEGIES:
-        def rngs():
-            return [random.Random(d) if strategy.draws else None for d in range(3)]
+        def rng():
+            return random.Random(0) if strategy.draws else None
 
-        expected = [adversary_signal(params, strategy, sig, rng)
-                    for sig, rng in zip(signals, rngs())]
-        assert adversary_column(params, strategy, column, size, rngs()) == [
+        shared = rng()
+        expected = [adversary_signal(params, strategy, sig, shared) for sig in signals]
+        assert adversary_column(params, strategy, column, 3, rng()) == [
             v for sig in expected for v in sig]
-    with pytest.raises(DimensionMismatch, match="^a column of 9 symbols is not 2 runs of 3$"):
-        adversary_column(params, ZeroPayload(), column, size, [None, None])
+        # an all-star array's deliveries are empty: any number of runs holds them
+        assert adversary_column(params, strategy, [], 3, rng()) == []
+    for runs in (0, 2):
+        with pytest.raises(DimensionMismatch,
+                           match=f"^a column of 9 symbols is not {runs} equal runs$"):
+            adversary_column(params, ZeroPayload(), column, runs, None)
 
 
 def test_adversary_content_preserves_shape():

@@ -1,10 +1,12 @@
 """Seeded scenario runs and exhaustive sweeps."""
 
 import hashlib
+import os
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,8 +72,8 @@ def test_trace_contains_the_full_transcript():
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=strategy_key)
 def test_transcript_of_a_run_with_an_adversary(strategy):
     # server 2 corrupts its honest answer with the generator of
-    # configuration 0, demand 0, server 2; every other server answers
-    # the traced queries from its traced store
+    # configuration 0, server 2; every other server answers the traced
+    # queries from its traced store
     sc = toy_scenario(adversaries=(2,), strategy=strategy)
     result = run(sc, collect_trace=True)
     assert result.ok
@@ -85,10 +87,10 @@ def test_transcript_of_a_run_with_an_adversary(strategy):
         honest = list(server_signal(TOY, TOY_PDA, store, queries))
         sent = list(chain.from_iterable(sig["payload"]))
         if sig["h"] == 2:
-            key = f"{sc.seed}:adv:0:0:2:{strategy_key(strategy)}"
+            key = f"{sc.seed}:adv:0:2:{strategy_key(strategy)}"
             assert sent == adversary_column(
-                TOY, strategy, honest, len(honest),
-                [random.Random(key) if strategy.draws else None]) != honest
+                TOY, strategy, honest, 1,
+                random.Random(key) if strategy.draws else None) != honest
         else:
             assert sent == honest
 
@@ -115,6 +117,39 @@ def test_parallel_sweep_equals_serial():
             serial.measured, serial.stage_counts) == \
         (parallel.ok, parallel.configurations, parallel.failure_count,
          parallel.measured, parallel.stage_counts)
+
+
+def test_a_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # the pool is a fake that records its size and runs every slice in
+    # this process, so no worker is started
+    import multiprocessing
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, replay, args):
+            return [replay(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    sc = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                      sweep_strategies=True, adversary_sizes=(2,))
+    serial = sweep(sc)
+    for cpus in (3, None, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        wide = sweep(sc, jobs=100_000)
+        assert sizes == [3]  # only 3 CPUs start a pool, of 3 workers
+        assert (wide.configurations, wide.failure_count, wide.failures,
+                wide.stage_counts) == (serial.configurations, serial.failure_count,
+                                       serial.failures, serial.stage_counts)
 
 
 def test_adversary_outside_the_delivery_set_is_harmless():
@@ -397,24 +432,26 @@ def test_uniform_adversary_rng_is_scenario_seeded():
 
 
 def test_only_strategies_that_draw_get_a_generator(monkeypatch):
-    # each delivery of a column and each store corrupted by a drawing
-    # strategy gets random.Random(its key); the others get None
+    # a drawing strategy gets one random.Random per adversarial
+    # (configuration, server), which corrupts its store and then its
+    # column; the others get None
     import rsplfr.sim
-    seen = Counter()
+    calls, generators = Counter(), {}
     column, content = rsplfr.sim.adversary_column, rsplfr.sim.adversary_content
 
-    def record(strategy, rngs):
-        for rng in rngs:
-            seen[strategy.label, type(rng).__name__] += 1
-            assert (rng is None) != strategy.draws
+    def record(strategy, rng):
+        calls[strategy.label, type(rng).__name__] += 1
+        assert (rng is None) != strategy.draws
+        if rng is not None:
+            generators[id(rng)] = rng  # kept, so no two share an id
 
-    def recording_column(params, strategy, honest, size, rngs):
-        assert len(honest) == 2 * size  # one run per demand
-        record(strategy, rngs)
-        return column(params, strategy, honest, size, rngs)
+    def recording_column(params, strategy, honest, runs, rng):
+        assert runs == 2  # one run per demand
+        record(strategy, rng)
+        return column(params, strategy, honest, runs, rng)
 
     def recording_content(params, strategy, store, rng):
-        record(strategy, [rng])
+        record(strategy, rng)
         return content(params, strategy, store, rng)
 
     monkeypatch.setattr(rsplfr.sim, "adversary_column", recording_column)
@@ -422,11 +459,12 @@ def test_only_strategies_that_draw_get_a_generator(monkeypatch):
     assert sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                               sweep_strategies=True, demand_samples=2,
                               check_recovery=True)).ok
-    # 30 configurations with one adversary per strategy: two answers and
-    # one store each
-    assert seen == {("uniform_random", "Random"): 90, ("zero_payload", "NoneType"): 90,
-                    ("honest_plus_constant", "NoneType"): 90,
-                    ("honest_permuted_slices", "NoneType"): 90}
+    # 30 configurations with one adversary per strategy: one column and
+    # one store each, and one generator for both where the strategy draws
+    assert calls == {(label, rng): 60 for label, rng in (
+        ("uniform_random", "Random"), ("zero_payload", "NoneType"),
+        ("honest_plus_constant", "NoneType"), ("honest_permuted_slices", "NoneType"))}
+    assert len(generators) == 30
 
 
 def beyond_budget_scenario():
@@ -447,12 +485,28 @@ def beyond_budget_sweep(monkeypatch, jobs=1):
 def test_outcomes_beyond_the_budget_are_pinned(monkeypatch, jobs):
     result = beyond_budget_sweep(monkeypatch, jobs)
     assert result.configurations == 360
-    assert result.failure_count == 2252
-    assert result.stage_counts == (("decode", 2012), ("recover", 240))
+    assert result.failure_count == 2247
+    assert result.stage_counts == (("decode", 2007), ("recover", 240))
     assert len(result.failures) == result.failure_count
     digest = hashlib.sha256(repr((result.ok, result.failure_count, result.stage_counts,
                                   result.measured, result.failures)).encode()).hexdigest()
-    assert digest == "de50fe8e0480a763d95d1e9c14b4aa4f903f1db4e48234b81fe35cb1362e28e9"
+    assert digest == "726ae9955d7ff7f8fa488bb9a817432ad81b9b95e7c3ff32bfaecf7b0ba0a8f3"
+
+
+def test_corrupted_contents_do_not_depend_on_the_demand_samples(monkeypatch):
+    # an adversary's generator corrupts its stored contents before its
+    # deliveries, so recovery beyond the budget fails alike at any number
+    # of demand samples
+    import rsplfr.sim
+    monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
+    recovered = []
+    for samples in (1, 3):
+        result = sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                                    adversary_sizes=(2,), strategy=UniformRandom(),
+                                    demand_samples=samples, check_recovery=True))
+        recovered.append([w for w in result.failures if w["stage"] == "recover"])
+    assert len(recovered[0]) == 60
+    assert recovered[0] == recovered[1]
 
 
 def test_grouped_configurations_record_what_each_records_alone(monkeypatch):
