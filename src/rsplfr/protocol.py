@@ -38,7 +38,7 @@ takes ``{h: column}``, server h's answers to a batch of deliveries
 chained in delivery order, and gives one ``DecodedStreams``, slice r of
 stream s of delivery d at word (d*S + s-1)*pkt + r, from which
 ``user_decode`` reads one delivery.  An adversarial server's column is
-``adversary_column`` of its honest one, corrupted a delivery at a time
+``adversary_column`` of its honest one, corrupted by one strategy call
 with the server's one generator.  Its store side takes
 ``{h: [store per set]}`` and gives each set's library or failure.
 ``decode_streams`` and ``recover_library`` are its one-sided cases.  A
@@ -365,12 +365,13 @@ def server_signal(params: SystemParams, pda: Pda,
 
 # ---------- adversaries ----------
 #
-# A strategy's ``corrupt(flat, q, rng)`` returns its replacement for a
-# flat run of honest symbols.  ``rng`` is a ``random.Random`` for a
-# strategy whose class constant ``draws`` is True, and None for one that
-# does not draw.  ``adversary_column`` runs it over each of a column's
-# equal runs in order, all with one generator; ``adversary_signal`` and
-# ``adversary_content`` are its one-run cases.
+# A strategy's ``corrupt(column, runs, q, rng)`` returns its replacement
+# for a column of honest symbols that splits into ``runs`` equal runs,
+# each keeping its size; a run is one answer or one store.  ``rng`` is a
+# ``random.Random`` for a strategy whose class constant ``draws`` is
+# True, and None for one that does not draw.  ``adversary_column`` makes
+# one call per column; ``adversary_signal`` and ``adversary_content``
+# are its one-run cases.
 
 
 @dataclass(frozen=True)
@@ -382,12 +383,12 @@ class UniformRandom:
     label = "uniform_random"
     draws = True
 
-    def corrupt(self, flat, q, rng):
-        # rng.randrange(q) per symbol, by the same rejection loop over
-        # getrandbits, so the draws are the same
+    def corrupt(self, column, runs, q, rng):
+        # rng.randrange(q) per symbol in column order, by the same
+        # rejection loop over getrandbits, so the draws are the same
         bits, draw = q.bit_length(), rng.getrandbits
         out = []
-        for _ in flat:
+        for _ in column:
             v = draw(bits)
             while v >= q:
                 v = draw(bits)
@@ -402,8 +403,8 @@ class ZeroPayload:
     label = "zero_payload"
     draws = False
 
-    def corrupt(self, flat, q, rng):
-        return [0] * len(flat)
+    def corrupt(self, column, runs, q, rng):
+        return [0] * len(column)
 
 
 @dataclass(frozen=True)
@@ -415,21 +416,26 @@ class HonestPlusConstant:
     label = "honest_plus_constant"
     draws = False
 
-    def corrupt(self, flat, q, rng):
-        return [(x + self.constant) % q for x in flat]
+    def corrupt(self, column, runs, q, rng):
+        return [(x + self.constant) % q for x in column]
 
 
 @dataclass(frozen=True)
 class HonestPermutedSlices:
-    """Send the honest symbols cyclically rotated by one slice."""
+    """Send each run's honest symbols cyclically rotated by one slice."""
 
     label = "honest_permuted_slices"
     draws = False
 
-    def corrupt(self, flat, q, rng):
-        if len(flat) < 2:
-            return list(flat)
-        return list(flat[1:]) + [flat[0]]
+    def corrupt(self, column, runs, q, rng):
+        if not column:
+            return []
+        # the whole column rotated by one, then each run's last symbol
+        # set to that run's first
+        size = len(column) // runs
+        out = list(column[1:]) + [column[0]]
+        out[size - 1::size] = column[::size]
+        return out
 
 
 ALL_STRATEGIES = (UniformRandom(), ZeroPayload(), HonestPlusConstant(1),
@@ -448,22 +454,18 @@ def strategy_key(strategy) -> str:
 
 
 def adversary_column(params: SystemParams, strategy, column, runs: int, rng) -> list[int]:
-    """A server's corrupted column, from its honest column, one of ``runs`` equal runs at a time.
+    """A server's corrupted column, from its honest column of ``runs`` equal runs.
 
-    Each run keeps its size and is corrupted in order, all with ``rng``.
-    On a server's chained answers the runs are its deliveries.
+    One ``strategy.corrupt`` call, with ``rng``, corrupts the whole
+    column.  On a server's chained answers the runs are its deliveries.
     """
     if runs < 1 or len(column) % runs:
         raise DimensionMismatch(f"a column of {len(column)} symbols is not "
                                 f"{runs} equal runs")
-    q, size = params.q, len(column) // runs
-    out = []
-    for d in range(runs):
-        corrupted = strategy.corrupt(column[d * size:(d + 1) * size], q, rng)
-        if len(corrupted) != size:
-            raise ProtocolError("corruption must preserve the size")
-        out += corrupted
-    return out
+    corrupted = strategy.corrupt(column, runs, params.q, rng)
+    if len(corrupted) != len(column):
+        raise ProtocolError("corruption must preserve the size")
+    return corrupted
 
 
 def adversary_signal(params: SystemParams, strategy, honest: tuple[int, ...],

@@ -33,8 +33,9 @@ Which such plan decodes a word thus changes only the work.
 The words are packed one per slot into one integer per position, so
 each plan row, and its reduction mod q (see ``_Slots``), is a few
 big-integer operations for the whole batch.  A column is packed as it
-comes and its packed integer range-checked at once; only a column with
-a value below 0 or at least q is reduced mod q and packed again.  A set
+comes, by one byte copy when every value fits a byte, and its packed
+integer range-checked at once; only a column with a value below 0 or at
+least q is reduced mod q and packed again.  A set
 of words is a mask of their whole slots, so a check row that every word
 of a set passes is one test for zero.  The plan with S empty is swept over every word.
 While words are left, the lowest of them gets its syndromes and
@@ -309,6 +310,20 @@ class _Slots:
         return cls(q, need, None, magic, shift)
 
     def pack(self, values) -> int:
+        """The sequence ``values``, one per slot; OverflowError if one is below 0 or too wide.
+
+        Values that all fit a byte are copied in at once, as the low byte
+        of each slot: byte 0 of a slot on a little-endian host, byte
+        size - 1 on a big-endian one.
+        """
+        try:
+            low = bytearray(values)
+        except ValueError:  # a value outside [0, 256): packed whole below
+            pass
+        else:
+            raw = bytearray(self.size * len(low))
+            raw[0 if byteorder == "little" else self.size - 1::self.size] = low
+            return int.from_bytes(raw, byteorder)
         if self.code:
             return int.from_bytes(array(self.code, values), byteorder)
         return int.from_bytes(b"".join(v.to_bytes(self.size, byteorder) for v in values),

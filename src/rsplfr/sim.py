@@ -292,9 +292,10 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     answers to every demand chained in demand order, and every user's
     cache side are computed once per replay.  An adversarial server
     corrupts its stored contents (when recovery is checked), then its
-    honest column a delivery at a time, with ``adversary_content``,
-    ``adversary_column`` and the one generator of its (configuration,
-    server), so its contents do not depend on the number of demands.
+    whole honest column, one strategy call each, with
+    ``adversary_content``, ``adversary_column`` and the one generator of
+    its (configuration, server), so its contents do not depend on the
+    number of demands.
     The honest columns of servers 1..J are decoded once, and every user
     of every demand is decoded from them and checked: only if all are
     right does that data become the reference.  Any J answers

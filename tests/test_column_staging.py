@@ -1,14 +1,18 @@
 """Staging corrupted columns for the decoder changes no draw and no decode.
 
-``UniformRandom.corrupt`` draws by the rejection loop of
-``Random.randrange`` over ``getrandbits``, so each symbol must be the
-draw ``randrange(q)`` would give, and the generator must be left where
-``randrange`` leaves it.  ``decode_columns`` packs each column first and
-reduces mod q only a column whose packed word fails the range check, so
-any column must decode as the same column reduced mod q does.
+``UniformRandom.corrupt(column, runs, q, rng)`` draws by the rejection
+loop of ``Random.randrange`` over ``getrandbits``, so each symbol must
+be the draw ``randrange(q)`` would give, and the generator must be left
+where ``randrange`` leaves it.  ``_Slots.pack`` copies a column whose
+values all fit a byte into the low byte of each slot at once, and packs
+any other column value by value, so both must give the same integer.
+``decode_columns`` packs each column first and reduces mod q only a
+column whose packed word fails the range check, so any column must
+decode as the same column reduced mod q does.
 """
 
 import random
+from sys import byteorder
 
 import pytest
 
@@ -29,8 +33,58 @@ def test_uniform_corruption_draws_what_randrange_draws(q, seed, n):
     expected = random.Random(seed)
     want = [expected.randrange(q) for _ in flat]
     rng = random.Random(seed)
-    assert UniformRandom().corrupt(flat, q, rng) == want
+    assert UniformRandom().corrupt(flat, 1, q, rng) == want
     assert rng.getstate() == expected.getstate()
+
+
+# every slot width the decoder's sums reach: one to eight bytes in an
+# array, nine and seventeen bytes by to_bytes
+SLOTS = sorted({_Slots.for_sums(q, terms) for q in PRIMES for terms in range(1, 13)},
+               key=lambda slots: (slots.size, slots.q))
+
+
+def packed(values, size, order=byteorder):
+    """Value i in slot i, or in slot W - 1 - i on a big-endian host."""
+    W = len(values)
+    return sum(v << 8 * size * (i if order == "little" else W - 1 - i)
+               for i, v in enumerate(values))
+
+
+def test_the_slots_reach_every_pack_path():
+    assert {(s.size, s.code) for s in SLOTS} == {
+        (1, "B"), (2, "H"), (4, "I"), (8, "Q"), (9, None), (17, None)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=20), st.data())
+def test_a_column_packs_one_value_per_slot(values, data):
+    for slots in SLOTS:
+        top = 1 << 8 * slots.size
+        for column in (values, tuple(values)):
+            assert slots.pack(column) == packed(values, slots.size)
+        # one value past a byte: the whole column by the value-by-value path
+        at = data.draw(st.integers(0, len(values)))
+        wide = data.draw(st.integers(256, max(256, top - 1)))
+        column = values[:at] + [wide] + values[at:]
+        if wide < top:
+            for seq in (column, tuple(column)):  # read again from its start
+                assert slots.pack(seq) == packed(column, slots.size)
+        else:  # a one-byte slot holds no such value
+            with pytest.raises(OverflowError):
+                slots.pack(column)
+        column[at] = data.draw(st.integers(-top, -1))
+        with pytest.raises(OverflowError):
+            slots.pack(column)
+
+
+def test_the_byte_copy_fills_the_low_byte_of_each_slot_in_either_order(monkeypatch):
+    # a big-endian host keeps a slot's low byte last, and word 0 in the top slot
+    values = [0, 1, 255, 7, 128]
+    for order in ("little", "big"):
+        monkeypatch.setattr("rsplfr.rscode.byteorder", order)
+        for slots in SLOTS:
+            assert slots.pack(values) == packed(values, slots.size, order)
+            assert slots.pack([]) == 0
 
 
 @st.composite

@@ -791,6 +791,56 @@ def test_a_column_is_corrupted_as_its_deliveries_are():
             adversary_column(params, ZeroPayload(), column, runs, None)
 
 
+def corrupt_run_by_run(strategy, column, runs, q, rng):
+    """The oracle: each run corrupted on its own, in order, with one shared generator."""
+    size = len(column) // runs
+    out = []
+    for d in range(runs):
+        run = list(column[d * size:(d + 1) * size])
+        if isinstance(strategy, UniformRandom):
+            out += [rng.randrange(q) for _ in run]
+        elif isinstance(strategy, ZeroPayload):
+            out += [0] * len(run)
+        elif isinstance(strategy, HonestPlusConstant):
+            out += [(x + strategy.constant) % q for x in run]
+        else:
+            assert isinstance(strategy, HonestPermutedSlices)
+            out += run[1:] + run[:1]
+    return out
+
+
+def test_a_column_is_corrupted_as_the_oracle_corrupts_its_runs():
+    # one strategy call per column must give what corrupting each run on
+    # its own gives, and leave the generator where that leaves it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        q = draw(st.sampled_from([3, 7, 13, 257, 65537]))
+        strategy = draw(st.one_of(
+            st.builds(UniformRandom, st.integers(0, 3)), st.just(ZeroPayload()),
+            st.builds(HonestPlusConstant, st.integers(-2 * q, 2 * q)),
+            st.just(HonestPermutedSlices())))
+        runs = draw(st.integers(1, 6))
+        size = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 12)))
+        column = draw(st.lists(st.integers(0, q - 1), min_size=runs * size,
+                               max_size=runs * size))
+        return q, strategy, runs, column, draw(st.integers(0, 2 ** 32))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        q, strategy, runs, column, seed = case
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = adversary_column(replace(MICRO, q=q), strategy, column, runs,
+                               got_rng if strategy.draws else None)
+        assert got == corrupt_run_by_run(strategy, column, runs, q, want_rng)
+        assert got_rng.getstate() == want_rng.getstate()
+
+    check()
+
+
 def test_adversary_content_preserves_shape():
     params, library, randomness, stores, ps, caches = build_toy_state(16)
     for strategy in ALL_STRATEGIES:
@@ -806,8 +856,8 @@ def test_corruption_must_preserve_the_size(extra):
     class Resized:
         label = "resized"
 
-        def corrupt(self, flat, q, rng):
-            return list(flat) + [0] if extra > 0 else list(flat[:-1])
+        def corrupt(self, column, runs, q, rng):
+            return list(column) + [0] if extra > 0 else list(column[:-1])
 
     params, library, randomness, stores, ps, caches = build_toy_state(16)
     queries = [make_query(params, [1, 0, 0, 0], ps[k]) for k in range(3)]

@@ -107,6 +107,31 @@ def test_full_sweep_covers_every_configuration():
     assert result.measured == msc_from_pda(TOY_PDA, TOY)
 
 
+@pytest.mark.parametrize("q", [257, 65537])
+def test_residues_wider_than_a_byte_sweep_end_to_end(monkeypatch, q):
+    # at q = 257 a column packs by the byte copy unless it holds a 256;
+    # at q = 65537 the slots are 9 bytes wide, packed by to_bytes
+    import dataclasses
+    from rsplfr.rscode import _Slots
+    original, widest = _Slots.pack, []
+
+    def recorded(slots, values):
+        widest.append((slots.code, max(values, default=0)))
+        return original(slots, values)
+
+    monkeypatch.setattr(_Slots, "pack", recorded)
+    params = dataclasses.replace(TOY, q=q)
+    result = sweep(Scenario(params=params, pda=TOY_PDA, sweep_j_subsets=True,
+                            sweep_adversary_subsets=True, adversary_sizes=(0, 1),
+                            sweep_strategies=True, demand_samples=2, check_recovery=True))
+    assert result.ok and result.failure_count == 0 and result.configurations == 168
+    assert result.measured == msc_from_pda(TOY_PDA, params)
+    if q == 257:
+        assert {top < 256 for _, top in widest} == {True, False}
+    else:
+        assert {code for code, _ in widest} == {None}
+
+
 def test_parallel_sweep_equals_serial():
     sc = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                       sweep_strategies=True, demand_samples=1,
