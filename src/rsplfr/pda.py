@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count, islice
 
 STAR = None  # entry sentinel; ordinary entries are ints >= 1
 
@@ -102,9 +102,11 @@ def validate(grid) -> Pda:
             if e is not STAR:
                 occ.setdefault(e, []).append((j, k))
     S = max(occ) if occ else 0
-    missing = [s for s in range(1, S + 1) if s not in occ]
-    if missing:
-        raise SymbolGapError(f"ordinary symbols must cover 1..{S}; missing {missing}")
+    gaps = S - len(occ)
+    if gaps:  # the first ten gaps lie within the first len(occ) + 10 symbols
+        first = islice((s for s in count(1) if s not in occ), min(gaps, 10))
+        raise SymbolGapError(f"ordinary symbols must cover 1..{S}; {gaps} missing: "
+                             + ", ".join(map(str, first)) + (", ..." if gaps > 10 else ""))
 
     for s in range(1, S + 1):
         places = occ[s]

@@ -30,14 +30,14 @@ with a degree < k polynomial outside S, so with |S| <= e it lies within
 distance e of that codeword, the only one there since 2e < J - k + 1.
 Which such plan decodes a word thus changes only the work.
 
-The words are packed one per slot into one integer per position, so
-each plan row, and its reduction mod q (see ``_Slots``), is a few
-big-integer operations for the whole batch.  A column is packed as it
-comes, by one byte copy when every value fits a byte, and its packed
-integer range-checked at once; only a column with a value below 0 or at
-least q is reduced mod q and packed again.  A set
-of words is a mask of their whole slots, so a check row that every word
-of a set passes is one test for zero.  The plan with S empty is swept over every word.
+The words are packed one per little-endian slot into one integer per
+position, so each plan row, and its reduction mod q (see ``_Slots``),
+is a few big-integer operations for the whole batch.  A column is
+packed as it comes, by one byte copy when every value fits a byte, and
+its packed integer range-checked at once; only a column with a value
+below 0 or at least q is reduced mod q and packed again.  A set of
+words is a mask of their whole slots, so a check row that every word of
+a set passes is one test for zero.  The plan with S empty is swept over every word.
 While words are left, the lowest of them gets its syndromes and
 locator.  A locator longer than e, or with another number of roots
 among the present positions than its length, cannot be the locator of
@@ -64,13 +64,11 @@ with all remaining positions.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from itertools import combinations, compress
 from math import prod
 from operator import mul
-from sys import byteorder
 
 from .ff import PrimeField, horner
 
@@ -274,6 +272,7 @@ def _locate(dual: _Dual, y: list[int], max_errors: int, q: int) -> list[int]:
 class _Slots:
     """Residues packed one per word into the fixed-width slots of one integer.
 
+    On any host, word w is bytes w*size up to (w+1)*size, lowest first.
     A slot holds any sum v of ``terms`` products of residues, so a linear
     combination of packed columns is a few big-integer products and sums
     with no carry between words: one pass of arithmetic for a batch.
@@ -282,14 +281,13 @@ class _Slots:
     using Multiplication*, PLDI 1994): with magic = ceil(2^shift / q) and
     e = magic*q - 2^shift, v*magic / 2^shift exceeds v/q by
     v*e / (q*2^shift), less than 1/q while v*e < 2^shift, so its floor is
-    floor(v/q) for every v <= terms*(q-1)^2.  The slots are wide enough
-    to hold v*magic, so one multiply, shift and mask of a packed integer
-    gives every slot's quotient, and v - q*quotient its residue.
+    floor(v/q) for every v <= terms*(q-1)^2.  A slot is exactly as many
+    bytes as v*magic needs, so one multiply, shift and mask of a packed
+    integer gives every slot's quotient, and v - q*quotient its residue.
     """
 
     q: int
-    size: int         # bytes per slot
-    code: str | None  # the array type of that size, if there is one
+    size: int  # bytes per slot
     magic: int
     shift: int
 
@@ -303,38 +301,30 @@ class _Slots:
         while top * (-(1 << shift) % q) >= 1 << shift:
             shift += 1
         magic = -(-(1 << shift) // q)
-        need = max(1, ((top * magic).bit_length() + 7) // 8)
-        for code in "BHIQ":
-            if array(code).itemsize >= need:
-                return cls(q, array(code).itemsize, code, magic, shift)
-        return cls(q, need, None, magic, shift)
+        return cls(q, max(1, ((top * magic).bit_length() + 7) // 8), magic, shift)
 
     def pack(self, values) -> int:
         """The sequence ``values``, one per slot; OverflowError if one is below 0 or too wide.
 
-        Values that all fit a byte are copied in at once, as the low byte
-        of each slot: byte 0 of a slot on a little-endian host, byte
-        size - 1 on a big-endian one.
+        Values that all fit a byte are copied in at once, into byte 0 of
+        each slot.
         """
         try:
             low = bytearray(values)
-        except ValueError:  # a value outside [0, 256): packed whole below
-            pass
-        else:
-            raw = bytearray(self.size * len(low))
-            raw[0 if byteorder == "little" else self.size - 1::self.size] = low
-            return int.from_bytes(raw, byteorder)
-        if self.code:
-            return int.from_bytes(array(self.code, values), byteorder)
-        return int.from_bytes(b"".join(v.to_bytes(self.size, byteorder) for v in values),
-                              byteorder)
+        except ValueError:  # a value outside [0, 256): each value by to_bytes
+            return int.from_bytes(b"".join(v.to_bytes(self.size, "little") for v in values),
+                                  "little")
+        raw = bytearray(self.size * len(low))
+        raw[::self.size] = low
+        return int.from_bytes(raw, "little")
 
-    def unpack(self, packed: int, count: int) -> list[int]:
-        raw = packed.to_bytes(count * self.size, byteorder)
-        if self.code:
-            return array(self.code, raw).tolist()
-        return [int.from_bytes(raw[i:i + self.size], byteorder)
-                for i in range(0, len(raw), self.size)]
+    def unpack(self, residues: int, count: int) -> list[int]:
+        """The ``count`` slots of ``residues``, each below q, by byte planes."""
+        raw = residues.to_bytes(count * self.size, "little")
+        out = list(raw[::self.size])
+        for b in range(1, ((self.q - 1).bit_length() + 7) // 8):  # each further byte of q - 1
+            out = [v | u << 8 * b for v, u in zip(out, raw[b::self.size])]
+        return out
 
     @lru_cache(maxsize=16)
     def masks(self, count: int) -> tuple[int, int]:
@@ -374,15 +364,13 @@ class _Slots:
         ones = self.masks(count)[0]
         return ((residues + ones * ((1 << b) - 1)) >> b & ones) * ((1 << 8 * self.size) - 1)
 
-    def word(self, w: int, count: int) -> int:
+    def word(self, w: int) -> int:
         """The full slot of word w."""
-        slot = w if byteorder == "little" else count - 1 - w
-        return ((1 << 8 * self.size) - 1) << (8 * self.size * slot)
+        return ((1 << 8 * self.size) - 1) << (8 * self.size * w)
 
-    def lowest(self, words: int, count: int) -> int:
+    def lowest(self, words: int) -> int:
         """The lowest word among the full slots of ``words``."""
-        slot = ((words & -words).bit_length() - 1) // (8 * self.size)
-        return slot if byteorder == "little" else count - 1 - slot
+        return ((words & -words).bit_length() - 1) // (8 * self.size)
 
 
 def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: int,
@@ -454,8 +442,8 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
     failures = {}
     dual = _dual(points, positions, k)
     while pending:
-        w = slots.lowest(pending, W)
-        word = slots.word(w, W)
+        w = slots.lowest(pending)
+        word = slots.word(w)
         try:
             roots = _locate(dual, [col[w] for col in y], max_errors, q)
             plan = _plan(points, positions, k, tuple(positions[j] for j in roots))

@@ -231,7 +231,10 @@ def _own_config(sc: Scenario) -> tuple:
         raise ScenarioError(f"adversary set {adv} is not a subset of [1..{params.H}]")
     if len(adv) > params.A and sc.adversary_sizes is None:
         raise ScenarioError(f"{len(adv)} adversaries exceed A={params.A}")
-    for size in sc.adversary_sizes or ():
+    sizes = sc.adversary_sizes or ()
+    if len(set(sizes)) != len(sizes):
+        raise ScenarioError(f"adversary sizes must be distinct, got {sizes}")
+    for size in sizes:
         if not 0 <= size <= params.H:
             raise ScenarioError(f"adversary size {size} outside [0, {params.H}]")
     return d, adv, sc.strategy

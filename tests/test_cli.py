@@ -74,6 +74,22 @@ def test_pda_validate_flags_bad_grid(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("invalid:")
 
 
+def test_pda_validate_refuses_a_huge_symbol_on_one_short_line(tmp_path, capsys):
+    path = tmp_path / "huge.pda"
+    path.write_text(f"1 *\n* {10 ** 12}\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["pda", "validate", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid:") and len(out) < 200 and out.count("\n") == 1
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(_with_params(pda={"grid": f"1 *\n* {10 ** 12}\n"})),
+                      encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid pda:") and "missing: 2, 3," in err and len(err) < 200
+
+
 def test_pda_validate_missing_file(capsys):
     assert main(["pda", "validate", "/no/such/file.pda"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -550,6 +566,9 @@ SCENARIO_CHECKS = {
                            "adversary set (9,) is not a subset of [1..6]"),
     "adversary_size_above_h_unswept": (
         dict(TOY_SWEEP, sweep={"adversary_sizes": [7]}), "adversary size 7 outside [0, 6]"),
+    "repeated_adversary_size": (
+        dict(TOY_SWEEP, sweep={"adversary_subsets": True, "adversary_sizes": [1, 1, 0]}),
+        "adversary sizes must be distinct, got (1, 1, 0)"),
 }
 for _case, (_doc, _) in SCENARIO_CHECKS.items():
     MALFORMED[_case] = (_doc, ["simulate"])

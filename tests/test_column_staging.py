@@ -4,15 +4,15 @@
 loop of ``Random.randrange`` over ``getrandbits``, so each symbol must
 be the draw ``randrange(q)`` would give, and the generator must be left
 where ``randrange`` leaves it.  ``_Slots.pack`` copies a column whose
-values all fit a byte into the low byte of each slot at once, and packs
-any other column value by value, so both must give the same integer.
+values all fit a byte into byte 0 of each slot at once, and packs any
+other column value by value, so both must give the same integer, on
+any host: word w is slot w, little-endian.
 ``decode_columns`` packs each column first and reduces mod q only a
 column whose packed word fails the range check, so any column must
 decode as the same column reduced mod q does.
 """
 
 import random
-from sys import byteorder
 
 import pytest
 
@@ -37,22 +37,44 @@ def test_uniform_corruption_draws_what_randrange_draws(q, seed, n):
     assert rng.getstate() == expected.getstate()
 
 
-# every slot width the decoder's sums reach: one to eight bytes in an
-# array, nine and seventeen bytes by to_bytes
+# every slot width the decoder's sums reach: one byte at q = 2 up to
+# seventeen at 2^32 + 15
 SLOTS = sorted({_Slots.for_sums(q, terms) for q in PRIMES for terms in range(1, 13)},
                key=lambda slots: (slots.size, slots.q))
 
 
-def packed(values, size, order=byteorder):
-    """Value i in slot i, or in slot W - 1 - i on a big-endian host."""
-    W = len(values)
-    return sum(v << 8 * size * (i if order == "little" else W - 1 - i)
-               for i, v in enumerate(values))
+def packed(values, size):
+    """Value i in slot i, lowest byte first."""
+    return sum(v << 8 * size * i for i, v in enumerate(values))
 
 
 def test_the_slots_reach_every_pack_path():
-    assert {(s.size, s.code) for s in SLOTS} == {
-        (1, "B"), (2, "H"), (4, "I"), (8, "Q"), (9, None), (17, None)}
+    assert {s.size for s in SLOTS} == {1, 2, 3, 4, 5, 8, 9, 17}
+
+
+def test_the_layout_is_little_endian_on_any_host():
+    # mid_sweep's sums, q = 13 over k + 1 = 7 terms, need 3-byte slots
+    slots = _Slots.for_sums(13, 7)
+    assert slots.size == 3
+    assert slots.pack([1, 2, 255]) == 1 | 2 << 24 | 255 << 48
+    assert slots.pack([1, 2, 256]) == 1 | 2 << 24 | 256 << 48
+    assert slots.unpack(1 | 2 << 24 | 12 << 48, 3) == [1, 2, 12]
+    assert slots.pack([]) == 0 and slots.unpack(0, 0) == []
+    assert slots.word(2) == 0xFFFFFF << 48
+    assert slots.lowest(slots.word(1) | slots.word(2)) == 1
+
+
+@pytest.mark.parametrize("q, planes", [(13, 1), (257, 2), (65537, 3), (2 ** 31 + 11, 4)])
+def test_residues_round_trip_through_their_byte_planes(q, planes):
+    assert ((q - 1).bit_length() + 7) // 8 == planes
+    rng = random.Random(q)
+    values = [0, 1, q - 1, q - 2] + [rng.randrange(q) for _ in range(200)]
+    # the edges of each further byte plane a residue reaches
+    values += [v for b in range(1, planes) for v in range((1 << 8 * b) - 1, (1 << 8 * b) + 2)
+               if v < q]
+    for terms in (1, 4, 7):
+        slots = _Slots.for_sums(q, terms)
+        assert slots.unpack(slots.pack(values), len(values)) == values
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,16 +97,6 @@ def test_a_column_packs_one_value_per_slot(values, data):
         column[at] = data.draw(st.integers(-top, -1))
         with pytest.raises(OverflowError):
             slots.pack(column)
-
-
-def test_the_byte_copy_fills_the_low_byte_of_each_slot_in_either_order(monkeypatch):
-    # a big-endian host keeps a slot's low byte last, and word 0 in the top slot
-    values = [0, 1, 255, 7, 128]
-    for order in ("little", "big"):
-        monkeypatch.setattr("rsplfr.rscode.byteorder", order)
-        for slots in SLOTS:
-            assert slots.pack(values) == packed(values, slots.size, order)
-            assert slots.pack([]) == 0
 
 
 @st.composite

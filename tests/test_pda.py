@@ -1,6 +1,7 @@
 """Placement delivery arrays: validation rules, the caching-gain family, text format."""
 
 import random
+import time
 
 import pytest
 
@@ -104,6 +105,21 @@ def test_missing_symbol_rejected():
     with pytest.raises(SymbolGapError) as info:
         validate([[1, 3], [3, 1]])
     assert "2" in str(info.value)
+
+
+def test_a_huge_symbol_is_refused_at_once_with_a_short_message():
+    # the report names how many symbols are missing and the first ten,
+    # without walking 1..S
+    start = time.perf_counter()
+    with pytest.raises(SymbolGapError) as info:
+        validate([[1, STAR], [STAR, 10 ** 12]])
+    assert time.perf_counter() - start < 1
+    message = str(info.value)
+    assert len(message) < 200
+    assert message.endswith(f"{10 ** 12 - 2} missing: 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...")
+    with pytest.raises(SymbolGapError) as info:
+        validate([[1, STAR], [STAR, 5]])
+    assert str(info.value).endswith("3 missing: 2, 3, 4")
 
 
 def test_repeat_in_row_rejected():

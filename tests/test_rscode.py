@@ -436,12 +436,12 @@ def test_slot_reduction_is_exact():
             values = range(terms * (q - 1) ** 2 + 1)
             residues = slots.reduce(slots.pack(values), len(values))
             assert slots.unpack(residues, len(values)) == [v % q for v in values], (q, terms)
-    # no array type fits these slots: the edges, and the multiples of q
-    # with their neighbours
+    # 16-byte slots, packed by to_bytes and read back by 4 byte planes:
+    # the edges, and the multiples of q with their neighbours
     q = 2 ** 31 + 11
     for terms in range(1, 13):
         slots = rsplfr.rscode._Slots.for_sums(q, terms)
-        assert slots.code is None
+        assert slots.size == 16
         top = terms * (q - 1) ** 2
         values = sorted({v for m in (1, 2, 3, top // q - 1, top // q)
                          for v in (m * q - 1, m * q, m * q + 1) if 0 <= v <= top} | {0, top})

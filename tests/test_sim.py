@@ -107,16 +107,20 @@ def test_full_sweep_covers_every_configuration():
     assert result.measured == msc_from_pda(TOY_PDA, TOY)
 
 
-@pytest.mark.parametrize("q", [257, 65537])
-def test_residues_wider_than_a_byte_sweep_end_to_end(monkeypatch, q):
-    # at q = 257 a column packs by the byte copy unless it holds a 256;
-    # at q = 65537 the slots are 9 bytes wide, packed by to_bytes
+@pytest.mark.parametrize("q, paths", [
+    (257, {(5, "byte copy"), (5, "to_bytes")}),
+    (65537, {(9, "to_bytes")}),
+], ids=["257", "65537"])
+def test_residues_wider_than_a_byte_sweep_end_to_end(monkeypatch, q, paths):
+    # at q = 257 a column packs into 5-byte slots by the byte copy unless
+    # it holds a 256; at q = 65537 every column packs into 9-byte slots
+    # by to_bytes
     import dataclasses
     from rsplfr.rscode import _Slots
-    original, widest = _Slots.pack, []
+    original, seen = _Slots.pack, set()
 
     def recorded(slots, values):
-        widest.append((slots.code, max(values, default=0)))
+        seen.add((slots.size, "byte copy" if max(values, default=0) < 256 else "to_bytes"))
         return original(slots, values)
 
     monkeypatch.setattr(_Slots, "pack", recorded)
@@ -126,10 +130,7 @@ def test_residues_wider_than_a_byte_sweep_end_to_end(monkeypatch, q):
                             sweep_strategies=True, demand_samples=2, check_recovery=True))
     assert result.ok and result.failure_count == 0 and result.configurations == 168
     assert result.measured == msc_from_pda(TOY_PDA, params)
-    if q == 257:
-        assert {top < 256 for _, top in widest} == {True, False}
-    else:
-        assert {code for code, _ in widest} == {None}
+    assert seen == paths
 
 
 def test_parallel_sweep_equals_serial():
