@@ -27,9 +27,9 @@ from .ff import (FieldError, NotPrimeError, PrimeField, ZeroInverseError, horner
 from .pda import (ConditionAError, ConditionBError, Pda, PdaError,
                   PdaParseError, STAR, StarCountError, SymbolGapError, man_pda,
                   parse, serialize, validate)
-from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedStreams,
-                       DimensionMismatch, HonestPermutedSlices, HonestPlusConstant,
-                       Library, MissingSignals, ProtocolError, Randomness,
+from .protocol import (ALL_STRATEGIES, CacheSide, ConfigError, DecodedLibraries,
+                       DecodedStreams, DimensionMismatch, HonestPermutedSlices,
+                       HonestPlusConstant, Library, MissingSignals, ProtocolError, Randomness,
                        STRATEGY_NAMES, ServerStore, SystemParams,
                        UniformRandom, UserCache, ZeroPayload,
                        adversary_column, adversary_content, adversary_signal,
@@ -60,7 +60,8 @@ __all__ = [
     "STAR", "StarCountError", "SymbolGapError", "man_pda", "parse",
     "serialize", "validate",
     # protocol
-    "ALL_STRATEGIES", "CacheSide", "ConfigError", "DecodedStreams",
+    "ALL_STRATEGIES", "CacheSide", "ConfigError", "DecodedLibraries",
+    "DecodedStreams",
     "DimensionMismatch", "HonestPermutedSlices", "HonestPlusConstant", "Library",
     "MissingSignals", "ProtocolError", "Randomness", "STRATEGY_NAMES",
     "ServerStore", "SystemParams", "UniformRandom", "UserCache",

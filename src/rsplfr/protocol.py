@@ -32,25 +32,32 @@ decoder reads them, each word across any J servers one MDS codeword;
 
 Deliveries and stored contents are decoded on one path,
 ``decode_group``, which takes a batch as a mapping from each of J
-servers to what it sent, and makes one ``decode_columns`` call, which
-computes only the L data rows of each word's message.  Its stream side
-takes ``{h: column}``, server h's answers to a batch of deliveries
-chained in delivery order, and gives one ``DecodedStreams``, slice r of
-stream s of delivery d at word (d*S + s-1)*pkt + r, from which
-``user_decode`` reads one delivery.  An adversarial server's column is
+servers to what it sent, and makes one call of the packed decoder
+``rscode._decode_packed``, which computes only the L data rows of each
+word's message and leaves them packed.  Its stream side takes
+``{h: column}``, server h's answers to a batch of deliveries chained in
+delivery order, and gives one ``DecodedStreams``, slice r of stream s
+of delivery d at word (d*S + s-1)*pkt + r, from which ``user_decode``
+reads one delivery.  An adversarial server's column is
 ``adversary_column`` of its honest one, corrupted by one strategy call
 with the server's one generator.  Its store side takes
-``{h: [store per set]}`` and gives each set's library or failure.
-``decode_streams`` and ``recover_library`` are its one-sided cases.  A
-word's decode never depends on the rest of its batch.
+``{h: [store per set]}`` and gives a ``DecodedLibraries`` sequence,
+which builds each set's library or failure on access.  Each side's
+``repeats`` tells, from the packed rows alone, whether its batch is
+copies of another's, word for word; lists are unpacked only where
+they are read.  ``decode_streams`` and ``recover_library`` are its
+one-sided cases.  A word's decode never depends on the rest of its
+batch.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress
 from pathlib import Path
 
 from . import pda as pda_mod
@@ -486,8 +493,50 @@ def adversary_content(params: SystemParams, strategy, store: ServerStore,
 # ---------- decoding ----------
 
 
-@dataclass(frozen=True)
-class DecodedStreams:
+@dataclass(frozen=True, eq=False)
+class _DecodedRun:
+    """``count`` decoded words of a batch from word ``start`` on, kept packed.
+
+    ``rows[l]`` holds data coefficient l of every word of the batch, word
+    w in slot w of ``slots``, 0 at a failed word; ``failures`` maps each
+    failing word of the run to its ``DecodingFailure``.
+    """
+
+    slots: rscode._Slots
+    rows: list[int]
+    start: int
+    count: int
+    failures: dict[int, rscode.DecodingFailure]
+
+    def _packed(self, start: int, count: int) -> list[int]:
+        """Each data row's words start .. start+count-1 of the batch, packed from slot 0."""
+        bits = 8 * self.slots.size
+        mask = (1 << bits * count) - 1
+        return [row >> bits * start & mask for row in self.rows]
+
+    def _unpacked(self, start: int, count: int) -> list[list[int]]:
+        """Each data row's words start .. start+count-1 of the batch, 0 where failed."""
+        return [self.slots.unpack(row, count) for row in self._packed(start, count)]
+
+    def repeats(self, other: "_DecodedRun", times: int) -> bool:
+        """Whether neither run has a failure and this one is ``times`` copies of ``other``.
+
+        Word for word: slots hold canonical residues, so this run's rows
+        equal ``other``'s, each times sum_t 2^(t * slot bits * other's
+        words), exactly when every word's data coefficients are equal.
+        """
+        if (self.failures or other.failures or self.slots != other.slots
+                or len(self.rows) != len(other.rows) or self.count != times * other.count):
+            return False
+        step = 8 * self.slots.size * other.count
+        # the product by shifts: a general multiply would not use that the
+        # multiplier has only ``times`` bits set
+        return all(mine == sum(theirs << t * step for t in range(times)) for mine, theirs in zip(
+            self._packed(self.start, self.count), other._packed(other.start, other.count)))
+
+
+@dataclass(frozen=True, eq=False)
+class DecodedStreams(_DecodedRun):
     """A batch of deliveries' multicast streams, decoded once for all users.
 
     Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery
@@ -497,23 +546,75 @@ class DecodedStreams:
     stream's occurrence set receives, or None where the word could not be
     decoded.  ``failures`` maps each such word to its ``DecodingFailure``.
     ``flagged[h]`` is the set of decoded words in which server h's symbol
-    is off its codeword; servers never flagged are absent.
+    is off its codeword; servers never flagged are absent.  The words stay
+    packed, from slot 0 of ``rows`` on, and ``masks[h]`` holds the full
+    slots of server h's flagged words; ``data`` and ``flagged`` are
+    unpacked on first read.  Equal batches have equal words, data,
+    failures and flags.
     """
 
     words: int
-    data: list[list[int | None]]
-    failures: dict[int, rscode.DecodingFailure]
-    flagged: dict[int, set[int]]
+    masks: dict[int, int]
+
+    @cached_property
+    def data(self) -> list[list[int | None]]:
+        data = self._unpacked(self.start, self.count)
+        for w in self.failures:
+            for col in data:
+                col[w] = None
+        return data
+
+    @cached_property
+    def flagged(self) -> dict[int, set[int]]:
+        stream = (1 << 8 * self.slots.size * self.count) - 1
+        return {h: set(compress(range(self.count), self.slots.unpack(f & stream, self.count)))
+                for h, f in self.masks.items() if f & stream}
+
+    def __eq__(self, other):
+        if not isinstance(other, DecodedStreams):
+            return NotImplemented
+        return ((self.words, self.data, self.failures, self.flagged)
+                == (other.words, other.data, other.failures, other.flagged))
 
     def delivery(self, d: int, count: int = 1) -> list[list[int | None]]:
         """The data of deliveries d .. d+count-1, all in the batch: each coefficient's words."""
-        if d < 0 or count < 1 or (d + count) * self.words > len(self.data[0]):
+        if d < 0 or count < 1 or (d + count) * self.words > self.count:
             raise MissingSignals(f"deliveries {d}..{d + count - 1} lie outside the batch")
         return [col[d * self.words:(d + count) * self.words] for col in self.data]
 
 
+@dataclass(frozen=True, eq=False)
+class DecodedLibraries(_DecodedRun, Sequence):
+    """Per set of a batch of stored contents, its ``Library`` or failure, built on access.
+
+    Set i is the ``size`` = N * B/L words from ``start + i*size`` on: file
+    n's slices of each data row, file by file.  A failing set gives the
+    ``DecodingFailure`` of its lowest failing slice.
+    """
+
+    files: int  # N
+    size: int
+
+    def __len__(self) -> int:
+        return self.count // self.size
+
+    def __getitem__(self, i: int):
+        sets = len(self)
+        if not -sets <= i < sets:
+            raise IndexError(f"set {i} outside the batch of {sets}")
+        first = self.start + i % sets * self.size
+        if self.failures:
+            for w in range(first, first + self.size):
+                if w in self.failures:
+                    return self.failures[w]
+        rows = self._unpacked(first, self.size)
+        subL = self.size // self.files
+        return Library(tuple(tuple(chain.from_iterable(row[o:o + subL] for row in rows))
+                             for o in range(0, self.size, subL)))
+
+
 def decode_group(params: SystemParams, pda: Pda | None, columns,
-                 stores) -> tuple[DecodedStreams | None, list | None]:
+                 stores) -> tuple[DecodedStreams | None, DecodedLibraries | None]:
     """Decode a group's deliveries and stored contents from J servers, <= A corrupt, at once.
 
     ``columns`` maps each of J servers to its answers to a batch of
@@ -522,15 +623,17 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
     in every set, as ``recover_library`` takes them.  Stream words and
     coded subfiles are words of the same MDS code at the same points, so
     server h's stream words, then the coded subfiles of its sets in set
-    order, make one column, and one ``decode_columns`` call decodes them
-    all: an adversary that corrupts both parts is located once.
-    Returns ``(streams, libraries)``: the ``DecodedStreams`` of the
-    stream words alone, with their failures and flags only, and per set
-    its ``Library`` or the ``DecodingFailure`` of its lowest failing
-    slice.  Either side may be None, when it is neither checked nor
-    decoded and its result is None; ``decode_streams`` and
-    ``recover_library`` are those one-sided cases.  The stores are
-    checked before the columns.
+    order, make one column, and one ``rscode._decode_packed`` call
+    decodes them all: an adversary that corrupts both parts is located
+    once.  Returns ``(streams, libraries)``: the ``DecodedStreams`` of
+    the stream words alone, with their failures and flags only, and the
+    ``DecodedLibraries`` of the store words, which gives per set its
+    ``Library`` or the ``DecodingFailure`` of its lowest failing slice.
+    Both keep the decoded words packed, and each side's ``repeats``
+    compares it with another batch's without unpacking them.  Either
+    side may be None, when it is neither checked nor decoded and its
+    result is None; ``decode_streams`` and ``recover_library`` are those
+    one-sided cases.  The stores are checked before the columns.
     """
     if columns is None and stores is None:
         raise ProtocolError("a group needs columns or stores")
@@ -548,7 +651,8 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
             if not (_is_int(h) and 1 <= h <= params.H):
                 raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
             for st in sets:
-                if not (_is_int(st.h) and st.h == h):
+                # a store whose h is the checked key object itself needs no more
+                if st.h is not h and not (_is_int(st.h) and st.h == h):
                     raise ProtocolError(f"contents of server {st.h!r} in the sets of server {h}")
                 if len(st.coded_subfiles) != size:
                     raise DimensionMismatch(f"contents of server {h} have the wrong shape")
@@ -583,32 +687,18 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
             col += st.coded_subfiles
         return col
 
-    messages, flags, failed = rscode.decode_columns(
+    slots, rows, flags, failed = rscode._decode_packed(
         params.points, positions, params.I + params.L, params.A,
         [column(h) for h in positions], rows=params.L)
     streams = libraries = None
     if columns is not None:
-        data, failures = messages, failed
-        stored = range(first, len(messages[0]))  # the store words, after the stream words
-        if stored:
-            data = [m[:first] for m in messages]
-            failures = {w: f for w, f in failed.items() if w < first}
-            flags = [f.difference(stored) if f else f for f in flags]
-        streams = DecodedStreams(words, data, failures,
+        streams = DecodedStreams(slots, rows, 0, first,
+                                 {w: f for w, f in failed.items() if w < first}, words,
                                  {h: f for h, f in zip(positions, flags) if f})
     if stores is not None:
-        sets = counts.pop()
-        # a failing set's first word -> its lowest failing slice's failure, written last
-        lowest = {w - (w - first) % size: failed[w]
-                  for w in sorted(failed, reverse=True) if w >= first}
-        files = []  # file n of set i at i*N + n: its slices of every data row, in row order
-        for o in range(first, first + sets * size, subL):
-            run = []
-            for m in messages:
-                run += m[o:o + subL]
-            files.append(tuple(run))
-        libraries = [lowest[first + i * size] if first + i * size in lowest
-                     else Library(tuple(files[i * N:(i + 1) * N])) for i in range(sets)]
+        libraries = DecodedLibraries(slots, rows, first, counts.pop() * size,
+                                     {w: f for w, f in failed.items() if w >= first},
+                                     N, size)
     return streams, libraries
 
 
@@ -619,7 +709,7 @@ def decode_streams(params: SystemParams, pda: Pda, columns) -> DecodedStreams:
     answers to a batch of deliveries chained in delivery order: word
     ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery d.
     Every column must hold the same whole number of deliveries.  The
-    stream side of ``decode_group``: one ``decode_columns`` call.
+    stream side of ``decode_group``.
     """
     return decode_group(params, pda, columns, None)[0]
 
@@ -631,11 +721,11 @@ def recover_library(params: SystemParams, stores) -> list:
     MDS codeword of dimension I + L whose first L coefficients are the
     subfile symbols.  ``stores`` maps each of J servers to its
     ``ServerStore`` in every set, in set order; every server must hold
-    the same number of sets.  The store side of ``decode_group``: one
-    ``decode_columns`` call.  Returns, per set, its ``Library`` or the
+    the same number of sets.  The store side of ``decode_group``.
+    Returns a list holding, per set, its ``Library`` or the
     ``DecodingFailure`` of its lowest failing slice.
     """
-    return decode_group(params, None, None, stores)[1]
+    return list(decode_group(params, None, None, stores)[1])
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ position, so each plan row, and its reduction mod q (see ``_Slots``),
 is a few big-integer operations for the whole batch.  A column is
 packed as it comes, by one byte copy when every value fits a byte, and
 its packed integer range-checked at once; only a column with a value
-below 0 or at least q is reduced mod q and packed again.  A set of
+below 0 or at least q is reduced mod q and packed again.  The masks
+over the batch's slots are computed once per call.  A set of
 words is a mask of their whole slots, so a check row that every word of
 a set passes is one test for zero.  The plan with S empty is swept over every word.
 While words are left, the lowest of them gets its syndromes and
@@ -46,10 +47,12 @@ the plan skipping the roots is swept over every word left, since
 errors come per server and recur; the located word must pass it, or it
 is refused too.  A failing word drops out of a plan at its first failed
 check row.  Each plan's message and flag rows are masked to the words
-it explains, and every row is read out for the whole batch at once;
-a caller that keeps only the first message rows, as the protocol
-keeps the L data coefficients and drops the I noise ones, gets only
-those computed.
+it explains, so each row is computed for the whole batch at once; a
+caller that keeps only the first message rows, as the protocol keeps
+the L data coefficients and drops the I noise ones, gets only those
+computed.  The private core ``_decode_packed`` leaves the rows packed,
+a failed word 0 in each, which the protocol compares whole;
+``decode_columns`` is its list view, with None at a failed word.
 The result is the unique codeword within distance e, or
 ``DecodingFailure`` when there is none, exactly as the oracle finds.
 It depends on the word alone, never on the rest of the batch: a word
@@ -69,6 +72,7 @@ from functools import lru_cache
 from itertools import combinations, compress
 from math import prod
 from operator import mul
+from typing import NamedTuple
 
 from .ff import PrimeField, horner
 
@@ -268,6 +272,20 @@ def _locate(dual: _Dual, y: list[int], max_errors: int, q: int) -> list[int]:
     return roots
 
 
+class _Masks(NamedTuple):
+    """The masks over the slots of one batch, b being the bit length of q - 1.
+
+    ``ones`` holds 1 in each slot, ``quotients`` the bits each slot's
+    quotient occupies, ``high`` the bits from b up and ``offset`` 2^b - q
+    in each slot.
+    """
+
+    ones: int
+    quotients: int
+    high: int
+    offset: int
+
+
 @dataclass(frozen=True)
 class _Slots:
     """Residues packed one per word into the fixed-width slots of one integer.
@@ -326,42 +344,34 @@ class _Slots:
             out = [v | u << 8 * b for v, u in zip(out, raw[b::self.size])]
         return out
 
-    @lru_cache(maxsize=16)
-    def masks(self, count: int) -> tuple[int, int]:
-        """Over ``count`` slots: 1 in each, and the bits each slot's quotient occupies."""
+    def masks(self, count: int) -> _Masks:
+        """The masks of a batch of ``count`` slots; a decode computes them once."""
         bits = 8 * self.size
         ones = ((1 << bits * count) - 1) // ((1 << bits) - 1)
-        return ones, ones * ((1 << bits - self.shift) - 1)
-
-    @lru_cache(maxsize=16)
-    def _range(self, count: int) -> tuple[int, int]:
-        """Over ``count`` slots: the bits from b up, and 2^b - q in each; b = bits of q-1."""
         b = (self.q - 1).bit_length()
-        ones = self.masks(count)[0]
-        return ones * ((1 << 8 * self.size) - (1 << b)), ones * ((1 << b) - self.q)
+        return _Masks(ones, ones * ((1 << bits - self.shift) - 1),
+                      ones * ((1 << bits) - (1 << b)), ones * ((1 << b) - self.q))
 
-    def canonical(self, packed: int, count: int) -> bool:
+    def canonical(self, packed: int, masks: _Masks) -> bool:
         """Whether every slot of ``packed`` is below q.
 
         A slot below 2^b has no bit from b up, and is then below q exactly
         when adding 2^b - q, which cannot leave the slot, carries into no
         bit from b up.
         """
-        high, offset = self._range(count)
-        return not (packed & high or (packed + offset) & high)
+        return not (packed & masks.high or (packed + masks.offset) & masks.high)
 
-    def reduce(self, total: int, count: int) -> int:
+    def reduce(self, total: int, masks: _Masks) -> int:
         """Every slot of ``total`` mod q."""
-        return total - self.q * ((total * self.magic >> self.shift) & self.masks(count)[1])
+        return total - self.q * ((total * self.magic >> self.shift) & masks.quotients)
 
-    def nonzero(self, residues: int, count: int) -> int:
+    def nonzero(self, residues: int, masks: _Masks) -> int:
         """The full slots where ``residues``, each below q, is nonzero; the rest empty.
 
         Adding 2^b - 1 to a residue below 2^b carries into bit b exactly
         when the residue is nonzero.
         """
-        b = (self.q - 1).bit_length()
-        ones = self.masks(count)[0]
+        b, ones = (self.q - 1).bit_length(), masks.ones
         return ((residues + ones * ((1 << b) - 1)) >> b & ones) * ((1 << 8 * self.size) - 1)
 
     def word(self, w: int) -> int:
@@ -373,17 +383,15 @@ class _Slots:
         return ((words & -words).bit_length() - 1) // (8 * self.size)
 
 
-def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: int,
+def _decode_packed(points: EvalPoints, positions, dimension: int, max_errors: int,
                    columns, rows: int | None = None):
-    """Decode a batch of words received at ``positions``; ``columns[i][w]`` is word w there.
+    """The body of ``decode_columns``, its results left packed.
 
-    ``positions`` must ascend strictly.  Returns ``(messages, flags,
-    failures)``: ``messages[m][w]`` is message coefficient m of word w
-    (None if it failed), for the first ``rows`` coefficients (all k by
-    default), ``flags[i]`` the set of words whose value at position i
-    differs from their codeword, and ``failures`` maps each failing word
-    to its ``DecodingFailure``.  Each word's result depends on that word
-    alone, not on the rest of the batch.
+    Returns ``(slots, messages, flags, failures)``: the slot layout; per
+    message row read, one integer holding coefficient m of word w in
+    slot w, 0 at a failed word; per position, the full slots of the words
+    whose value there differs from their codeword; and each failing word's
+    ``DecodingFailure``.
     """
     positions = tuple(positions)
     if any(a >= b for a, b in zip(positions, positions[1:])):
@@ -404,20 +412,21 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
     if any(len(col) != W for col in y):
         raise ValueError("columns must hold one value per word")
     slots = _Slots.for_sums(q, k + 1)
+    masks = slots.masks(W)
     packed = []
     for i, col in enumerate(y):
         try:
             whole = slots.pack(col)
         except OverflowError:  # a value below 0 or too wide for its slot
             whole = None
-        if whole is None or not slots.canonical(whole, W):
+        if whole is None or not slots.canonical(whole, masks):
             y[i] = [v % q for v in col]
             whole = slots.pack(y[i])
         packed.append(whole)
 
     def residues(row, cols):
         """Row dotted with the packed columns, mod q, in every slot."""
-        return slots.reduce(sum(map(mul, row, cols)), W)
+        return slots.reduce(sum(map(mul, row, cols)), masks)
 
     def sweep(plan: _Plan, words: int) -> int:
         """The words, as full slots, that pass the plan's checks.
@@ -429,7 +438,7 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
         for j, row in plan.checks:
             off = residues(row, base + [packed[j]]) & words
             if off:
-                words ^= slots.nonzero(off, W)
+                words ^= slots.nonzero(off, masks)
                 if not words:
                     break
         return words
@@ -466,6 +475,26 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
             messages[m] |= residues(row, base) & words
         for j, row in plan.skipped:
             flags[j] |= residues(row, base + [packed[j]]) & words
+    return slots, messages, [slots.nonzero(f, masks) if f else 0 for f in flags], failures
+
+
+def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: int,
+                   columns, rows: int | None = None):
+    """Decode a batch of words received at ``positions``; ``columns[i][w]`` is word w there.
+
+    ``positions`` must ascend strictly.  Returns ``(messages, flags,
+    failures)``: ``messages[m][w]`` is message coefficient m of word w
+    (None if it failed), for the first ``rows`` coefficients (all k by
+    default), ``flags[i]`` the set of words whose value at position i
+    differs from their codeword, and ``failures`` maps each failing word
+    to its ``DecodingFailure``.  Each word's result depends on that word
+    alone, not on the rest of the batch.  The list view of
+    ``_decode_packed``.
+    """
+    columns = list(columns)
+    slots, messages, flags, failures = _decode_packed(points, positions, dimension,
+                                                      max_errors, columns, rows)
+    W = len(columns[0])
     messages = [slots.unpack(m, W) for m in messages]
     for w in failures:
         for out in messages:

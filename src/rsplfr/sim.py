@@ -9,7 +9,10 @@ its stored contents first and then its deliveries.
 A sweep replays many (J-subset, adversary set, strategy) configurations
 against a single placement, checking every user's decoded output and,
 optionally, whole-library recovery, against ground truth computed
-directly from the raw files.  A single run is the same replay of one
+directly from the raw files.  Configurations are decoded in groups, and
+a group whose packed decode repeats the honest reference is right for
+every member without unpacking it; only a wrong group is judged member
+by member, on lists.  A single run is the same replay of one
 configuration under the first demand sample, with a transcript.
 """
 
@@ -29,7 +32,7 @@ from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams,
                        UniformRandom, SCENARIO_FIELDS, _dims, _flag, _int, _ints,
                        adversary_column, adversary_content, build_storage, cache_side,
-                       decode_group, decode_streams, make_query, params_from_json,
+                       decode_group, make_query, params_from_json,
                        place_user, server_signal, strategy_key, user_decode)
 # uncalled here, but bound: instrumentation wraps the sweep's layers at
 # this module's names
@@ -299,9 +302,12 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     ``adversary_content``, ``adversary_column`` and the one generator of
     its (configuration, server), so its contents do not depend on the
     number of demands.
-    The honest columns of servers 1..J are decoded once, and every user
+    The honest columns of servers 1..J, and their stores when recovery
+    is checked, are decoded in one ``decode_group`` call, and every user
     of every demand is decoded from them and checked: only if all are
-    right does that data become the reference.  Any J answers
+    right does that data become the reference, and only if its one
+    library, compared once as lists, is the sampled library does that
+    library become the reference library.  Any J answers
     with <= A corrupt decode to the same data, and a user's output
     depends only on its cache side and the decoded data, so data equal
     to the reference makes every user right.
@@ -320,8 +326,13 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     Member t's delivery d is delivery u*D + d of the batch, with D
     demands and u = t, or 0 in such a group; the transcript's delivery,
     the batch's last, is cut from it alike for every server, honest when
-    not among the group's adversaries.  Each member's data is compared
-    once with the reference: only in a member that differs is each
+    not among the group's adversaries.  A group whose streams, and
+    recovered sets when recovery is checked, ``repeats`` the reference
+    once per member in its batch is right for every member, and is
+    judged on its packed rows alone: one integer comparison per data
+    row.  Only a group that fails that check is judged member by member:
+    each member's library is compared with the sampled one and its data
+    once with the reference; only in a member that differs is each
     delivery's data compared, and only the users of a delivery that
     differs are decoded one by one, for their witnesses.  A group's
     batch is dropped before the next is built.
@@ -330,7 +341,8 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     time would keep.  Per-configuration seeds are keyed by the
     configuration's index in the full list, so a slice replays exactly
     what the whole list would; only a strategy that draws gets a
-    generator.
+    generator.  Each distinct strategy's ``strategy_key`` is computed
+    once per replay.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -382,15 +394,25 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
 
     # the honest check decodes every user, with no short cut, so call
     # counts do not depend on where the first wrong output is
-    reference = decode_streams(params, arr, {h: honest_columns[h]
-                                             for h in range(1, params.J + 1)})
+    honest = range(1, params.J + 1)
+    reference, library = decode_group(
+        params, arr, {h: honest_columns[h] for h in honest},
+        {h: [state.stores[h - 1]] for h in honest} if sc.check_recovery else None)
     wrong = [error is not None for di in range(D)
              for error in decode_users(di, reference, di)[1]]
     if any(wrong):
         reference = None
+    if library is not None:
+        got = library[0]
+        if isinstance(got, DecodingFailure) or got.files != state.library.files:
+            library = None
     groups = {}
     for c, (js, adv, _) in enumerate(configs):
         groups.setdefault((js, tuple(h for h in js if h in adv)), []).append(c)
+    keys = {}  # id(strategy) -> its strategy_key, once per distinct strategy object
+    for _, _, strat in configs:
+        if id(strat) not in keys:
+            keys[id(strat)] = strategy_key(strat)
     size = arr.S * _dims(params, arr)[1]  # symbols per delivery
     delivered, decoded, per_user = [], [], []
     for (js, bad), members in groups.items():
@@ -401,7 +423,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         for c in members:
             strat = configs[c][2]
             for h in bad:
-                rng = (random.Random(f"{sc.seed}:adv:{first + c}:{h}:{strategy_key(strat)}")
+                rng = (random.Random(f"{sc.seed}:adv:{first + c}:{h}:{keys[id(strat)]}")
                        if strat.draws else None)
                 if sc.check_recovery:
                     contents[h].append(adversary_content(params, strat,
@@ -415,31 +437,37 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         # the batch's last delivery, of its last member
         last = copies * D - 1
         delivered = [(h, h not in bad, batch[h][last * size:(last + 1) * size]) for h in js]
-        for t, c in enumerate(members):
-            _, adv, strat = configs[c]
-            label = {"j_subset": js, "adversaries": adv, "strategy": strategy_key(strat)}
-            u = t if bad else 0  # the member's place in the batch
-            if recovered is not None:
-                got = recovered[u]
-                if isinstance(got, DecodingFailure):
-                    note(c, dict(label, stage="recover", error=str(got)))
-                elif got.files != state.library.files:
-                    note(c, dict(label, stage="recover", error="wrong library"))
-            if reference is not None and streams.delivery(u * D, D) == reference.data:
-                # every user of every delivery is right
-                decoded, per_user = truth_list[-1], [True] * params.K
-                continue
-            for di in range(D):
-                d = u * D + di
-                if reference is not None and streams.delivery(d) == reference.delivery(di):
-                    decoded, per_user = truth_list[di], [True] * params.K
+        if (reference is not None and streams.repeats(reference, copies)
+                and (recovered is None
+                     or library is not None and recovered.repeats(library, copies))):
+            # every user of every delivery and every library is right
+            decoded, per_user = truth_list[-1], [True] * params.K
+        else:
+            for t, c in enumerate(members):
+                _, adv, strat = configs[c]
+                label = {"j_subset": js, "adversaries": adv, "strategy": keys[id(strat)]}
+                u = t if bad else 0  # the member's place in the batch
+                if recovered is not None:
+                    got = recovered[u]
+                    if isinstance(got, DecodingFailure):
+                        note(c, dict(label, stage="recover", error=str(got)))
+                    elif got.files != state.library.files:
+                        note(c, dict(label, stage="recover", error="wrong library"))
+                if reference is not None and streams.delivery(u * D, D) == reference.data:
+                    # every user of every delivery is right
+                    decoded, per_user = truth_list[-1], [True] * params.K
                     continue
-                decoded, errors = decode_users(di, streams, d)
-                per_user = [error is None for error in errors]
-                for k, error in enumerate(errors, start=1):
-                    if error is not None:
-                        note(c, dict(label, stage="decode", demand_index=di, user=k,
-                                     error=error))
+                for di in range(D):
+                    d = u * D + di
+                    if reference is not None and streams.delivery(d) == reference.delivery(di):
+                        decoded, per_user = truth_list[di], [True] * params.K
+                        continue
+                    decoded, errors = decode_users(di, streams, d)
+                    per_user = [error is None for error in errors]
+                    for k, error in enumerate(errors, start=1):
+                        if error is not None:
+                            note(c, dict(label, stage="decode", demand_index=di, user=k,
+                                         error=error))
         del columns, contents, batch, stores, recovered, streams  # before the next group is built
     witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
     measured = MscTriple(M=state.M, T=state.T,

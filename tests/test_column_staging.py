@@ -139,7 +139,8 @@ def test_a_column_decodes_as_its_residues_do(case):
     slots = _Slots.for_sums(q, k + 1)
     for col in cols:
         if all(0 <= v < 1 << 8 * slots.size for v in col):  # packs as it is
-            assert slots.canonical(slots.pack(col), len(col)) == all(v < q for v in col)
+            assert slots.canonical(slots.pack(col), slots.masks(len(col))) == all(
+                v < q for v in col)
     reduced = [[v % q for v in col] for col in cols]
     assert outcome(points, positions, k, e, cols) == outcome(points, positions, k, e, reduced)
 

@@ -1,0 +1,83 @@
+"""A group judged on its packed rows is judged as its lists judge it.
+
+A sweep accepts a whole group when its decoded batch ``repeats`` the
+reference batch once per member, on each side.  That replaces, member by
+member, the comparison of the member's deliveries with the reference's
+data and of the member's library with the reference's.  So on any batch,
+within the radius or past it, ``repeats`` must be true exactly when no
+word of either batch failed and every one of those comparisons holds.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from rsplfr.pda import man_pda  # noqa: E402
+from rsplfr.protocol import (ALL_STRATEGIES, Library, Randomness, SystemParams,  # noqa: E402
+                             adversary_column, adversary_content, build_storage,
+                             decode_group, server_signal)
+
+TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
+
+
+@st.composite
+def judged(draw, q, arr):
+    """A reference batch of one member and a group batch of 1-4 members.
+
+    Each member draws its own J servers and 0-2 adversaries among them
+    (A = 1), with any strategy, in its deliveries and in its stored
+    contents.  Each batch is decoded with its stored contents or without.
+    """
+    params = dataclasses.replace(TOY, q=q)
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    library = Library.random(params, rng)
+    stores = build_storage(params, arr, library, Randomness.sample(params, arr, rng))
+    D = draw(st.integers(1, 2))
+    queries = [[tuple(rng.randrange(q) for _ in range(params.N)) for _ in range(params.K)]
+               for _ in range(D)]
+    honest = {st_.h: [v for qs in queries for v in server_signal(params, arr, st_, qs)]
+              for st_ in stores}
+
+    def batch(members, with_stores):
+        js = sorted(draw(st.sets(st.integers(1, params.H), min_size=params.J,
+                                 max_size=params.J)))
+        columns, contents = {h: [] for h in js}, {h: [] for h in js}
+        for _ in range(members):
+            bad = draw(st.sets(st.sampled_from(js), max_size=2))
+            strategy = draw(st.sampled_from(ALL_STRATEGIES))
+            gen = random.Random(rng.getrandbits(32))
+            for h in js:
+                if h in bad:
+                    contents[h].append(adversary_content(params, strategy, stores[h - 1], gen))
+                    columns[h] += adversary_column(params, strategy, honest[h], D, gen)
+                else:
+                    contents[h].append(stores[h - 1])
+                    columns[h] += honest[h]
+        return decode_group(params, arr, columns, contents if with_stores else None)
+
+    times = draw(st.integers(1, 4))
+    reference = batch(1, draw(st.booleans()))
+    return D, times, reference, batch(times, draw(st.booleans()))
+
+
+@pytest.mark.parametrize("arr", [man_pda(3, 1), man_pda(3, 3)], ids=["S=3", "all-star"])
+@pytest.mark.parametrize("q", [7, 13, 257, 65537])
+def test_repeats_agrees_with_the_list_comparisons(q, arr):
+    @settings(max_examples=40, deadline=None)
+    @given(judged(q, arr))
+    def check(case):
+        D, times, (ref_streams, ref_libraries), (streams, libraries) = case
+        clean = not (streams.failures or ref_streams.failures)
+        assert streams.repeats(ref_streams, times) == (clean and all(
+            streams.delivery(u * D, D) == ref_streams.data for u in range(times)))
+        if libraries is not None and ref_libraries is not None:
+            clean = not (libraries.failures or ref_libraries.failures)
+            assert libraries.repeats(ref_libraries, times) == (clean and all(
+                isinstance(got, Library) and got.files == ref_libraries[0].files
+                for got in libraries))
+
+    check()

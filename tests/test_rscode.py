@@ -434,7 +434,7 @@ def test_slot_reduction_is_exact():
         for terms in range(1, 13):
             slots = rsplfr.rscode._Slots.for_sums(q, terms)
             values = range(terms * (q - 1) ** 2 + 1)
-            residues = slots.reduce(slots.pack(values), len(values))
+            residues = slots.reduce(slots.pack(values), slots.masks(len(values)))
             assert slots.unpack(residues, len(values)) == [v % q for v in values], (q, terms)
     # 16-byte slots, packed by to_bytes and read back by 4 byte planes:
     # the edges, and the multiples of q with their neighbours
@@ -445,5 +445,5 @@ def test_slot_reduction_is_exact():
         top = terms * (q - 1) ** 2
         values = sorted({v for m in (1, 2, 3, top // q - 1, top // q)
                          for v in (m * q - 1, m * q, m * q + 1) if 0 <= v <= top} | {0, top})
-        residues = slots.reduce(slots.pack(values), len(values))
+        residues = slots.reduce(slots.pack(values), slots.masks(len(values)))
         assert slots.unpack(residues, len(values)) == [v % q for v in values], terms

@@ -275,19 +275,19 @@ MID_PDA = man_pda(6, 2)
 
 
 def test_each_group_is_one_kernel_call(monkeypatch):
-    # one decode_columns call for the honest check, then one per group of
-    # configurations with the same J servers and adversaries among them,
-    # its deliveries and stored contents together; the batch of a group
-    # with no adversary among its J servers holds one member's words
+    # one call of the packed decoder for the honest check, its deliveries
+    # and stored contents together, then one per group of configurations
+    # with the same J servers and adversaries among them; the batch of a
+    # group with no adversary among its J servers holds one member's words
     import rsplfr.rscode
-    original = rsplfr.rscode.decode_columns
+    original = rsplfr.rscode._decode_packed
     words = []
 
     def counted(points, positions, dimension, max_errors, columns, rows=None):
         words.append(len(columns[0]))
         return original(points, positions, dimension, max_errors, columns, rows)
 
-    monkeypatch.setattr(rsplfr.rscode, "decode_columns", counted)
+    monkeypatch.setattr(rsplfr.rscode, "_decode_packed", counted)
     D = 2
     toy = sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                              sweep_strategies=True, demand_samples=D, check_recovery=True))
@@ -297,7 +297,7 @@ def test_each_group_is_one_kernel_call(monkeypatch):
     member = streamed + TOY.N * TOY.B // TOY.L
     # per J-subset: one honest group (no adversary, or the one server left
     # out, with each strategy) and 5 single-adversary groups of 4 members
-    assert Counter(words) == {streamed: 1, member: 6, 4 * member: 6 * 5}
+    assert Counter(words) == {member: 1 + 6, 4 * member: 6 * 5}
     assert len(words) == 37
 
     words.clear()
@@ -309,8 +309,43 @@ def test_each_group_is_one_kernel_call(monkeypatch):
     member = streamed + MID.N * MID.B // MID.L
     # the honest group holds 4 configurations (no adversary, 11, 12, both),
     # each single adversary inside 3 (alone, with 11, with 12), each pair inside 1
-    assert Counter(words) == {streamed: 1, member: 1 + 45, 3 * member: 10}
+    assert Counter(words) == {member: 1 + 1 + 45, 3 * member: 10}
     assert len(words) == 57
+
+
+def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
+    # within the budget every group is right: past the honest check, no
+    # decoded row is unpacked and no library is built.  The honest check
+    # unpacks its L data rows once for the users and once for its one
+    # library, which it compares with the sampled library
+    import dataclasses
+
+    import rsplfr.protocol
+    import rsplfr.rscode
+    import rsplfr.sim
+    events = []
+    group, unpack = rsplfr.sim.decode_group, rsplfr.rscode._Slots.unpack
+    init = rsplfr.protocol.Library.__init__
+    monkeypatch.setattr(rsplfr.sim, "decode_group",
+                        lambda *args: events.append("decode") or group(*args))
+    monkeypatch.setattr(rsplfr.rscode._Slots, "unpack",
+                        lambda slots, *args: events.append("unpack") or unpack(slots, *args))
+    monkeypatch.setattr(rsplfr.protocol.Library, "__init__",
+                        lambda library, *args: events.append("library") or init(library, *args))
+    toy = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                       sweep_strategies=True, demand_samples=2, check_recovery=True)
+    mid = Scenario(params=MID, pda=MID_PDA, delivery=tuple(range(1, 11)),
+                   sweep_adversary_subsets=True, adversary_sizes=(0, 1, 2),
+                   strategy=UniformRandom(), check_recovery=True)
+    for sc, kernels, L in ((toy, 37, TOY.L), (mid, 57, MID.L)):
+        events.clear()
+        sc.params = dataclasses.replace(sc.params, seed=31)
+        assert sweep(sc).ok
+        decodes = [i for i, event in enumerate(events) if event == "decode"]
+        assert len(decodes) == kernels
+        assert Counter(events[decodes[0]:decodes[1]]) == {"decode": 1, "unpack": 2 * L,
+                                                          "library": 1}
+        assert set(events[decodes[1]:]) == {"decode"}
 
 
 def test_streams_are_decoded_once_per_delivery(monkeypatch):
