@@ -43,9 +43,9 @@ reads one delivery.  An adversarial server's column is
 with the server's one generator.  Its store side takes
 ``{h: [store per set]}`` and gives a ``DecodedLibraries`` sequence,
 which builds each set's library or failure on access.  Each side's
-``repeats`` tells, from the packed rows alone, whether its batch is
-copies of another's, word for word; lists are unpacked only where
-they are read.  ``decode_streams`` and ``recover_library`` are its
+``differing`` names, from the packed rows alone, the deliveries or sets
+of its batch that are no copies of another batch's; lists are unpacked
+only where they are read.  ``decode_streams`` and ``recover_library`` are its
 one-sided cases.  A word's decode never depends on the rest of its
 batch.
 """
@@ -499,7 +499,8 @@ class _DecodedRun:
 
     ``rows[l]`` holds data coefficient l of every word of the batch, word
     w in slot w of ``slots``, 0 at a failed word; ``failures`` maps each
-    failing word of the run to its ``DecodingFailure``.
+    failing word of these to its ``DecodingFailure``.  They split into
+    runs of ``words`` words each: deliveries or sets.
     """
 
     slots: rscode._Slots
@@ -507,6 +508,7 @@ class _DecodedRun:
     start: int
     count: int
     failures: dict[int, rscode.DecodingFailure]
+    words: int  # per run
 
     def _packed(self, start: int, count: int) -> list[int]:
         """Each data row's words start .. start+count-1 of the batch, packed from slot 0."""
@@ -518,21 +520,30 @@ class _DecodedRun:
         """Each data row's words start .. start+count-1 of the batch, 0 where failed."""
         return [self.slots.unpack(row, count) for row in self._packed(start, count)]
 
-    def repeats(self, other: "_DecodedRun", times: int) -> bool:
-        """Whether neither run has a failure and this one is ``times`` copies of ``other``.
+    def differing(self, other: "_DecodedRun", times: int) -> set[int]:
+        """The runs of this batch that are not ``times`` copies of ``other``'s.
 
-        Word for word: slots hold canonical residues, so this run's rows
-        equal ``other``'s, each times sum_t 2^(t * slot bits * other's
-        words), exactly when every word's data coefficients are equal.
+        Run i is in the set when it holds a failed word, or when some data
+        row's slot there differs from ``other``'s run i mod its runs.
+        Slots hold canonical residues, so each data row xor ``other``'s,
+        times sum_t 2^(t * slot bits * other's count), is nonzero exactly
+        in the differing slots.  ``other`` must hold no failure.
         """
-        if (self.failures or other.failures or self.slots != other.slots
-                or len(self.rows) != len(other.rows) or self.count != times * other.count):
-            return False
-        step = 8 * self.slots.size * other.count
-        # the product by shifts: a general multiply would not use that the
-        # multiplier has only ``times`` bits set
-        return all(mine == sum(theirs << t * step for t in range(times)) for mine, theirs in zip(
-            self._packed(self.start, self.count), other._packed(other.start, other.count)))
+        if other.failures or self.count != times * other.count:
+            raise ValueError(f"no reference for {times} copies: {len(other.failures)} failed "
+                             f"words, {other.count} words for {self.count}")
+        bits, run, diff = 8 * self.slots.size, self.words, 0
+        for mine, theirs in zip(self._packed(self.start, self.count),
+                                other._packed(other.start, other.count)):
+            # the product by shifts: a general multiply would not use that
+            # the multiplier has only ``times`` bits set
+            diff |= mine ^ sum(theirs << t * bits * other.count for t in range(times))
+        out = {(w - self.start) // run for w in self.failures}
+        while diff:
+            i = self.slots.lowest(diff) // run
+            out.add(i)
+            diff = diff >> bits * run * (i + 1) << bits * run * (i + 1)  # runs 0..i dropped
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,7 +564,6 @@ class DecodedStreams(_DecodedRun):
     failures and flags.
     """
 
-    words: int
     masks: dict[int, int]
 
     @cached_property
@@ -576,41 +586,40 @@ class DecodedStreams(_DecodedRun):
         return ((self.words, self.data, self.failures, self.flagged)
                 == (other.words, other.data, other.failures, other.flagged))
 
-    def delivery(self, d: int, count: int = 1) -> list[list[int | None]]:
-        """The data of deliveries d .. d+count-1, all in the batch: each coefficient's words."""
-        if d < 0 or count < 1 or (d + count) * self.words > self.count:
-            raise MissingSignals(f"deliveries {d}..{d + count - 1} lie outside the batch")
-        return [col[d * self.words:(d + count) * self.words] for col in self.data]
+    def delivery(self, d: int) -> list[list[int | None]]:
+        """The data of delivery d, in the batch: each coefficient's words."""
+        if d < 0 or (d + 1) * self.words > self.count:
+            raise MissingSignals(f"deliveries {d}..{d} lie outside the batch")
+        return [col[d * self.words:(d + 1) * self.words] for col in self.data]
 
 
 @dataclass(frozen=True, eq=False)
 class DecodedLibraries(_DecodedRun, Sequence):
     """Per set of a batch of stored contents, its ``Library`` or failure, built on access.
 
-    Set i is the ``size`` = N * B/L words from ``start + i*size`` on: file
+    Set i is the ``words`` = N * B/L words from ``start + i*words`` on: file
     n's slices of each data row, file by file.  A failing set gives the
     ``DecodingFailure`` of its lowest failing slice.
     """
 
     files: int  # N
-    size: int
 
     def __len__(self) -> int:
-        return self.count // self.size
+        return self.count // self.words
 
     def __getitem__(self, i: int):
         sets = len(self)
         if not -sets <= i < sets:
             raise IndexError(f"set {i} outside the batch of {sets}")
-        first = self.start + i % sets * self.size
+        first = self.start + i % sets * self.words
         if self.failures:
-            for w in range(first, first + self.size):
+            for w in range(first, first + self.words):
                 if w in self.failures:
                     return self.failures[w]
-        rows = self._unpacked(first, self.size)
-        subL = self.size // self.files
+        rows = self._unpacked(first, self.words)
+        subL = self.words // self.files
         return Library(tuple(tuple(chain.from_iterable(row[o:o + subL] for row in rows))
-                             for o in range(0, self.size, subL)))
+                             for o in range(0, self.words, subL)))
 
 
 def decode_group(params: SystemParams, pda: Pda | None, columns,
@@ -629,7 +638,7 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
     the stream words alone, with their failures and flags only, and the
     ``DecodedLibraries`` of the store words, which gives per set its
     ``Library`` or the ``DecodingFailure`` of its lowest failing slice.
-    Both keep the decoded words packed, and each side's ``repeats``
+    Both keep the decoded words packed, and each side's ``differing``
     compares it with another batch's without unpacking them.  Either
     side may be None, when it is neither checked nor decoded and its
     result is None; ``decode_streams`` and ``recover_library`` are those
@@ -698,7 +707,7 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
     if stores is not None:
         libraries = DecodedLibraries(slots, rows, first, counts.pop() * size,
                                      {w: f for w, f in failed.items() if w >= first},
-                                     N, size)
+                                     size, N)
     return streams, libraries
 
 

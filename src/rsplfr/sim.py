@@ -10,10 +10,10 @@ A sweep replays many (J-subset, adversary set, strategy) configurations
 against a single placement, checking every user's decoded output and,
 optionally, whole-library recovery, against ground truth computed
 directly from the raw files.  Configurations are decoded in groups, and
-a group whose packed decode repeats the honest reference is right for
-every member without unpacking it; only a wrong group is judged member
-by member, on lists.  A single run is the same replay of one
-configuration under the first demand sample, with a transcript.
+each group's packed decode names, in one comparison with the honest
+reference, the deliveries and sets that differ from it; only those are
+unpacked and judged, user by user.  A single run is the same replay of
+one configuration under the first demand sample, with a transcript.
 """
 
 from __future__ import annotations
@@ -303,46 +303,41 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     its (configuration, server), so its contents do not depend on the
     number of demands.
     The honest columns of servers 1..J, and their stores when recovery
-    is checked, are decoded in one ``decode_group`` call, and every user
-    of every demand is decoded from them and checked: only if all are
-    right does that data become the reference, and only if its one
-    library, compared once as lists, is the sampled library does that
-    library become the reference library.  Any J answers
-    with <= A corrupt decode to the same data, and a user's output
-    depends only on its cache side and the decoded data, so data equal
-    to the reference makes every user right.
+    is checked, are decoded in one ``decode_group`` call.  Only if every
+    user of every demand decodes right from it is that data the
+    reference, and only if its one library is the sampled one is that
+    library the reference library.  Any J answers with <= A corrupt
+    decode to the same data, and a user's output depends only on its
+    cache side and the decoded data, so data equal to the reference
+    makes every user right.
 
     Configurations with the same J servers and the same adversaries
     among them put their errors at the same positions of every word, so
-    each such group is decoded as one batch ``{h: column}``, built once:
-    an honest server repeats its column and its store once per member,
-    an adversarial one holds each member's corrupted column and stores.
-    One ``decode_group`` call decodes every delivery of every member
-    together with their stored contents, or the deliveries alone, with
-    no stores, when recovery is not checked.  In a group with no
-    adversary among its J servers every member's batch is the same, so
-    the batch holds one member's, decoded once, and every member is
-    judged on that result: a word's result depends on that word alone.
-    Member t's delivery d is delivery u*D + d of the batch, with D
-    demands and u = t, or 0 in such a group; the transcript's delivery,
-    the batch's last, is cut from it alike for every server, honest when
-    not among the group's adversaries.  A group whose streams, and
-    recovered sets when recovery is checked, ``repeats`` the reference
-    once per member in its batch is right for every member, and is
-    judged on its packed rows alone: one integer comparison per data
-    row.  Only a group that fails that check is judged member by member:
-    each member's library is compared with the sampled one and its data
-    once with the reference; only in a member that differs is each
-    delivery's data compared, and only the users of a delivery that
-    differs are decoded one by one, for their witnesses.  A group's
-    batch is dropped before the next is built.
+    each such group is decoded as one batch, in one ``decode_group``
+    call: an honest server repeats its column and its store once per
+    member, an adversarial one holds each member's corrupted column and
+    stores; with recovery unchecked the batch holds no stores.  In a
+    group with no adversary among its J servers the batch holds one
+    member's, judged for every member: a word's result depends on that
+    word alone.  Member t's delivery d is delivery u*D + d of the batch,
+    with D demands and u = t, or 0 in such a group.  ``differing``
+    names the deliveries of the batch that are no copies of the
+    reference's, ``wrong``, and its sets that are no copies of the
+    reference library, ``lost``, one xor per data row; without a
+    reference all are.  Only a lost set is built and compared with the
+    sampled library, and only the users of a wrong delivery are decoded
+    one by one, for their witnesses.  The transcript's delivery, the
+    batch's last, is cut from it alike for every server, honest when not
+    among the group's adversaries; its outputs are the ground truth
+    unless it is wrong.  A group's batch is dropped before the next is
+    built.
     The notes are kept per configuration and joined in configuration
     order, so the witnesses are those a replay of one configuration at a
     time would keep.  Per-configuration seeds are keyed by the
     configuration's index in the full list, so a slice replays exactly
     what the whole list would; only a strategy that draws gets a
-    generator.  Each distinct strategy's ``strategy_key`` is computed
-    once per replay.
+    generator, and each distinct strategy's ``strategy_key`` is
+    computed once per replay.
     """
     params, arr = sc.params, sc.pda
     state = _build_state(sc)
@@ -398,9 +393,9 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     reference, library = decode_group(
         params, arr, {h: honest_columns[h] for h in honest},
         {h: [state.stores[h - 1]] for h in honest} if sc.check_recovery else None)
-    wrong = [error is not None for di in range(D)
-             for error in decode_users(di, reference, di)[1]]
-    if any(wrong):
+    failing = [error is not None for di in range(D)
+               for error in decode_users(di, reference, di)[1]]
+    if any(failing):
         reference = None
     if library is not None:
         got = library[0]
@@ -437,37 +432,32 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
         # the batch's last delivery, of its last member
         last = copies * D - 1
         delivered = [(h, h not in bad, batch[h][last * size:(last + 1) * size]) for h in js]
-        if (reference is not None and streams.repeats(reference, copies)
-                and (recovered is None
-                     or library is not None and recovered.repeats(library, copies))):
-            # every user of every delivery and every library is right
-            decoded, per_user = truth_list[-1], [True] * params.K
-        else:
+        wrong = (streams.differing(reference, copies) if reference is not None
+                 else set(range(copies * D)))
+        lost = (set() if recovered is None else set(range(copies)) if library is None
+                else recovered.differing(library, copies))
+        if wrong or lost:
             for t, c in enumerate(members):
                 _, adv, strat = configs[c]
                 label = {"j_subset": js, "adversaries": adv, "strategy": keys[id(strat)]}
                 u = t if bad else 0  # the member's place in the batch
-                if recovered is not None:
+                if u in lost:
                     got = recovered[u]
                     if isinstance(got, DecodingFailure):
                         note(c, dict(label, stage="recover", error=str(got)))
                     elif got.files != state.library.files:
                         note(c, dict(label, stage="recover", error="wrong library"))
-                if reference is not None and streams.delivery(u * D, D) == reference.data:
-                    # every user of every delivery is right
-                    decoded, per_user = truth_list[-1], [True] * params.K
-                    continue
                 for di in range(D):
                     d = u * D + di
-                    if reference is not None and streams.delivery(d) == reference.delivery(di):
-                        decoded, per_user = truth_list[di], [True] * params.K
-                        continue
-                    decoded, errors = decode_users(di, streams, d)
-                    per_user = [error is None for error in errors]
-                    for k, error in enumerate(errors, start=1):
-                        if error is not None:
-                            note(c, dict(label, stage="decode", demand_index=di, user=k,
-                                         error=error))
+                    if d in wrong:
+                        decoded, errors = decode_users(di, streams, d)
+                        per_user = [error is None for error in errors]
+                        for k, error in enumerate(errors, start=1):
+                            if error is not None:
+                                note(c, dict(label, stage="decode", demand_index=di,
+                                             user=k, error=error))
+        if last not in wrong:  # every user of the delivery is right
+            decoded, per_user = truth_list[-1], [True] * params.K
         del columns, contents, batch, stores, recovered, streams  # before the next group is built
     witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
     measured = MscTriple(M=state.M, T=state.T,

@@ -1,0 +1,72 @@
+"""Step-by-step references for what the package computes in batches."""
+
+import random
+from collections import Counter
+
+from rsplfr import sim
+from rsplfr.protocol import (ProtocolError, adversary_content, adversary_signal, cache_side,
+                             decode_streams, make_query, recover_library, server_signal,
+                             strategy_key, user_decode)
+from rsplfr.rscode import DecodingFailure
+
+
+def replay(sc):
+    """What a sweep of ``sc`` reports, one configuration, delivery and user at a time.
+
+    The library, randomness, caches, demands and configurations are the
+    scenario's, sampled as ``sim`` samples them.  Each configuration then
+    follows the scheme step by step.  Every one of its J servers answers
+    each demand with ``server_signal``.  An adversary among them has one
+    generator for the configuration, keyed as ``sim`` keys it, and
+    corrupts its stored contents with ``adversary_content`` (when
+    recovery is checked), then each answer in demand order with
+    ``adversary_signal``.  The stores are recovered with
+    ``recover_library``, each delivery is decoded alone with
+    ``decode_streams``, and every user decodes it with ``user_decode``
+    and is checked against the demanded blend of the raw files.  No
+    configuration is grouped, nothing is compared with a reference
+    decode, and no witness is dropped.
+
+    Returns ``(witnesses, stage_counts)``, as the sweep's uncapped
+    ``failures`` and its ``stage_counts``.
+    """
+    params, arr = sc.params, sc.pda
+    state = sim._build_state(sc)
+    files = state.library.files
+    demands = sim._demand_list(sc)
+    witnesses = []
+    for c, (js, adversaries, strategy) in enumerate(sim._config_list(sc)):
+        key = strategy_key(strategy)
+        label = {"j_subset": js, "adversaries": adversaries, "strategy": key}
+        rngs = {h: random.Random(f"{sc.seed}:adv:{c}:{h}:{key}") if strategy.draws else None
+                for h in js if h in adversaries}
+        if sc.check_recovery:
+            stores = {h: [adversary_content(params, strategy, state.stores[h - 1], rngs[h])
+                          if h in rngs else state.stores[h - 1]] for h in js}
+            got = recover_library(params, stores)[0]
+            if isinstance(got, DecodingFailure):
+                witnesses.append(dict(label, stage="recover", error=str(got)))
+            elif got.files != files:
+                witnesses.append(dict(label, stage="recover", error="wrong library"))
+        for di, demand in enumerate(demands):
+            queries = [make_query(params, demand[k], state.ps[k]) for k in range(params.K)]
+            answers = {}
+            for h in js:
+                honest = server_signal(params, arr, state.stores[h - 1], queries)
+                answers[h] = (adversary_signal(params, strategy, honest, rngs[h])
+                              if h in rngs else honest)
+            streams = decode_streams(params, arr, answers)
+            for k in range(params.K):
+                truth = [sum(d * f[b] for d, f in zip(demand[k], files)) % params.q
+                         for b in range(params.B)]
+                try:
+                    side = cache_side(params, arr, state.caches[k], demand[k], queries)
+                    got = user_decode(params, arr, side, streams, 0)
+                except (ProtocolError, DecodingFailure) as exc:
+                    error = str(exc)
+                else:
+                    error = None if got == truth else "wrong output"
+                if error is not None:
+                    witnesses.append(dict(label, stage="decode", demand_index=di, user=k + 1,
+                                          error=error))
+    return witnesses, tuple(sorted(Counter(w["stage"] for w in witnesses).items()))

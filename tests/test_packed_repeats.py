@@ -1,11 +1,12 @@
-"""A group judged on its packed rows is judged as its lists judge it.
+"""Which runs of a batch repeat the reference, judged packed as its lists judge them.
 
-A sweep accepts a whole group when its decoded batch ``repeats`` the
-reference batch once per member, on each side.  That replaces, member by
-member, the comparison of the member's deliveries with the reference's
-data and of the member's library with the reference's.  So on any batch,
-within the radius or past it, ``repeats`` must be true exactly when no
-word of either batch failed and every one of those comparisons holds.
+A sweep asks each decoded batch which of its deliveries, and which of its
+sets, are no copies of the honest reference's: ``differing`` answers from
+the packed rows.  That replaces comparing each delivery's data with the
+reference delivery's and each set's library with the reference library.
+So on any batch, within the radius or past it, ``differing`` must name
+exactly the runs where those comparisons fail, failed words included, and
+must refuse a reference that has a failure.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from rsplfr.pda import man_pda  # noqa: E402
 from rsplfr.protocol import (ALL_STRATEGIES, Library, Randomness, SystemParams,  # noqa: E402
                              adversary_column, adversary_content, build_storage,
                              decode_group, server_signal)
+from rsplfr.rscode import DecodingFailure  # noqa: E402
 
 TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
 
@@ -31,11 +33,18 @@ def judged(draw, q, arr):
     Each member draws its own J servers and 0-2 adversaries among them
     (A = 1), with any strategy, in its deliveries and in its stored
     contents.  Each batch is decoded with its stored contents or without.
+    In an all-zero library and randomness every honest word is 0, as a
+    failed word's slots are, so only the failures tell those words apart.
     """
     params = dataclasses.replace(TOY, q=q)
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
-    library = Library.random(params, rng)
-    stores = build_storage(params, arr, library, Randomness.sample(params, arr, rng))
+    if draw(st.booleans()):
+        library = Library.random(params, rng)
+        randomness = Randomness.sample(params, arr, rng)
+    else:
+        library = Library.zeros(params)
+        randomness = Randomness(*((0,) * n for n in Randomness.sizes(params, arr)))
+    stores = build_storage(params, arr, library, randomness)
     D = draw(st.integers(1, 2))
     queries = [[tuple(rng.randrange(q) for _ in range(params.N)) for _ in range(params.K)]
                for _ in range(D)]
@@ -71,13 +80,20 @@ def test_repeats_agrees_with_the_list_comparisons(q, arr):
     @given(judged(q, arr))
     def check(case):
         D, times, (ref_streams, ref_libraries), (streams, libraries) = case
-        clean = not (streams.failures or ref_streams.failures)
-        assert streams.repeats(ref_streams, times) == (clean and all(
-            streams.delivery(u * D, D) == ref_streams.data for u in range(times)))
-        if libraries is not None and ref_libraries is not None:
-            clean = not (libraries.failures or ref_libraries.failures)
-            assert libraries.repeats(ref_libraries, times) == (clean and all(
-                isinstance(got, Library) and got.files == ref_libraries[0].files
-                for got in libraries))
+        if ref_streams.failures:
+            with pytest.raises(ValueError):
+                streams.differing(ref_streams, times)
+        else:
+            assert streams.differing(ref_streams, times) == {
+                d for d in range(times * D) if streams.delivery(d) != ref_streams.delivery(d % D)}
+        if libraries is None or ref_libraries is None:
+            return
+        if ref_libraries.failures:
+            with pytest.raises(ValueError):
+                libraries.differing(ref_libraries, times)
+        else:
+            assert libraries.differing(ref_libraries, times) == {
+                u for u, got in enumerate(libraries)
+                if isinstance(got, DecodingFailure) or got.files != ref_libraries[0].files}
 
     check()

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,9 +14,11 @@ import pytest
 from rsplfr.analysis import msc_from_pda
 from rsplfr.pda import man_pda
 from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, HonestPlusConstant, ServerStore,
-                             SystemParams, UniformRandom, adversary_column, server_signal,
-                             strategy_key)
+                             SystemParams, UniformRandom, adversary_column, read_config,
+                             server_signal, strategy_key)
 from rsplfr.sim import Scenario, ScenarioError, run, sweep
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
 TOY_PDA = man_pda(3, 1)
@@ -585,6 +588,26 @@ def test_grouped_configurations_record_what_each_records_alone(monkeypatch):
         stages.update(rep.stages)
     assert tuple(failures) == result.failures
     assert tuple(sorted(stages.items())) == result.stage_counts
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                         sweep_strategies=True, adversary_sizes=(0, 1), demand_samples=2),
+    beyond_budget_scenario,
+    lambda: Scenario.from_json(read_config(CONFIGS / "robust_sweep.json")),
+], ids=["toy", "toy_beyond_budget", "robust_sweep"])
+def test_sweeps_report_what_a_step_by_step_replay_reports(monkeypatch, scenario):
+    # the oracle decodes each delivery of each configuration alone, with
+    # no group, reference or packed comparison
+    import rsplfr.sim
+    from oracles import replay
+    monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
+    sc = scenario()
+    witnesses, stage_counts = replay(sc)
+    result = sweep(sc)
+    assert list(result.failures) == witnesses
+    assert result.failure_count == len(witnesses)
+    assert result.stage_counts == stage_counts
 
 
 def count_user_decodes(monkeypatch):
