@@ -37,15 +37,16 @@ servers to what it sent, and makes one call of the packed decoder
 word's message and leaves them packed.  Its stream side takes
 ``{h: column}``, server h's answers to a batch of deliveries chained in
 delivery order, and gives one ``DecodedStreams``, slice r of stream s
-of delivery d at word (d*S + s-1)*pkt + r, from which ``user_decode``
-reads one delivery.  An adversarial server's column is
+of delivery d at word (d*S + s-1)*pkt + r; ``user_decode`` reads the
+slots of a user's words of one delivery from its packed rows, at the
+words ``cache_side`` listed once.  An adversarial server's column is
 ``adversary_column`` of its honest one, corrupted by one strategy call
 with the server's one generator.  Its store side takes
 ``{h: [store per set]}`` and gives a ``DecodedLibraries`` sequence,
 which builds each set's library or failure on access.  Each side's
 ``differing`` names, from the packed rows alone, the deliveries or sets
-of its batch that are no copies of another batch's; lists are unpacked
-only where they are read.  ``decode_streams`` and ``recover_library`` are its
+of its batch that are no copies of another batch's; rows are unpacked
+only where a library is built.  ``decode_streams`` and ``recover_library`` are its
 one-sided cases.  A word's decode never depends on the rest of its
 batch.
 """
@@ -516,9 +517,13 @@ class _DecodedRun:
         mask = (1 << bits * count) - 1
         return [row >> bits * start & mask for row in self.rows]
 
-    def _unpacked(self, start: int, count: int) -> list[list[int]]:
-        """Each data row's words start .. start+count-1 of the batch, 0 where failed."""
-        return [self.slots.unpack(row, count) for row in self._packed(start, count)]
+    def _failure(self, words):
+        """The failure of the first failing word among ``words``, ascending, or None."""
+        if self.failures:
+            for w in words:
+                if w in self.failures:
+                    return self.failures[w]
+        return None
 
     def differing(self, other: "_DecodedRun", times: int) -> set[int]:
         """The runs of this batch that are not ``times`` copies of ``other``'s.
@@ -552,45 +557,24 @@ class DecodedStreams(_DecodedRun):
 
     Word ``(d * S + s - 1) * pkt + r`` is slice r of stream s of delivery
     d, and each delivery holds ``words`` = S * pkt of them; with S = 0
-    none, so any d >= 0 is in the batch.  ``data[l][w]`` is data
+    none, so any d >= 0 is in the batch.  Slot w of ``rows[l]`` is data
     coefficient l of word w: the keyed multicast symbol every user in the
-    stream's occurrence set receives, or None where the word could not be
-    decoded.  ``failures`` maps each such word to its ``DecodingFailure``.
+    stream's occurrence set receives, or 0 where the word could not be
+    decoded; ``failures`` maps each such word to its ``DecodingFailure``.
+    ``user_decode`` reads a user's slots of one delivery from the rows.
     ``flagged[h]`` is the set of decoded words in which server h's symbol
-    is off its codeword; servers never flagged are absent.  The words stay
-    packed, from slot 0 of ``rows`` on, and ``masks[h]`` holds the full
-    slots of server h's flagged words; ``data`` and ``flagged`` are
-    unpacked on first read.  Equal batches have equal words, data,
-    failures and flags.
+    is off its codeword; servers never flagged are absent.  ``masks[h]``
+    holds the full slots of server h's flagged words, and ``flagged`` is
+    unpacked from them on first read.
     """
 
     masks: dict[int, int]
-
-    @cached_property
-    def data(self) -> list[list[int | None]]:
-        data = self._unpacked(self.start, self.count)
-        for w in self.failures:
-            for col in data:
-                col[w] = None
-        return data
 
     @cached_property
     def flagged(self) -> dict[int, set[int]]:
         stream = (1 << 8 * self.slots.size * self.count) - 1
         return {h: set(compress(range(self.count), self.slots.unpack(f & stream, self.count)))
                 for h, f in self.masks.items() if f & stream}
-
-    def __eq__(self, other):
-        if not isinstance(other, DecodedStreams):
-            return NotImplemented
-        return ((self.words, self.data, self.failures, self.flagged)
-                == (other.words, other.data, other.failures, other.flagged))
-
-    def delivery(self, d: int) -> list[list[int | None]]:
-        """The data of delivery d, in the batch: each coefficient's words."""
-        if d < 0 or (d + 1) * self.words > self.count:
-            raise MissingSignals(f"deliveries {d}..{d} lie outside the batch")
-        return [col[d * self.words:(d + 1) * self.words] for col in self.data]
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,11 +596,10 @@ class DecodedLibraries(_DecodedRun, Sequence):
         if not -sets <= i < sets:
             raise IndexError(f"set {i} outside the batch of {sets}")
         first = self.start + i % sets * self.words
-        if self.failures:
-            for w in range(first, first + self.words):
-                if w in self.failures:
-                    return self.failures[w]
-        rows = self._unpacked(first, self.words)
+        failure = self._failure(range(first, first + self.words))
+        if failure is not None:
+            return failure
+        rows = [self.slots.unpack(row, self.words) for row in self._packed(first, self.words)]
         subL = self.words // self.files
         return Library(tuple(tuple(chain.from_iterable(row[o:o + subL] for row in rows))
                              for o in range(0, self.words, subL)))
@@ -741,15 +724,19 @@ def recover_library(params: SystemParams, stores) -> list:
 class CacheSide:
     """User k's part of decoding one demand that needs no delivery.
 
-    ``streams`` pairs each stream symbol of the user's column, ascending,
-    with its row.  ``values[b]`` is, on a star row, output symbol b
-    itself: the demanded blend of the cached packets.  On an ordinary
-    row it is minus the keyed blend packet and minus every interfering
-    blend packet, so adding the decoded stream symbol yields the output.
+    ``reads`` pairs each word of a delivery that the user reads, one per
+    slice of each stream symbol of its column, ascending, with the output
+    symbol that the word's data coefficient 0 adds to; coefficient l adds
+    to the one ``stride`` = B/L times l further on.  ``values[b]`` is, on
+    a star row, output symbol b itself: the demanded blend of the cached
+    packets.  On an ordinary row it is minus the keyed blend packet and
+    minus every interfering blend packet, so adding the decoded stream
+    symbol yields the output.
     """
 
     k: int
-    streams: tuple[tuple[int, int], ...]
+    reads: tuple[tuple[int, int], ...]
+    stride: int
     values: tuple[int, ...]
 
 
@@ -804,37 +791,44 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
                             if c:
                                 val -= c * packets[n * step + i]
                     values[off + r] = val % q
-    streams = tuple(sorted((e, j) for j, e in enumerate(col) if e is not STAR))
-    return CacheSide(k=cache.k, streams=streams, values=tuple(values))
+    # slice r of stream e, in row j: word (e-1)*pkt + r, output j*pkt + r of coefficient 0
+    reads = tuple(((e - 1) * pkt + r, j * pkt + r)
+                  for e, j in sorted((e, j) for j, e in enumerate(col) if e is not STAR)
+                  for r in range(pkt))
+    return CacheSide(k=cache.k, reads=reads, stride=subL, values=tuple(values))
 
 
-def user_decode(params: SystemParams, pda: Pda, side: CacheSide,
+def user_decode(params: SystemParams, side: CacheSide,
                 streams: DecodedStreams, d: int) -> list[int]:
     """Recover the demanded blend of files: delivery d's decoded streams plus the cache side.
 
-    If a stream in the user's column failed, raises the failure of the
-    lowest such stream, at its first failing slice.  A delivery outside
-    the batch raises ``MissingSignals``.
+    Each word the side reads is one slot of every data row, cut from
+    delivery d of the batch; ``cache_side`` checked the instance when it
+    built the side.  A delivery outside the batch raises
+    ``MissingSignals``, and a side that reads past the delivery's words
+    ``DimensionMismatch``.  If a word the user reads failed, raises the
+    failure of the first such word: the lowest failing stream of the
+    user's column, at its first failing slice.
     """
-    subL, pkt = _dims(params, pda)
-    data = streams.delivery(d)
-    # each stream of the user's column, ascending: its row and its first word in the delivery
-    rows = [(j, (s - 1) * pkt) for s, j in side.streams]
-    failures = streams.failures
-    if failures:
-        base = d * streams.words
-        for _, first in rows:
-            for w in range(base + first, base + first + pkt):
-                if w in failures:
-                    raise rscode.DecodingFailure(*failures[w].args) from failures[w]
+    words = streams.words
+    if d < 0 or (d + 1) * words > streams.count:
+        raise MissingSignals(f"deliveries {d}..{d} lie outside the batch")
+    if side.reads and side.reads[-1][0] >= words:
+        raise DimensionMismatch(f"user {side.k} reads word {side.reads[-1][0]}, "
+                                f"but a delivery holds {words}")
+    base = d * words
+    failure = streams._failure(base + w for w, _ in side.reads)
+    if failure is not None:
+        raise rscode.DecodingFailure(*failure.args) from failure
 
+    bits = 8 * streams.slots.size
+    slot = (1 << bits) - 1
     q = params.q
     out = list(side.values)
-    for j, first in rows:
-        for l, col in enumerate(data):
-            off = l * subL + j * pkt
-            for r in range(pkt):
-                out[off + r] = (out[off + r] + col[first + r]) % q
+    for l, row in enumerate(streams._packed(base, words)):
+        off = l * side.stride
+        for w, b in side.reads:
+            out[off + b] = (out[off + b] + (row >> bits * w & slot)) % q
     return out
 
 

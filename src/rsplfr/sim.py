@@ -12,7 +12,8 @@ optionally, whole-library recovery, against ground truth computed
 directly from the raw files.  Configurations are decoded in groups, and
 each group's packed decode names, in one comparison with the honest
 reference, the deliveries and sets that differ from it; only those are
-unpacked and judged, user by user.  A single run is the same replay of
+judged: a differing set's library is unpacked, and the users of a
+differing delivery read their slots of it.  A single run is the same replay of
 one configuration under the first demand sample, with a transcript.
 """
 
@@ -378,7 +379,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                 error = str(side)
             else:
                 try:
-                    got = user_decode(params, arr, side, streams, d)
+                    got = user_decode(params, side, streams, d)
                 except DecodingFailure as exc:
                     error = str(exc)
                 else:

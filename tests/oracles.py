@@ -4,10 +4,54 @@ import random
 from collections import Counter
 
 from rsplfr import sim
-from rsplfr.protocol import (ProtocolError, adversary_content, adversary_signal, cache_side,
-                             decode_streams, make_query, recover_library, server_signal,
-                             strategy_key, user_decode)
-from rsplfr.rscode import DecodingFailure
+from rsplfr.pda import STAR
+from rsplfr.protocol import (MissingSignals, ProtocolError, adversary_content, adversary_signal,
+                             cache_side, decode_streams, make_query, recover_library,
+                             server_signal, strategy_key, user_decode)
+from rsplfr.rscode import DecodingFailure, decode_columns
+
+
+def streamed(streams):
+    """Decoded streams as lists: words per delivery, each data row's slots, failure texts, flags."""
+    rows = [streams.slots.unpack(row, streams.count)
+            for row in streams._packed(streams.start, streams.count)]
+    return (streams.words, rows, {w: str(f) for w, f in streams.failures.items()},
+            streams.flagged)
+
+
+def user_output(params, arr, side, columns, d):
+    """What ``user_decode`` gives user ``side.k`` from delivery d of a batch, step by step.
+
+    ``columns`` maps each of J servers to its answers to a batch of
+    deliveries chained in delivery order, as ``decode_streams`` takes
+    them.  Delivery d alone is cut from every column and decoded with
+    ``decode_columns``, into lists with None at failed words.  Each
+    stream symbol s of the user's column, in row j, ascending, then adds
+    slice r of data coefficient l to output symbol l*B/L + j*pkt + r of
+    the side's values.  A failed slice of such a stream raises its
+    failure instead, the lowest stream's first; a delivery outside the
+    batch raises ``MissingSignals``.
+    """
+    subL, pkt = params.B // params.L, params.B // (params.L * arr.F)
+    size = arr.S * pkt  # words per delivery
+    positions = sorted(columns)
+    if d < 0 or (d + 1) * size > len(columns[positions[0]]):
+        raise MissingSignals(f"deliveries {d}..{d} lie outside the batch")
+    data, _, failures = decode_columns(
+        params.points, positions, params.I + params.L, params.A,
+        [columns[h][d * size:(d + 1) * size] for h in positions], rows=params.L)
+    streams = sorted((e, j) for j, e in enumerate(arr.column(side.k - 1)) if e is not STAR)
+    for s, _ in streams:
+        for r in range(pkt):
+            if (s - 1) * pkt + r in failures:
+                raise DecodingFailure(*failures[(s - 1) * pkt + r].args)
+    out = list(side.values)
+    for s, j in streams:
+        for l, col in enumerate(data):
+            for r in range(pkt):
+                b = l * subL + j * pkt + r
+                out[b] = (out[b] + col[(s - 1) * pkt + r]) % params.q
+    return out
 
 
 def replay(sc):
@@ -61,7 +105,7 @@ def replay(sc):
                          for b in range(params.B)]
                 try:
                     side = cache_side(params, arr, state.caches[k], demand[k], queries)
-                    got = user_decode(params, arr, side, streams, 0)
+                    got = user_decode(params, side, streams, 0)
                 except (ProtocolError, DecodingFailure) as exc:
                     error = str(exc)
                 else:

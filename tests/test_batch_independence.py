@@ -17,6 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from oracles import streamed  # noqa: E402
 from rsplfr.pda import man_pda  # noqa: E402
 from rsplfr.protocol import (ALL_STRATEGIES, Library, Randomness, SystemParams,  # noqa: E402
                              adversary_column, adversary_content, build_storage,
@@ -136,8 +137,10 @@ def groups(draw):
 
 
 def streamed(streams):
-    """Decoded streams as their words, data, failure texts and flags."""
-    return (streams.words, streams.data, {w: str(f) for w, f in streams.failures.items()},
+    """Decoded streams as their words, each data row's slots, failure texts and flags."""
+    rows = [streams.slots.unpack(row, streams.count)
+            for row in streams._packed(streams.start, streams.count)]
+    return (streams.words, rows, {w: str(f) for w, f in streams.failures.items()},
             streams.flagged)
 
 

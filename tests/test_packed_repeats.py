@@ -1,4 +1,4 @@
-"""Which runs of a batch repeat the reference, judged packed as its lists judge them.
+"""Decoded batches read packed as their lists read them.
 
 A sweep asks each decoded batch which of its deliveries, and which of its
 sets, are no copies of the honest reference's: ``differing`` answers from
@@ -6,7 +6,9 @@ the packed rows.  That replaces comparing each delivery's data with the
 reference delivery's and each set's library with the reference library.
 So on any batch, within the radius or past it, ``differing`` must name
 exactly the runs where those comparisons fail, failed words included, and
-must refuse a reference that has a failure.
+must refuse a reference that has a failure.  Likewise each user reads its
+slots of one delivery from the packed rows, and must get what decoding
+that delivery alone and adding its list values gives, or the same error.
 """
 
 import dataclasses
@@ -17,10 +19,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from oracles import user_output  # noqa: E402
 from rsplfr.pda import man_pda  # noqa: E402
-from rsplfr.protocol import (ALL_STRATEGIES, Library, Randomness, SystemParams,  # noqa: E402
-                             adversary_column, adversary_content, build_storage,
-                             decode_group, server_signal)
+from rsplfr.protocol import (ALL_STRATEGIES, Library, MissingSignals,  # noqa: E402
+                             ProtocolError, Randomness, SystemParams, adversary_column,
+                             adversary_content, build_storage, cache_side, decode_group,
+                             place_user, server_signal, user_decode)
 from rsplfr.rscode import DecodingFailure  # noqa: E402
 
 TOY = SystemParams(N=4, K=3, H=6, A=1, I=1, J=5, q=7, B=6)
@@ -35,6 +39,9 @@ def judged(draw, q, arr):
     contents.  Each batch is decoded with its stored contents or without.
     In an all-zero library and randomness every honest word is 0, as a
     failed word's slots are, so only the failures tell those words apart.
+    Returns ``(D, times, reference, group, world)``: ``world`` holds the
+    params, library, randomness, the D deliveries' queries and the group's
+    columns.
     """
     params = dataclasses.replace(TOY, q=q)
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
@@ -66,11 +73,28 @@ def judged(draw, q, arr):
                 else:
                     contents[h].append(stores[h - 1])
                     columns[h] += honest[h]
-        return decode_group(params, arr, columns, contents if with_stores else None)
+        return columns, decode_group(params, arr, columns, contents if with_stores else None)
 
     times = draw(st.integers(1, 4))
-    reference = batch(1, draw(st.booleans()))
-    return D, times, reference, batch(times, draw(st.booleans()))
+    reference = batch(1, draw(st.booleans()))[1]
+    columns, group = batch(times, draw(st.booleans()))
+    return D, times, reference, group, (params, library, randomness, queries, columns)
+
+
+def delivery(streams, d):
+    """Delivery d's data as lists: each data row's words, None where a word failed."""
+    first = d * streams.words
+    return [[None if first + w in streams.failures else v
+             for w, v in enumerate(streams.slots.unpack(row, streams.words))]
+            for row in streams._packed(first, streams.words)]
+
+
+def outcome(decode, *args):
+    """What ``decode(*args)`` returns, or the class and text of what it raises."""
+    try:
+        return decode(*args)
+    except (ProtocolError, DecodingFailure) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("arr", [man_pda(3, 1), man_pda(3, 3)], ids=["S=3", "all-star"])
@@ -79,13 +103,14 @@ def test_repeats_agrees_with_the_list_comparisons(q, arr):
     @settings(max_examples=40, deadline=None)
     @given(judged(q, arr))
     def check(case):
-        D, times, (ref_streams, ref_libraries), (streams, libraries) = case
+        D, times, (ref_streams, ref_libraries), (streams, libraries), _ = case
         if ref_streams.failures:
             with pytest.raises(ValueError):
                 streams.differing(ref_streams, times)
         else:
             assert streams.differing(ref_streams, times) == {
-                d for d in range(times * D) if streams.delivery(d) != ref_streams.delivery(d % D)}
+                d for d in range(times * D)
+                if delivery(streams, d) != delivery(ref_streams, d % D)}
         if libraries is None or ref_libraries is None:
             return
         if ref_libraries.failures:
@@ -95,5 +120,39 @@ def test_repeats_agrees_with_the_list_comparisons(q, arr):
             assert libraries.differing(ref_libraries, times) == {
                 u for u, got in enumerate(libraries)
                 if isinstance(got, DecodingFailure) or got.files != ref_libraries[0].files}
+
+    check()
+
+
+@pytest.mark.parametrize("arr", [man_pda(3, 1), man_pda(3, 3)], ids=["S=3", "all-star"])
+@pytest.mark.parametrize("q", [7, 13, 257, 65537])
+def test_users_read_what_a_list_reference_decodes(q, arr):
+    # every user of every delivery of the group batch, against decoding
+    # that delivery alone and adding its list values; a user's blend
+    # vector is chosen so that the drawn query is its demand + blend
+    @settings(max_examples=40, deadline=None)
+    @given(judged(q, arr), st.randoms(use_true_random=False))
+    def check(case, rng):
+        D, times, _, (streams, _), (params, library, randomness, queries, columns) = case
+        sides = []
+        for qs in queries:
+            sides.append([])
+            for k, query in enumerate(qs, start=1):
+                demand = [rng.randrange(q) for _ in range(params.N)]
+                cache = place_user(params, arr, library, randomness, k,
+                                   [(x - v) % q for x, v in zip(query, demand)])
+                sides[-1].append(cache_side(params, arr, cache, demand, qs))
+        for d in range(times * D):
+            for side in sides[d % D]:
+                assert outcome(user_decode, params, side, streams, d) == \
+                    outcome(user_output, params, arr, side, columns, d)
+        for side in sides[0]:
+            for d in (-1, times * D):
+                got = outcome(user_decode, params, side, streams, d)
+                assert got == outcome(user_output, params, arr, side, columns, d)
+                # an all-star delivery holds no words: any d >= 0 is in the batch
+                if d < 0 or arr.S:
+                    assert got == (MissingSignals,
+                                   f"deliveries {d}..{d} lie outside the batch")
 
     check()

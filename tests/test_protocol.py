@@ -7,6 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
+from oracles import streamed
 from rsplfr.pda import STAR, man_pda, validate
 from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              HonestPermutedSlices, HonestPlusConstant, Library,
@@ -251,7 +252,7 @@ def test_every_user_decodes_its_blend_on_the_toy_instance():
     streams = decode(params, TOY_PDA, answers(params, TOY_PDA, stores[:params.J], queries))
     for k in range(1, params.K + 1):
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
-        got = user_decode(params, TOY_PDA, side, streams, 0)
+        got = user_decode(params, side, streams, 0)
         assert got == combine(library, demands[k - 1], params.q)
 
 
@@ -267,7 +268,7 @@ def test_decoding_is_linear_in_the_demand():
         queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
         signals = answers(params, TOY_PDA, stores[:params.J], queries)
         side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-        outs[tag] = user_decode(params, TOY_PDA, side, decode(params, TOY_PDA, signals), 0)
+        outs[tag] = user_decode(params, side, decode(params, TOY_PDA, signals), 0)
     assert [(a + b) % q for a, b in zip(outs["d1"], outs["d2"])] == outs["sum"]
 
 
@@ -281,7 +282,7 @@ def test_any_j_subset_suffices():
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     for subset in combinations(signals, params.J):
         streams = decode(params, TOY_PDA, {h: signals[h] for h in subset})
-        assert user_decode(params, TOY_PDA, side, streams, 0) == expected
+        assert user_decode(params, side, streams, 0) == expected
 
 
 def test_single_adversary_is_corrected():
@@ -296,7 +297,7 @@ def test_single_adversary_is_corrected():
         signals[3] = adversary_signal(params, strategy, signals[3], random.Random(0))
         assert type(signals[3]) is tuple
         streams = decode(params, TOY_PDA, signals)
-        assert user_decode(params, TOY_PDA, side, streams, 0) == expected
+        assert user_decode(params, side, streams, 0) == expected
 
 
 def test_partial_slice_corruption_is_corrected():
@@ -326,7 +327,7 @@ def test_partial_slice_corruption_is_corrected():
         streams = decode(params, TOY_PDA, {**signals, 4: tuple(payload)})
         assert not streams.failures
         for k in range(3):
-            got = user_decode(params, TOY_PDA, sides[k], streams, 0)
+            got = user_decode(params, sides[k], streams, 0)
             assert got == expected[k], (mask, k)
 
 
@@ -345,9 +346,9 @@ def test_a_failed_stream_fails_only_the_users_that_need_it():
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
         if 1 in TOY_PDA.column(k - 1):
             with pytest.raises(DecodingFailure):
-                user_decode(params, TOY_PDA, side, streams, 0)
+                user_decode(params, side, streams, 0)
         else:
-            assert user_decode(params, TOY_PDA, side, streams, 0) == \
+            assert user_decode(params, side, streams, 0) == \
                 combine(library, demands[k - 1], params.q)
 
 
@@ -375,7 +376,7 @@ def test_a_stream_fails_with_its_first_failing_slice():
         side = cache_side(params, TOY_PDA, caches[k - 1], demands[k - 1], queries)
         for d, text in ((0, first), (1, "error locator of length 2 exceeds the radius 1")):
             with pytest.raises(DecodingFailure, match=f"^{text}$"):
-                user_decode(params, TOY_PDA, side, decoded, d)
+                user_decode(params, side, decoded, d)
 
 
 def test_decode_needs_exactly_j_distinct_origins():
@@ -430,8 +431,10 @@ def test_deliveries_must_come_from_the_same_servers():
     columns = {h: list(answer) * 2
                for h, answer in answers(params, TOY_PDA, stores[:5], queries).items()}
     both = decode_streams(params, TOY_PDA, columns)
-    assert both.delivery(0) == both.delivery(1)
-    assert decode_streams(params, TOY_PDA, dict(reversed(columns.items()))) == both
+    once = decode_streams(params, TOY_PDA, {h: column[:3] for h, column in columns.items()})
+    assert both.differing(once, 2) == set()
+    assert streamed(decode_streams(params, TOY_PDA, dict(reversed(columns.items())))) == \
+        streamed(both)
     uneven = [{**columns, 5: columns[5][:3]}, {**columns, 1: columns[1] * 2},
               {**columns, 2: [0]}, {h: column[:5] for h, column in columns.items()}]
     for bad in uneven:
@@ -439,7 +442,7 @@ def test_deliveries_must_come_from_the_same_servers():
                                                  "the same whole deliveries"):
             decode_streams(params, TOY_PDA, bad)
     empty = decode_streams(params, TOY_PDA, {h: [] for h in range(2, 7)})
-    assert (empty.data, empty.failures, empty.flagged) == ([[], []], {}, {})
+    assert streamed(empty) == (3, [[], []], {}, {})
 
 
 def test_a_delivery_outside_the_batch_is_refused():
@@ -450,14 +453,31 @@ def test_a_delivery_outside_the_batch_is_refused():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     streams = decode(params, TOY_PDA, answers(params, TOY_PDA, stores[:5], queries))
     side = cache_side(params, TOY_PDA, caches[0], demands[0], queries)
-    assert user_decode(params, TOY_PDA, side, streams, 0) == combine(library, demands[0], 7)
-    for d in (-1, 1):
-        with pytest.raises(MissingSignals, match=f"^deliveries {d}..{d} lie outside the batch$"):
-            user_decode(params, TOY_PDA, side, streams, d)
-    assert streams.delivery(0) == streams.data
+    assert user_decode(params, side, streams, 0) == combine(library, demands[0], 7)
     for d in (-1, 1, 5):
         with pytest.raises(MissingSignals, match=f"^deliveries {d}..{d} lie outside the batch$"):
-            streams.delivery(d)
+            user_decode(params, side, streams, d)
+
+
+@pytest.mark.parametrize("user", [1, 2, 3])
+def test_a_side_that_reads_past_the_delivery_is_refused(user):
+    # a side built for TOY_PDA (3 streams) against a batch of man_pda(3, 2),
+    # whose deliveries hold one stream: it must not read the empty slots
+    params, library, randomness, stores, ps, caches = build_toy_state(7)
+    demands = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
+    side = cache_side(params, TOY_PDA, caches[user - 1], demands[user - 1], queries)
+    arr = man_pda(3, 2)
+    assert arr.S == 1
+    other = build_storage(params, arr, library, Randomness.sample(params, arr, random.Random(7)))
+    streams = decode(params, arr, answers(params, arr, other[:5], queries))
+    last = side.reads[-1][0]
+    assert last >= streams.words == 1
+    with pytest.raises(DimensionMismatch,
+                       match=f"^user {user} reads word {last}, but a delivery holds 1$"):
+        user_decode(params, side, streams, 0)
+    with pytest.raises(MissingSignals, match="^deliveries 1..1 lie outside the batch$"):
+        user_decode(params, side, streams, 1)
 
 
 def test_an_all_star_batch_refuses_only_negative_deliveries():
@@ -475,11 +495,10 @@ def test_an_all_star_batch_refuses_only_negative_deliveries():
     streams = decode(params, arr, answers(params, arr, stores[:5], queries))
     assert streams.words == 0
     side = cache_side(params, arr, cache, demands[0], queries)
-    for d in (0, 1):
-        assert user_decode(params, arr, side, streams, d) == combine(library, demands[0], 7)
-    assert streams.delivery(3) == streams.delivery(4) == [[], []]
+    for d in (0, 1, 3, 4):
+        assert user_decode(params, side, streams, d) == combine(library, demands[0], 7)
     with pytest.raises(MissingSignals, match=r"^deliveries -1..-1 lie outside the batch$"):
-        user_decode(params, arr, side, streams, -1)
+        user_decode(params, side, streams, -1)
 
 
 def test_flags_name_the_servers_that_changed_their_symbols():
@@ -518,7 +537,7 @@ def test_decode_checks_the_query_echo():
         cache_side(params, TOY_PDA, caches[0], demand, wrong)
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
     streams = decode(params, TOY_PDA, signals)
-    assert user_decode(params, TOY_PDA, side, streams, 0) == \
+    assert user_decode(params, side, streams, 0) == \
         combine(library, demand, params.q)
 
 
@@ -562,7 +581,7 @@ def test_zero_library_decodes_to_zero():
     queries = [make_query(params, demands[k], ps[k]) for k in range(3)]
     streams = decode(params, TOY_PDA, answers(params, TOY_PDA, stores[:params.J], queries))
     side = cache_side(params, TOY_PDA, caches[0], demand, queries)
-    assert user_decode(params, TOY_PDA, side, streams, 0) == [0] * params.B
+    assert user_decode(params, side, streams, 0) == [0] * params.B
 
 
 def test_criterion_6_instance_at_every_error_pattern():
@@ -601,12 +620,12 @@ def test_criterion_6_instance_at_every_error_pattern():
         for d, errs in enumerate(single):
             assert flag_counts(decoded, d) == dict.fromkeys(errs, 1), errs
             for k in range(2):
-                assert user_decode(params, ROBUST_PDA, sides[k], decoded, d) == expected[k]
+                assert user_decode(params, sides[k], decoded, d) == expected[k]
             within += 1
         for d in range(len(single), len(single) + len(double)):
             for k in range(2):
                 try:
-                    got = user_decode(params, ROBUST_PDA, sides[k], decoded, d)
+                    got = user_decode(params, sides[k], decoded, d)
                 except DecodingFailure:
                     beyond["detected"] += 1
                 else:
@@ -724,7 +743,7 @@ def test_a_group_is_checked_stores_first_and_as_one():
     contents = {st.h: [st] for st in stores[:5]}
     streams, libraries = decode_group(params, TOY_PDA, columns, contents)
     assert [got.files for got in libraries] == [library.files]
-    assert streams.data == decode_streams(params, TOY_PDA, columns).data
+    assert streamed(streams) == streamed(decode_streams(params, TOY_PDA, columns))
     assert decode_group(params, TOY_PDA, columns, None)[1] is None
     assert decode_group(params, None, None, contents)[0] is None
     with pytest.raises(ProtocolError, match="^a group needs columns or stores$"):

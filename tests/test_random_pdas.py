@@ -4,7 +4,8 @@ Every other end-to-end test runs ``man_pda`` or the 1x1 micro array.
 Here hypothesis draws small valid arrays of other shapes, and a sweep
 over every J-subset, every adversary set within the budget and every
 strategy, with library recovery, must be exact and measure the triple
-the array's formulas give.
+the array's formulas give.  Within the budget and past it, a sweep must
+also report what the step-by-step replay of ``oracles`` reports.
 """
 
 from dataclasses import replace
@@ -14,6 +15,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from oracles import replay  # noqa: E402
+from rsplfr import sim  # noqa: E402
 from rsplfr.analysis import msc_from_pda  # noqa: E402
 from rsplfr.pda import STAR, validate  # noqa: E402
 from rsplfr.protocol import SystemParams  # noqa: E402
@@ -65,3 +68,21 @@ def test_random_pdas_sweep_exactly(arr, base):
     result = sweep(sc)
     assert result.ok, result.failures[:3]
     assert result.measured == msc_from_pda(arr, params)
+
+
+@settings(max_examples=16, derandomize=True, database=None, deadline=None)
+@given(pdas(), st.sampled_from(INSTANCES), st.sampled_from([7, 257]),
+       st.sampled_from([(0, 1), (2,)]))
+def test_random_pda_sweeps_report_what_a_step_by_step_replay_reports(arr, base, q, sizes):
+    # two adversaries are past the radius of one: deliveries and sets fail
+    params = replace(base, K=arr.K, B=base.L * arr.F, q=q)
+    sc = Scenario(params=params, pda=arr, sweep_j_subsets=True,
+                  sweep_adversary_subsets=True, sweep_strategies=True,
+                  adversary_sizes=sizes, demand_samples=2, check_recovery=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_WITNESS_CAP", 10 ** 9)  # every witness kept
+        result = sweep(sc)
+    witnesses, stage_counts = replay(sc)
+    assert list(result.failures) == witnesses
+    assert result.failure_count == len(witnesses)
+    assert result.stage_counts == stage_counts

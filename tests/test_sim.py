@@ -318,9 +318,10 @@ def test_each_group_is_one_kernel_call(monkeypatch):
 
 def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
     # within the budget every group is right: past the honest check, no
-    # decoded row is unpacked and no library is built.  The honest check
-    # unpacks its L data rows once for the users and once for its one
-    # library, which it compares with the sampled library
+    # decoded row is unpacked and no library is built.  The honest check's
+    # users read their slots packed, so it unpacks only the L data rows of
+    # its one library, which it compares with the sampled library; with
+    # recovery unchecked no row of the whole sweep is unpacked
     import dataclasses
 
     import rsplfr.protocol
@@ -346,9 +347,14 @@ def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
         assert sweep(sc).ok
         decodes = [i for i, event in enumerate(events) if event == "decode"]
         assert len(decodes) == kernels
-        assert Counter(events[decodes[0]:decodes[1]]) == {"decode": 1, "unpack": 2 * L,
+        assert Counter(events[decodes[0]:decodes[1]]) == {"decode": 1, "unpack": L,
                                                           "library": 1}
         assert set(events[decodes[1]:]) == {"decode"}
+        events.clear()
+        assert sweep(dataclasses.replace(sc, check_recovery=False)).ok
+        # the one library is the sampled one, built before any decode
+        assert Counter(events) == {"library": 1, "decode": kernels}
+        assert events[0] == "library"
 
 
 def test_streams_are_decoded_once_per_delivery(monkeypatch):
@@ -653,9 +659,10 @@ def test_a_cache_side_off_by_one_fails_only_that_users_decodes(monkeypatch, user
         side = original(params, arr, cache, d_k, queries)
         if cache.k != user:
             return side
-        rows = {j for _, j in side.streams}
+        pkt = params.B // (params.L * arr.F)
+        rows = {b // pkt for _, b in side.reads}
         j = min(rows) if row == "stream" else min(set(range(arr.F)) - rows)
-        b = j * (params.B // (params.L * arr.F))
+        b = j * pkt
         values = list(side.values)
         values[b] = (values[b] + 1) % params.q
         return dataclasses.replace(side, values=tuple(values))
