@@ -22,43 +22,47 @@ Coding Theory*, ch. 6).
 
 ``decode_columns`` decodes a batch of words received at one fixed set
 of positions, as every slice of every multicast stream of every
-delivery from the same J servers is.  A plan for a set S of skipped
-positions holds the inverse Vandermonde matrix of the first k kept
-points and the evaluation rows of every other point; the kept rows are
-the parity checks, in systematic form.  A word that passes them agrees
-with a degree < k polynomial outside S, so with |S| <= e it lies within
-distance e of that codeword, the only one there since 2e < J - k + 1.
-Which such plan decodes a word thus changes only the work.
+delivery from the same J servers is.  The syndromes are its only
+parity check: they all vanish exactly at a codeword, and a locator of
+length l <= e with l roots E among the present positions generates
+exactly the syndromes of the words within E of a codeword, since its
+recurrence's solutions are spanned by the l sequences x_j^i, j in E.
+That codeword is the only one within distance e, as 2e < J - k + 1.
+A plan for a set S of skipped positions interpolates the message from
+the first k points outside S and flags the words wrong at S.
 
 The words are packed one per little-endian slot into one integer per
-position, so each plan row, and its reduction mod q (see ``_Slots``),
-is a few big-integer operations for the whole batch.  A column is
-packed as it comes, by one byte copy when every value fits a byte, and
-its packed integer range-checked at once; only a column with a value
-below 0 or at least q is reduced mod q and packed again.  The masks
-over the batch's slots are computed once per call.  A set of
-words is a mask of their whole slots, so a check row that every word of
-a set passes is one test for zero.  The plan with S empty is swept over every word.
-While words are left, the lowest of them gets its syndromes and
-locator.  A locator longer than e, or with another number of roots
-among the present positions than its length, cannot be the locator of
-an error pattern within the radius, so the word is refused.  Otherwise
-the plan skipping the roots is swept over every word left, since
-errors come per server and recur; the located word must pass it, or it
-is refused too.  A failing word drops out of a plan at its first failed
-check row.  Each plan's message and flag rows are masked to the words
-it explains, so each row is computed for the whole batch at once; a
-caller that keeps only the first message rows, as the protocol keeps
-the L data coefficients and drops the I noise ones, gets only those
-computed.  The private core ``_decode_packed`` leaves the rows packed,
-a failed word 0 in each, which the protocol compares whole;
+position, so each parity or plan row, and its reduction mod q (see
+``_Slots``), is a few big-integer operations for the whole batch.  A
+column is packed as it comes, by one byte copy when every value fits a
+byte, and its packed integer range-checked at once; only a column with
+a value below 0 or at least q is reduced mod q and packed again.  The
+masks over the batch's slots are computed once per call.  A set of
+words is a mask of their whole slots, so a row that is zero for every
+word of a set is one test for zero.  The J - k syndrome rows are
+computed once; the words with a nonzero syndrome are pending, and the
+plan with S empty decodes the rest.  While words are pending, the
+lowest of them gets its locator from its syndromes, each read from its
+packed row by one shift and mask.  A locator longer than e, or with
+another number of roots among the present positions than its length,
+cannot be the locator of an error pattern within the radius, so the
+word is refused.  Otherwise every pending word whose packed syndromes
+meet the locator's recurrence, sum_t c_t S_(i-t) = 0 for i from l up,
+leaves with it, decoded by the plan skipping the roots, since errors
+come per server and recur; the located word must be among them, or it
+is refused too.  Each plan's message and flag rows are masked to the
+words it explains, so each row is computed for the whole batch at
+once; a caller that keeps only the first message rows, as the protocol
+keeps the L data coefficients and drops the I noise ones, gets only
+those computed.  The private core ``_decode_packed`` leaves the rows
+packed, a failed word 0 in each, which the protocol compares whole;
 ``decode_columns`` is its list view, with None at a failed word.
 The result is the unique codeword within distance e, or
 ``DecodingFailure`` when there is none, exactly as the oracle finds.
 It depends on the word alone, never on the rest of the batch: a word
-passes a plan only if it lies within distance e of a codeword, and a
-refused word's text comes from its own locator.  ``decode`` is the
-one-word case.
+leaves with a located word only if it lies within distance e of a
+codeword, and a refused word's text comes from its own locator.
+``decode`` is the one-word case.
 
 ``brute_force_decode`` is the independent oracle: try every error
 support up to the radius, interpolate, and keep candidates consistent
@@ -68,10 +72,10 @@ with all remaining positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, compress
 from math import prod
-from operator import mul
+from operator import mul, or_
 from typing import NamedTuple
 
 from .ff import PrimeField, horner
@@ -176,20 +180,19 @@ def _interpolate(pairs, field: PrimeField):
 
 @dataclass(frozen=True)
 class _Plan:
-    """Interpolation and evaluation rows for one (points, positions, k, skipped).
+    """Interpolation and flag rows for one (points, positions, k, skipped).
 
-    Indices refer to the word's values, in position order.  ``basis[m]``
-    gives message coefficient m from the values at ``base``.  Each entry
-    ``(j, row)`` of ``checks`` or ``skipped`` holds k coefficients that
-    predict value j from the base values, then -1: dotted with the base
-    values and value j, the row is zero exactly where value j is the
-    prediction.  Kept values are checks; skipped ones are only compared,
-    for the flags.
+    Indices refer to the word's values, in position order.  ``base`` is
+    the first k values not skipped, and ``basis[m]`` gives message
+    coefficient m from them.  Each entry ``(j, row)`` of ``skipped``
+    holds k coefficients that predict skipped value j from the base
+    values, then -1: dotted with the base values and value j, the row is
+    zero exactly where value j is the prediction: it flags the words
+    wrong there.
     """
 
     base: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
-    checks: tuple[tuple[int, tuple[int, ...]], ...]
     skipped: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -198,27 +201,24 @@ def _plan(points: EvalPoints, positions: tuple[int, ...], k: int,
           skip: tuple[int, ...]) -> _Plan:
     q, field = points.q, points.field
     xs = [points.alphas[h - 1] for h in positions]
-    kept = [i for i, h in enumerate(positions) if h not in skip]
-    base = tuple(kept[:k])
+    base = tuple([i for i, h in enumerate(positions) if h not in skip][:k])
     # column i of the inverse Vandermonde matrix is the Lagrange basis
     # polynomial that is 1 at base point i and 0 at the others
     lagrange = [_interpolate([(xs[j], int(j == i)) for j in base], field) for i in base]
     basis = tuple(tuple(lagrange[i][m] for i in range(k)) for m in range(k))
-
-    def rows(indices):
-        return tuple((j, tuple(horner(ell, xs[j], q) for ell in lagrange) + (q - 1,))
-                     for j in indices)
-
-    return _Plan(base=base, basis=basis, checks=rows(kept[k:]),
-                 skipped=rows(i for i in range(len(positions)) if i not in kept))
+    return _Plan(base=base, basis=basis,
+                 skipped=tuple((j, tuple(horner(ell, xs[j], q) for ell in lagrange) + (q - 1,))
+                               for j, h in enumerate(positions) if h in skip))
 
 
 @dataclass(frozen=True)
 class _Dual:
     """Parity rows and inverse points for one (points, positions, k).
 
-    Row i dotted with a word gives its syndrome S_i; the locator vanishes
-    at ``inverse[j]`` when the word's value j is in error.
+    The J - k rows are the decoder's only parity check: row i dotted with
+    a word gives its syndrome S_i, all zero exactly when the word is a
+    codeword.  The locator vanishes at ``inverse[j]`` when value j of the
+    word is in error.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -237,13 +237,15 @@ def _dual(points: EvalPoints, positions: tuple[int, ...], k: int) -> _Dual:
     return _Dual(rows=tuple(rows), inverse=tuple(field.inv(x) for x in xs))
 
 
-def _locate(dual: _Dual, y: list[int], max_errors: int, q: int) -> list[int]:
-    """Indices of the wrong values of y, by Berlekamp-Massey on its syndromes.
+def _locate(dual: _Dual, s: list[int], max_errors: int, q: int):
+    """The error locator of the syndromes s, by Berlekamp-Massey, and its roots.
 
-    Raises ``DecodingFailure`` when the shortest recurrence is longer
-    than the radius or does not have as many roots as its length.
+    Returns ``(locator, roots)``: the coefficients, lowest first, of the
+    shortest recurrence that generates s, and the indices of the values
+    at whose inverse points it vanishes.  Raises ``DecodingFailure`` when
+    that recurrence is longer than the radius or does not have as many
+    roots as its length.
     """
-    s = [sum(map(mul, row, y)) % q for row in dual.rows]
     n = len(s)
     c, b = [1] + [0] * n, [1] + [0] * n  # current and last-changed connection
     length, shift, last = 0, 1, 1
@@ -269,7 +271,7 @@ def _locate(dual: _Dual, y: list[int], max_errors: int, q: int) -> list[int]:
         raise DecodingFailure(
             f"error locator of length {length} has {len(roots)} of {length} roots "
             "among the present positions")
-    return roots
+    return locator, roots
 
 
 class _Masks(NamedTuple):
@@ -366,10 +368,11 @@ class _Slots:
         return total - self.q * ((total * self.magic >> self.shift) & masks.quotients)
 
     def nonzero(self, residues: int, masks: _Masks) -> int:
-        """The full slots where ``residues``, each below q, is nonzero; the rest empty.
+        """The full slots where ``residues``, each below 2^b, is nonzero; the rest empty.
 
-        Adding 2^b - 1 to a residue below 2^b carries into bit b exactly
-        when the residue is nonzero.
+        Adding 2^b - 1 to a value below 2^b carries into bit b exactly
+        when the value is nonzero.  Residues below q OR-ed together stay
+        below 2^b.
         """
         b, ones = (self.q - 1).bit_length(), masks.ones
         return ((residues + ones * ((1 << b) - 1)) >> b & ones) * ((1 << 8 * self.size) - 1)
@@ -377,6 +380,10 @@ class _Slots:
     def word(self, w: int) -> int:
         """The full slot of word w."""
         return ((1 << 8 * self.size) - 1) << (8 * self.size * w)
+
+    def read(self, packed: int, w: int) -> int:
+        """Slot w of ``packed``."""
+        return packed >> 8 * self.size * w & (1 << 8 * self.size) - 1
 
     def lowest(self, words: int) -> int:
         """The lowest word among the full slots of ``words``."""
@@ -411,52 +418,40 @@ def _decode_packed(points: EvalPoints, positions, dimension: int, max_errors: in
     W = len(y[0])
     if any(len(col) != W for col in y):
         raise ValueError("columns must hold one value per word")
-    slots = _Slots.for_sums(q, k + 1)
+    slots = _Slots.for_sums(q, J)  # a syndrome row is the longest sum
     masks = slots.masks(W)
     packed = []
-    for i, col in enumerate(y):
+    for col in y:
         try:
             whole = slots.pack(col)
         except OverflowError:  # a value below 0 or too wide for its slot
             whole = None
         if whole is None or not slots.canonical(whole, masks):
-            y[i] = [v % q for v in col]
-            whole = slots.pack(y[i])
+            whole = slots.pack([v % q for v in col])
         packed.append(whole)
 
     def residues(row, cols):
         """Row dotted with the packed columns, mod q, in every slot."""
         return slots.reduce(sum(map(mul, row, cols)), masks)
 
-    def sweep(plan: _Plan, words: int) -> int:
-        """The words, as full slots, that pass the plan's checks.
-
-        A word leaves at the first check row it fails; a row that every
-        word left passes is one test for zero.
-        """
-        base = [packed[i] for i in plan.base]
-        for j, row in plan.checks:
-            off = residues(row, base + [packed[j]]) & words
-            if off:
-                words ^= slots.nonzero(off, masks)
-                if not words:
-                    break
-        return words
-
-    clean = _plan(points, positions, k, ())
-    every = (1 << 8 * slots.size * W) - 1
-    passing = sweep(clean, every)
-    groups = [(clean, passing)]
-    pending = every ^ passing
-    failures = {}
     dual = _dual(points, positions, k)
+    syndromes = [residues(row, packed) for row in dual.rows]
+    pending = slots.nonzero(reduce(or_, syndromes, 0), masks)
+    every = (1 << 8 * slots.size * W) - 1
+    groups = [(_plan(points, positions, k, ()), every ^ pending)]
+    failures = {}
     while pending:
         w = slots.lowest(pending)
         word = slots.word(w)
         try:
-            roots = _locate(dual, [col[w] for col in y], max_errors, q)
-            plan = _plan(points, positions, k, tuple(positions[j] for j in roots))
-            passing = sweep(plan, pending)
+            locator, roots = _locate(dual, [slots.read(s, w) for s in syndromes],
+                                     max_errors, q)
+            # the words whose syndromes the locator generates, as full slots
+            passing, ell, rev = pending, len(locator) - 1, locator[::-1]
+            for i in range(ell, len(syndromes)):
+                off = residues(rev, syndromes[i - ell:i + 1]) & passing
+                if off:
+                    passing ^= slots.nonzero(off, masks)
             if not passing & word:
                 raise DecodingFailure(
                     "word fails the parity checks outside the located errors")
@@ -464,7 +459,8 @@ def _decode_packed(points: EvalPoints, positions, dimension: int, max_errors: in
             failures[w] = exc
             pending ^= word
         else:
-            groups.append((plan, passing))
+            groups.append((_plan(points, positions, k, tuple(positions[j] for j in roots)),
+                           passing))
             pending ^= passing
     messages, flags = [0] * rows, [0] * J
     for plan, words in groups:

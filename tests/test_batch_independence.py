@@ -1,8 +1,8 @@
 """A word's decode does not depend on the other words of its batch.
 
-A word passes a plan that skips at most e positions only if a codeword
-lies within distance e, and a failing word's text comes from its own
-error locator, so decoding the concatenation of batches must give each
+A word leaves with a located word only if its syndromes meet that
+locator's recurrence, that is, only if a codeword lies within distance
+e, and a failing word's text comes from its own error locator, so decoding the concatenation of batches must give each
 word what decoding its own batch gives it.  The same holds one level up:
 ``recover_library`` gives each set of stored contents what it gives
 that set alone, and ``decode_group``, which decodes a group's stream

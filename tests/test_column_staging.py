@@ -53,8 +53,8 @@ def test_the_slots_reach_every_pack_path():
 
 
 def test_the_layout_is_little_endian_on_any_host():
-    # mid_sweep's sums, q = 13 over k + 1 = 7 terms, need 3-byte slots
-    slots = _Slots.for_sums(13, 7)
+    # mid_sweep's sums, q = 13 over J = 10 terms, need 3-byte slots
+    slots = _Slots.for_sums(13, 10)
     assert slots.size == 3
     assert slots.pack([1, 2, 255]) == 1 | 2 << 24 | 255 << 48
     assert slots.pack([1, 2, 256]) == 1 | 2 << 24 | 256 << 48
@@ -108,7 +108,7 @@ def columns(draw):
     positions = tuple(sorted(draw(st.sets(st.integers(1, H), min_size=k))))
     e = draw(st.integers(0, (len(positions) - k) // 2))
     points = EvalPoints.consecutive(q, H)
-    slot = 1 << 8 * _Slots.for_sums(q, k + 1).size
+    slot = 1 << 8 * _Slots.for_sums(q, len(positions)).size
     b = 1 << (q - 1).bit_length()
     W = draw(st.integers(0, 6))
     words = []
@@ -136,7 +136,7 @@ def columns(draw):
 def test_a_column_decodes_as_its_residues_do(case):
     points, positions, k, e, cols = case
     q = points.q
-    slots = _Slots.for_sums(q, k + 1)
+    slots = _Slots.for_sums(q, len(positions))
     for col in cols:
         if all(0 <= v < 1 << 8 * slots.size for v in col):  # packs as it is
             assert slots.canonical(slots.pack(col), slots.masks(len(col))) == all(

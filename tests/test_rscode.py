@@ -285,6 +285,49 @@ def test_batch_partial_slice_pattern_matches_decode(monkeypatch):
     # one locator run per distinct support: {1}, {6}, {1, 6}
     _, runs = locator_runs(monkeypatch, lambda: batch(points, positions, 3, 2, words))
     assert runs == 3
+    # with the two-error word the lowest pending one, its support {1, 6}
+    # explains every word left: one locator run, and each single-error
+    # word is still flagged only where it is wrong
+    two = patterns.index({1: 2, 6: 9})
+    order = [two] + [w for w in range(len(words)) if w != two]
+    ordered = [words[w] for w in order]
+    expected = batch_agrees(points, positions, 3, 2, ordered)
+    assert [flags for _, flags in expected] == [set(patterns[w]) for w in order]
+    _, runs = locator_runs(monkeypatch, lambda: batch(points, positions, 3, 2, ordered))
+    assert runs == 1
+
+
+def test_a_word_outside_its_located_group_is_refused(monkeypatch):
+    # a locator whose recurrence the located word's syndromes do not meet,
+    # one naming position 6 for a word wrong at 2, refuses that word with
+    # the guard's text and moves on: each refusal or group removes a word
+    points = EvalPoints.consecutive(13, 8)
+    positions = (1, 2, 3, 5, 6, 7, 8)
+    rng = random.Random(7)
+    patterns = [{}, {2: 4}, {6: 3}, {}, {2: 1}, {6: 5}]
+    words = [word(points, positions, [rng.randrange(13) for _ in range(3)], errs)
+             for errs in patterns]
+    columns = as_columns(words, 7)
+    messages, flags, failures = decode_columns(points, positions, 3, 2, columns)
+    assert failures == {}
+    locate, calls = rsplfr.rscode._locate, []
+
+    def misplaced(dual, s, max_errors, q):
+        calls.append(s)
+        assert len(calls) <= len(words)
+        if s == calls[0]:
+            return [1, -points.alphas[6 - 1] % q], [positions.index(6)]
+        return locate(dual, s, max_errors, q)
+
+    monkeypatch.setattr(rsplfr.rscode, "_locate", misplaced)
+    got, got_flags, refused = decode_columns(points, positions, 3, 2, columns)
+    assert {w: str(exc) for w, exc in refused.items()} == {
+        1: "word fails the parity checks outside the located errors"}
+    assert len(calls) == 3
+    for w in (0, 2, 3, 4, 5):
+        assert [m[w] for m in got] == [m[w] for m in messages]
+        assert [w in f for f in got_flags] == [w in f for f in flags]
+    assert all(m[1] is None for m in got) and not any(1 in f for f in got_flags)
 
 
 def test_batch_beyond_radius_and_radius_zero_match_decode():
@@ -345,8 +388,8 @@ def test_columns_beyond_radius_match_decode():
 
 
 def test_large_field_uses_wide_slots():
-    # a slot must hold (k + 1)(q - 1)^2 = 4(q - 1)^2 >= 2^64: more than
-    # any array type, so the slots are packed and read byte by byte
+    # a slot must hold J(q - 1)^2 = 7(q - 1)^2 >= 2^64: more than any
+    # array type, so the slots are packed and read byte by byte
     q = 2 ** 31 + 11
     points = EvalPoints.consecutive(q, 7)
     positions = (1, 2, 3, 4, 5, 6, 7)
