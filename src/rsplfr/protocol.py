@@ -28,7 +28,12 @@ docstring gives its flat order: ``Randomness``, whose ``sizes`` are its
 run sizes, in the order ``build_storage`` reads it; ``ServerStore`` and
 a server's answer, the tuple ``server_signal`` returns, in the order the
 decoder reads them, each word across any J servers one MDS codeword;
-``UserCache`` one run per array row.
+``UserCache`` one run per array row.  A replay's honest answers and
+cache sides are built packed over its demands, in the ``rscode._Slots``
+of one integer: ``_server_columns`` chains every server's answers,
+``_cache_sides`` gives one user's side of each demand, and
+``cache_side`` is its one-demand case.  ``server_signal`` stays scalar
+for callers that answer one query set from many stores.
 
 Deliveries and stored contents are decoded on one path,
 ``decode_group``, which takes a batch as a mapping from each of J
@@ -59,6 +64,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain, compress
+from operator import mul
 from pathlib import Path
 
 from . import pda as pda_mod
@@ -152,6 +158,22 @@ def _dims(params: SystemParams, pda: Pda) -> tuple[int, int]:
 # ---------- data at rest ----------
 
 
+def draws(rng: random.Random, q: int, count: int) -> list[int]:
+    """``count`` uniform residues mod q, the values ``rng.randrange(q)`` gives in turn.
+
+    The same rejection loop over ``getrandbits`` that ``randrange`` runs,
+    without its per-call argument checks.
+    """
+    bits, draw = q.bit_length(), rng.getrandbits
+    out = []
+    for _ in range(count):
+        v = draw(bits)
+        while v >= q:
+            v = draw(bits)
+        out.append(v)
+    return out
+
+
 @dataclass(frozen=True)
 class Library:
     """N files of B symbols each."""
@@ -160,9 +182,7 @@ class Library:
 
     @classmethod
     def random(cls, params: SystemParams, rng: random.Random) -> "Library":
-        q, B = params.q, params.B
-        return cls(tuple(tuple(rng.randrange(q) for _ in range(B))
-                         for _ in range(params.N)))
+        return cls(tuple(tuple(draws(rng, params.q, params.B)) for _ in range(params.N)))
 
     @classmethod
     def zeros(cls, params: SystemParams) -> "Library":
@@ -195,9 +215,7 @@ class Randomness:
     @classmethod
     def sample(cls, params: SystemParams, pda: Pda, rng: random.Random) -> "Randomness":
         """Uniform runs, drawn in field order: deltas, vees, lambdas."""
-        q = params.q
-        return cls(*(tuple(rng.randrange(q) for _ in range(size))
-                     for size in cls.sizes(params, pda)))
+        return cls(*(tuple(draws(rng, params.q, size)) for size in cls.sizes(params, pda)))
 
 
 # ---------- per-role containers ----------
@@ -371,6 +389,76 @@ def server_signal(params: SystemParams, pda: Pda,
     return tuple(payload)
 
 
+def _spaced(slots: rscode._Slots, values, step: int) -> int:
+    """``values`` packed ``step`` slots apart, from slot 0."""
+    padded = [0] * (len(values) * step - step + 1)
+    padded[::step] = values
+    return slots.pack(padded)
+
+
+def _cut(slots: rscode._Slots, packed: int, size: int, count: int) -> list[int]:
+    """``count`` blocks of ``size`` slots each, cut from ``packed`` in order."""
+    width = slots.size * size
+    raw = packed.to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * count, width)]
+
+
+def _server_columns(params: SystemParams, pda: Pda, stores,
+                    queries_list) -> dict[int, list[int]]:
+    """Each store's server's answers to every entry of ``queries_list``, chained in order.
+
+    Server h's column is ``server_signal``'s answer to each entry in
+    turn, one delivery each: word ``(d*S + s-1)*pkt + r`` is slice r of
+    stream s of delivery d.  An answer is linear in the queries and in
+    the store, so the D deliveries of all H stores are computed at once
+    in the slots of one integer, sized by ``rscode._Slots.for_sums`` for
+    a key plus every occurrence's N products: word w of delivery d of the
+    t-th store is slot (w*D + d)*H + t.  Query v's coefficient of file n
+    is packed once, delivery d in slot d*H, and every coded subfile slice
+    once, store t in slot t; word w is then one multiply-add per
+    (occurrence, file) for every delivery and store, shifted to slot
+    w*D*H.  The whole is reduced and unpacked once, and each store's
+    values are put in delivery order.  The stores are checked before the
+    queries, as ``server_signal`` checks them.
+    """
+    subL, pkt = _dims(params, pda)
+    N, K, q = params.N, params.K, params.q
+    for st in stores:
+        if len(st.coded_subfiles) != N * subL or len(st.coded_keys) != pda.S * pkt:
+            raise DimensionMismatch(f"contents of server {st.h} have the wrong shape")
+    queries_list = [_checked_queries(params, queries) for queries in queries_list]
+    words, D, H = pda.S * pkt, len(queries_list), len(stores)
+    if not (words and D and H):
+        return {st.h: [] for st in stores}
+    occurrences = [pda.occurrences(s) for s in range(1, pda.S + 1)]
+    slots = rscode._Slots.for_sums(q, 1 + N * max(map(len, occurrences)))
+    block = D * H  # slots of one word
+    # per user, its query coefficient of each file for every delivery
+    packed = _cut(slots, _spaced(slots, [x % q for v in range(K) for x in chain.from_iterable(
+        zip(*(queries[v] for queries in queries_list)))], H), block, K * N)
+    coeffs = [packed[v * N:v * N + N] for v in range(K)]
+    # slice m of every file, the subfile symbols n*B/L + m of every store
+    symbols = _cut(slots, slots.pack(list(chain.from_iterable(
+        zip(*(st.coded_subfiles for st in stores))))), H, N * subL)
+    slices = [symbols[m::subL] for m in range(subL)]
+    # word w's key of every store, once per delivery
+    total = slots.pack(list(chain.from_iterable(
+        key * D for key in zip(*(st.coded_keys for st in stores)))))
+    for w in range(words):
+        s, r = divmod(w, pkt)
+        acc = 0
+        for j, v in occurrences[s]:
+            acc += sum(map(mul, coeffs[v], slices[j * pkt + r]))
+        total += acc << 8 * slots.size * block * w
+    values = slots.unpack(slots.reduce(total, slots.masks(words * block)), words * block)
+    columns = {}
+    for t, st in enumerate(stores):
+        mine = values[t::H]  # word w of delivery d at w*D + d
+        columns[st.h] = list(chain.from_iterable(zip(*(mine[w * D:w * D + D]
+                                                     for w in range(words)))))
+    return columns
+
+
 # ---------- adversaries ----------
 #
 # A strategy's ``corrupt(column, runs, q, rng)`` returns its replacement
@@ -392,16 +480,8 @@ class UniformRandom:
     draws = True
 
     def corrupt(self, column, runs, q, rng):
-        # rng.randrange(q) per symbol in column order, by the same
-        # rejection loop over getrandbits, so the draws are the same
-        bits, draw = q.bit_length(), rng.getrandbits
-        out = []
-        for _ in column:
-            v = draw(bits)
-            while v >= q:
-                v = draw(bits)
-            out.append(v)
-        return out
+        # the module's draws: a method does not see its class's attributes
+        return draws(rng, q, len(column))
 
 
 @dataclass(frozen=True)
@@ -747,55 +827,99 @@ def cache_side(params: SystemParams, pda: Pda, cache: UserCache,
     For each stream symbol in its column, the user subtracts its keyed
     blend packet and, for every other occurrence of the symbol, the
     interfering blend packet it can rebuild from star-row cache entries;
-    both depend only on the cache, the demand and the queries.
+    both depend only on the cache, the demand and the queries.  The
+    one-demand case of ``_cache_sides``.
+    """
+    side, = _cache_sides(params, pda, cache, [d_k], [queries])
+    if isinstance(side, ProtocolError):
+        raise side
+    return side
+
+
+def _cache_sides(params: SystemParams, pda: Pda, cache: UserCache,
+                 demands, queries_list) -> list:
+    """User k's cache side for each of its demands against that demand's K queries, at once.
+
+    Entry d is what ``cache_side`` builds for ``demands[d]`` and
+    ``queries_list[d]``, or the ``ProtocolError`` it raises for them: a
+    query set that is no K queries of N residues, a demand that is not N
+    residues, or a query of user k that is not its demand + blend fails
+    only that entry.  A side's values are linear in the demand and the
+    queries, so those of the other D entries are computed at once in the
+    slots of one integer, sized by ``rscode._Slots.for_sums`` for the
+    longest sum of one output.  Row j's output (l, r), output symbol
+    l*B/L + j*pkt + r, is slot (j*L*pkt + l*pkt + r)*D + d for entry d,
+    the order in which a star row's run holds each file's symbols.  So
+    each file's demand or query coefficients are packed over the entries,
+    slot d, each star-row run is packed with its symbols D slots apart,
+    and one product of the two adds a file's part of a whole row for
+    every entry.  An interfering packet is subtracted as its query's
+    coefficients negated mod q times the packet.  The whole is reduced
+    and unpacked once, then cut into each entry's values.
     """
     subL, pkt = _dims(params, pda)
     N, L, q = params.N, params.L, params.q
-    queries = _checked_queries(params, queries)
     k0 = cache.k - 1
-    expect = tuple((d + p) % q for d, p in zip(d_k, cache.p))
-    if len(d_k) != N:
-        raise DimensionMismatch(f"demand vector must hold {N} symbols")
-    if tuple(queries[k0]) != expect:
-        raise ProtocolError(f"query of user {cache.k} does not match demand + blend")
+    out, good = [], []
+    for d_k, queries in zip(demands, queries_list):
+        try:
+            queries = _checked_queries(params, queries)
+            if len(d_k) != N:
+                raise DimensionMismatch(f"demand vector must hold {N} symbols")
+            if tuple(queries[k0]) != tuple((d + p) % q for d, p in zip(d_k, cache.p)):
+                raise ProtocolError(f"query of user {cache.k} does not match demand + blend")
+        except ProtocolError as exc:
+            out.append(exc)
+        else:
+            out.append(None)
+            good.append((d_k, queries))
+    if not good:
+        return out
 
-    d = tuple(v % q for v in d_k)
     col = pda.column(k0)
-    values = [0] * params.B
-    step = L * pkt  # from one file's symbol of a star-row run to the next file's
+    # per ordinary row, the other occurrences of its symbol: (star row, user)
+    others = {j: [(u, v) for u, v in pda.occurrences(e) if u != j]
+              for j, e in enumerate(col) if e is not STAR}
+    users = sorted({v for occ in others.values() for _, v in occ})
+    slots = rscode._Slots.for_sums(q, max([N] + [1 + N * len(o) for o in others.values()]))
+    D, step = len(good), L * pkt  # step: a row's outputs, a file's symbols in a star run
+    # each file's coefficients over the entries, entry d in slot d: the
+    # demand's, then each interfering query's negated, packed at once
+    entries = [list(d_k) + [-x for v in users for x in queries[v]] for d_k, queries in good]
+    coeffs = _cut(slots, slots.pack([x % q for row in zip(*entries) for x in row]), D,
+                  N * (1 + len(users)))
+    negated = {v: coeffs[N * t:N * t + N] for t, v in enumerate(users, start=1)}
+    # each star row's run, one block per file, packed at once
+    stars = [u for u, e in enumerate(col) if e is STAR]
+    blocks = _cut(slots, _spaced(slots, [x for u in stars for x in cache.uncoded[u]], D),
+                  step * D, N * len(stars))
+    runs = {u: blocks[N * t:N * t + N] for t, u in enumerate(stars)}
+    total, keyed = 0, []  # keyed: each row's negated keyed packet, 0 on a star row
     for j, e in enumerate(col):
         if e is STAR:
-            packets = cache.uncoded[j]
-            for l in range(L):
-                off = l * subL + j * pkt
-                for r in range(pkt):
-                    i = l * pkt + r
-                    acc = 0
-                    for n in range(N):
-                        c = d[n]
-                        if c:
-                            acc += c * packets[n * step + i]
-                    values[off + r] = acc % q
+            acc = sum(map(mul, coeffs, runs[j]))  # the first N: the demand's
+            keyed += [0] * step
         else:
-            keyed = cache.keys[j]
-            others = [(queries[v], cache.uncoded[u])
-                      for (u, v) in pda.occurrences(e) if (u, v) != (j, k0)]
-            for l in range(L):
-                off = l * subL + j * pkt
-                for r in range(pkt):
-                    i = l * pkt + r
-                    val = -keyed[i]
-                    for qv, packets in others:
-                        for n in range(N):
-                            c = qv[n]
-                            if c:
-                                val -= c * packets[n * step + i]
-                    values[off + r] = val % q
+            acc = 0
+            for u, v in others[j]:
+                acc += sum(map(mul, negated[v], runs[u]))
+            keyed += [-x % q for x in cache.keys[j]]
+        total += acc << 8 * slots.size * D * step * j
+    total += _spaced(slots, keyed, D) * slots.pack([1] * D)
+    by_row = slots.unpack(slots.reduce(total, slots.masks(params.B * D)), params.B * D)
+    # output l*B/L + j*pkt + r is symbol o = j*step + l*pkt + r of the rows,
+    # its D entries at slots o*D onward
+    values = list(chain.from_iterable(by_row[o * D:o * D + D]
+                                      for l in range(L) for j in range(pda.F)
+                                      for o in range(j * step + l * pkt, (j * L + l + 1) * pkt)))
     # slice r of stream e, in row j: word (e-1)*pkt + r, output j*pkt + r of coefficient 0
     reads = tuple(((e - 1) * pkt + r, j * pkt + r)
                   for e, j in sorted((e, j) for j, e in enumerate(col) if e is not STAR)
                   for r in range(pkt))
-    return CacheSide(k=cache.k, reads=reads, stride=subL, values=tuple(values))
+    sides = iter([CacheSide(k=cache.k, reads=reads, stride=subL,
+                            values=tuple(values[t::D]))
+                  for t in range(D)])
+    return [next(sides) if side is None else side for side in out]
 
 
 def user_decode(params: SystemParams, side: CacheSide,

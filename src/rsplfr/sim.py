@@ -15,6 +15,9 @@ reference, the deliveries and sets that differ from it; only those are
 judged: a differing set's library is unpacked, and the users of a
 differing delivery read their slots of it.  A single run is the same replay of
 one configuration under the first demand sample, with a transcript.
+The honest columns and cache sides the replay starts from are built
+packed over its demand samples: one call builds every server's column,
+and one call per user that user's side of every demand.
 """
 
 from __future__ import annotations
@@ -31,13 +34,13 @@ from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams,
-                       UniformRandom, SCENARIO_FIELDS, _dims, _flag, _int, _ints,
-                       adversary_column, adversary_content, build_storage, cache_side,
-                       decode_group, make_query, params_from_json,
-                       place_user, server_signal, strategy_key, user_decode)
+                       UniformRandom, SCENARIO_FIELDS, _cache_sides, _dims, _flag, _int,
+                       _ints, _server_columns, adversary_column, adversary_content,
+                       build_storage, decode_group, draws, make_query, params_from_json,
+                       place_user, strategy_key, user_decode)
 # uncalled here, but bound: instrumentation wraps the sweep's layers at
 # this module's names
-from .protocol import adversary_signal, recover_library  # noqa: F401
+from .protocol import adversary_signal, recover_library, server_signal  # noqa: F401
 from .rscode import DecodingFailure
 
 
@@ -177,8 +180,7 @@ def _build_state(sc: Scenario) -> _State:
     randomness = Randomness.sample(params, arr, random.Random(f"{seed}:randomness"))
     stores = build_storage(params, arr, library, randomness)
     prng = random.Random(f"{seed}:p")
-    ps = [[prng.randrange(params.q) for _ in range(params.N)]
-          for _ in range(params.K)]
+    ps = [draws(prng, params.q, params.N) for _ in range(params.K)]
     caches = [place_user(params, arr, library, randomness, k, ps[k - 1])
               for k in range(1, params.K + 1)]
     counts = {c.symbol_count() for c in caches}
@@ -202,8 +204,7 @@ def _demand_list(sc: Scenario):
     if sc.demand_samples < 1:
         raise ScenarioError(f"demand samples must be >= 1, got {sc.demand_samples}")
     rng = random.Random(f"{sc.seed}:demands")
-    return [tuple(tuple(rng.randrange(params.q) for _ in range(params.N))
-                  for _ in range(params.K))
+    return [tuple(tuple(draws(rng, params.q, params.N)) for _ in range(params.K))
             for _ in range(sc.demand_samples)]
 
 
@@ -295,9 +296,15 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     """Replay configs under every demand, checking against ground truth.
 
     ``configs`` is the slice of the full configuration list that starts
-    at index ``first``.  A server's honest column, its ``server_signal``
-    answers to every demand chained in demand order, and every user's
-    cache side are computed once per replay.  An adversarial server
+    at index ``first``.  A server's honest column, its answers to every
+    demand chained in demand order as ``server_signal`` gives them, and
+    every user's cache side of every demand are computed once per
+    replay, packed over the D demands: an answer is linear in the
+    queries and in the store, and a side in the demand and the queries,
+    so one ``_server_columns`` call builds every server's column in one
+    integer, and one ``_cache_sides`` call every side of one user, each
+    with one reduce and unpack in place of D scalar calls per server or
+    user.  An adversarial server
     corrupts its stored contents (when recovery is checked), then its
     whole honest column, one strategy call each, with
     ``adversary_content``, ``adversary_column`` and the one generator of
@@ -344,23 +351,15 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     state = _build_state(sc)
     queries_list = [[make_query(params, demand[k - 1], state.ps[k - 1])
                      for k in range(1, params.K + 1)] for demand in demand_list]
-    honest_columns = {st.h: list(chain.from_iterable(
-        server_signal(params, arr, st, queries) for queries in queries_list))
-        for st in state.stores}
+    honest_columns = _server_columns(params, arr, state.stores, queries_list)
     truth_list = [[_ground_truth(state.library, demand[k - 1], params.q)
                    for k in range(1, params.K + 1)] for demand in demand_list]
-    # a side whose check of the answered queries fails is kept as its
-    # error: it fails that user's decodes only
-    sides_list = []
-    for demand, queries in zip(demand_list, queries_list):
-        sides = []
-        for k in range(1, params.K + 1):
-            try:
-                sides.append(cache_side(params, arr, state.caches[k - 1],
-                                        demand[k - 1], queries))
-            except ProtocolError as exc:
-                sides.append(exc)
-        sides_list.append(sides)
+    # per demand, each user's side, or the error of its check of the
+    # answered queries: that fails the user's decodes of the demand only
+    sides_list = list(zip(*(_cache_sides(params, arr, cache,
+                                         [demand[cache.k - 1] for demand in demand_list],
+                                         queries_list)
+                            for cache in state.caches)))
     D = len(demand_list)
     stages: Counter = Counter()
     notes = [[] for _ in configs]  # each configuration's witnesses, capped

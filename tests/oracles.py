@@ -5,10 +5,69 @@ from collections import Counter
 
 from rsplfr import sim
 from rsplfr.pda import STAR
-from rsplfr.protocol import (MissingSignals, ProtocolError, adversary_content, adversary_signal,
-                             cache_side, decode_streams, make_query, recover_library,
-                             server_signal, strategy_key, user_decode)
+from rsplfr.protocol import (CacheSide, DimensionMismatch, MissingSignals, ProtocolError,
+                             _checked_queries, _dims, adversary_content, adversary_signal,
+                             decode_streams, make_query, recover_library, server_signal,
+                             strategy_key, user_decode)
 from rsplfr.rscode import DecodingFailure, decode_columns
+
+
+def cache_side(params, pda, cache, d_k, queries):
+    """What ``protocol.cache_side`` builds, one output symbol at a time.
+
+    The queries are checked as ``cache_side`` checks them, with the same
+    errors.  On a star row, output symbol b is the demanded blend of the
+    cached packets; on an ordinary row, minus the keyed blend packet and
+    minus the interfering blend packet of every other occurrence of its
+    stream symbol, each a sum over files reduced mod q.
+    """
+    subL, pkt = _dims(params, pda)
+    N, L, q = params.N, params.L, params.q
+    queries = _checked_queries(params, queries)
+    k0 = cache.k - 1
+    expect = tuple((d + p) % q for d, p in zip(d_k, cache.p))
+    if len(d_k) != N:
+        raise DimensionMismatch(f"demand vector must hold {N} symbols")
+    if tuple(queries[k0]) != expect:
+        raise ProtocolError(f"query of user {cache.k} does not match demand + blend")
+
+    d = tuple(v % q for v in d_k)
+    col = pda.column(k0)
+    values = [0] * params.B
+    step = L * pkt  # from one file's symbol of a star-row run to the next file's
+    for j, e in enumerate(col):
+        if e is STAR:
+            packets = cache.uncoded[j]
+            for l in range(L):
+                off = l * subL + j * pkt
+                for r in range(pkt):
+                    i = l * pkt + r
+                    acc = 0
+                    for n in range(N):
+                        c = d[n]
+                        if c:
+                            acc += c * packets[n * step + i]
+                    values[off + r] = acc % q
+        else:
+            keyed = cache.keys[j]
+            others = [(queries[v], cache.uncoded[u])
+                      for (u, v) in pda.occurrences(e) if (u, v) != (j, k0)]
+            for l in range(L):
+                off = l * subL + j * pkt
+                for r in range(pkt):
+                    i = l * pkt + r
+                    val = -keyed[i]
+                    for qv, packets in others:
+                        for n in range(N):
+                            c = qv[n]
+                            if c:
+                                val -= c * packets[n * step + i]
+                    values[off + r] = val % q
+    # slice r of stream e, in row j: word (e-1)*pkt + r, output j*pkt + r of coefficient 0
+    reads = tuple(((e - 1) * pkt + r, j * pkt + r)
+                  for e, j in sorted((e, j) for j, e in enumerate(col) if e is not STAR)
+                  for r in range(pkt))
+    return CacheSide(k=cache.k, reads=reads, stride=subL, values=tuple(values))
 
 
 def streamed(streams):
@@ -67,9 +126,10 @@ def replay(sc):
     ``adversary_signal``.  The stores are recovered with
     ``recover_library``, each delivery is decoded alone with
     ``decode_streams``, and every user decodes it with ``user_decode``
-    and is checked against the demanded blend of the raw files.  No
-    configuration is grouped, nothing is compared with a reference
-    decode, and no witness is dropped.
+    from the side this module's ``cache_side`` builds, and is checked
+    against the demanded blend of the raw files.  No configuration is
+    grouped, nothing is compared with a reference decode, and no witness
+    is dropped.
 
     Returns ``(witnesses, stage_counts)``, as the sweep's uncapped
     ``failures`` and its ``stage_counts``.

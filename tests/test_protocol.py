@@ -15,7 +15,7 @@ from rsplfr.protocol import (ALL_STRATEGIES, ConfigError, DimensionMismatch,
                              SystemParams, UniformRandom, ZeroPayload,
                              adversary_column, adversary_content, adversary_signal,
                              build_storage, cache_side, decode_group, decode_streams,
-                             make_query,
+                             draws, make_query,
                              params_from_json, place_user, recover_library,
                              server_signal, strategy_key, user_decode,
                              with_seed)
@@ -102,6 +102,17 @@ def test_params_invalid_combinations_rejected():
 
 
 # ---------- storage ----------
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13, 256, 257, 65537, 2 ** 61 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 2, 31])
+def test_draws_are_the_values_randrange_gives(q, seed):
+    # seeded libraries, randomness, blends, demands and uniform-random
+    # corruptions reproduce only while each draw is rng.randrange(q)
+    a, b = random.Random(seed), random.Random(seed)
+    assert draws(a, q, 200) == [b.randrange(q) for _ in range(200)]
+    assert a.getstate() == b.getstate()
+    assert draws(a, q, 0) == []
 
 
 def test_storage_micro_golden_values():

@@ -110,6 +110,40 @@ def test_full_sweep_covers_every_configuration():
     assert result.measured == msc_from_pda(TOY_PDA, TOY)
 
 
+def packing_the_replay(monkeypatch):
+    """A list that is not empty while ``sim``'s packed column or side helper runs.
+
+    Those helpers pack and unpack their own slots before the replay
+    decodes anything; tests of the decoder's packing skip their calls.
+    """
+    import rsplfr.sim
+    running = []
+    for name in ("_server_columns", "_cache_sides"):
+        def wrapped(*args, helper=getattr(rsplfr.sim, name)):
+            running.append(helper)
+            try:
+                return helper(*args)
+            finally:
+                running.pop()
+        monkeypatch.setattr(rsplfr.sim, name, wrapped)
+    return running
+
+
+def shift_slice_0_of_stream_1(monkeypatch):
+    """Slice 0 of stream 1 of every delivery one too high in every honest column."""
+    import rsplfr.sim
+    original = rsplfr.sim._server_columns
+
+    def shifted(params, arr, stores, queries_list):
+        columns = original(params, arr, stores, queries_list)
+        size = arr.S * params.B // (params.L * arr.F)  # words per delivery
+        for column in columns.values():
+            column[::size] = [(v + 1) % params.q for v in column[::size]]
+        return columns
+
+    monkeypatch.setattr(rsplfr.sim, "_server_columns", shifted)
+
+
 @pytest.mark.parametrize("q, paths", [
     (257, {(5, "byte copy"), (5, "to_bytes")}),
     (65537, {(9, "to_bytes")}),
@@ -117,13 +151,15 @@ def test_full_sweep_covers_every_configuration():
 def test_residues_wider_than_a_byte_sweep_end_to_end(monkeypatch, q, paths):
     # at q = 257 a column packs into 5-byte slots by the byte copy unless
     # it holds a 256; at q = 65537 every column packs into 9-byte slots
-    # by to_bytes
+    # by to_bytes; the replay's packed columns and sides are not recorded
     import dataclasses
     from rsplfr.rscode import _Slots
     original, seen = _Slots.pack, set()
+    packing = packing_the_replay(monkeypatch)
 
     def recorded(slots, values):
-        seen.add((slots.size, "byte copy" if max(values, default=0) < 256 else "to_bytes"))
+        if not packing:
+            seen.add((slots.size, "byte copy" if max(values, default=0) < 256 else "to_bytes"))
         return original(slots, values)
 
     monkeypatch.setattr(_Slots, "pack", recorded)
@@ -250,13 +286,7 @@ def test_an_honest_group_keeps_each_members_own_witnesses(monkeypatch):
     import dataclasses
 
     import rsplfr.sim
-    original = rsplfr.sim.server_signal
-
-    def shifted(params, arr, store, queries):
-        answer = original(params, arr, store, queries)
-        return ((answer[0] + 1) % params.q,) + answer[1:]
-
-    monkeypatch.setattr(rsplfr.sim, "server_signal", shifted)
+    shift_slice_0_of_stream_1(monkeypatch)
     monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
     sc = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                       sweep_strategies=True, check_recovery=True)
@@ -321,7 +351,8 @@ def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
     # decoded row is unpacked and no library is built.  The honest check's
     # users read their slots packed, so it unpacks only the L data rows of
     # its one library, which it compares with the sampled library; with
-    # recovery unchecked no row of the whole sweep is unpacked
+    # recovery unchecked no decoded row of the whole sweep is unpacked; the
+    # replay's packed columns and sides are not recorded
     import dataclasses
 
     import rsplfr.protocol
@@ -330,10 +361,16 @@ def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
     events = []
     group, unpack = rsplfr.sim.decode_group, rsplfr.rscode._Slots.unpack
     init = rsplfr.protocol.Library.__init__
+    packing = packing_the_replay(monkeypatch)
+
+    def unpacked(slots, *args):
+        if not packing:
+            events.append("unpack")
+        return unpack(slots, *args)
+
     monkeypatch.setattr(rsplfr.sim, "decode_group",
                         lambda *args: events.append("decode") or group(*args))
-    monkeypatch.setattr(rsplfr.rscode._Slots, "unpack",
-                        lambda slots, *args: events.append("unpack") or unpack(slots, *args))
+    monkeypatch.setattr(rsplfr.rscode._Slots, "unpack", unpacked)
     monkeypatch.setattr(rsplfr.protocol.Library, "__init__",
                         lambda library, *args: events.append("library") or init(library, *args))
     toy = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
@@ -382,16 +419,18 @@ def test_streams_are_decoded_once_per_delivery(monkeypatch):
 
 
 def test_cache_sides_are_built_once_per_demand_and_user(monkeypatch):
+    # one packed call per user and replay builds the user's side of every demand
     import rsplfr.sim
-    original = rsplfr.sim.cache_side
+    original = rsplfr.sim._cache_sides
     calls = []
-    monkeypatch.setattr(rsplfr.sim, "cache_side",
+    monkeypatch.setattr(rsplfr.sim, "_cache_sides",
                         lambda *args: calls.append(args) or original(*args))
     sc = toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
                       sweep_strategies=True, demand_samples=3)
     result = sweep(sc)
     assert result.ok and result.configurations == 168
-    assert len(calls) == 3 * TOY.K
+    assert len(calls) == TOY.K
+    assert [len(demands) for _, _, _, demands, _ in calls] == [3] * TOY.K
 
 
 def test_a_failed_query_echo_fails_only_that_users_decodes(monkeypatch):
@@ -653,21 +692,24 @@ def test_a_cache_side_off_by_one_fails_only_that_users_decodes(monkeypatch, user
     import dataclasses
 
     import rsplfr.sim
-    original = rsplfr.sim.cache_side
+    original = rsplfr.sim._cache_sides
 
-    def off_by_one(params, arr, cache, d_k, queries):
-        side = original(params, arr, cache, d_k, queries)
+    def off_by_one(params, arr, cache, demands, queries_list):
+        sides = original(params, arr, cache, demands, queries_list)
         if cache.k != user:
-            return side
+            return sides
         pkt = params.B // (params.L * arr.F)
-        rows = {b // pkt for _, b in side.reads}
+        rows = {b // pkt for _, b in sides[0].reads}
         j = min(rows) if row == "stream" else min(set(range(arr.F)) - rows)
         b = j * pkt
-        values = list(side.values)
-        values[b] = (values[b] + 1) % params.q
-        return dataclasses.replace(side, values=tuple(values))
+        shifted = []
+        for side in sides:
+            values = list(side.values)
+            values[b] = (values[b] + 1) % params.q
+            shifted.append(dataclasses.replace(side, values=tuple(values)))
+        return shifted
 
-    monkeypatch.setattr(rsplfr.sim, "cache_side", off_by_one)
+    monkeypatch.setattr(rsplfr.sim, "_cache_sides", off_by_one)
     calls = count_user_decodes(monkeypatch)
     single = run(toy_scenario(adversaries=(2,), strategy=UniformRandom()))
     assert single.per_user == tuple(k != user for k in (1, 2, 3))
@@ -688,13 +730,7 @@ def test_a_server_side_bug_on_every_server_fails_the_users_of_its_stream(monkeyp
     # delivery is no reference and users 1 and 2, who receive stream 1,
     # are wrong in every delivery
     import rsplfr.sim
-    original = rsplfr.sim.server_signal
-
-    def shifted(params, arr, store, queries):
-        answer = original(params, arr, store, queries)
-        return ((answer[0] + 1) % params.q,) + answer[1:]
-
-    monkeypatch.setattr(rsplfr.sim, "server_signal", shifted)
+    shift_slice_0_of_stream_1(monkeypatch)
     monkeypatch.setattr(rsplfr.sim, "_WITNESS_CAP", 10 ** 9)
     single = run(toy_scenario(adversaries=(2,), strategy=UniformRandom()))
     assert single.per_user == (False, False, True)
