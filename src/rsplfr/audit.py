@@ -69,7 +69,7 @@ vector once per (library, randomness) outcome, and the demand-privacy
 oracle builds the stores once per (library, randomness) outcome for all
 coalitions.  Every outcome is still counted, in the original order.
 The rank audits build the columns at each x at most once, for every
-view; a walk over every x reuses the probes'.
+view, the probes' in one call; a walk over every x reuses them.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
@@ -89,7 +89,7 @@ from itertools import chain, combinations, product
 from . import sim
 from .pda import Pda
 from .protocol import (ConfigError, Library, ProtocolError, Randomness, SystemParams,
-                       build_storage, make_query, place_user, server_signal)
+                       _server_columns, build_storage, make_query, place_user, server_signal)
 
 
 class AuditError(Exception):
@@ -381,17 +381,19 @@ def _rank_gap(columns: list, split: int, q: int) -> int:
 def _figures(q: int, n_x: int, build, views: list) -> list:
     """[gap sum, largest gap, first x reaching it] of each view over x in F_q^n_x.
 
-    `build(x)` gives the parts at x, each a list of columns.  A view is
-    (select, split): select(parts) lists its columns, the `split` secret
-    ones first, from a fixed selection of the parts and pieces that do not
-    depend on x, so it is affine in x wherever the parts are.  The parts
-    are built at ``_probe_inputs(n_x, q)`` and checked affine in x once.
+    `build(xs)` gives the parts at each x in the list xs, in order, each a
+    list of columns.  A view is (select, split): select(parts) lists its
+    columns, the `split` secret ones first, from a fixed selection of the
+    parts and pieces that do not depend on x, so it is affine in x
+    wherever the parts are.  The parts are built at the distinct
+    ``_probe_inputs(n_x, q)`` in one call and checked affine in x once.
     Each view is then decided by the certificate in the module docstring;
     only the views it leaves open, or all of them when the check fails,
-    walk every x in ``product`` order, reusing the probes' parts.
+    walk every x in ``product`` order, the probes' parts reused, the rest one x per call.
     """
     inputs = _probe_inputs(n_x, q)
-    built = {x: build(x) for x in dict.fromkeys(inputs)}
+    probes = list(dict.fromkeys(inputs))
+    built = dict(zip(probes, build(probes)))
     affine = _fit(q, inputs, [tuple(chain.from_iterable(chain.from_iterable(built[x])))
                               for x in inputs], affine=True) is not None
     origin = inputs[n_x]
@@ -414,7 +416,7 @@ def _figures(q: int, n_x: int, build, views: list) -> list:
             figures.append([0, -1, None])      # any gap, 0 too, beats -1
     if walk:
         for x in product(range(q), repeat=n_x):
-            parts = built.pop(x) if x in built else build(x)
+            parts = built.pop(x) if x in built else build([x])[0]
             for i, select, split in walk:
                 gap = _rank_gap(select(parts), split, q)
                 figures[i][0] += gap
@@ -470,7 +472,8 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     library columns as the secret: the sum of its gaps over the q^(K*N)
     query vectors gives the mean.  Most instances need no grid: the
     certificate answers only the K*N unit query vectors, zero and the
-    checks.
+    checks, all of them from every probe store in one ``_server_columns``
+    call, cut per (Q, probe); a walk answers one query vector per call.
 
     The work refused above ``CAP`` is counted over the query grid: the
     probe stores times the (blend, demand) grid points, plus the query
@@ -494,12 +497,15 @@ def audit_signal_security(params: SystemParams, arr: Pda, mutations=()) -> Audit
     mi_demands = _rank_gap(query_cols, space.n_d, q) * math.log2(q)
     inputs, stores = _probe_stores(space)
 
-    def columns(qvals) -> list:
-        """[G(Q)'s columns]: the payloads of every probe store to Q = qvals."""
-        queries = _rows(qvals, K, N)
-        return [_columns(q, inputs, [tuple(chain.from_iterable(
-            server_signal(params, arr, st, queries) for st in sts)) for sts in stores],
-            "server_signal")]
+    def columns(xs) -> list:
+        """Per Q in xs, [G(Q)'s columns]: the payloads of every probe store to Q."""
+        answers = iter(_server_columns(params, arr, list(chain.from_iterable(stores)),
+                                       [_rows(qvals, K, N) for qvals in xs]))
+        per_probe = [[next(answers) for _ in sts] for sts in stores]
+        size = len(per_probe[0][0]) // len(xs)   # words of one answer
+        return [[_columns(q, inputs, [tuple(chain.from_iterable(
+            column[d * size:d * size + size] for column in probe)) for probe in per_probe],
+            "server_signal")] for d in range(len(xs))]
 
     [(gap_sum, _, _)] = _figures(q, K * N, columns, [(lambda parts: parts[0], space.n_w)])
     mi_main = Fraction(gap_sum, q ** (K * N)) * math.log2(q)    # a float
@@ -572,7 +578,8 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
                                + tuple(chain.from_iterable(parts[k][c] for k in S))
                                for c in order]), len(hidden)
 
-    figures = _figures(q, space.n_w, columns, [view(S) for S in real])
+    figures = _figures(q, space.n_w, lambda libraries: [columns(w) for w in libraries],
+                       [view(S) for S in real])
     return _report("demand-privacy", _coalition_figures(
         K, [(S, gap * math.log2(q), library) for S, (_, gap, library) in zip(real, figures)]),
         outcomes, len(real) * q ** space.n_w)

@@ -28,12 +28,14 @@ docstring gives its flat order: ``Randomness``, whose ``sizes`` are its
 run sizes, in the order ``build_storage`` reads it; ``ServerStore`` and
 a server's answer, the tuple ``server_signal`` returns, in the order the
 decoder reads them, each word across any J servers one MDS codeword;
-``UserCache`` one run per array row.  A replay's honest answers and
-cache sides are built packed over its demands, in the ``rscode._Slots``
-of one integer: ``_server_columns`` chains every server's answers,
+``UserCache`` one run per array row.  Answers and cache sides are
+built packed, in the ``rscode._Slots`` of one integer, with any
+container value taken mod q: ``_server_columns`` chains each store's
+answers to a list of query sets, for a replay's servers over its
+demands or an audit's probe stores over its probe queries, and
+``server_signal`` is its one-store, one-query-set case;
 ``_cache_sides`` gives one user's side of each demand, and
-``cache_side`` is its one-demand case.  ``server_signal`` stays scalar
-for callers that answer one query set from many stores.
+``cache_side`` is its one-demand case.
 
 Deliveries and stored contents are decoded on one path,
 ``decode_group``, which takes a batch as a mapping from each of J
@@ -366,34 +368,18 @@ def _checked_queries(params: SystemParams, queries) -> tuple:
 
 def server_signal(params: SystemParams, pda: Pda,
                   store: ServerStore, queries) -> tuple[int, ...]:
-    """Server h's answer to the K queries: slice r of stream s at (s-1)*pkt + r."""
-    subL, pkt = _dims(params, pda)
-    N, q = params.N, params.q
-    if len(store.coded_subfiles) != N * subL or len(store.coded_keys) != pda.S * pkt:
-        raise DimensionMismatch(f"contents of server {store.h} have the wrong shape")
-    queries = _checked_queries(params, queries)
-    payload = list(store.coded_keys)
-    files = store.coded_subfiles
-    for s in range(1, pda.S + 1):
-        first = (s - 1) * pkt
-        for (j, v) in pda.occurrences(s):
-            qv = queries[v]
-            base = j * pkt
-            for r in range(pkt):
-                t = payload[first + r]
-                for n in range(N):
-                    c = qv[n]
-                    if c:
-                        t += c * files[n * subL + base + r]
-                payload[first + r] = t % q
-    return tuple(payload)
+    """Server h's answer to the K queries: slice r of stream s at (s-1)*pkt + r.
+
+    The one-store, one-query-set case of ``_server_columns``.
+    """
+    return tuple(_server_columns(params, pda, [store], [queries])[0])
 
 
 def _spaced(slots: rscode._Slots, values, step: int) -> int:
-    """``values`` packed ``step`` slots apart, from slot 0."""
+    """``values`` mod q packed ``step`` slots apart, from slot 0."""
     padded = [0] * (len(values) * step - step + 1)
     padded[::step] = values
-    return slots.pack(padded)
+    return slots.pack_mod(padded, slots.masks(len(padded)))
 
 
 def _cut(slots: rscode._Slots, packed: int, size: int, count: int) -> list[int]:
@@ -404,22 +390,24 @@ def _cut(slots: rscode._Slots, packed: int, size: int, count: int) -> list[int]:
 
 
 def _server_columns(params: SystemParams, pda: Pda, stores,
-                    queries_list) -> dict[int, list[int]]:
-    """Each store's server's answers to every entry of ``queries_list``, chained in order.
+                    queries_list) -> list[list[int]]:
+    """Each store's answers to every entry of ``queries_list``, chained in order, in store order.
 
-    Server h's column is ``server_signal``'s answer to each entry in
-    turn, one delivery each: word ``(d*S + s-1)*pkt + r`` is slice r of
-    stream s of delivery d.  An answer is linear in the queries and in
-    the store, so the D deliveries of all H stores are computed at once
-    in the slots of one integer, sized by ``rscode._Slots.for_sums`` for
-    a key plus every occurrence's N products: word w of delivery d of the
-    t-th store is slot (w*D + d)*H + t.  Query v's coefficient of file n
-    is packed once, delivery d in slot d*H, and every coded subfile slice
-    once, store t in slot t; word w is then one multiply-add per
-    (occurrence, file) for every delivery and store, shifted to slot
-    w*D*H.  The whole is reduced and unpacked once, and each store's
-    values are put in delivery order.  The stores are checked before the
-    queries, as ``server_signal`` checks them.
+    A store's column holds its answer to each entry in turn, one delivery
+    each: word ``(d*S + s-1)*pkt + r`` is slice r of stream s of delivery
+    d, which is the coded key plus, for each occurrence (j, v) of stream
+    symbol s, query v's blend of the files' slice j*pkt + r, mod q.  An
+    answer is linear in the queries and in the store, so the D deliveries
+    of all H stores are computed at once in the slots of one integer,
+    sized by ``rscode._Slots.for_sums`` for a key plus every occurrence's
+    N products: word w of delivery d of the t-th store is slot
+    (w*D + d)*H + t.  Query v's coefficient of file n is packed once,
+    delivery d in slot d*H, and every coded subfile slice once, store t in
+    slot t; word w is then one multiply-add per (occurrence, file) for
+    every delivery and store, shifted to slot w*D*H.  Every pack is
+    ``pack_mod``'s, so queries and stores are taken mod q.  The whole is
+    reduced and unpacked once, and each store's values are put in
+    delivery order.  The stores are checked before the queries.
     """
     subL, pkt = _dims(params, pda)
     N, K, q = params.N, params.K, params.q
@@ -429,34 +417,31 @@ def _server_columns(params: SystemParams, pda: Pda, stores,
     queries_list = [_checked_queries(params, queries) for queries in queries_list]
     words, D, H = pda.S * pkt, len(queries_list), len(stores)
     if not (words and D and H):
-        return {st.h: [] for st in stores}
+        return [[] for _ in stores]
     occurrences = [pda.occurrences(s) for s in range(1, pda.S + 1)]
     slots = rscode._Slots.for_sums(q, 1 + N * max(map(len, occurrences)))
     block = D * H  # slots of one word
     # per user, its query coefficient of each file for every delivery
-    packed = _cut(slots, _spaced(slots, [x % q for v in range(K) for x in chain.from_iterable(
+    packed = _cut(slots, _spaced(slots, [x for v in range(K) for x in chain.from_iterable(
         zip(*(queries[v] for queries in queries_list)))], H), block, K * N)
     coeffs = [packed[v * N:v * N + N] for v in range(K)]
     # slice m of every file, the subfile symbols n*B/L + m of every store
-    symbols = _cut(slots, slots.pack(list(chain.from_iterable(
-        zip(*(st.coded_subfiles for st in stores))))), H, N * subL)
+    symbols = _cut(slots, slots.pack_mod(list(chain.from_iterable(
+        zip(*(st.coded_subfiles for st in stores)))), slots.masks(N * subL * H)), H, N * subL)
     slices = [symbols[m::subL] for m in range(subL)]
     # word w's key of every store, once per delivery
-    total = slots.pack(list(chain.from_iterable(
-        key * D for key in zip(*(st.coded_keys for st in stores)))))
+    masks = slots.masks(words * block)
+    total = slots.pack_mod(list(chain.from_iterable(
+        key * D for key in zip(*(st.coded_keys for st in stores)))), masks)
     for w in range(words):
         s, r = divmod(w, pkt)
         acc = 0
         for j, v in occurrences[s]:
             acc += sum(map(mul, coeffs[v], slices[j * pkt + r]))
         total += acc << 8 * slots.size * block * w
-    values = slots.unpack(slots.reduce(total, slots.masks(words * block)), words * block)
-    columns = {}
-    for t, st in enumerate(stores):
-        mine = values[t::H]  # word w of delivery d at w*D + d
-        columns[st.h] = list(chain.from_iterable(zip(*(mine[w * D:w * D + D]
-                                                     for w in range(words)))))
-    return columns
+    values = slots.unpack(slots.reduce(total, masks), words * block)
+    return [list(chain.from_iterable(zip(*(mine[w * D:w * D + D] for w in range(words)))))
+            for mine in (values[t::H] for t in range(H))]
 
 
 # ---------- adversaries ----------
@@ -852,8 +837,8 @@ def _cache_sides(params: SystemParams, pda: Pda, cache: UserCache,
     the order in which a star row's run holds each file's symbols.  So
     each file's demand or query coefficients are packed over the entries,
     slot d, each star-row run is packed with its symbols D slots apart,
-    and one product of the two adds a file's part of a whole row for
-    every entry.  An interfering packet is subtracted as its query's
+    mod q by ``pack_mod``, and one product of the two adds a file's part
+    of a whole row for every entry.  An interfering packet is subtracted as its query's
     coefficients negated mod q times the packet.  The whole is reduced
     and unpacked once, then cut into each entry's values.
     """

@@ -338,6 +338,21 @@ class _Slots:
         raw[::self.size] = low
         return int.from_bytes(raw, "little")
 
+    def pack_mod(self, values, masks: _Masks) -> int:
+        """The sequence ``values`` mod q, one per slot; ``masks`` covers at least its slots.
+
+        Packed as it is and checked once by ``canonical``; reduced and packed
+        again only if a value is below 0, too wide for its slot or not below q.
+        """
+        try:
+            packed = self.pack(values)
+        except OverflowError:  # a value below 0 or too wide for its slot
+            pass
+        else:
+            if self.canonical(packed, masks):
+                return packed
+        return self.pack([v % self.q for v in values])
+
     def unpack(self, residues: int, count: int) -> list[int]:
         """The ``count`` slots of ``residues``, each below q, by byte planes."""
         raw = residues.to_bytes(count * self.size, "little")
@@ -420,15 +435,7 @@ def _decode_packed(points: EvalPoints, positions, dimension: int, max_errors: in
         raise ValueError("columns must hold one value per word")
     slots = _Slots.for_sums(q, J)  # a syndrome row is the longest sum
     masks = slots.masks(W)
-    packed = []
-    for col in y:
-        try:
-            whole = slots.pack(col)
-        except OverflowError:  # a value below 0 or too wide for its slot
-            whole = None
-        if whole is None or not slots.canonical(whole, masks):
-            whole = slots.pack([v % q for v in col])
-        packed.append(whole)
+    packed = [slots.pack_mod(col, masks) for col in y]
 
     def residues(row, cols):
         """Row dotted with the packed columns, mod q, in every slot."""

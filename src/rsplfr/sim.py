@@ -297,14 +297,13 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
 
     ``configs`` is the slice of the full configuration list that starts
     at index ``first``.  A server's honest column, its answers to every
-    demand chained in demand order as ``server_signal`` gives them, and
-    every user's cache side of every demand are computed once per
-    replay, packed over the D demands: an answer is linear in the
-    queries and in the store, and a side in the demand and the queries,
-    so one ``_server_columns`` call builds every server's column in one
-    integer, and one ``_cache_sides`` call every side of one user, each
-    with one reduce and unpack in place of D scalar calls per server or
-    user.  An adversarial server
+    demand chained in demand order, and every user's cache side of every
+    demand are computed once per replay, packed over the D demands: an
+    answer is linear in the queries and in the store, and a side in the
+    demand and the queries, so one ``_server_columns`` call builds every
+    server's column in one integer, keyed here by server, and one
+    ``_cache_sides`` call every side of one user, each with one reduce
+    and unpack.  An adversarial server
     corrupts its stored contents (when recovery is checked), then its
     whole honest column, one strategy call each, with
     ``adversary_content``, ``adversary_column`` and the one generator of
@@ -351,7 +350,8 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     state = _build_state(sc)
     queries_list = [[make_query(params, demand[k - 1], state.ps[k - 1])
                      for k in range(1, params.K + 1)] for demand in demand_list]
-    honest_columns = _server_columns(params, arr, state.stores, queries_list)
+    honest_columns = {st.h: column for st, column in zip(
+        state.stores, _server_columns(params, arr, state.stores, queries_list))}
     truth_list = [[_ground_truth(state.library, demand[k - 1], params.q)
                    for k in range(1, params.K + 1)] for demand in demand_list]
     # per demand, each user's side, or the error of its check of the

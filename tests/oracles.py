@@ -7,9 +7,39 @@ from rsplfr import sim
 from rsplfr.pda import STAR
 from rsplfr.protocol import (CacheSide, DimensionMismatch, MissingSignals, ProtocolError,
                              _checked_queries, _dims, adversary_content, adversary_signal,
-                             decode_streams, make_query, recover_library, server_signal,
-                             strategy_key, user_decode)
+                             decode_streams, make_query, recover_library, strategy_key,
+                             user_decode)
 from rsplfr.rscode import DecodingFailure, decode_columns
+
+
+def server_signal(params, pda, store, queries):
+    """What ``protocol.server_signal`` answers, one slice at a time.
+
+    The store, then the queries, are checked as ``server_signal`` checks
+    them, with the same errors.  Slice r of stream s, at (s-1)*pkt + r,
+    is the coded key plus, for each occurrence (j, v) of s, query v's
+    blend of the coded subfile slices j*pkt + r, reduced mod q.
+    """
+    subL, pkt = _dims(params, pda)
+    N, q = params.N, params.q
+    if len(store.coded_subfiles) != N * subL or len(store.coded_keys) != pda.S * pkt:
+        raise DimensionMismatch(f"contents of server {store.h} have the wrong shape")
+    queries = _checked_queries(params, queries)
+    payload = list(store.coded_keys)
+    files = store.coded_subfiles
+    for s in range(1, pda.S + 1):
+        first = (s - 1) * pkt
+        for (j, v) in pda.occurrences(s):
+            qv = queries[v]
+            base = j * pkt
+            for r in range(pkt):
+                t = payload[first + r]
+                for n in range(N):
+                    c = qv[n]
+                    if c:
+                        t += c * files[n * subL + base + r]
+                payload[first + r] = t
+    return tuple(v % q for v in payload)
 
 
 def cache_side(params, pda, cache, d_k, queries):
@@ -119,10 +149,10 @@ def replay(sc):
     The library, randomness, caches, demands and configurations are the
     scenario's, sampled as ``sim`` samples them.  Each configuration then
     follows the scheme step by step.  Every one of its J servers answers
-    each demand with ``server_signal``.  An adversary among them has one
-    generator for the configuration, keyed as ``sim`` keys it, and
-    corrupts its stored contents with ``adversary_content`` (when
-    recovery is checked), then each answer in demand order with
+    each demand with this module's ``server_signal``.  An adversary
+    among them has one generator for the configuration, keyed as ``sim``
+    keys it, and corrupts its stored contents with ``adversary_content``
+    (when recovery is checked), then each answer in demand order with
     ``adversary_signal``.  The stores are recovered with
     ``recover_library``, each delivery is decoded alone with
     ``decode_streams``, and every user decodes it with ``user_decode``

@@ -12,7 +12,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import chain, combinations, cycle, product
 from pathlib import Path
 
 import pytest
@@ -333,15 +333,25 @@ def test_signal_certificate_takes_only_keys_that_stay_put(monkeypatch):
     # affine in the query, and the keys span the library columns at Q = 0,
     # but they vanish wherever that symbol is q - 1, and there the payload
     # carries the library in the clear; the key columns move with Q, so
-    # the certificate must fail and the grid give the oracle's figure
-    original = audit_module.server_signal
+    # the certificate must fail and the grid give the oracle's figure; the
+    # rank audit answers through the packed helper, its oracle one store
+    # at a time, and both fade alike
+    signal, columns = audit_module.server_signal, audit_module._server_columns
+
+    def faded(params, store, queries):
+        f = 1 + queries[0][0]
+        return replace(store, coded_keys=tuple(v * f % params.q for v in store.coded_keys))
 
     def fading(params, arr, store, queries):
-        f = 1 + queries[0][0]
-        return original(params, arr, replace(
-            store, coded_keys=tuple(v * f % params.q for v in store.coded_keys)), queries)
+        return signal(params, arr, faded(params, store, queries), queries)
+
+    def fading_columns(params, arr, stores, queries_list):
+        per_set = [columns(params, arr, [faded(params, st, queries) for st in stores],
+                           [queries]) for queries in queries_list]
+        return [list(chain.from_iterable(answers)) for answers in zip(*per_set)]
 
     monkeypatch.setattr(audit_module, "server_signal", fading)
+    monkeypatch.setattr(audit_module, "_server_columns", fading_columns)
     got = audit_signal_security(MICRO, MICRO_PDA)
     assert not got.satisfied
     _assert_same_figures(got, audit_module.enumerate_signal_security(MICRO, MICRO_PDA))
@@ -382,22 +392,30 @@ def test_signal_certificate_takes_library_columns_in_the_keys_span_at_zero(monke
     # each answer plus the server's keys and its first coded subfile: still
     # linear in the store and affine in the query, but the library columns
     # are nonzero at Q = 0; they lie in the keys' span there, so the
-    # certificate holds and only the 4 probe query vectors are answered:
-    # 4 x 9 probe stores x 2 servers = 72 (the grid answers 9 x 9 x 2 = 162)
-    original = audit_module.server_signal
+    # certificate holds and only the 4 probe query vectors are answered, in
+    # one packed call: 4 x 9 probe stores x 2 servers = 72 (the grid
+    # answers 9 x 9 x 2 = 162); the oracle's answers are shifted alike
+    signal, columns = audit_module.server_signal, audit_module._server_columns
+
+    def shift(params, store, answers):
+        return [(v + k + store.coded_subfiles[0]) % params.q
+                for v, k in zip(answers, cycle(store.coded_keys))]
 
     def shifted(params, arr, store, queries):
-        answer = original(params, arr, store, queries)
-        return tuple((v + k + store.coded_subfiles[0]) % params.q
-                     for v, k in zip(answer, store.coded_keys))
+        return tuple(shift(params, store, signal(params, arr, store, queries)))
+
+    def shifted_columns(params, arr, stores, queries_list):
+        return [shift(params, st, column)
+                for st, column in zip(stores, columns(params, arr, stores, queries_list))]
 
     monkeypatch.setattr(audit_module, "server_signal", shifted)
+    monkeypatch.setattr(audit_module, "_server_columns", shifted_columns)
     want = audit_module.enumerate_signal_security(MICRO, MICRO_PDA)
-    answers = _count_calls(monkeypatch, "server_signal")
+    answers = _count_answers(monkeypatch)
     got = audit_signal_security(MICRO, MICRO_PDA)
     assert got == want
     assert got.mi_bits == 0.0
-    assert answers[0] == 72
+    assert answers == [1, 72]
 
 
 def test_toy_audits_decide_from_the_probe_libraries(monkeypatch):
@@ -450,9 +468,9 @@ def test_figures_equal_the_gap_at_every_x():
     walked = (lambda parts: [parts[0][4], parts[0][5], parts[0][1]], 1)  # gap 1 iff a != 0
     calls = Counter()
 
-    def counting(x):
-        calls[x] += 1
-        return build(x)
+    def counting(xs):
+        calls.update(xs)
+        return [build(x) for x in xs]
 
     probes = set(audit_module._probe_inputs(2, 3))
     got = audit_module._figures(3, 2, counting, [constant, spanned])
@@ -475,7 +493,7 @@ def test_figures_walk_every_x_when_the_parts_are_not_affine():
         return [[(a * b % 3, 0), (0, 1)]]
 
     views = [(lambda parts: parts[0], 1)]
-    got = audit_module._figures(3, 2, build, views)
+    got = audit_module._figures(3, 2, lambda xs: [build(x) for x in xs], views)
     assert got == _brute_figures(3, 2, build, views) == [[4, 1, (1, 1)]]
 
 
@@ -501,11 +519,11 @@ def test_rank_audits_refuse_affine_stores(monkeypatch):
 
 
 def test_rank_audit_refuses_affine_signals(monkeypatch):
-    def plus_one(answer):
-        return tuple((v + 1) % 3 for v in answer)
+    def plus_one(columns):
+        return [[(v + 1) % 3 for v in column] for column in columns]
 
-    monkeypatch.setattr(audit_module, "server_signal",
-                        _affine(audit_module.server_signal, plus_one))
+    monkeypatch.setattr(audit_module, "_server_columns",
+                        _affine(audit_module._server_columns, plus_one))
     with pytest.raises(AuditError, match="server_signal is not linear"):
         audit_signal_security(MICRO, MICRO_PDA)
     assert audit_server_security(MICRO, MICRO_PDA).satisfied
@@ -569,23 +587,38 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_answers(monkeypatch):
+    """[calls, answers] of the audit's packed answers: one answer per store and query set."""
+    counts = [0, 0]
+    original = audit_module._server_columns
+
+    def counting(params, arr, stores, queries_list):
+        counts[0] += 1
+        counts[1] += len(stores) * len(queries_list)
+        return original(params, arr, stores, queries_list)
+
+    monkeypatch.setattr(audit_module, "_server_columns", counting)
+    return counts
+
+
 def test_queries_and_answers_are_built_once(monkeypatch):
     # queries are built only for I(D; Q)'s 4 unit + zero + 2 check probes
     # = 7.  Honest, the certificate answers its probe query vectors, 2
     # units, zero and 2 checks, of which the second is the unit (0, 1),
-    # once per probe store and server:
+    # once per probe store and server, all in one packed call:
     # 4 x (6 unit vectors + zero + 2 random checks) x 2 servers = 72
     queries = _count_calls(monkeypatch, "make_query")
-    answers = _count_calls(monkeypatch, "server_signal")
+    answers = _count_answers(monkeypatch)
     audit_signal_security(MICRO, MICRO_PDA)
     assert queries[0] == 7
-    assert answers[0] == 72
+    assert answers == [1, 72]
     # without keys the certificate fails, and the grid answers each of the
-    # 3^2 query vectors once, the probed ones included:
+    # 3^2 query vectors once, the probed ones included: the 4 distinct
+    # probes in one call, then the other 5 one call each:
     # 9 x (4 unit vectors + zero + 2 checks) x 2 servers = 126
-    answers[0] = 0
+    answers[:] = 0, 0
     assert not audit_signal_security(MICRO, MICRO_PDA, ("key-removal",)).satisfied
-    assert answers[0] == 126
+    assert answers == [6, 126]
     queries[0] = 0
     audit_module.enumerate_demand_privacy(MICRO, MICRO_PDA)
     assert queries[0] == 81

@@ -137,7 +137,7 @@ def shift_slice_0_of_stream_1(monkeypatch):
     def shifted(params, arr, stores, queries_list):
         columns = original(params, arr, stores, queries_list)
         size = arr.S * params.B // (params.L * arr.F)  # words per delivery
-        for column in columns.values():
+        for column in columns:
             column[::size] = [(v + 1) % params.q for v in column[::size]]
         return columns
 
