@@ -39,9 +39,10 @@ demands or an audit's probe stores over its probe queries, and
 
 Deliveries and stored contents are decoded on one path,
 ``decode_group``, which takes a batch as a mapping from each of J
-servers to what it sent, and makes one call of the packed decoder
-``rscode._decode_packed``, which computes only the L data rows of each
-word's message and leaves them packed.  Its stream side takes
+servers to what it sent, packs each server's words, and calls the core
+``_decode_packed_group`` (as a sweep does on packed runs): one call of
+``rscode._decode_packed`` computes only the L data rows of each word's
+message, left packed.  Its stream side takes
 ``{h: column}``, server h's answers to a batch of deliveries chained in
 delivery order, and gives one ``DecodedStreams``, slice r of stream s
 of delivery d at word (d*S + s-1)*pkt + r; ``user_decode`` reads the
@@ -595,9 +596,9 @@ class _DecodedRun:
 
         Run i is in the set when it holds a failed word, or when some data
         row's slot there differs from ``other``'s run i mod its runs.
-        Slots hold canonical residues, so each data row xor ``other``'s,
-        times sum_t 2^(t * slot bits * other's count), is nonzero exactly
-        in the differing slots.  ``other`` must hold no failure.
+        Slots hold canonical residues, so each data row xor ``times``
+        copies of ``other``'s, by ``_Slots.repeat``, is nonzero exactly in
+        the differing slots.  ``other`` must hold no failure.
         """
         if other.failures or self.count != times * other.count:
             raise ValueError(f"no reference for {times} copies: {len(other.failures)} failed "
@@ -605,9 +606,7 @@ class _DecodedRun:
         bits, run, diff = 8 * self.slots.size, self.words, 0
         for mine, theirs in zip(self._packed(self.start, self.count),
                                 other._packed(other.start, other.count)):
-            # the product by shifts: a general multiply would not use that
-            # the multiplier has only ``times`` bits set
-            diff |= mine ^ sum(theirs << t * bits * other.count for t in range(times))
+            diff |= mine ^ self.slots.repeat(theirs, other.count, times)
         out = {(w - self.start) // run for w in self.failures}
         while diff:
             i = self.slots.lowest(diff) // run
@@ -680,7 +679,7 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
     in every set, as ``recover_library`` takes them.  Stream words and
     coded subfiles are words of the same MDS code at the same points, so
     server h's stream words, then the coded subfiles of its sets in set
-    order, make one column, and one ``rscode._decode_packed`` call
+    order, are packed by one ``pack_mod``, and ``_decode_packed_group``
     decodes them all: an adversary that corrupts both parts is located
     once.  Returns ``(streams, libraries)``: the ``DecodedStreams`` of
     the stream words alone, with their failures and flags only, and the
@@ -692,22 +691,33 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
     result is None; ``decode_streams`` and ``recover_library`` are those
     one-sided cases.  The stores are checked before the columns.
     """
+    streamed, words, sets = _checked_group(params, pda, columns, stores, params.J)
+    slots = rscode._Slots.for_sums(params.q, params.J)
+    masks = slots.masks((streamed or 0) + (sets or 0) * params.N * (params.B // params.L))
+    columns, stores = columns or {}, stores or {}
+    return _decode_packed_group(params, {h: slots.pack_mod(
+        [*columns.get(h, ()), *chain.from_iterable(st.coded_subfiles for st in stores.get(h, ()))],
+        masks) for h in columns or stores}, streamed, words, sets)
+
+
+def _checked_group(params: SystemParams, pda: Pda | None, columns, stores, servers: int):
+    """``decode_group``'s checks of ``servers`` servers; (stream words, delivery words, sets)."""
     if columns is None and stores is None:
         raise ProtocolError("a group needs columns or stores")
+    streamed = words = sets = None
     if stores is not None:
         if params.q is None or params.B is None:
             raise ProtocolError("protocol operations need q and B")
         L, N = params.L, params.N
         if params.B % L:
             raise DimensionMismatch(f"B={params.B} is not divisible by L={L}")
-        subL = params.B // L
-        size = N * subL
-        if len(stores) != params.J:
-            raise ProtocolError(f"need contents of {params.J} servers, got {len(stores)}")
-        for h, sets in stores.items():
+        size = N * (params.B // L)
+        if len(stores) != servers:
+            raise ProtocolError(f"need contents of {servers} servers, got {len(stores)}")
+        for h, held in stores.items():
             if not (_is_int(h) and 1 <= h <= params.H):
                 raise ProtocolError(f"server {h!r} outside [1..{params.H}]")
-            for st in sets:
+            for st in held:
                 # a store whose h is the checked key object itself needs no more
                 if st.h is not h and not (_is_int(st.h) and st.h == h):
                     raise ProtocolError(f"contents of server {st.h!r} in the sets of server {h}")
@@ -717,10 +727,11 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
         counts = {len(stores[h]) for h in positions}
         if len(counts) != 1:
             raise ProtocolError(f"servers {positions} must hold the same number of sets")
+        sets = counts.pop()
     if columns is not None:
         words = pda.S * _dims(params, pda)[1]
-        if len(columns) != params.J:
-            raise MissingSignals(f"need signals from {params.J} servers, got {len(columns)}")
+        if len(columns) != servers:
+            raise MissingSignals(f"need signals from {servers} servers, got {len(columns)}")
         for h in columns:
             if not (_is_int(h) and 1 <= h <= params.H):
                 raise MissingSignals(f"signal origin {h!r} outside [1..{params.H}]")
@@ -732,30 +743,31 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
         if stores is not None and set(stores) != set(columns):
             raise ProtocolError(f"columns of servers {positions} and contents of servers "
                                 f"{sorted(stores)} are no group")
+        streamed = lengths.pop()
+    return streamed, words, sets
 
-    first = lengths.pop() if columns is not None else 0  # stream words per column
 
-    def column(h):
-        """Server h's stream words, then the coded subfiles of its sets in set order."""
-        if stores is None:
-            return columns[h]
-        col = list(columns[h]) if columns is not None else []
-        for st in stores[h]:
-            col += st.coded_subfiles
-        return col
+def _decode_packed_group(params: SystemParams, columns, streamed: int | None,
+                         words: int | None, sets: int | None):
+    """``decode_group`` on each server's words packed below q, in ``_Slots.for_sums(q, J)``.
 
+    ``streamed`` stream words, ``words`` a delivery, then N * B/L per set
+    of ``sets``; a side whose count is None is not decoded.
+    """
+    size, first = params.N * (params.B // params.L), streamed or 0
+    positions = sorted(columns)
     slots, rows, flags, failed = rscode._decode_packed(
         params.points, positions, params.I + params.L, params.A,
-        [column(h) for h in positions], rows=params.L)
+        [columns[h] for h in positions], first + (sets or 0) * size, rows=params.L)
     streams = libraries = None
-    if columns is not None:
+    if streamed is not None:
         streams = DecodedStreams(slots, rows, 0, first,
                                  {w: f for w, f in failed.items() if w < first}, words,
                                  {h: f for h, f in zip(positions, flags) if f})
-    if stores is not None:
-        libraries = DecodedLibraries(slots, rows, first, counts.pop() * size,
+    if sets is not None:
+        libraries = DecodedLibraries(slots, rows, first, sets * size,
                                      {w: f for w, f in failed.items() if w >= first},
-                                     size, N)
+                                     size, params.N)
     return streams, libraries
 
 

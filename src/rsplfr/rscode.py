@@ -34,8 +34,8 @@ the first k points outside S and flags the words wrong at S.
 The words are packed one per little-endian slot into one integer per
 position, so each parity or plan row, and its reduction mod q (see
 ``_Slots``), is a few big-integer operations for the whole batch.  A
-column is packed as it comes, by one byte copy when every value fits a
-byte, and its packed integer range-checked at once; only a column with
+list column is packed by ``_Slots.pack_mod``, by one byte copy when
+every value fits a byte, and range-checked at once; only a column with
 a value below 0 or at least q is reduced mod q and packed again.  The
 masks over the batch's slots are computed once per call.  A set of
 words is a mask of their whole slots, so a row that is zero for every
@@ -54,9 +54,9 @@ is refused too.  Each plan's message and flag rows are masked to the
 words it explains, so each row is computed for the whole batch at
 once; a caller that keeps only the first message rows, as the protocol
 keeps the L data coefficients and drops the I noise ones, gets only
-those computed.  The private core ``_decode_packed`` leaves the rows
-packed, a failed word 0 in each, which the protocol compares whole;
-``decode_columns`` is its list view, with None at a failed word.
+those computed.  The private core ``_decode_packed`` takes the columns
+packed and leaves the rows packed, a failed word 0 in each; the list
+view ``decode_columns`` packs lists and gives None at a failed word.
 The result is the unique codeword within distance e, or
 ``DecodingFailure`` when there is none, exactly as the oracle finds.
 It depends on the word alone, never on the rest of the batch: a word
@@ -361,10 +361,13 @@ class _Slots:
             out = [v | u << 8 * b for v, u in zip(out, raw[b::self.size])]
         return out
 
+    def repeat(self, packed: int, count: int, times: int) -> int:
+        """``times`` copies of the ``count`` slots of ``packed``, one after another."""
+        return int.from_bytes(packed.to_bytes(self.size * count, "little") * times, "little")
+
     def masks(self, count: int) -> _Masks:
         """The masks of a batch of ``count`` slots; a decode computes them once."""
-        bits = 8 * self.size
-        ones = ((1 << bits * count) - 1) // ((1 << bits) - 1)
+        bits, ones = 8 * self.size, self.repeat(1, 1, count)
         b = (self.q - 1).bit_length()
         return _Masks(ones, ones * ((1 << bits - self.shift) - 1),
                       ones * ((1 << bits) - (1 << b)), ones * ((1 << b) - self.q))
@@ -406,13 +409,14 @@ class _Slots:
 
 
 def _decode_packed(points: EvalPoints, positions, dimension: int, max_errors: int,
-                   columns, rows: int | None = None):
-    """The body of ``decode_columns``, its results left packed.
+                   columns, words: int, rows: int | None = None):
+    """``decode_columns`` on its ``words`` values below q per column packed, results packed.
 
-    Returns ``(slots, messages, flags, failures)``: the slot layout; per
-    message row read, one integer holding coefficient m of word w in
-    slot w, 0 at a failed word; per position, the full slots of the words
-    whose value there differs from their codeword; and each failing word's
+    Returns ``(slots, messages, flags, failures)``: the slot layout,
+    ``_Slots.for_sums(q, J)``, the columns' too; per message row read,
+    one integer holding coefficient m of word w in slot w, 0 at a failed
+    word; per position, the full slots of the words whose value there
+    differs from their codeword; and each failing word's
     ``DecodingFailure``.
     """
     positions = tuple(positions)
@@ -427,15 +431,11 @@ def _decode_packed(points: EvalPoints, positions, dimension: int, max_errors: in
         rows = k
     elif not 0 <= rows <= k:
         raise ValueError(f"cannot read {rows} of {k} message rows")
-    y = list(columns)
-    if len(y) != J:
-        raise ValueError(f"need {J} columns, got {len(y)}")
-    W = len(y[0])
-    if any(len(col) != W for col in y):
-        raise ValueError("columns must hold one value per word")
+    packed, W = list(columns), words
+    if len(packed) != J:
+        raise ValueError(f"need {J} columns, got {len(packed)}")
     slots = _Slots.for_sums(q, J)  # a syndrome row is the longest sum
     masks = slots.masks(W)
-    packed = [slots.pack_mod(col, masks) for col in y]
 
     def residues(row, cols):
         """Row dotted with the packed columns, mod q, in every slot."""
@@ -492,12 +492,17 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
     differs from their codeword, and ``failures`` maps each failing word
     to its ``DecodingFailure``.  Each word's result depends on that word
     alone, not on the rest of the batch.  The list view of
-    ``_decode_packed``.
+    ``_decode_packed``: each column is packed by ``_Slots.pack_mod``.
     """
-    columns = list(columns)
-    slots, messages, flags, failures = _decode_packed(points, positions, dimension,
-                                                      max_errors, columns, rows)
-    W = len(columns[0])
+    positions, columns = tuple(positions), list(columns)
+    W = len(columns[0]) if columns else 0
+    if any(len(col) != W for col in columns):
+        raise ValueError("columns must hold one value per word")
+    slots = _Slots.for_sums(points.q, len(positions))
+    masks = slots.masks(W)
+    _, messages, flags, failures = _decode_packed(
+        points, positions, dimension, max_errors,
+        [slots.pack_mod(col, masks) for col in columns], W, rows)
     messages = [slots.unpack(m, W) for m in messages]
     for w in failures:
         for out in messages:

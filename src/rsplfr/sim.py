@@ -28,20 +28,21 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams,
-                       UniformRandom, SCENARIO_FIELDS, _cache_sides, _dims, _flag, _int,
-                       _ints, _server_columns, adversary_column, adversary_content,
-                       build_storage, decode_group, draws, make_query, params_from_json,
-                       place_user, strategy_key, user_decode)
+                       UniformRandom, SCENARIO_FIELDS, _cache_sides, _checked_group,
+                       _decode_packed_group, _dims, _flag, _int, _ints, _server_columns,
+                       adversary_column, adversary_content, build_storage, draws, make_query,
+                       params_from_json, place_user, strategy_key, user_decode)
 # uncalled here, but bound: instrumentation wraps the sweep's layers at
 # this module's names
 from .protocol import adversary_signal, recover_library, server_signal  # noqa: F401
-from .rscode import DecodingFailure
+from .rscode import DecodingFailure, _Slots
 
 
 class ScenarioError(ValueError):
@@ -309,8 +310,9 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     ``adversary_content``, ``adversary_column`` and the one generator of
     its (configuration, server), so its contents do not depend on the
     number of demands.
-    The honest columns of servers 1..J, and their stores when recovery
-    is checked, are decoded in one ``decode_group`` call.  Only if every
+    Every honest column and store passes ``decode_group``'s checks once
+    and is packed once; those of servers 1..J are decoded in one call of
+    its packed core, ``_decode_packed_group``.  Only if every
     user of every demand decodes right from it is that data the
     reference, and only if its one library is the sampled one is that
     library the reference library.  Any J answers with <= A corrupt
@@ -320,10 +322,10 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
 
     Configurations with the same J servers and the same adversaries
     among them put their errors at the same positions of every word, so
-    each such group is decoded as one batch, in one ``decode_group``
-    call: an honest server repeats its column and its store once per
-    member, an adversarial one holds each member's corrupted column and
-    stores; with recovery unchecked the batch holds no stores.  In a
+    each such group is decoded as one batch, in one such call: an honest
+    server repeats its packed column and then its packed store once per
+    member, an adversarial one's corrupted columns and stores are checked
+    and packed; with recovery unchecked the batch holds no stores.  In a
     group with no adversary among its J servers the batch holds one
     member's, judged for every member: a word's result depends on that
     word alone.  Member t's delivery d is delivery u*D + d of the batch,
@@ -332,8 +334,9 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     reference's, ``wrong``, and its sets that are no copies of the
     reference library, ``lost``, one xor per data row; without a
     reference all are.  Only a lost set is built and compared with the
-    sampled library, and only the users of a wrong delivery are decoded
-    one by one, for their witnesses.  The transcript's delivery, the
+    sampled library, and only the users of a wrong delivery are judged
+    one by one, for their witnesses, a user who reads a failed word by
+    its text in the batch.  The transcript's delivery, the
     batch's last, is cut from it alike for every server, honest when not
     among the group's adversaries; its outputs are the ground truth
     unless it is wrong.  A group's batch is dropped before the next is
@@ -376,23 +379,36 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             got = None
             if isinstance(side, ProtocolError):
                 error = str(side)
+            elif failure := streams._failure(d * streams.words + w for w, _ in side.reads):
+                error = str(failure)  # what user_decode would raise
             else:
-                try:
-                    got = user_decode(params, side, streams, d)
-                except DecodingFailure as exc:
-                    error = str(exc)
-                else:
-                    error = None if got == truth_list[di][k - 1] else "wrong output"
+                got = user_decode(params, side, streams, d)
+                error = None if got == truth_list[di][k - 1] else "wrong output"
             decoded.append(got)
             errors.append(error)
         return decoded, errors
 
+    size = arr.S * _dims(params, arr)[1]  # symbols per delivery
+    streamed, _, sets = _checked_group(params, arr, honest_columns, {
+        st.h: [st] for st in state.stores} if sc.check_recovery else None, params.H)
+    slots = _Slots.for_sums(params.q, params.J)
+    stored = params.N * params.B // params.L if sets else 0  # coded subfiles per set
+    # each server's honest deliveries, then its coded subfiles when recovery is checked
+    runs = {st.h: [slots.pack_mod(run, slots.masks(len(run))) if run else 0
+                   for run in (honest_columns[st.h], st.coded_subfiles if sets else ())]
+            for st in state.stores}
+
+    @lru_cache(maxsize=None)
+    def honest(h, copies):
+        """Server h's packed column in a batch of ``copies`` members: each of its runs repeated."""
+        column, store = runs[h]
+        return slots.repeat(column, streamed, copies) | slots.repeat(
+            store, stored, copies) << 8 * slots.size * copies * streamed
+
     # the honest check decodes every user, with no short cut, so call
     # counts do not depend on where the first wrong output is
-    honest = range(1, params.J + 1)
-    reference, library = decode_group(
-        params, arr, {h: honest_columns[h] for h in honest},
-        {h: [state.stores[h - 1]] for h in honest} if sc.check_recovery else None)
+    reference, library = _decode_packed_group(
+        params, {h: honest(h, 1) for h in range(1, params.J + 1)}, streamed, size, sets)
     failing = [error is not None for di in range(D)
                for error in decode_users(di, reference, di)[1]]
     if any(failing):
@@ -408,12 +424,11 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     for _, _, strat in configs:
         if id(strat) not in keys:
             keys[id(strat)] = strategy_key(strat)
-    size = arr.S * _dims(params, arr)[1]  # symbols per delivery
     delivered, decoded, per_user = [], [], []
     for (js, bad), members in groups.items():
         # every member of an honest group gets the same batch: it holds one
         copies = len(members) if bad else 1
-        columns = {h: [] for h in bad}
+        columns = {h: [] if h in bad else honest_columns[h] for h in js}
         contents = {h: [] for h in bad}
         for c in members:
             strat = configs[c][2]
@@ -424,14 +439,16 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                     contents[h].append(adversary_content(params, strat,
                                                          state.stores[h - 1], rng))
                 columns[h] += adversary_column(params, strat, honest_columns[h], D, rng)
-        batch = {h: columns[h] if h in columns else honest_columns[h] * copies
-                 for h in js}
-        stores = {h: contents[h] if h in contents else [state.stores[h - 1]] * copies
-                  for h in js} if sc.check_recovery else None
-        streams, recovered = decode_group(params, arr, batch, stores)
-        # the batch's last delivery, of its last member
+        if bad and sets:
+            _checked_group(params, arr, None, contents, len(bad))
+        masks = slots.masks(copies * (streamed + stored))
+        batch = {h: honest(h, copies) if h not in bad else slots.pack_mod(
+            columns[h] + [v for st in contents[h] for v in st.coded_subfiles], masks) for h in js}
+        streams, recovered = _decode_packed_group(params, batch, copies * streamed, size,
+                                                  copies if sets else None)
+        # the batch's last delivery, of its last member: each column's last words
         last = copies * D - 1
-        delivered = [(h, h not in bad, batch[h][last * size:(last + 1) * size]) for h in js]
+        delivered = [(h, h not in bad, columns[h][len(columns[h]) - size:]) for h in js]
         wrong = (streams.differing(reference, copies) if reference is not None
                  else set(range(copies * D)))
         lost = (set() if recovered is None else set(range(copies)) if library is None
@@ -458,7 +475,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                                              user=k, error=error))
         if last not in wrong:  # every user of the delivery is right
             decoded, per_user = truth_list[-1], [True] * params.K
-        del columns, contents, batch, stores, recovered, streams  # before the next group is built
+        del columns, contents, batch, recovered, streams  # before the next group is built
     witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
     measured = MscTriple(M=state.M, T=state.T,
                          R=Fraction(len(honest_columns[1]), D * params.B),

@@ -316,9 +316,9 @@ def test_each_group_is_one_kernel_call(monkeypatch):
     original = rsplfr.rscode._decode_packed
     words = []
 
-    def counted(points, positions, dimension, max_errors, columns, rows=None):
-        words.append(len(columns[0]))
-        return original(points, positions, dimension, max_errors, columns, rows)
+    def counted(points, positions, dimension, max_errors, columns, count, rows=None):
+        words.append(count)
+        return original(points, positions, dimension, max_errors, columns, count, rows)
 
     monkeypatch.setattr(rsplfr.rscode, "_decode_packed", counted)
     D = 2
@@ -346,6 +346,45 @@ def test_each_group_is_one_kernel_call(monkeypatch):
     assert len(words) == 57
 
 
+def test_each_honest_run_is_packed_once_per_replay(monkeypatch):
+    # a replay packs each server's honest deliveries, and with recovery
+    # checked its coded subfiles, once, and repeats them packed in every
+    # group; per group only the adversary's column, then its contents, is
+    # packed: on toy 30 groups hold one adversary, of 4 members each
+    import rsplfr.rscode
+    import rsplfr.sim
+    packed, columns, stores = [], [], []
+    packing = packing_the_replay(monkeypatch)
+    pack, answer, build = (rsplfr.rscode._Slots.pack_mod, rsplfr.sim._server_columns,
+                           rsplfr.sim.build_storage)
+
+    def recorded(slots, values, masks):
+        if not packing:
+            packed.append(tuple(values))
+        return pack(slots, values, masks)
+
+    monkeypatch.setattr(rsplfr.rscode._Slots, "pack_mod", recorded)
+    monkeypatch.setattr(rsplfr.sim, "_server_columns",
+                        lambda *args: columns.extend(answer(*args)) or columns[-TOY.H:])
+    monkeypatch.setattr(rsplfr.sim, "build_storage",
+                        lambda *args: stores.extend(build(*args)) or stores[-TOY.H:])
+    D = 2
+    streamed = D * TOY_PDA.S * TOY.B // (TOY.L * TOY_PDA.F)
+    for recovery, stored in ((False, 0), (True, TOY.N * TOY.B // TOY.L)):
+        for found in (packed, columns, stores):
+            found.clear()
+        assert sweep(toy_scenario(sweep_j_subsets=True, sweep_adversary_subsets=True,
+                                  sweep_strategies=True, demand_samples=D,
+                                  check_recovery=recovery)).ok
+        honest = [tuple(column) for column in columns]
+        if recovery:
+            honest += [st.coded_subfiles for st in stores]
+        assert len(honest) == TOY.H * (1 + recovery)
+        assert sorted(p for p in packed if p in honest) == sorted(honest)
+        assert Counter(len(p) for p in packed if p not in honest) == {
+            4 * (streamed + stored): 30}
+
+
 def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
     # within the budget every group is right: past the honest check, no
     # decoded row is unpacked and no library is built.  The honest check's
@@ -359,7 +398,7 @@ def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
     import rsplfr.rscode
     import rsplfr.sim
     events = []
-    group, unpack = rsplfr.sim.decode_group, rsplfr.rscode._Slots.unpack
+    group, unpack = rsplfr.sim._decode_packed_group, rsplfr.rscode._Slots.unpack
     init = rsplfr.protocol.Library.__init__
     packing = packing_the_replay(monkeypatch)
 
@@ -368,7 +407,7 @@ def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
             events.append("unpack")
         return unpack(slots, *args)
 
-    monkeypatch.setattr(rsplfr.sim, "decode_group",
+    monkeypatch.setattr(rsplfr.sim, "_decode_packed_group",
                         lambda *args: events.append("decode") or group(*args))
     monkeypatch.setattr(rsplfr.rscode._Slots, "unpack", unpacked)
     monkeypatch.setattr(rsplfr.protocol.Library, "__init__",
@@ -676,10 +715,15 @@ def test_users_are_decoded_one_by_one_only_in_failing_deliveries(monkeypatch):
     calls.clear()
 
     result = beyond_budget_sweep(monkeypatch)
+    decodes = [w for w in result.failures if w["stage"] == "decode"]
     failing = {(w["j_subset"], w["adversaries"], w["strategy"], w["demand_index"])
-               for w in result.failures if w["stage"] == "decode"}
+               for w in decodes}
     assert len(failing) == 693
-    assert len(calls) == TOY.K * (len(failing) + 3)
+    # a user who reads a failed word takes its text from the batch and is
+    # not decoded, so no call raises; the others of each delivery are
+    detected = sum(w["error"] != "wrong output" for w in decodes)
+    assert detected == 1102
+    assert len(calls) == TOY.K * (len(failing) + 3) - detected
 
 
 @pytest.mark.parametrize("row", ["stream", "star"])
