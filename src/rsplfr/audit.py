@@ -6,7 +6,12 @@ I(X; observation) = (rank [G_X | G_Z] - rank G_Z) log2 q bits.  The
 columns of G are the outputs of the production functions on unit
 vectors of the input space; the functions are checked at zero and at
 seeded random inputs before any column is trusted, and a failed check
-raises ``AuditError``.  A gap of 0 is a literal 0.0.
+raises ``AuditError``.  ``_fit`` takes the columns and makes the checks
+on packed rows, in the ``rscode._Slots`` of one integer.
+The stores of every probe input are built by one ``protocol._storages``
+call, which takes a list of (library, randomness) inputs, and each
+user's caches by one ``protocol._placements`` call.  A gap of 0 is a
+literal 0.0.
 
 - Server security: stores are linear in (library, noise, keys, masks).
 - Signal security: for fixed queries the signals are linear in the
@@ -70,6 +75,9 @@ oracle builds the stores once per (library, randomness) outcome for all
 coalitions.  Every outcome is still counted, in the original order.
 The rank audits build the columns at each x at most once, for every
 view, the probes' in one call; a walk over every x reuses them.
+Demand privacy builds the stores of every (library, probe) pair of a
+call in one ``_storages`` call, and each user's caches in one
+``_placements`` call.
 
 Mutations deliberately break one defense at a time by pinning its
 random symbols to zero ("zero-noise", "key-removal", "zero-pad"),
@@ -84,12 +92,16 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import mul
 
 from . import sim
 from .pda import Pda
 from .protocol import (ConfigError, Library, ProtocolError, Randomness, SystemParams,
-                       _server_columns, build_storage, make_query, place_user, server_signal)
+                       _cut, _placements, _server_columns, _storages, build_storage,
+                       make_query, place_user, server_signal)
+from .rscode import _Slots
 
 
 class AuditError(Exception):
@@ -305,7 +317,8 @@ def _probes(n: int) -> int:
     return n + 1 + _CHECKS
 
 
-def _probe_inputs(n: int, q: int) -> list:
+@lru_cache(maxsize=64)
+def _probe_inputs(n: int, q: int) -> tuple:
     """The n unit vectors, then the inputs that check linearity.
 
     The checks are the zero vector and two vectors from a fixed-seed
@@ -313,23 +326,43 @@ def _probe_inputs(n: int, q: int) -> list:
     """
     rng = random.Random(_CHECK_SEED)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return units + [(0,) * n] + [tuple(rng.randrange(q) for _ in range(n))
-                                 for _ in range(_CHECKS)]
+    return tuple(units + [(0,) * n] + [tuple(rng.randrange(q) for _ in range(n))
+                                       for _ in range(_CHECKS)])
 
 
 def _fit(q: int, inputs: list, outputs: list, affine: bool = False) -> list | None:
     """The columns f(e_i) - f(0), or None unless f(x) = f(0) + sum x_i
     (f(e_i) - f(0)) holds at every check input x, with f(0) = 0 unless
-    `affine`."""
+    `affine`.
+
+    Checked on packed rows, in the slots of ``_Slots.for_sums(q, n + 1)``
+    (at least 3 terms, so that a slot holds 2q - 1): the unit outputs mod
+    q, plus q and less f(0) mod q in every slot, are the n columns, by
+    one subtraction and one reduce; each check input x is then n
+    multiply-adds of the columns by x mod q, one reduce and one
+    comparison with its output packed as it is.  An output of another
+    length than f(0), or a check output outside [0, q), fails.
+    """
     n = len(inputs[0])
-    offset = tuple(outputs[n]) if affine else (0,) * len(outputs[n])
-    cols = [tuple((v - o) % q for v, o in zip(out, offset)) for out in outputs[:n]]
+    m = len(outputs[n])
+    if any(len(out) != m for out in outputs):
+        return None
+    slots = _Slots.for_sums(q, max(n + 1, 3))
+    row, rows = slots.masks(m), slots.masks(n * m)
+    units = slots.pack_mod(list(chain.from_iterable(outputs[:n])), rows)
+    offset = 0
+    if affine:
+        offset = slots.pack_mod(outputs[n], row)
+        units = slots.reduce(units + q * rows.ones - slots.repeat(offset, m, n), rows)
+    values, packed = slots.unpack(units, n * m), _cut(slots, units, m, n)
     for x, got in zip(inputs[n:], outputs[n:]):
-        want = tuple((o + sum(xi * col[r] for xi, col in zip(x, cols))) % q
-                     for r, o in enumerate(offset))
-        if tuple(got) != want:
+        try:
+            seen = slots.pack(got)
+        except OverflowError:  # a value below 0 or too wide for its slot
             return None
-    return cols
+        if seen != slots.reduce(offset + sum(map(mul, (v % q for v in x), packed)), row):
+            return None
+    return [tuple(values[i * m:i * m + m]) for i in range(n)]
 
 
 def _columns(q: int, inputs: list, outputs: list, what: str,
@@ -344,11 +377,11 @@ def _columns(q: int, inputs: list, outputs: list, what: str,
 
 
 def _probe_stores(space: _Space) -> tuple[list, list]:
-    """Every probe input with the server stores built from it."""
+    """Every probe input with the server stores built from it, all in one call."""
     params, arr, w = space.params, space.arr, space.n_w
     inputs = _probe_inputs(_n_inputs(space), params.q)
-    stores = [build_storage(params, arr, _library(space, x[:w]),
-                            _randomness(space, x[w:])) for x in inputs]
+    stores = _storages(params, arr, [(_library(space, x[:w]), _randomness(space, x[w:]))
+                                     for x in inputs])
     _columns(params.q, inputs,
              [tuple(chain.from_iterable(st.symbols() for st in sts)) for sts in stores],
              "build_storage")
@@ -557,17 +590,26 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
     queries = _columns(q, inputs, [_query_values(space, x[d0:], x[n_u:d0]) for x in inputs],
                        "make_query", over, affine=True)
 
-    def columns(wflat) -> list:
-        """[store columns, user 1's cache columns, ..., user K's] at one library."""
-        library = _library(space, wflat)
-        stores = _columns(q, inputs, [
-            tuple(chain.from_iterable(
-                st.symbols() for st in build_storage(params, arr, library, randomness)))
-            for randomness, _ps in probes], "build_storage", over, affine=True)
-        return [stores] + [_columns(q, inputs, [
-            _cached(place_user(params, arr, library, randomness, k, ps[k - 1]))
-            for randomness, ps in probes], "place_user", over, affine=True)
-            for k in range(1, K + 1)]
+    def columns(wflats) -> list:
+        """Per library in wflats, [store columns, user 1's cache columns, ..., user K's].
+
+        The stores of every (library, probe) are built in one call, and
+        each user's caches in one call.
+        """
+        libraries = [_library(space, wflat) for wflat in wflats]
+        stores = _storages(params, arr, [(library, randomness) for library in libraries
+                                         for randomness, _ps in probes])
+        caches = [_placements(params, arr, [(library, randomness, ps[k - 1])
+                                            for library in libraries
+                                            for randomness, ps in probes], k)
+                  for k in range(1, K + 1)]
+        size = len(probes)
+        return [[_columns(q, inputs, [tuple(chain.from_iterable(st.symbols() for st in sts))
+                                      for sts in stores[t:t + size]],
+                          "build_storage", over, affine=True)]
+                + [_columns(q, inputs, [_cached(cache) for cache in mine[t:t + size]],
+                            "place_user", over, affine=True) for mine in caches]
+                for t in range(0, len(stores), size)]
 
     def view(S):
         """Coalition S's view, the hidden demand columns first."""
@@ -578,8 +620,7 @@ def audit_demand_privacy(params: SystemParams, arr: Pda, mutations=()) -> AuditR
                                + tuple(chain.from_iterable(parts[k][c] for k in S))
                                for c in order]), len(hidden)
 
-    figures = _figures(q, space.n_w, lambda libraries: [columns(w) for w in libraries],
-                       [view(S) for S in real])
+    figures = _figures(q, space.n_w, columns, [view(S) for S in real])
     return _report("demand-privacy", _coalition_figures(
         K, [(S, gap * math.log2(q), library) for S, (_, gap, library) in zip(real, figures)]),
         outcomes, len(real) * q ** space.n_w)

@@ -28,7 +28,14 @@ docstring gives its flat order: ``Randomness``, whose ``sizes`` are its
 run sizes, in the order ``build_storage`` reads it; ``ServerStore`` and
 a server's answer, the tuple ``server_signal`` returns, in the order the
 decoder reads them, each word across any J servers one MDS codeword;
-``UserCache`` one run per array row.  Answers and cache sides are
+``UserCache`` one run per array row.  Stores and caches are built for
+a list of (library, randomness) sources at once, each source checked in
+order first: ``_storages`` evaluates every source's polynomials packed,
+in the ``rscode._Slots`` of one integer per server, and ``_placements``
+caches one user's packets from each source (with its blend vector);
+``build_storage`` and ``place_user`` are their one-source cases, and an
+audit builds all its probes' stores, or one user's caches, in one call.
+Answers and cache sides are
 built packed, in the ``rscode._Slots`` of one integer, with any
 container value taken mod q: ``_server_columns`` chains each store's
 answers to a list of query sets, for a replay's servers over its
@@ -72,7 +79,6 @@ from pathlib import Path
 
 from . import pda as pda_mod
 from . import rscode
-from .ff import horner
 from .pda import Pda, STAR
 from .rscode import EvalPoints
 
@@ -278,71 +284,142 @@ def build_storage(params: SystemParams, pda: Pda,
     read from ``vees`` and ``lambdas`` at (l*S + s-1)*pkt + r and
     (i*S + s-1)*pkt + r.  Packet j of subfile l sits at slices
     j*pkt .. j*pkt+pkt-1.  Each randomness run must hold exactly the
-    symbols its layout names.
+    symbols its layout names.  The one-source case of ``_storages``.
+    """
+    return _storages(params, pda, [(library, randomness)])[0]
+
+
+def _checked_sources(params: SystemParams, pda: Pda, sources) -> list:
+    """``sources`` as a list of (library, randomness), each checked in turn.
+
+    Each must hold N files of B symbols and randomness runs of the sizes
+    ``Randomness.sizes`` names (``DimensionMismatch``).
+    """
+    N, B = params.N, params.B
+    sizes = Randomness.sizes(params, pda)
+    lengths = (B,) * N
+    sources = list(sources)
+    for library, randomness in sources:
+        runs = randomness.deltas, randomness.vees, randomness.lambdas
+        if tuple(map(len, library.files)) == lengths and tuple(map(len, runs)) == sizes:
+            continue
+        if len(library.files) != N:
+            raise DimensionMismatch(f"library has {len(library.files)} files, expected {N}")
+        for n, f in enumerate(library.files):
+            if len(f) != B:
+                raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {B}")
+        for name, run, size in zip(("deltas", "vees", "lambdas"), runs, sizes):
+            if len(run) != size:
+                raise DimensionMismatch(f"{name} must hold {size} symbols, got {len(run)}")
+    return sources
+
+
+def _storages(params: SystemParams, pda: Pda, sources) -> list[list[ServerStore]]:
+    """``build_storage`` of each (library, randomness) in ``sources``, in order.
+
+    A store is linear in the polynomials' coefficients, so every source's
+    stores are computed at once in the slots of one integer, sized by
+    ``rscode._Slots.for_sums`` for L + I products.  Coefficient i of
+    every slice of every source is packed once, mod q by ``pack_mod``:
+    slice w of source t, in the order of ``ServerStore.symbols``, in slot
+    t*W + w, W being the symbols of one store.  Server h's stores are
+    then the sum over i of a_h^i mod q times coefficient i's integer,
+    reduced and unpacked once and cut per source.  The sources are
+    checked in order before any is built.
     """
     subL, pkt = _dims(params, pda)
-    N, I, L, S = params.N, params.I, params.L, pda.S
-    _check_sources(params, pda, library, randomness)
-    deltas, vees, lambdas = randomness.deltas, randomness.vees, randomness.lambdas
-    file_coeffs = [[library.files[n][l * subL + m] for l in range(L)]
-                   + [deltas[(n * I + i) * subL + m] for i in range(I)]
-                   for n in range(N) for m in range(subL)]
-    key_coeffs = [[vees[(l * S + s) * pkt + r] for l in range(L)]
-                  + [lambdas[(i * S + s) * pkt + r] for i in range(I)]
-                  for s in range(S) for r in range(pkt)]
-    q = params.q
-    return [ServerStore(h, tuple(horner(coeffs, a, q) for coeffs in file_coeffs),
-                        tuple(horner(coeffs, a, q) for coeffs in key_coeffs))
-            for h, a in enumerate(params.points.alphas, start=1)]
+    N, I, L, S, q = params.N, params.I, params.L, pda.S, params.q
+    sources = _checked_sources(params, pda, sources)
+    files_at, keys_at = N * subL, S * pkt  # one store's coded subfiles and keys
+    W, T = files_at + keys_at, len(sources)
+    if not T:
+        return []
 
+    def coefficients(library, randomness) -> list:
+        """Per coefficient i, its value at every slice of one source, in store order."""
+        files, deltas = library.files, randomness.deltas
+        return ([list(chain(chain.from_iterable(f[l * subL:l * subL + subL] for f in files),
+                            randomness.vees[l * keys_at:l * keys_at + keys_at]))
+                 for l in range(L)]
+                + [list(chain(chain.from_iterable(deltas[(n * I + i) * subL:(n * I + i + 1) * subL]
+                                                  for n in range(N)),
+                              randomness.lambdas[i * keys_at:i * keys_at + keys_at]))
+                   for i in range(I)])
 
-def _check_sources(params: SystemParams, pda: Pda, library: Library, randomness: Randomness):
-    """N files of B symbols, and randomness runs of the sizes ``Randomness.sizes`` names."""
-    N = params.N
-    if len(library.files) != N:
-        raise DimensionMismatch(f"library has {len(library.files)} files, expected {N}")
-    for n, f in enumerate(library.files):
-        if len(f) != params.B:
-            raise DimensionMismatch(f"file {n + 1} has {len(f)} symbols, expected {params.B}")
-    runs = randomness.deltas, randomness.vees, randomness.lambdas
-    for name, run, size in zip(("deltas", "vees", "lambdas"), runs, Randomness.sizes(params, pda)):
-        if len(run) != size:
-            raise DimensionMismatch(f"{name} must hold {size} symbols, got {len(run)}")
+    slots = rscode._Slots.for_sums(q, L + I)
+    masks = slots.masks(W * T)
+    per_source = [coefficients(library, randomness) for library, randomness in sources]
+    coeffs = [slots.pack_mod(list(chain.from_iterable(mine[i] for mine in per_source)), masks)
+              for i in range(L + I)]
+    stores = [[] for _ in sources]
+    for h, a in enumerate(params.points.alphas, start=1):
+        values = slots.unpack(slots.reduce(
+            sum(pow(a, i, q) * c for i, c in enumerate(coeffs)), masks), W * T)
+        for t, mine in enumerate(stores):
+            base = t * W
+            mine.append(ServerStore(h, tuple(values[base:base + files_at]),
+                                    tuple(values[base + files_at:base + W])))
+    return stores
 
 
 def place_user(params: SystemParams, pda: Pda, library: Library,
                randomness: Randomness, k: int, p_k) -> UserCache:
+    """User k's cache, for its blend vector p_k taken mod q.
+
+    The one-source case of ``_placements``.
+    """
+    return _placements(params, pda, [(library, randomness, p_k)], k)[0]
+
+
+def _placements(params: SystemParams, pda: Pda, sources, k: int) -> list[UserCache]:
+    """``place_user`` of user k for each (library, randomness, p_k) in ``sources``, in order.
+
+    The libraries and randomness are checked in order as ``_storages``
+    checks them, then k, then each blend vector, before any cache is
+    built.  A star row j caches packet j of every subfile as it is
+    stored; an ordinary row j with symbol e caches, for each data
+    coefficient l, the key of stream e plus packet j of subfile l of the
+    files blended by p_k, mod q.
+    """
     subL, pkt = _dims(params, pda)
-    N, L, S = params.N, params.L, pda.S
-    _check_sources(params, pda, library, randomness)
-    q = params.q
+    N, L, S, q = params.N, params.L, pda.S, params.q
+    sources = list(sources)
+    _checked_sources(params, pda, [(library, randomness) for library, randomness, _ in sources])
     if not 1 <= k <= params.K:
         raise ProtocolError(f"user index {k} outside [1..{params.K}]")
-    p = tuple(v % q for v in p_k)
-    if len(p) != N:
-        raise DimensionMismatch(f"blend vector must hold {N} symbols")
-    k0 = k - 1
-    uncoded = {}
-    keys = {}
-    for j in range(pda.F):
-        e = pda.entries[j][k0]
+    blends = []
+    for _, _, p_k in sources:
+        p = tuple(v % q for v in p_k)
+        if len(p) != N:
+            raise DimensionMismatch(f"blend vector must hold {N} symbols")
+        blends.append(p)
+    # per row, packet j of each subfile starts at l*B/L + j*pkt; a keyed
+    # row's key of data coefficient l at (l*S + e-1)*pkt
+    stars, keyed = [], []
+    for j, e in enumerate(pda.column(k - 1)):
+        starts = [l * subL + j * pkt for l in range(L)]
         if e is STAR:
-            uncoded[j] = tuple(chain.from_iterable(
-                library.files[n][l * subL + j * pkt:l * subL + j * pkt + pkt]
-                for n in range(N) for l in range(L)))
+            stars.append((j, starts))
         else:
+            keyed.append((j, [(o, (l * S + e - 1) * pkt) for l, o in enumerate(starts)]))
+    caches = []
+    for (library, randomness, _), p in zip(sources, blends):
+        files, vees = library.files, randomness.vees
+        blend = [(pn, f) for pn, f in zip(p, files) if pn]
+        keys = {}
+        for j, offsets in keyed:
             packet = []
-            for l in range(L):
-                off = l * subL + j * pkt
+            for o, at in offsets:
                 for r in range(pkt):
-                    acc = randomness.vees[(l * S + e - 1) * pkt + r]
-                    for n in range(N):
-                        pn = p[n]
-                        if pn:
-                            acc += pn * library.files[n][off + r]
+                    acc = vees[at + r]
+                    for pn, f in blend:
+                        acc += pn * f[o + r]
                     packet.append(acc % q)
             keys[j] = tuple(packet)
-    return UserCache(k=k, p=p, uncoded=uncoded, keys=keys)
+        uncoded = {j: tuple(chain.from_iterable(f[o:o + pkt] for f in files for o in starts))
+                   for j, starts in stars}
+        caches.append(UserCache(k=k, p=p, uncoded=uncoded, keys=keys))
+    return caches
 
 
 def make_query(params: SystemParams, d_k, p_k) -> tuple[int, ...]:

@@ -2,14 +2,98 @@
 
 import random
 from collections import Counter
+from itertools import chain
 
 from rsplfr import sim
+from rsplfr.ff import horner
 from rsplfr.pda import STAR
 from rsplfr.protocol import (CacheSide, DimensionMismatch, MissingSignals, ProtocolError,
-                             _checked_queries, _dims, adversary_content, adversary_signal,
-                             decode_streams, make_query, recover_library, strategy_key,
-                             user_decode)
+                             ServerStore, UserCache, _checked_queries, _checked_sources, _dims,
+                             adversary_content, adversary_signal, decode_streams, make_query,
+                             recover_library, strategy_key, user_decode)
 from rsplfr.rscode import DecodingFailure, decode_columns
+
+
+def build_storage(params, pda, library, randomness):
+    """What ``protocol.build_storage`` stores, one polynomial evaluation at a time.
+
+    The library and randomness are checked as ``build_storage`` checks
+    them, with the same errors.  Slice m of file n has coefficients
+    (subfile_1[m], ..., subfile_L[m], noise_1[m], ..., noise_I[m]), slice
+    r of stream s (keys, then masks), each evaluated by Horner's rule at
+    every server's point.
+    """
+    subL, pkt = _dims(params, pda)
+    N, I, L, S = params.N, params.I, params.L, pda.S
+    _checked_sources(params, pda, [(library, randomness)])
+    deltas, vees, lambdas = randomness.deltas, randomness.vees, randomness.lambdas
+    file_coeffs = [[library.files[n][l * subL + m] for l in range(L)]
+                   + [deltas[(n * I + i) * subL + m] for i in range(I)]
+                   for n in range(N) for m in range(subL)]
+    key_coeffs = [[vees[(l * S + s) * pkt + r] for l in range(L)]
+                  + [lambdas[(i * S + s) * pkt + r] for i in range(I)]
+                  for s in range(S) for r in range(pkt)]
+    q = params.q
+    return [ServerStore(h, tuple(horner(coeffs, a, q) for coeffs in file_coeffs),
+                        tuple(horner(coeffs, a, q) for coeffs in key_coeffs))
+            for h, a in enumerate(params.points.alphas, start=1)]
+
+
+def place_user(params, pda, library, randomness, k, p_k):
+    """What ``protocol.place_user`` caches, one keyed symbol at a time.
+
+    The library and randomness, then k, then p_k are checked as
+    ``place_user`` checks them, with the same errors.
+    """
+    subL, pkt = _dims(params, pda)
+    N, L, S = params.N, params.L, pda.S
+    _checked_sources(params, pda, [(library, randomness)])
+    q = params.q
+    if not 1 <= k <= params.K:
+        raise ProtocolError(f"user index {k} outside [1..{params.K}]")
+    p = tuple(v % q for v in p_k)
+    if len(p) != N:
+        raise DimensionMismatch(f"blend vector must hold {N} symbols")
+    k0 = k - 1
+    uncoded = {}
+    keys = {}
+    for j in range(pda.F):
+        e = pda.entries[j][k0]
+        if e is STAR:
+            uncoded[j] = tuple(chain.from_iterable(
+                library.files[n][l * subL + j * pkt:l * subL + j * pkt + pkt]
+                for n in range(N) for l in range(L)))
+        else:
+            packet = []
+            for l in range(L):
+                off = l * subL + j * pkt
+                for r in range(pkt):
+                    acc = randomness.vees[(l * S + e - 1) * pkt + r]
+                    for n in range(N):
+                        pn = p[n]
+                        if pn:
+                            acc += pn * library.files[n][off + r]
+                    packet.append(acc % q)
+            keys[j] = tuple(packet)
+    return UserCache(k=k, p=p, uncoded=uncoded, keys=keys)
+
+
+def fit(q, inputs, outputs, affine=False):
+    """What ``audit._fit`` returns, one tuple value at a time.
+
+    The columns f(e_i) - f(0), or None unless f(x) = f(0) + sum x_i
+    (f(e_i) - f(0)) holds at every check input x, with f(0) = 0 unless
+    `affine`.
+    """
+    n = len(inputs[0])
+    offset = tuple(outputs[n]) if affine else (0,) * len(outputs[n])
+    cols = [tuple((v - o) % q for v, o in zip(out, offset)) for out in outputs[:n]]
+    for x, got in zip(inputs[n:], outputs[n:]):
+        want = tuple((o + sum(xi * col[r] for xi, col in zip(x, cols))) % q
+                     for r, o in enumerate(offset))
+        if tuple(got) != want:
+            return None
+    return cols
 
 
 def server_signal(params, pda, store, queries):

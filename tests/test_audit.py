@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import rsplfr.audit as audit_module
 from rsplfr import (
     AuditError,
@@ -361,24 +362,33 @@ def test_demand_privacy_loop_equals_the_oracle_where_no_certificate_holds(monkey
     # keyed packets times 1 + the library's first symbol: with zero noise
     # and zero pads the colluders' key columns then move with the library,
     # and their hidden demands lie in no span, so [1] and [2] take the gap
-    # at every library ([] sees no cache and takes one gap for all)
-    original = audit_module.place_user
+    # at every library ([] sees no cache and takes one gap for all); the
+    # rank audit builds its caches batched, its oracle one at a time, and
+    # both scale alike
+    place_user, placements = audit_module.place_user, audit_module._placements
 
-    def scaled(params, arr, library, randomness, k, p):
-        cache = original(params, arr, library, randomness, k, p)
+    def scaled(params, library, cache):
         f = 1 + library.files[0][0]
         return replace(cache, keys={j: tuple(v * f % params.q for v in run)
                                     for j, run in cache.keys.items()})
 
-    monkeypatch.setattr(audit_module, "place_user", scaled)
+    def scaled_one(params, arr, library, randomness, k, p):
+        return scaled(params, library, place_user(params, arr, library, randomness, k, p))
+
+    def scaled_all(params, arr, sources, k):
+        return [scaled(params, library, cache) for (library, _, _), cache in
+                zip(sources, placements(params, arr, sources, k))]
+
+    monkeypatch.setattr(audit_module, "place_user", scaled_one)
+    monkeypatch.setattr(audit_module, "_placements", scaled_all)
     builds = Counter()
-    build_storage = audit_module.build_storage
+    storages = audit_module._storages
 
-    def counting(params, arr, library, randomness):
-        builds[library] += 1
-        return build_storage(params, arr, library, randomness)
+    def counting(params, arr, sources):
+        builds.update(library for library, _ in sources)
+        return storages(params, arr, sources)
 
-    monkeypatch.setattr(audit_module, "build_storage", counting)
+    monkeypatch.setattr(audit_module, "_storages", counting)
     mutations = ("zero-noise", "zero-pad")
     got = audit_demand_privacy(K2, K2_PDA, mutations)
     # every one of the 3^4 libraries, each with its 6 + 3 probes, once
@@ -427,13 +437,13 @@ def test_toy_audits_decide_from_the_probe_libraries(monkeypatch):
     monkeypatch.setattr(audit_module, "CAP", 10 ** 30)
     assert audit_signal_security(params, arr).mi_bits == 0.0
     libraries = set()
-    build_storage = audit_module.build_storage
+    storages = audit_module._storages
 
-    def recording(params, arr, library, randomness):
-        libraries.add(library)
-        return build_storage(params, arr, library, randomness)
+    def recording(params, arr, sources):
+        libraries.update(library for library, _ in sources)
+        return storages(params, arr, sources)
 
-    monkeypatch.setattr(audit_module, "build_storage", recording)
+    monkeypatch.setattr(audit_module, "_storages", recording)
     assert audit_demand_privacy(params, arr).mi_bits == 0.0
     # without pads each coalition has one gap, the empty one's the largest
     assert audit_demand_privacy(params, arr, ("zero-pad",)).mi_bits == 12 * math.log2(7)
@@ -497,6 +507,45 @@ def test_figures_walk_every_x_when_the_parts_are_not_affine():
     assert got == _brute_figures(3, 2, build, views) == [[4, 1, (1, 1)]]
 
 
+@pytest.mark.parametrize("q", [7, 65537])
+def test_packed_fit_equals_the_tuple_fit(q):
+    # f(x) = c + G x over F_q, 3 inputs and 4 outputs, probed at the units,
+    # zero and the 2 checks; every slot of a check output is compared as
+    # it is, so a value at q or above, a negative one, one too wide for
+    # its slot or a short or long output fails, as does an unreduced
+    # affine offset and, unless affine, a nonzero output at zero
+    n, m = 3, 4
+    inputs = audit_module._probe_inputs(n, q)
+    G = [[(3 * i + 5 * r + 1) % q for i in range(n)] for r in range(m)]
+
+    def f(x, c):
+        return tuple((c[r] + sum(g * v for g, v in zip(G[r], x))) % q for r in range(m))
+
+    linear = [f(x, (0,) * m) for x in inputs]
+    affine = [f(x, (1, 0, q - 1, 2)) for x in inputs]
+    unreduced_unit = [tuple(v + q for v in linear[0])] + linear[1:]
+    kept = [(linear, False), (linear, True), (affine, True), (unreduced_unit, False)]
+    values = [lambda o: (o[0] + q,) + o[1:], lambda o: (q,) + o[1:],
+              lambda o: (o[0] - q,) + o[1:], lambda o: (o[0] + 256 ** 9,) + o[1:]]
+    lengths = [lambda o: o[:-1], lambda o: o + (0,)]
+    # at zero, a value edit is an unreduced offset, or a nonzero output
+    # where f must be linear
+    failed = [(affine, False)]
+    for outputs, is_affine in ((linear, False), (affine, True)):
+        for at in range(n, n + 1 + audit_module._CHECKS):
+            for edit in values + lengths * (at > n):
+                failed.append(([*outputs[:at], edit(outputs[at]), *outputs[at + 1:]], is_affine))
+    for outputs, is_affine in kept:
+        got = audit_module._fit(q, inputs, outputs, is_affine)
+        assert got is not None
+        assert got == oracles.fit(q, inputs, outputs, is_affine)
+    assert audit_module._fit(q, inputs, linear) == [tuple(G[r][i] for r in range(m))
+                                                   for i in range(n)]
+    for outputs, is_affine in failed:
+        assert audit_module._fit(q, inputs, outputs, is_affine) is None
+        assert oracles.fit(q, inputs, outputs, is_affine) is None
+
+
 def _affine(function, shift):
     def shifted(*args, **kwargs):
         return shift(function(*args, **kwargs))
@@ -510,8 +559,8 @@ def test_rank_audits_refuse_affine_stores(monkeypatch):
                             tuple((v + 1) % 3 for v in st.coded_keys))
                 for st in stores]
 
-    monkeypatch.setattr(audit_module, "build_storage",
-                        _affine(audit_module.build_storage, plus_one))
+    monkeypatch.setattr(audit_module, "_storages", _affine(
+        audit_module._storages, lambda per_source: [plus_one(stores) for stores in per_source]))
     with pytest.raises(AuditError, match="build_storage is not linear"):
         audit_server_security(MICRO, MICRO_PDA)
     with pytest.raises(AuditError, match="build_storage is not linear"):
@@ -534,8 +583,8 @@ def test_rank_demand_audit_refuses_non_affine_caches(monkeypatch):
     def squared(cache):
         return replace(cache, p=tuple(v * v % 3 for v in cache.p))
 
-    monkeypatch.setattr(audit_module, "place_user",
-                        _affine(audit_module.place_user, squared))
+    monkeypatch.setattr(audit_module, "_placements", _affine(
+        audit_module._placements, lambda caches: [squared(cache) for cache in caches]))
     with pytest.raises(AuditError, match="place_user is not affine"):
         audit_demand_privacy(MICRO, MICRO_PDA)
 
@@ -624,13 +673,29 @@ def test_queries_and_answers_are_built_once(monkeypatch):
     assert queries[0] == 81
 
 
+def _count_sources(monkeypatch, name):
+    """[calls, sources] of the audit's batched builder ``name``."""
+    counts = [0, 0]
+    original = getattr(audit_module, name)
+
+    def counting(params, arr, sources, *rest):
+        counts[0] += 1
+        counts[1] += len(sources)
+        return original(params, arr, sources, *rest)
+
+    monkeypatch.setattr(audit_module, name, counting)
+    return counts
+
+
 def test_demand_privacy_builds_only_the_probe_libraries(monkeypatch):
     # every coalition is decided from the 2 unit libraries, zero and 2
-    # checks, of which the second is the unit (0, 1), each built once:
+    # checks, of which the second is the unit (0, 1), each built once,
+    # all in one call of each builder (K = 1):
     # 4 libraries x (8 unit probes + zero + 2 checks) = 44
-    stores = _count_calls(monkeypatch, "build_storage")
+    stores = _count_sources(monkeypatch, "_storages")
+    caches = _count_sources(monkeypatch, "_placements")
     assert audit_demand_privacy(MICRO, MICRO_PDA).satisfied
-    assert stores[0] == 44
+    assert stores == caches == [1, 44]
 
 
 def test_demand_privacy_builds_the_stores_once_per_outcome(monkeypatch):

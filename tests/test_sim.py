@@ -111,14 +111,14 @@ def test_full_sweep_covers_every_configuration():
 
 
 def packing_the_replay(monkeypatch):
-    """A list that is not empty while ``sim``'s packed column or side helper runs.
+    """A list that is not empty while ``sim``'s packed storage, column or side helper runs.
 
     Those helpers pack and unpack their own slots before the replay
     decodes anything; tests of the decoder's packing skip their calls.
     """
     import rsplfr.sim
     running = []
-    for name in ("_server_columns", "_cache_sides"):
+    for name in ("build_storage", "_server_columns", "_cache_sides"):
         def wrapped(*args, helper=getattr(rsplfr.sim, name)):
             running.append(helper)
             try:
