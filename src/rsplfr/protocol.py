@@ -45,25 +45,20 @@ demands or an audit's probe stores over its probe queries, and
 ``cache_side`` is its one-demand case.
 
 Deliveries and stored contents are decoded on one path,
-``decode_group``, which takes a batch as a mapping from each of J
-servers to what it sent, packs each server's words, and calls the core
-``_decode_packed_group`` (as a sweep does on packed runs): one call of
-``rscode._decode_packed`` computes only the L data rows of each word's
-message, left packed.  Its stream side takes
-``{h: column}``, server h's answers to a batch of deliveries chained in
-delivery order, and gives one ``DecodedStreams``, slice r of stream s
-of delivery d at word (d*S + s-1)*pkt + r; ``user_decode`` reads the
-slots of a user's words of one delivery from its packed rows, at the
-words ``cache_side`` listed once.  An adversarial server's column is
-``adversary_column`` of its honest one, corrupted by one strategy call
-with the server's one generator.  Its store side takes
-``{h: [store per set]}`` and gives a ``DecodedLibraries`` sequence,
-which builds each set's library or failure on access.  Each side's
-``differing`` names, from the packed rows alone, the deliveries or sets
-of its batch that are no copies of another batch's; rows are unpacked
-only where a library is built.  ``decode_streams`` and ``recover_library`` are its
-one-sided cases.  A word's decode never depends on the rest of its
-batch.
+``_PackedServers``: it checks and packs each server's words once and
+decodes a batch of them by one call of ``rscode._decode_packed``, which
+computes only the L data rows of each word's message, left packed.
+``decode_group`` is its one decode of J servers' ``{h: column}`` and
+``{h: [store per set]}``, and ``sim`` decodes each group of a replay
+through one.  The stream side gives one ``DecodedStreams``, slice r of
+stream s of delivery d at word (d*S + s-1)*pkt + r; ``user_decode``
+reads the slots of a user's words of one delivery from its packed rows,
+at the words ``cache_side`` listed once.  The store side gives a
+``DecodedLibraries`` sequence, which builds each set's library or
+failure on access.  Each side's ``differing`` names, from the packed
+rows alone, the deliveries or sets of its batch that are no copies of
+another batch's.  ``decode_streams`` and ``recover_library`` are the
+one-sided cases of ``decode_group``.
 """
 
 from __future__ import annotations
@@ -711,6 +706,10 @@ class DecodedStreams(_DecodedRun):
 
     masks: dict[int, int]
 
+    def user_failure(self, side: "CacheSide", d: int):
+        """The failure of the first failed word that ``side`` reads in delivery d, or None."""
+        return self._failure(d * self.words + w for w, _ in side.reads)
+
     @cached_property
     def flagged(self) -> dict[int, set[int]]:
         stream = (1 << 8 * self.slots.size * self.count) - 1
@@ -753,13 +752,9 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
     ``columns`` maps each of J servers to its answers to a batch of
     deliveries chained in delivery order, as ``decode_streams`` takes
     them, and ``stores`` maps the same servers to their ``ServerStore``
-    in every set, as ``recover_library`` takes them.  Stream words and
-    coded subfiles are words of the same MDS code at the same points, so
-    server h's stream words, then the coded subfiles of its sets in set
-    order, are packed by one ``pack_mod``, and ``_decode_packed_group``
-    decodes them all: an adversary that corrupts both parts is located
-    once.  Returns ``(streams, libraries)``: the ``DecodedStreams`` of
-    the stream words alone, with their failures and flags only, and the
+    in every set, as ``recover_library`` takes them.  Returns
+    ``(streams, libraries)``: the ``DecodedStreams`` of the stream words
+    alone, with their failures and flags only, and the
     ``DecodedLibraries`` of the store words, which gives per set its
     ``Library`` or the ``DecodingFailure`` of its lowest failing slice.
     Both keep the decoded words packed, and each side's ``differing``
@@ -768,13 +763,7 @@ def decode_group(params: SystemParams, pda: Pda | None, columns,
     result is None; ``decode_streams`` and ``recover_library`` are those
     one-sided cases.  The stores are checked before the columns.
     """
-    streamed, words, sets = _checked_group(params, pda, columns, stores, params.J)
-    slots = rscode._Slots.for_sums(params.q, params.J)
-    masks = slots.masks((streamed or 0) + (sets or 0) * params.N * (params.B // params.L))
-    columns, stores = columns or {}, stores or {}
-    return _decode_packed_group(params, {h: slots.pack_mod(
-        [*columns.get(h, ()), *chain.from_iterable(st.coded_subfiles for st in stores.get(h, ()))],
-        masks) for h in columns or stores}, streamed, words, sets)
+    return _PackedServers(params, pda, columns, stores, params.J).decode(columns or stores)
 
 
 def _checked_group(params: SystemParams, pda: Pda | None, columns, stores, servers: int):
@@ -824,28 +813,72 @@ def _checked_group(params: SystemParams, pda: Pda | None, columns, stores, serve
     return streamed, words, sets
 
 
-def _decode_packed_group(params: SystemParams, columns, streamed: int | None,
-                         words: int | None, sets: int | None):
-    """``decode_group`` on each server's words packed below q, in ``_Slots.for_sums(q, J)``.
+class _PackedServers:
+    """Servers' columns and stores, as ``decode_group`` takes them, checked and packed once.
 
-    ``streamed`` stream words, ``words`` a delivery, then N * B/L per set
-    of ``sets``; a side whose count is None is not decoded.
+    Stream words and coded subfiles are words of the same MDS code at the
+    same points, so a server's part of a batch is its stream words, then
+    the coded subfiles of its sets in set order, in ``_Slots.for_sums(q,
+    J)``, and one ``rscode._decode_packed`` call decodes them all: an
+    adversary corrupting both is located once.  A batch holds ``copies``
+    members, each one copy of the deliveries and sets given here (member
+    t's delivery d is t*D + d): an honest server repeats its packed runs
+    by ``_Slots.repeat``, once per (server, copies), and a ``corrupted``
+    server's (column, contents) of each member is checked as its own,
+    then packed for that batch alone.  A word's decode never depends on
+    the rest of its batch, so all-honest members may share one copy.
     """
-    size, first = params.N * (params.B // params.L), streamed or 0
-    positions = sorted(columns)
-    slots, rows, flags, failed = rscode._decode_packed(
-        params.points, positions, params.I + params.L, params.A,
-        [columns[h] for h in positions], first + (sets or 0) * size, rows=params.L)
-    streams = libraries = None
-    if streamed is not None:
-        streams = DecodedStreams(slots, rows, 0, first,
-                                 {w: f for w, f in failed.items() if w < first}, words,
-                                 {h: f for h, f in zip(positions, flags) if f})
-    if sets is not None:
-        libraries = DecodedLibraries(slots, rows, first, sets * size,
-                                     {w: f for w, f in failed.items() if w >= first},
-                                     size, params.N)
-    return streams, libraries
+
+    def __init__(self, params: SystemParams, pda: Pda | None, columns, stores, servers: int):
+        streamed, self.words, self.sets = _checked_group(params, pda, columns, stores, servers)
+        self.params, self.streamed = params, streamed or 0
+        self.stored = 0 if self.sets is None else self.sets * params.N * (params.B // params.L)
+        self.slots = slots = rscode._Slots.for_sums(params.q, params.J)
+        columns, stores = columns or {}, stores or {}
+        self.runs = {h: [slots.pack_mod(run, slots.masks(len(run))) if run else 0 for run in (
+            columns.get(h, ()), [v for st in stores.get(h, ()) for v in st.coded_subfiles])]
+            for h in columns or stores}
+        self.repeated = {}  # (h, copies) -> server h's honest column of that batch
+
+    def _honest(self, h: int, copies: int) -> int:
+        if (h, copies) not in self.repeated:
+            (column, store), slots = self.runs[h], self.slots
+            self.repeated[h, copies] = slots.repeat(column, self.streamed, copies) | slots.repeat(
+                store, self.stored, copies) << 8 * slots.size * copies * self.streamed
+        return self.repeated[h, copies]
+
+    def _corrupt(self, h: int, members, masks) -> int:
+        contents = [st for _, held in members for st in held]
+        if self.sets is not None:
+            _checked_group(self.params, None, None, {h: contents}, 1)
+        for column, held in members:
+            if (len(column), len(held)) != (self.streamed, self.sets or 0):
+                raise ProtocolError(f"a member of server {h} holds {len(column)} stream words and "
+                                    f"{len(held)} sets, not {self.streamed} and {self.sets or 0}")
+        return self.slots.pack_mod([*chain.from_iterable(column for column, _ in members),
+                                    *chain.from_iterable(st.coded_subfiles for st in contents)],
+                                   masks)
+
+    def decode(self, js, copies: int = 1, corrupted=None):
+        """The (streams, libraries) of servers ``js``; None for a side not given."""
+        params, corrupted = self.params, corrupted or {}
+        first, count = copies * self.streamed, copies * (self.streamed + self.stored)
+        masks = self.slots.masks(count) if corrupted else None
+        positions = sorted(js)
+        slots, rows, flags, failed = rscode._decode_packed(
+            params.points, positions, params.I + params.L, params.A,
+            [self._corrupt(h, corrupted[h], masks) if h in corrupted else self._honest(h, copies)
+             for h in positions], count, rows=params.L)
+        streams = libraries = None
+        if self.words is not None:
+            streams = DecodedStreams(slots, rows, 0, first,
+                                     {w: f for w, f in failed.items() if w < first}, self.words,
+                                     {h: f for h, f in zip(positions, flags) if f})
+        if self.sets is not None:
+            libraries = DecodedLibraries(slots, rows, first, count - first,
+                                         {w: f for w, f in failed.items() if w >= first},
+                                         params.N * (params.B // params.L), params.N)
+        return streams, libraries
 
 
 def decode_streams(params: SystemParams, pda: Pda, columns) -> DecodedStreams:
@@ -1014,8 +1047,7 @@ def user_decode(params: SystemParams, side: CacheSide,
     if side.reads and side.reads[-1][0] >= words:
         raise DimensionMismatch(f"user {side.k} reads word {side.reads[-1][0]}, "
                                 f"but a delivery holds {words}")
-    base = d * words
-    failure = streams._failure(base + w for w, _ in side.reads)
+    failure = streams.user_failure(side, d)
     if failure is not None:
         raise rscode.DecodingFailure(*failure.args) from failure
 
@@ -1023,7 +1055,7 @@ def user_decode(params: SystemParams, side: CacheSide,
     slot = (1 << bits) - 1
     q = params.q
     out = list(side.values)
-    for l, row in enumerate(streams._packed(base, words)):
+    for l, row in enumerate(streams._packed(d * words, words)):
         off = l * side.stride
         for w, b in side.reads:
             out[off + b] = (out[off + b] + (row >> bits * w & slot)) % q

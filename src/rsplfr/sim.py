@@ -9,15 +9,14 @@ its stored contents first and then its deliveries.
 A sweep replays many (J-subset, adversary set, strategy) configurations
 against a single placement, checking every user's decoded output and,
 optionally, whole-library recovery, against ground truth computed
-directly from the raw files.  Configurations are decoded in groups, and
-each group's packed decode names, in one comparison with the honest
-reference, the deliveries and sets that differ from it; only those are
-judged: a differing set's library is unpacked, and the users of a
-differing delivery read their slots of it.  A single run is the same replay of
-one configuration under the first demand sample, with a transcript.
-The honest columns and cache sides the replay starts from are built
-packed over its demand samples: one call builds every server's column,
-and one call per user that user's side of every demand.
+directly from the raw files.  Configurations are decoded in groups, on
+the one decode path of ``protocol``, ``_PackedServers``, which
+``decode_group`` takes too.  Each group's decode names, in one
+comparison with the honest reference, the deliveries and sets that
+differ from it; only those are judged: a differing set's library is
+unpacked, and the users of a differing delivery read their slots of it.
+A single run is the same replay of one configuration under the first
+demand sample, with a transcript.
 """
 
 from __future__ import annotations
@@ -28,21 +27,20 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations, islice
 
 from .analysis import MscTriple
 from .pda import Pda
 from .protocol import (ALL_STRATEGIES, STRATEGY_NAMES, ConfigError,
                        Library, ProtocolError, Randomness, SystemParams,
-                       UniformRandom, SCENARIO_FIELDS, _cache_sides, _checked_group,
-                       _decode_packed_group, _dims, _flag, _int, _ints, _server_columns,
+                       UniformRandom, SCENARIO_FIELDS, _PackedServers, _cache_sides,
+                       _dims, _flag, _int, _ints, _server_columns,
                        adversary_column, adversary_content, build_storage, draws, make_query,
                        params_from_json, place_user, strategy_key, user_decode)
 # uncalled here, but bound: instrumentation wraps the sweep's layers at
 # this module's names
 from .protocol import adversary_signal, recover_library, server_signal  # noqa: F401
-from .rscode import DecodingFailure, _Slots
+from .rscode import DecodingFailure
 
 
 class ScenarioError(ValueError):
@@ -297,50 +295,40 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     """Replay configs under every demand, checking against ground truth.
 
     ``configs`` is the slice of the full configuration list that starts
-    at index ``first``.  A server's honest column, its answers to every
-    demand chained in demand order, and every user's cache side of every
-    demand are computed once per replay, packed over the D demands: an
-    answer is linear in the queries and in the store, and a side in the
-    demand and the queries, so one ``_server_columns`` call builds every
-    server's column in one integer, keyed here by server, and one
-    ``_cache_sides`` call every side of one user, each with one reduce
-    and unpack.  An adversarial server
-    corrupts its stored contents (when recovery is checked), then its
-    whole honest column, one strategy call each, with
-    ``adversary_content``, ``adversary_column`` and the one generator of
-    its (configuration, server), so its contents do not depend on the
-    number of demands.
-    Every honest column and store passes ``decode_group``'s checks once
-    and is packed once; those of servers 1..J are decoded in one call of
-    its packed core, ``_decode_packed_group``.  Only if every
-    user of every demand decodes right from it is that data the
-    reference, and only if its one library is the sampled one is that
-    library the reference library.  Any J answers with <= A corrupt
+    at index ``first``.  Every server's honest column, its answers to
+    every demand chained in demand order, comes from one
+    ``_server_columns`` call, and each user's side of every demand from
+    one ``_cache_sides`` call.  An adversarial server corrupts its stored
+    contents (when recovery is checked), then its whole honest column,
+    one strategy call each, with ``adversary_content``,
+    ``adversary_column`` and the one generator of its (configuration,
+    server), so its contents do not depend on the number of demands.
+    One ``_PackedServers`` of the honest columns, and of the stores when
+    recovery is checked, makes every decode of the replay.  Its decode of
+    servers 1..J is the reference only if every user of every demand
+    decodes right from it, and its one library the reference library
+    only if it is the sampled one.  Any J answers with <= A corrupt
     decode to the same data, and a user's output depends only on its
     cache side and the decoded data, so data equal to the reference
     makes every user right.
 
     Configurations with the same J servers and the same adversaries
     among them put their errors at the same positions of every word, so
-    each such group is decoded as one batch, in one such call: an honest
-    server repeats its packed column and then its packed store once per
-    member, an adversarial one's corrupted columns and stores are checked
-    and packed; with recovery unchecked the batch holds no stores.  In a
-    group with no adversary among its J servers the batch holds one
-    member's, judged for every member: a word's result depends on that
-    word alone.  Member t's delivery d is delivery u*D + d of the batch,
-    with D demands and u = t, or 0 in such a group.  ``differing``
-    names the deliveries of the batch that are no copies of the
-    reference's, ``wrong``, and its sets that are no copies of the
+    each such group is one batch, one member per configuration, decoded
+    in one call with its adversaries' columns and contents.  A group
+    with no adversary among its J servers decodes one member's batch,
+    judged for every member.  Member t's delivery d is delivery u*D + d
+    of the batch, with D demands and u = t, or 0 in such a group.
+    ``differing`` names the deliveries of the batch that are no copies of
+    the reference's, ``wrong``, and its sets that are no copies of the
     reference library, ``lost``, one xor per data row; without a
     reference all are.  Only a lost set is built and compared with the
     sampled library, and only the users of a wrong delivery are judged
     one by one, for their witnesses, a user who reads a failed word by
-    its text in the batch.  The transcript's delivery, the
-    batch's last, is cut from it alike for every server, honest when not
-    among the group's adversaries; its outputs are the ground truth
-    unless it is wrong.  A group's batch is dropped before the next is
-    built.
+    its text in the batch.  The transcript's delivery, the batch's last,
+    is cut from the last member's columns, honest for a server not among
+    the group's adversaries; its outputs are the ground truth unless it
+    is wrong.  A group's batch is dropped before the next is built.
     The notes are kept per configuration and joined in configuration
     order, so the witnesses are those a replay of one configuration at a
     time would keep.  Per-configuration seeds are keyed by the
@@ -379,7 +367,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             got = None
             if isinstance(side, ProtocolError):
                 error = str(side)
-            elif failure := streams._failure(d * streams.words + w for w, _ in side.reads):
+            elif failure := streams.user_failure(side, d):
                 error = str(failure)  # what user_decode would raise
             else:
                 got = user_decode(params, side, streams, d)
@@ -388,27 +376,11 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
             errors.append(error)
         return decoded, errors
 
-    size = arr.S * _dims(params, arr)[1]  # symbols per delivery
-    streamed, _, sets = _checked_group(params, arr, honest_columns, {
+    servers = _PackedServers(params, arr, honest_columns, {
         st.h: [st] for st in state.stores} if sc.check_recovery else None, params.H)
-    slots = _Slots.for_sums(params.q, params.J)
-    stored = params.N * params.B // params.L if sets else 0  # coded subfiles per set
-    # each server's honest deliveries, then its coded subfiles when recovery is checked
-    runs = {st.h: [slots.pack_mod(run, slots.masks(len(run))) if run else 0
-                   for run in (honest_columns[st.h], st.coded_subfiles if sets else ())]
-            for st in state.stores}
-
-    @lru_cache(maxsize=None)
-    def honest(h, copies):
-        """Server h's packed column in a batch of ``copies`` members: each of its runs repeated."""
-        column, store = runs[h]
-        return slots.repeat(column, streamed, copies) | slots.repeat(
-            store, stored, copies) << 8 * slots.size * copies * streamed
-
     # the honest check decodes every user, with no short cut, so call
     # counts do not depend on where the first wrong output is
-    reference, library = _decode_packed_group(
-        params, {h: honest(h, 1) for h in range(1, params.J + 1)}, streamed, size, sets)
+    reference, library = servers.decode(range(1, params.J + 1))
     failing = [error is not None for di in range(D)
                for error in decode_users(di, reference, di)[1]]
     if any(failing):
@@ -428,27 +400,22 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
     for (js, bad), members in groups.items():
         # every member of an honest group gets the same batch: it holds one
         copies = len(members) if bad else 1
-        columns = {h: [] if h in bad else honest_columns[h] for h in js}
-        contents = {h: [] for h in bad}
+        corrupted = {h: [] for h in bad}  # per member, (column, contents)
         for c in members:
             strat = configs[c][2]
             for h in bad:
                 rng = (random.Random(f"{sc.seed}:adv:{first + c}:{h}:{keys[id(strat)]}")
                        if strat.draws else None)
-                if sc.check_recovery:
-                    contents[h].append(adversary_content(params, strat,
-                                                         state.stores[h - 1], rng))
-                columns[h] += adversary_column(params, strat, honest_columns[h], D, rng)
-        if bad and sets:
-            _checked_group(params, arr, None, contents, len(bad))
-        masks = slots.masks(copies * (streamed + stored))
-        batch = {h: honest(h, copies) if h not in bad else slots.pack_mod(
-            columns[h] + [v for st in contents[h] for v in st.coded_subfiles], masks) for h in js}
-        streams, recovered = _decode_packed_group(params, batch, copies * streamed, size,
-                                                  copies if sets else None)
+                contents = ([adversary_content(params, strat, state.stores[h - 1], rng)]
+                            if sc.check_recovery else [])
+                corrupted[h].append(
+                    (adversary_column(params, strat, honest_columns[h], D, rng), contents))
+        streams, recovered = servers.decode(js, copies, corrupted)
         # the batch's last delivery, of its last member: each column's last words
-        last = copies * D - 1
-        delivered = [(h, h not in bad, columns[h][len(columns[h]) - size:]) for h in js]
+        last, delivered = copies * D - 1, []
+        for h in js:
+            column = corrupted[h][-1][0] if h in bad else honest_columns[h]
+            delivered.append((h, h not in bad, column[len(column) - streams.words:]))
         wrong = (streams.differing(reference, copies) if reference is not None
                  else set(range(copies * D)))
         lost = (set() if recovered is None else set(range(copies)) if library is None
@@ -475,7 +442,7 @@ def _replay(sc: Scenario, configs, first: int, demand_list) -> _Replay:
                                              user=k, error=error))
         if last not in wrong:  # every user of the delivery is right
             decoded, per_user = truth_list[-1], [True] * params.K
-        del columns, contents, batch, recovered, streams  # before the next group is built
+        del corrupted, recovered, streams  # before the next group is built
     witnesses = list(islice(chain.from_iterable(notes), _WITNESS_CAP))
     measured = MscTriple(M=state.M, T=state.T,
                          R=Fraction(len(honest_columns[1]), D * params.B),

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -262,6 +263,37 @@ def test_simulate_sweep_reports_failures(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(path), "--sweep"]) == 1
     out = capsys.readouterr().out
     assert "failures across 50 configurations" in out
+
+
+MID_PARAMS = {"N": 5, "K": 6, "H": 12, "A": 2, "I": 2, "J": 10, "q": 13, "B": 60,
+              "pda": {"man": {"k": 6, "t": 2}}}
+
+
+@pytest.mark.parametrize("doc, line", [
+    *(({"params": dict(TOY_PARAMS, q=q),
+        "sweep": {"j_subsets": True, "adversary_subsets": True, "adversary_sizes": [2],
+                  "strategies": True, "demand_samples": 2, "check_recovery": True}},
+       f"{failures} failures across 360 configurations")
+      for q, failures in ((7, 1541), (257, 1680), (65537, 1680))),
+    ({"params": MID_PARAMS, "delivery": list(range(1, 11)),
+      "sweep": {"adversary_subsets": True, "adversary_sizes": [3], "demand_samples": 1,
+                "check_recovery": True}},
+     "840 failures across 220 configurations"),
+], ids=["toy_q7", "toy_q257", "toy_q65537", "mid"])
+def test_sweeps_beyond_the_budget_print_their_failure_counts(tmp_path, capsys, monkeypatch,
+                                                             doc, line):
+    # two adversaries against toy's radius of one, three against mid's
+    # two: each run exits 1 with its failure count, and a pool of two
+    # prints what one process does, once the elapsed time is masked
+    monkeypatch.delenv("RSPLFR_SEED", raising=False)
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(["simulate", "--config", str(path), "--sweep", "--jobs", jobs]) == 1
+        outs.append(re.sub(r" \([0-9.]+s\)", "", capsys.readouterr().out))
+        assert line in outs[-1].splitlines()
+    assert outs[0] == outs[1]
 
 
 def test_seed_env_overrides_config(tmp_path, monkeypatch):

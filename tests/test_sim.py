@@ -398,7 +398,7 @@ def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
     import rsplfr.rscode
     import rsplfr.sim
     events = []
-    group, unpack = rsplfr.sim._decode_packed_group, rsplfr.rscode._Slots.unpack
+    decode, unpack = rsplfr.protocol._PackedServers.decode, rsplfr.rscode._Slots.unpack
     init = rsplfr.protocol.Library.__init__
     packing = packing_the_replay(monkeypatch)
 
@@ -407,8 +407,8 @@ def test_right_groups_are_judged_on_their_packed_rows(monkeypatch):
             events.append("unpack")
         return unpack(slots, *args)
 
-    monkeypatch.setattr(rsplfr.sim, "_decode_packed_group",
-                        lambda *args: events.append("decode") or group(*args))
+    monkeypatch.setattr(rsplfr.protocol._PackedServers, "decode",
+                        lambda *args: events.append("decode") or decode(*args))
     monkeypatch.setattr(rsplfr.rscode._Slots, "unpack", unpacked)
     monkeypatch.setattr(rsplfr.protocol.Library, "__init__",
                         lambda library, *args: events.append("library") or init(library, *args))
