@@ -99,8 +99,8 @@ from operator import mul
 from . import sim
 from .pda import Pda
 from .protocol import (ConfigError, Library, ProtocolError, Randomness, SystemParams,
-                       _cut, _placements, _server_columns, _storages, build_storage,
-                       make_query, place_user, server_signal)
+                       _placements, _server_columns, _storages, build_storage, make_query,
+                       place_user, server_signal)
 from .rscode import _Slots
 
 
@@ -354,7 +354,7 @@ def _fit(q: int, inputs: list, outputs: list, affine: bool = False) -> list | No
     if affine:
         offset = slots.pack_mod(outputs[n], row)
         units = slots.reduce(units + q * rows.ones - slots.repeat(offset, m, n), rows)
-    values, packed = slots.unpack(units, n * m), _cut(slots, units, m, n)
+    values, packed = slots.unpack(units, n * m), slots.cut(units, m, n)
     for x, got in zip(inputs[n:], outputs[n:]):
         try:
             seen = slots.pack(got)

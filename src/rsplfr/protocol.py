@@ -22,7 +22,8 @@ Roles and the objects they hold:
 
 All containers hold canonical residues as plain ints; field context
 comes from the parameter object.  This module is the one owner of every
-symbol layout; ``sim`` and ``audit`` read them through it.  ``_dims``
+symbol layout but the packed slots', which is ``rscode._Slots``'s; ``sim``
+and ``audit`` read them through it.  ``_dims``
 gives (B/L, pkt), pkt = B/(L*F) being the packet length, and each
 docstring gives its flat order: ``Randomness``, whose ``sizes`` are its
 run sizes, in the order ``build_storage`` reads it; ``ServerStore`` and
@@ -52,13 +53,13 @@ computes only the L data rows of each word's message, left packed.
 ``{h: [store per set]}``, and ``sim`` decodes each group of a replay
 through one.  The stream side gives one ``DecodedStreams``, slice r of
 stream s of delivery d at word (d*S + s-1)*pkt + r; ``user_decode``
-reads the slots of a user's words of one delivery from its packed rows,
-at the words ``cache_side`` listed once.  The store side gives a
-``DecodedLibraries`` sequence, which builds each set's library or
-failure on access.  Each side's ``differing`` names, from the packed
-rows alone, the deliveries or sets of its batch that are no copies of
-another batch's.  ``decode_streams`` and ``recover_library`` are the
-one-sided cases of ``decode_group``.
+windows each packed row to one delivery, then to each word
+``cache_side`` listed once, by ``_Slots.window``.  The store side gives
+a ``DecodedLibraries`` sequence, which builds each set's library or
+failure on access.  Each side's ``differing`` names, by one
+``_Slots.cut`` of the xors of its packed rows, the deliveries or sets of
+its batch that are no copies of another batch's.  ``decode_streams`` and
+``recover_library`` are the one-sided cases of ``decode_group``.
 """
 
 from __future__ import annotations
@@ -448,20 +449,6 @@ def server_signal(params: SystemParams, pda: Pda,
     return tuple(_server_columns(params, pda, [store], [queries])[0])
 
 
-def _spaced(slots: rscode._Slots, values, step: int) -> int:
-    """``values`` mod q packed ``step`` slots apart, from slot 0."""
-    padded = [0] * (len(values) * step - step + 1)
-    padded[::step] = values
-    return slots.pack_mod(padded, slots.masks(len(padded)))
-
-
-def _cut(slots: rscode._Slots, packed: int, size: int, count: int) -> list[int]:
-    """``count`` blocks of ``size`` slots each, cut from ``packed`` in order."""
-    width = slots.size * size
-    raw = packed.to_bytes(width * count, "little")
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * count, width)]
-
-
 def _server_columns(params: SystemParams, pda: Pda, stores,
                     queries_list) -> list[list[int]]:
     """Each store's answers to every entry of ``queries_list``, chained in order, in store order.
@@ -495,11 +482,11 @@ def _server_columns(params: SystemParams, pda: Pda, stores,
     slots = rscode._Slots.for_sums(q, 1 + N * max(map(len, occurrences)))
     block = D * H  # slots of one word
     # per user, its query coefficient of each file for every delivery
-    packed = _cut(slots, _spaced(slots, [x for v in range(K) for x in chain.from_iterable(
+    packed = slots.cut(slots.spaced([x for v in range(K) for x in chain.from_iterable(
         zip(*(queries[v] for queries in queries_list)))], H), block, K * N)
     coeffs = [packed[v * N:v * N + N] for v in range(K)]
     # slice m of every file, the subfile symbols n*B/L + m of every store
-    symbols = _cut(slots, slots.pack_mod(list(chain.from_iterable(
+    symbols = slots.cut(slots.pack_mod(list(chain.from_iterable(
         zip(*(st.coded_subfiles for st in stores)))), slots.masks(N * subL * H)), H, N * subL)
     slices = [symbols[m::subL] for m in range(subL)]
     # word w's key of every store, once per delivery
@@ -511,7 +498,7 @@ def _server_columns(params: SystemParams, pda: Pda, stores,
         acc = 0
         for j, v in occurrences[s]:
             acc += sum(map(mul, coeffs[v], slices[j * pkt + r]))
-        total += acc << 8 * slots.size * block * w
+        total += slots.at(acc, block * w)
     values = slots.unpack(slots.reduce(total, masks), words * block)
     return [list(chain.from_iterable(zip(*(mine[w * D:w * D + D] for w in range(words)))))
             for mine in (values[t::H] for t in range(H))]
@@ -649,12 +636,6 @@ class _DecodedRun:
     failures: dict[int, rscode.DecodingFailure]
     words: int  # per run
 
-    def _packed(self, start: int, count: int) -> list[int]:
-        """Each data row's words start .. start+count-1 of the batch, packed from slot 0."""
-        bits = 8 * self.slots.size
-        mask = (1 << bits * count) - 1
-        return [row >> bits * start & mask for row in self.rows]
-
     def _failure(self, words):
         """The failure of the first failing word among ``words``, ascending, or None."""
         if self.failures:
@@ -670,20 +651,20 @@ class _DecodedRun:
         row's slot there differs from ``other``'s run i mod its runs.
         Slots hold canonical residues, so each data row xor ``times``
         copies of ``other``'s, by ``_Slots.repeat``, is nonzero exactly in
-        the differing slots.  ``other`` must hold no failure.
+        the differing slots; their OR, unless zero, is cut into runs by
+        one ``_Slots.cut``.  ``other`` must hold no failure.
         """
         if other.failures or self.count != times * other.count:
             raise ValueError(f"no reference for {times} copies: {len(other.failures)} failed "
                              f"words, {other.count} words for {self.count}")
-        bits, run, diff = 8 * self.slots.size, self.words, 0
-        for mine, theirs in zip(self._packed(self.start, self.count),
-                                other._packed(other.start, other.count)):
-            diff |= mine ^ self.slots.repeat(theirs, other.count, times)
+        slots, run, diff = self.slots, self.words, 0
+        for mine, theirs in zip(self.rows, other.rows):
+            diff |= slots.window(mine, self.start, self.count) ^ slots.repeat(
+                slots.window(theirs, other.start, other.count), other.count, times)
         out = {(w - self.start) // run for w in self.failures}
-        while diff:
-            i = self.slots.lowest(diff) // run
-            out.add(i)
-            diff = diff >> bits * run * (i + 1) << bits * run * (i + 1)  # runs 0..i dropped
+        if diff:
+            runs = self.count // run
+            out.update(compress(range(runs), slots.cut(diff, run, runs)))
         return out
 
 
@@ -712,9 +693,9 @@ class DecodedStreams(_DecodedRun):
 
     @cached_property
     def flagged(self) -> dict[int, set[int]]:
-        stream = (1 << 8 * self.slots.size * self.count) - 1
-        return {h: set(compress(range(self.count), self.slots.unpack(f & stream, self.count)))
-                for h, f in self.masks.items() if f & stream}
+        windows = {h: self.slots.window(f, self.start, self.count) for h, f in self.masks.items()}
+        return {h: set(compress(range(self.count), self.slots.unpack(f, self.count)))
+                for h, f in windows.items() if f}
 
 
 @dataclass(frozen=True, eq=False)
@@ -739,7 +720,8 @@ class DecodedLibraries(_DecodedRun, Sequence):
         failure = self._failure(range(first, first + self.words))
         if failure is not None:
             return failure
-        rows = [self.slots.unpack(row, self.words) for row in self._packed(first, self.words)]
+        rows = [self.slots.unpack(self.slots.window(row, first, self.words), self.words)
+                for row in self.rows]
         subL = self.words // self.files
         return Library(tuple(tuple(chain.from_iterable(row[o:o + subL] for row in rows))
                              for o in range(0, self.words, subL)))
@@ -843,8 +825,8 @@ class _PackedServers:
     def _honest(self, h: int, copies: int) -> int:
         if (h, copies) not in self.repeated:
             (column, store), slots = self.runs[h], self.slots
-            self.repeated[h, copies] = slots.repeat(column, self.streamed, copies) | slots.repeat(
-                store, self.stored, copies) << 8 * slots.size * copies * self.streamed
+            self.repeated[h, copies] = slots.repeat(column, self.streamed, copies) | slots.at(
+                slots.repeat(store, self.stored, copies), copies * self.streamed)
         return self.repeated[h, copies]
 
     def _corrupt(self, h: int, members, masks) -> int:
@@ -993,13 +975,13 @@ def _cache_sides(params: SystemParams, pda: Pda, cache: UserCache,
     # each file's coefficients over the entries, entry d in slot d: the
     # demand's, then each interfering query's negated, packed at once
     entries = [list(d_k) + [-x for v in users for x in queries[v]] for d_k, queries in good]
-    coeffs = _cut(slots, slots.pack([x % q for row in zip(*entries) for x in row]), D,
-                  N * (1 + len(users)))
+    coeffs = slots.cut(slots.pack([x % q for row in zip(*entries) for x in row]), D,
+                       N * (1 + len(users)))
     negated = {v: coeffs[N * t:N * t + N] for t, v in enumerate(users, start=1)}
     # each star row's run, one block per file, packed at once
     stars = [u for u, e in enumerate(col) if e is STAR]
-    blocks = _cut(slots, _spaced(slots, [x for u in stars for x in cache.uncoded[u]], D),
-                  step * D, N * len(stars))
+    blocks = slots.cut(slots.spaced([x for u in stars for x in cache.uncoded[u]], D),
+                       step * D, N * len(stars))
     runs = {u: blocks[N * t:N * t + N] for t, u in enumerate(stars)}
     total, keyed = 0, []  # keyed: each row's negated keyed packet, 0 on a star row
     for j, e in enumerate(col):
@@ -1011,8 +993,8 @@ def _cache_sides(params: SystemParams, pda: Pda, cache: UserCache,
             for u, v in others[j]:
                 acc += sum(map(mul, negated[v], runs[u]))
             keyed += [-x % q for x in cache.keys[j]]
-        total += acc << 8 * slots.size * D * step * j
-    total += _spaced(slots, keyed, D) * slots.pack([1] * D)
+        total += slots.at(acc, D * step * j)
+    total += slots.spaced(keyed, D) * slots.pack([1] * D)
     by_row = slots.unpack(slots.reduce(total, slots.masks(params.B * D)), params.B * D)
     # output l*B/L + j*pkt + r is symbol o = j*step + l*pkt + r of the rows,
     # its D entries at slots o*D onward
@@ -1051,14 +1033,11 @@ def user_decode(params: SystemParams, side: CacheSide,
     if failure is not None:
         raise rscode.DecodingFailure(*failure.args) from failure
 
-    bits = 8 * streams.slots.size
-    slot = (1 << bits) - 1
-    q = params.q
-    out = list(side.values)
-    for l, row in enumerate(streams._packed(d * words, words)):
-        off = l * side.stride
+    slots, q, out = streams.slots, params.q, list(side.values)
+    for l, row in enumerate(streams.rows):
+        delivery, off = slots.window(row, d * words, words), l * side.stride
         for w, b in side.reads:
-            out[off + b] = (out[off + b] + (row >> bits * w & slot)) % q
+            out[off + b] = (out[off + b] + slots.window(delivery, w, 1)) % q
     return out
 
 

@@ -33,7 +33,8 @@ the first k points outside S and flags the words wrong at S.
 
 The words are packed one per little-endian slot into one integer per
 position, so each parity or plan row, and its reduction mod q (see
-``_Slots``), is a few big-integer operations for the whole batch.  A
+``_Slots``, the one owner of that layout), is a few big-integer
+operations for the whole batch.  A
 list column is packed by ``_Slots.pack_mod``, by one byte copy when
 every value fits a byte, and range-checked at once; only a column with
 a value below 0 or at least q is reduced mod q and packed again.  The
@@ -43,7 +44,7 @@ word of a set is one test for zero.  The J - k syndrome rows are
 computed once; the words with a nonzero syndrome are pending, and the
 plan with S empty decodes the rest.  While words are pending, the
 lowest of them gets its locator from its syndromes, each read from its
-packed row by one shift and mask.  A locator longer than e, or with
+packed row by one ``_Slots.window``.  A locator longer than e, or with
 another number of roots among the present positions than its length,
 cannot be the locator of an error pattern within the radius, so the
 word is refused.  Otherwise every pending word whose packed syndromes
@@ -62,7 +63,7 @@ The result is the unique codeword within distance e, or
 It depends on the word alone, never on the rest of the batch: a word
 leaves with a located word only if it lies within distance e of a
 codeword, and a refused word's text comes from its own locator.
-``decode`` is the one-word case.
+``decode`` is the core's one-word case.
 
 ``brute_force_decode`` is the independent oracle: try every error
 support up to the radius, interpolate, and keep candidates consistent
@@ -304,6 +305,9 @@ class _Slots:
     floor(v/q) for every v <= terms*(q-1)^2.  A slot is exactly as many
     bytes as v*magic needs, so one multiply, shift and mask of a packed
     integer gives every slot's quotient, and v - q*quotient its residue.
+    Only its methods know the slot width: ``pack``, ``pack_mod``,
+    ``spaced``, ``unpack``, ``window``, ``at``, ``cut``, ``repeat``,
+    ``word``, ``lowest``, ``masks``, ``nonzero``, ``canonical``, ``reduce``.
     """
 
     q: int
@@ -399,9 +403,25 @@ class _Slots:
         """The full slot of word w."""
         return ((1 << 8 * self.size) - 1) << (8 * self.size * w)
 
-    def read(self, packed: int, w: int) -> int:
-        """Slot w of ``packed``."""
-        return packed >> 8 * self.size * w & (1 << 8 * self.size) - 1
+    def window(self, packed: int, start: int, count: int) -> int:
+        """Slots start .. start+count-1 of ``packed``, moved down to slot 0."""
+        return packed >> 8 * self.size * start & (1 << 8 * self.size * count) - 1
+
+    def at(self, packed: int, w: int) -> int:
+        """``packed`` moved up by w slots: its slot 0 in slot w."""
+        return packed << 8 * self.size * w
+
+    def spaced(self, values, step: int) -> int:
+        """``values`` mod q packed ``step`` slots apart, from slot 0."""
+        padded = [0] * (len(values) * step - step + 1)
+        padded[::step] = values
+        return self.pack_mod(padded, self.masks(len(padded)))
+
+    def cut(self, packed: int, span: int, count: int) -> list[int]:
+        """``count`` blocks of ``span`` slots each, cut from ``packed`` in order, from slot 0."""
+        width = self.size * span
+        raw = packed.to_bytes(width * count, "little")
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * count, width)]
 
     def lowest(self, words: int) -> int:
         """The lowest word among the full slots of ``words``."""
@@ -451,7 +471,7 @@ def _decode_packed(points: EvalPoints, positions, dimension: int, max_errors: in
         w = slots.lowest(pending)
         word = slots.word(w)
         try:
-            locator, roots = _locate(dual, [slots.read(s, w) for s in syndromes],
+            locator, roots = _locate(dual, [slots.window(s, w, 1) for s in syndromes],
                                      max_errors, q)
             # the words whose syndromes the locator generates, as full slots
             passing, ell, rev = pending, len(locator) - 1, locator[::-1]
@@ -514,16 +534,17 @@ def decode_columns(points: EvalPoints, positions, dimension: int, max_errors: in
 def decode(received: Codeword, points: EvalPoints, max_errors: int):
     """Message and flagged positions from >= k + 2*max_errors present symbols.
 
-    The one-word case of ``decode_columns``.  Raises ``DecodingFailure``
-    when no codeword lies within the radius.
+    The one-word case of ``_decode_packed``: a residue is its own
+    one-slot packed column, and each packed result row its one value.
+    Raises ``DecodingFailure`` when no codeword lies within the radius.
     """
-    positions = sorted(received.positions)
-    messages, flags, failures = decode_columns(
+    positions, q = sorted(received.positions), points.q
+    _, messages, flags, failures = _decode_packed(
         points, positions, received.dimension, max_errors,
-        [[received.positions[h]] for h in positions])
+        [received.positions[h] % q for h in positions], 1)
     if failures:
         raise failures[0]
-    return [m[0] for m in messages], {h for h, f in zip(positions, flags) if f}
+    return messages, {h for h, f in zip(positions, flags) if f}
 
 
 def brute_force_decode(received: Codeword, points: EvalPoints, max_errors: int):

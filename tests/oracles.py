@@ -186,8 +186,8 @@ def cache_side(params, pda, cache, d_k, queries):
 
 def streamed(streams):
     """Decoded streams as lists: words per delivery, each data row's slots, failure texts, flags."""
-    rows = [streams.slots.unpack(row, streams.count)
-            for row in streams._packed(streams.start, streams.count)]
+    slots, start, count = streams.slots, streams.start, streams.count
+    rows = [slots.unpack(slots.window(row, start, count), count) for row in streams.rows]
     return (streams.words, rows, {w: str(f) for w, f in streams.failures.items()},
             streams.flagged)
 

@@ -7,6 +7,8 @@ where ``randrange`` leaves it.  ``_Slots.pack`` copies a column whose
 values all fit a byte into byte 0 of each slot at once, and packs any
 other column value by value, so both must give the same integer, on
 any host: word w is slot w, little-endian.
+``window``, ``at``, ``cut`` and ``spaced`` move and cut those slots as
+list slicing moves and cuts the values.
 ``decode_columns`` packs each column first and reduces mod q only a
 column whose packed word fails the range check, so any column must
 decode as the same column reduced mod q does.
@@ -62,6 +64,10 @@ def test_the_layout_is_little_endian_on_any_host():
     assert slots.pack([]) == 0 and slots.unpack(0, 0) == []
     assert slots.word(2) == 0xFFFFFF << 48
     assert slots.lowest(slots.word(1) | slots.word(2)) == 1
+    assert slots.window(1 | 2 << 24 | 12 << 48, 1, 2) == 2 | 12 << 24
+    assert slots.at(2 | 12 << 24, 1) == 2 << 24 | 12 << 48
+    assert slots.cut(1 | 2 << 24 | 12 << 48, 1, 3) == [1, 2, 12]
+    assert slots.spaced([1, 14, -1], 2) == 1 | 1 << 48 | 12 << 96
 
 
 @pytest.mark.parametrize("q, planes", [(13, 1), (257, 2), (65537, 3), (2 ** 31 + 11, 4)])
@@ -97,6 +103,35 @@ def test_a_column_packs_one_value_per_slot(values, data):
         column[at] = data.draw(st.integers(-top, -1))
         with pytest.raises(OverflowError):
             slots.pack(column)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_layout_operations_slice_the_slots(data):
+    # window, at and cut against list slicing of the unpacked residues,
+    # spaced against the list it spaces, at every slot width
+    for slots in SLOTS:
+        q = slots.q
+        values = data.draw(st.lists(st.integers(0, q - 1), max_size=12)) + [q - 1]
+        n, packed = len(values), slots.pack(values)
+        start = data.draw(st.integers(0, n))
+        count = data.draw(st.integers(0, n - start))
+        window = slots.window(packed, start, count)
+        assert slots.unpack(window, count) == values[start:start + count]
+        w = data.draw(st.integers(0, 4))
+        moved = slots.unpack(slots.at(window, w), w + count)
+        assert moved == [0] * w + values[start:start + count]
+        span = data.draw(st.integers(1, 4))
+        blocks = data.draw(st.integers(0, n // span))
+        cut = slots.cut(slots.window(packed, 0, span * blocks), span, blocks)
+        assert [slots.unpack(block, span) for block in cut] == [
+            values[i:i + span] for i in range(0, span * blocks, span)]
+        wide = data.draw(st.lists(st.integers(-3 * q, 3 * q) | st.integers(-2 ** 70, 2 ** 70),
+                                  max_size=6))
+        step = data.draw(st.integers(1, 3))
+        spaced = [0] * max(0, len(wide) * step - step + 1)
+        spaced[::step] = [v % q for v in wide]
+        assert slots.unpack(slots.spaced(wide, step), len(spaced)) == spaced
 
 
 @st.composite

@@ -83,10 +83,10 @@ def judged(draw, q, arr):
 
 def delivery(streams, d):
     """Delivery d's data as lists: each data row's words, None where a word failed."""
-    first = d * streams.words
+    slots, first, words = streams.slots, d * streams.words, streams.words
     return [[None if first + w in streams.failures else v
-             for w, v in enumerate(streams.slots.unpack(row, streams.words))]
-            for row in streams._packed(first, streams.words)]
+             for w, v in enumerate(slots.unpack(slots.window(row, first, words), words))]
+            for row in streams.rows]
 
 
 def outcome(decode, *args):
