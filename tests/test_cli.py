@@ -1,10 +1,8 @@
 """End-to-end command line checks through main(argv)."""
 
 import ast
-import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -12,23 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from cli_pins import GAP_LINES, K4_T2_TEXT, TOY_PARAMS
 from rsplfr import analysis, cli, pda as pda_mod
 from rsplfr.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
-
-K4_T2_TEXT = (
-    "* * 1 2\n"
-    "* 1 * 3\n"
-    "* 2 3 *\n"
-    "1 * * 4\n"
-    "2 * 4 *\n"
-    "3 4 * *\n"
-)
-
-TOY_PARAMS = {"N": 4, "K": 3, "H": 6, "A": 1, "I": 1, "J": 5, "q": 7, "B": 6,
-              "pda": {"man": {"k": 3, "t": 1}}}
 
 
 def toy_single_config(tmp_path, name="single.json", **extra) -> str:
@@ -146,23 +133,6 @@ def test_simulate_writes_trace(tmp_path, monkeypatch):
         assert trace["decoded"][k] == trace["library"][k]
 
 
-# transcripts of `simulate --trace` at seed 0; any change to sampling,
-# encoding, corruption or decoding order shows up here
-TRACE_SHA256 = {
-    "toy_sweep": "914776565591423ba106697915e6f78c5c3015e0e9e026c9573a6c37ce01dbf3",
-    "robust_sweep": "33c5e628a70b10da73301d5bcef13424cb4d1af879e6ec37246e5a6f10a13731",
-}
-
-
-@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
-def test_single_run_transcript_is_pinned(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("RSPLFR_SEED", raising=False)
-    trace_path = tmp_path / "trace.json"
-    assert main(["simulate", "--config", str(CONFIGS / f"{name}.json"),
-                 "--trace", str(trace_path)]) == 0
-    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == TRACE_SHA256[name]
-
-
 def test_trace_with_sweep_is_a_usage_error(tmp_path, capsys):
     config = toy_single_config(tmp_path)
     rc = main(["simulate", "--config", config, "--sweep", "--trace", "t.json"])
@@ -231,24 +201,6 @@ def test_a_failed_audit_check_exits_one_without_traceback(tmp_path, capsys, monk
     assert not out.exists()
 
 
-def test_simulate_sweep_toy_instance(capsys, monkeypatch):
-    monkeypatch.delenv("RSPLFR_SEED", raising=False)
-    rc = main(["simulate", "--config", str(CONFIGS / "toy_sweep.json"),
-               "--sweep"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "measured: M=2 T=5/2 R=1/2 subpacketization=6" in out
-    assert "all 168 configurations passed" in out
-
-
-def test_simulate_sweep_parallel_jobs(capsys, monkeypatch):
-    monkeypatch.delenv("RSPLFR_SEED", raising=False)
-    rc = main(["simulate", "--config", str(CONFIGS / "robust_sweep.json"),
-               "--sweep", "--jobs", "2"])
-    assert rc == 0
-    assert "all 120 configurations passed" in capsys.readouterr().out
-
-
 def test_simulate_sweep_reports_failures(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("RSPLFR_SEED", raising=False)
     doc = {
@@ -263,37 +215,6 @@ def test_simulate_sweep_reports_failures(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(path), "--sweep"]) == 1
     out = capsys.readouterr().out
     assert "failures across 50 configurations" in out
-
-
-MID_PARAMS = {"N": 5, "K": 6, "H": 12, "A": 2, "I": 2, "J": 10, "q": 13, "B": 60,
-              "pda": {"man": {"k": 6, "t": 2}}}
-
-
-@pytest.mark.parametrize("doc, line", [
-    *(({"params": dict(TOY_PARAMS, q=q),
-        "sweep": {"j_subsets": True, "adversary_subsets": True, "adversary_sizes": [2],
-                  "strategies": True, "demand_samples": 2, "check_recovery": True}},
-       f"{failures} failures across 360 configurations")
-      for q, failures in ((7, 1541), (257, 1680), (65537, 1680))),
-    ({"params": MID_PARAMS, "delivery": list(range(1, 11)),
-      "sweep": {"adversary_subsets": True, "adversary_sizes": [3], "demand_samples": 1,
-                "check_recovery": True}},
-     "840 failures across 220 configurations"),
-], ids=["toy_q7", "toy_q257", "toy_q65537", "mid"])
-def test_sweeps_beyond_the_budget_print_their_failure_counts(tmp_path, capsys, monkeypatch,
-                                                             doc, line):
-    # two adversaries against toy's radius of one, three against mid's
-    # two: each run exits 1 with its failure count, and a pool of two
-    # prints what one process does, once the elapsed time is masked
-    monkeypatch.delenv("RSPLFR_SEED", raising=False)
-    path = tmp_path / "beyond.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    outs = []
-    for jobs in ("1", "2"):
-        assert main(["simulate", "--config", str(path), "--sweep", "--jobs", jobs]) == 1
-        outs.append(re.sub(r" \([0-9.]+s\)", "", capsys.readouterr().out))
-        assert line in outs[-1].splitlines()
-    assert outs[0] == outs[1]
 
 
 def test_seed_env_overrides_config(tmp_path, monkeypatch):
@@ -356,15 +277,6 @@ def test_bounds_at_unit_memory(capsys):
     out = capsys.readouterr().out
     assert "storage lower bound: T >= 50/7 = 7.142857143" in out
     assert "M=1 R_lb=0.5785714286 T_ach=11 R_ach=1" in out
-
-
-# the exact gap suprema, the same line whatever the memory points
-GAP_LINES = {
-    "tradeoff_n100_k10": "sup gap_T = 77/50 = 1.54, "
-                         "sup gap_R = 28000/8181 = 3.422564479 at M=19.2",
-    "tradeoff_n10_k100": "sup gap_T = 21308/8775 = 2.428262108, "
-                         "sup gap_R = 18046/1755 = 10.28262108 at M=2",
-}
 
 
 @pytest.mark.parametrize("points", [["--m", "1"], ["--m", "2"], ["--grid", "11"]],
@@ -432,39 +344,6 @@ def test_out_in_a_missing_directory_exits_two_before_the_work(command, module, w
 
 
 # ---------- audit ----------
-
-
-def test_audit_micro_instance_passes(capsys, monkeypatch):
-    monkeypatch.delenv("RSPLFR_SEED", raising=False)
-    rc = main(["audit", "--config", str(CONFIGS / "micro_audit.json")])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
-    assert all(": OK" in line for line in lines)
-
-
-def test_audit_mutation_flips_verdict(capsys):
-    rc = main(["audit", "--config", str(CONFIGS / "micro_audit.json"),
-               "--mutate", "zero-pad", "--skip-robustness"])
-    assert rc == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3
-    assert any(line.startswith("demand-privacy: VIOLATED") for line in lines)
-
-
-def test_audit_k2_instance_passes_and_each_mutation_breaks_its_target(capsys):
-    config = str(CONFIGS / "k2_audit.json")
-    assert main(["audit", "--config", config]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
-    assert all(": OK" in line for line in lines)
-    for mutation, target in (("zero-noise", "server-security"),
-                             ("key-removal", "signal-security"),
-                             ("zero-pad", "demand-privacy")):
-        assert main(["audit", "--config", config, "--mutate", mutation,
-                     "--skip-robustness"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert any(line.startswith(f"{target}: VIOLATED") for line in lines), mutation
 
 
 def test_audit_writes_json_report(tmp_path, capsys):
